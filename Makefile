@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-compare bench-idle-1m serve-smoke slo-compare obs-smoke trace-smoke fmt vet check
+.PHONY: all build test race bench bench-json bench-compare bench-idle-1m bench-evaluate-cold repo-bench-smoke serve-smoke slo-compare obs-smoke trace-smoke fmt vet check
 
 all: build
 
@@ -16,10 +16,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One pass over every benchmark as a smoke test; use `go test -bench=. ./...`
-# directly for real measurements.
-bench:
+# One pass over every benchmark as a smoke test, after the cold-evaluation
+# allocation gate; use `go test -bench=. ./...` directly for real
+# measurements.
+bench: bench-evaluate-cold
 	$(GO) test -run=xxx -bench=. -benchtime=1x ./...
+
+# The cold-evaluation gate on its own: BenchmarkEvaluateDueCold b.Fatals if
+# a steady-state cold EvaluateDue allocates at all. The smoke pass above
+# runs it for one iteration; this runs enough of them that a rare
+# allocation (a buffer that grows every Nth period) cannot hide.
+bench-evaluate-cold:
+	$(GO) test -run=xxx -bench='^BenchmarkEvaluateDueCold$$' -benchtime=5000x ./internal/core
 
 # The same pass as a machine-readable test2json stream; CI uploads the
 # result as the BENCH_pr.json artifact to record the perf trajectory.
@@ -49,6 +57,15 @@ bench-compare: bench-json
 # the threshold comparison — is what holds the 0-alloc idle invariant.
 bench-idle-1m:
 	$(GO) test -run=xxx -bench='^BenchmarkAdvance1M$$/^Idle$$' -benchtime=1x .
+
+# Two seconds of each workload of the repository benchmark (BENCHMARK.json,
+# benchmark/README.md). The numbers of so short a run mean nothing; the run
+# exits non-zero when a result ledger, the cross-config digest or the
+# goroutine check fails, which is what CI wants from it.
+repo-bench-smoke:
+	@for w in dense_eval stream_fanout warm_paths sparse_churn; do \
+		$(GO) run ./benchmark -workload $$w -seed 1 -seconds 2 -trace 0 || exit 1; \
+	done
 
 # Build the network front-end and drive it with a short seeded workload;
 # writes the SLO_pr.json artifact CI uploads and slo-compare gates,

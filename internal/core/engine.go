@@ -346,53 +346,26 @@ type AreaResult struct {
 	// Center and Radius are the evaluated circle.
 	Center geom.Point
 	Radius float64
-	// Nodes lists the in-area sensor nodes in ascending id order.
+	// Nodes lists the in-area sensor nodes in canonical grid order (cell
+	// row, cell column, then id — see geom.ShardedGrid.VisitWithin).
 	Nodes []radio.NodeID
 	// Data aggregates the in-area readings at the evaluation instant.
 	Data Partial
 }
 
-// areaHit is one in-area sensor collected during evaluation, with the
-// timestamp of the reading consumed (the evaluation instant on the
-// instantaneous path; the node's newest sample on the windowed path).
-type areaHit struct {
-	id     int32
-	pos    geom.Point
-	sample sim.Time
-	// prefetched marks a reading served from the query's prefetch plan
-	// (always false on the instantaneous path).
-	prefetched bool
-}
-
-// hitsByID orders collected hits by node id so Nodes, Contribs, and float
-// accumulation order are deterministic regardless of shard layout and
-// insertion interleaving.
-func hitsByID(a, b areaHit) int { return cmp.Compare(a.id, b.id) }
-
-// hitPool recycles the per-evaluation hit scratch: EvaluateAll over
-// thousands of users would otherwise grow-and-discard one slice per user
-// per sweep.
-var hitPool = sync.Pool{New: func() any { return new([]areaHit) }}
-
-// evaluate computes one query's area result at virtual time at. Pure with
-// respect to engine state: it only reads immutable bucket snapshots and the
-// query's atomic waypoint, so any number of evaluations run in parallel.
+// evaluate computes one query's area result at virtual time at, folding
+// each node as the grid visits it: the visit order is canonical, so Nodes
+// and the float accumulation order are deterministic regardless of shard
+// layout and insertion interleaving. Pure with respect to engine state: it
+// only reads immutable bucket snapshots and the query's atomic waypoint, so
+// any number of evaluations run in parallel.
 func (e *QueryEngine) evaluate(q *liveQuery, at sim.Time) AreaResult {
 	center := *q.pos.Load()
 	res := AreaResult{QueryID: q.id, Center: center, Radius: q.radius, Data: NewPartial()}
-	scratch := hitPool.Get().(*[]areaHit)
-	hits := (*scratch)[:0]
 	e.grid.VisitWithin(center, q.radius, func(id int32, pos geom.Point) {
-		hits = append(hits, areaHit{id: id, pos: pos})
+		res.Nodes = append(res.Nodes, radio.NodeID(id))
+		res.Data.Add(e.fld.Sample(pos, at))
 	})
-	slices.SortFunc(hits, hitsByID)
-	res.Nodes = make([]radio.NodeID, 0, len(hits))
-	for _, h := range hits {
-		res.Nodes = append(res.Nodes, radio.NodeID(h.id))
-		res.Data.AddReading(radio.NodeID(h.id), e.fld.Sample(h.pos, at))
-	}
-	*scratch = hits
-	hitPool.Put(scratch)
 	return res
 }
 

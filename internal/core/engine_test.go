@@ -1,8 +1,9 @@
 package core
 
 import (
-	"math"
+	"cmp"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -37,13 +38,24 @@ func TestQueryEngineEvaluateMatchesBruteForce(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: registered query not found", trial)
 		}
-		want := NewPartial()
+		// Brute force in canonical grid order: every in-area node, sorted by
+		// (cell row, cell column, id) of the 100 m cell it sits in.
 		var wantNodes []radio.NodeID
 		for id := radio.NodeID(0); id < 500; id++ {
 			if positions[id].Within(center, radius) {
 				wantNodes = append(wantNodes, id)
-				want.AddReading(id, fld.Sample(positions[id], at))
 			}
+		}
+		slices.SortFunc(wantNodes, func(a, b radio.NodeID) int {
+			pa, pb := positions[a], positions[b]
+			return cmp.Or(
+				cmp.Compare(int(pa.Y/100), int(pb.Y/100)),
+				cmp.Compare(int(pa.X/100), int(pb.X/100)),
+				cmp.Compare(a, b))
+		})
+		want := NewPartial()
+		for _, id := range wantNodes {
+			want.Add(fld.Sample(positions[id], at))
 		}
 		if len(res.Nodes) != len(wantNodes) {
 			t.Fatalf("trial %d: %d nodes, want %d", trial, len(res.Nodes), len(wantNodes))
@@ -53,7 +65,7 @@ func TestQueryEngineEvaluateMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: nodes %v, want %v", trial, res.Nodes, wantNodes)
 			}
 		}
-		if res.Data.Count != want.Count || math.Abs(res.Data.Sum-want.Sum) > 1e-9 ||
+		if res.Data.Count != want.Count || res.Data.Sum != want.Sum ||
 			res.Data.Min != want.Min || res.Data.Max != want.Max {
 			t.Fatalf("trial %d: partial %+v, want %+v", trial, res.Data, want)
 		}

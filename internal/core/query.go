@@ -96,9 +96,10 @@ func (s QuerySpec) Deadline(t0 sim.Time, k int) sim.Time {
 
 // Partial is a decomposable partial aggregate carried up the query tree.
 // Count/Sum/Min/Max support every AggKind in one fixed-size record, the
-// standard TAG construction. Contribs lists the contributing sensor nodes;
-// it is bookkeeping for fidelity evaluation and does not count toward the
-// on-air packet size (a real deployment would not transmit it).
+// standard TAG construction. Contribs lists the contributing sensor nodes
+// on the radio path (AddReading); it is bookkeeping for fidelity evaluation
+// and does not count toward the on-air packet size (a real deployment would
+// not transmit it). The query engine's evaluations (Add) leave it nil.
 type Partial struct {
 	Count    int
 	Sum      float64
@@ -112,8 +113,9 @@ func NewPartial() Partial {
 	return Partial{Min: math.Inf(1), Max: math.Inf(-1)}
 }
 
-// AddReading folds one sensor reading from node id into p.
-func (p *Partial) AddReading(id radio.NodeID, v float64) {
+// Add folds one reading into p without recording who contributed it: the
+// engine's evaluation paths, whose callers read only the aggregate.
+func (p *Partial) Add(v float64) {
 	p.Count++
 	p.Sum += v
 	if v < p.Min {
@@ -122,6 +124,12 @@ func (p *Partial) AddReading(id radio.NodeID, v float64) {
 	if v > p.Max {
 		p.Max = v
 	}
+}
+
+// AddReading folds one sensor reading from node id into p and lists id in
+// Contribs — the radio/TAG path, whose fidelity metrics read the list.
+func (p *Partial) AddReading(id radio.NodeID, v float64) {
+	p.Add(v)
 	p.Contribs = append(p.Contribs, id)
 }
 

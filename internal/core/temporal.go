@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"mobiquery/internal/geom"
-	"mobiquery/internal/radio"
 	"mobiquery/internal/sim"
 )
 
@@ -46,22 +44,21 @@ type PrefetchPlan interface {
 type CorridorWarmer interface {
 	// VisitStaged streams the staged nodes of the boundary due at `due`
 	// that fall inside the actual query circle (center, radius), in
-	// ascending id order, and reports true — or reports false without
-	// calling fn when the boundary must be served by the cold radius scan
-	// (nothing staged, the snapshot outdated by node churn, or the actual
-	// position outside the staged corridor — a mispredict the warmer
-	// records). A true return must enumerate exactly the nodes the cold
-	// scan would: the engine serves the period from this buffer verbatim.
+	// canonical grid order (geom.ShardedGrid.VisitWithin), and reports true
+	// — or reports false without calling fn when the boundary must be
+	// served by the cold radius scan (nothing staged, the snapshot outdated
+	// by node churn, or the actual position outside the staged corridor — a
+	// mispredict the warmer records). A true return must enumerate exactly
+	// the sequence the cold scan would: the engine folds the period from
+	// this buffer in visit order, so warm equals cold bit for bit.
 	VisitStaged(due sim.Time, center geom.Point, radius float64, fn func(id int32, pos geom.Point)) bool
 }
 
 // AggServe is an aggregate-index answer to one windowed evaluation: the
 // whole-disk partial aggregate plus the accounting the cold scan would have
-// produced. Data carries Count/Sum/Min/Max only — contributor ids are not
-// enumerated (skipping that enumeration is the point of the index), so
-// Data.Contribs is nil.
+// produced.
 type AggServe struct {
-	// Data is the fresh in-area aggregate (Contribs nil).
+	// Data is the fresh in-area aggregate.
 	Data Partial
 	// AreaNodes counts every in-disk node; StaleNodes those excluded for
 	// missing the freshness window — identical to the cold scan's counts.
@@ -83,9 +80,9 @@ type AggServe struct {
 // mutated since ingest. A true return must account exactly the member set
 // the cold scan would: same in-area nodes, same freshness decisions, same
 // Count/Min/Max bit for bit (Sum is folded in the index's deterministic
-// tile-major order, which differs from the cold scan's id-major order only
-// by float-addition grouping). A nil index (the default) keeps the cold
-// path exactly.
+// tile-major order, which differs from the cold scan's canonical grid order
+// only by float-addition grouping). A nil index (the default) keeps the
+// cold path exactly.
 type AggIndex interface {
 	ServeWindow(due sim.Time, center geom.Point, radius float64, fresh time.Duration) (AggServe, bool)
 }
@@ -140,25 +137,17 @@ type temporalState struct {
 	hasReading  bool
 	evaluated   int
 	late        int
-	// scratch is the window evaluation's hit buffer and nodes the
-	// contributor-id buffer, both reused across this query's periods (a
-	// dense prefetch Advance used to reallocate Nodes per evaluation).
-	// Guarded by the owning liveQuery's tmu like the rest of the state, so
-	// no pooling or clearing discipline is needed.
-	scratch []areaHit
-	nodes   []radio.NodeID
 	// winRing holds the last spec.Window single-period evaluations of a
-	// windowed query (allocated on first use, entries reused in place) and
-	// winContribs the merged-contributor scratch; winNext/winLen are the
-	// ring cursor and fill. Guarded by tmu like the rest.
-	winRing     []windowPeriod
-	winNext     int
-	winLen      int
-	winContribs []radio.NodeID
+	// windowed query (allocated on first use, entries reused in place);
+	// winNext/winLen are the ring cursor and fill. Guarded by tmu like the
+	// rest.
+	winRing []windowPeriod
+	winNext int
+	winLen  int
 }
 
 // windowPeriod is one single-period evaluation retained for N-period
-// window merging. Contribs in data points into entry-owned storage.
+// window merging.
 type windowPeriod struct {
 	due        sim.Time
 	data       Partial
@@ -183,15 +172,17 @@ type TemporalStats struct {
 	HasReading  bool
 }
 
-// WindowResult is one period's freshness-windowed evaluation. The embedded
-// AreaResult covers only the fresh contributors; stale in-area nodes are
-// counted but excluded from the aggregate.
-//
-// Nodes aliases a per-query scratch buffer: it is valid until the same
-// query's next EvaluateDue, which reuses the storage. Callers that keep
-// contributor ids across periods must copy them.
+// WindowResult is one period's freshness-windowed evaluation. Data covers
+// only the fresh contributors; stale in-area nodes are counted but excluded
+// from the aggregate. Contributors are folded in canonical grid order and
+// never listed: Data.Count is their number.
 type WindowResult struct {
-	AreaResult
+	QueryID uint32
+	// Center and Radius are the evaluated circle.
+	Center geom.Point
+	Radius float64
+	// Data aggregates the fresh in-area readings.
+	Data Partial
 	// K is the 1-based period index; the result was due at Due and
 	// actually evaluated at EvaluatedAt.
 	K           int
@@ -220,10 +211,8 @@ type WindowResult struct {
 	CorridorHit bool
 	// PyramidHit reports the period's aggregate was served from the query's
 	// aggregate index (SetQueryAggIndex) instead of a cold radius scan.
-	// Values and accounting are identical either way; Nodes and
-	// Data.Contribs stay empty on a pyramid serve, since skipping the
-	// per-node enumeration is exactly what the index buys. Always false
-	// without an index.
+	// Values and accounting are identical either way. Always false without
+	// an index.
 	PyramidHit bool
 	// WindowPeriods is how many period boundaries the result aggregates
 	// over (spec.Window at steady state, ramping up from 1 at session
@@ -482,9 +471,11 @@ func (e *QueryEngine) Stats(queryID uint32) (TemporalStats, bool) {
 // attached, serves the boundary from its pre-staged snapshot whenever it
 // can prove the snapshot is exact (covered and current); otherwise — and
 // always without a warmer — the cold radius scan runs, bit-identical by
-// contract. The warm path lives in its own function so the cold path's
-// visit closure never escapes through the warmer interface: queries
-// without a corridor pay nothing for its existence.
+// contract. Either way each node is folded into the result as it is
+// visited: the visit order is canonical by construction, so there is
+// nothing to collect or sort. The warm path lives in its own function so
+// the cold path's visit closure never escapes through the warmer interface:
+// queries without a corridor pay nothing for its existence.
 func (e *QueryEngine) evaluateWindow(q *liveQuery, spec TemporalSpec, due sim.Time) WindowResult {
 	if q.warmer != nil {
 		if out, ok := e.evaluateWindowWarm(q, spec, due); ok {
@@ -497,34 +488,26 @@ func (e *QueryEngine) evaluateWindow(q *liveQuery, spec TemporalSpec, due sim.Ti
 		}
 	}
 	center := *q.pos.Load()
-	out := WindowResult{
-		AreaResult: AreaResult{QueryID: q.id, Center: center, Radius: q.radius, Data: NewPartial()},
-	}
-	hits := q.temporal.scratch[:0]
+	out := WindowResult{QueryID: q.id, Center: center, Radius: q.radius, Data: NewPartial()}
 	e.grid.VisitWithin(center, q.radius, func(id int32, pos geom.Point) {
-		e.addAreaHit(q, spec, due, &out, &hits, id, pos)
+		e.foldNode(q, spec, due, &out, id, pos)
 	})
-	e.finishWindow(q, &out, hits, due)
 	return out
 }
 
 // evaluateWindowWarm asks the query's corridor warmer for the boundary's
 // staged snapshot; ok is false when the warmer declined (nothing staged,
 // stale snapshot, or a mispredict) and the caller must run the cold scan.
-// Caller holds q.tmu.
+// The warmer calls fn only on a serve, so a decline leaves the query's
+// reading ledger untouched. Caller holds q.tmu.
 func (e *QueryEngine) evaluateWindowWarm(q *liveQuery, spec TemporalSpec, due sim.Time) (WindowResult, bool) {
 	center := *q.pos.Load()
-	out := WindowResult{
-		AreaResult:  AreaResult{QueryID: q.id, Center: center, Radius: q.radius, Data: NewPartial()},
-		CorridorHit: true,
-	}
-	hits := q.temporal.scratch[:0]
+	out := WindowResult{QueryID: q.id, Center: center, Radius: q.radius, Data: NewPartial(), CorridorHit: true}
 	if !q.warmer.VisitStaged(due, center, q.radius, func(id int32, pos geom.Point) {
-		e.addAreaHit(q, spec, due, &out, &hits, id, pos)
+		e.foldNode(q, spec, due, &out, id, pos)
 	}) {
 		return WindowResult{}, false
 	}
-	e.finishWindow(q, &out, hits, due)
 	return out, true
 }
 
@@ -539,7 +522,10 @@ func (e *QueryEngine) evaluateWindowAgg(q *liveQuery, spec TemporalSpec, due sim
 		return WindowResult{}, false
 	}
 	out := WindowResult{
-		AreaResult:   AreaResult{QueryID: q.id, Center: center, Radius: q.radius, Data: sv.Data},
+		QueryID:      q.id,
+		Center:       center,
+		Radius:       q.radius,
+		Data:         sv.Data,
 		PyramidHit:   true,
 		AreaNodes:    sv.AreaNodes,
 		StaleNodes:   sv.StaleNodes,
@@ -553,9 +539,10 @@ func (e *QueryEngine) evaluateWindowAgg(q *liveQuery, spec TemporalSpec, due sim
 	return out, true
 }
 
-// addAreaHit is the shared per-node collection body of a windowed
-// evaluation: freshness-window the node's reading and record the hit.
-func (e *QueryEngine) addAreaHit(q *liveQuery, spec TemporalSpec, due sim.Time, out *WindowResult, hits *[]areaHit, id int32, pos geom.Point) {
+// foldNode is the shared per-node body of a windowed evaluation:
+// freshness-window the node's reading and fold it into the result and the
+// query's reading ledger. Caller holds q.tmu.
+func (e *QueryEngine) foldNode(q *liveQuery, spec TemporalSpec, due sim.Time, out *WindowResult, id int32, pos geom.Point) {
 	out.AreaNodes++
 	sample, ok, prefetched := due, true, false
 	switch {
@@ -568,7 +555,17 @@ func (e *QueryEngine) addAreaHit(q *liveQuery, spec TemporalSpec, due sim.Time, 
 		out.StaleNodes++
 		return
 	}
-	*hits = append(*hits, areaHit{id: id, pos: pos, sample: sample, prefetched: prefetched})
+	out.Data.Add(e.fld.Sample(pos, sample))
+	if prefetched {
+		out.Prefetched++
+	}
+	if age := due - sample; age > out.MaxStaleness {
+		out.MaxStaleness = age
+	}
+	if t := q.temporal; !t.hasReading || sample > t.lastReading {
+		t.lastReading = sample
+		t.hasReading = true
+	}
 }
 
 // mergeWindow folds the current single-period evaluation into the query's
@@ -593,14 +590,11 @@ func (t *temporalState) mergeWindow(cur WindowResult) WindowResult {
 	e.staleNodes = cur.StaleNodes
 	e.maxStale = cur.MaxStaleness
 	e.prefetched = cur.Prefetched
-	contribs := e.data.Contribs
 	e.data = cur.Data
-	e.data.Contribs = append(contribs[:0], cur.Data.Contribs...)
 
 	out := cur
 	out.Data = NewPartial()
 	out.AreaNodes, out.StaleNodes, out.MaxStaleness, out.Prefetched = 0, 0, 0, 0
-	t.winContribs = t.winContribs[:0]
 	for i := 0; i < t.winLen; i++ {
 		p := &t.winRing[(t.winNext+w-t.winLen+i)%w]
 		out.Data.Count += p.data.Count
@@ -618,40 +612,10 @@ func (t *temporalState) mergeWindow(cur WindowResult) WindowResult {
 				out.MaxStaleness = aged
 			}
 		}
-		t.winContribs = append(t.winContribs, p.data.Contribs...)
 		out.AreaNodes += p.areaNodes
 		out.StaleNodes += p.staleNodes
 		out.Prefetched += p.prefetched
 	}
-	out.Data.Contribs = t.winContribs
 	out.WindowPeriods = t.winLen
 	return out
-}
-
-// finishWindow sorts the collected hits and folds them into the result,
-// reusing the query's scratch buffers. Caller holds q.tmu.
-func (e *QueryEngine) finishWindow(q *liveQuery, out *WindowResult, hits []areaHit, due sim.Time) {
-	// Sort by id so Nodes and float accumulation order are deterministic
-	// regardless of shard layout, exactly as the instantaneous path does.
-	slices.SortFunc(hits, hitsByID)
-	t := q.temporal
-	// One Grow on the first period instead of append doubling; every later
-	// period of this query reuses the buffer allocation-free.
-	out.Nodes = slices.Grow(t.nodes[:0], len(hits))
-	for _, h := range hits {
-		out.Nodes = append(out.Nodes, radio.NodeID(h.id))
-		out.Data.AddReading(radio.NodeID(h.id), e.fld.Sample(h.pos, h.sample))
-		if h.prefetched {
-			out.Prefetched++
-		}
-		if age := due - h.sample; age > out.MaxStaleness {
-			out.MaxStaleness = age
-		}
-		if !t.hasReading || h.sample > t.lastReading {
-			t.lastReading = h.sample
-			t.hasReading = true
-		}
-	}
-	t.scratch = hits
-	t.nodes = out.Nodes
 }

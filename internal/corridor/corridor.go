@@ -4,7 +4,8 @@
 // sweeps over the next few period boundaries, each with a validity interval
 // — and stages per-boundary node snapshots from those cells ahead of time,
 // so the engine's windowed evaluation serves staged periods from a warm,
-// contiguous, presorted buffer instead of a cold grid radius scan.
+// contiguous buffer in canonical grid order instead of a cold grid radius
+// scan.
 //
 // The cache is honest about prediction error. Every staged snapshot records
 // the inflated circle it covers and the grid version it was cut at; at
@@ -127,7 +128,7 @@ type StagedNode struct {
 }
 
 // stage is one boundary's staged snapshot: the inflated circle it covers,
-// the grid version it was cut at, and the in-circle nodes in ascending id
+// the grid version it was cut at, and the in-circle nodes in canonical grid
 // order — the warm, contiguous buffer evaluation iterates.
 type stage struct {
 	k       int
@@ -300,9 +301,13 @@ func (c *Cache) stageWindowLocked(now sim.Time) {
 }
 
 // buildStage sweeps and snapshots one boundary: the corridor cells of the
-// inflated predicted circle, their bucket contents filtered to the circle,
-// sorted by id. Returns nil when the profile does not cover the boundary.
-// Caller holds mu.
+// inflated predicted circle, their bucket contents filtered to the circle.
+// The row-major cell sweep over id-sorted buckets leaves the nodes in
+// canonical grid order, and the box of the inflated circle contains the box
+// of any circle it covers, so filtering the buffer to such a circle yields
+// exactly the sequence a cold VisitWithin would — the warm fold matches
+// the cold one bit for bit with no sort here or at serve time. Returns nil
+// when the profile does not cover the boundary. Caller holds mu.
 func (c *Cache) buildStage(k int, now sim.Time) *stage {
 	due := c.cfg.T0 + sim.Time(k)*c.cfg.Period
 	if due < c.profile.TS {
@@ -341,15 +346,6 @@ func (c *Cache) buildStage(k int, now sim.Time) *stage {
 		}
 		st.dirty = true // racing writers both attempts: stage unserveable
 	}
-	slices.SortFunc(st.nodes, func(a, b StagedNode) int {
-		if a.ID < b.ID {
-			return -1
-		}
-		if a.ID > b.ID {
-			return 1
-		}
-		return 0
-	})
 	return st
 }
 
@@ -359,7 +355,8 @@ func (c *Cache) buildStage(k int, now sim.Time) *stage {
 // calling fn when the evaluation must fall back to the cold scan — no
 // snapshot, a snapshot outdated by grid churn, or the actual circle
 // escaping the staged circle (a mispredict, recorded for TakeMispredict).
-// A warm serve enumerates exactly the nodes the cold scan would.
+// A warm serve enumerates exactly the nodes the cold scan would, in the
+// cold scan's canonical grid order.
 func (c *Cache) VisitStaged(due sim.Time, center geom.Point, radius float64, fn func(id int32, pos geom.Point)) bool {
 	c.mu.Lock()
 	k, ok := c.kFor(due)

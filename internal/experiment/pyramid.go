@@ -66,8 +66,8 @@ type PyramidConfig struct {
 // whose values are multiples of 1/64 with bounded magnitude. Sums of such
 // values are exactly representable in float64, so float addition over them
 // is associative: folds that differ only in grouping (the flat scan's
-// id-major order vs the pyramid's tile-major order) produce bit-identical
-// sums, which lets digest comparisons demand exact equality.
+// canonical grid order vs the pyramid's tile-major order) produce
+// bit-identical sums, which lets digest comparisons demand exact equality.
 func QuantizedField() field.Field {
 	return field.Func(func(p geom.Point, t sim.Time) float64 {
 		q := math.Floor(p.X/16+p.Y/32) + math.Floor(float64(t/time.Millisecond)/256)

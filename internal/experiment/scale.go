@@ -99,7 +99,7 @@ type ScaleResult struct {
 
 // resultDigest folds one per-user aggregate into the run digest. Each
 // query's value is bit-exact regardless of sharding (per-area accumulation
-// is id-sorted), so the digest hashes its exact bits; the fold is a wrapping
+// runs in canonical grid order), so the digest hashes its exact bits; the fold is a wrapping
 // uint64 sum, which is associative and commutative — the digest cannot
 // depend on the order workers finish in, unlike the float64 accumulation it
 // replaced (addition over float64 is non-associative, so the old digest

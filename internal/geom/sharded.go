@@ -191,38 +191,55 @@ func (g *ShardedGrid) stripe(id int32) *posStripe {
 	return &g.stripes[h%uint32(len(g.stripes))]
 }
 
-// addToCell publishes a new bucket for p's cell with id appended.
+// addToCell publishes a new bucket for p's cell with id inserted at its
+// id-sorted position. Every bucket is strictly ascending by id at all times
+// (removeFromCell preserves order), which is what makes the scan order of
+// VisitWithin and VisitCell canonical: it depends on the region, the cell
+// size and the stored items only, never on the shard count or on the order
+// concurrent writers happened to insert in.
 func (g *ShardedGrid) addToCell(id int32, p Point) {
 	cx, cy := g.cellOf(p)
 	sh := g.shardFor(cy)
 	sh.mu.Lock()
 	slot := sh.slot(g.cols, cx, cy)
-	old := slot.Load()
-	var next []shardEntry
-	if old != nil {
-		next = make([]shardEntry, len(*old), len(*old)+1)
-		copy(next, *old)
+	var old []shardEntry
+	if b := slot.Load(); b != nil {
+		old = *b
 	}
-	next = append(next, shardEntry{id: id, p: p})
+	// Scan from the tail: buckets are a handful of items and bulk loads
+	// insert ascending ids, so the common case is a plain append.
+	at := len(old)
+	for at > 0 && old[at-1].id > id {
+		at--
+	}
+	next := make([]shardEntry, len(old)+1)
+	copy(next, old[:at])
+	next[at] = shardEntry{id: id, p: p}
+	copy(next[at+1:], old[at:])
 	slot.Store(&next)
 	sh.mu.Unlock()
 }
 
-// removeFromCell publishes a new bucket for p's cell with id removed.
+// removeFromCell publishes a new bucket for p's cell with id removed, or
+// nil when id was the last item: a drained cell reads exactly like one that
+// was never written.
 func (g *ShardedGrid) removeFromCell(id int32, p Point) {
 	cx, cy := g.cellOf(p)
 	sh := g.shardFor(cy)
 	sh.mu.Lock()
 	slot := sh.slot(g.cols, cx, cy)
-	old := slot.Load()
-	if old != nil {
-		next := make([]shardEntry, 0, len(*old)-1)
+	if old := slot.Load(); old != nil {
+		next := make([]shardEntry, 0, len(*old))
 		for _, e := range *old {
 			if e.id != id {
 				next = append(next, e)
 			}
 		}
-		slot.Store(&next)
+		if len(next) == 0 {
+			slot.Store(nil)
+		} else {
+			slot.Store(&next)
+		}
 	}
 	sh.mu.Unlock()
 }
@@ -302,8 +319,8 @@ func (g *ShardedGrid) Len() int {
 // Within appends to dst the ids of all items within radius r of p
 // (inclusive) and returns the extended slice. The read path takes no locks:
 // it walks immutable bucket snapshots, so it runs concurrently with any
-// number of writers and other readers. Results are in no particular order;
-// callers that need determinism must sort.
+// number of writers and other readers. Results are in canonical grid order
+// (see VisitWithin).
 func (g *ShardedGrid) Within(dst []int32, p Point, r float64) []int32 {
 	g.VisitWithin(p, r, func(id int32, _ Point) {
 		dst = append(dst, id)
@@ -315,6 +332,13 @@ func (g *ShardedGrid) Within(dst []int32, p Point, r float64) []int32 {
 // passing the item's stored position. Like Within it takes no locks, so it
 // is the preferred read path when the caller needs positions: it avoids one
 // striped-index lookup per result.
+//
+// Items are emitted in canonical grid order: cell row, then cell column,
+// then ascending id within the cell. The order is a function of the region,
+// the cell size and the stored items alone — not of the shard count or of
+// insertion interleaving — so a caller folding floats in visit order gets
+// the same bits under any sizing, and a row-major VisitCell sweep over a
+// box containing the disk yields this sequence as a subsequence.
 func (g *ShardedGrid) VisitWithin(p Point, r float64, fn func(id int32, pos Point)) {
 	minCX := int((p.X - r - g.region.MinX) / g.cell)
 	maxCX := int((p.X + r - g.region.MinX) / g.cell)
@@ -380,10 +404,11 @@ func (g *ShardedGrid) VisitCellsInBox(p Point, r float64, fn func(cx, cy int)) {
 	}
 }
 
-// VisitCell streams the items of one cell. Like VisitWithin it takes no
-// locks — the bucket is an immutable snapshot — so it runs concurrently
-// with writers; bracket a multi-cell sweep with Version reads to detect
-// racing mutations. Out-of-range cell coordinates are a no-op.
+// VisitCell streams the items of one cell in ascending id order. Like
+// VisitWithin it takes no locks — the bucket is an immutable snapshot — so
+// it runs concurrently with writers; bracket a multi-cell sweep with Version
+// reads to detect racing mutations. Out-of-range cell coordinates are a
+// no-op.
 func (g *ShardedGrid) VisitCell(cx, cy int, fn func(id int32, pos Point)) {
 	if cx < 0 || cx >= g.cols || cy < 0 || cy >= g.rows {
 		return

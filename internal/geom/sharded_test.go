@@ -3,6 +3,8 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -372,5 +374,162 @@ func TestShardedGridVisitCellsInBoxMatchesBruteForce(t *testing.T) {
 			}
 			_ = region
 		}
+	}
+}
+
+// gridOp is one scripted mutation of the canonical-order property test.
+type gridOp struct {
+	id     int32
+	remove bool
+	p      Point
+}
+
+// canonicalOps scripts seeded Insert/Move/Remove traffic for `writers`
+// goroutines over disjoint id ranges (calls for one id must be externally
+// ordered), with positions straying past the region so clamped edge cells
+// take part. It returns the scripts and the final id→position state they
+// leave behind, which no interleaving of the writers can change.
+func canonicalOps(seed int64, region Rect, writers, perWriter, steps int) ([][]gridOp, map[int32]Point) {
+	scripts := make([][]gridOp, writers)
+	final := map[int32]Point{}
+	for w := range scripts {
+		rng := rand.New(rand.NewSource(seed + int64(w)))
+		for i := 0; i < steps; i++ {
+			op := gridOp{id: int32(w*perWriter + rng.Intn(perWriter))}
+			if rng.Intn(4) == 0 {
+				op.remove = true
+				delete(final, op.id)
+			} else {
+				op.p = Pt(region.MinX-40+rng.Float64()*(region.Width()+80), region.MinY-40+rng.Float64()*(region.Height()+80))
+				final[op.id] = op.p
+			}
+			scripts[w] = append(scripts[w], op)
+		}
+	}
+	return scripts, final
+}
+
+// TestShardedGridCanonicalOrder is the invariant single-pass evaluation
+// rests on: after any interleaving of concurrent Insert/Move/Remove traffic
+// every bucket is strictly ascending by id, so VisitWithin — and a
+// row-major cell sweep over any box containing the disk — emits the stored
+// in-disk items in (cell row, cell column, id) order, the same sequence for
+// every shard count and the one a brute-force sort of the final state gives.
+// Run with -race -count=10 to vary the writer interleaving.
+func TestShardedGridCanonicalOrder(t *testing.T) {
+	region := Square(450)
+	const cell = 105
+	scripts, final := canonicalOps(21, region, 4, 150, 1500)
+	grids := map[int]*ShardedGrid{}
+	for _, shards := range []int{1, 4, 16} {
+		g := NewShardedGrid(region, cell, shards)
+		var wg sync.WaitGroup
+		for _, script := range scripts {
+			wg.Add(1)
+			go func(script []gridOp) {
+				defer wg.Done()
+				for _, op := range script {
+					if op.remove {
+						g.Remove(op.id)
+					} else {
+						g.Insert(op.id, op.p)
+					}
+				}
+			}(script)
+		}
+		wg.Wait()
+		if g.Len() != len(final) {
+			t.Fatalf("shards=%d: %d items stored, want %d", shards, g.Len(), len(final))
+		}
+		for s := range g.shards {
+			for c := range g.shards[s].cells {
+				bucket := g.shards[s].cells[c].Load()
+				if bucket == nil {
+					continue
+				}
+				if len(*bucket) == 0 {
+					t.Fatalf("shards=%d: shard %d cell %d holds an empty bucket, want nil", shards, s, c)
+				}
+				for i := 1; i < len(*bucket); i++ {
+					if (*bucket)[i-1].id >= (*bucket)[i].id {
+						t.Fatalf("shards=%d: shard %d cell %d not strictly ascending: %v", shards, s, c, *bucket)
+					}
+				}
+			}
+		}
+		grids[shards] = g
+	}
+
+	// The brute-force order, from the final state alone: clamp each item's
+	// cell the way the grid does and sort by (row, column, id).
+	cols, rows := grids[1].CellCount()
+	clampCell := func(v float64, n int) int {
+		return min(max(int(math.Floor(v/cell)), 0), n-1)
+	}
+	type item struct {
+		id int32
+		p  Point
+	}
+	all := make([]item, 0, len(final))
+	for id, p := range final {
+		all = append(all, item{id, p})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if ay, by := clampCell(a.p.Y-region.MinY, rows), clampCell(b.p.Y-region.MinY, rows); ay != by {
+			return ay < by
+		}
+		if ax, bx := clampCell(a.p.X-region.MinX, cols), clampCell(b.p.X-region.MinX, cols); ax != bx {
+			return ax < bx
+		}
+		return a.id < b.id
+	})
+
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 60; trial++ {
+		center := Pt(rng.Float64()*550-50, rng.Float64()*550-50)
+		radius := rng.Float64() * 250
+		var want []item
+		for _, it := range all {
+			if it.p.Dist2(center) <= radius*radius {
+				want = append(want, it)
+			}
+		}
+		for shards, g := range grids {
+			var got, swept []item
+			g.VisitWithin(center, radius, func(id int32, p Point) { got = append(got, item{id, p}) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("shards=%d trial %d: VisitWithin sequence\n got %v\nwant %v", shards, trial, got, want)
+			}
+			// A wider box swept cell by cell, filtered to the disk: the
+			// corridor cache's staging order.
+			g.VisitCellsInBox(center, radius+rng.Float64()*120, func(cx, cy int) {
+				g.VisitCell(cx, cy, func(id int32, p Point) {
+					if p.Dist2(center) <= radius*radius {
+						swept = append(swept, item{id, p})
+					}
+				})
+			})
+			if !slices.Equal(swept, want) {
+				t.Fatalf("shards=%d trial %d: cell sweep sequence\n got %v\nwant %v", shards, trial, swept, want)
+			}
+		}
+	}
+
+	// Draining the grid leaves every cell reading as never written.
+	for shards, g := range grids {
+		for id := range final {
+			g.Remove(id)
+		}
+		for s := range g.shards {
+			for c := range g.shards[s].cells {
+				if g.shards[s].cells[c].Load() != nil {
+					t.Fatalf("shards=%d: shard %d cell %d not nil after draining", shards, s, c)
+				}
+			}
+		}
+		g.VisitWithin(Pt(225, 225), 1000, func(id int32, _ Point) {
+			t.Fatalf("shards=%d: drained grid still emits item %d", shards, id)
+		})
 	}
 }

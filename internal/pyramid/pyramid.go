@@ -1,10 +1,8 @@
 package pyramid
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -332,66 +330,50 @@ func (p *Pyramid) inFlight(e *epoch) bool {
 	return false
 }
 
-// cellEntry is one grid item captured during ingest.
-type cellEntry struct {
-	id  int32
-	pos geom.Point
-}
-
-func entryByID(a, b cellEntry) int { return cmp.Compare(a.id, b.id) }
-
-// entryPool recycles per-row ingest scratch across builds and pyramids.
-var entryPool = sync.Pool{New: func() any { return new([]cellEntry) }}
-
-// buildRow ingests one cell row of an epoch: per cell, the bucket is
-// captured, sorted by id (bucket order depends on insertion interleaving,
-// which is not deterministic), and folded into the cell's aggregate with
-// exactly the cold scan's freshness classification.
+// buildRow ingests one cell row of an epoch: each cell's bucket is folded
+// into the cell's aggregate as the grid streams it — buckets are id-sorted
+// (canonical grid order), so the fold order is deterministic with nothing
+// to capture or sort — with exactly the cold scan's freshness
+// classification.
 func (p *Pyramid) buildRow(e *epoch, cy int) {
-	scratch := entryPool.Get().(*[]cellEntry)
+	var agg cellAgg
+	fold := func(id int32, pos geom.Point) {
+		agg.nodes++
+		t, tok := e.due, true
+		if p.sample != nil {
+			t, tok = p.sample(id, e.due)
+		}
+		if !tok || (p.fresh > 0 && e.due-t > p.fresh) || t > e.due {
+			agg.stale++
+			return
+		}
+		v := p.fld.Sample(pos, t)
+		agg.count++
+		agg.sum += v
+		if v < agg.min {
+			agg.min = v
+		}
+		if v > agg.max {
+			agg.max = v
+		}
+		if age := e.due - t; age > agg.maxStale {
+			agg.maxStale = age
+		}
+		if t > agg.newest {
+			agg.newest = t
+		}
+	}
 	visited := int64(0)
 	for cx := 0; cx < p.cg.cols; cx++ {
-		ents := (*scratch)[:0]
-		p.grid.VisitCell(cx, cy, func(id int32, pos geom.Point) {
-			ents = append(ents, cellEntry{id: id, pos: pos})
-		})
-		*scratch = ents
-		if len(ents) == 0 {
+		agg = cellAgg{min: math.Inf(1), max: math.Inf(-1)}
+		p.grid.VisitCell(cx, cy, fold)
+		if agg.nodes == 0 {
 			continue
 		}
-		visited += int64(len(ents))
-		slices.SortFunc(ents, entryByID)
-		agg := cellAgg{min: math.Inf(1), max: math.Inf(-1)}
-		for _, en := range ents {
-			agg.nodes++
-			t, tok := e.due, true
-			if p.sample != nil {
-				t, tok = p.sample(en.id, e.due)
-			}
-			if !tok || (p.fresh > 0 && e.due-t > p.fresh) || t > e.due {
-				agg.stale++
-				continue
-			}
-			v := p.fld.Sample(en.pos, t)
-			agg.count++
-			agg.sum += v
-			if v < agg.min {
-				agg.min = v
-			}
-			if v > agg.max {
-				agg.max = v
-			}
-			if age := e.due - t; age > agg.maxStale {
-				agg.maxStale = age
-			}
-			if t > agg.newest {
-				agg.newest = t
-			}
-		}
+		visited += int64(agg.nodes)
 		e.lv[0][cy*p.cg.cols+cx] = agg
 	}
 	e.ingested.Add(visited)
-	entryPool.Put(scratch)
 }
 
 // mergeChild folds one child tile into a parent aggregate, in the same
@@ -460,26 +442,15 @@ func (p *Pyramid) finishBuild(due sim.Time, b *build) {
 	close(b.fin)
 }
 
-// fringeHit is one disk-tested fringe node awaiting the id-ordered fold.
-type fringeHit struct {
-	id     int32
-	pos    geom.Point
-	sample sim.Time
-}
-
-func fringeByID(a, b fringeHit) int { return cmp.Compare(a.id, b.id) }
-
-// fringePool recycles per-serve fringe scratch.
-var fringePool = sync.Pool{New: func() any { return new([]fringeHit) }}
-
 // ServeWindow answers the freshness-windowed aggregate of the disk
 // (center, radius) at period boundary due, implementing core.AggIndex. It
 // declines (ok=false) unless it can prove the answer equals the cold scan:
 // the boundary's epoch must be in the ring, built under the same freshness
 // window, with a clean ingest bracket and no grid mutation since. Covered
-// tiles contribute their rolled-up partials in deterministic coarse-to-fine
-// recursion order; fringe nodes are disk-tested and folded in ascending id
-// order, so the result is identical whatever the shard and worker sizing.
+// tiles contribute their rolled-up partials and fringe cells their
+// disk-tested nodes (ascending id within the cell — canonical grid order) as
+// the deterministic coarse-to-fine recursion reaches them, so the result is
+// identical whatever the shard and worker sizing.
 func (p *Pyramid) ServeWindow(due sim.Time, center geom.Point, radius float64, fresh time.Duration) (core.AggServe, bool) {
 	if fresh != p.fresh {
 		p.sFresh.Add(1)
@@ -498,8 +469,6 @@ func (p *Pyramid) ServeWindow(due sim.Time, center geom.Point, radius float64, f
 	}
 	sv := core.AggServe{Data: core.NewPartial()}
 	r2 := radius * radius
-	scratch := fringePool.Get().(*[]fringeHit)
-	hits := (*scratch)[:0]
 	fringeVisited := 0
 	covered, fringe := coverDisk(p.cg, p.maxLevel, center, radius,
 		func(level, tx, ty int) {
@@ -542,30 +511,15 @@ func (p *Pyramid) ServeWindow(due sim.Time, center geom.Point, radius float64, f
 					sv.StaleNodes++
 					return
 				}
-				hits = append(hits, fringeHit{id: id, pos: pos, sample: t})
+				sv.Data.Add(p.fld.Sample(pos, t))
+				if age := due - t; age > sv.MaxStaleness {
+					sv.MaxStaleness = age
+				}
+				if t > sv.Newest {
+					sv.Newest = t
+				}
 			})
 		})
-	slices.SortFunc(hits, fringeByID)
-	for i := range hits {
-		h := &hits[i]
-		v := p.fld.Sample(h.pos, h.sample)
-		sv.Data.Count++
-		sv.Data.Sum += v
-		if v < sv.Data.Min {
-			sv.Data.Min = v
-		}
-		if v > sv.Data.Max {
-			sv.Data.Max = v
-		}
-		if age := due - h.sample; age > sv.MaxStaleness {
-			sv.MaxStaleness = age
-		}
-		if h.sample > sv.Newest {
-			sv.Newest = h.sample
-		}
-	}
-	*scratch = hits
-	fringePool.Put(scratch)
 	p.sServed.Add(1)
 	p.sTiles.Add(uint64(covered))
 	p.sCells.Add(uint64(fringe))

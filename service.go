@@ -162,6 +162,12 @@ type Service struct {
 	cell   float64
 	engine *core.QueryEngine
 
+	// phases is each node's sampling phase in [0, SamplePeriod), indexed by
+	// node id; nil under aligned sampling. Nodes are fixed at Open, so the
+	// hash behind it runs once per node rather than once per node per
+	// evaluation.
+	phases []time.Duration
+
 	// obs is the service's instrumentation: metric families registered at
 	// Open so every hot-path record is a bare atomic update (observe.go).
 	obs *svcObs
@@ -252,6 +258,12 @@ func Open(ctx context.Context, nc NetworkConfig, opts ...Option) (*Service, erro
 		stop:     make(chan struct{}),
 		spans:    obs.NewSpanSink(o.firehoseDepth),
 	}
+	if !o.aligned {
+		s.phases = make([]time.Duration, nc.Nodes)
+		for i := range s.phases {
+			s.phases[i] = samplePhase(nc.Seed, int32(i), nc.SamplePeriod)
+		}
+	}
 	engine.SetSampler(s.sampler())
 	s.obs = newSvcObs(s)
 
@@ -289,10 +301,13 @@ func (s *Service) sampler() core.Sampler {
 	if s.opts.aligned {
 		return core.ScheduleSampler(period, func(int32) time.Duration { return 0 })
 	}
-	seed := uint64(s.cfg.Seed)
-	return core.ScheduleSampler(period, func(id int32) time.Duration {
-		return time.Duration(splitmix64(seed^(uint64(uint32(id))+0x9E3779B97F4A7C15)) % uint64(period))
-	})
+	phases := s.phases
+	return core.ScheduleSampler(period, func(id int32) time.Duration { return phases[id] })
+}
+
+// samplePhase is node id's deterministic sampling offset in [0, period).
+func samplePhase(seed int64, id int32, period time.Duration) time.Duration {
+	return time.Duration(splitmix64(uint64(seed)^(uint64(uint32(id))+0x9E3779B97F4A7C15)) % uint64(period))
 }
 
 // pyrKey identifies a pyramid-sharing class of subscriptions: same period,

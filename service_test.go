@@ -549,3 +549,40 @@ func TestServiceCloseIsIdempotent(t *testing.T) {
 		t.Error("results channel still open after service close")
 	}
 }
+
+// TestSamplerPhaseTable pins the phase table Open precomputes to the hash it
+// replaced: for every node id the tabled phase is the hashed one and the
+// sampler answers the standard schedule over it, and aligned sampling stays
+// phase 0 with no table at all.
+func TestSamplerPhaseTable(t *testing.T) {
+	svc := mustOpen(t)
+	period, seed := svc.cfg.SamplePeriod, uint64(svc.cfg.Seed)
+	if len(svc.phases) != svc.cfg.Nodes {
+		t.Fatalf("phase table holds %d nodes, want %d", len(svc.phases), svc.cfg.Nodes)
+	}
+	sample := svc.sampler()
+	at := 7*period + period/3
+	for id := 0; id < svc.cfg.Nodes; id++ {
+		want := time.Duration(splitmix64(seed^(uint64(id)+0x9E3779B97F4A7C15)) % uint64(period))
+		if svc.phases[id] != want {
+			t.Fatalf("node %d: tabled phase %v, hashed %v", id, svc.phases[id], want)
+		}
+		if got, ok := sample(int32(id), at); !ok || got != want+(at-want)/period*period {
+			t.Fatalf("node %d: sample at %v = %v/%v, want %v", id, at, got, ok, want+(at-want)/period*period)
+		}
+		if _, ok := sample(int32(id), want-1); ok && want > 0 {
+			t.Fatalf("node %d sampled before its first phase %v", id, want)
+		}
+	}
+
+	aligned := mustOpen(t, WithAlignedSampling())
+	if aligned.phases != nil {
+		t.Error("aligned sampling built a phase table")
+	}
+	sample = aligned.sampler()
+	for id := int32(0); id < int32(aligned.cfg.Nodes); id++ {
+		if got, ok := sample(id, at); !ok || got != 7*period {
+			t.Fatalf("aligned node %d: sample at %v = %v/%v, want %v", id, at, got, ok, 7*period)
+		}
+	}
+}
