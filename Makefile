@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-compare bench-idle-1m bench-evaluate-cold repo-bench-smoke serve-smoke slo-compare obs-smoke trace-smoke fmt vet check
+.PHONY: all build test race bench bench-json bench-compare bench-idle-1m bench-evaluate-cold bench-advance-dense repo-bench-smoke serve-smoke slo-compare obs-smoke trace-smoke fmt vet check
 
 all: build
 
@@ -13,8 +13,12 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+# The second pass repeats the intrusive schedule's differential test against
+# its naive model: cheap, seeded, and the test that owns the heap-index
+# invariant the period path now rests on.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=5 -run='^TestIntrusiveScheduleAgainstModel$$' ./internal/core
 
 # One pass over every benchmark as a smoke test, after the cold-evaluation
 # allocation gate; use `go test -bench=. ./...` directly for real
@@ -28,6 +32,13 @@ bench: bench-evaluate-cold
 # allocation (a buffer that grows every Nth period) cannot hide.
 bench-evaluate-cold:
 	$(GO) test -run=xxx -bench='^BenchmarkEvaluateDueCold$$' -benchtime=5000x ./internal/core
+
+# The period path's allocation gate: BenchmarkAdvanceDense b.Fatals when a
+# steady-state step over 1000 subscribers allocates more than the worker
+# fan-out's constant — one allocation per evaluated period shows up as
+# ~1000 allocs/op.
+bench-advance-dense:
+	$(GO) test -run=xxx -bench='^BenchmarkAdvanceDense$$' -benchtime=200x .
 
 # The same pass as a machine-readable test2json stream; CI uploads the
 # result as the BENCH_pr.json artifact to record the perf trajectory.

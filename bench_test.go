@@ -392,14 +392,33 @@ func BenchmarkAdvanceIdle(b *testing.B) {
 // BenchmarkAdvanceDense is the opposite extreme: every subscriber's period
 // comes due on every tick, so the whole population is evaluated per
 // Advance, fanned across the worker pool.
+//
+// It is also the allocation gate of the period path (`make
+// bench-advance-dense`): a steady-state step may allocate what the worker
+// fan-out costs — a few objects per worker — and nothing per subscriber
+// (one allocation per evaluated period reads as ~1 000 allocs/op here).
 func BenchmarkAdvanceDense(b *testing.B) {
 	b.ReportAllocs()
 	svc := benchAdvanceService(b, 1000, time.Second, ServiceConfig{})
+	// Two untimed steps grow every scratch buffer to the batch's size.
+	for i := 0; i < 2; i++ {
+		if err := svc.Advance(time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := svc.Advance(time.Second); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	budget := 16 + 4*runtime.GOMAXPROCS(0)
+	if allocs := (after.Mallocs - before.Mallocs) / uint64(b.N); allocs > uint64(budget) {
+		b.Fatalf("a dense Advance step over 1000 subscribers allocates %d times, budget %d (16 + 4 per worker): the period path allocates per subscriber again", allocs, budget)
 	}
 }
 

@@ -52,39 +52,63 @@ func (c EngineConfig) Validate() error {
 // different users.
 const queryStripes = 64
 
-// liveQuery is one registered user query: a radius around a mobile
-// waypoint. The waypoint is published through an atomic pointer so updates
-// never block evaluation. Queries registered through RegisterTemporalE
-// additionally carry streaming evaluation state (see temporal.go), guarded
-// by tmu so per-period evaluations of one query are serialized while
+// Query is one registered user query — a radius around a mobile waypoint —
+// and the handle registration returns: the per-query operations are methods
+// on it, so a driver that keeps the handle never resolves an id (the
+// id-keyed engine methods resolve once and delegate here). One mutex guards
+// all mutable state: a period is one lock acquisition, and evaluations of
 // distinct queries never contend.
-type liveQuery struct {
-	id       uint32
-	radius   float64
-	pos      atomic.Pointer[geom.Point]
-	tmu      sync.Mutex
-	temporal *temporalState
-	// dead is set by Deregister (under the registry stripe write lock,
-	// before the schedule entry is removed) so a batched re-arm holding only
-	// the schedule stripe lock can tell a deregistered query from a live one
-	// without touching the registry — see FlushRearms.
-	dead atomic.Bool
+type Query struct {
+	id uint32
+	// heapPos is the query's slot in its schedule stripe's heap plus one: 0
+	// while popped or not yet armed, heapRemoved once deregistered. Guarded
+	// by the schedule stripe lock, not mu.
+	heapPos int32
+	radius  float64
+	eng     *QueryEngine
+	owner   any
+	// spec and t0 are the temporal contract, fixed at registration; a zero
+	// Period marks a query registered without one. nextK is the 1-based
+	// index of the next period to evaluate: written under mu, read
+	// lock-free by NextDue.
+	spec  TemporalSpec
+	t0    sim.Time
+	nextK atomic.Int64
+
+	mu          sync.Mutex
+	pos         geom.Point
+	lastReading sim.Time
+	hasReading  bool
+	evaluated   int
+	late        int
+	// winRing holds the last spec.Window single-period evaluations of a
+	// windowed query (allocated on first use, entries reused in place);
+	// winNext/winLen are the ring cursor and fill.
+	winRing []windowPeriod
+	winNext int
+	winLen  int
 	// sampler overrides the engine-global Sampler for this query's windowed
 	// evaluations, plan is the prefetch plan EvaluateDue consults, warmer
 	// serves pre-staged corridor snapshots to evaluateWindow, and aggIndex
 	// answers whole-disk aggregates from a multiresolution tile pyramid;
-	// all four are nil (pure on-demand, cold-scan behavior) unless
-	// installed via SetQuerySampler/SetQueryPlan/SetQueryWarmer/
-	// SetQueryAggIndex. Guarded by tmu.
+	// all four are nil (pure on-demand, cold-scan behavior) unless installed
+	// via SetSampler/SetPlan/SetWarmer/SetAggIndex.
 	sampler  AreaSampler
 	plan     PrefetchPlan
 	warmer   CorridorWarmer
 	aggIndex AggIndex
 }
 
+// heapRemoved is Query.heapPos after Schedule.Remove, for good.
+const heapRemoved = -1
+
+// Owner returns the value registration attached to the query: a driver
+// goes from a popped schedule entry to its own state without a lookup.
+func (q *Query) Owner() any { return q.owner }
+
 type engineStripe struct {
 	mu      sync.RWMutex
-	queries map[uint32]*liveQuery
+	queries map[uint32]*Query
 }
 
 // QueryEngine is the sharded, concurrent multi-user query engine: a spatial
@@ -143,7 +167,7 @@ func NewQueryEngineE(region geom.Rect, cellSize float64, fld field.Field, cfg En
 		sched: NewScheduleStriped(cfg.Workers),
 	}
 	for i := range e.stripes {
-		e.stripes[i].queries = make(map[uint32]*liveQuery)
+		e.stripes[i].queries = make(map[uint32]*Query)
 	}
 	return e, nil
 }
@@ -185,54 +209,67 @@ func (e *QueryEngine) Register(queryID uint32, radius float64, pos geom.Point) {
 // radius, duplicate id) as an error. A query id freed by Deregister may be
 // registered again.
 func (e *QueryEngine) RegisterE(queryID uint32, radius float64, pos geom.Point) error {
-	return e.register(queryID, radius, pos, nil)
+	_, err := e.register(queryID, radius, pos, TemporalSpec{}, 0, nil)
+	return err
 }
 
-func (e *QueryEngine) register(queryID uint32, radius float64, pos geom.Point, t *temporalState) error {
+func (e *QueryEngine) register(queryID uint32, radius float64, pos geom.Point, spec TemporalSpec, t0 sim.Time, owner any) (*Query, error) {
 	if queryID == 0 {
-		return fmt.Errorf("core: query id must be non-zero")
+		return nil, fmt.Errorf("core: query id must be non-zero")
 	}
 	if radius <= 0 {
-		return fmt.Errorf("core: query radius must be positive")
+		return nil, fmt.Errorf("core: query radius must be positive")
 	}
-	q := &liveQuery{id: queryID, radius: radius, temporal: t}
-	p := pos
-	q.pos.Store(&p)
+	q := &Query{id: queryID, radius: radius, eng: e, owner: owner, spec: spec, t0: t0, pos: pos}
+	q.nextK.Store(1)
 	st := e.stripe(queryID)
 	st.mu.Lock()
 	if _, dup := st.queries[queryID]; dup {
 		st.mu.Unlock()
-		return fmt.Errorf("core: duplicate query id %d", queryID)
+		return nil, fmt.Errorf("core: duplicate query id %d", queryID)
 	}
 	st.queries[queryID] = q
-	if t != nil {
-		// Scheduled under the stripe lock so a concurrent Deregister of
-		// the same id cannot observe the query without its schedule entry.
-		e.sched.Upsert(queryID, t.t0+sim.Time(t.nextK)*t.spec.Period)
-	}
 	st.mu.Unlock()
 	e.nq.Add(1)
-	return nil
+	if spec.Period > 0 {
+		// Armed after the registry lock is released: a Deregister that finds
+		// q first spends the handle, and the Upsert then declines.
+		e.sched.Upsert(q, t0+spec.Period)
+	}
+	return q, nil
+}
+
+// lookup resolves a query id through the registry; nil when unknown.
+func (e *QueryEngine) lookup(queryID uint32) *Query {
+	st := e.stripe(queryID)
+	st.mu.RLock()
+	q := st.queries[queryID]
+	st.mu.RUnlock()
+	return q
 }
 
 // Deregister removes a live query. Unknown ids are a no-op.
 func (e *QueryEngine) Deregister(queryID uint32) {
-	st := e.stripe(queryID)
+	if q := e.lookup(queryID); q != nil {
+		q.Deregister()
+	}
+}
+
+// Deregister removes the query from the engine and spends the handle: a
+// popped entry or a deferred re-arm still carrying it cannot put it back
+// (Schedule.Remove), and its id may be registered again — to a new handle
+// the old one cannot touch. Idempotent.
+func (q *Query) Deregister() {
+	st := q.eng.stripe(q.id)
 	st.mu.Lock()
-	q, ok := st.queries[queryID]
-	delete(st.queries, queryID)
-	if ok {
-		// dead is set before the schedule entry is removed: a deferred
-		// re-arm that checks it under the schedule stripe lock either sees
-		// it (and skips) or upserts first — in which case this Remove, which
-		// serializes on the same stripe lock, deletes the stale entry right
-		// after. Either way the entry cannot be resurrected.
-		q.dead.Store(true)
-		e.sched.Remove(queryID)
+	live := st.queries[q.id] == q
+	if live {
+		delete(st.queries, q.id)
 	}
 	st.mu.Unlock()
-	if ok {
-		e.nq.Add(-1)
+	if live {
+		q.eng.nq.Add(-1)
+		q.eng.sched.Remove(q)
 	}
 }
 
@@ -260,20 +297,18 @@ func (e *QueryEngine) ScheduleStatsInto(out *ScheduleStats) { e.sched.StatsInto(
 func (e *QueryEngine) LastMergeDepth() int { return e.sched.LastMergeDepth() }
 
 // rearmEntry is one deferred schedule re-arm: query q's next boundary is
-// due. The liveQuery pointer (not the bare id) is carried so the flush can
-// check q.dead — the id alone could since have been freed and re-registered
-// to a different query.
+// due.
 type rearmEntry struct {
-	q   *liveQuery
+	q   *Query
 	due sim.Time
 }
 
 // RearmBatch collects deferred schedule re-arms, bucketed by schedule
-// stripe. EvaluateDueBatch appends to it instead of taking the schedule
-// lock per query; FlushRearms then takes each touched stripe's lock exactly
-// once. One batch belongs to one worker at a time (it is not synchronized);
-// create per-worker batches with NewRearmBatch and reuse them across
-// Advance steps — a flushed batch is empty and allocation-free to refill.
+// stripe. EvaluateDue appends to it instead of taking the schedule lock per
+// query; FlushRearms then takes each touched stripe's lock exactly once. One
+// batch belongs to one worker at a time (it is not synchronized); create
+// per-worker batches with NewRearmBatch and reuse them across Advance steps
+// — a flushed batch is empty and allocation-free to refill.
 type RearmBatch struct {
 	byStripe [][]rearmEntry
 }
@@ -286,7 +321,7 @@ func (e *QueryEngine) NewRearmBatch() *RearmBatch {
 // add records q's next boundary. Consecutive re-arms of the same query
 // coalesce: when a driver drains several due periods of one query in a row,
 // only the final boundary needs to reach the schedule.
-func (rb *RearmBatch) add(q *liveQuery, due sim.Time, stripe int) {
+func (rb *RearmBatch) add(q *Query, due sim.Time, stripe int) {
 	b := rb.byStripe[stripe]
 	if n := len(b); n > 0 && b[n-1].q == q {
 		b[n-1].due = due
@@ -297,9 +332,8 @@ func (rb *RearmBatch) add(q *liveQuery, due sim.Time, stripe int) {
 
 // FlushRearms applies every deferred re-arm in rb to the schedule, one
 // stripe lock hold per touched stripe, and resets rb for reuse. Queries
-// deregistered since their evaluation are skipped (see liveQuery.dead);
-// the ordering argument for why a racing Deregister can never leave a
-// resurrected entry is on Deregister.
+// deregistered since their evaluation are skipped by the upsert itself
+// (see Schedule.Remove).
 func (e *QueryEngine) FlushRearms(rb *RearmBatch) {
 	for i, bucket := range rb.byStripe {
 		if len(bucket) == 0 {
@@ -308,33 +342,33 @@ func (e *QueryEngine) FlushRearms(rb *RearmBatch) {
 		st := &e.sched.stripes[i]
 		st.mu.Lock()
 		for _, en := range bucket {
-			if !en.q.dead.Load() {
-				st.upsert(en.q.id, en.due)
-			}
+			st.upsert(en.q, en.due)
 		}
 		st.publishHead()
 		st.mu.Unlock()
-		// Zero the liveQuery pointers so a burst-sized batch doesn't pin
-		// closed queries for the batch's (service-long) lifetime.
+		// Zero the handles so a burst-sized batch doesn't pin closed queries
+		// for the batch's (service-long) lifetime.
 		clear(bucket)
 		rb.byStripe[i] = bucket[:0]
 	}
 }
 
 // UpdateWaypoint moves a user's query center (the user walked). It reports
-// whether the query is registered. Updates for distinct users never
-// contend, and evaluation in flight sees either the old or the new point.
+// whether the query is registered.
 func (e *QueryEngine) UpdateWaypoint(queryID uint32, pos geom.Point) bool {
-	st := e.stripe(queryID)
-	st.mu.RLock()
-	q := st.queries[queryID]
-	st.mu.RUnlock()
-	if q == nil {
-		return false
+	q := e.lookup(queryID)
+	if q != nil {
+		q.SetWaypoint(pos)
 	}
-	p := pos
-	q.pos.Store(&p)
-	return true
+	return q != nil
+}
+
+// SetWaypoint moves the query center. Updates for distinct queries never
+// contend; an evaluation in flight completes at the old point.
+func (q *Query) SetWaypoint(pos geom.Point) {
+	q.mu.Lock()
+	q.pos = pos
+	q.mu.Unlock()
 }
 
 // QueryCount returns the number of registered live queries.
@@ -357,10 +391,12 @@ type AreaResult struct {
 // each node as the grid visits it: the visit order is canonical, so Nodes
 // and the float accumulation order are deterministic regardless of shard
 // layout and insertion interleaving. Pure with respect to engine state: it
-// only reads immutable bucket snapshots and the query's atomic waypoint, so
-// any number of evaluations run in parallel.
-func (e *QueryEngine) evaluate(q *liveQuery, at sim.Time) AreaResult {
-	center := *q.pos.Load()
+// only reads immutable bucket snapshots and a copy of the query's waypoint,
+// so any number of evaluations run in parallel.
+func (e *QueryEngine) evaluate(q *Query, at sim.Time) AreaResult {
+	q.mu.Lock()
+	center := q.pos
+	q.mu.Unlock()
 	res := AreaResult{QueryID: q.id, Center: center, Radius: q.radius, Data: NewPartial()}
 	e.grid.VisitWithin(center, q.radius, func(id int32, pos geom.Point) {
 		res.Nodes = append(res.Nodes, radio.NodeID(id))
@@ -371,10 +407,7 @@ func (e *QueryEngine) evaluate(q *liveQuery, at sim.Time) AreaResult {
 
 // Evaluate computes one registered query's area result at virtual time at.
 func (e *QueryEngine) Evaluate(queryID uint32, at sim.Time) (AreaResult, bool) {
-	st := e.stripe(queryID)
-	st.mu.RLock()
-	q := st.queries[queryID]
-	st.mu.RUnlock()
+	q := e.lookup(queryID)
 	if q == nil {
 		return AreaResult{}, false
 	}
@@ -382,8 +415,8 @@ func (e *QueryEngine) Evaluate(queryID uint32, at sim.Time) (AreaResult, bool) {
 }
 
 // snapshot returns the registered queries sorted by id.
-func (e *QueryEngine) snapshot() []*liveQuery {
-	out := make([]*liveQuery, 0, e.nq.Load())
+func (e *QueryEngine) snapshot() []*Query {
+	out := make([]*Query, 0, e.nq.Load())
 	for i := range e.stripes {
 		st := &e.stripes[i]
 		st.mu.RLock()
@@ -392,7 +425,7 @@ func (e *QueryEngine) snapshot() []*liveQuery {
 		}
 		st.mu.RUnlock()
 	}
-	slices.SortFunc(out, func(a, b *liveQuery) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(out, func(a, b *Query) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
 

@@ -9,10 +9,12 @@ import (
 )
 
 // DueEntry is one scheduled period boundary: query ID's next result is due
-// at Due.
+// at Due. Query is its handle, so whoever pops the entry drives the query
+// without resolving ID (kept inline: the tie-break must not chase a pointer).
 type DueEntry struct {
-	ID  uint32
-	Due sim.Time
+	ID    uint32
+	Due   sim.Time
+	Query *Query
 }
 
 // dueLess orders entries by (Due, ID): a total order, so pops are
@@ -29,8 +31,10 @@ func dueLess(a, b DueEntry) bool {
 const stripeEmpty = math.MaxInt64
 
 // scheduleStripe is one partition of the scheduler: the entries of every
-// query id hashing to this stripe, in a 4-ary min-heap with a position map
-// for O(log n) upsert and remove by id, behind the stripe's own leaf mutex.
+// query id hashing to this stripe, in a 4-ary min-heap behind the stripe's
+// own leaf mutex. The heap is intrusive: each scheduled query stores its own
+// slot (Query.heapPos, maintained by every sift under mu), so upsert and
+// remove by handle are O(log n) with no index beside the heap.
 // A 4-ary layout was chosen over the classic binary heap and over a
 // hierarchical timing wheel after benchmarking (see BenchmarkSchedule* in
 // schedule_test.go): the shallower tree does fewer cache-missing hops per
@@ -40,7 +44,6 @@ const stripeEmpty = math.MaxInt64
 type scheduleStripe struct {
 	mu   sync.Mutex
 	heap []DueEntry
-	pos  map[uint32]int // query id -> index in heap
 	// head is the stripe's minimum due time (stripeEmpty when empty),
 	// written only under mu and read lock-free by PopDue's idle fast path —
 	// always authoritative for this stripe, so no cross-stripe coherence
@@ -48,7 +51,8 @@ type scheduleStripe struct {
 	head atomic.Int64
 	// drain is the stripe's popped-prefix scratch for PopDue's merge. It is
 	// filled under mu and read after mu is released; the popper mutex
-	// (Schedule.popMu) is what guards it across that window.
+	// (Schedule.popMu) is what guards it across that window, and PopDue
+	// zeroes it once merged so it pins no deregistered query.
 	drain []DueEntry
 }
 
@@ -103,7 +107,6 @@ func NewScheduleStriped(n int) *Schedule {
 	}
 	s := &Schedule{stripes: make([]scheduleStripe, p), mask: uint32(p - 1)}
 	for i := range s.stripes {
-		s.stripes[i].pos = make(map[uint32]int)
 		s.stripes[i].head.Store(stripeEmpty)
 	}
 	return s
@@ -116,56 +119,30 @@ func (s *Schedule) StripeCount() int { return len(s.stripes) }
 // the engine's batched re-arm can bucket by stripe without re-hashing.
 func (s *Schedule) stripeIndex(id uint32) int { return int(id & s.mask) }
 
-func (s *Schedule) stripeFor(id uint32) *scheduleStripe {
-	return &s.stripes[id&s.mask]
-}
-
-// Len returns the number of scheduled queries.
-func (s *Schedule) Len() int {
-	n := 0
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		n += len(st.heap)
-		st.mu.Unlock()
-	}
-	return n
-}
-
-// Upsert schedules (or reschedules) query id's next boundary at due.
-func (s *Schedule) Upsert(id uint32, due sim.Time) {
-	st := s.stripeFor(id)
+// Upsert schedules (or reschedules) q's next boundary at due. A handle
+// spent by Remove is left out.
+func (s *Schedule) Upsert(q *Query, due sim.Time) {
+	st := &s.stripes[s.stripeIndex(q.id)]
 	st.mu.Lock()
-	st.upsert(id, due)
+	st.upsert(q, due)
 	st.publishHead()
 	st.mu.Unlock()
 }
 
-// Remove drops query id from the schedule. Unknown ids are a no-op.
-func (s *Schedule) Remove(id uint32) {
-	st := s.stripeFor(id)
+// Remove drops q from the schedule for good: its entry goes if it has one
+// (a popped, not yet re-armed query does not, which its stored slot says)
+// and every later Upsert of the handle is declined. Both serialize on the
+// stripe lock, so a re-arm racing a deregistration either lands first and
+// is removed here, or finds the handle spent: no entry is resurrected.
+func (s *Schedule) Remove(q *Query) {
+	st := &s.stripes[s.stripeIndex(q.id)]
 	st.mu.Lock()
-	if i, ok := st.pos[id]; ok {
-		st.removeAt(i)
+	if q.heapPos > 0 {
+		st.removeAt(int(q.heapPos) - 1)
 		st.publishHead()
 	}
+	q.heapPos = heapRemoved
 	st.mu.Unlock()
-}
-
-// NextDue peeks the earliest scheduled boundary without popping it. ok is
-// false when nothing is scheduled.
-func (s *Schedule) NextDue() (DueEntry, bool) {
-	var best DueEntry
-	found := false
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		if len(st.heap) > 0 && (!found || dueLess(st.heap[0], best)) {
-			best, found = st.heap[0], true
-		}
-		st.mu.Unlock()
-	}
-	return best, found
 }
 
 // PopDue removes and returns every entry with Due <= now, appended to buf
@@ -215,9 +192,14 @@ func (s *Schedule) PopDue(now sim.Time, buf []DueEntry) []DueEntry {
 	}
 	s.mergeDepth.Store(int64(len(cur)))
 	if len(cur) == 1 {
-		return append(buf, cur[0].entries...)
+		buf = append(buf, cur[0].entries...)
+	} else {
+		buf = mergeDue(cur, buf)
 	}
-	return mergeDue(cur, buf)
+	for i := range cur {
+		clear(cur[i].entries)
+	}
+	return buf
 }
 
 // ScheduleStats is a point-in-time snapshot of the striped scheduler.
@@ -319,11 +301,15 @@ func (st *scheduleStripe) publishHead() {
 	st.head.Store(int64(st.heap[0].Due))
 }
 
-// upsert schedules (or reschedules) id at due within this stripe. Caller
-// holds st.mu and republishes the head afterwards — batched re-arms upsert
-// many entries under one lock hold and publish once.
-func (st *scheduleStripe) upsert(id uint32, due sim.Time) {
-	if i, ok := st.pos[id]; ok {
+// upsert schedules (or reschedules) q at due within this stripe, unless
+// Remove has spent the handle. Caller holds st.mu and republishes the head
+// afterwards — batched re-arms upsert many entries under one lock hold and
+// publish once.
+func (st *scheduleStripe) upsert(q *Query, due sim.Time) {
+	switch {
+	case q.heapPos < 0:
+	case q.heapPos > 0:
+		i := int(q.heapPos) - 1
 		old := st.heap[i].Due
 		st.heap[i].Due = due
 		if due < old {
@@ -331,23 +317,20 @@ func (st *scheduleStripe) upsert(id uint32, due sim.Time) {
 		} else if due > old {
 			st.siftDown(i)
 		}
-		return
+	default:
+		st.heap = append(st.heap, DueEntry{ID: q.id, Due: due, Query: q})
+		st.siftUp(len(st.heap) - 1)
 	}
-	st.heap = append(st.heap, DueEntry{ID: id, Due: due})
-	i := len(st.heap) - 1
-	st.pos[id] = i
-	st.siftUp(i)
 }
 
 // removeAt deletes the entry at heap index i. Caller holds st.mu.
 func (st *scheduleStripe) removeAt(i int) {
 	last := len(st.heap) - 1
-	delete(st.pos, st.heap[i].ID)
+	st.heap[i].Query.heapPos = 0
 	if i != last {
-		moved := st.heap[last]
-		st.heap[i] = moved
-		st.pos[moved.ID] = i
+		st.heap[i] = st.heap[last]
 	}
+	st.heap[last] = DueEntry{}
 	st.heap = st.heap[:last]
 	if i < last {
 		// The displaced entry may belong above or below its new slot.
@@ -359,6 +342,12 @@ func (st *scheduleStripe) removeAt(i int) {
 // arity is the heap branching factor.
 const arity = 4
 
+// place stores e at heap index i and records the slot on its query.
+func (st *scheduleStripe) place(i int, e DueEntry) {
+	st.heap[i] = e
+	e.Query.heapPos = int32(i + 1)
+}
+
 func (st *scheduleStripe) siftUp(i int) {
 	e := st.heap[i]
 	for i > 0 {
@@ -366,12 +355,10 @@ func (st *scheduleStripe) siftUp(i int) {
 		if !dueLess(e, st.heap[parent]) {
 			break
 		}
-		st.heap[i] = st.heap[parent]
-		st.pos[st.heap[i].ID] = i
+		st.place(i, st.heap[parent])
 		i = parent
 	}
-	st.heap[i] = e
-	st.pos[e.ID] = i
+	st.place(i, e)
 }
 
 func (st *scheduleStripe) siftDown(i int) {
@@ -395,10 +382,8 @@ func (st *scheduleStripe) siftDown(i int) {
 		if !dueLess(st.heap[min], e) {
 			break
 		}
-		st.heap[i] = st.heap[min]
-		st.pos[st.heap[i].ID] = i
+		st.place(i, st.heap[min])
 		i = min
 	}
-	st.heap[i] = e
-	st.pos[e.ID] = i
+	st.place(i, e)
 }

@@ -25,38 +25,78 @@ func scheduleTestEngine(t testing.TB, workers int) *QueryEngine {
 	return e
 }
 
+// idSchedule drives a bare Schedule by query id, the way these tests state
+// their interleavings: it owns one handle per id and mints a fresh one
+// after a Remove, because a removed handle is spent. The lock only guards
+// the id table; the schedule calls run outside it.
+type idSchedule struct {
+	*Schedule
+	mu sync.Mutex
+	qs map[uint32]*Query
+}
+
+func newIDSchedule(s *Schedule) *idSchedule {
+	return &idSchedule{Schedule: s, qs: make(map[uint32]*Query)}
+}
+
+func (s *idSchedule) Upsert(id uint32, due sim.Time) {
+	s.mu.Lock()
+	q := s.qs[id]
+	if q == nil {
+		q = &Query{id: id}
+		s.qs[id] = q
+	}
+	s.mu.Unlock()
+	s.Schedule.Upsert(q, due)
+}
+
+func (s *idSchedule) Remove(id uint32) {
+	s.mu.Lock()
+	q := s.qs[id]
+	delete(s.qs, id)
+	s.mu.Unlock()
+	if q != nil {
+		s.Schedule.Remove(q)
+	}
+}
+
+// sameDue compares two entries by what the pop contract orders: each
+// schedule under comparison holds its own handles.
+func sameDue(a, b DueEntry) bool { return a.ID == b.ID && a.Due == b.Due }
+
 // TestSchedulePopOrder pins the pop contract: entries come out in
 // ascending (due, id) order, ties broken by id, regardless of insertion
 // order.
 func TestSchedulePopOrder(t *testing.T) {
-	s := NewSchedule()
+	s := newIDSchedule(NewSchedule())
 	s.Upsert(3, 10*time.Second)
 	s.Upsert(1, 20*time.Second)
 	s.Upsert(2, 10*time.Second)
 	s.Upsert(4, 5*time.Second)
 	got := s.PopDue(15*time.Second, nil)
-	want := []DueEntry{{4, 5 * time.Second}, {2, 10 * time.Second}, {3, 10 * time.Second}}
+	want := []DueEntry{{ID: 4, Due: 5 * time.Second}, {ID: 2, Due: 10 * time.Second}, {ID: 3, Due: 10 * time.Second}}
 	if len(got) != len(want) {
 		t.Fatalf("popped %v, want %v", got, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if !sameDue(got[i], want[i]) {
 			t.Fatalf("popped %v, want %v", got, want)
 		}
 	}
-	if n := s.Len(); n != 1 {
+	if n := s.Stats().Len; n != 1 {
 		t.Fatalf("schedule holds %d entries after pop, want 1", n)
-	}
-	if e, ok := s.NextDue(); !ok || e.ID != 1 {
-		t.Fatalf("peek = %v/%v, want id 1", e, ok)
 	}
 	// Upsert moves an existing entry.
 	s.Upsert(1, time.Second)
 	if got := s.PopDue(time.Second, nil); len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("rescheduled pop = %v, want id 1", got)
 	}
-	// Remove of a missing id is a no-op; popping an empty schedule too.
-	s.Remove(99)
+	// Remove of a popped (unarmed) handle only spends it: a re-arm that
+	// was already on its way is declined. Popping an empty schedule is a
+	// no-op.
+	popped := got[0].Query
+	s.Remove(popped.id)
+	s.Schedule.Upsert(popped, time.Second)
 	if got := s.PopDue(time.Hour, nil); len(got) != 0 {
 		t.Fatalf("empty schedule popped %v", got)
 	}
@@ -207,7 +247,7 @@ func TestScheduleConcurrentChurn(t *testing.T) {
 			live++
 		}
 	}
-	if n := e.sched.Len(); n != live {
+	if n := e.sched.Stats().Len; n != live {
 		t.Fatalf("schedule holds %d entries, %d queries live", n, live)
 	}
 	far := sim.Time(1000 * time.Hour)
@@ -236,9 +276,9 @@ func TestScheduleStripedMatchesSingle(t *testing.T) {
 		t.Fatalf("StripeCount(1000 requested) = %d, want clamp %d", got, maxScheduleStripes)
 	}
 	rng := rand.New(rand.NewSource(11))
-	single := NewSchedule()
-	striped := []*Schedule{NewScheduleStriped(4), NewScheduleStriped(16), NewScheduleStriped(64)}
-	all := append([]*Schedule{single}, striped...)
+	single := newIDSchedule(NewSchedule())
+	striped := []*idSchedule{newIDSchedule(NewScheduleStriped(4)), newIDSchedule(NewScheduleStriped(16)), newIDSchedule(NewScheduleStriped(64))}
+	all := append([]*idSchedule{single}, striped...)
 
 	const idSpace = 512
 	now := sim.Time(0)
@@ -266,7 +306,7 @@ func TestScheduleStripedMatchesSingle(t *testing.T) {
 						op, s.StripeCount(), len(got), len(want))
 				}
 				for i := range want {
-					if got[i] != want[i] {
+					if !sameDue(got[i], want[i]) {
 						t.Fatalf("op %d: %d stripes popped %v at %d, single-heap %v",
 							op, s.StripeCount(), got[i], i, want[i])
 					}
@@ -281,9 +321,9 @@ func TestScheduleStripedMatchesSingle(t *testing.T) {
 		}
 		if op%1000 == 0 {
 			for _, s := range striped {
-				if s.Len() != single.Len() {
+				if s.Stats().Len != single.Stats().Len {
 					t.Fatalf("op %d: %d stripes hold %d entries, single-heap %d",
-						op, s.StripeCount(), s.Len(), single.Len())
+						op, s.StripeCount(), s.Stats().Len, single.Stats().Len)
 				}
 			}
 		}
@@ -297,7 +337,7 @@ func TestScheduleStripedMatchesSingle(t *testing.T) {
 			t.Fatalf("final drain: %d stripes popped %d, single-heap %d", s.StripeCount(), len(got), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] {
+			if !sameDue(got[i], want[i]) {
 				t.Fatalf("final drain: entry %d = %v, single-heap %v", i, got[i], want[i])
 			}
 		}
@@ -308,14 +348,14 @@ func TestScheduleStripedMatchesSingle(t *testing.T) {
 }
 
 // TestScheduleStripedConcurrentChurn hammers a striped schedule directly
-// from many goroutines — upserts, removes, pops, peeks, and stats on
+// from many goroutines — upserts, removes, pops, and stats on
 // overlapping id ranges spanning every stripe — then checks the quiesced
 // invariants: a draining pop is sorted, duplicate-free, agrees with Stats,
 // and empties the schedule. Under -race this is the scheduler's
 // cross-stripe race test (the engine-level TestScheduleConcurrentChurn
 // covers the registry integration).
 func TestScheduleStripedConcurrentChurn(t *testing.T) {
-	s := NewScheduleStriped(8)
+	s := newIDSchedule(NewScheduleStriped(8))
 	const (
 		goroutines = 8
 		perG       = 2000
@@ -343,7 +383,6 @@ func TestScheduleStripedConcurrentChurn(t *testing.T) {
 						s.Upsert(de.ID, de.Due+sim.Time(time.Second))
 					}
 				case 5:
-					s.NextDue()
 					s.Stats()
 				}
 			}
@@ -352,9 +391,6 @@ func TestScheduleStripedConcurrentChurn(t *testing.T) {
 	wg.Wait()
 
 	st := s.Stats()
-	if st.Len != s.Len() {
-		t.Fatalf("Stats().Len = %d, Len() = %d", st.Len, s.Len())
-	}
 	sum := 0
 	for _, n := range st.StripeLens {
 		sum += n
@@ -376,7 +412,7 @@ func TestScheduleStripedConcurrentChurn(t *testing.T) {
 		}
 		seen[de.ID] = true
 	}
-	if n := s.Len(); n != 0 {
+	if n := s.Stats().Len; n != 0 {
 		t.Fatalf("schedule holds %d entries after full drain", n)
 	}
 }
@@ -384,7 +420,7 @@ func TestScheduleStripedConcurrentChurn(t *testing.T) {
 // BenchmarkSchedulePopIdle measures the idle-tick cost with 100k queries
 // scheduled and nothing due: the peek that makes Advance O(1).
 func BenchmarkSchedulePopIdle(b *testing.B) {
-	s := NewSchedule()
+	s := newIDSchedule(NewSchedule())
 	for id := uint32(1); id <= 100_000; id++ {
 		s.Upsert(id, time.Hour+sim.Time(id))
 	}
@@ -438,8 +474,10 @@ func BenchmarkScheduleContended(b *testing.B) {
 				// Entry id hashing spreads ids across stripes; dues start
 				// one hour out so the population stays resident.
 				base := sim.Time(time.Hour)
+				qs := make([]Query, entries+1)
 				for id := 1; id <= entries; id++ {
-					s.Upsert(uint32(id), base+sim.Time(id))
+					qs[id].id = uint32(id)
+					s.Upsert(&qs[id], base+sim.Time(id))
 				}
 				var ctr atomic.Int64
 				b.ReportAllocs()
@@ -450,13 +488,13 @@ func BenchmarkScheduleContended(b *testing.B) {
 						i := ctr.Add(1)
 						// Re-arm a pseudo-random resident entry further out.
 						id := uint32(1 + (uint64(i)*2654435761)%uint64(entries))
-						s.Upsert(id, base+sim.Time(i)+sim.Time(entries))
+						s.Upsert(&qs[id], base+sim.Time(i)+sim.Time(entries))
 						if i%1024 == 0 {
 							// A popper sweeps anything the re-arms left due
 							// and re-arms it, like an Advance batch would.
 							buf = s.PopDue(base+sim.Time(i), buf[:0])
 							for _, de := range buf {
-								s.Upsert(de.ID, de.Due+sim.Time(entries))
+								s.Upsert(de.Query, de.Due+sim.Time(entries))
 							}
 						}
 					}
@@ -474,8 +512,10 @@ func BenchmarkScheduleCycle(b *testing.B) {
 	s := NewSchedule()
 	const n = 100_000
 	period := sim.Time(n) // ids 1..n due at 1..n: one due per tick
+	qs := make([]Query, n+1)
 	for id := uint32(1); id <= n; id++ {
-		s.Upsert(id, sim.Time(id))
+		qs[id].id = id
+		s.Upsert(&qs[id], sim.Time(id))
 	}
 	var buf []DueEntry
 	b.ReportAllocs()
@@ -484,7 +524,7 @@ func BenchmarkScheduleCycle(b *testing.B) {
 		now := sim.Time(i + 1)
 		buf = s.PopDue(now, buf[:0])
 		for _, de := range buf {
-			s.Upsert(de.ID, de.Due+period)
+			s.Upsert(de.Query, de.Due+period)
 		}
 	}
 }
@@ -493,7 +533,7 @@ func BenchmarkScheduleCycle(b *testing.B) {
 // Stats exactly, reuses the caller's StripeLens capacity, and a warm call
 // allocates nothing.
 func TestScheduleStatsInto(t *testing.T) {
-	s := NewScheduleStriped(8)
+	s := newIDSchedule(NewScheduleStriped(8))
 	for id := uint32(1); id <= 100; id++ {
 		s.Upsert(id, sim.Time(id)*time.Millisecond)
 	}

@@ -125,27 +125,6 @@ func (ts TemporalSpec) Validate() error {
 	return nil
 }
 
-// temporalState is the per-query evaluation state behind the streaming
-// methods: which period is due next, the newest reading consumed so far,
-// and the deadline ledger. Guarded by its own mutex so streaming
-// evaluations of distinct queries never contend.
-type temporalState struct {
-	spec        TemporalSpec
-	t0          sim.Time
-	nextK       int // 1-based index of the next period to evaluate
-	lastReading sim.Time
-	hasReading  bool
-	evaluated   int
-	late        int
-	// winRing holds the last spec.Window single-period evaluations of a
-	// windowed query (allocated on first use, entries reused in place);
-	// winNext/winLen are the ring cursor and fill. Guarded by tmu like the
-	// rest.
-	winRing []windowPeriod
-	winNext int
-	winLen  int
-}
-
 // windowPeriod is one single-period evaluation retained for N-period
 // window merging.
 type windowPeriod struct {
@@ -242,151 +221,175 @@ func ScheduleSampler(period time.Duration, phase func(id int32) sim.Time) Sample
 // with concurrent evaluations.
 func (e *QueryEngine) SetSampler(s Sampler) { e.sampler = s }
 
-// SetQuerySampler installs a per-query sampler on a temporal query,
-// overriding the engine-global Sampler for that query's windowed
-// evaluations — this is how a prefetch planner feeds planned readings into
-// evaluation. It reports whether the query exists and carries a temporal
-// contract. Safe to call concurrently with evaluations: the new sampler
-// takes effect from the next period.
-func (e *QueryEngine) SetQuerySampler(queryID uint32, s AreaSampler) bool {
-	q := e.temporal(queryID)
-	if q == nil {
-		return false
-	}
-	q.tmu.Lock()
+// SetSampler installs a per-query sampler, overriding the engine-global
+// Sampler for this query's windowed evaluations — this is how a prefetch
+// planner feeds planned readings into evaluation. Safe to call concurrently
+// with evaluations: the new sampler takes effect from the next period.
+func (q *Query) SetSampler(s AreaSampler) {
+	q.mu.Lock()
 	q.sampler = s
-	q.tmu.Unlock()
-	return true
+	q.mu.Unlock()
 }
 
-// SetQueryPlan attaches a prefetch plan to a temporal query: EvaluateDue
-// then credits periods the plan staged by their boundary as evaluated at
-// the boundary, and flags warmup periods. It reports whether the query
-// exists and carries a temporal contract.
-func (e *QueryEngine) SetQueryPlan(queryID uint32, p PrefetchPlan) bool {
-	q := e.temporal(queryID)
-	if q == nil {
-		return false
-	}
-	q.tmu.Lock()
+// SetPlan attaches a prefetch plan: EvaluateDue then credits periods the
+// plan staged by their boundary as evaluated at the boundary, and flags
+// warmup periods.
+func (q *Query) SetPlan(p PrefetchPlan) {
+	q.mu.Lock()
 	q.plan = p
-	q.tmu.Unlock()
-	return true
+	q.mu.Unlock()
 }
 
-// SetQueryWarmer attaches a corridor warmer to a temporal query: windowed
-// evaluations then ask it for a pre-staged node snapshot before falling
-// back to the cold grid scan, and report warm serves in
-// WindowResult.CorridorHit. A nil warmer (the default) keeps the cold path
-// bit-identical. It reports whether the query exists and carries a
-// temporal contract.
-func (e *QueryEngine) SetQueryWarmer(queryID uint32, w CorridorWarmer) bool {
-	q := e.temporal(queryID)
-	if q == nil {
-		return false
-	}
-	q.tmu.Lock()
+// SetWarmer attaches a corridor warmer: windowed evaluations then ask it
+// for a pre-staged node snapshot before falling back to the cold grid scan,
+// and report warm serves in WindowResult.CorridorHit. A nil warmer (the
+// default) keeps the cold path bit-identical.
+func (q *Query) SetWarmer(w CorridorWarmer) {
+	q.mu.Lock()
 	q.warmer = w
-	q.tmu.Unlock()
-	return true
+	q.mu.Unlock()
 }
 
-// SetQueryAggIndex attaches an aggregate index to a temporal query:
-// windowed evaluations then ask it for the whole-disk aggregate before
-// falling back to the cold radius scan (or the corridor warmer, which takes
-// precedence when both are attached), and report index serves in
-// WindowResult.PyramidHit. The index is consulted only while the query has
-// no per-query sampler: a prefetch planner's sampler serves plan-staged
-// readings the index never ingested, so those queries always take their
-// own path. It reports whether the query exists and carries a temporal
-// contract.
-func (e *QueryEngine) SetQueryAggIndex(queryID uint32, ix AggIndex) bool {
-	q := e.temporal(queryID)
-	if q == nil {
-		return false
-	}
-	q.tmu.Lock()
+// SetAggIndex attaches an aggregate index: windowed evaluations then ask it
+// for the whole-disk aggregate before falling back to the cold radius scan
+// (or the corridor warmer, which takes precedence when both are attached),
+// and report index serves in WindowResult.PyramidHit. The index is
+// consulted only while the query has no per-query sampler: a prefetch
+// planner's sampler serves plan-staged readings the index never ingested,
+// so those queries always take their own path.
+func (q *Query) SetAggIndex(ix AggIndex) {
+	q.mu.Lock()
 	q.aggIndex = ix
-	q.tmu.Unlock()
-	return true
+	q.mu.Unlock()
 }
 
-// RegisterTemporalE registers a live query carrying a temporal contract:
-// periods are counted from t0, with the first result due at t0+Period.
-// The query is then driven with NextDue/EvaluateDue instead of Evaluate.
-func (e *QueryEngine) RegisterTemporalE(queryID uint32, radius float64, pos geom.Point, spec TemporalSpec, t0 sim.Time) error {
-	if err := spec.Validate(); err != nil {
-		return err
+// SetQuerySampler is Query.SetSampler by id; like its three siblings it
+// reports whether the query exists and carries a temporal contract.
+func (e *QueryEngine) SetQuerySampler(queryID uint32, s AreaSampler) bool {
+	return e.withTemporal(queryID, func(q *Query) { q.SetSampler(s) })
+}
+
+// SetQueryPlan is Query.SetPlan by id.
+func (e *QueryEngine) SetQueryPlan(queryID uint32, p PrefetchPlan) bool {
+	return e.withTemporal(queryID, func(q *Query) { q.SetPlan(p) })
+}
+
+// SetQueryWarmer is Query.SetWarmer by id.
+func (e *QueryEngine) SetQueryWarmer(queryID uint32, w CorridorWarmer) bool {
+	return e.withTemporal(queryID, func(q *Query) { q.SetWarmer(w) })
+}
+
+// SetQueryAggIndex is Query.SetAggIndex by id.
+func (e *QueryEngine) SetQueryAggIndex(queryID uint32, ix AggIndex) bool {
+	return e.withTemporal(queryID, func(q *Query) { q.SetAggIndex(ix) })
+}
+
+func (e *QueryEngine) withTemporal(queryID uint32, fn func(*Query)) bool {
+	q := e.temporal(queryID)
+	if q != nil {
+		fn(q)
 	}
-	return e.register(queryID, radius, pos, &temporalState{spec: spec, t0: t0, nextK: 1})
+	return q != nil
 }
 
-// temporal returns the query and its temporal state, or nil if the query
-// is unknown or was registered without a temporal contract.
-func (e *QueryEngine) temporal(queryID uint32) *liveQuery {
-	st := e.stripe(queryID)
-	st.mu.RLock()
-	q := st.queries[queryID]
-	st.mu.RUnlock()
-	if q == nil || q.temporal == nil {
+// RegisterQuery registers a live query carrying a temporal contract and
+// returns its handle: periods are counted from t0, with the first result
+// due at t0+Period, and the query is driven with NextDue/EvaluateDue. owner
+// is what Query.Owner hands back from a popped schedule entry.
+func (e *QueryEngine) RegisterQuery(queryID uint32, radius float64, pos geom.Point, spec TemporalSpec, t0 sim.Time, owner any) (*Query, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return e.register(queryID, radius, pos, spec, t0, owner)
+}
+
+// RegisterTemporalE is RegisterQuery for callers that drive the query by id.
+func (e *QueryEngine) RegisterTemporalE(queryID uint32, radius float64, pos geom.Point, spec TemporalSpec, t0 sim.Time) error {
+	_, err := e.RegisterQuery(queryID, radius, pos, spec, t0, nil)
+	return err
+}
+
+// temporal resolves a query id, or returns nil if the query is unknown or
+// was registered without a temporal contract.
+func (e *QueryEngine) temporal(queryID uint32) *Query {
+	q := e.lookup(queryID)
+	if q == nil || q.spec.Period == 0 {
 		return nil
 	}
 	return q
 }
 
-// NextDue returns the index and due time of the next unevaluated period of
-// a temporal query. ok is false for unknown or non-temporal queries.
+// NextDue is Query.NextDue by id. ok is false for unknown or non-temporal
+// queries.
 func (e *QueryEngine) NextDue(queryID uint32) (k int, due sim.Time, ok bool) {
 	q := e.temporal(queryID)
 	if q == nil {
 		return 0, 0, false
 	}
-	q.tmu.Lock()
-	t := q.temporal
-	k, due = t.nextK, t.t0+sim.Time(t.nextK)*t.spec.Period
-	q.tmu.Unlock()
+	k, due = q.NextDue()
 	return k, due, true
 }
 
-// EvaluateDue evaluates the next period of a temporal query if its
-// boundary has been reached by now. It returns ok=false when the query is
-// unknown, has no temporal contract, or its next period is not yet due.
-// The result is computed as of the period boundary — waypoint read at call
-// time, readings as-of the boundary, freshness measured against it — while
-// lateness compares now against the boundary plus the deadline slack.
-// Calls for distinct queries proceed in parallel; calls for one query are
-// serialized and advance its period counter exactly once each.
+// NextDue returns the index and due time of the query's next unevaluated
+// period. It takes no lock.
+func (q *Query) NextDue() (k int, due sim.Time) {
+	k = int(q.nextK.Load())
+	return k, q.t0 + sim.Time(k)*q.spec.Period
+}
+
+// EvaluateDue is EvaluateDueBatch re-arming the schedule immediately.
 func (e *QueryEngine) EvaluateDue(queryID uint32, now sim.Time) (WindowResult, bool) {
-	return e.evaluateDue(queryID, now, nil)
+	return e.EvaluateDueBatch(queryID, now, nil)
 }
 
-// EvaluateDueBatch is EvaluateDue with the schedule re-arm deferred into rb
-// instead of taking the schedule stripe lock per call: a worker draining a
-// due batch accumulates its re-arms and the driver flushes them once per
-// stripe with FlushRearms after the batch completes. Between the evaluation
-// and the flush the query is absent from the schedule — identical to the
-// window EvaluateDue itself has between pop and re-arm, just longer — and
-// NextDue (computed from temporal state, not the schedule) still reports
-// the following boundary, so drain loops are unaffected. rb must be
-// flushed before the next PopDue that should see these boundaries.
+// EvaluateDueBatch is Query.EvaluateDue by id; ok is also false when the
+// query is unknown or has no temporal contract.
 func (e *QueryEngine) EvaluateDueBatch(queryID uint32, now sim.Time, rb *RearmBatch) (WindowResult, bool) {
-	return e.evaluateDue(queryID, now, rb)
-}
-
-func (e *QueryEngine) evaluateDue(queryID uint32, now sim.Time, rb *RearmBatch) (WindowResult, bool) {
 	q := e.temporal(queryID)
 	if q == nil {
 		return WindowResult{}, false
 	}
-	q.tmu.Lock()
-	defer q.tmu.Unlock()
-	t := q.temporal
-	due := t.t0 + sim.Time(t.nextK)*t.spec.Period
+	return q.EvaluateDue(now, rb)
+}
+
+// EvaluateDue evaluates the query's next period if its boundary has been
+// reached by now, and returns ok=false when it is not yet due. The result
+// is computed as of the period boundary — waypoint as last set, readings
+// as-of the boundary, freshness measured against it — while lateness
+// compares now against the boundary plus the deadline slack. Calls for
+// distinct queries proceed in parallel; calls for one query are serialized
+// and advance its period counter exactly once each.
+//
+// The schedule is re-armed at the following boundary: at once when rb is
+// nil, otherwise deferred into rb, which the driver flushes once per stripe
+// (FlushRearms) before the next PopDue that should see these boundaries.
+// Until then the query is absent from the schedule, but NextDue — computed
+// from the period counter — already reports the following boundary, so
+// drain loops are unaffected.
+func (q *Query) EvaluateDue(now sim.Time, rb *RearmBatch) (WindowResult, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.evaluateDue(now, rb)
+}
+
+// EvaluateDueAt is SetWaypoint(pos) then EvaluateDue under one lock
+// acquisition: a driver's whole period.
+func (q *Query) EvaluateDueAt(pos geom.Point, now sim.Time, rb *RearmBatch) (WindowResult, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.pos = pos
+	return q.evaluateDue(now, rb)
+}
+
+// evaluateDue is the body of EvaluateDue. Caller holds q.mu.
+func (q *Query) evaluateDue(now sim.Time, rb *RearmBatch) (WindowResult, bool) {
+	e := q.eng
+	k, due := q.NextDue()
 	if due > now {
 		return WindowResult{}, false
 	}
-	res := e.evaluateWindow(q, t.spec, due)
-	res.K = t.nextK
+	res := e.evaluateWindow(q, due)
+	res.K = k
 	res.Due = due
 	res.EvaluatedAt = now
 	if q.plan != nil {
@@ -411,39 +414,28 @@ func (e *QueryEngine) evaluateDue(queryID uint32, now sim.Time, rb *RearmBatch) 
 		}
 		res.Warmup = warmup
 	}
-	if res.EvaluatedAt > due+t.spec.Deadline {
+	if res.EvaluatedAt > due+q.spec.Deadline {
 		res.Late = true
 		res.Lateness = res.EvaluatedAt - due
 	}
-	if t.spec.Window > 1 {
-		res = t.mergeWindow(res)
+	if q.spec.Window > 1 {
+		res = q.mergeWindow(res)
 	}
-	t.nextK++
-	t.evaluated++
+	q.nextK.Store(int64(k + 1))
+	q.evaluated++
 	if res.Late {
-		t.late++
+		q.late++
 	}
-	// Re-arm the due-period schedule at the next boundary so PopDue keeps
-	// handing this query out exactly when a period is due. Batched callers
-	// only record the boundary here; FlushRearms applies it later under the
-	// schedule stripe lock, skipping queries whose dead flag a Deregister
-	// set in the meantime. The immediate path re-arms now — but only if q
-	// is still the registered query: a Deregister (or Deregister plus
-	// re-register of the same id) that raced this evaluation owns the
-	// schedule entry now, and re-arming at our stale boundary would
-	// resurrect a removed entry or clobber the new registration's. The
-	// stripe read lock excludes both (they write under the stripe lock).
-	next := t.t0 + sim.Time(t.nextK)*t.spec.Period
+	// Re-arm at the next boundary so PopDue keeps handing this query out
+	// exactly when a period is due. A Deregister that raced this evaluation
+	// has spent the handle, so neither path resurrects its entry; a
+	// re-registration of the id is another handle with its own entry.
+	next := due + q.spec.Period
 	if rb != nil {
 		rb.add(q, next, e.sched.stripeIndex(q.id))
-		return res, true
+	} else {
+		e.sched.Upsert(q, next)
 	}
-	st := e.stripe(q.id)
-	st.mu.RLock()
-	if st.queries[q.id] == q {
-		e.sched.Upsert(q.id, next)
-	}
-	st.mu.RUnlock()
 	return res, true
 }
 
@@ -454,20 +446,19 @@ func (e *QueryEngine) Stats(queryID uint32) (TemporalStats, bool) {
 	if q == nil {
 		return TemporalStats{}, false
 	}
-	q.tmu.Lock()
-	defer q.tmu.Unlock()
-	t := q.temporal
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	return TemporalStats{
-		NextK:       t.nextK,
-		Evaluated:   t.evaluated,
-		Late:        t.late,
-		LastReading: t.lastReading,
-		HasReading:  t.hasReading,
+		NextK:       int(q.nextK.Load()),
+		Evaluated:   q.evaluated,
+		Late:        q.late,
+		LastReading: q.lastReading,
+		HasReading:  q.hasReading,
 	}, true
 }
 
 // evaluateWindow computes the freshness-windowed area result of q as of
-// the period boundary `due`. Caller holds q.tmu. A corridor warmer, when
+// the period boundary `due`. Caller holds q.mu. A corridor warmer, when
 // attached, serves the boundary from its pre-staged snapshot whenever it
 // can prove the snapshot is exact (covered and current); otherwise — and
 // always without a warmer — the cold radius scan runs, bit-identical by
@@ -476,21 +467,20 @@ func (e *QueryEngine) Stats(queryID uint32) (TemporalStats, bool) {
 // nothing to collect or sort. The warm path lives in its own function so
 // the cold path's visit closure never escapes through the warmer interface:
 // queries without a corridor pay nothing for its existence.
-func (e *QueryEngine) evaluateWindow(q *liveQuery, spec TemporalSpec, due sim.Time) WindowResult {
+func (e *QueryEngine) evaluateWindow(q *Query, due sim.Time) WindowResult {
 	if q.warmer != nil {
-		if out, ok := e.evaluateWindowWarm(q, spec, due); ok {
+		if out, ok := e.evaluateWindowWarm(q, due); ok {
 			return out
 		}
 	}
 	if q.aggIndex != nil && q.sampler == nil {
-		if out, ok := e.evaluateWindowAgg(q, spec, due); ok {
+		if out, ok := e.evaluateWindowAgg(q, due); ok {
 			return out
 		}
 	}
-	center := *q.pos.Load()
-	out := WindowResult{QueryID: q.id, Center: center, Radius: q.radius, Data: NewPartial()}
-	e.grid.VisitWithin(center, q.radius, func(id int32, pos geom.Point) {
-		e.foldNode(q, spec, due, &out, id, pos)
+	out := WindowResult{QueryID: q.id, Center: q.pos, Radius: q.radius, Data: NewPartial()}
+	e.grid.VisitWithin(q.pos, q.radius, func(id int32, pos geom.Point) {
+		e.foldNode(q, due, &out, id, pos)
 	})
 	return out
 }
@@ -499,12 +489,11 @@ func (e *QueryEngine) evaluateWindow(q *liveQuery, spec TemporalSpec, due sim.Ti
 // staged snapshot; ok is false when the warmer declined (nothing staged,
 // stale snapshot, or a mispredict) and the caller must run the cold scan.
 // The warmer calls fn only on a serve, so a decline leaves the query's
-// reading ledger untouched. Caller holds q.tmu.
-func (e *QueryEngine) evaluateWindowWarm(q *liveQuery, spec TemporalSpec, due sim.Time) (WindowResult, bool) {
-	center := *q.pos.Load()
-	out := WindowResult{QueryID: q.id, Center: center, Radius: q.radius, Data: NewPartial(), CorridorHit: true}
-	if !q.warmer.VisitStaged(due, center, q.radius, func(id int32, pos geom.Point) {
-		e.foldNode(q, spec, due, &out, id, pos)
+// reading ledger untouched. Caller holds q.mu.
+func (e *QueryEngine) evaluateWindowWarm(q *Query, due sim.Time) (WindowResult, bool) {
+	out := WindowResult{QueryID: q.id, Center: q.pos, Radius: q.radius, Data: NewPartial(), CorridorHit: true}
+	if !q.warmer.VisitStaged(due, q.pos, q.radius, func(id int32, pos geom.Point) {
+		e.foldNode(q, due, &out, id, pos)
 	}) {
 		return WindowResult{}, false
 	}
@@ -514,16 +503,15 @@ func (e *QueryEngine) evaluateWindowWarm(q *liveQuery, spec TemporalSpec, due si
 // evaluateWindowAgg asks the query's aggregate index for the boundary's
 // whole-disk aggregate; ok is false when the index declined (no epoch for
 // the boundary, freshness mismatch, or node-index skew since ingest) and
-// the caller must run the cold scan. Caller holds q.tmu.
-func (e *QueryEngine) evaluateWindowAgg(q *liveQuery, spec TemporalSpec, due sim.Time) (WindowResult, bool) {
-	center := *q.pos.Load()
-	sv, ok := q.aggIndex.ServeWindow(due, center, q.radius, spec.Fresh)
+// the caller must run the cold scan. Caller holds q.mu.
+func (e *QueryEngine) evaluateWindowAgg(q *Query, due sim.Time) (WindowResult, bool) {
+	sv, ok := q.aggIndex.ServeWindow(due, q.pos, q.radius, q.spec.Fresh)
 	if !ok {
 		return WindowResult{}, false
 	}
 	out := WindowResult{
 		QueryID:      q.id,
-		Center:       center,
+		Center:       q.pos,
 		Radius:       q.radius,
 		Data:         sv.Data,
 		PyramidHit:   true,
@@ -531,18 +519,17 @@ func (e *QueryEngine) evaluateWindowAgg(q *liveQuery, spec TemporalSpec, due sim
 		StaleNodes:   sv.StaleNodes,
 		MaxStaleness: sv.MaxStaleness,
 	}
-	t := q.temporal
-	if sv.Data.Count > 0 && (!t.hasReading || sv.Newest > t.lastReading) {
-		t.lastReading = sv.Newest
-		t.hasReading = true
+	if sv.Data.Count > 0 && (!q.hasReading || sv.Newest > q.lastReading) {
+		q.lastReading = sv.Newest
+		q.hasReading = true
 	}
 	return out, true
 }
 
 // foldNode is the shared per-node body of a windowed evaluation:
 // freshness-window the node's reading and fold it into the result and the
-// query's reading ledger. Caller holds q.tmu.
-func (e *QueryEngine) foldNode(q *liveQuery, spec TemporalSpec, due sim.Time, out *WindowResult, id int32, pos geom.Point) {
+// query's reading ledger. Caller holds q.mu.
+func (e *QueryEngine) foldNode(q *Query, due sim.Time, out *WindowResult, id int32, pos geom.Point) {
 	out.AreaNodes++
 	sample, ok, prefetched := due, true, false
 	switch {
@@ -551,7 +538,7 @@ func (e *QueryEngine) foldNode(q *liveQuery, spec TemporalSpec, due sim.Time, ou
 	case e.sampler != nil:
 		sample, ok = e.sampler(id, due)
 	}
-	if !ok || (spec.Fresh > 0 && due-sample > spec.Fresh) || sample > due {
+	if !ok || (q.spec.Fresh > 0 && due-sample > q.spec.Fresh) || sample > due {
 		out.StaleNodes++
 		return
 	}
@@ -562,9 +549,9 @@ func (e *QueryEngine) foldNode(q *liveQuery, spec TemporalSpec, due sim.Time, ou
 	if age := due - sample; age > out.MaxStaleness {
 		out.MaxStaleness = age
 	}
-	if t := q.temporal; !t.hasReading || sample > t.lastReading {
-		t.lastReading = sample
-		t.hasReading = true
+	if !q.hasReading || sample > q.lastReading {
+		q.lastReading = sample
+		q.hasReading = true
 	}
 }
 
@@ -574,16 +561,16 @@ func (e *QueryEngine) foldNode(q *liveQuery, spec TemporalSpec, due sim.Time, ou
 // own boundary position), with summed node accounting and staleness
 // re-aged to the current boundary. The current period's timing fields
 // (Due, EvaluatedAt, Late, PyramidHit, ...) are kept: the window is a data
-// aggregate, not a delivery contract. Caller holds the owning query's tmu.
-func (t *temporalState) mergeWindow(cur WindowResult) WindowResult {
-	w := t.spec.Window
-	if t.winRing == nil {
-		t.winRing = make([]windowPeriod, w)
+// aggregate, not a delivery contract. Caller holds q.mu.
+func (q *Query) mergeWindow(cur WindowResult) WindowResult {
+	w := q.spec.Window
+	if q.winRing == nil {
+		q.winRing = make([]windowPeriod, w)
 	}
-	e := &t.winRing[t.winNext]
-	t.winNext = (t.winNext + 1) % w
-	if t.winLen < w {
-		t.winLen++
+	e := &q.winRing[q.winNext]
+	q.winNext = (q.winNext + 1) % w
+	if q.winLen < w {
+		q.winLen++
 	}
 	e.due = cur.Due
 	e.areaNodes = cur.AreaNodes
@@ -595,8 +582,8 @@ func (t *temporalState) mergeWindow(cur WindowResult) WindowResult {
 	out := cur
 	out.Data = NewPartial()
 	out.AreaNodes, out.StaleNodes, out.MaxStaleness, out.Prefetched = 0, 0, 0, 0
-	for i := 0; i < t.winLen; i++ {
-		p := &t.winRing[(t.winNext+w-t.winLen+i)%w]
+	for i := 0; i < q.winLen; i++ {
+		p := &q.winRing[(q.winNext+w-q.winLen+i)%w]
 		out.Data.Count += p.data.Count
 		out.Data.Sum += p.data.Sum
 		if p.data.Count > 0 {
@@ -616,6 +603,6 @@ func (t *temporalState) mergeWindow(cur WindowResult) WindowResult {
 		out.StaleNodes += p.staleNodes
 		out.Prefetched += p.prefetched
 	}
-	out.WindowPeriods = t.winLen
+	out.WindowPeriods = q.winLen
 	return out
 }

@@ -260,7 +260,15 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				rf.Trace.WireNS = time.Now().UnixNano()
 			}
 			f := wire.Frame{Type: wire.FrameResult, ID: sub.ID(), Result: &rf}
-			if enc.Encode(f) != nil || rc.Flush() != nil {
+			if err := enc.Encode(f); err != nil {
+				// Tell the client why its stream stops short of an end
+				// frame (a write error will fail this frame too).
+				if enc.Encode(wire.Frame{Type: wire.FrameError, ID: sub.ID(), Error: err.Error()}) == nil {
+					rc.Flush()
+				}
+				return
+			}
+			if rc.Flush() != nil {
 				return
 			}
 		}

@@ -12,13 +12,16 @@
 // The frame schema is the session API rendered losslessly: durations are
 // int64 nanoseconds, floats are float64 (encoding/json round-trips both
 // exactly), so a Result decoded from the wire reconstructs the original
-// mobiquery.QueryResult byte for byte — the loopback tests pin this.
+// mobiquery.QueryResult byte for byte — the loopback tests pin this. The
+// one exception is a Value JSON cannot write (NaN, ±Inf: an aggregate over
+// an empty area), which travels as null and arrives as NaN.
 package wire
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 
@@ -82,6 +85,9 @@ type Spec struct {
 	// client join its own receive timestamps onto the server's segment
 	// chain. Empty leaves the subscription untraced.
 	TraceID string `json:"trace_id,omitempty"`
+	// Window widens each result to an aggregate over the last Window
+	// periods (QuerySpec.Window); 0 or 1 keeps single-period results.
+	Window int `json:"window,omitempty"`
 }
 
 // aggNames maps the wire aggregation names; the zero AggKind means "use
@@ -110,6 +116,7 @@ func (s Spec) QuerySpec() (mobiquery.QuerySpec, error) {
 		Freshness: time.Duration(s.FreshnessNS),
 		Lifetime:  time.Duration(s.LifetimeNS),
 		Aggregate: agg,
+		Window:    s.Window,
 	}
 	switch s.Strategy {
 	case "", "ondemand":
@@ -216,13 +223,32 @@ type Frame struct {
 	Error  string    `json:"error,omitempty"`
 }
 
+// Value is a result's aggregate on the wire: a plain JSON number, except
+// that null decodes to NaN — what Encoder writes for a value JSON has no
+// number for.
+type Value float64
+
+// UnmarshalJSON decodes a JSON number, or null as NaN.
+func (v *Value) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*v = Value(math.NaN())
+		return nil
+	}
+	f, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		return fmt.Errorf("wire: bad result value %s", b)
+	}
+	*v = Value(f)
+	return nil
+}
+
 // Result is QueryResult on the wire, field for field.
 type Result struct {
 	K               int     `json:"k"`
 	DeadlineNS      int64   `json:"deadline_ns"`
 	Received        bool    `json:"received"`
 	OnTime          bool    `json:"on_time"`
-	Value           float64 `json:"value"`
+	Value           Value   `json:"value"`
 	Contributors    int     `json:"contributors"`
 	AreaNodes       int     `json:"area_nodes"`
 	Fidelity        float64 `json:"fidelity"`
@@ -234,6 +260,8 @@ type Result struct {
 	Warmup          bool    `json:"warmup,omitempty"`
 	PrefetchedNodes int     `json:"prefetched_nodes,omitempty"`
 	CorridorHit     bool    `json:"corridor_hit,omitempty"`
+	PyramidHit      bool    `json:"pyramid_hit,omitempty"`
+	WindowPeriods   int     `json:"window_periods,omitempty"`
 	// Trace is the period's echoed server-side span, present only on
 	// traced subscriptions (Spec.TraceID set). The server stamps WireNS
 	// the instant the frame is handed to the wire.
@@ -247,7 +275,7 @@ func FromResult(r mobiquery.QueryResult) Result {
 		DeadlineNS:      int64(r.Deadline),
 		Received:        r.Received,
 		OnTime:          r.OnTime,
-		Value:           r.Value,
+		Value:           Value(r.Value),
 		Contributors:    r.Contributors,
 		AreaNodes:       r.AreaNodes,
 		Fidelity:        r.Fidelity,
@@ -259,6 +287,8 @@ func FromResult(r mobiquery.QueryResult) Result {
 		Warmup:          r.Warmup,
 		PrefetchedNodes: r.PrefetchedNodes,
 		CorridorHit:     r.CorridorHit,
+		PyramidHit:      r.PyramidHit,
+		WindowPeriods:   r.WindowPeriods,
 	}
 	if r.Trace != nil {
 		ts := FromPeriodSpan(*r.Trace)
@@ -275,7 +305,7 @@ func (r Result) QueryResult() mobiquery.QueryResult {
 		Deadline:        time.Duration(r.DeadlineNS),
 		Received:        r.Received,
 		OnTime:          r.OnTime,
-		Value:           r.Value,
+		Value:           float64(r.Value),
 		Contributors:    r.Contributors,
 		AreaNodes:       r.AreaNodes,
 		Fidelity:        r.Fidelity,
@@ -287,6 +317,8 @@ func (r Result) QueryResult() mobiquery.QueryResult {
 		Warmup:          r.Warmup,
 		PrefetchedNodes: r.PrefetchedNodes,
 		CorridorHit:     r.CorridorHit,
+		PyramidHit:      r.PyramidHit,
+		WindowPeriods:   r.WindowPeriods,
 	}
 	if r.Trace != nil {
 		// A frame produced by FromResult always parses; a hand-built frame
@@ -529,8 +561,33 @@ type Encoder struct{ enc *json.Encoder }
 // NewEncoder returns an Encoder writing to w.
 func NewEncoder(w io.Writer) *Encoder { return &Encoder{enc: json.NewEncoder(w)} }
 
-// Encode writes one frame line.
-func (e *Encoder) Encode(v any) error { return e.enc.Encode(v) }
+// Encode writes one frame line. A result Frame whose Value is NaN or ±Inf
+// (an aggregate over an empty area) is written with "value":null, which
+// Value decodes back to NaN, rather than failing the stream on a number
+// JSON cannot carry; every other frame encodes exactly as json.Encoder
+// would.
+func (e *Encoder) Encode(v any) error {
+	if f, ok := v.(Frame); ok && f.Result != nil {
+		if x := float64(f.Result.Value); math.IsNaN(x) || math.IsInf(x, 0) {
+			v = nullValueFrame{Frame: f, Result: nullValueResult{Result: f.Result}}
+		}
+	}
+	return e.enc.Encode(v)
+}
+
+// nullValueFrame is a result Frame with its result's "value" key shadowed
+// by null: encoding/json resolves a key clash in favour of the shallower
+// field, so the outer Result and the outer Value (always nil) win over the
+// embedded ones while every other field encodes as usual.
+type nullValueFrame struct {
+	Frame
+	Result nullValueResult `json:"result"`
+}
+
+type nullValueResult struct {
+	*Result
+	Value *float64 `json:"value"`
+}
 
 // Decoder reads a stream of NDJSON values.
 type Decoder struct{ dec *json.Decoder }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"math"
 	"reflect"
@@ -34,6 +35,8 @@ func fullResult() mobiquery.QueryResult {
 		Warmup:          true,
 		PrefetchedNodes: 38,
 		CorridorHit:     true,
+		PyramidHit:      true,
+		WindowPeriods:   4,
 	}
 }
 
@@ -72,6 +75,136 @@ func TestResultRoundTripZeroAndExtremes(t *testing.T) {
 		}
 		if got := r.QueryResult(); got != orig {
 			t.Errorf("case %d: got %+v want %+v", i, got, orig)
+		}
+	}
+}
+
+// TestNonFiniteValueTravelsAsNull pins the one lossy corner of the schema:
+// an aggregate over an empty area (Avg of nothing is NaN, Min/Max of
+// nothing ±Inf) has no JSON number, so the frame carries "value":null and
+// the client reads NaN — with every other field intact, and without moving
+// a byte of a finite frame.
+func TestNonFiniteValueTravelsAsNull(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		orig := fullResult()
+		orig.Value = v
+		var buf bytes.Buffer
+		if err := NewEncoder(&buf).Encode(Frame{Type: FrameResult, ID: 9, Result: ptr(FromResult(orig))}); err != nil {
+			t.Fatalf("value %v: encode: %v", v, err)
+		}
+		if !bytes.Contains(buf.Bytes(), []byte(`"value":null`)) || bytes.Count(buf.Bytes(), []byte(`"value"`)) != 1 {
+			t.Fatalf("value %v: frame is %s, want exactly one \"value\":null", v, buf.Bytes())
+		}
+		var f Frame
+		if err := NewDecoder(&buf).Decode(&f); err != nil {
+			t.Fatalf("value %v: decode: %v", v, err)
+		}
+		if f.Type != FrameResult || f.ID != 9 || f.Result == nil {
+			t.Fatalf("value %v: frame came back as %+v", v, f)
+		}
+		got := f.Result.QueryResult()
+		if !math.IsNaN(got.Value) {
+			t.Errorf("value %v: decoded %v, want NaN", v, got.Value)
+		}
+		got.Value, orig.Value = 0, 0
+		if got != orig {
+			t.Errorf("value %v: the rest of the result changed:\n got %+v\nwant %+v", v, got, orig)
+		}
+	}
+
+	finite := Frame{Type: FrameResult, ID: 9, Result: ptr(FromResult(fullResult()))}
+	var buf bytes.Buffer
+	if err := NewEncoder(&buf).Encode(finite); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(finite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.TrimSuffix(buf.Bytes(), []byte("\n")); !bytes.Equal(got, want) {
+		t.Errorf("finite frame encodes as %s, plain JSON is %s", got, want)
+	}
+	if err := new(Value).UnmarshalJSON([]byte(`"12"`)); err == nil {
+		t.Error("a quoted value should not decode")
+	}
+}
+
+// sampleValue sets v — one field of a session struct — to a non-zero value
+// of its kind.
+func sampleValue(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Float64:
+		v.SetFloat(1.5)
+	case reflect.Pointer:
+		v.Set(reflect.ValueOf(ptr(fullSpan())))
+	default:
+		t.Fatalf("no sample value for kind %v: extend sampleValue", v.Kind())
+	}
+}
+
+// TestEveryResultFieldCrossesTheWire fails when QueryResult grows a field
+// the wire Result does not carry: each field in turn is set alone, sent as
+// a frame and read back, and must survive.
+func TestEveryResultFieldCrossesTheWire(t *testing.T) {
+	rt := reflect.TypeOf(mobiquery.QueryResult{})
+	for i := 0; i < rt.NumField(); i++ {
+		var orig mobiquery.QueryResult
+		sampleValue(t, reflect.ValueOf(&orig).Elem().Field(i))
+		var buf bytes.Buffer
+		if err := NewEncoder(&buf).Encode(Frame{Type: FrameResult, Result: ptr(FromResult(orig))}); err != nil {
+			t.Fatalf("QueryResult.%s: encode: %v", rt.Field(i).Name, err)
+		}
+		var f Frame
+		if err := NewDecoder(&buf).Decode(&f); err != nil {
+			t.Fatalf("QueryResult.%s: decode: %v", rt.Field(i).Name, err)
+		}
+		if got := f.Result.QueryResult(); !reflect.DeepEqual(got, orig) {
+			t.Errorf("QueryResult.%s has no wire counterpart: sent %+v, received %+v", rt.Field(i).Name, orig, got)
+		}
+	}
+}
+
+// specCounterparts names, for every QuerySpec field, a wire Spec that sets
+// it (and nothing else).
+var specCounterparts = map[string]Spec{
+	"Radius":    {RadiusM: 5},
+	"Period":    {PeriodNS: 7},
+	"Deadline":  {DeadlineNS: 7},
+	"Freshness": {FreshnessNS: 7},
+	"Aggregate": {Aggregate: "max"},
+	"Lifetime":  {LifetimeNS: 7},
+	"Strategy":  {Strategy: "greedy", Lookahead: 2},
+	"Corridor":  {CorridorLookahead: 3, ErrBaseM: 1, ErrGrowthMPS: 1},
+	"Window":    {Window: 4},
+	"Trace":     {TraceID: FormatID(9)},
+}
+
+// TestEverySpecFieldIsReachableFromTheWire fails when QuerySpec grows a
+// field no wire Spec can set — how Window went missing: a client could not
+// ask for what the session API offers.
+func TestEverySpecFieldIsReachableFromTheWire(t *testing.T) {
+	rt := reflect.TypeOf(mobiquery.QuerySpec{})
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		ws, ok := specCounterparts[name]
+		if !ok {
+			t.Errorf("QuerySpec.%s has no wire counterpart: add a Spec field and a specCounterparts row", name)
+			continue
+		}
+		q, err := ws.QuerySpec()
+		if err != nil {
+			t.Fatalf("QuerySpec.%s: %v", name, err)
+		}
+		qv := reflect.ValueOf(q)
+		for j := 0; j < rt.NumField(); j++ {
+			if zero := qv.Field(j).IsZero(); zero == (j == i) {
+				t.Errorf("wire spec %+v for QuerySpec.%s: field %s zero=%v", ws, name, rt.Field(j).Name, zero)
+			}
 		}
 	}
 }

@@ -213,7 +213,6 @@ type Service struct {
 	// cursor heap and per-lane positions.
 	advMu  sync.Mutex
 	due    []core.DueEntry
-	batch  []*Subscription
 	outs   [][]pendingResult
 	rearms []*core.RearmBatch
 	lanes  []int
@@ -531,23 +530,15 @@ func (s *Service) Advance(d time.Duration) error {
 	o.popBatch.Observe(int64(len(s.due)))
 	o.mergeDepth.Observe(int64(s.engine.LastMergeDepth()))
 	poppedNS := popEnd.UnixNano()
-	s.batch = s.batch[:0]
-	s.mu.RLock()
-	for _, de := range s.due {
-		// A schedule entry can outlive its subscription by one pop when a
-		// Close races an evaluation re-arm; the registry is authoritative.
-		if sub := s.subs[de.ID]; sub != nil {
-			s.batch = append(s.batch, sub)
-		}
-	}
-	s.mu.RUnlock()
 
-	// Fan the due subscriptions across the worker pool. Each worker drains
-	// every period of its subscription due by now into a private buffer and
-	// accumulates its schedule re-arms in a private batch; subscriptions
-	// are independent, so the fan-out cannot change results.
-	if len(s.outs) < len(s.batch) {
-		s.outs = append(s.outs, make([][]pendingResult, len(s.batch)-len(s.outs))...)
+	// Fan the due subscriptions across the worker pool: a popped entry's
+	// query handle is owned by its subscription (one closed since the pop
+	// collects nothing). Each worker drains every period of its subscription
+	// due by now into a private buffer and accumulates its schedule re-arms
+	// in a private batch; subscriptions are independent, so the fan-out
+	// cannot change results.
+	if len(s.outs) < len(s.due) {
+		s.outs = append(s.outs, make([][]pendingResult, len(s.due)-len(s.outs))...)
 	}
 	if s.rearms == nil {
 		s.rearms = make([]*core.RearmBatch, s.engine.Workers())
@@ -555,10 +546,11 @@ func (s *Service) Advance(d time.Duration) error {
 			s.rearms[i] = s.engine.NewRearmBatch()
 		}
 	}
-	outs, batch := s.outs[:len(s.batch)], s.batch
+	outs, due := s.outs[:len(s.due)], s.due
 	rearms := s.rearms
-	s.engine.DispatchWorkers(len(batch), func(worker, i int) {
-		outs[i] = batch[i].collectDue(now, poppedNS, outs[i][:0], rearms[worker])
+	s.engine.DispatchWorkers(len(due), func(worker, i int) {
+		sub := due[i].Query.Owner().(*Subscription)
+		outs[i] = sub.collectDue(now, poppedNS, outs[i][:0], rearms[worker])
 	})
 	evalEnd := time.Now()
 	o.stageEval.Observe(evalEnd.Sub(popEnd).Nanoseconds())
@@ -579,10 +571,10 @@ func (s *Service) Advance(d time.Duration) error {
 	// each one drains its periods in ascending due, so every worker output
 	// lane is already sorted and a cursor heap over the non-empty lanes
 	// restores the global order in O(results · log lanes).
-	if len(s.cur) < len(batch) {
-		s.cur = append(s.cur, make([]int, len(batch)-len(s.cur))...)
+	if len(s.cur) < len(due) {
+		s.cur = append(s.cur, make([]int, len(due)-len(s.cur))...)
 	}
-	cur := s.cur[:len(batch)]
+	cur := s.cur[:len(due)]
 	s.lanes = s.lanes[:0]
 	for i := range outs {
 		cur[i] = 0
@@ -638,7 +630,7 @@ func (s *Service) Advance(d time.Duration) error {
 	// Zero the pointer-holding scratch so a burst-sized batch doesn't pin
 	// closed subscriptions for the life of the service. Capacities are
 	// kept; only the windows used this step hold non-zero data.
-	clear(s.batch)
+	clear(s.due)
 	for i := range outs {
 		clear(outs[i])
 	}

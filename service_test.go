@@ -463,6 +463,49 @@ func TestSubscribeWatcherDoesNotLeak(t *testing.T) {
 	}
 }
 
+// TestContextBoundSubscriptionsAddNoGoroutines pins that tying
+// subscriptions to a cancellable context costs no goroutine each — the
+// context itself calls Close when it ends — and that cancelling it still
+// closes every one of them.
+func TestContextBoundSubscriptionsAddNoGoroutines(t *testing.T) {
+	svc := mustOpen(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const n = 200
+	before := runtime.NumGoroutine()
+	subs := make([]*Subscription, n)
+	for i := range subs {
+		sub, err := svc.Subscribe(ctx, centerSpec(), StaticPosition(Pt(225, 225)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[i] = sub
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d context-bound subscriptions grew goroutines from %d to %d", n, before, after)
+	}
+	// One closed by hand detaches itself; the cancellation must cope.
+	subs[0].Close()
+	cancel()
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.Subscribers() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d subscriptions still registered after cancellation", svc.Subscribers(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i, sub := range subs {
+		select {
+		case _, open := <-sub.Results():
+			if open {
+				t.Errorf("subscription %d delivered a result with no Advance", i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("subscription %d: Results not closed after cancellation", i)
+		}
+	}
+}
+
 func TestContextCancellationClosesSubscription(t *testing.T) {
 	svc := mustOpen(t)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -386,7 +386,12 @@ type Subscription struct {
 	agg  AggKind
 
 	results chan QueryResult
-	done    chan struct{} // closed with the subscription; wakes watchers
+	// q is the engine query's handle, which the period path drives directly;
+	// stopCtx detaches the subscription from the Subscribe context (nil when
+	// that context can't end). Both are set once by Subscribe under svc.mu,
+	// which every path into close() passes through first.
+	q       *core.Query
+	stopCtx func() bool
 
 	// planner is the prefetch plan driving this subscription's predictive
 	// sampling; nil for on-demand specs. Installed once at Subscribe (the
@@ -483,7 +488,6 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 		t0:      s.now,
 		agg:     agg,
 		results: make(chan QueryResult, s.opts.buffer),
-		done:    make(chan struct{}),
 		trace:   obs.NewTraceRing(s.opts.traceDepth),
 	}
 	sub.stats.NextPeriod = 1
@@ -538,18 +542,19 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 			cache.SetProfile(prof, s.now)
 		}
 	}
-	err := s.engine.RegisterTemporalE(sub.id, spec.Radius, src.PositionAt(0),
-		core.TemporalSpec{Period: spec.Period, Deadline: spec.Deadline, Fresh: spec.Freshness, Window: spec.Window}, s.now)
+	var err error
+	sub.q, err = s.engine.RegisterQuery(sub.id, spec.Radius, src.PositionAt(0),
+		core.TemporalSpec{Period: spec.Period, Deadline: spec.Deadline, Fresh: spec.Freshness, Window: spec.Window}, s.now, sub)
 	if err != nil {
 		return nil, err
 	}
 	if planner != nil {
 		sub.planner = planner
-		s.engine.SetQuerySampler(sub.id, planner.Sampler(s.sampler()))
-		s.engine.SetQueryPlan(sub.id, planner)
+		sub.q.SetSampler(planner.Sampler(s.sampler()))
+		sub.q.SetPlan(planner)
 		if cache != nil {
 			sub.corridor = cache
-			s.engine.SetQueryWarmer(sub.id, cache)
+			sub.q.SetWarmer(cache)
 		}
 	} else if spec.Window > 1 || spec.Radius >= pyramidMinRadiusCells*s.cell {
 		// On-demand subscriptions with large areas (or lookback windows,
@@ -558,24 +563,19 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 		// the flat scan: a handful of cells beats an epoch ingest.
 		p, perr := s.pyramidFor(spec.Period, spec.Freshness)
 		if perr != nil {
+			sub.q.Deregister()
 			return nil, perr
 		}
 		sub.pyramid = p
-		s.engine.SetQueryAggIndex(sub.id, p)
+		sub.q.SetAggIndex(p)
 	}
 	s.subs[sub.id] = sub
 	s.totOpened.Add(1)
 
 	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				sub.Close()
-			case <-sub.done:
-				// Closed some other way (Close, Lifetime, service
-				// shutdown); don't outlive the subscription.
-			}
-		}()
+		// No watcher goroutine: the context runs Close itself when it ends,
+		// and close() detaches it when the subscription ends first.
+		sub.stopCtx = context.AfterFunc(ctx, func() { sub.Close() })
 	}
 	return sub, nil
 }
@@ -609,7 +609,7 @@ func (sub *Subscription) UpdateWaypoint(p Point) error {
 	sub.manual = &p
 	sub.manualAt = now
 	sub.mu.Unlock()
-	sub.svc.engine.UpdateWaypoint(sub.id, p)
+	sub.q.SetWaypoint(p)
 	if sub.planner != nil {
 		prof := waypointProfile(p, prev, prevAt, sub.src, sub.t0, now, sub.spec.Period)
 		sub.planner.Replan(prof, now)
@@ -667,10 +667,12 @@ func (sub *Subscription) close() {
 	// Closed under mu: deliver sends under the same lock, so a racing
 	// Advance can never write to a closed channel.
 	close(sub.results)
-	close(sub.done)
 	sub.mu.Unlock()
+	if sub.stopCtx != nil {
+		sub.stopCtx()
+	}
 	sub.svc.totClosed.Add(1)
-	sub.svc.engine.Deregister(sub.id)
+	sub.q.Deregister()
 }
 
 // collectDue evaluates every period of this subscription due by virtual
@@ -686,7 +688,6 @@ func (sub *Subscription) close() {
 // batch; catch-up periods armed mid-drain stamp their own arming instant
 // instead, keeping every span chain monotone.
 func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pendingResult, rb *core.RearmBatch) []pendingResult {
-	eng := sub.svc.engine
 	for {
 		sub.mu.Lock()
 		closed, manual := sub.closed, sub.manual
@@ -694,10 +695,7 @@ func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pen
 		if closed {
 			return buf
 		}
-		_, due, ok := eng.NextDue(sub.id)
-		if !ok {
-			return buf
-		}
+		_, due := sub.q.NextDue()
 		// The lifetime check precedes the due check: it depends only on
 		// the period index, so a session whose clock stops exactly at
 		// t0+Lifetime still closes its stream after the final result.
@@ -726,9 +724,8 @@ func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pen
 		} else {
 			pos = sub.src.PositionAt(due - sub.t0)
 		}
-		eng.UpdateWaypoint(sub.id, pos)
 		evalStartNS := time.Now().UnixNano()
-		wr, ok := eng.EvaluateDueBatch(sub.id, now, rb)
+		wr, ok := sub.q.EvaluateDueAt(pos, now, rb)
 		evalEndNS := time.Now().UnixNano()
 		if !ok {
 			return buf
