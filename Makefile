@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-compare bench-idle-1m bench-evaluate-cold bench-advance-dense repo-bench-smoke serve-smoke slo-compare obs-smoke trace-smoke fmt vet check
+.PHONY: all build test race bench bench-json bench-compare bench-idle-1m bench-evaluate-cold bench-advance-dense repo-bench-smoke serve-smoke slo-compare obs-smoke trace-smoke fmt vet deadcode check
 
 all: build
 
@@ -130,6 +130,13 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Functions no main package and no test can reach (ROADMAP item 3(e)).
+# Informational, and not part of `check`: the tool is fetched on demand, and
+# `go run pkg@version` resolves it outside this module, so go.mod keeps zero
+# dependencies.
+deadcode:
+	$(GO) run golang.org/x/tools/cmd/deadcode@latest -test ./...
 
 # serve-smoke is a prerequisite of slo-compare, obs-smoke, and
 # trace-smoke; make runs it once per invocation, so check drives one

@@ -347,10 +347,9 @@ type ScaleConfig struct {
 	// every query area.
 	Step   float64
 	Rounds int
-	// Service sizes the engine; Serial forces the single-threaded dispatch
-	// baseline for comparison.
+	// Service sizes the engine; Shards 1 with Workers 1 is the serial
+	// reference for comparison.
 	Service ServiceConfig
-	Serial  bool
 	// Field is what the sensors measure.
 	Field Field
 }
@@ -382,7 +381,6 @@ func (c ScaleConfig) scale() experiment.ScaleConfig {
 		Rounds:     c.Rounds,
 		Shards:     c.Service.Shards,
 		Workers:    c.Service.Workers,
-		Serial:     c.Serial,
 		Field:      c.Field,
 	}
 }
@@ -401,8 +399,8 @@ type ScaleResult struct {
 	MeanValue     float64
 	// Checksum is an order-independent integer digest of every per-user
 	// result. Two runs of the same configuration must agree on it
-	// regardless of Service sizing and Serial — compare serial and sharded
-	// runs to verify the engine's concurrency invariant.
+	// regardless of Service sizing — compare a Shards 1, Workers 1 run with
+	// a sharded one to verify the engine's concurrency invariant.
 	Checksum uint64
 	// Elapsed is the wall time of the dispatch phase.
 	Elapsed time.Duration

@@ -235,24 +235,8 @@ func benchEngine(users int, cfg core.EngineConfig) *core.QueryEngine {
 	return e
 }
 
-// BenchmarkMultiUserDispatchSerial measures the pre-sharding baseline: one
-// serial loop evaluating every user's query area in turn.
-func BenchmarkMultiUserDispatchSerial(b *testing.B) {
-	b.ReportAllocs()
-	e := benchEngine(2000, core.EngineConfig{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := e.EvaluateAllSerial(time.Duration(i) * time.Second)
-		if len(res) != 2000 {
-			b.Fatal("evaluation dropped users")
-		}
-	}
-}
-
-// BenchmarkMultiUserDispatchSharded measures the same workload through the
-// sharded concurrent engine's worker pool. On a multi-core host this beats
-// BenchmarkMultiUserDispatchSerial by roughly the core count; results are
-// bit-identical between the two paths.
+// BenchmarkMultiUserDispatchSharded measures a full sweep of 2000 users'
+// query areas through the sharded concurrent engine's worker pool.
 func BenchmarkMultiUserDispatchSharded(b *testing.B) {
 	b.ReportAllocs()
 	e := benchEngine(2000, core.EngineConfig{})
@@ -666,7 +650,7 @@ func benchAdvance1MService(b *testing.B, subscribers int, period time.Duration, 
 //
 // Dense makes all million periods due every op: PopDue's k-way merge,
 // the parallel evaluation fan-out with per-worker batched re-arms, and the
-// streaming delivery merge all at full width. DenseSerial is the same
+// serial delivery pass all at full width. DenseSerial is the same
 // workload pinned to one worker — the scaling denominator, so
 // Dense/DenseSerial measures what Workers>1 buys end to end (on a
 // single-core host the two tie).

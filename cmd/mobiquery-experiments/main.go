@@ -125,7 +125,7 @@ func printScale(seed int64, users, nodes, shards, workers int) error {
 		cfg.Users, cfg.Nodes, cfg.RegionSide, cfg.Radius, cfg.Rounds)
 
 	serial := cfg
-	serial.Serial = true
+	serial.Shards, serial.Workers = 1, 1
 	sres := experiment.RunScale(serial)
 	pres := experiment.RunScale(cfg)
 

@@ -66,7 +66,7 @@ var segments = []struct {
 	{"dispatch", "popped -> eval_start: waiting for a dispatch worker"},
 	{"eval", "eval_start -> eval_end: engine evaluation"},
 	{"flush", "eval_end -> flush: schedule re-arm flush barrier"},
-	{"deliver", "flush -> delivered: delivery merge + channel send"},
+	{"deliver", "flush -> delivered: channel sends, one subscription after another"},
 	{"wire", "delivered -> wire: stream handler wake + frame encode"},
 	{"client", "wire -> recv: network + client scheduling (clamped >= 0)"},
 }

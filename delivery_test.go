@@ -1,0 +1,242 @@
+package mobiquery
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+)
+
+// buffered reads what is waiting on the subscription's Results channel
+// without blocking, and reports whether the channel is closed behind it.
+func buffered(sub *Subscription) (got []QueryResult, closed bool) {
+	for {
+		select {
+		case r, ok := <-sub.Results():
+			if !ok {
+				return got, true
+			}
+			got = append(got, r)
+		default:
+			return got, false
+		}
+	}
+}
+
+// TestCoarseAdvanceDeliversEachStreamInOrder pins the delivery order the
+// service promises, which is per subscription: whatever the step size and the
+// Shards/Workers sizing, each Results channel carries K = 1, 2, 3, … with no
+// gap, a subscription whose Lifetime ends inside a step closes right behind
+// its last result, and the ledger accounts for every evaluated period. Forty
+// subscriptions of four periods and three serve classes are driven by one
+// coarse step spanning at least four periods of each, against buffers small
+// enough that the fastest streams overflow. No order across subscriptions is
+// promised, and none is asserted.
+func TestCoarseAdvanceDeliversEachStreamInOrder(t *testing.T) {
+	const (
+		subs     = 40
+		buffer   = 8
+		expiring = 5  // Lifetime runs out inside the coarse step
+		leaver   = 11 // closed between the two steps
+		warm     = 2500 * time.Millisecond
+		coarse   = 10 * time.Second
+	)
+	periods := []time.Duration{time.Second, 1500 * time.Millisecond, 2 * time.Second, 2500 * time.Millisecond}
+	specOf := func(i int) QuerySpec {
+		spec := QuerySpec{Radius: 150, Period: periods[i%len(periods)], Freshness: time.Second, Aggregate: Count}
+		switch {
+		case i%3 == 0:
+			spec.Radius = 50 // below the pyramid threshold: cold scans
+		case i%10 == 9:
+			spec.Strategy = JITStrategy()
+		}
+		if i == expiring {
+			spec.Lifetime = 3 * spec.Period
+		}
+		return spec
+	}
+
+	run := func(sc ServiceConfig) [][]string {
+		nc := testNetwork()
+		nc.Service = sc
+		svc, err := Open(context.Background(), nc, WithResultBuffer(buffer))
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer svc.Close()
+		all := make([]*Subscription, subs)
+		for i := range all {
+			all[i], err = svc.Subscribe(context.Background(), specOf(i), LinearMotion(Pt(120+5*float64(i), 200), 1, 0.5))
+			if err != nil {
+				t.Fatalf("Subscribe %d: %v", i, err)
+			}
+		}
+		if err := svc.Advance(warm); err != nil {
+			t.Fatalf("Advance: %v", err)
+		}
+		all[leaver].Close()
+		if err := svc.Advance(coarse); err != nil {
+			t.Fatalf("Advance: %v", err)
+		}
+
+		streams := make([][]string, subs)
+		for i, sub := range all {
+			got, closed := buffered(sub)
+			// How many periods fell due while the subscription was live, and
+			// how many of them the buffer could hold.
+			evaluated := int((warm + coarse) / sub.Spec().Period)
+			switch i {
+			case expiring:
+				evaluated = 3
+			case leaver:
+				evaluated = int(warm / sub.Spec().Period)
+			}
+			want := min(evaluated, buffer)
+			if len(got) != want {
+				t.Errorf("%+v sub %d: %d results on the channel, want %d", sc, i, len(got), want)
+			}
+			for j, r := range got {
+				if r.K != j+1 || r.Deadline != time.Duration(j+1)*sub.Spec().Period {
+					t.Errorf("%+v sub %d: result %d is period %d due %v", sc, i, j, r.K, r.Deadline)
+				}
+				// PyramidHit is the serve route, not the answer, and under a
+				// step that spans more boundaries than a pyramid keeps epochs
+				// the route depends on how the workers interleave: one may
+				// rotate an epoch out between another's ingest and its serve,
+				// which then falls back to the cold scan — same values.
+				r.PyramidHit = false
+				streams[i] = append(streams[i], fmt.Sprintf("%+v", r))
+			}
+			if wantClosed := i == expiring || i == leaver; closed != wantClosed {
+				t.Errorf("%+v sub %d: channel closed = %v, want %v", sc, i, closed, wantClosed)
+			}
+			if st := sub.Stats(); st.Delivered != want || st.Dropped != evaluated-want || st.NextPeriod != evaluated+1 {
+				t.Errorf("%+v sub %d: ledger %+v, want %d delivered + %d dropped", sc, i, st, want, evaluated-want)
+			}
+		}
+
+		st := svc.Stats()
+		var byClass uint64
+		for _, c := range svc.obs.classCount {
+			byClass += c.Load()
+		}
+		if st.Delivered+st.Dropped != byClass || st.Dropped == 0 {
+			t.Errorf("%+v: delivered %d + dropped %d, per-class evaluated %d (and the fast streams must overflow)",
+				sc, st.Delivered, st.Dropped, byClass)
+		}
+		if want := subs - 2; st.Subscribers != want {
+			t.Errorf("%+v: %d subscribers after one expiry and one close, want %d", sc, st.Subscribers, want)
+		}
+		return streams
+	}
+
+	serial := run(ServiceConfig{Shards: 1, Workers: 1})
+	sharded := run(ServiceConfig{Shards: 4, Workers: 4})
+	for i := range serial {
+		if strings.Join(serial[i], "\n") != strings.Join(sharded[i], "\n") {
+			t.Errorf("sub %d: stream differs between Workers 1 and Workers 4:\n%v\n%v", i, serial[i], sharded[i])
+		}
+	}
+}
+
+// TestSubscriberCountFollowsTheEngineRegistry pins the one registry: the
+// three surfaces that report live subscriptions — Subscribers, ServiceStats
+// and the mobiquery_subscribers gauge — agree with each other and with
+// opened − closed through every way a subscription can end.
+func TestSubscriberCountFollowsTheEngineRegistry(t *testing.T) {
+	svc := mustOpen(t, WithAlignedSampling())
+	check := func(when string, want int) {
+		t.Helper()
+		st := svc.Stats()
+		var sb strings.Builder
+		if err := svc.Metrics().WritePrometheus(&sb); err != nil {
+			t.Fatalf("WritePrometheus: %v", err)
+		}
+		gauge := fmt.Sprintf("mobiquery_subscribers %d\n", want)
+		if svc.Subscribers() != want || st.Subscribers != want || int(st.Opened-st.Closed) != want ||
+			st.SchedLen != want || !strings.Contains(sb.String(), gauge) {
+			t.Errorf("%s: Subscribers %d, Stats %d, opened-closed %d, scheduled %d, gauge line %q present: %v; want %d",
+				when, svc.Subscribers(), st.Subscribers, st.Opened-st.Closed, st.SchedLen, gauge,
+				strings.Contains(sb.String(), gauge), want)
+		}
+	}
+	check("empty", 0)
+
+	short := centerSpec()
+	short.Lifetime = 2 * short.Period
+	var subs []*Subscription
+	for _, spec := range []QuerySpec{centerSpec(), smallSpec(), short} {
+		sub, err := svc.Subscribe(context.Background(), spec, StaticPosition(Pt(225, 225)))
+		if err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		subs = append(subs, sub)
+	}
+	check("three subscribed", 3)
+
+	// A refused Subscribe leaves nothing behind.
+	bad := centerSpec()
+	bad.Radius = -1
+	if _, err := svc.Subscribe(context.Background(), bad, StaticPosition(Pt(0, 0))); err == nil {
+		t.Fatal("negative radius accepted")
+	}
+	check("after a refused subscribe", 3)
+
+	subs[0].Close()
+	subs[0].Close() // idempotent: counted once
+	check("one closed", 2)
+
+	if err := svc.Advance(3 * short.Period); err != nil {
+		t.Fatalf("Advance: %v", err)
+	}
+	if _, closed := buffered(subs[2]); !closed {
+		t.Error("the lifetime-bound subscription did not end")
+	}
+	check("one expired", 1)
+
+	svc.Close()
+	check("service closed", 0)
+	if _, closed := buffered(subs[1]); !closed {
+		t.Error("Service.Close left a Results channel open")
+	}
+}
+
+// TestSubscribeOnAnEndedContext pins the one path on which a subscription
+// can be closing while Subscribe is still returning it: the context was
+// already over, so its AfterFunc runs Close at once, on another goroutine,
+// with no service lock between the two. Every such subscription must end,
+// exactly once, while the clock keeps stepping. Meaningful under -race.
+func TestSubscribeOnAnEndedContext(t *testing.T) {
+	svc := mustOpen(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	stepping := make(chan struct{})
+	go func() {
+		defer close(stepping)
+		for i := 0; i < 50; i++ {
+			svc.Advance(500 * time.Millisecond)
+		}
+	}()
+	var subs []*Subscription
+	for i := 0; i < 50; i++ {
+		sub, err := svc.Subscribe(ctx, smallSpec(), StaticPosition(Pt(225, 225)))
+		if err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		subs = append(subs, sub)
+	}
+	<-stepping
+	for _, sub := range subs {
+		for range sub.Results() { // ends once the AfterFunc has closed it
+		}
+	}
+	// The channel closes before the query is deregistered; wait that out.
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.Subscribers() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := svc.Stats(); st.Subscribers != 0 || st.Opened != 50 || st.Closed != 50 {
+		t.Fatalf("after 50 subscribes on an ended context: %d live, %d opened, %d closed", st.Subscribers, st.Opened, st.Closed)
+	}
+}

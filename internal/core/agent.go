@@ -74,7 +74,7 @@ type agent struct {
 	gates      map[uint32]gate
 }
 
-// gate records the newest motion-profile version a node knows of and the
+// gate records the latest motion-profile version a node knows of and the
 // first period that version governs. Older-version state remains valid for
 // periods before fromK: the old profile is still in effect until the new
 // one's ts (Section 4.1.2's validity model).

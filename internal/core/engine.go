@@ -75,12 +75,8 @@ type Query struct {
 	t0    sim.Time
 	nextK atomic.Int64
 
-	mu          sync.Mutex
-	pos         geom.Point
-	lastReading sim.Time
-	hasReading  bool
-	evaluated   int
-	late        int
+	mu  sync.Mutex
+	pos geom.Point
 	// winRing holds the last spec.Window single-period evaluations of a
 	// windowed query (allocated on first use, entries reused in place);
 	// winNext/winLen are the ring cursor and fill.
@@ -414,8 +410,10 @@ func (e *QueryEngine) Evaluate(queryID uint32, at sim.Time) (AreaResult, bool) {
 	return e.evaluate(q, at), true
 }
 
-// snapshot returns the registered queries sorted by id.
-func (e *QueryEngine) snapshot() []*Query {
+// Queries returns the handles of the registered queries, sorted by id: the
+// one registry a driver walks when it needs every live query (a sweep, a
+// shutdown).
+func (e *QueryEngine) Queries() []*Query {
 	out := make([]*Query, 0, e.nq.Load())
 	for i := range e.stripes {
 		st := &e.stripes[i]
@@ -431,22 +429,11 @@ func (e *QueryEngine) snapshot() []*Query {
 
 // EvaluateAll evaluates every registered query at virtual time at,
 // dispatching independent users across the worker pool. Results are in
-// ascending query-id order and identical to EvaluateAllSerial.
+// ascending query-id order whatever the pool size.
 func (e *QueryEngine) EvaluateAll(at sim.Time) []AreaResult {
-	qs := e.snapshot()
+	qs := e.Queries()
 	out := make([]AreaResult, len(qs))
 	e.Dispatch(len(qs), func(i int) { out[i] = e.evaluate(qs[i], at) })
-	return out
-}
-
-// EvaluateAllSerial is EvaluateAll through a plain serial loop: the
-// pre-sharding dispatch path, kept as the benchmark baseline.
-func (e *QueryEngine) EvaluateAllSerial(at sim.Time) []AreaResult {
-	qs := e.snapshot()
-	out := make([]AreaResult, len(qs))
-	for i, q := range qs {
-		out[i] = e.evaluate(q, at)
-	}
 	return out
 }
 

@@ -75,16 +75,21 @@ func TestQueryEngineEvaluateMatchesBruteForce(t *testing.T) {
 func TestQueryEngineShardedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	region := geom.Square(2000)
-	e := NewQueryEngine(region, 150, field.Uniform{Value: 20}, EngineConfig{Shards: 8, Workers: 8})
+	sharded := NewQueryEngine(region, 150, field.Uniform{Value: 20}, EngineConfig{Shards: 8, Workers: 8})
+	serial := NewQueryEngine(region, 150, field.Uniform{Value: 20}, EngineConfig{Shards: 1, Workers: 1})
 	for i := 0; i < 2000; i++ {
-		e.UpsertNode(radio.NodeID(i), region.UniformPoint(rng))
+		p := region.UniformPoint(rng)
+		sharded.UpsertNode(radio.NodeID(i), p)
+		serial.UpsertNode(radio.NodeID(i), p)
 	}
 	for u := 1; u <= 200; u++ {
-		e.Register(uint32(u), 150, region.UniformPoint(rng))
+		p := region.UniformPoint(rng)
+		sharded.Register(uint32(u), 150, p)
+		serial.Register(uint32(u), 150, p)
 	}
 	at := time.Second
-	par := e.EvaluateAll(at)
-	ser := e.EvaluateAllSerial(at)
+	par := sharded.EvaluateAll(at)
+	ser := serial.EvaluateAll(at)
 	if len(par) != 200 || len(ser) != 200 {
 		t.Fatalf("result counts %d/%d, want 200", len(par), len(ser))
 	}

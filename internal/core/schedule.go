@@ -86,12 +86,6 @@ type Schedule struct {
 	mergeDepth atomic.Int64
 }
 
-// NewSchedule returns an empty single-stripe scheduler: the zero-contention
-// layout, and the baseline the striped property tests compare against.
-func NewSchedule() *Schedule {
-	return NewScheduleStriped(1)
-}
-
 // maxScheduleStripes bounds the stripe count: beyond the registry's own 64
 // stripes more partitions buy no concurrency, and the idle fast path scans
 // one atomic per stripe.

@@ -29,8 +29,8 @@ type modelQuery struct {
 // a flat list of every handle ever registered, scanned and sorted on every
 // pop. No heap, no stripes, no stored indices.
 type scheduleModel struct {
-	all  []*modelQuery
-	byID map[uint32]*modelQuery // the live handle of each id
+	all     []*modelQuery
+	handles map[uint32]*modelQuery // the live handle of each id
 }
 
 func (m *scheduleModel) popDue(now sim.Time) []*modelQuery {
@@ -132,7 +132,7 @@ func runScheduleModel(t *testing.T, stripes int, seed int64) {
 		t.Fatalf("engine schedule has %d stripes, want %d", got, stripes)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	m := &scheduleModel{byID: make(map[uint32]*modelQuery)}
+	m := &scheduleModel{handles: make(map[uint32]*modelQuery)}
 	rb := e.NewRearmBatch()
 	now := sim.Time(0)
 	// held are handles a driver still carries from a pop: they stay
@@ -140,7 +140,7 @@ func runScheduleModel(t *testing.T, stripes int, seed int64) {
 	var held []*modelQuery
 
 	register := func(id uint32) {
-		if m.byID[id] != nil {
+		if m.handles[id] != nil {
 			return
 		}
 		period := sim.Time(1+rng.Intn(5)) * sim.Time(time.Second)
@@ -151,10 +151,10 @@ func runScheduleModel(t *testing.T, stripes int, seed int64) {
 		mq := &modelQuery{q: q, id: id, period: period, next: now + period, live: true}
 		mq.arm(mq.next)
 		m.all = append(m.all, mq)
-		m.byID[id] = mq
+		m.handles[id] = mq
 	}
 	deregister := func(id uint32) {
-		mq := m.byID[id]
+		mq := m.handles[id]
 		if mq == nil {
 			e.Deregister(id) // unknown id: a no-op
 			return
@@ -165,7 +165,7 @@ func runScheduleModel(t *testing.T, stripes int, seed int64) {
 			mq.q.Deregister()
 		}
 		mq.live, mq.armed = false, false
-		delete(m.byID, id)
+		delete(m.handles, id)
 	}
 	// evaluate drives mq one period forward if one is due, immediately or
 	// into the batch, on whatever the handle's liveness is.
@@ -273,7 +273,7 @@ func runScheduleModel(t *testing.T, stripes int, seed int64) {
 	}
 	flush()
 	checkIntrusive(t, -1, e, m)
-	if len(m.byID) == 0 || e.sched.Stats().Len == 0 {
+	if len(m.handles) == 0 || e.sched.Stats().Len == 0 {
 		t.Fatal("model test degenerated: nothing left scheduled")
 	}
 }

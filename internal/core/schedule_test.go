@@ -68,7 +68,7 @@ func sameDue(a, b DueEntry) bool { return a.ID == b.ID && a.Due == b.Due }
 // ascending (due, id) order, ties broken by id, regardless of insertion
 // order.
 func TestSchedulePopOrder(t *testing.T) {
-	s := newIDSchedule(NewSchedule())
+	s := newIDSchedule(NewScheduleStriped(1))
 	s.Upsert(3, 10*time.Second)
 	s.Upsert(1, 20*time.Second)
 	s.Upsert(2, 10*time.Second)
@@ -276,7 +276,7 @@ func TestScheduleStripedMatchesSingle(t *testing.T) {
 		t.Fatalf("StripeCount(1000 requested) = %d, want clamp %d", got, maxScheduleStripes)
 	}
 	rng := rand.New(rand.NewSource(11))
-	single := newIDSchedule(NewSchedule())
+	single := newIDSchedule(NewScheduleStriped(1))
 	striped := []*idSchedule{newIDSchedule(NewScheduleStriped(4)), newIDSchedule(NewScheduleStriped(16)), newIDSchedule(NewScheduleStriped(64))}
 	all := append([]*idSchedule{single}, striped...)
 
@@ -420,7 +420,7 @@ func TestScheduleStripedConcurrentChurn(t *testing.T) {
 // BenchmarkSchedulePopIdle measures the idle-tick cost with 100k queries
 // scheduled and nothing due: the peek that makes Advance O(1).
 func BenchmarkSchedulePopIdle(b *testing.B) {
-	s := newIDSchedule(NewSchedule())
+	s := newIDSchedule(NewScheduleStriped(1))
 	for id := uint32(1); id <= 100_000; id++ {
 		s.Upsert(id, time.Hour+sim.Time(id))
 	}
@@ -509,7 +509,7 @@ func BenchmarkScheduleContended(b *testing.B) {
 // queries resident. This is the O(log n) bound the 4-ary layout was
 // picked to minimize; swap arity to compare layouts.
 func BenchmarkScheduleCycle(b *testing.B) {
-	s := NewSchedule()
+	s := NewScheduleStriped(1)
 	const n = 100_000
 	period := sim.Time(n) // ids 1..n due at 1..n: one due per tick
 	qs := make([]Query, n+1)

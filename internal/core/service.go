@@ -316,14 +316,6 @@ func (s *Service) Start() {
 // Engine returns the concurrent query engine. Nil before Start.
 func (s *Service) Engine() *QueryEngine { return s.engine }
 
-// EvaluateAreas returns the instantaneous area evaluation of every
-// registered user at the current virtual time, fanned across the engine's
-// worker pool: the oracle view of "which sensors should answer each user
-// right now", in ascending query-id order.
-func (s *Service) EvaluateAreas() []AreaResult {
-	return s.engine.EvaluateAll(s.eng.Now())
-}
-
 // Results returns the per-period outcomes of the sole user (panics with
 // several users; use ResultsFor).
 func (s *Service) Results() []PeriodResult {

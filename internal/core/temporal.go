@@ -65,10 +65,8 @@ type AggServe struct {
 	AreaNodes  int
 	StaleNodes int
 	// MaxStaleness is the age at the boundary of the oldest contributing
-	// reading; Newest the timestamp of the newest one (meaningful only when
-	// Data.Count > 0).
+	// reading.
 	MaxStaleness time.Duration
-	Newest       sim.Time
 }
 
 // AggIndex is the aggregate-index hook of a temporal query:
@@ -136,30 +134,11 @@ type windowPeriod struct {
 	prefetched int
 }
 
-// TemporalStats is a snapshot of one query's temporal accounting.
-type TemporalStats struct {
-	// NextK is the 1-based index of the next period due.
-	NextK int
-	// Evaluated and Late count periods evaluated so far and how many of
-	// them missed their deadline.
-	Evaluated int
-	Late      int
-	// LastReading is the newest reading timestamp consumed by any window
-	// evaluation; HasReading is false until one contributing reading has
-	// been seen.
-	LastReading sim.Time
-	HasReading  bool
-}
-
 // WindowResult is one period's freshness-windowed evaluation. Data covers
 // only the fresh contributors; stale in-area nodes are counted but excluded
 // from the aggregate. Contributors are folded in canonical grid order and
 // never listed: Data.Count is their number.
 type WindowResult struct {
-	QueryID uint32
-	// Center and Radius are the evaluated circle.
-	Center geom.Point
-	Radius float64
 	// Data aggregates the fresh in-area readings.
 	Data Partial
 	// K is the 1-based period index; the result was due at Due and
@@ -200,7 +179,7 @@ type WindowResult struct {
 }
 
 // ScheduleSampler builds the standard periodic sampling schedule: node id
-// samples at phase(id) + n*period for n >= 0, so its newest reading at
+// samples at phase(id) + n*period for n >= 0, so its latest reading at
 // time `at` was taken at the last such instant, and before its first
 // sample the node has no reading at all. phase must be pure and return
 // values in [0, period).
@@ -422,10 +401,6 @@ func (q *Query) evaluateDue(now sim.Time, rb *RearmBatch) (WindowResult, bool) {
 		res = q.mergeWindow(res)
 	}
 	q.nextK.Store(int64(k + 1))
-	q.evaluated++
-	if res.Late {
-		q.late++
-	}
 	// Re-arm at the next boundary so PopDue keeps handing this query out
 	// exactly when a period is due. A Deregister that raced this evaluation
 	// has spent the handle, so neither path resurrects its entry; a
@@ -437,24 +412,6 @@ func (q *Query) evaluateDue(now sim.Time, rb *RearmBatch) (WindowResult, bool) {
 		e.sched.Upsert(q, next)
 	}
 	return res, true
-}
-
-// Stats returns the temporal accounting snapshot of one query. ok is
-// false for unknown or non-temporal queries.
-func (e *QueryEngine) Stats(queryID uint32) (TemporalStats, bool) {
-	q := e.temporal(queryID)
-	if q == nil {
-		return TemporalStats{}, false
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return TemporalStats{
-		NextK:       int(q.nextK.Load()),
-		Evaluated:   q.evaluated,
-		Late:        q.late,
-		LastReading: q.lastReading,
-		HasReading:  q.hasReading,
-	}, true
 }
 
 // evaluateWindow computes the freshness-windowed area result of q as of
@@ -478,7 +435,7 @@ func (e *QueryEngine) evaluateWindow(q *Query, due sim.Time) WindowResult {
 			return out
 		}
 	}
-	out := WindowResult{QueryID: q.id, Center: q.pos, Radius: q.radius, Data: NewPartial()}
+	out := WindowResult{Data: NewPartial()}
 	e.grid.VisitWithin(q.pos, q.radius, func(id int32, pos geom.Point) {
 		e.foldNode(q, due, &out, id, pos)
 	})
@@ -488,10 +445,9 @@ func (e *QueryEngine) evaluateWindow(q *Query, due sim.Time) WindowResult {
 // evaluateWindowWarm asks the query's corridor warmer for the boundary's
 // staged snapshot; ok is false when the warmer declined (nothing staged,
 // stale snapshot, or a mispredict) and the caller must run the cold scan.
-// The warmer calls fn only on a serve, so a decline leaves the query's
-// reading ledger untouched. Caller holds q.mu.
+// Caller holds q.mu.
 func (e *QueryEngine) evaluateWindowWarm(q *Query, due sim.Time) (WindowResult, bool) {
-	out := WindowResult{QueryID: q.id, Center: q.pos, Radius: q.radius, Data: NewPartial(), CorridorHit: true}
+	out := WindowResult{Data: NewPartial(), CorridorHit: true}
 	if !q.warmer.VisitStaged(due, q.pos, q.radius, func(id int32, pos geom.Point) {
 		e.foldNode(q, due, &out, id, pos)
 	}) {
@@ -509,26 +465,18 @@ func (e *QueryEngine) evaluateWindowAgg(q *Query, due sim.Time) (WindowResult, b
 	if !ok {
 		return WindowResult{}, false
 	}
-	out := WindowResult{
-		QueryID:      q.id,
-		Center:       q.pos,
-		Radius:       q.radius,
+	return WindowResult{
 		Data:         sv.Data,
 		PyramidHit:   true,
 		AreaNodes:    sv.AreaNodes,
 		StaleNodes:   sv.StaleNodes,
 		MaxStaleness: sv.MaxStaleness,
-	}
-	if sv.Data.Count > 0 && (!q.hasReading || sv.Newest > q.lastReading) {
-		q.lastReading = sv.Newest
-		q.hasReading = true
-	}
-	return out, true
+	}, true
 }
 
 // foldNode is the shared per-node body of a windowed evaluation:
-// freshness-window the node's reading and fold it into the result and the
-// query's reading ledger. Caller holds q.mu.
+// freshness-window the node's reading and fold it into the result. Caller
+// holds q.mu.
 func (e *QueryEngine) foldNode(q *Query, due sim.Time, out *WindowResult, id int32, pos geom.Point) {
 	out.AreaNodes++
 	sample, ok, prefetched := due, true, false
@@ -548,10 +496,6 @@ func (e *QueryEngine) foldNode(q *Query, due sim.Time, out *WindowResult, id int
 	}
 	if age := due - sample; age > out.MaxStaleness {
 		out.MaxStaleness = age
-	}
-	if !q.hasReading || sample > q.lastReading {
-		q.lastReading = sample
-		q.hasReading = true
 	}
 }
 

@@ -116,15 +116,13 @@ func TestEvaluateDueFreshnessWindow(t *testing.T) {
 		t.Errorf("aggregate = %v, want 20", v)
 	}
 
-	st, ok := e.Stats(7)
-	if !ok {
-		t.Fatal("Stats of temporal query missing")
+	// Exactly one period was consumed: the next one is period 2, and it does
+	// not fire a second time at the same instant.
+	if k, due, ok := e.NextDue(7); !ok || k != 2 || due != 4*time.Second {
+		t.Errorf("NextDue after one evaluation = (%d, %v, %v), want (2, 4s, true)", k, due, ok)
 	}
-	if st.NextK != 2 || st.Evaluated != 1 || st.Late != 0 {
-		t.Errorf("stats = %+v", st)
-	}
-	if !st.HasReading || st.LastReading != 1500*time.Millisecond {
-		t.Errorf("last reading = %v/%v, want 1.5s/true", st.LastReading, st.HasReading)
+	if _, ok := e.EvaluateDue(7, 2*time.Second); ok {
+		t.Error("the evaluated period fired again")
 	}
 }
 
@@ -185,9 +183,8 @@ func TestEvaluateDueDeadlineAccounting(t *testing.T) {
 				i, res.Late, res.Lateness, wantLate[i].late, wantLate[i].lateness)
 		}
 	}
-	st, _ := e.Stats(3)
-	if st.Evaluated != 3 || st.Late != 2 || st.NextK != 4 {
-		t.Errorf("stats = %+v, want 3 evaluated / 2 late / next 4", st)
+	if k, due, _ := e.NextDue(3); k != 4 || due != 8*time.Second {
+		t.Errorf("NextDue after the drain = (%d, %v), want (4, 8s)", k, due)
 	}
 }
 
@@ -199,9 +196,6 @@ func TestEvaluateDueNonTemporalAndUnknown(t *testing.T) {
 	}
 	if _, _, ok := e.NextDue(5); ok {
 		t.Error("NextDue answered for a non-temporal query")
-	}
-	if _, ok := e.Stats(5); ok {
-		t.Error("Stats answered for a non-temporal query")
 	}
 	if _, ok := e.EvaluateDue(999, time.Hour); ok {
 		t.Error("EvaluateDue fired for an unknown query")
@@ -412,9 +406,14 @@ func TestEvaluateDueCreditsStagedPeriods(t *testing.T) {
 			t.Errorf("staged period %d evaluated at %v, want its boundary %v", i+2, res.EvaluatedAt, res.Due)
 		}
 	}
-	st, _ := e.Stats(4)
-	if st.Late != 1 {
-		t.Errorf("ledger late = %d, want 1", st.Late)
+	late := 0
+	for _, res := range got {
+		if res.Late {
+			late++
+		}
+	}
+	if late != 1 {
+		t.Errorf("%d of the returned periods are late, want 1", late)
 	}
 }
 

@@ -9,14 +9,13 @@ import (
 	"mobiquery/internal/core"
 	"mobiquery/internal/field"
 	"mobiquery/internal/geom"
-	"mobiquery/internal/radio"
 	"mobiquery/internal/sim"
 )
 
 // ChurnConfig describes the dynamic-membership scenario: a static
 // population of streaming users holds session-long subscriptions while
 // churners join and leave mid-run, all driven through the engine's
-// temporal API (RegisterTemporalE / EvaluateDue) — the service-shaped
+// temporal API (RegisterQuery / EvaluateDueAt) — the service-shaped
 // workload the session API exposes publicly. The scenario's acceptance
 // property is that churn never perturbs the static users' results.
 type ChurnConfig struct {
@@ -129,6 +128,7 @@ type ChurnResult struct {
 // depend on goroutine interleaving.
 type churnUser struct {
 	id      uint32
+	q       *core.Query // set on join
 	start   geom.Point
 	vel     geom.Vec
 	joinAt  sim.Time // 0 for static users
@@ -162,14 +162,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	region := geom.Square(cfg.RegionSide)
 
-	nodePos := make([]geom.Point, cfg.Nodes)
-	for i := range nodePos {
-		nodePos[i] = region.UniformPoint(rng)
-	}
-	phase := make([]sim.Time, cfg.Nodes)
-	for i := range phase {
-		phase[i] = time.Duration(rng.Int63n(int64(cfg.SamplePeriod)))
-	}
+	sensors := drawSensorField(rng, region, cfg.Field, cfg.Nodes, cfg.SamplePeriod)
 
 	users := make([]*churnUser, 0, cfg.Static+cfg.Churners)
 	course := func() (geom.Point, geom.Vec) {
@@ -197,25 +190,18 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		})
 	}
 
-	eng, err := core.NewQueryEngineE(region, cfg.Radius, cfg.Field,
-		core.EngineConfig{Shards: cfg.Shards, Workers: cfg.Workers})
+	start := time.Now()
+	eng, err := sensors.engine(cfg.Radius, cfg.Shards, cfg.Workers)
 	if err != nil {
 		return ChurnResult{}, err
 	}
-	eng.SetSampler(core.ScheduleSampler(cfg.SamplePeriod, func(id int32) sim.Time {
-		return phase[id]
-	}))
-
-	start := time.Now()
-	eng.Dispatch(cfg.Nodes, func(i int) {
-		eng.UpsertNode(radio.NodeID(i), nodePos[i])
-	})
 
 	spec := core.TemporalSpec{Period: cfg.Period, Deadline: cfg.Deadline, Fresh: cfg.Fresh}
 	res := ChurnResult{Config: cfg}
-	join := func(u *churnUser, at sim.Time) error {
+	join := func(u *churnUser, at sim.Time) (err error) {
 		u.joined = true
-		return eng.RegisterTemporalE(u.id, cfg.Radius, u.posAt(region, at), spec, at)
+		u.q, err = eng.RegisterQuery(u.id, cfg.Radius, u.posAt(region, at), spec, at, u)
+		return err
 	}
 	for _, u := range users {
 		if u.static {
@@ -225,15 +211,11 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		}
 	}
 
-	byID := make(map[uint32]*churnUser, len(users))
-	for _, u := range users {
-		byID[u.id] = u
-	}
 	liveCount := cfg.Static
 	if liveCount > res.PeakLive {
 		res.PeakLive = liveCount
 	}
-	pump := newDuePump(eng, byID)
+	pump := duePump[*churnUser]{eng: eng}
 	for t := cfg.Tick; t <= cfg.Duration; t += cfg.Tick {
 		// Membership changes first: arrivals register with periods counted
 		// from their join tick, departures free their ids immediately.
@@ -250,7 +232,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 			}
 			if u.joined && u.leaveAt <= t {
 				u.gone = true
-				eng.Deregister(u.id)
+				u.q.Deregister()
 				res.Leaves++
 				liveCount--
 			}
@@ -262,9 +244,8 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		// (duePump pops them in (due, id) order and drains each on a
 		// worker); per-user evaluation is a pure function of the node field
 		// and that user's course, so the fan-out cannot change results.
-		pump.tick(t, func(u *churnUser, id uint32, boundary sim.Time) bool {
-			eng.UpdateWaypoint(id, u.posAt(region, boundary))
-			wr, ok := eng.EvaluateDue(id, t)
+		pump.tick(t, func(u *churnUser, q *core.Query, boundary sim.Time) bool {
+			wr, ok := q.EvaluateDueAt(u.posAt(region, boundary), t, nil)
 			if !ok {
 				return false
 			}

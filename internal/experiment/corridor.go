@@ -12,7 +12,6 @@ import (
 	"mobiquery/internal/geom"
 	"mobiquery/internal/mobility"
 	"mobiquery/internal/prefetch"
-	"mobiquery/internal/radio"
 	"mobiquery/internal/sim"
 )
 
@@ -261,14 +260,7 @@ func RunCorridor(cfg CorridorConfig) (CorridorResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	region := geom.Square(cfg.RegionSide)
 
-	nodePos := make([]geom.Point, cfg.Nodes)
-	for i := range nodePos {
-		nodePos[i] = region.UniformPoint(rng)
-	}
-	phase := make([]sim.Time, cfg.Nodes)
-	for i := range phase {
-		phase[i] = time.Duration(rng.Int63n(int64(cfg.SamplePeriod)))
-	}
+	sensors := drawSensorField(rng, region, cfg.Field, cfg.Nodes, cfg.SamplePeriod)
 
 	// Ground truth and both profile streams are drawn serially up front —
 	// per-user sub-seeds from the master stream — so every arm sees the
@@ -303,7 +295,7 @@ func RunCorridor(cfg CorridorConfig) (CorridorResult, error) {
 	res := CorridorResult{Config: cfg}
 	start := time.Now()
 	for _, arm := range corridorArms() {
-		out, err := runCorridorPass(cfg, arm, region, nodePos, phase, users)
+		out, err := runCorridorPass(cfg, arm, sensors, users)
 		if err != nil {
 			return CorridorResult{}, err
 		}
@@ -342,29 +334,21 @@ func (u *corridorUser) truthProfile(at sim.Time, period time.Duration) mobility.
 }
 
 // runCorridorPass runs one arm over the shared workload.
-func runCorridorPass(cfg CorridorConfig, arm corridorArm, region geom.Rect,
-	nodePos []geom.Point, phase []sim.Time, users []*corridorUser) (CorridorOutcome, error) {
-	eng, err := core.NewQueryEngineE(region, cfg.Radius, cfg.Field,
-		core.EngineConfig{Shards: cfg.Shards, Workers: cfg.Workers})
+func runCorridorPass(cfg CorridorConfig, arm corridorArm, sensors *sensorField, users []*corridorUser) (CorridorOutcome, error) {
+	eng, err := sensors.engine(cfg.Radius, cfg.Shards, cfg.Workers)
 	if err != nil {
 		return CorridorOutcome{}, err
 	}
-	base := core.ScheduleSampler(cfg.SamplePeriod, func(id int32) sim.Time { return phase[id] })
-	eng.SetSampler(base)
-	eng.Dispatch(len(nodePos), func(i int) {
-		eng.UpsertNode(radio.NodeID(i), nodePos[i])
-	})
 
 	bound := exactBound
 	if arm.noisy {
 		bound = cfg.noisyBound()
 	}
 	spec := core.TemporalSpec{Period: cfg.Period, Deadline: cfg.Deadline, Fresh: cfg.Fresh}
-	byID := make(map[uint32]*corridorUser, len(users))
 	for _, u := range users {
 		*u = corridorUser{id: u.id, course: u.course, exact: u.exact, noisy: u.noisy}
-		byID[u.id] = u
-		if err := eng.RegisterTemporalE(u.id, cfg.Radius, u.course.PosAt(0), spec, 0); err != nil {
+		q, err := eng.RegisterQuery(u.id, cfg.Radius, u.course.PosAt(0), spec, 0, u)
+		if err != nil {
 			return CorridorOutcome{}, err
 		}
 		if !arm.strat.Prefetching() {
@@ -393,8 +377,8 @@ func runCorridorPass(cfg CorridorConfig, arm corridorArm, region geom.Rect,
 		if err != nil {
 			return CorridorOutcome{}, err
 		}
-		eng.SetQuerySampler(u.id, u.planner.Sampler(base))
-		eng.SetQueryPlan(u.id, u.planner)
+		q.SetSampler(u.planner.Sampler(sensors.sampler))
+		q.SetPlan(u.planner)
 		if arm.corridor {
 			u.cache, err = corridor.NewCache(corridor.Config{
 				Lookahead: cfg.Lookahead,
@@ -406,22 +390,22 @@ func runCorridorPass(cfg CorridorConfig, arm corridorArm, region geom.Rect,
 				return CorridorOutcome{}, err
 			}
 			u.cache.SetProfile(prof, 0)
-			eng.SetQueryWarmer(u.id, u.cache)
+			q.SetWarmer(u.cache)
 		}
 	}
 
-	pump := newDuePump(eng, byID)
+	pump := duePump[*corridorUser]{eng: eng}
 	for t := cfg.Tick; t <= cfg.Duration; t += cfg.Tick {
 		// Each user's evaluation depends only on the shared field and
 		// their own course, streams, plan, and cache — the worker fan-out
 		// cannot change results.
-		pump.tick(t, func(u *corridorUser, id uint32, nextDue sim.Time) bool {
+		pump.tick(t, func(u *corridorUser, q *core.Query, nextDue sim.Time) bool {
 			if u.planner != nil {
 				u.pump(nextDue)
 			}
-			eng.UpdateWaypoint(id, u.course.PosAt(nextDue))
+			pos := u.course.PosAt(nextDue)
 			evalStart := time.Now()
-			wr, ok := eng.EvaluateDue(id, t)
+			wr, ok := q.EvaluateDueAt(pos, t, nil)
 			evalNs := time.Since(evalStart).Nanoseconds()
 			if !ok {
 				return false

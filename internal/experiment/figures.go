@@ -23,9 +23,6 @@ type Options struct {
 	Scale float64
 }
 
-// DefaultOptions reproduces the paper's settings.
-func DefaultOptions() Options { return Options{Runs: 3, BaseSeed: 1, Scale: 1} }
-
 // duration scales a paper run length, keeping at least 60 seconds.
 func (o Options) duration(d time.Duration) time.Duration {
 	if o.Scale <= 0 || o.Scale >= 1 {

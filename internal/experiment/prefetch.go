@@ -11,7 +11,6 @@ import (
 	"mobiquery/internal/geom"
 	"mobiquery/internal/mobility"
 	"mobiquery/internal/prefetch"
-	"mobiquery/internal/radio"
 	"mobiquery/internal/sim"
 )
 
@@ -156,6 +155,7 @@ type prefetchUser struct {
 	start geom.Point
 	vel   geom.Vec
 
+	q       *core.Query
 	planner *prefetch.Planner
 
 	evals, late, warm, stale, prefetched int
@@ -191,14 +191,7 @@ func RunPrefetch(cfg PrefetchConfig) (PrefetchResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	region := geom.Square(cfg.RegionSide)
 
-	nodePos := make([]geom.Point, cfg.Nodes)
-	for i := range nodePos {
-		nodePos[i] = region.UniformPoint(rng)
-	}
-	phase := make([]sim.Time, cfg.Nodes)
-	for i := range phase {
-		phase[i] = time.Duration(rng.Int63n(int64(cfg.SamplePeriod)))
-	}
+	sensors := drawSensorField(rng, region, cfg.Field, cfg.Nodes, cfg.SamplePeriod)
 	inner := geom.NewRect(0.15*cfg.RegionSide, 0.15*cfg.RegionSide, 0.85*cfg.RegionSide, 0.85*cfg.RegionSide)
 	users := make([]*prefetchUser, cfg.Users)
 	for i := range users {
@@ -219,7 +212,7 @@ func RunPrefetch(cfg PrefetchConfig) (PrefetchResult, error) {
 		{Kind: prefetch.Greedy, Lookahead: cfg.Lookahead},
 	}
 	for i, strat := range strategies {
-		out, err := runPrefetchPass(cfg, strat, region, nodePos, phase, users)
+		out, err := runPrefetchPass(cfg, strat, sensors, users)
 		if err != nil {
 			return PrefetchResult{}, err
 		}
@@ -237,25 +230,16 @@ func RunPrefetch(cfg PrefetchConfig) (PrefetchResult, error) {
 }
 
 // runPrefetchPass runs one strategy over the shared workload.
-func runPrefetchPass(cfg PrefetchConfig, strat prefetch.Strategy, region geom.Rect,
-	nodePos []geom.Point, phase []sim.Time, users []*prefetchUser) (StrategyOutcome, error) {
-	eng, err := core.NewQueryEngineE(region, cfg.Radius, cfg.Field,
-		core.EngineConfig{Shards: cfg.Shards, Workers: cfg.Workers})
+func runPrefetchPass(cfg PrefetchConfig, strat prefetch.Strategy, sensors *sensorField, users []*prefetchUser) (StrategyOutcome, error) {
+	eng, err := sensors.engine(cfg.Radius, cfg.Shards, cfg.Workers)
 	if err != nil {
 		return StrategyOutcome{}, err
 	}
-	base := core.ScheduleSampler(cfg.SamplePeriod, func(id int32) sim.Time { return phase[id] })
-	eng.SetSampler(base)
-	eng.Dispatch(len(nodePos), func(i int) {
-		eng.UpsertNode(radio.NodeID(i), nodePos[i])
-	})
 
 	spec := core.TemporalSpec{Period: cfg.Period, Deadline: cfg.Deadline, Fresh: cfg.Fresh}
-	byID := make(map[uint32]*prefetchUser, len(users))
 	for _, u := range users {
 		*u = prefetchUser{id: u.id, start: u.start, vel: u.vel} // reset the pass accumulator
-		byID[u.id] = u
-		if err := eng.RegisterTemporalE(u.id, cfg.Radius, u.posAt(0), spec, 0); err != nil {
+		if u.q, err = eng.RegisterQuery(u.id, cfg.Radius, u.posAt(0), spec, 0, u); err != nil {
 			return StrategyOutcome{}, err
 		}
 		if strat.Prefetching() {
@@ -270,8 +254,8 @@ func runPrefetchPass(cfg PrefetchConfig, strat prefetch.Strategy, region geom.Re
 			if err != nil {
 				return StrategyOutcome{}, err
 			}
-			eng.SetQuerySampler(u.id, u.planner.Sampler(base))
-			eng.SetQueryPlan(u.id, u.planner)
+			u.q.SetSampler(u.planner.Sampler(sensors.sampler))
+			u.q.SetPlan(u.planner)
 		}
 	}
 
@@ -284,12 +268,12 @@ func runPrefetchPass(cfg PrefetchConfig, strat prefetch.Strategy, region geom.Re
 	}
 	replansDone := 0
 
-	pump := newDuePump(eng, byID)
+	pump := duePump[*prefetchUser]{eng: eng}
 	for t := cfg.Tick; t <= cfg.Duration; t += cfg.Tick {
 		if replanEvery > 0 && replansDone < cfg.Replans && t >= sim.Time(replansDone+1)*replanEvery {
 			replansDone++
 			for _, u := range users {
-				eng.UpdateWaypoint(u.id, u.posAt(t))
+				u.q.SetWaypoint(u.posAt(t))
 				if u.planner != nil {
 					u.planner.Replan(u.profileAt(t, cfg.Period), t)
 				}
@@ -299,9 +283,8 @@ func runPrefetchPass(cfg PrefetchConfig, strat prefetch.Strategy, region geom.Re
 		// are touched, and each user's evaluation is a pure function of the
 		// shared field and their own course and plan — the worker fan-out
 		// cannot change results.
-		pump.tick(t, func(u *prefetchUser, id uint32, nextDue sim.Time) bool {
-			eng.UpdateWaypoint(id, u.posAt(nextDue))
-			wr, ok := eng.EvaluateDue(id, t)
+		pump.tick(t, func(u *prefetchUser, q *core.Query, nextDue sim.Time) bool {
+			wr, ok := q.EvaluateDueAt(u.posAt(nextDue), t, nil)
 			if !ok {
 				return false
 			}

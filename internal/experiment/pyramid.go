@@ -11,7 +11,6 @@ import (
 	"mobiquery/internal/geom"
 	"mobiquery/internal/mobility"
 	"mobiquery/internal/pyramid"
-	"mobiquery/internal/radio"
 	"mobiquery/internal/sim"
 )
 
@@ -215,14 +214,7 @@ func RunPyramid(cfg PyramidConfig) (PyramidResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	region := geom.Square(cfg.RegionSide)
 
-	nodePos := make([]geom.Point, cfg.Nodes)
-	for i := range nodePos {
-		nodePos[i] = region.UniformPoint(rng)
-	}
-	phase := make([]sim.Time, cfg.Nodes)
-	for i := range phase {
-		phase[i] = time.Duration(rng.Int63n(int64(cfg.SamplePeriod)))
-	}
+	sensors := drawSensorField(rng, region, cfg.Field, cfg.Nodes, cfg.SamplePeriod)
 
 	// Courses are drawn serially up front so every arm sees the same
 	// workload whatever the pass order or dispatch interleaving.
@@ -246,7 +238,7 @@ func RunPyramid(cfg PyramidConfig) (PyramidResult, error) {
 	res := PyramidResult{Config: cfg}
 	start := time.Now()
 	for _, arm := range pyramidArms(cfg.Window) {
-		out, err := runPyramidPass(cfg, arm, region, nodePos, phase, users)
+		out, err := runPyramidPass(cfg, arm, sensors, users)
 		if err != nil {
 			return PyramidResult{}, err
 		}
@@ -257,56 +249,47 @@ func RunPyramid(cfg PyramidConfig) (PyramidResult, error) {
 }
 
 // runPyramidPass runs one arm over the shared workload.
-func runPyramidPass(cfg PyramidConfig, arm pyramidArm, region geom.Rect,
-	nodePos []geom.Point, phase []sim.Time, users []*pyramidUser) (PyramidOutcome, error) {
+func runPyramidPass(cfg PyramidConfig, arm pyramidArm, sensors *sensorField, users []*pyramidUser) (PyramidOutcome, error) {
 	// The index cell is an eighth of the query radius: the disk spans ~16
 	// cells across, enough room for covered tiles at several levels.
-	eng, err := core.NewQueryEngineE(region, cfg.Radius/8, cfg.Field,
-		core.EngineConfig{Shards: cfg.Shards, Workers: cfg.Workers})
+	eng, err := sensors.engine(cfg.Radius/8, cfg.Shards, cfg.Workers)
 	if err != nil {
 		return PyramidOutcome{}, err
-	}
-	base := core.ScheduleSampler(cfg.SamplePeriod, func(id int32) sim.Time { return phase[id] })
-	eng.SetSampler(base)
-	eng.Dispatch(len(nodePos), func(i int) {
-		eng.UpsertNode(radio.NodeID(i), nodePos[i])
-	})
-
-	spec := core.TemporalSpec{Period: cfg.Period, Deadline: cfg.Deadline, Fresh: cfg.Fresh, Window: arm.window}
-	byID := make(map[uint32]*pyramidUser, len(users))
-	for _, u := range users {
-		*u = pyramidUser{id: u.id, course: u.course}
-		byID[u.id] = u
-		if err := eng.RegisterTemporalE(u.id, cfg.Radius, u.course.PosAt(0), spec, 0); err != nil {
-			return PyramidOutcome{}, err
-		}
 	}
 	var pyr *pyramid.Pyramid
 	if arm.pyramid {
 		pyr, err = pyramid.New(eng.Index(), pyramid.Config{
 			Fresh:  cfg.Fresh,
-			Sample: base,
+			Sample: sensors.sampler,
 			Field:  cfg.Field,
 		})
 		if err != nil {
 			return PyramidOutcome{}, err
 		}
-		for _, u := range users {
-			eng.SetQueryAggIndex(u.id, pyr)
+	}
+
+	spec := core.TemporalSpec{Period: cfg.Period, Deadline: cfg.Deadline, Fresh: cfg.Fresh, Window: arm.window}
+	for _, u := range users {
+		*u = pyramidUser{id: u.id, course: u.course}
+		q, err := eng.RegisterQuery(u.id, cfg.Radius, u.course.PosAt(0), spec, 0, u)
+		if err != nil {
+			return PyramidOutcome{}, err
+		}
+		if pyr != nil {
+			q.SetAggIndex(pyr)
 		}
 	}
 
-	pump := newDuePump(eng, byID)
+	pump := duePump[*pyramidUser]{eng: eng}
 	for t := cfg.Tick; t <= cfg.Duration; t += cfg.Tick {
 		// Each user's evaluation depends only on the shared field and their
 		// own course; epoch ingest is cooperative, so the fan-out cannot
 		// change results.
-		pump.tick(t, func(u *pyramidUser, id uint32, nextDue sim.Time) bool {
+		pump.tick(t, func(u *pyramidUser, q *core.Query, nextDue sim.Time) bool {
 			if pyr != nil {
 				pyr.EnsureEpoch(nextDue)
 			}
-			eng.UpdateWaypoint(id, u.course.PosAt(nextDue))
-			wr, ok := eng.EvaluateDue(id, t)
+			wr, ok := q.EvaluateDueAt(u.course.PosAt(nextDue), t, nil)
 			if !ok {
 				return false
 			}

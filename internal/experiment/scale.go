@@ -36,11 +36,10 @@ type ScaleConfig struct {
 	Step   float64
 	Rounds int
 
-	// Shards and Workers size the engine (zero = defaults). Serial forces
-	// the single-threaded dispatch baseline regardless of Workers.
+	// Shards and Workers size the engine (zero = defaults); Shards 1 with
+	// Workers 1 is the serial reference.
 	Shards  int
 	Workers int
-	Serial  bool
 
 	// Field is the sensor field sampled during evaluation.
 	Field field.Field
@@ -80,7 +79,7 @@ func (c ScaleConfig) Validate() error {
 }
 
 // ScaleResult summarizes one scale run. Every field except Elapsed is a
-// pure function of the configuration (independent of Workers/Serial), which
+// pure function of the configuration (independent of Shards/Workers), which
 // is how the tests pin down that sharded dispatch changes only wall time.
 type ScaleResult struct {
 	Config      ScaleConfig
@@ -111,7 +110,7 @@ func resultDigest(queryID uint32, v float64) uint64 {
 // RunScale executes the scale scenario: it indexes the node field, registers
 // every user, then alternates concurrent waypoint updates with full
 // query-area evaluation sweeps, all dispatched through the engine's worker
-// pool (or a serial loop when cfg.Serial is set).
+// pool (which with one worker is a serial loop).
 func RunScale(cfg ScaleConfig) ScaleResult {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -132,11 +131,8 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 		userDir[i] = geom.FromAngle(rng.Float64() * 2 * math.Pi)
 	}
 
-	engCfg := core.EngineConfig{Shards: cfg.Shards, Workers: cfg.Workers}
-	if cfg.Serial {
-		engCfg.Workers = 1
-	}
-	e := core.NewQueryEngine(region, cfg.Radius, cfg.Field, engCfg)
+	e := core.NewQueryEngine(region, cfg.Radius, cfg.Field,
+		core.EngineConfig{Shards: cfg.Shards, Workers: cfg.Workers})
 
 	start := time.Now()
 	e.Dispatch(cfg.Nodes, func(i int) {
@@ -161,12 +157,7 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 		}
 		at := time.Duration(round) * time.Second
 		sweepStart := time.Now()
-		var sweep []core.AreaResult
-		if cfg.Serial {
-			sweep = e.EvaluateAllSerial(at)
-		} else {
-			sweep = e.EvaluateAll(at)
-		}
+		sweep := e.EvaluateAll(at)
 		sweepLat.Observe(time.Since(sweepStart).Nanoseconds())
 		for _, ar := range sweep {
 			res.Evaluations++

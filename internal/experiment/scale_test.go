@@ -42,7 +42,7 @@ func TestScaleValidate(t *testing.T) {
 // concurrent engine: sharded dispatch changes wall time, never results.
 func TestScaleShardedMatchesSerial(t *testing.T) {
 	serial := smallScale()
-	serial.Serial = true
+	serial.Shards, serial.Workers = 1, 1
 	sharded := smallScale()
 	sharded.Shards = 8
 	sharded.Workers = 8

@@ -180,18 +180,6 @@ type RunResult struct {
 	EventsFired   uint64
 }
 
-// DebugResult pairs a RunResult with core protocol counters.
-type DebugResult struct {
-	RunResult
-	Debug core.DebugCounters
-}
-
-// RunWithDebug is Run plus protocol diagnosis counters.
-func RunWithDebug(sc Scenario) DebugResult {
-	res, dbg := run(sc)
-	return DebugResult{RunResult: res, Debug: dbg}
-}
-
 // queryStart draws the query issue time's phase relative to the PSM
 // schedule from the run's deterministic "t0" stream. It must be derived
 // identically wherever a scenario's timeline is reconstructed.
@@ -201,11 +189,6 @@ func queryStart(eng *sim.Engine, sc Scenario) sim.Time {
 
 // Run executes one scenario to completion and evaluates it.
 func Run(sc Scenario) RunResult {
-	res, _ := run(sc)
-	return res
-}
-
-func run(sc Scenario) (RunResult, core.DebugCounters) {
 	if err := sc.Validate(); err != nil {
 		panic(err)
 	}
@@ -300,10 +283,8 @@ func run(sc Scenario) (RunResult, core.DebugCounters) {
 	eng.Run(sc.Duration + 2*time.Second)
 
 	var results []core.PeriodResult
-	var debug core.DebugCounters
 	if svc != nil {
 		results = svc.Results()
-		debug = svc.Debug()
 	}
 	res := RunResult{
 		Scenario:           sc,
@@ -332,5 +313,5 @@ func run(sc Scenario) (RunResult, core.DebugCounters) {
 	}
 	res.PowerSleeper = energy.Aggregate(sleepers).AveragePower
 	res.PowerBackbone = energy.Aggregate(backbone).AveragePower
-	return res, debug
+	return res
 }

@@ -115,7 +115,7 @@ func MintSpanID(t TraceID, k int) SpanID {
 }
 
 // PeriodSpan is one subscription period's lifecycle: stamped as it moves
-// armed → popped → evaluated → flushed → merged/delivered → written to
+// armed → popped → evaluated → flushed → delivered → written to
 // the wire. Due is virtual service time; the *NS fields are wall-clock
 // unix nanoseconds, so stage latencies are differences between
 // consecutive stamps (Armed is the wall time the period's schedule entry
@@ -138,7 +138,7 @@ type PeriodSpan struct {
 	EvalStartNS int64
 	EvalEndNS   int64
 	FlushNS     int64
-	DeliveredNS int64 // merge + delivery complete
+	DeliveredNS int64 // handed to (or dropped at) the Results channel
 	WireNS      int64 // result frame written to the wire (networked only)
 	Class       Class
 	Outcome     Outcome

@@ -64,7 +64,7 @@ func (c Config) Validate() error {
 
 // cellAgg is one tile's (or cell's) partial aggregate for one epoch: the
 // standard decomposable Count/Sum/Min/Max record plus the accounting a cold
-// scan keeps (total and stale node counts, contributor staleness bounds).
+// scan keeps (total and stale node counts, oldest contributor age).
 // The zero value means "no nodes here"; min/max are meaningful only while
 // count > 0, mirroring core.Partial's empty semantics.
 type cellAgg struct {
@@ -73,7 +73,6 @@ type cellAgg struct {
 	sum          float64
 	min, max     float64
 	maxStale     time.Duration
-	newest       sim.Time
 }
 
 // epoch is the pyramid state frozen at one period boundary: level 0 holds
@@ -359,9 +358,6 @@ func (p *Pyramid) buildRow(e *epoch, cy int) {
 		if age := e.due - t; age > agg.maxStale {
 			agg.maxStale = age
 		}
-		if t > agg.newest {
-			agg.newest = t
-		}
 	}
 	visited := int64(0)
 	for cx := 0; cx < p.cg.cols; cx++ {
@@ -398,9 +394,6 @@ func mergeChild(agg *cellAgg, c *cellAgg) {
 	}
 	if c.maxStale > agg.maxStale {
 		agg.maxStale = c.maxStale
-	}
-	if c.newest > agg.newest {
-		agg.newest = c.newest
 	}
 }
 
@@ -492,9 +485,6 @@ func (p *Pyramid) ServeWindow(due sim.Time, center geom.Point, radius float64, f
 			if a.maxStale > sv.MaxStaleness {
 				sv.MaxStaleness = a.maxStale
 			}
-			if a.newest > sv.Newest {
-				sv.Newest = a.newest
-			}
 		},
 		func(cx, cy int) {
 			p.grid.VisitCell(cx, cy, func(id int32, pos geom.Point) {
@@ -514,9 +504,6 @@ func (p *Pyramid) ServeWindow(due sim.Time, center geom.Point, radius float64, f
 				sv.Data.Add(p.fld.Sample(pos, t))
 				if age := due - t; age > sv.MaxStaleness {
 					sv.MaxStaleness = age
-				}
-				if t > sv.Newest {
-					sv.Newest = t
 				}
 			})
 		})

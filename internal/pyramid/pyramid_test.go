@@ -77,9 +77,6 @@ func flatServe(g *geom.ShardedGrid, due sim.Time, center geom.Point, radius floa
 		if age := due - h.t; age > sv.MaxStaleness {
 			sv.MaxStaleness = age
 		}
-		if h.t > sv.Newest {
-			sv.Newest = h.t
-		}
 	}
 	return sv
 }
@@ -101,8 +98,8 @@ func sameServe(t *testing.T, ctx string, got, want core.AggServe) {
 		math.Float64bits(got.Data.Max) != math.Float64bits(want.Data.Max) {
 		t.Fatalf("%s: min/max %v/%v, want %v/%v", ctx, got.Data.Min, got.Data.Max, want.Data.Min, want.Data.Max)
 	}
-	if got.MaxStaleness != want.MaxStaleness || got.Newest != want.Newest {
-		t.Fatalf("%s: staleness %v newest %v, want %v %v", ctx, got.MaxStaleness, got.Newest, want.MaxStaleness, want.Newest)
+	if got.MaxStaleness != want.MaxStaleness {
+		t.Fatalf("%s: staleness %v, want %v", ctx, got.MaxStaleness, want.MaxStaleness)
 	}
 }
 

@@ -25,7 +25,9 @@
 //	                                     response: ack, result*, end frames
 //	POST /v1/subscriptions/{id}/waypoints  body: wire.Waypoint per line,
 //	                                     applied as each arrives (client
-//	                                     streaming); reply: applied count
+//	                                     streaming); reply: applied count,
+//	                                     or 400 at the first malformed line
+//	                                     / 409 once the subscription closed
 //	GET  /v1/subscriptions/{id}/stats    per-subscription + prefetch ledger
 //	POST /v1/advance                     manual-clock servers only: move
 //	                                     the virtual clock (tests, smoke)
@@ -37,6 +39,9 @@
 package server
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -276,7 +281,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWaypoints applies a client-streamed body of ground-truth position
-// updates to a subscription this server opened, each as it arrives.
+// updates to a subscription this server opened, each as it arrives. Only a
+// clean end of the body is a success: a line that does not decode is 400, a
+// subscription that closed mid-stream 409, and either message says how many
+// updates had been applied by then (they stay applied).
 func (s *Server) handleWaypoints(w http.ResponseWriter, r *http.Request) {
 	sub, ok := s.lookup(w, r)
 	if !ok {
@@ -286,11 +294,15 @@ func (s *Server) handleWaypoints(w http.ResponseWriter, r *http.Request) {
 	applied := 0
 	for {
 		var wp wire.Waypoint
-		if err := dec.Decode(&wp); err != nil {
-			break // EOF ends the stream; garbage ends it early
+		if err := dec.Decode(&wp); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			http.Error(w, fmt.Sprintf("wire: bad waypoint after %d applied: %v", applied, err), http.StatusBadRequest)
+			return
 		}
-		if sub.UpdateWaypoint(mobiquery.Pt(wp.XM, wp.YM)) != nil {
-			break // subscription closed mid-stream
+		if err := sub.UpdateWaypoint(mobiquery.Pt(wp.XM, wp.YM)); err != nil {
+			http.Error(w, fmt.Sprintf("%v (after %d waypoints applied)", err, applied), http.StatusConflict)
+			return
 		}
 		applied++
 	}

@@ -311,6 +311,83 @@ func TestWaypointClientStream(t *testing.T) {
 	}
 }
 
+// TestWaypointStreamErrors pins how a waypoint stream that does not end
+// cleanly is answered: a line that fails to decode is 400 and a subscription
+// that closed under the stream 409 — never 200 — and in both cases the
+// updates before the failure were applied and the message counts them.
+func TestWaypointStreamErrors(t *testing.T) {
+	h := newHarness(t, mobiquery.ServiceConfig{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ack, dec, done := h.subscribe(t, ctx, wire.SubscribeRequest{
+		Spec:   testSpec(),
+		Motion: wire.Motion{Kind: "static", XM: 10, YM: 10}, // corner: few nodes
+	})
+	defer done()
+	url := fmt.Sprintf("%s/v1/subscriptions/%d/waypoints", h.ts.URL, ack.ID)
+	// nextAreaNodes advances one period and reads its result.
+	nextAreaNodes := func() int {
+		t.Helper()
+		h.advance(t, 2*time.Second)
+		var f wire.Frame
+		if err := dec.Decode(&f); err != nil || f.Type != wire.FrameResult {
+			t.Fatalf("result frame: %+v err=%v", f, err)
+		}
+		return f.Result.AreaNodes
+	}
+	corner := nextAreaNodes()
+
+	// Two good lines, then a truncated one.
+	resp, err := http.Post(url, "application/x-ndjson",
+		strings.NewReader("{\"x_m\":50,\"y_m\":50}\n{\"x_m\":225,\"y_m\":225}\n{\"x_m\":"))
+	if err != nil {
+		t.Fatalf("waypoints: %v", err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "after 2 applied") {
+		t.Fatalf("garbage line: status %d %q, want 400 naming 2 applied", resp.StatusCode, msg)
+	}
+	// The second good line moved the user to the field center.
+	if n := nextAreaNodes(); n < 50 || n <= corner {
+		t.Errorf("after the two applied waypoints the area holds %d nodes (corner %d); the updates were lost", n, corner)
+	}
+
+	// A stream whose subscription closes under it: the first line goes
+	// through (seen as the user back in the corner), then the subscriber
+	// hangs up, then the second line arrives.
+	pr, pw := io.Pipe()
+	type reply struct {
+		status int
+		msg    string
+		err    error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(url, "application/x-ndjson", pr)
+		if err != nil {
+			got <- reply{err: err}
+			return
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		got <- reply{status: resp.StatusCode, msg: string(msg)}
+	}()
+	fmt.Fprintln(pw, `{"x_m":10,"y_m":10}`)
+	waitFor(t, "first waypoint applied", func() bool { return nextAreaNodes() == corner })
+	cancel()
+	waitFor(t, "subscribe stream torn down", func() bool { return h.srv.Streams() == 0 })
+	fmt.Fprintln(pw, `{"x_m":225,"y_m":225}`)
+	pw.Close()
+	r := <-got
+	if r.err != nil {
+		t.Fatalf("waypoints over a closed subscription: %v", r.err)
+	}
+	if r.status != http.StatusConflict || !strings.Contains(r.msg, "after 1 waypoints applied") {
+		t.Errorf("closed subscription: status %d %q, want 409 naming 1 applied", r.status, r.msg)
+	}
+}
+
 func TestBadRequestsAreClientErrors(t *testing.T) {
 	h := newHarness(t, mobiquery.ServiceConfig{})
 	cases := []struct {

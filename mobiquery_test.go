@@ -194,7 +194,7 @@ func TestRunScalePublicAPI(t *testing.T) {
 		t.Errorf("MeanValue = %v, want 7", sharded.MeanValue)
 	}
 	serial := c
-	serial.Serial = true
+	serial.Service = ServiceConfig{Shards: 1, Workers: 1}
 	if got := RunScale(serial); got.Checksum != sharded.Checksum || got.MeanAreaNodes != sharded.MeanAreaNodes {
 		t.Errorf("serial run %+v diverges from sharded %+v", got, sharded)
 	}

@@ -82,7 +82,7 @@ func newSvcObs(s *Service) *svcObs {
 		"Advance calls on which no period was due")
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("mobiquery_advance_stage_seconds", `stage="`+name+`"`,
-			"wall time per Advance stage: pop (due-batch collection), evaluate (fan-out), flush (schedule re-arms), deliver (k-way merge + channel sends)",
+			"wall time per Advance stage: pop (due-batch collection), evaluate (fan-out), flush (schedule re-arms), deliver (channel sends, one subscription after another)",
 			obsMaxStage, 1e-9)
 	}
 	o.stagePop = stage("pop")
@@ -92,7 +92,7 @@ func newSvcObs(s *Service) *svcObs {
 	o.popBatch = reg.Histogram("mobiquery_advance_pop_batch", "",
 		"subscriptions popped due per non-empty Advance step", 1<<21, 1)
 	o.mergeDepth = reg.Histogram("mobiquery_advance_merge_depth", "",
-		"scheduler stripes contributing to each non-empty PopDue (k of the k-way merge)", 64, 1)
+		"scheduler stripes contributing to each non-empty PopDue (fan-in of its stripe merge)", 64, 1)
 
 	for c := obs.Class(0); c < obs.NumClasses; c++ {
 		lbl := `class="` + c.String() + `"`
@@ -188,13 +188,13 @@ func newSvcObs(s *Service) *svcObs {
 func (s *Service) StatsInto(st *ServiceStats) {
 	s.mu.RLock()
 	st.Now = s.now
-	st.Subscribers = len(s.subs)
 	st.Draining = s.draining
 	pt, classes := s.pyramidTotalsLocked()
 	st.PyramidClasses = classes
 	st.PyramidServes = pt.Served
 	st.PyramidBuilds = pt.Builds
 	s.mu.RUnlock()
+	st.Subscribers = s.engine.QueryCount()
 	st.Nodes = s.engine.NodeCount()
 	st.Opened = s.totOpened.Load()
 	st.Closed = s.totClosed.Load()

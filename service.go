@@ -185,12 +185,15 @@ type Service struct {
 	// epochs bounded by each pyramid's ring).
 	pyramids map[pyrKey]*pyramid.Pyramid
 
-	// mu guards the membership state only: the subscription registry and
-	// the clock. Evaluation runs outside it, so Subscribe, Close, and
-	// read-only introspection never wait on an in-flight Advance batch.
+	// mu guards the clock, the id counter, the pyramid classes, and the
+	// closed/draining flags; Subscribe holds it throughout, so a subscription
+	// is fully wired before any later Advance or Close can reach it. The live
+	// subscriptions themselves are the engine's query registry, each query
+	// owned by its Subscription. Evaluation runs outside mu, so Subscribe and
+	// read-only introspection never wait on an in-flight Advance batch, and
+	// closing a subscription does not take it at all.
 	mu       sync.RWMutex
 	now      time.Duration
-	subs     map[uint32]*Subscription
 	nextID   uint32
 	closed   bool
 	draining bool
@@ -208,15 +211,13 @@ type Service struct {
 	// advMu serializes Advance calls (the clock moves one step at a time)
 	// and guards the scratch buffers below, which are reused across steps
 	// so a steady-state Advance allocates nothing on the scheduling path.
-	// rearms holds one schedule re-arm batch per dispatch worker (created
-	// on the first non-empty step); lanes and cur are the delivery merge's
-	// cursor heap and per-lane positions.
+	// outs holds the evaluated periods of each popped subscription; rearms
+	// one schedule re-arm batch per dispatch worker (created on the first
+	// non-empty step).
 	advMu  sync.Mutex
 	due    []core.DueEntry
 	outs   [][]pendingResult
 	rearms []*core.RearmBatch
-	lanes  []int
-	cur    []int
 }
 
 // Open stands up a Service over the configured sensor field. Configuration
@@ -252,7 +253,6 @@ func Open(ctx context.Context, nc NetworkConfig, opts ...Option) (*Service, erro
 		region:   region,
 		cell:     cell,
 		engine:   engine,
-		subs:     make(map[uint32]*Subscription),
 		pyramids: make(map[pyrKey]*pyramid.Pyramid),
 		stop:     make(chan struct{}),
 		spans:    obs.NewSpanSink(o.firehoseDepth),
@@ -402,14 +402,10 @@ func (s *Service) Now() time.Duration {
 // NodeCount returns the number of sensor nodes in the field.
 func (s *Service) NodeCount() int { return s.engine.NodeCount() }
 
-// Subscribers returns the number of live subscriptions. It takes only a
-// read lock, so introspection never blocks Subscribe or an in-flight
-// Advance.
-func (s *Service) Subscribers() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.subs)
-}
+// Subscribers returns the number of live subscriptions — one engine query
+// each. It is one atomic load, so introspection never blocks Subscribe or an
+// in-flight Advance.
+func (s *Service) Subscribers() int { return s.engine.QueryCount() }
 
 // Drain puts the service into drain mode: new Subscribe calls fail while
 // every existing subscription keeps streaming until it ends on its own
@@ -461,19 +457,19 @@ type ServiceStats struct {
 	// SchedStripes is the due-period scheduler's stripe count and SchedLen
 	// its armed-entry total; SchedStripeLens breaks SchedLen down per
 	// stripe (balance under load), and SchedMergeDepth is how many stripes
-	// contributed to the most recent non-empty due batch — the k of its
-	// k-way delivery merge.
+	// contributed to the most recent non-empty due batch — the fan-in of
+	// PopDue's merge of its stripes into (due, id) order.
 	SchedStripes    int
 	SchedLen        int
 	SchedStripeLens []int
 	SchedMergeDepth int
 }
 
-// Stats returns the service-wide delivery ledger. Like Subscribers it
-// takes only the registry read lock, so introspection never blocks an
-// in-flight Advance batch; the totals are atomics and may trail a
-// concurrent delivery by an instant. Callers that snapshot repeatedly
-// should use StatsInto (observe.go), which this wraps.
+// Stats returns the service-wide delivery ledger. It takes only the clock's
+// read lock, so introspection never blocks an in-flight Advance batch; the
+// totals are atomics and may trail a concurrent delivery by an instant.
+// Callers that snapshot repeatedly should use StatsInto (observe.go), which
+// this wraps.
 func (s *Service) Stats() ServiceStats {
 	var st ServiceStats
 	s.StatsInto(&st)
@@ -493,10 +489,12 @@ func (s *Service) Stats() ServiceStats {
 // no matter how many subscribers are idle. Due subscriptions are evaluated
 // in parallel across the engine's worker pool (waypoint update plus
 // freshness-windowed evaluation per period), with each worker batching its
-// schedule re-arms and flushing them once per stripe; the finished lanes
-// are then streaming-merged and delivered serially in ascending
-// (deadline, id) order, so results are byte-identical whatever the
-// Shards/Workers configuration.
+// schedule re-arms and flushing them once per stripe; the evaluated periods
+// are then delivered serially, one subscription after another in the order
+// PopDue handed them out. Every subscription has its own Results channel,
+// so the order that is promised is the one a subscriber can observe:
+// ascending K on each channel, byte-identical whatever the Shards/Workers
+// configuration. No order is promised across subscriptions.
 func (s *Service) Advance(d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("mobiquery: cannot advance time backwards (%v)", d)
@@ -565,66 +563,21 @@ func (s *Service) Advance(d time.Duration) error {
 	// the step: the schedule re-arms complete once, for the whole batch.
 	flushNS := flushEnd.UnixNano()
 
-	// Deliver serially in deterministic (deadline, id) order — the same
-	// total order the old collect-then-sort produced, but as a streaming
-	// k-way merge: PopDue hands subscriptions out in (due, id) order and
-	// each one drains its periods in ascending due, so every worker output
-	// lane is already sorted and a cursor heap over the non-empty lanes
-	// restores the global order in O(results · log lanes).
-	if len(s.cur) < len(due) {
-		s.cur = append(s.cur, make([]int, len(due)-len(s.cur))...)
-	}
-	cur := s.cur[:len(due)]
-	s.lanes = s.lanes[:0]
-	for i := range outs {
-		cur[i] = 0
-		if len(outs[i]) > 0 {
-			s.lanes = append(s.lanes, i)
-		}
-	}
-	lanes := s.lanes
-	less := func(a, b int) bool {
-		pa, pb := &outs[a][cur[a]], &outs[b][cur[b]]
-		if pa.due != pb.due {
-			return pa.due < pb.due
-		}
-		return pa.sub.id < pb.sub.id
-	}
-	sift := func(i, n int) {
-		for {
-			min := i
-			if l := 2*i + 1; l < n && less(lanes[l], lanes[min]) {
-				min = l
+	// Deliver serially, subscription by subscription: each one's periods are
+	// in ascending K, and the subscriptions follow PopDue's deterministic
+	// (due, id) order, so the whole sequence is a function of the call
+	// sequence alone.
+	for i, out := range outs {
+		sub := due[i].Query.Owner().(*Subscription)
+		for j := range out {
+			p := &out[j]
+			if p.expire {
+				sub.close()
+			} else {
+				p.span.FlushNS = flushNS
+				sub.deliver(&p.result, &p.span)
 			}
-			if r := 2*i + 2; r < n && less(lanes[r], lanes[min]) {
-				min = r
-			}
-			if min == i {
-				return
-			}
-			lanes[i], lanes[min] = lanes[min], lanes[i]
-			i = min
 		}
-	}
-	n := len(lanes)
-	for i := n/2 - 1; i >= 0; i-- {
-		sift(i, n)
-	}
-	for n > 0 {
-		l := lanes[0]
-		p := &outs[l][cur[l]]
-		if p.expire {
-			s.removeSub(p.sub)
-		} else {
-			p.span.FlushNS = flushNS
-			p.sub.deliver(&p.result, &p.span)
-		}
-		cur[l]++
-		if cur[l] == len(outs[l]) {
-			lanes[0] = lanes[n-1]
-			n--
-		}
-		sift(0, n)
 	}
 	o.stageDeliver.Observe(time.Since(flushEnd).Nanoseconds())
 	// Zero the pointer-holding scratch so a burst-sized batch doesn't pin
@@ -648,15 +601,6 @@ func (s *Service) FirehoseSpans(buf []PeriodSpan) (spans []PeriodSpan, published
 	return s.spans.Snapshot(buf)
 }
 
-// removeSub unregisters sub from the service and tears it down. Safe to
-// call more than once and from any goroutine.
-func (s *Service) removeSub(sub *Subscription) {
-	s.mu.Lock()
-	delete(s.subs, sub.id)
-	s.mu.Unlock()
-	sub.close()
-}
-
 // Close shuts the service down: every subscription is closed (its Results
 // channel drains then ends) and further Subscribe and Advance calls fail.
 // Close is idempotent.
@@ -668,14 +612,11 @@ func (s *Service) Close() error {
 	}
 	s.closed = true
 	close(s.stop)
-	subs := make([]*Subscription, 0, len(s.subs))
-	for _, sub := range s.subs {
-		subs = append(subs, sub)
-	}
-	clear(s.subs)
 	s.mu.Unlock()
-	for _, sub := range subs {
-		sub.close()
+	// Subscribe registers under mu and refuses once closed is set, so the
+	// engine's registry now holds every subscription there will ever be.
+	for _, q := range s.engine.Queries() {
+		q.Owner().(*Subscription).close()
 	}
 	return nil
 }

@@ -386,12 +386,11 @@ type Subscription struct {
 	agg  AggKind
 
 	results chan QueryResult
-	// q is the engine query's handle, which the period path drives directly;
-	// stopCtx detaches the subscription from the Subscribe context (nil when
-	// that context can't end). Both are set once by Subscribe under svc.mu,
-	// which every path into close() passes through first.
-	q       *core.Query
-	stopCtx func() bool
+	// q is the engine query's handle, which the period path drives directly
+	// and whose registration is the subscription's membership in the service.
+	// Set once by Subscribe, before the subscription is returned, bound to a
+	// context, or reachable by a later Advance or Service.Close.
+	q *core.Query
 
 	// planner is the prefetch plan driving this subscription's predictive
 	// sampling; nil for on-demand specs. Installed once at Subscribe (the
@@ -437,15 +436,16 @@ type Subscription struct {
 	manualAt time.Duration
 	closed   bool
 	stats    SubscriptionStats
+	// stopCtx detaches the subscription from the Subscribe context; nil when
+	// that context can't end, or has ended already.
+	stopCtx func() bool
 }
 
 // pendingResult is one evaluated period awaiting delivery (or, with
-// expire set, a subscription whose spec Lifetime ran out at due). Workers
-// produce them in parallel; Advance merges and delivers them serially in
-// (due, id) order.
+// expire set, the end of a subscription whose spec Lifetime ran out).
+// Workers produce them in parallel, one buffer per popped subscription;
+// Advance delivers the buffers serially, each to its own subscription.
 type pendingResult struct {
-	sub    *Subscription
-	due    time.Duration
 	result QueryResult
 	expire bool
 	// span is the period's lifecycle record so far (armed → popped →
@@ -569,13 +569,17 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 		sub.pyramid = p
 		sub.q.SetAggIndex(p)
 	}
-	s.subs[sub.id] = sub
 	s.totOpened.Add(1)
 
 	if ctx != nil && ctx.Done() != nil {
 		// No watcher goroutine: the context runs Close itself when it ends,
-		// and close() detaches it when the subscription ends first.
-		sub.stopCtx = context.AfterFunc(ctx, func() { sub.Close() })
+		// and close() detaches it when the subscription ends first. A context
+		// that has ended already may run Close before stop is stored; close()
+		// then finds nothing to detach, which is right.
+		stop := context.AfterFunc(ctx, func() { sub.Close() })
+		sub.mu.Lock()
+		sub.stopCtx = stop
+		sub.mu.Unlock()
 	}
 	return sub, nil
 }
@@ -650,13 +654,13 @@ func (sub *Subscription) Stats() SubscriptionStats {
 // frees the query, and the Results channel is closed after any buffered
 // results. Other subscribers are unaffected. Close is idempotent.
 func (sub *Subscription) Close() error {
-	sub.svc.removeSub(sub)
+	sub.close()
 	return nil
 }
 
 // close tears the subscription down: marks it closed, ends the result
-// stream, and frees the engine query. Idempotent; callers remove it from
-// the service registry separately (removeSub, service Close).
+// stream, and deregisters the engine query — which is what removes it from
+// the service. Idempotent, and safe from any goroutine.
 func (sub *Subscription) close() {
 	sub.mu.Lock()
 	if sub.closed {
@@ -667,9 +671,10 @@ func (sub *Subscription) close() {
 	// Closed under mu: deliver sends under the same lock, so a racing
 	// Advance can never write to a closed channel.
 	close(sub.results)
+	stop := sub.stopCtx
 	sub.mu.Unlock()
-	if sub.stopCtx != nil {
-		sub.stopCtx()
+	if stop != nil {
+		stop()
 	}
 	sub.svc.totClosed.Add(1)
 	sub.q.Deregister()
@@ -680,7 +685,7 @@ func (sub *Subscription) close() {
 // when the spec's Lifetime runs out). It runs on a dispatch worker and
 // touches only this subscription's engine query and session state, so
 // distinct subscriptions evaluate in parallel; delivery happens later, in
-// the merged serial phase. Schedule re-arms go into the worker's private
+// Advance's serial phase. Schedule re-arms go into the worker's private
 // rb — Advance flushes each worker's batch once per stripe after the
 // dispatch, so parallel workers never contend on the schedule locks.
 // poppedNS is the wall time the Advance step's PopDue completed — the
@@ -700,7 +705,7 @@ func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pen
 		// the period index, so a session whose clock stops exactly at
 		// t0+Lifetime still closes its stream after the final result.
 		if sub.spec.Lifetime > 0 && due > sub.t0+sub.spec.Lifetime {
-			return append(buf, pendingResult{sub: sub, due: due, expire: true})
+			return append(buf, pendingResult{expire: true})
 		}
 		if due > now {
 			return buf
@@ -786,7 +791,7 @@ func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pen
 			popNS = sub.lastArmedNS
 		}
 		buf = append(buf, pendingResult{
-			sub: sub, due: wr.Due, result: sub.makeResult(wr),
+			result: sub.makeResult(wr),
 			span: obs.PeriodSpan{
 				Trace:       sub.spec.Trace,
 				Span:        sid,
