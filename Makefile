@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-compare bench-idle-1m bench-evaluate-cold bench-advance-dense repo-bench-smoke serve-smoke slo-compare obs-smoke trace-smoke fmt vet deadcode check
+.PHONY: all build test race bench bench-json bench-compare bench-idle-1m bench-evaluate-cold bench-advance-dense repo-bench-smoke serve-smoke slo-compare obs-smoke trace-smoke fmt vet deadcode loc check
 
 all: build
 
@@ -137,6 +137,13 @@ vet:
 # dependencies.
 deadcode:
 	$(GO) run golang.org/x/tools/cmd/deadcode@latest -test ./...
+
+# Non-test Go lines per package directory and in total: the "net LOC down"
+# half of ROADMAP 3(e)'s gate as a number (CI uploads it as LOC.txt).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # serve-smoke is a prerequisite of slo-compare, obs-smoke, and
 # trace-smoke; make runs it once per invocation, so check drives one

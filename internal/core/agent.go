@@ -404,10 +404,8 @@ func (a *agent) flush(ts *treeState) {
 		return // nothing to contribute
 	}
 	msg := reportMsg{QueryID: ts.key.qid, Version: ts.key.version, K: ts.key.k, Data: ts.acc}
-	a.svc.debug.MemberFlushes++
 	a.node.Send(ts.parent, portReport, msg, reportSize, func(ok bool) {
 		if !ok {
-			a.svc.debug.MemberFlushFails++
 			a.reportFallback(ts.rootPos, ts.deadline, msg)
 		}
 	})
@@ -423,11 +421,9 @@ func (a *agent) onReport(_ radio.NodeID, body any) {
 	key := treeKey{msg.QueryID, msg.Version, msg.K}
 	ts := a.trees[key]
 	if ts == nil || ts.dead {
-		a.svc.debug.ReportsNoTree++
 		return
 	}
 	if ts.flushed {
-		a.svc.debug.ReportsLate++
 		// The sub-deadline timeout stops this node *waiting*, not the data:
 		// late partials are passed through unaggregated while the collector
 		// can still use them (TAG-style late forwarding). Only the root has
@@ -437,7 +433,6 @@ func (a *agent) onReport(_ radio.NodeID, body any) {
 		}
 		return
 	}
-	a.svc.debug.ReportsMerged++
 	ts.acc.Merge(msg.Data)
 }
 
@@ -549,7 +544,6 @@ func (a *agent) recruitTick() {
 	}
 	if len(entries) > 0 {
 		msg := recruitMsg{Entries: entries}
-		a.svc.debug.RecruitBcasts++
 		a.node.Broadcast(portRecruit, msg, msg.size())
 	}
 	if len(a.pending) > 0 {
@@ -595,7 +589,6 @@ func (a *agent) joinAsLeaf(key treeKey, parent radio.NodeID, pickup geom.Point, 
 		}
 		sampleAt = now // heard the setup late but can still contribute
 	}
-	a.svc.debug.LeafJoins++
 	ls := &leafState{parent: parent, sampleAt: sampleAt, deadline: deadline}
 	ls.wakeTimer = a.node.MAC().WakeAt(sampleAt, sampleAt+a.svc.cfg.LeafAwake)
 	reportAt := sampleAt + time.Millisecond + a.jitter(30*time.Millisecond)
@@ -611,10 +604,8 @@ func (a *agent) leafReport(key treeKey, ls *leafState) {
 	p := NewPartial()
 	p.AddReading(a.node.ID(), a.svc.field.Sample(a.node.Pos(), a.now()))
 	msg := reportMsg{QueryID: key.qid, Version: key.version, K: key.k, Data: p}
-	a.svc.debug.LeafReports++
 	a.node.Send(ls.parent, portReport, msg, reportSize, func(ok bool) {
 		if !ok {
-			a.svc.debug.LeafReportFails++
 			a.reportFallback(a.svc.nw.Node(ls.parent).Pos(), ls.deadline, msg)
 		}
 	})
@@ -629,7 +620,6 @@ func (a *agent) reportFallback(rootPos geom.Point, deadline sim.Time, msg report
 	if a.now() >= deadline-a.svc.cfg.CollectorMargin {
 		return // too late to matter
 	}
-	a.svc.debug.ReportFallbacks++
 	a.node.GeoSend(rootPos, 30, portReport, msg, reportSize)
 }
 

@@ -160,20 +160,6 @@ func (hs hookSet) onPrefetchForward(fromK, toK int, at sim.Time) {
 	}
 }
 
-// Debug counters for protocol diagnosis (aggregated across agents).
-type DebugCounters struct {
-	RecruitBcasts    uint64
-	LeafJoins        uint64
-	LeafReports      uint64
-	LeafReportFails  uint64
-	MemberFlushes    uint64
-	MemberFlushFails uint64
-	ReportsMerged    uint64
-	ReportsLate      uint64 // arrived after the parent flushed
-	ReportsNoTree    uint64 // arrived at a node without matching tree state
-	ReportFallbacks  uint64 // reports rerouted geographically after link failure
-}
-
 // Service wires MobiQuery agents onto every node of a network plus one
 // query gateway per mobile user. The single-user constructor New covers the
 // paper's evaluation; AddUser supports multiple concurrent users, each with
@@ -190,11 +176,7 @@ type Service struct {
 	engine   *QueryEngine
 	hooks    hookSet
 	started  bool
-	debug    DebugCounters
 }
-
-// Debug returns protocol diagnosis counters accumulated during the run.
-func (s *Service) Debug() DebugCounters { return s.debug }
 
 // New builds a MobiQuery service over an un-started network with a single
 // mobile user. proxyID must identify a node previously added with AddProxy;

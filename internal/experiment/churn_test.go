@@ -42,12 +42,23 @@ func TestChurnValidate(t *testing.T) {
 	}
 }
 
-func TestChurnRunsAndCounts(t *testing.T) {
-	cfg := smallChurn()
+// runChurnArm runs the scenario and returns its "with churners" arm.
+func runChurnArm(t *testing.T, cfg ChurnConfig) Outcome {
+	t.Helper()
 	res, err := RunChurn(cfg)
 	if err != nil {
 		t.Fatalf("RunChurn: %v", err)
 	}
+	out, ok := res.Arm(ChurnArm)
+	if !ok {
+		t.Fatalf("no %q arm in %+v", ChurnArm, res)
+	}
+	return out
+}
+
+func TestChurnRunsAndCounts(t *testing.T) {
+	cfg := smallChurn()
+	res := runChurnArm(t, cfg)
 	// Static users stream for the whole run: Duration/Period results each.
 	staticPeriods := cfg.Static * int(cfg.Duration/cfg.Period)
 	if res.Evaluations < staticPeriods {
@@ -76,47 +87,26 @@ func TestChurnRunsAndCounts(t *testing.T) {
 // dynamic membership: the static users' full per-period outcome digest is
 // identical whether or not a churning population shares the engine.
 func TestChurnDoesNotPerturbStaticUsers(t *testing.T) {
-	withChurn := smallChurn()
-	alone := withChurn
-	alone.Churners = 0
-	a, err := RunChurn(withChurn)
+	res, err := RunChurn(smallChurn())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunChurn(alone)
-	if err != nil {
-		t.Fatal(err)
+	a, _ := res.Arm(ChurnArm)
+	b, _ := res.Arm(StaticArm)
+	if a.Digest != b.Digest {
+		t.Fatalf("churners changed the static users' results: digest %#x with churn, %#x without", a.Digest, b.Digest)
 	}
-	if a.StaticDigest != b.StaticDigest {
-		t.Fatalf("churners changed the static users' results: digest %#x with churn, %#x without", a.StaticDigest, b.StaticDigest)
+	if a.Joins == 0 {
+		t.Error("the churn arm admitted no churner; the comparison is vacuous")
 	}
 	if b.Joins != 0 || b.Leaves != 0 {
-		t.Errorf("churner-free run reported churn: %d/%d", b.Joins, b.Leaves)
+		t.Errorf("churner-free arm reported churn: %d/%d", b.Joins, b.Leaves)
 	}
-}
-
-// TestChurnDeterministicAcrossWorkerCounts pins the concurrency invariant
-// on the temporal path: pool width and shard count never change results.
-func TestChurnDeterministicAcrossWorkerCounts(t *testing.T) {
-	base := smallChurn()
-	ref, err := RunChurn(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 3} {
-		for _, s := range []int{1, 16} {
-			cfg := base
-			cfg.Workers = w
-			cfg.Shards = s
-			got, err := RunChurn(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.StaticDigest != ref.StaticDigest || got.Evaluations != ref.Evaluations ||
-				got.StaleExclusions != ref.StaleExclusions || got.MeanFresh != ref.MeanFresh {
-				t.Fatalf("workers=%d shards=%d: results moved (digest %#x vs %#x)", w, s, got.StaticDigest, ref.StaticDigest)
-			}
-		}
+	// Leaving the churners out of the configuration is the same experiment.
+	alone := smallChurn()
+	alone.Churners = 0
+	if c := runChurnArm(t, alone); c.Digest != a.Digest || c.Joins != 0 {
+		t.Errorf("Churners=0 run: digest %#x (want %#x), %d joins", c.Digest, a.Digest, c.Joins)
 	}
 }
 
@@ -130,19 +120,13 @@ func TestChurnCoarseTicksGoLate(t *testing.T) {
 	cfg.Fresh = time.Second
 	cfg.Tick = 300 * time.Millisecond // does not divide the period
 	cfg.Deadline = 0
-	res, err := RunChurn(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChurnArm(t, cfg)
 	if res.Late == 0 {
 		t.Fatal("misaligned ticks produced no late results; deadline accounting is dead")
 	}
 	// A generous slack forgives the misalignment entirely.
 	cfg.Deadline = cfg.Tick
-	res2, err := RunChurn(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := runChurnArm(t, cfg)
 	if res2.Late != 0 {
 		t.Fatalf("slack of one tick still left %d late results", res2.Late)
 	}
@@ -154,10 +138,7 @@ func TestChurnStaleExclusions(t *testing.T) {
 	cfg.SamplePeriod = 1500 * time.Millisecond // slower than the window
 	cfg.Fresh = 500 * time.Millisecond
 	cfg.Field = field.Uniform{Value: 7}
-	res, err := RunChurn(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChurnArm(t, cfg)
 	if res.StaleExclusions == 0 {
 		t.Fatal("sampling slower than the freshness window excluded nothing; the window is dead")
 	}

@@ -19,6 +19,22 @@ func smallPrefetch() PrefetchConfig {
 	return cfg
 }
 
+// prefetchArms runs the scenario and returns its three arms.
+func prefetchArms(t *testing.T, cfg PrefetchConfig) (onDemand, jit, greedy Outcome) {
+	t.Helper()
+	res, err := RunPrefetch(cfg)
+	if err != nil {
+		t.Fatalf("RunPrefetch: %v", err)
+	}
+	if len(res.Arms) != 3 {
+		t.Fatalf("got %d arms, want 3", len(res.Arms))
+	}
+	onDemand, _ = res.Arm("on-demand")
+	jit, _ = res.Arm("jit")
+	greedy, _ = res.Arm("greedy")
+	return onDemand, jit, greedy
+}
+
 func TestPrefetchValidate(t *testing.T) {
 	if err := DefaultPrefetch().Validate(); err != nil {
 		t.Fatalf("default prefetch config invalid: %v", err)
@@ -51,16 +67,12 @@ func TestPrefetchValidate(t *testing.T) {
 // prefetched readings actually doing the work.
 func TestPrefetchBeatsOnDemand(t *testing.T) {
 	cfg := smallPrefetch()
-	res, err := RunPrefetch(cfg)
-	if err != nil {
-		t.Fatalf("RunPrefetch: %v", err)
-	}
-	od, jit, gp := res.OnDemand, res.JIT, res.Greedy
+	od, jit, gp := prefetchArms(t, cfg)
 	// Users × the periods the tick grid reaches (the last tick lands at
 	// 19.8 s, short of the period-20 boundary).
 	lastTick := cfg.Duration / cfg.Tick * cfg.Tick
 	wantEvals := cfg.Users * int(lastTick/cfg.Period)
-	for _, out := range res.Outcomes() {
+	for _, out := range []Outcome{od, jit, gp} {
 		if out.Evaluations != wantEvals {
 			t.Errorf("%v: %d evaluations, want %d", out.Strategy, out.Evaluations, wantEvals)
 		}
@@ -95,59 +107,19 @@ func TestPrefetchBeatsOnDemand(t *testing.T) {
 // equation-12 constant while Greedy holds its full lookahead window.
 func TestPrefetchStorageMatchesAnalysis(t *testing.T) {
 	cfg := smallPrefetch()
-	res, err := RunPrefetch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, jit, greedy := prefetchArms(t, cfg)
 	q := analysis.QueryParams{Period: cfg.Period, Fresh: cfg.Fresh, Sleep: cfg.SamplePeriod}
-	if want := analysis.StorageJIT(q); res.JIT.PeakOutstanding != want {
-		t.Errorf("JIT peak outstanding = %d, want the equation-12 constant %d", res.JIT.PeakOutstanding, want)
+	if want := analysis.StorageJIT(q); jit.PeakOutstanding != want {
+		t.Errorf("JIT peak outstanding = %d, want the equation-12 constant %d", jit.PeakOutstanding, want)
 	}
-	if res.Greedy.PeakOutstanding != cfg.Lookahead {
-		t.Errorf("Greedy peak outstanding = %d, want the lookahead %d", res.Greedy.PeakOutstanding, cfg.Lookahead)
+	if greedy.PeakOutstanding != cfg.Lookahead {
+		t.Errorf("Greedy peak outstanding = %d, want the lookahead %d", greedy.PeakOutstanding, cfg.Lookahead)
 	}
-	if res.Greedy.PeakOutstanding <= res.JIT.PeakOutstanding {
+	if greedy.PeakOutstanding <= jit.PeakOutstanding {
 		t.Error("greedy should store more chains ahead than JIT (equations 11 vs 12)")
 	}
-	if res.Greedy.Strategy.Lookahead != cfg.Lookahead {
-		t.Errorf("resolved greedy strategy = %+v", res.Greedy.Strategy)
-	}
-}
-
-// TestPrefetchDigestPinned pins determinism and the concurrency invariant:
-// identical configurations agree on every strategy digest, whatever the
-// shard and worker sizing, and a re-run changes nothing.
-func TestPrefetchDigestPinned(t *testing.T) {
-	base := smallPrefetch()
-	ref, err := RunPrefetch(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := RunPrefetch(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, out := range again.Outcomes() {
-		if out.Digest != ref.Outcomes()[i].Digest {
-			t.Fatalf("%v: digest moved between identical runs (%#x vs %#x)", out.Strategy, out.Digest, ref.Outcomes()[i].Digest)
-		}
-	}
-	for _, w := range []int{1, 3} {
-		for _, s := range []int{1, 16} {
-			cfg := base
-			cfg.Workers = w
-			cfg.Shards = s
-			got, err := RunPrefetch(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, out := range got.Outcomes() {
-				want := ref.Outcomes()[i]
-				if out.Digest != want.Digest || out.Late != want.Late || out.StaleExclusions != want.StaleExclusions {
-					t.Fatalf("workers=%d shards=%d %v: results moved (digest %#x vs %#x)", w, s, out.Strategy, out.Digest, want.Digest)
-				}
-			}
-		}
+	if greedy.Strategy.Lookahead != cfg.Lookahead {
+		t.Errorf("resolved greedy strategy = %+v", greedy.Strategy)
 	}
 }
 
@@ -156,20 +128,14 @@ func TestPrefetchDigestPinned(t *testing.T) {
 // on-demand baseline.
 func TestPrefetchReplansCostWarmup(t *testing.T) {
 	base := smallPrefetch()
-	ref, err := RunPrefetch(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refOD, refJIT, _ := prefetchArms(t, base)
 	replanned := base
 	replanned.Replans = 2
-	got, err := RunPrefetch(replanned)
-	if err != nil {
-		t.Fatal(err)
+	gotOD, gotJIT, _ := prefetchArms(t, replanned)
+	if gotJIT.WarmupPeriods <= refJIT.WarmupPeriods {
+		t.Errorf("re-plans did not add warmup periods (%d vs %d)", gotJIT.WarmupPeriods, refJIT.WarmupPeriods)
 	}
-	if got.JIT.WarmupPeriods <= ref.JIT.WarmupPeriods {
-		t.Errorf("re-plans did not add warmup periods (%d vs %d)", got.JIT.WarmupPeriods, ref.JIT.WarmupPeriods)
-	}
-	if got.OnDemand.Digest != ref.OnDemand.Digest {
+	if gotOD.Digest != refOD.Digest {
 		t.Error("re-plans perturbed the on-demand baseline, which has no planner")
 	}
 }
@@ -180,15 +146,12 @@ func TestPrefetchReplansCostWarmup(t *testing.T) {
 func TestGreedyShortLookaheadStaysLate(t *testing.T) {
 	cfg := smallPrefetch()
 	cfg.Lookahead = 2 // margin is (3s + 2*1s)/1s = 5 periods
-	res, err := RunPrefetch(cfg)
-	if err != nil {
-		t.Fatal(err)
+	od, _, greedy := prefetchArms(t, cfg)
+	if greedy.PrefetchedReadings != 0 {
+		t.Errorf("a too-short lookahead still served %d prefetched readings", greedy.PrefetchedReadings)
 	}
-	if res.Greedy.PrefetchedReadings != 0 {
-		t.Errorf("a too-short lookahead still served %d prefetched readings", res.Greedy.PrefetchedReadings)
-	}
-	if res.Greedy.Late != res.OnDemand.Late {
-		t.Errorf("unstaged greedy lateness (%d) should match on-demand (%d)", res.Greedy.Late, res.OnDemand.Late)
+	if greedy.Late != od.Late {
+		t.Errorf("unstaged greedy lateness (%d) should match on-demand (%d)", greedy.Late, od.Late)
 	}
 	if _, err := prefetch.NewPlanner(prefetch.Config{
 		Strategy: prefetch.Strategy{Kind: prefetch.Greedy, Lookahead: 2},

@@ -58,33 +58,3 @@ func TestRunPyramidMatchesFlat(t *testing.T) {
 		t.Fatal("windowed digest equals single-period digest: Window did nothing")
 	}
 }
-
-// TestRunPyramidSizingInvariance pins the repo-wide concurrency invariant
-// on the new subsystem: digests must not move under any Shards × Workers
-// sizing, for every arm.
-func TestRunPyramidSizingInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the pyramid scenario four times")
-	}
-	cfg := smallPyramid()
-	ref, err := RunPyramid(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3} {
-		for _, shards := range []int{1, 16} {
-			c := cfg
-			c.Workers, c.Shards = workers, shards
-			got, err := RunPyramid(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, arm := range got.Arms {
-				if arm.Digest != ref.Arms[i].Digest {
-					t.Fatalf("workers=%d shards=%d arm %s: digest %x, reference %x",
-						workers, shards, arm.Label, arm.Digest, ref.Arms[i].Digest)
-				}
-			}
-		}
-	}
-}

@@ -405,7 +405,7 @@ type Stats struct {
 	Epoch sim.Time
 
 	// The corridor counters describe the subscription's spatial corridor
-	// cache when one is attached; the session layer fills them from
+	// cache when one is attached; servepath.Path.Stats fills them from
 	// corridor.Cache.Stats (the planner itself never touches them, so they
 	// stay zero on a bare Planner). CorridorHits counts periods served
 	// from a warm staged buffer, CorridorMisses cold-scan fallbacks,

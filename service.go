@@ -162,10 +162,13 @@ type Service struct {
 	cell   float64
 	engine *core.QueryEngine
 
-	// phases is each node's sampling phase in [0, SamplePeriod), indexed by
-	// node id; nil under aligned sampling. Nodes are fixed at Open, so the
-	// hash behind it runs once per node rather than once per node per
-	// evaluation.
+	// sample is the node sampling schedule, shared by the engine, every
+	// pyramid class and every planned subscription: node i samples every
+	// SamplePeriod, at phase 0 under aligned sampling and otherwise at
+	// phases[i], a deterministic offset in [0, SamplePeriod). Nodes are fixed
+	// at Open, so the hash behind the offsets runs once per node rather than
+	// once per node per evaluation.
+	sample core.Sampler
 	phases []time.Duration
 
 	// obs is the service's instrumentation: metric families registered at
@@ -198,6 +201,9 @@ type Service struct {
 	closed   bool
 	draining bool
 	stop     chan struct{}
+	// stopCtx detaches the service from the Open context; nil when that
+	// context can't end, or has ended already.
+	stopCtx func() bool
 
 	// Lifetime delivery totals across every subscription, live or closed
 	// (ServiceStats). Atomics: deliver runs under per-subscription locks,
@@ -257,13 +263,17 @@ func Open(ctx context.Context, nc NetworkConfig, opts ...Option) (*Service, erro
 		stop:     make(chan struct{}),
 		spans:    obs.NewSpanSink(o.firehoseDepth),
 	}
+	phase := func(int32) time.Duration { return 0 }
 	if !o.aligned {
-		s.phases = make([]time.Duration, nc.Nodes)
-		for i := range s.phases {
-			s.phases[i] = samplePhase(nc.Seed, int32(i), nc.SamplePeriod)
+		phases := make([]time.Duration, nc.Nodes)
+		for i := range phases {
+			phases[i] = samplePhase(nc.Seed, int32(i), nc.SamplePeriod)
 		}
+		s.phases = phases
+		phase = func(id int32) time.Duration { return phases[id] }
 	}
-	engine.SetSampler(s.sampler())
+	s.sample = core.ScheduleSampler(nc.SamplePeriod, phase)
+	engine.SetSampler(s.sample)
 	s.obs = newSvcObs(s)
 
 	// Node placement matches the scale harness: one serial RNG drained up
@@ -278,30 +288,19 @@ func Open(ctx context.Context, nc NetworkConfig, opts ...Option) (*Service, erro
 	})
 
 	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.Close()
-			case <-s.stop:
-			}
-		}()
+		// No watcher goroutine: the context runs Close itself when it ends,
+		// and Close detaches it when the service is closed first. A context
+		// that has ended already may run Close before stop is stored; Close
+		// then finds nothing to detach, which is right.
+		stop := context.AfterFunc(ctx, func() { s.Close() })
+		s.mu.Lock()
+		s.stopCtx = stop
+		s.mu.Unlock()
 	}
 	if o.tick > 0 {
 		go s.runClock(o.tick)
 	}
 	return s, nil
-}
-
-// sampler returns the node sampling schedule: node i samples every
-// SamplePeriod, with phase 0 under aligned sampling and a deterministic
-// per-node offset in [0, SamplePeriod) otherwise.
-func (s *Service) sampler() core.Sampler {
-	period := s.cfg.SamplePeriod
-	if s.opts.aligned {
-		return core.ScheduleSampler(period, func(int32) time.Duration { return 0 })
-	}
-	phases := s.phases
-	return core.ScheduleSampler(period, func(id int32) time.Duration { return phases[id] })
 }
 
 // samplePhase is node id's deterministic sampling offset in [0, period).
@@ -328,7 +327,7 @@ func (s *Service) pyramidFor(period, fresh time.Duration) (*pyramid.Pyramid, err
 	}
 	p, err := pyramid.New(s.engine.Index(), pyramid.Config{
 		Fresh:  fresh,
-		Sample: s.sampler(),
+		Sample: s.sample,
 		Field:  s.cfg.Field,
 	})
 	if err != nil {
@@ -612,7 +611,11 @@ func (s *Service) Close() error {
 	}
 	s.closed = true
 	close(s.stop)
+	stop := s.stopCtx
 	s.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
 	// Subscribe registers under mu and refuses once closed is set, so the
 	// engine's registry now holds every subscription there will ever be.
 	for _, q := range s.engine.Queries() {

@@ -531,18 +531,46 @@ func TestContextCancellationClosesSubscription(t *testing.T) {
 }
 
 func TestContextCancellationClosesService(t *testing.T) {
+	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	svc, err := Open(ctx, testNetwork())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel()
+	// No watcher goroutine parks on the context (Open's dispatch workers may
+	// take a moment to exit).
 	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("Open under a cancelable context grew goroutines from %d to %d", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
 	for svc.Advance(time.Second) == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("service did not close after context cancellation")
 		}
 		time.Sleep(time.Millisecond)
+	}
+
+	// Closed by hand first, the service detaches from its context: the
+	// cancellation that follows has nothing left to run.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	svc, err = Open(ctx, testNetwork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if svc.stopCtx() {
+		t.Error("Close left the context callback attached")
+	}
+	cancel()
+	if err := svc.Close(); err != nil {
+		t.Errorf("Close after cancellation: %v", err)
 	}
 }
 
@@ -603,7 +631,7 @@ func TestSamplerPhaseTable(t *testing.T) {
 	if len(svc.phases) != svc.cfg.Nodes {
 		t.Fatalf("phase table holds %d nodes, want %d", len(svc.phases), svc.cfg.Nodes)
 	}
-	sample := svc.sampler()
+	sample := svc.sample
 	at := 7*period + period/3
 	for id := 0; id < svc.cfg.Nodes; id++ {
 		want := time.Duration(splitmix64(seed^(uint64(id)+0x9E3779B97F4A7C15)) % uint64(period))
@@ -622,7 +650,7 @@ func TestSamplerPhaseTable(t *testing.T) {
 	if aligned.phases != nil {
 		t.Error("aligned sampling built a phase table")
 	}
-	sample = aligned.sampler()
+	sample = aligned.sample
 	for id := int32(0); id < int32(aligned.cfg.Nodes); id++ {
 		if got, ok := sample(id, at); !ok || got != 7*period {
 			t.Fatalf("aligned node %d: sample at %v = %v/%v, want %v", id, at, got, ok, 7*period)

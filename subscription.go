@@ -13,7 +13,7 @@ import (
 	"mobiquery/internal/mobility"
 	"mobiquery/internal/obs"
 	"mobiquery/internal/prefetch"
-	"mobiquery/internal/pyramid"
+	"mobiquery/internal/servepath"
 )
 
 // Strategy selects how a subscription prefetches sensor data along the
@@ -353,12 +353,7 @@ func waypointProfile(p Point, prev *Point, prevAt time.Duration, src MotionSourc
 		rel := now - t0
 		vel = src.PositionAt(rel + period).Sub(src.PositionAt(rel)).Scale(1 / period.Seconds())
 	}
-	return mobility.Profile{
-		Path:      mobility.LinearPath(p, vel, now, now+period),
-		TS:        now,
-		Generated: now,
-		Version:   1,
-	}
+	return servepath.LinearProfile(p, vel, now, period)
 }
 
 // SubscriptionStats summarizes a subscription's temporal ledger.
@@ -392,18 +387,11 @@ type Subscription struct {
 	// context, or reachable by a later Advance or Service.Close.
 	q *core.Query
 
-	// planner is the prefetch plan driving this subscription's predictive
-	// sampling; nil for on-demand specs. Installed once at Subscribe (the
-	// planner itself is concurrency-safe and re-planned in place).
-	planner *prefetch.Planner
-	// corridor is the spatial corridor cache staging node snapshots along
-	// the predicted path; nil unless the spec asked for one. Like the
-	// planner it is installed once and mutated in place.
-	corridor *corridor.Cache
-	// pyramid is the aggregate tile pyramid this subscription's boundary
-	// class shares; nil when the spec is prefetching or the query area is
-	// too small to benefit. Installed once at Subscribe.
-	pyramid *pyramid.Pyramid
+	// path is the query's serve machinery — prefetch planner, corridor
+	// cache, shared pyramid — and the state of driving it. Attached once by
+	// Subscribe; collectDue, which Advance serializes per subscription, steps
+	// it around every evaluation.
+	path servepath.Path
 
 	// trace is the fixed-depth ring of recent period lifecycle spans
 	// (TraceSpans); nil when the service was opened with WithTraceDepth(0).
@@ -415,18 +403,6 @@ type Subscription struct {
 	// Subscribe (before the subscription is visible to Advance).
 	trace       *obs.TraceRing
 	lastArmedNS int64
-
-	// profiles is the predicted-profile stream of a ProfileSource-backed
-	// subscription (absolute service times), with nextProfile the first
-	// undelivered index; lastEvalPos/lastEvalAt remember the previous
-	// boundary's ground-truth position for mispredict re-plan velocity.
-	// All four are touched only from collectDue, which Advance serializes
-	// per subscription.
-	profiles    []mobility.TimedProfile
-	nextProfile int
-	lastEvalPos Point
-	lastEvalAt  time.Duration
-	haveEval    bool
 
 	// mu guards the mutable session state. It is per-subscription so one
 	// user's waypoint updates, stats reads, and deliveries never contend
@@ -492,82 +468,57 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 	}
 	sub.stats.NextPeriod = 1
 	sub.lastArmedNS = time.Now().UnixNano()
-	var planner *prefetch.Planner
-	var cache *corridor.Cache
+	// A prefetching subscription plans from a prediction: a ProfileSource's
+	// own stream (times shifted onto the service clock), bootstrapped from a
+	// stationary guess until its first delivery; otherwise an exact profile
+	// synthesized from the motion source.
+	var prof mobility.Profile
+	var stream []mobility.TimedProfile
 	if spec.Strategy.Prefetching() {
-		// The initial prediction: for a ProfileSource, the predictor's own
-		// stream (times shifted onto the service clock), bootstrapped from
-		// a stationary guess until its first delivery; otherwise an exact
-		// profile synthesized from the motion source.
-		var prof mobility.Profile
 		if ps, ok := src.(ProfileSource); ok {
 			for _, tp := range ps.predictedProfiles() {
-				sub.profiles = append(sub.profiles, mobility.TimedProfile{
+				stream = append(stream, mobility.TimedProfile{
 					Deliver: tp.Deliver + s.now,
 					Profile: shiftProfile(tp.Profile, s.now),
 				})
 			}
 			prof = bootstrapProfile(src.PositionAt(0), s.now)
-			for sub.nextProfile < len(sub.profiles) && sub.profiles[sub.nextProfile].Deliver <= s.now {
-				prof = sub.profiles[sub.nextProfile].Profile
-				sub.nextProfile++
-			}
 		} else {
 			prof = profileFromSource(src, s.now, spec.Period)
 		}
-		var err error
-		planner, err = prefetch.NewPlanner(prefetch.Config{
-			Strategy: spec.Strategy,
-			Radius:   spec.Radius,
-			Period:   spec.Period,
-			Deadline: spec.Deadline,
-			Fresh:    spec.Freshness,
-			Sleep:    s.cfg.SamplePeriod,
-			T0:       s.now,
-		}, prof)
-		if err != nil {
-			return nil, err
-		}
-		if spec.Corridor.Lookahead > 0 {
-			cache, err = corridor.NewCache(corridor.Config{
-				Lookahead: spec.Corridor.Lookahead,
-				Model:     spec.Corridor.ErrorModel,
-				Radius:    spec.Radius,
-				Period:    spec.Period,
-				T0:        s.now,
-			}, s.engine.Index())
-			if err != nil {
-				return nil, err
-			}
-			cache.SetProfile(prof, s.now)
-		}
+	}
+	cfg := servepath.Config{
+		Strategy:  spec.Strategy,
+		Lookahead: spec.Corridor.Lookahead,
+		Model:     spec.Corridor.ErrorModel,
+		Radius:    spec.Radius,
+		Period:    spec.Period,
+		Deadline:  spec.Deadline,
+		Fresh:     spec.Freshness,
+		T0:        s.now,
+		Sleep:     s.cfg.SamplePeriod,
+		Sampler:   s.sample,
+		Grid:      s.engine.Index(),
 	}
 	var err error
-	sub.q, err = s.engine.RegisterQuery(sub.id, spec.Radius, src.PositionAt(0),
-		core.TemporalSpec{Period: spec.Period, Deadline: spec.Deadline, Fresh: spec.Freshness, Window: spec.Window}, s.now, sub)
-	if err != nil {
-		return nil, err
-	}
-	if planner != nil {
-		sub.planner = planner
-		sub.q.SetSampler(planner.Sampler(s.sampler()))
-		sub.q.SetPlan(planner)
-		if cache != nil {
-			sub.corridor = cache
-			sub.q.SetWarmer(cache)
-		}
-	} else if spec.Window > 1 || spec.Radius >= pyramidMinRadiusCells*s.cell {
+	if !spec.Strategy.Prefetching() && (spec.Window > 1 || spec.Radius >= pyramidMinRadiusCells*s.cell) {
 		// On-demand subscriptions with large areas (or lookback windows,
 		// whose every result re-folds Window boundaries) aggregate through
 		// the shared tile pyramid of their boundary class. Small areas keep
 		// the flat scan: a handful of cells beats an epoch ingest.
-		p, perr := s.pyramidFor(spec.Period, spec.Freshness)
-		if perr != nil {
-			sub.q.Deregister()
-			return nil, perr
+		if cfg.Pyramid, err = s.pyramidFor(spec.Period, spec.Freshness); err != nil {
+			return nil, err
 		}
-		sub.pyramid = p
-		sub.q.SetAggIndex(p)
+	}
+	pos := src.PositionAt(0)
+	sub.q, err = s.engine.RegisterQuery(sub.id, spec.Radius, pos,
+		core.TemporalSpec{Period: spec.Period, Deadline: spec.Deadline, Fresh: spec.Freshness, Window: spec.Window}, s.now, sub)
+	if err != nil {
+		return nil, err
+	}
+	if err := sub.path.Attach(sub.q, cfg, pos, prof, stream); err != nil {
+		sub.q.Deregister()
+		return nil, err
 	}
 	s.totOpened.Add(1)
 
@@ -614,12 +565,8 @@ func (sub *Subscription) UpdateWaypoint(p Point) error {
 	sub.manualAt = now
 	sub.mu.Unlock()
 	sub.q.SetWaypoint(p)
-	if sub.planner != nil {
-		prof := waypointProfile(p, prev, prevAt, sub.src, sub.t0, now, sub.spec.Period)
-		sub.planner.Replan(prof, now)
-		if sub.corridor != nil {
-			sub.corridor.SetProfile(prof, now)
-		}
+	if sub.path.Planned() {
+		sub.path.Replan(waypointProfile(p, prev, prevAt, sub.src, sub.t0, now, sub.spec.Period), now)
 	}
 	return nil
 }
@@ -629,18 +576,7 @@ func (sub *Subscription) UpdateWaypoint(p Point) error {
 // corridor; ok is false for on-demand subscriptions, which have no
 // planner.
 func (sub *Subscription) PrefetchStats() (PrefetchStats, bool) {
-	if sub.planner == nil {
-		return PrefetchStats{}, false
-	}
-	st := sub.planner.Stats()
-	if sub.corridor != nil {
-		cs := sub.corridor.Stats()
-		st.CorridorHits = cs.Hits
-		st.CorridorMisses = cs.Misses
-		st.CorridorMispredicts = cs.Mispredicts
-		st.CorridorStaged = cs.StagedBoundaries
-	}
-	return st, true
+	return sub.path.Stats()
 }
 
 // Stats returns the subscription's delivery ledger so far.
@@ -710,16 +646,9 @@ func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pen
 		if due > now {
 			return buf
 		}
-		// Predicted profiles delivered by this boundary govern its plan
-		// and corridor: a fresher prediction re-plans (and re-sweeps)
-		// before the boundary is evaluated.
-		sub.pumpProfiles(due)
-		// Ingest the boundary's epoch before evaluating against it. Every
-		// subscription of the class calls this; the first arrivals build
-		// the epoch cooperatively, the rest return immediately.
-		if sub.pyramid != nil {
-			sub.pyramid.EnsureEpoch(due)
-		}
+		// Predictions delivered by this boundary re-plan it, and its pyramid
+		// epoch is ingested, before it is evaluated.
+		sub.path.Before(due)
 		// The waypoint is evaluated as of the period boundary, so coarse
 		// clock steps still see the position the user held at the
 		// deadline.
@@ -735,45 +664,13 @@ func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pen
 		if !ok {
 			return buf
 		}
-		// Classify the serve: the classes partition evaluated periods, so
-		// the per-class counters sum to the delivery ledger (delivered +
-		// dropped), which the loopback reconciliation test pins.
-		class := obs.ClassCold
-		switch {
-		case wr.PyramidHit:
-			class = obs.ClassPyramid
-		case wr.CorridorHit:
-			class = obs.ClassCorridor
-		case sub.planner != nil:
-			class = obs.ClassPlanned
-		}
+		// The serve classes partition evaluated periods, so the per-class
+		// counters sum to the delivery ledger (delivered + dropped), which
+		// the loopback reconciliation test pins.
+		class, _ := sub.path.After(&wr, pos)
 		so := sub.svc.obs
 		so.classCount[class].Inc()
 		so.classEval[class].Observe(evalEndNS - evalStartNS)
-		if sub.planner != nil {
-			sub.planner.NoteServed(wr.Prefetched)
-		}
-		if sub.corridor != nil {
-			// An actual position outside the corridor already cost this
-			// period its warm serve and staging credit (the evaluation ran
-			// cold with honest accounting); re-plan immediately from the
-			// observed ground truth so the next boundaries re-stage along
-			// the corrected path.
-			if mpAt, mpPos, ok := sub.corridor.TakeMispredict(); ok {
-				var prevPos *Point
-				if sub.haveEval {
-					prevPos = &sub.lastEvalPos
-				}
-				prof := waypointProfile(mpPos, prevPos, sub.lastEvalAt, sub.src, sub.t0, mpAt, sub.spec.Period)
-				sub.planner.Replan(prof, mpAt)
-				sub.corridor.SetProfile(prof, mpAt)
-			}
-			// Top the staged window up relative to the boundary just
-			// collected, so boundary k+1's snapshot is cut ahead of its
-			// due time whatever the tick coarseness.
-			sub.corridor.StageThrough(wr.Due)
-		}
-		sub.lastEvalPos, sub.lastEvalAt, sub.haveEval = pos, wr.Due, true
 		// A traced subscription's span carries its wire identity: the
 		// client-minted trace id plus the deterministic per-period span id
 		// both tiers can recompute (see obs.MintSpanID).
@@ -808,21 +705,6 @@ func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pen
 		// The evaluation just re-armed the schedule at the next boundary;
 		// that instant is the next span's armed stamp.
 		sub.lastArmedNS = evalEndNS
-	}
-}
-
-// pumpProfiles installs every predicted profile delivered by virtual time
-// upTo into the planner (and corridor, when present), in delivery order.
-// Only ProfileSource-backed subscriptions have a stream; others no-op.
-// Runs on the collectDue path, which Advance serializes per subscription.
-func (sub *Subscription) pumpProfiles(upTo time.Duration) {
-	for sub.nextProfile < len(sub.profiles) && sub.profiles[sub.nextProfile].Deliver <= upTo {
-		tp := sub.profiles[sub.nextProfile]
-		sub.nextProfile++
-		sub.planner.Replan(tp.Profile, tp.Deliver)
-		if sub.corridor != nil {
-			sub.corridor.SetProfile(tp.Profile, tp.Deliver)
-		}
 	}
 }
 
