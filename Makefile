@@ -13,12 +13,13 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# The second pass repeats the intrusive schedule's differential test against
-# its naive model: cheap, seeded, and the test that owns the heap-index
-# invariant the period path now rests on.
+# The second pass repeats the two differential tests the period path rests
+# on, each against its naive model: the intrusive schedule's (cheap, seeded,
+# owner of the heap-index invariant) and the reading column's, with the
+# three-party race over a column's lifetime beside it.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run='^TestIntrusiveScheduleAgainstModel$$' ./internal/core
+	$(GO) test -race -count=5 -run='^(TestIntrusiveScheduleAgainstModel|TestReadingColumnMatchesNaiveReference|TestReadingColumnUnderConcurrentChurn)$$' ./internal/core
 
 # One pass over every benchmark as a smoke test, after the cold-evaluation
 # allocation gate; use `go test -bench=. ./...` directly for real
@@ -29,9 +30,12 @@ bench: bench-evaluate-cold
 # The cold-evaluation gate on its own: BenchmarkEvaluateDueCold b.Fatals if
 # a steady-state cold EvaluateDue allocates at all. The smoke pass above
 # runs it for one iteration; this runs enough of them that a rare
-# allocation (a buffer that grows every Nth period) cannot hide.
+# allocation (a buffer that grows every Nth period) cannot hide. Its sibling
+# BenchmarkEvaluateDueColumned holds the batch path — PopDue with its column
+# build, 1000 evaluations, FlushRearms — to nothing allocated per boundary.
 bench-evaluate-cold:
 	$(GO) test -run=xxx -bench='^BenchmarkEvaluateDueCold$$' -benchtime=5000x ./internal/core
+	$(GO) test -run=xxx -bench='^BenchmarkEvaluateDueColumned$$' -benchtime=500x ./internal/core
 
 # The period path's allocation gate: BenchmarkAdvanceDense b.Fatals when a
 # steady-state step over 1000 subscribers allocates more than the worker

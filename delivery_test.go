@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mobiquery/internal/core"
 )
 
 // buffered reads what is waiting on the subscription's Results channel
@@ -136,6 +138,95 @@ func TestCoarseAdvanceDeliversEachStreamInOrder(t *testing.T) {
 	for i := range serial {
 		if strings.Join(serial[i], "\n") != strings.Join(sharded[i], "\n") {
 			t.Errorf("sub %d: stream differs between Workers 1 and Workers 4:\n%v\n%v", i, serial[i], sharded[i])
+		}
+	}
+}
+
+// TestReadingColumnIsInvisibleInDeliveredStreams is the one place both fold
+// paths answer the same boundaries of the same run. Stepped a second at a
+// time every boundary is popped, so every one of them gets a reading column;
+// in one five-second step only each subscription's first boundary is popped
+// and columned, and collectDue folds boundaries 2…K of the step directly.
+// The streams must be byte-identical, at Workers 1 and 4, apart from what
+// the step size itself decides: EvaluatedAt (the deadline slack is wide
+// enough that nothing is late either way) and the serve route below.
+func TestReadingColumnIsInvisibleInDeliveredStreams(t *testing.T) {
+	const subs, span = 450, 5
+	specOf := func(i int) QuerySpec {
+		spec := QuerySpec{Radius: 150, Period: time.Second, Deadline: span * time.Second, Freshness: 600 * time.Millisecond, Aggregate: Avg}
+		if i%2 == 1 {
+			spec.Period = 2500 * time.Millisecond
+		}
+		switch i % 10 {
+		case 4:
+			spec.Window = 3 // pyramid-served, like the next: the column is not theirs
+		case 6:
+			spec.Radius = 400
+		case 9:
+			spec.Strategy = JITStrategy() // its own sampler: never columned
+		}
+		return spec
+	}
+	run := func(workers int, steps []time.Duration) ([][]string, core.ColumnStats) {
+		nc := NetworkConfig{Seed: 1, Nodes: 3000, RegionSide: 2000, SamplePeriod: time.Second, Service: ServiceConfig{Workers: workers}}
+		svc, err := Open(context.Background(), nc, WithResultBuffer(2*span))
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer svc.Close()
+		all := make([]*Subscription, subs)
+		for i := range all {
+			at := Pt(300+3*float64(i), 1700-3*float64(i))
+			if all[i], err = svc.Subscribe(context.Background(), specOf(i), LinearMotion(at, 1, 0.5)); err != nil {
+				t.Fatalf("Subscribe %d: %v", i, err)
+			}
+		}
+		for _, d := range steps {
+			if err := svc.Advance(d); err != nil {
+				t.Fatalf("Advance: %v", err)
+			}
+		}
+		streams := make([][]string, subs)
+		for i, sub := range all {
+			got, _ := buffered(sub)
+			if want := int(span * time.Second / sub.Spec().Period); len(got) != want {
+				t.Fatalf("workers=%d steps=%v sub %d: %d results, want %d", workers, steps, i, len(got), want)
+			}
+			for _, r := range got {
+				if !r.OnTime {
+					t.Fatalf("workers=%d steps=%v sub %d: period %d late; the slack must cover the whole step", workers, steps, i, r.K)
+				}
+				r.EvaluatedAt = 0
+				// PyramidHit is the serve route, not the answer, and under a
+				// step that spans more boundaries than a pyramid keeps epochs
+				// the route depends on how the workers interleave: one may
+				// rotate an epoch out between another's ingest and its serve,
+				// which then falls back to the cold scan — same values.
+				r.PyramidHit = false
+				streams[i] = append(streams[i], fmt.Sprintf("%+v", r))
+			}
+		}
+		return streams, svc.engine.ColumnStats()
+	}
+	fine := []time.Duration{time.Second, time.Second, time.Second, time.Second, time.Second}
+	coarse := []time.Duration{span * time.Second}
+	// Stepped by the second, six columns: the 1 s class at each of its five
+	// boundaries, the 2.5 s class at 2.5 s (popped at 3 s); at 5 s the two
+	// share a boundary. In one coarse step, the two first boundaries.
+	want, _ := run(1, fine)
+	for _, c := range []struct {
+		workers int
+		steps   []time.Duration
+		builds  uint64
+	}{{1, fine, 6}, {1, coarse, 2}, {4, coarse, 2}, {4, fine, 6}} {
+		got, st := run(c.workers, c.steps)
+		if st.Builds != c.builds || st.Scans == 0 || st.Discards != 0 {
+			t.Fatalf("workers=%d steps=%v: column stats %+v, want %d built, used, none discarded", c.workers, c.steps, st, c.builds)
+		}
+		for i := range got {
+			if strings.Join(got[i], "\n") != strings.Join(want[i], "\n") {
+				t.Errorf("workers=%d steps=%v sub %d: stream differs from the one stepped by the second at Workers 1:\n%v\n%v", c.workers, c.steps, i, got[i], want[i])
+			}
 		}
 	}
 }

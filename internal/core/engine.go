@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -64,9 +65,12 @@ type Query struct {
 	// while popped or not yet armed, heapRemoved once deregistered. Guarded
 	// by the schedule stripe lock, not mu.
 	heapPos int32
-	radius  float64
-	eng     *QueryEngine
-	owner   any
+	// offColumn mirrors sampler != nil || aggIndex != nil — the query's
+	// readings are its plan's or its pyramid's — for PopDue to read without mu.
+	offColumn atomic.Bool
+	radius    float64
+	eng       *QueryEngine
+	owner     any
 	// spec and t0 are the temporal contract, fixed at registration; a zero
 	// Period marks a query registered without one. nextK is the 1-based
 	// index of the next period to evaluate: written under mu, read
@@ -81,8 +85,8 @@ type Query struct {
 	// windowed query (allocated on first use, entries reused in place);
 	// winNext/winLen are the ring cursor and fill.
 	winRing []windowPeriod
-	winNext int
-	winLen  int
+	winNext int32
+	winLen  int32
 	// sampler overrides the engine-global Sampler for this query's windowed
 	// evaluations, plan is the prefetch plan EvaluateDue consults, warmer
 	// serves pre-staged corridor snapshots to evaluateWindow, and aggIndex
@@ -129,6 +133,53 @@ type QueryEngine struct {
 	// (due, id), so PopDue hands a clock driver exactly the queries with a
 	// period due — an idle tick costs O(1) instead of O(queries).
 	sched *Schedule
+	// spare recycles the state of a finished DispatchWorkers run.
+	spare atomic.Pointer[dispatchRun]
+	// cols[:colLive] are the reading columns of the last popped batch. A scan
+	// holds colMu shared for one evaluation and PopDue exclusively while it
+	// refills them, so no buffer is recycled under an EvaluateDue another
+	// goroutine still has in flight; colLive is also read without it, so an
+	// evaluation while no column is live takes no lock. maxNode is the
+	// highest node id UpsertNode has seen.
+	colMu   sync.RWMutex
+	cols    []*readingColumn
+	colLive atomic.Int32
+	maxNode atomic.Int32
+
+	colBuilds, colDiscards, colScans atomic.Uint64
+}
+
+// readingColumn is every node's reading at one period boundary, by node id:
+// what each of the boundary's scans would derive again for every node it
+// covers. Readings, never results — each query still folds its own disk in
+// canonical order against its own freshness window — and exact only for the
+// grid version it was built at.
+type readingColumn struct {
+	due     sim.Time
+	version uint64
+	at      []Reading
+	stale   atomic.Bool          // latched when the version is first seen moved: discarded once
+	fill    func(worker, cy int) // builds one cell row; bound once, so a build allocates nothing
+	// rows holds what the build derived, per cell row, until PopDue's
+	// goroutine moves it into at: a node that a concurrent writer carries
+	// from one row to another mid-build is met by two workers, which must not
+	// both write its entry.
+	rows [][]nodeReading
+}
+
+type nodeReading struct {
+	id int32
+	r  Reading
+}
+
+// ColumnStats counts the reading columns PopDue built, those discarded
+// because the node index changed under them, and the evaluations that folded
+// through one.
+type ColumnStats struct{ Builds, Discards, Scans uint64 }
+
+// ColumnStats returns the reading-column counters.
+func (e *QueryEngine) ColumnStats() ColumnStats {
+	return ColumnStats{e.colBuilds.Load(), e.colDiscards.Load(), e.colScans.Load()}
 }
 
 // NewQueryEngine creates an engine over region. cellSize tunes the spatial
@@ -162,6 +213,7 @@ func NewQueryEngineE(region geom.Rect, cellSize float64, fld field.Field, cfg En
 		// concurrency knob — Shards/Workers invariance holds by the merge.
 		sched: NewScheduleStriped(cfg.Workers),
 	}
+	e.maxNode.Store(-1)
 	for i := range e.stripes {
 		e.stripes[i].queries = make(map[uint32]*Query)
 	}
@@ -177,6 +229,9 @@ func (e *QueryEngine) Index() *geom.ShardedGrid { return e.grid }
 // UpsertNode records (or moves) a sensor node's position. Safe for
 // concurrent use across distinct node ids.
 func (e *QueryEngine) UpsertNode(id radio.NodeID, p geom.Point) {
+	for m := e.maxNode.Load(); int32(id) > m && !e.maxNode.CompareAndSwap(m, int32(id)); {
+		m = e.maxNode.Load()
+	}
 	e.grid.Insert(int32(id), p)
 }
 
@@ -276,8 +331,116 @@ func (q *Query) Deregister() {
 // EvaluateDue until the next boundary passes now and the schedule stays
 // consistent. When no period is due the call is an O(1) peek — this is
 // what makes an idle Advance independent of the subscriber count.
+// A boundary whose popped queries will read every node about twice over gets
+// a reading column before the batch is handed out (buildColumns).
 func (e *QueryEngine) PopDue(now sim.Time, buf []DueEntry) []DueEntry {
-	return e.sched.PopDue(now, buf)
+	n := len(buf)
+	buf = e.sched.PopDue(now, buf)
+	if len(buf) > n {
+		e.buildColumns(buf[n:])
+	}
+	return buf
+}
+
+// buildColumns gives each boundary of a popped batch — a run of equal due,
+// the batch being in (due, id) order — a reading column if its scans repay
+// one, and retires the previous batch's: a boundary is popped once, and
+// whatever evaluates it later folds directly. The scans will read about
+// π·Σr²·nodes/area readings (offColumn queries none); a build costs one
+// direct fold per node and a columned fold saves about 20 of a direct fold's
+// 33 ns, so a column pays from two reads a node, given ids dense enough to
+// index by. It is built as a pyramid epoch is: cell rows across the worker
+// pool, inside a SnapshotVersion bracket.
+func (e *QueryEngine) buildColumns(batch []DueEntry) {
+	n := 0
+	for i := 0; i < len(batch); {
+		due, r2 := batch[i].Due, 0.0
+		for ; i < len(batch) && batch[i].Due == due; i++ {
+			if q := batch[i].Query; !q.offColumn.Load() {
+				r2 += q.radius * q.radius
+			}
+		}
+		size := int(e.maxNode.Load()) + 1
+		if math.Pi*r2 < 2*e.grid.Region().Area() || size > 2*e.grid.Len() {
+			continue
+		}
+		if n == 0 {
+			e.colMu.Lock()
+		}
+		_, rows := e.grid.CellCount()
+		if n == len(e.cols) {
+			c := &readingColumn{rows: make([][]nodeReading, rows)}
+			c.fill = func(_, cy int) { e.fillRow(c, cy) }
+			e.cols = append(e.cols, c)
+		}
+		c := e.cols[n]
+		n++
+		c.due, c.at = due, slices.Grow(c.at[:0], size)[:size]
+		c.stale.Store(false)
+		v0, ok0 := e.grid.SnapshotVersion()
+		e.DispatchWorkers(rows, c.fill)
+		for _, row := range c.rows {
+			for _, nr := range row {
+				c.at[nr.id] = nr.r
+			}
+		}
+		v1, ok1 := e.grid.SnapshotVersion()
+		c.version = v0
+		e.colBuilds.Add(1)
+		if !ok0 || !ok1 || v0 != v1 {
+			e.discard(c)
+		}
+	}
+	if n > 0 {
+		e.colLive.Store(int32(n))
+		e.colMu.Unlock()
+	} else if e.colLive.Load() > 0 {
+		e.colMu.Lock()
+		e.colLive.Store(0)
+		e.colMu.Unlock()
+	}
+}
+
+// fillRow derives the reading of every node in cell row cy, under no
+// freshness window: each query tests the entry against its own. The entry of
+// an id the grid does not hold keeps what an earlier boundary left in it; a
+// scan under the build's grid version meets no such id.
+func (e *QueryEngine) fillRow(c *readingColumn, cy int) {
+	row := c.rows[cy][:0]
+	cols, _ := e.grid.CellCount()
+	for cx := 0; cx < cols; cx++ {
+		e.grid.VisitCell(cx, cy, func(id int32, pos geom.Point) {
+			if uint(id) < uint(len(c.at)) {
+				row = append(row, nodeReading{id, ReadingAt(e.sampler, e.fld, id, pos, c.due, 0)})
+			}
+		})
+	}
+	c.rows[cy] = row
+}
+
+// column returns boundary due's live column with colMu held shared, for the
+// caller to release — or nil, nothing held, when there is none or the grid
+// has left the version it was built at.
+func (e *QueryEngine) column(due sim.Time) *readingColumn {
+	e.colMu.RLock()
+	for _, c := range e.cols[:e.colLive.Load()] {
+		if c.due != due || c.stale.Load() {
+			continue
+		}
+		if c.version == e.grid.Version() {
+			return c
+		}
+		e.discard(c)
+	}
+	e.colMu.RUnlock()
+	return nil
+}
+
+// discard retires c: the grid left the version it was built at.
+func (e *QueryEngine) discard(c *readingColumn) {
+	if c.stale.CompareAndSwap(false, true) {
+		e.colDiscards.Add(1)
+	}
 }
 
 // ScheduleStats snapshots the due-period scheduler: stripe count, total and
@@ -465,20 +628,42 @@ func (e *QueryEngine) DispatchWorkers(n int, fn func(worker, i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				fn(worker, int(i))
-			}
-		}(k)
+	// The run's state is recycled and its goroutines start from a func()
+	// bound once, so a steady-state call — a column build inside PopDue —
+	// allocates nothing; a concurrent caller makes its own.
+	r := e.spare.Swap(nil)
+	if r == nil {
+		r = &dispatchRun{}
+		r.loop = r.work
 	}
-	wg.Wait()
+	r.fn, r.n = fn, int64(n)
+	r.next.Store(0)
+	r.workers.Store(0)
+	r.wg.Add(w)
+	for k := 0; k < w; k++ {
+		go r.loop()
+	}
+	r.wg.Wait()
+	r.fn = nil
+	e.spare.Store(r)
+}
+
+// dispatchRun is the shared state of one DispatchWorkers call.
+type dispatchRun struct {
+	fn      func(worker, i int)
+	n       int64
+	next    atomic.Int64
+	workers atomic.Int64
+	wg      sync.WaitGroup
+	loop    func()
+}
+
+// work is one worker of the run: it takes a worker index, then work indices
+// off the shared cursor until they run out.
+func (r *dispatchRun) work() {
+	defer r.wg.Done()
+	worker := int(r.workers.Add(1) - 1)
+	for i := r.next.Add(1) - 1; i < r.n; i = r.next.Add(1) - 1 {
+		r.fn(worker, int(i))
+	}
 }

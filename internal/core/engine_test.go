@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mobiquery/internal/field"
 	"mobiquery/internal/geom"
@@ -227,4 +228,12 @@ func TestDispatchCoversAllIndicesOnce(t *testing.T) {
 		}
 	}
 	e.Dispatch(0, func(int) { t.Error("fn called for n=0") })
+}
+
+// TestQueryHandleFitsItsSizeClass pins the handle at 208 bytes, a malloc size
+// class exactly: a ninth word rounds every subscriber up to 224.
+func TestQueryHandleFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Query{}); n > 208 {
+		t.Fatalf("core.Query is %d bytes, want at most 208", n)
+	}
 }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,13 +46,19 @@ func refField(seed int64) []refNode {
 	for i := range nodes {
 		nodes[i] = refNode{int32(i), geom.Pt(rng.Float64()*refSide, rng.Float64()*refSide)}
 	}
+	sortCanonical(nodes)
+	return nodes
+}
+
+// sortCanonical orders nodes as the grid visits them: cell row, cell column,
+// id.
+func sortCanonical(nodes []refNode) {
 	slices.SortFunc(nodes, func(a, b refNode) int {
 		return cmp.Or(
 			cmp.Compare(math.Floor(a.pos.Y/refCell), math.Floor(b.pos.Y/refCell)),
 			cmp.Compare(math.Floor(a.pos.X/refCell), math.Floor(b.pos.X/refCell)),
 			cmp.Compare(a.id, b.id))
 	})
-	return nodes
 }
 
 type refResult struct {
@@ -91,6 +99,30 @@ type refQuery struct {
 
 func (q refQuery) at(t sim.Time) geom.Point { return q.start.Add(q.vel.Scale(t.Seconds())) }
 
+// The fixtures both differential tests run under: one-second periods over a
+// field that sleeps three and keeps a reading fresh for one, so every disk
+// holds fresh and stale nodes; a smooth field, and a quantised one over which
+// float addition is associative.
+var refSpec = core.TemporalSpec{Period: time.Second, Deadline: 100 * time.Millisecond, Fresh: time.Second}
+
+func refSampler() core.Sampler {
+	const samplePeriod = 3 * time.Second
+	return core.ScheduleSampler(samplePeriod, func(id int32) sim.Time {
+		return sim.Time(uint64(id+1) * 2654435761 % uint64(samplePeriod))
+	})
+}
+
+var refFields = []struct {
+	name      string
+	fld       field.Field
+	quantised bool
+}{
+	{"gradient", field.Gradient{Base: 10, Slope: geom.V(0.01, 0.005)}, false},
+	{"quantised", field.Func(func(p geom.Point, t sim.Time) float64 {
+		return math.Mod(math.Floor(p.X/16+p.Y/32)+math.Floor(t.Seconds()*4), 512) / 64
+	}), true},
+}
+
 // TestEvaluateDueMatchesNaiveReference drives the engine's three serve paths
 // against the reference model, across engine sizings: the cold and
 // corridor-warm paths must agree bit for bit including Sum (they fold node
@@ -98,23 +130,9 @@ func (q refQuery) at(t sim.Time) geom.Point { return q.start.Add(q.vel.Scale(t.S
 // grouping of Sum — and on Sum too over a quantised field, where float
 // addition is associative.
 func TestEvaluateDueMatchesNaiveReference(t *testing.T) {
-	const samplePeriod = 3 * time.Second
-	spec := core.TemporalSpec{Period: time.Second, Deadline: 100 * time.Millisecond, Fresh: time.Second}
-	sample := core.ScheduleSampler(samplePeriod, func(id int32) sim.Time {
-		return sim.Time(uint64(id+1) * 2654435761 % uint64(samplePeriod))
-	})
-	fields := []struct {
-		name      string
-		fld       field.Field
-		quantised bool
-	}{
-		{"gradient", field.Gradient{Base: 10, Slope: geom.V(0.01, 0.005)}, false},
-		{"quantised", field.Func(func(p geom.Point, t sim.Time) float64 {
-			return math.Mod(math.Floor(p.X/16+p.Y/32)+math.Floor(t.Seconds()*4), 512) / 64
-		}), true},
-	}
+	spec, sample := refSpec, refSampler()
 	nodes := refField(5)
-	for _, f := range fields {
+	for _, f := range refFields {
 		for _, shards := range []int{1, 4, 16} {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/shards=%d/workers=%d", f.name, shards, workers), func(t *testing.T) {
@@ -211,5 +229,273 @@ func runDifferential(t *testing.T, nodes []refNode, spec core.TemporalSpec, samp
 				q.cache.StageThrough(due)
 			}
 		}
+	}
+}
+
+// refWindow is the model of a Window query: the last w single-period
+// reference evaluations merged oldest first, staleness re-aged to the newest
+// boundary, exactly as TemporalSpec.Window promises.
+func refWindow(last []refResult, dues []sim.Time) refResult {
+	out := refResult{data: core.NewPartial()}
+	for i, p := range last {
+		out.data.Count += p.data.Count
+		out.data.Sum += p.data.Sum
+		if p.data.Count > 0 {
+			out.data.Min = min(out.data.Min, p.data.Min)
+			out.data.Max = max(out.data.Max, p.data.Max)
+			out.maxStaleness = max(out.maxStaleness, p.maxStaleness+(dues[len(dues)-1]-dues[i]))
+		}
+		out.area += p.area
+		out.stale += p.stale
+	}
+	return out
+}
+
+// columnFleet registers n radius-150 queries on e — cold scans, corridors
+// without a planner and Window-3 queries in turn — enough of them, from 250
+// up, that PopDue's payoff rule builds their boundary a reading column.
+func columnFleet(t *testing.T, e *core.QueryEngine, spec core.TemporalSpec, n int) []refQuery {
+	rng := rand.New(rand.NewSource(8))
+	queries := make([]refQuery, n)
+	for i := range queries {
+		q := refQuery{
+			id:     uint32(i + 1),
+			radius: 150,
+			start:  geom.Pt(400+rng.Float64()*1200, 400+rng.Float64()*1200),
+			vel:    geom.V(rng.Float64()*8-4, rng.Float64()*8-4),
+		}
+		qs := spec
+		if i%3 == 2 {
+			qs.Window = 3
+		}
+		if err := e.RegisterTemporalE(q.id, q.radius, q.start, qs, 0); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 1 {
+			cache, err := corridor.NewCache(corridor.Config{
+				Lookahead: 3, Model: corridor.ErrorModel{Base: 5}, Radius: q.radius, Period: spec.Period,
+			}, e.Index())
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.cache = cache
+			e.SetQueryWarmer(q.id, cache)
+			cache.SetProfile(mobility.Profile{Path: mobility.LinearPath(q.start, q.vel, 0, time.Hour), Version: 1}, 0)
+		}
+		queries[i] = q
+	}
+	return queries
+}
+
+// popAndEvaluate drives one boundary the way Service.Advance does: PopDue,
+// every popped handle evaluated across the worker pool, re-arms flushed.
+// between runs after the pop, before the first evaluation.
+func popAndEvaluate(t *testing.T, e *core.QueryEngine, queries []refQuery, due sim.Time, between func()) []core.WindowResult {
+	rearms := make([]*core.RearmBatch, e.Workers())
+	for i := range rearms {
+		rearms[i] = e.NewRearmBatch()
+	}
+	for _, q := range queries {
+		e.UpdateWaypoint(q.id, q.at(due))
+	}
+	batch := e.PopDue(due, nil)
+	if len(batch) != len(queries) {
+		t.Fatalf("due %v: popped %d of %d queries", due, len(batch), len(queries))
+	}
+	if between != nil {
+		between()
+	}
+	got := make([]core.WindowResult, len(batch))
+	e.DispatchWorkers(len(batch), func(worker, i int) {
+		got[batch[i].ID-1], _ = batch[i].Query.EvaluateDue(due, rearms[worker])
+	})
+	for _, rb := range rearms {
+		e.FlushRearms(rb)
+	}
+	return got
+}
+
+// TestReadingColumnMatchesNaiveReference is the PopDue-driven arm of the
+// differential: 252 queries whose boundaries the payoff rule gives a reading
+// column must agree with the model bit for bit, Sum included — while the
+// column serves, after node churn between boundaries (a fresh column over
+// the new field) and after churn between the pop and the evaluations (the
+// column discarded, the boundary folded directly).
+func TestReadingColumnMatchesNaiveReference(t *testing.T) {
+	spec, sample := refSpec, refSampler()
+	for _, f := range refFields {
+		for _, shards := range []int{1, 4, 16} {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/shards=%d/workers=%d", f.name, shards, workers), func(t *testing.T) {
+					runColumnDifferential(t, refField(5), spec, sample, f.fld, core.EngineConfig{Shards: shards, Workers: workers})
+				})
+			}
+		}
+	}
+}
+
+func runColumnDifferential(t *testing.T, nodes []refNode, spec core.TemporalSpec, sample core.Sampler, fld field.Field, cfg core.EngineConfig) {
+	e := core.NewQueryEngine(geom.Square(refSide), refCell, fld, cfg)
+	e.SetSampler(sample)
+	e.Dispatch(len(nodes), func(i int) { e.UpsertNode(radio.NodeID(nodes[i].id), nodes[i].pos) })
+	queries := columnFleet(t, e, spec, 252)
+
+	// churn moves a node across a cell edge, removes one and inserts one with
+	// a new highest id, in the engine and in the model.
+	churned := 0
+	churn := func() {
+		at := func(id int32) int {
+			return slices.IndexFunc(nodes, func(n refNode) bool { return n.id == id })
+		}
+		mv := at(int32(100 + churned))
+		nodes[mv].pos.X += refCell * (1 - 2*math.Floor(nodes[mv].pos.X/(refSide/2)))
+		e.UpsertNode(radio.NodeID(nodes[mv].id), nodes[mv].pos)
+		rm := at(int32(200 + churned))
+		e.RemoveNode(radio.NodeID(nodes[rm].id))
+		nodes = slices.Delete(nodes, rm, rm+1)
+		add := refNode{int32(refNodes + churned), geom.Pt(700+50*float64(churned), 900)}
+		e.UpsertNode(radio.NodeID(add.id), add.pos)
+		nodes = append(nodes, add)
+		sortCanonical(nodes)
+		churned++
+	}
+
+	history := make([][]refResult, len(queries)) // per query, every boundary so far
+	var dues []sim.Time
+	for k := 1; k <= 7; k++ {
+		due := sim.Time(k) * spec.Period
+		dues = append(dues, due)
+		var between func()
+		switch k {
+		case 3, 6:
+			churn() // between boundaries: the next column is built over the new field
+		case 5:
+			between = churn // after the pop: the column just built is stale
+		}
+		before := e.ColumnStats()
+		got := popAndEvaluate(t, e, queries, due, between)
+		after := e.ColumnStats()
+		if after.Builds != before.Builds+1 {
+			t.Fatalf("k=%d: %d columns built for one armed boundary", k, after.Builds-before.Builds)
+		}
+		if k == 5 {
+			if after.Discards != before.Discards+1 || after.Scans != before.Scans {
+				t.Fatalf("k=%d: churn after the pop: stats %+v -> %+v, want the column discarded once and no scan served from it", k, before, after)
+			}
+		} else if after.Discards != before.Discards || after.Scans != before.Scans+uint64(len(queries)) {
+			t.Fatalf("k=%d: stats %+v -> %+v, want every scan served from the column and none discarded", k, before, after)
+		}
+		for i, q := range queries {
+			res := got[i]
+			want := refEvaluate(nodes, q.at(due), q.radius, due, spec.Fresh, sample, fld)
+			if want.data.Count == 0 || want.stale == 0 {
+				t.Fatalf("query %d k=%d: reference saw %d fresh / %d stale nodes; the setup must exercise both", q.id, k, want.data.Count, want.stale)
+			}
+			history[i] = append(history[i], want)
+			if i%3 == 2 {
+				lo := max(0, k-3)
+				want = refWindow(history[i][lo:], dues[lo:])
+			}
+			if res.K != k || res.PyramidHit || (churned == 0 && res.CorridorHit != (q.cache != nil)) {
+				t.Fatalf("query %d k=%d: period %d served corridor=%v pyramid=%v", q.id, k, res.K, res.CorridorHit, res.PyramidHit)
+			}
+			if res.AreaNodes != want.area || res.StaleNodes != want.stale || res.MaxStaleness != want.maxStaleness ||
+				res.Data.Count != want.data.Count || res.Data.Min != want.data.Min || res.Data.Max != want.data.Max ||
+				math.Float64bits(res.Data.Sum) != math.Float64bits(want.data.Sum) {
+				t.Fatalf("query %d k=%d: got area %d stale %d staleness %v data %+v\nwant area %d stale %d staleness %v data %+v",
+					q.id, k, res.AreaNodes, res.StaleNodes, res.MaxStaleness, res.Data, want.area, want.stale, want.maxStaleness, want.data)
+			}
+			if q.cache != nil {
+				q.cache.StageThrough(due)
+			}
+		}
+	}
+
+	// Five such queries read far less than every node twice: no column.
+	small := core.NewQueryEngine(geom.Square(refSide), refCell, fld, cfg)
+	small.SetSampler(sample)
+	for _, n := range nodes {
+		small.UpsertNode(radio.NodeID(n.id), n.pos)
+	}
+	few := columnFleet(t, small, spec, 5)
+	popAndEvaluate(t, small, few, spec.Period, nil)
+	if st := small.ColumnStats(); st != (core.ColumnStats{}) {
+		t.Fatalf("a batch of %d queries built a column: %+v", len(few), st)
+	}
+}
+
+// TestReadingColumnUnderConcurrentChurn races the three parties a column
+// has: a driver popping and evaluating batches (which builds and recycles
+// columns), a goroutine moving nodes (which outdates them) and a goroutine
+// evaluating by id outside any batch (which may hold a column across the
+// driver's next pop). Meaningful under -race; values are pinned by the
+// differential above.
+func TestReadingColumnUnderConcurrentChurn(t *testing.T) {
+	spec, nodes := refSpec, refField(5)
+	e := core.NewQueryEngine(geom.Square(refSide), refCell, refFields[0].fld, core.EngineConfig{Shards: 4, Workers: 4})
+	e.SetSampler(refSampler())
+	for _, n := range nodes {
+		e.UpsertNode(radio.NodeID(n.id), n.pos)
+	}
+	queries := columnFleet(t, e, spec, 252)
+	rearms := make([]*core.RearmBatch, e.Workers())
+	for i := range rearms {
+		rearms[i] = e.NewRearmBatch()
+	}
+
+	var now atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // moves nodes
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n := nodes[rng.Intn(len(nodes))]
+			e.UpsertNode(radio.NodeID(n.id), geom.Pt(rng.Float64()*refSide, rng.Float64()*refSide))
+			if i%8 == 7 {
+				// Leave the driver quiet stretches in which a column survives.
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+	}()
+	go func() { // evaluates by id, outside any batch
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(10))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e.EvaluateDue(uint32(1+rng.Intn(len(queries))), sim.Time(now.Load()))
+		}
+	}()
+
+	var batch []core.DueEntry
+	for k := 1; k <= 40; k++ {
+		due := sim.Time(k) * spec.Period
+		now.Store(int64(due))
+		batch = e.PopDue(due, batch[:0])
+		e.DispatchWorkers(len(batch), func(worker, i int) {
+			q := batch[i].Query
+			// The by-id evaluator may have taken this period already.
+			for _, next := q.NextDue(); next <= due; _, next = q.NextDue() {
+				q.EvaluateDue(due, rearms[worker])
+			}
+		})
+		for _, rb := range rearms {
+			e.FlushRearms(rb)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := e.ColumnStats(); st.Builds == 0 || st.Discards == 0 {
+		t.Fatalf("stats %+v: 40 armed boundaries under constant node churn must build columns and discard some", st)
 	}
 }

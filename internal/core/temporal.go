@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
+	"mobiquery/internal/field"
 	"mobiquery/internal/geom"
 	"mobiquery/internal/sim"
 )
@@ -182,8 +184,12 @@ type WindowResult struct {
 // samples at phase(id) + n*period for n >= 0, so its latest reading at
 // time `at` was taken at the last such instant, and before its first
 // sample the node has no reading at all. phase must be pure and return
-// values in [0, period).
+// values in [0, period). It panics on a non-positive period, which would
+// otherwise divide by zero inside the first evaluation, on a pool worker.
 func ScheduleSampler(period time.Duration, phase func(id int32) sim.Time) Sampler {
+	if period <= 0 {
+		panic(fmt.Sprintf("core: sampling period %v must be positive", period))
+	}
 	return func(id int32, at sim.Time) (sim.Time, bool) {
 		ph := phase(id)
 		if at < ph {
@@ -191,6 +197,50 @@ func ScheduleSampler(period time.Duration, phase func(id int32) sim.Time) Sample
 		}
 		return ph + (at-ph)/period*period, true
 	}
+}
+
+// Reading is one node's reading as of one period boundary: the value V it
+// sampled, Age before the boundary. It depends on the node, its position and
+// the boundary alone, so every query that covers the node then can share it.
+type Reading struct {
+	Age time.Duration
+	V   float64
+}
+
+// NoReading is the Age of a node that had not sampled by the boundary.
+const NoReading = time.Duration(math.MaxInt64)
+
+// Fresh reports whether r contributes under freshness window fresh (zero
+// disables the window, as in TemporalSpec).
+func (r Reading) Fresh(fresh time.Duration) bool {
+	return r.Age != NoReading && (fresh <= 0 || r.Age <= fresh)
+}
+
+// ReadingAt derives node id's reading at boundary due under sampling
+// schedule s (nil: the node samples at the boundary itself). It is the one
+// definition of a reading — the direct fold, the reading column and the
+// pyramid's ingest and fringe all call it, so they agree to the bit. A
+// positive fresh is the only window the caller will test the reading
+// against: one staler than that is left with V zero, unsampled.
+func ReadingAt(s Sampler, fld field.Field, id int32, pos geom.Point, due sim.Time, fresh time.Duration) Reading {
+	sample, ok := due, true
+	if s != nil {
+		sample, ok = s(id, due)
+	}
+	return readingOf(fld, pos, due, fresh, sample, ok)
+}
+
+// readingOf is ReadingAt after the sampler call, which a per-query
+// AreaSampler makes with its own signature.
+func readingOf(fld field.Field, pos geom.Point, due sim.Time, fresh time.Duration, sample sim.Time, ok bool) Reading {
+	r := Reading{Age: due - sample}
+	switch {
+	case !ok || r.Age < 0:
+		r.Age = NoReading
+	case fresh <= 0 || r.Age <= fresh:
+		r.V = fld.Sample(pos, sample)
+	}
+	return r
 }
 
 // SetSampler installs the node sampling schedule used by windowed
@@ -207,6 +257,7 @@ func (e *QueryEngine) SetSampler(s Sampler) { e.sampler = s }
 func (q *Query) SetSampler(s AreaSampler) {
 	q.mu.Lock()
 	q.sampler = s
+	q.offColumn.Store(s != nil || q.aggIndex != nil)
 	q.mu.Unlock()
 }
 
@@ -239,6 +290,7 @@ func (q *Query) SetWarmer(w CorridorWarmer) {
 func (q *Query) SetAggIndex(ix AggIndex) {
 	q.mu.Lock()
 	q.aggIndex = ix
+	q.offColumn.Store(ix != nil || q.sampler != nil)
 	q.mu.Unlock()
 }
 
@@ -415,18 +467,45 @@ func (q *Query) evaluateDue(now sim.Time, rb *RearmBatch) (WindowResult, bool) {
 }
 
 // evaluateWindow computes the freshness-windowed area result of q as of
-// the period boundary `due`. Caller holds q.mu. A corridor warmer, when
-// attached, serves the boundary from its pre-staged snapshot whenever it
-// can prove the snapshot is exact (covered and current); otherwise — and
-// always without a warmer — the cold radius scan runs, bit-identical by
-// contract. Either way each node is folded into the result as it is
-// visited: the visit order is canonical by construction, so there is
-// nothing to collect or sort. The warm path lives in its own function so
-// the cold path's visit closure never escapes through the warmer interface:
-// queries without a corridor pay nothing for its existence.
+// the period boundary `due`. Caller holds q.mu. If PopDue built the boundary
+// a reading column the nodes are folded through it; should the grid version
+// have moved by the end of the scan the column is discarded and the boundary
+// evaluated again without one — the same bits whenever nothing moved, never
+// a stale reading. Two kinds of query fold through no column: one with its
+// own sampler, because a prefetch plan's CaptureAt readings are per query,
+// and one with an aggregate index, whose pyramid keeps the readings itself.
 func (e *QueryEngine) evaluateWindow(q *Query, due sim.Time) WindowResult {
+	if q.sampler == nil && q.aggIndex == nil && e.colLive.Load() > 0 {
+		if c := e.column(due); c != nil {
+			out := e.scanWindow(q, due, c.at)
+			moved := e.grid.Version() != c.version
+			if moved {
+				e.discard(c)
+			} else {
+				e.colScans.Add(1)
+			}
+			e.colMu.RUnlock()
+			if !moved {
+				return out
+			}
+		}
+	}
+	return e.scanWindow(q, due, nil)
+}
+
+// scanWindow is evaluateWindow over col, the boundary's readings by node id
+// (nil: derive each reading directly). A corridor warmer, when attached,
+// serves the boundary from its pre-staged snapshot whenever it can prove the
+// snapshot is exact (covered and current); otherwise — and always without a
+// warmer — the cold radius scan runs, bit-identical by contract. Either way
+// each node is folded into the result as it is visited: the visit order is
+// canonical by construction, so there is nothing to collect or sort. The
+// warm path lives in its own function so the cold path's visit closure never
+// escapes through the warmer interface: queries without a corridor pay
+// nothing for its existence.
+func (e *QueryEngine) scanWindow(q *Query, due sim.Time, col []Reading) WindowResult {
 	if q.warmer != nil {
-		if out, ok := e.evaluateWindowWarm(q, due); ok {
+		if out, ok := e.evaluateWindowWarm(q, due, col); ok {
 			return out
 		}
 	}
@@ -437,7 +516,7 @@ func (e *QueryEngine) evaluateWindow(q *Query, due sim.Time) WindowResult {
 	}
 	out := WindowResult{Data: NewPartial()}
 	e.grid.VisitWithin(q.pos, q.radius, func(id int32, pos geom.Point) {
-		e.foldNode(q, due, &out, id, pos)
+		e.foldNode(q, due, col, &out, id, pos)
 	})
 	return out
 }
@@ -446,10 +525,10 @@ func (e *QueryEngine) evaluateWindow(q *Query, due sim.Time) WindowResult {
 // staged snapshot; ok is false when the warmer declined (nothing staged,
 // stale snapshot, or a mispredict) and the caller must run the cold scan.
 // Caller holds q.mu.
-func (e *QueryEngine) evaluateWindowWarm(q *Query, due sim.Time) (WindowResult, bool) {
+func (e *QueryEngine) evaluateWindowWarm(q *Query, due sim.Time, col []Reading) (WindowResult, bool) {
 	out := WindowResult{Data: NewPartial(), CorridorHit: true}
 	if !q.warmer.VisitStaged(due, q.pos, q.radius, func(id int32, pos geom.Point) {
-		e.foldNode(q, due, &out, id, pos)
+		e.foldNode(q, due, col, &out, id, pos)
 	}) {
 		return WindowResult{}, false
 	}
@@ -474,28 +553,34 @@ func (e *QueryEngine) evaluateWindowAgg(q *Query, due sim.Time) (WindowResult, b
 	}, true
 }
 
-// foldNode is the shared per-node body of a windowed evaluation:
-// freshness-window the node's reading and fold it into the result. Caller
-// holds q.mu.
-func (e *QueryEngine) foldNode(q *Query, due sim.Time, out *WindowResult, id int32, pos geom.Point) {
+// foldNode is the shared per-node body of a windowed evaluation: take the
+// node's reading — from col when it holds the id, else derived directly —
+// freshness-window it and fold it into the result. Caller holds q.mu.
+func (e *QueryEngine) foldNode(q *Query, due sim.Time, col []Reading, out *WindowResult, id int32, pos geom.Point) {
 	out.AreaNodes++
-	sample, ok, prefetched := due, true, false
+	var r Reading
+	prefetched := false
 	switch {
+	case uint(id) < uint(len(col)):
+		r = col[id]
 	case q.sampler != nil:
+		var sample sim.Time
+		var ok bool
 		sample, ok, prefetched = q.sampler(id, pos, due)
-	case e.sampler != nil:
-		sample, ok = e.sampler(id, due)
+		r = readingOf(e.fld, pos, due, q.spec.Fresh, sample, ok)
+	default:
+		r = ReadingAt(e.sampler, e.fld, id, pos, due, q.spec.Fresh)
 	}
-	if !ok || (q.spec.Fresh > 0 && due-sample > q.spec.Fresh) || sample > due {
+	if !r.Fresh(q.spec.Fresh) {
 		out.StaleNodes++
 		return
 	}
-	out.Data.Add(e.fld.Sample(pos, sample))
+	out.Data.Add(r.V)
 	if prefetched {
 		out.Prefetched++
 	}
-	if age := due - sample; age > out.MaxStaleness {
-		out.MaxStaleness = age
+	if r.Age > out.MaxStaleness {
+		out.MaxStaleness = r.Age
 	}
 }
 
@@ -512,8 +597,8 @@ func (q *Query) mergeWindow(cur WindowResult) WindowResult {
 		q.winRing = make([]windowPeriod, w)
 	}
 	e := &q.winRing[q.winNext]
-	q.winNext = (q.winNext + 1) % w
-	if q.winLen < w {
+	q.winNext = (q.winNext + 1) % int32(w)
+	if int(q.winLen) < w {
 		q.winLen++
 	}
 	e.due = cur.Due
@@ -526,8 +611,8 @@ func (q *Query) mergeWindow(cur WindowResult) WindowResult {
 	out := cur
 	out.Data = NewPartial()
 	out.AreaNodes, out.StaleNodes, out.MaxStaleness, out.Prefetched = 0, 0, 0, 0
-	for i := 0; i < q.winLen; i++ {
-		p := &q.winRing[(q.winNext+w-q.winLen+i)%w]
+	for i := 0; i < int(q.winLen); i++ {
+		p := &q.winRing[(int(q.winNext)+w-int(q.winLen)+i)%w]
 		out.Data.Count += p.data.Count
 		out.Data.Sum += p.data.Sum
 		if p.data.Count > 0 {
@@ -547,6 +632,6 @@ func (q *Query) mergeWindow(cur WindowResult) WindowResult {
 		out.StaleNodes += p.staleNodes
 		out.Prefetched += p.prefetched
 	}
-	out.WindowPeriods = q.winLen
+	out.WindowPeriods = int(q.winLen)
 	return out
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,6 +30,22 @@ func TestTemporalSpecValidate(t *testing.T) {
 		if ts.Validate() == nil {
 			t.Errorf("spec %d (%+v): expected validation error", i, ts)
 		}
+	}
+}
+
+// TestScheduleSamplerRejectsNonPositivePeriod pins the constructor's panic:
+// a zero period would otherwise divide by zero in the first evaluation, on
+// a pool worker (or inside PopDue's column build), far from its cause.
+func TestScheduleSamplerRejectsNonPositivePeriod(t *testing.T) {
+	for _, period := range []time.Duration{0, -time.Second} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, period.String()) {
+					t.Errorf("ScheduleSampler(%v): panic %q does not name the period", period, msg)
+				}
+			}()
+			ScheduleSampler(period, func(int32) sim.Time { return 0 })
+		}()
 	}
 }
 
@@ -483,14 +501,10 @@ func TestEvaluateDueDefaultSamplerIsInstantaneous(t *testing.T) {
 	}
 }
 
-// BenchmarkEvaluateDueCold measures one steady-state cold evaluation — a
-// radius-150 disk over a 5000-node field with a phased sampling schedule,
-// about 88 nodes per area — and is its own gate: single-pass evaluation
-// folds into the result as the grid is visited, so the timed loop must not
-// allocate at all. It b.Fatals otherwise (make bench runs it), the same
-// pattern as the idle arm of BenchmarkAdvance1M.
-func BenchmarkEvaluateDueCold(b *testing.B) {
-	b.ReportAllocs()
+// coldBenchEngine is the field both evaluation gates run over: 5000 nodes on
+// a phased one-second sampling schedule, about 88 of them in a radius-150
+// disk, half of those inside coldBenchSpec's freshness window.
+func coldBenchEngine() (*QueryEngine, *rand.Rand) {
 	region := geom.Square(2000)
 	e := NewQueryEngine(region, 2000.0/32, field.Gradient{Base: 10, Slope: geom.V(0.01, 0.005)}, EngineConfig{})
 	e.SetSampler(ScheduleSampler(time.Second, func(id int32) sim.Time {
@@ -500,7 +514,21 @@ func BenchmarkEvaluateDueCold(b *testing.B) {
 	for i := 0; i < 5000; i++ {
 		e.UpsertNode(radio.NodeID(i), region.UniformPoint(rng))
 	}
-	spec := TemporalSpec{Period: time.Second, Fresh: 500 * time.Millisecond}
+	return e, rng
+}
+
+var coldBenchSpec = TemporalSpec{Period: time.Second, Fresh: 500 * time.Millisecond}
+
+// BenchmarkEvaluateDueCold measures one steady-state cold evaluation — a
+// radius-150 disk over a 5000-node field with a phased sampling schedule,
+// about 88 nodes per area — and is its own gate: single-pass evaluation
+// folds into the result as the grid is visited, so the timed loop must not
+// allocate at all. It b.Fatals otherwise (make bench runs it), the same
+// pattern as the idle arm of BenchmarkAdvance1M.
+func BenchmarkEvaluateDueCold(b *testing.B) {
+	b.ReportAllocs()
+	e, _ := coldBenchEngine()
+	spec := coldBenchSpec
 	if err := e.RegisterTemporalE(1, 150, geom.Pt(1000, 1000), spec, 0); err != nil {
 		b.Fatal(err)
 	}
@@ -520,5 +548,62 @@ func BenchmarkEvaluateDueCold(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
 		b.Fatalf("cold EvaluateDue allocated %d times over %d evaluations; single-pass evaluation must not allocate", allocs, b.N)
+	}
+}
+
+// BenchmarkEvaluateDueColumned is BenchmarkEvaluateDueCold's sibling through
+// the batch path: 1000 such queries on one boundary, timed per boundary
+// through PopDue — where the payoff rule builds the boundary's reading
+// column across the worker pool — then every evaluation and the re-arm
+// flush. The same gate, with one allowance: nothing of ours may allocate per
+// boundary — the column build and its worker fan-out included — but the
+// fan-out starts goroutines and parks on them, and the runtime allocates
+// those and their wait records afresh whenever the per-P free list it looks
+// in happens to be empty, a few times per hundred boundaries for as long as
+// the lists take to level out. So the gate is one allocation per four
+// boundaries, where anything per boundary reads as one or more. The
+// evaluations run on this goroutine into one re-arm batch, as the
+// repository benchmark's engine cycle does: fanned out, which worker takes
+// which query varies from boundary to boundary, and a re-arm bucket may
+// grow on any of them.
+func BenchmarkEvaluateDueColumned(b *testing.B) {
+	b.ReportAllocs()
+	e, rng := coldBenchEngine()
+	spec := coldBenchSpec
+	const queries = 1000
+	for i := 1; i <= queries; i++ {
+		if err := e.RegisterTemporalE(uint32(i), 150, geom.Pt(500+1000*rng.Float64(), 500+1000*rng.Float64()), spec, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rb := e.NewRearmBatch()
+	var batch []DueEntry
+	now := sim.Time(0)
+	boundary := func() {
+		now += time.Second
+		batch = e.PopDue(now, batch[:0])
+		for i := range batch {
+			batch[i].Query.EvaluateDue(now, rb)
+		}
+		e.FlushRearms(rb)
+	}
+	// The first boundaries grow the batch, the re-arm buckets and the column.
+	const warm = 4
+	for i := 0; i < warm; i++ {
+		boundary()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		boundary()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if st := e.ColumnStats(); st.Builds != uint64(b.N)+warm || st.Scans != queries*st.Builds {
+		b.Fatalf("column stats %+v over %d boundaries of %d queries: every scan must fold through its boundary's column", st, b.N+warm, queries)
+	}
+	if allocs := after.Mallocs - before.Mallocs; 4*allocs > uint64(b.N)+16 {
+		b.Fatalf("%d boundaries through PopDue, evaluation and FlushRearms allocated %d times; the column build and the fan-out must not allocate per boundary", b.N, allocs)
 	}
 }

@@ -77,9 +77,13 @@ type cellAgg struct {
 
 // epoch is the pyramid state frozen at one period boundary: level 0 holds
 // one cellAgg per grid cell, each higher level one per 2×-coarser tile.
-// Buffers are reused across ring rotations; ready is the publication gate
-// (set with release semantics after the rollup, checked with acquire before
-// any read).
+// rd keeps the reading the ingest derived for each node, by node id, for the
+// fringe of a serve to load instead of deriving it again; rowRd is where
+// each cell row's builder leaves them for finishBuild to move into rd — a
+// node a concurrent writer carries from one row to another mid-ingest is met
+// by two builders, which must not both write its entry. Buffers are reused
+// across ring rotations; ready is the publication gate (set with release
+// semantics after the rollup, checked with acquire before any read).
 type epoch struct {
 	due         sim.Time
 	gridVersion uint64
@@ -87,7 +91,14 @@ type epoch struct {
 	clean       bool
 	ready       atomic.Bool
 	lv          [][]cellAgg
+	rd          []core.Reading
+	rowRd       [][]keptReading
 	ingested    atomic.Int64
+}
+
+type keptReading struct {
+	id int32
+	r  core.Reading
 }
 
 // build coordinates one cooperative epoch ingest: concurrent EnsureEpoch
@@ -314,6 +325,18 @@ func (p *Pyramid) rotate(due sim.Time) *epoch {
 			clear(e.lv[lv])
 		}
 	}
+	// One entry per node while ids are dense; the fringe derives the reading
+	// of an id beyond that. Entries are overwritten by the ingest, not
+	// cleared: a serve only stands under the ingest's grid version, where
+	// every node it meets was ingested.
+	if n := p.grid.Len(); cap(e.rd) < n {
+		e.rd = make([]core.Reading, n)
+	} else {
+		e.rd = e.rd[:n]
+	}
+	if e.rowRd == nil {
+		e.rowRd = make([][]keptReading, p.cg.rows)
+	}
 	p.version.Add(1)
 	return e
 }
@@ -336,27 +359,27 @@ func (p *Pyramid) inFlight(e *epoch) bool {
 // classification.
 func (p *Pyramid) buildRow(e *epoch, cy int) {
 	var agg cellAgg
+	kept := e.rowRd[cy][:0]
 	fold := func(id int32, pos geom.Point) {
 		agg.nodes++
-		t, tok := e.due, true
-		if p.sample != nil {
-			t, tok = p.sample(id, e.due)
+		r := core.ReadingAt(p.sample, p.fld, id, pos, e.due, p.fresh)
+		if uint(id) < uint(len(e.rd)) {
+			kept = append(kept, keptReading{id, r})
 		}
-		if !tok || (p.fresh > 0 && e.due-t > p.fresh) || t > e.due {
+		if !r.Fresh(p.fresh) {
 			agg.stale++
 			return
 		}
-		v := p.fld.Sample(pos, t)
 		agg.count++
-		agg.sum += v
-		if v < agg.min {
-			agg.min = v
+		agg.sum += r.V
+		if r.V < agg.min {
+			agg.min = r.V
 		}
-		if v > agg.max {
-			agg.max = v
+		if r.V > agg.max {
+			agg.max = r.V
 		}
-		if age := e.due - t; age > agg.maxStale {
-			agg.maxStale = age
+		if r.Age > agg.maxStale {
+			agg.maxStale = r.Age
 		}
 	}
 	visited := int64(0)
@@ -369,6 +392,7 @@ func (p *Pyramid) buildRow(e *epoch, cy int) {
 		visited += int64(agg.nodes)
 		e.lv[0][cy*p.cg.cols+cx] = agg
 	}
+	e.rowRd[cy] = kept
 	e.ingested.Add(visited)
 }
 
@@ -401,6 +425,11 @@ func mergeChild(agg *cellAgg, c *cellAgg) {
 // version check, and publishes the epoch.
 func (p *Pyramid) finishBuild(due sim.Time, b *build) {
 	e := b.e
+	for _, kept := range e.rowRd {
+		for _, k := range kept {
+			e.rd[k.id] = k.r
+		}
+	}
 	for lv := 1; lv <= p.maxLevel; lv++ {
 		w, h := p.lw[lv], p.lh[lv]
 		cw, ch := p.lw[lv-1], p.lh[lv-1]
@@ -493,20 +522,29 @@ func (p *Pyramid) ServeWindow(due sim.Time, center geom.Point, radius float64, f
 					return
 				}
 				sv.AreaNodes++
-				t, tok := due, true
-				if p.sample != nil {
-					t, tok = p.sample(id, due)
+				var r core.Reading
+				if uint(id) < uint(len(e.rd)) {
+					r = e.rd[id]
+				} else { // an id past the kept range: derived as the ingest derived it
+					r = core.ReadingAt(p.sample, p.fld, id, pos, due, p.fresh)
 				}
-				if !tok || (p.fresh > 0 && due-t > p.fresh) || t > due {
+				if !r.Fresh(p.fresh) {
 					sv.StaleNodes++
 					return
 				}
-				sv.Data.Add(p.fld.Sample(pos, t))
-				if age := due - t; age > sv.MaxStaleness {
-					sv.MaxStaleness = age
+				sv.Data.Add(r.V)
+				if r.Age > sv.MaxStaleness {
+					sv.MaxStaleness = r.Age
 				}
 			})
 		})
+	// The fringe read the live grid and the kept readings: a mutation that
+	// landed during the serve could have paired a node with an entry the
+	// ingest never wrote for it.
+	if p.grid.Version() != e.gridVersion {
+		p.sVer.Add(1)
+		return core.AggServe{}, false
+	}
 	p.sServed.Add(1)
 	p.sTiles.Add(uint64(covered))
 	p.sCells.Add(uint64(fringe))

@@ -267,6 +267,54 @@ func TestServeWindowGates(t *testing.T) {
 	}
 }
 
+// TestServeWindowNeverReadsAStaleKeptReading churns the grid after an ingest
+// — a node moved across a cell edge, one removed, one inserted under a new
+// highest id — over a one-slot ring, so that every epoch reuses the buffer
+// of kept readings the one before it wrote. The outdated epoch must decline
+// (MissVersion), and the next one must serve the churned field exactly: the
+// moved node's reading is derived at its new position, the removed id's
+// leftover entry is never met, and the id past the kept range is derived on
+// the fringe as the ingest derived it.
+func TestServeWindowNeverReadsAStaleKeptReading(t *testing.T) {
+	const fresh = 700 * time.Millisecond
+	g := geom.NewShardedGrid(geom.Rect{MaxX: 1000, MaxY: 1000}, 31.25, 4)
+	fillGrid(g, 800, 5)
+	p, err := New(g, Config{Epochs: 1, Fresh: fresh, Sample: testSampler, Field: quantField})
+	if err != nil {
+		t.Fatal(err)
+	}
+	center, radius := geom.Pt(500, 500), 120.0 // a rim of fringe cells, folded through the kept readings
+	serve := func(due sim.Time) {
+		t.Helper()
+		p.EnsureEpoch(due)
+		got, ok := p.ServeWindow(due, center, radius, fresh)
+		if !ok {
+			t.Fatalf("due %v: declined a clean matching serve", due)
+		}
+		sameServe(t, due.String(), got, flatServe(g, due, center, radius, fresh, testSampler, quantField))
+	}
+	due := sim.Time(2 * time.Second)
+	serve(due)
+
+	var inDisk []int32
+	g.VisitWithin(center, radius, func(id int32, _ geom.Point) { inDisk = append(inDisk, id) })
+	if len(inDisk) < 8 {
+		t.Fatalf("only %d nodes in the disk", len(inDisk))
+	}
+	pos, _ := g.Position(inDisk[0])
+	g.Move(inDisk[0], geom.Pt(pos.X+31.25, pos.Y)) // across a cell edge, to a different reading
+	g.Remove(inDisk[1])
+	g.Insert(800, center) // the highest id yet, one past the kept range
+	if _, ok := p.ServeWindow(due, center, radius, fresh); ok {
+		t.Fatal("served from kept readings that predate the churn")
+	}
+	if st := p.Stats(); st.MissVersion != 1 {
+		t.Fatalf("stats %+v: want the outdated epoch declined as a version miss", st)
+	}
+	serve(due + sim.Time(time.Second))
+	serve(due + 2*sim.Time(time.Second))
+}
+
 // TestEnsureEpochConcurrent has many goroutines demand the same boundary at
 // once: they must cooperate on a single build and all observe the published
 // epoch, with results identical to the flat scan.
@@ -296,6 +344,57 @@ func TestEnsureEpochConcurrent(t *testing.T) {
 	}
 	got, _ := p.ServeWindow(due, geom.Pt(1000, 1000), 500, 700*time.Millisecond)
 	sameServe(t, "concurrent", got, flatServe(g, due, geom.Pt(1000, 1000), 500, 700*time.Millisecond, testSampler, quantField))
+}
+
+// TestEnsureEpochUnderConcurrentChurn ingests and serves from several
+// goroutines while another moves nodes between cell rows, so that one node
+// can be met by two row builders of the same ingest. Meaningful under -race:
+// the kept readings must have one writer. Once the grid rests, the next
+// epoch serves it exactly.
+func TestEnsureEpochUnderConcurrentChurn(t *testing.T) {
+	const fresh = 700 * time.Millisecond
+	g := geom.NewShardedGrid(geom.Rect{MaxX: 2000, MaxY: 2000}, 62.5, 8)
+	fillGrid(g, 3000, 9)
+	p, err := New(g, Config{Fresh: fresh, Sample: testSampler, Field: quantField})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var mover, servers sync.WaitGroup
+	mover.Add(1)
+	go func() {
+		defer mover.Done()
+		rng := rand.New(rand.NewSource(4))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				g.Move(int32(rng.Intn(3000)), geom.Pt(rng.Float64()*2000, rng.Float64()*2000))
+			}
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		servers.Add(1)
+		go func() {
+			defer servers.Done()
+			for k := 1; k <= 30; k++ {
+				due := sim.Time(k) * sim.Time(time.Second)
+				p.EnsureEpoch(due)
+				p.ServeWindow(due, geom.Pt(1000, 1000), 300, fresh)
+			}
+		}()
+	}
+	servers.Wait()
+	close(stop)
+	mover.Wait()
+	due := sim.Time(40 * time.Second)
+	p.EnsureEpoch(due)
+	got, ok := p.ServeWindow(due, geom.Pt(1000, 1000), 300, fresh)
+	if !ok {
+		t.Fatal("declined a clean epoch over a grid at rest")
+	}
+	sameServe(t, "at rest", got, flatServe(g, due, geom.Pt(1000, 1000), 300, fresh, testSampler, quantField))
 }
 
 // TestIndexWithinMatchesFlat checks the static pyramid Index against the

@@ -117,6 +117,12 @@ func newSvcObs(s *Service) *svcObs {
 	pyrClassesG := reg.Gauge("mobiquery_pyramid_classes", "", "aggregate-pyramid boundary classes instantiated")
 	pyrServes := reg.Counter("mobiquery_pyramid_serves_total", "", "periods answered from the aggregate tile pyramid")
 	pyrBuilds := reg.Counter("mobiquery_pyramid_builds_total", "", "pyramid epoch ingests")
+	colBuilds := reg.Counter("mobiquery_reading_column_builds_total", "",
+		"reading columns built: one per popped boundary whose queries, by their radii, will read every node about twice over")
+	colDiscards := reg.Counter("mobiquery_reading_column_discards_total", "",
+		"reading columns dropped because the node index changed during the build or before a scan finished with them")
+	colScans := reg.Counter("mobiquery_reading_column_scans_total", "",
+		"evaluations that folded their nodes through a reading column instead of deriving each reading")
 	stripesG := reg.Gauge("mobiquery_sched_stripes", "", "due-period scheduler stripe count")
 	schedLenG := reg.Gauge("mobiquery_sched_entries", "", "armed schedule entries (one per live temporal query)")
 	stripeG := make([]*obs.Gauge, s.engine.ScheduleStats().Stripes)
@@ -172,6 +178,12 @@ func newSvcObs(s *Service) *svcObs {
 		pyrClassesG.Set(int64(st.PyramidClasses))
 		pyrServes.Set(st.PyramidServes)
 		pyrBuilds.Set(st.PyramidBuilds)
+		// Straight from the engine: ServiceStats, and with it /v1/stats and
+		// its wire form, does not carry the column counters.
+		col := s.engine.ColumnStats()
+		colBuilds.Set(col.Builds)
+		colDiscards.Set(col.Discards)
+		colScans.Set(col.Scans)
 		stripesG.Set(int64(st.SchedStripes))
 		schedLenG.Set(int64(st.SchedLen))
 		for i, n := range st.SchedStripeLens {

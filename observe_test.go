@@ -154,3 +154,58 @@ func TestServiceMetricsExposition(t *testing.T) {
 	}
 	_ = sub
 }
+
+// TestReadingColumnCountersFollowThePayoffRule pins the three exported
+// column counters against the workload shapes of the repository benchmark:
+// the boundaries of sparse_churn (500 radius-25 counts due per tick) and
+// stream_fanout (400 of them) read a few nodes each, so no column is ever
+// built there and all three stay exactly zero through due and idle ticks
+// alike; dense_eval's (radius-150 averages, every node read many times
+// over) build one per boundary and fold every scan through it.
+func TestReadingColumnCountersFollowThePayoffRule(t *testing.T) {
+	for _, c := range []struct {
+		shape    string
+		perTick  int
+		radius   float64
+		columned bool
+	}{
+		{"sparse_churn", 500, 25, false},
+		{"stream_fanout", 400, 25, false},
+		{"dense_eval", 400, 150, true},
+	} {
+		svc, err := Open(context.Background(), NetworkConfig{Seed: 1, Nodes: 5000, RegionSide: 2000, SamplePeriod: time.Second})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		// Four cohorts a tick apart, one of them due on every later tick.
+		const tick = 250 * time.Millisecond
+		spec := QuerySpec{Radius: c.radius, Period: 4 * tick, Freshness: time.Second, Aggregate: Count}
+		for cohort := 0; cohort < 4; cohort++ {
+			for i := 0; i < c.perTick; i++ {
+				at := Pt(100+float64(i*3%1800), 100+float64(i*7%1800))
+				if _, err := svc.Subscribe(context.Background(), spec, StaticPosition(at)); err != nil {
+					t.Fatalf("Subscribe: %v", err)
+				}
+			}
+			svc.Advance(tick)
+		}
+		for i := 0; i < 8; i++ {
+			svc.Advance(tick / 2) // every other one idle
+		}
+		var sb strings.Builder
+		if err := svc.Metrics().WritePrometheus(&sb); err != nil {
+			t.Fatalf("WritePrometheus: %v", err)
+		}
+		svc.Close()
+		nonZero := map[string]bool{}
+		for _, name := range []string{"builds", "discards", "scans"} {
+			nonZero[name] = !strings.Contains(sb.String(), "\nmobiquery_reading_column_"+name+"_total 0\n")
+			if !strings.Contains(sb.String(), "# HELP mobiquery_reading_column_"+name+"_total ") {
+				t.Errorf("%s: no HELP line for the %s counter", c.shape, name)
+			}
+		}
+		if nonZero["builds"] != c.columned || nonZero["scans"] != c.columned || nonZero["discards"] {
+			t.Errorf("%s shape: non-zero column counters %v, want builds and scans non-zero = %v and no discard", c.shape, nonZero, c.columned)
+		}
+	}
+}
