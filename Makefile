@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-compare bench-idle-1m bench-evaluate-cold bench-advance-dense repo-bench-smoke serve-smoke slo-compare obs-smoke trace-smoke fmt vet deadcode loc check
+.PHONY: all build test race bench bench-idle-1m bench-evaluate-cold bench-advance-dense repo-bench-smoke serve-smoke slo-compare obs-smoke trace-smoke fmt vet loc check
 
 all: build
 
@@ -16,10 +16,13 @@ test:
 # The second pass repeats the two differential tests the period path rests
 # on, each against its naive model: the intrusive schedule's (cheap, seeded,
 # owner of the heap-index invariant) and the reading column's, with the
-# three-party race over a column's lifetime beside it.
+# three-party race over a column's lifetime beside it. The third repeats the
+# service-level close storm: Close, Subscribe and Advance meeting on the one
+# schedule lock.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run='^(TestIntrusiveScheduleAgainstModel|TestReadingColumnMatchesNaiveReference|TestReadingColumnUnderConcurrentChurn)$$' ./internal/core
+	$(GO) test -race -count=5 -run='^TestCloseStormAgainstAdvanceAndSubscribe$$' .
 
 # One pass over every benchmark as a smoke test, after the cold-evaluation
 # allocation gate; use `go test -bench=. ./...` directly for real
@@ -44,32 +47,10 @@ bench-evaluate-cold:
 bench-advance-dense:
 	$(GO) test -run=xxx -bench='^BenchmarkAdvanceDense$$' -benchtime=200x .
 
-# The same pass as a machine-readable test2json stream; CI uploads the
-# result as the BENCH_pr.json artifact to record the perf trajectory.
-bench-json:
-	$(GO) test -json -run=xxx -bench=. -benchtime=1x ./... > BENCH_pr.json
-
-# Compare the fresh BENCH_pr.json against the committed baseline, so
-# regressions on the hot paths (Advance, EvaluateDue, dispatch) are
-# visible per PR. Uses benchstat when installed, else the built-in table.
-# BENCH_THRESHOLD > 0 turns the comparison into a gate: exit non-zero when
-# any benchmark's ns/op regresses beyond that percentage (200 is wide
-# enough for single-iteration smoke noise but fails on order-of-magnitude
-# breaks of the scenario paths; sub-100µs benchmarks are exempt via the
-# tool's -floor, since one smoke iteration of those is pure noise).
-# BENCH_ALLOC_THRESHOLD gates allocs/op the same way (benchmarks under 100
-# baseline allocs/op are exempt via -allocfloor — tiny counts swing hugely
-# in percent). The defaults match CI so `make check` means what CI means;
-# set either to 0 for an informational-only comparison.
-BENCH_THRESHOLD ?= 200
-BENCH_ALLOC_THRESHOLD ?= 200
-bench-compare: bench-json
-	$(GO) run ./cmd/mobiquery-benchcmp -baseline BENCH_baseline.json -current BENCH_pr.json -threshold $(BENCH_THRESHOLD) -allocthreshold $(BENCH_ALLOC_THRESHOLD)
-
 # The million-subscriber idle gate on its own: one pass of the idle arm of
-# BenchmarkAdvance1M, which b.Fatals if the timed loop allocates at all.
-# bench-compare's -allocfloor exempts near-zero baselines, so this — not
-# the threshold comparison — is what holds the 0-alloc idle invariant.
+# BenchmarkAdvance1M, which b.Fatals if the timed loop allocates at all —
+# the benchmark itself, not a reported allocs/op, holds the 0-alloc idle
+# invariant.
 bench-idle-1m:
 	$(GO) test -run=xxx -bench='^BenchmarkAdvance1M$$/^Idle$$' -benchtime=1x .
 
@@ -135,13 +116,6 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Functions no main package and no test can reach (ROADMAP item 3(e)).
-# Informational, and not part of `check`: the tool is fetched on demand, and
-# `go run pkg@version` resolves it outside this module, so go.mod keeps zero
-# dependencies.
-deadcode:
-	$(GO) run golang.org/x/tools/cmd/deadcode@latest -test ./...
-
 # Non-test Go lines per package directory and in total: the "net LOC down"
 # half of ROADMAP 3(e)'s gate as a number (CI uploads it as LOC.txt).
 loc:
@@ -152,4 +126,4 @@ loc:
 # serve-smoke is a prerequisite of slo-compare, obs-smoke, and
 # trace-smoke; make runs it once per invocation, so check drives one
 # smoke run and gates all three artifacts off it.
-check: build fmt vet test race bench-compare slo-compare obs-smoke trace-smoke
+check: build fmt vet test race bench slo-compare obs-smoke trace-smoke

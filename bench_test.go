@@ -647,14 +647,14 @@ func benchAdvance1MService(b *testing.B, subscribers int, period time.Duration, 
 // million live subscribers on one service.
 //
 // Idle steps the clock 1 µs at a time with every period an hour out —
-// the striped scheduler's lock-free head scan must keep the tick O(stripes)
-// and allocation-free, and the benchmark hard-fails (not just reports) if
-// the timed loop allocates at all, so `-benchtime=1x` in CI gates the
-// invariant rather than asserting it locally.
+// the scheduler's idle check, one atomic load of the heap's published head,
+// must keep the tick O(1) and allocation-free, and the benchmark hard-fails
+// (not just reports) if the timed loop allocates at all, so `-benchtime=1x`
+// in CI gates the invariant rather than asserting it locally.
 //
-// Dense makes all million periods due every op: PopDue's k-way merge,
-// the parallel evaluation fan-out with per-worker batched re-arms, and the
-// serial delivery pass all at full width. DenseSerial is the same
+// Dense makes all million periods due every op: PopDue draining the whole
+// heap in (due, id) order, the parallel evaluation fan-out with per-worker
+// batched re-arms, and the serial delivery pass all at full width. DenseSerial is the same
 // workload pinned to one worker — the scaling denominator, so
 // Dense/DenseSerial measures what Workers>1 buys end to end (on a
 // single-core host the two tie).
@@ -673,8 +673,8 @@ func BenchmarkAdvance1M(b *testing.B) {
 		}
 		b.StopTimer()
 		runtime.ReadMemStats(&after)
-		// bench-compare exempts near-zero alloc baselines from its gate, so
-		// the 0-alloc invariant is enforced here, where it cannot drift.
+		// The 0-alloc invariant is enforced here, where it cannot drift: a
+		// reported allocs/op of 0 can round away a rare allocation.
 		if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
 			b.Fatalf("idle Advance at 1M subscribers allocated %d times over %d ops; the 0-alloc idle invariant is broken", allocs, b.N)
 		}

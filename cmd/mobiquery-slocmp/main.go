@@ -1,7 +1,6 @@
 // Command mobiquery-slocmp compares two loadgen SLO reports (the
 // SLO_pr.json artifact `make serve-smoke` produces, and the committed
-// SLO_baseline.json) and gates the PR on service-level regressions the
-// way cmd/mobiquery-benchcmp gates benchmark regressions.
+// SLO_baseline.json) and gates the PR on service-level regressions.
 //
 // Three metrics are gated: steady-phase p99 subscribe latency,
 // steady-phase p99 delivery lateness, and wave-phase p99 subscribe

@@ -3,7 +3,10 @@ package mobiquery
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -329,5 +332,145 @@ func TestSubscribeOnAnEndedContext(t *testing.T) {
 	}
 	if st := svc.Stats(); st.Subscribers != 0 || st.Opened != 50 || st.Closed != 50 {
 		t.Fatalf("after 50 subscribes on an ended context: %d live, %d opened, %d closed", st.Subscribers, st.Opened, st.Closed)
+	}
+}
+
+// TestCloseStormAgainstAdvanceAndSubscribe is the contract one schedule lock
+// makes more important: Close, Subscribe and Advance meet on it from
+// different goroutines, and nothing may be lost or brought back. Eight
+// goroutines close half of 2000 subscriptions of four periods and three
+// serve classes while one goroutine steps the clock and another subscribes
+// replacements, each paced by the step counter so the closes spread over
+// every stage of many steps. Afterwards the schedule holds exactly the live
+// subscriptions, the ledger partitions, every channel carries K = 1, 2, 3, …
+// with no gap, and a stream ends where its Close cut it.
+func TestCloseStormAgainstAdvanceAndSubscribe(t *testing.T) {
+	const (
+		initial = 2000
+		closers = 8
+		spread  = 24 // steps the closes and the replacements are paced over
+		tick    = 250 * time.Millisecond
+		settle  = 2500 * time.Millisecond // the longest period
+	)
+	periods := []time.Duration{time.Second, 1500 * time.Millisecond, 2 * time.Second, settle}
+	specOf := func(i int) QuerySpec {
+		spec := QuerySpec{Radius: 150, Period: periods[i%len(periods)], Freshness: time.Second, Aggregate: Count}
+		switch {
+		case i%3 == 0:
+			spec.Radius = 50 // below the pyramid threshold: cold scans
+		case i%10 == 9:
+			spec.Strategy = JITStrategy()
+		}
+		return spec
+	}
+	nc := testNetwork()
+	nc.Service = ServiceConfig{Shards: 4, Workers: 4}
+	svc, err := Open(context.Background(), nc, WithResultBuffer(64))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer svc.Close()
+	subscribe := func(i int) *Subscription {
+		sub, err := svc.Subscribe(context.Background(), specOf(i), LinearMotion(Pt(100+float64(i%200), 200), 1, 0.5))
+		if err != nil {
+			t.Errorf("Subscribe %d: %v", i, err)
+		}
+		return sub
+	}
+	subs := make([]*Subscription, initial)
+	for i := range subs {
+		if subs[i] = subscribe(i); subs[i] == nil {
+			t.FailNow()
+		}
+	}
+	if err := svc.Advance(settle); err != nil {
+		t.Fatalf("Advance: %v", err)
+	}
+
+	// paced runs fn(0..n-1), holding call j back until the clock has taken
+	// j·spread/n steps of the storm.
+	var steps atomic.Int64
+	paced := func(n int, fn func(j int)) {
+		for j := 0; j < n; j++ {
+			for steps.Load() < int64(j*spread/n) {
+				runtime.Gosched()
+			}
+			fn(j)
+		}
+	}
+	var storm sync.WaitGroup
+	for c := 0; c < closers; c++ {
+		storm.Add(1)
+		go func() {
+			defer storm.Done()
+			// Closer c owns the even subscriptions c, c+closers, … of the half.
+			paced(initial/2/closers, func(j int) { subs[2*(c+closers*j)].Close() })
+		}()
+	}
+	replacements := make([]*Subscription, initial/2)
+	storm.Add(1)
+	go func() {
+		defer storm.Done()
+		paced(len(replacements), func(j int) { replacements[j] = subscribe(initial + j) })
+	}()
+	stormOver := make(chan struct{})
+	go func() { storm.Wait(); close(stormOver) }()
+	for over := false; !over; steps.Add(1) {
+		if err := svc.Advance(tick); err != nil {
+			t.Fatalf("Advance: %v", err)
+		}
+		select {
+		case <-stormOver:
+			over = true
+		default:
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	// Quiescent from here: one more step long enough that every live
+	// subscription falls due again, so a re-arm the storm lost would show.
+	if err := svc.Advance(settle); err != nil {
+		t.Fatalf("Advance: %v", err)
+	}
+
+	st := svc.Stats()
+	if want := initial; st.SchedLen != want || svc.Subscribers() != want || int(st.Opened-st.Closed) != want {
+		t.Errorf("scheduled %d, subscribers %d, opened-closed %d; want %d each (a lost re-arm or a resurrected entry)",
+			st.SchedLen, svc.Subscribers(), st.Opened-st.Closed, want)
+	}
+	var byClass uint64
+	for _, c := range svc.obs.classCount {
+		byClass += c.Load()
+	}
+	if st.Delivered+st.Dropped != byClass {
+		t.Errorf("delivered %d + dropped %d, per-class evaluated %d", st.Delivered, st.Dropped, byClass)
+	}
+	now := svc.Now()
+	for i, sub := range append(subs, replacements...) {
+		got, closed := buffered(sub)
+		for j, r := range got {
+			if r.K != j+1 {
+				t.Fatalf("sub %d: result %d on the channel is period %d", i, j, r.K)
+			}
+		}
+		if wantClosed := i < initial && i%2 == 0; closed != wantClosed {
+			t.Errorf("sub %d: channel closed = %v, want %v", i, closed, wantClosed)
+		}
+		// A live stream has every period up to now (the first generation
+		// started at 0, so how many is known), and the ledger says the same;
+		// a closed one stops where Close cut it, never past it.
+		led := sub.Stats()
+		if led.Dropped != 0 || led.Delivered != len(got) {
+			t.Errorf("sub %d: ledger %+v beside %d results on the channel", i, led, len(got))
+		}
+		switch all := int(now / sub.Spec().Period); {
+		case closed && len(got) >= all:
+			t.Errorf("sub %d: closed mid-storm yet holds all %d periods of the run", i, len(got))
+		case !closed && i < initial && len(got) != all:
+			t.Errorf("sub %d: %d results for %d periods elapsed", i, len(got), all)
+		case !closed && len(got) == 0:
+			t.Errorf("sub %d: live through a %v step and nothing delivered", i, settle)
+		}
 	}
 }

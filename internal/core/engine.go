@@ -61,9 +61,9 @@ const queryStripes = 64
 // distinct queries never contend.
 type Query struct {
 	id uint32
-	// heapPos is the query's slot in its schedule stripe's heap plus one: 0
-	// while popped or not yet armed, heapRemoved once deregistered. Guarded
-	// by the schedule stripe lock, not mu.
+	// heapPos is the query's slot in the schedule's heap plus one: 0 while
+	// popped or not yet armed, heapRemoved once deregistered. Guarded by the
+	// schedule lock, not mu.
 	heapPos int32
 	// offColumn mirrors sampler != nil || aggIndex != nil — the query's
 	// readings are its plan's or its pyramid's — for PopDue to read without mu.
@@ -204,14 +204,10 @@ func NewQueryEngineE(region geom.Rect, cellSize float64, fld field.Field, cfg En
 	}
 	cfg = cfg.normalized()
 	e := &QueryEngine{
-		cfg:  cfg,
-		grid: geom.NewShardedGrid(region, cellSize, cfg.Shards),
-		fld:  fld,
-		// One schedule stripe per worker (rounded to a power of two): the
-		// contention on the schedule comes from the workers' re-arms, and
-		// any stripe count pops identically, so sizing is purely a
-		// concurrency knob — Shards/Workers invariance holds by the merge.
-		sched: NewScheduleStriped(cfg.Workers),
+		cfg:   cfg,
+		grid:  geom.NewShardedGrid(region, cellSize, cfg.Shards),
+		fld:   fld,
+		sched: NewSchedule(),
 	}
 	e.maxNode.Store(-1)
 	for i := range e.stripes {
@@ -443,17 +439,9 @@ func (e *QueryEngine) discard(c *readingColumn) {
 	}
 }
 
-// ScheduleStats snapshots the due-period scheduler: stripe count, total and
-// per-stripe entry counts, and the fan-in of the last non-empty PopDue.
-func (e *QueryEngine) ScheduleStats() ScheduleStats { return e.sched.Stats() }
-
-// ScheduleStatsInto is ScheduleStats writing into a caller-owned snapshot,
-// reusing its StripeLens capacity (see Schedule.StatsInto).
-func (e *QueryEngine) ScheduleStatsInto(out *ScheduleStats) { e.sched.StatsInto(out) }
-
-// LastMergeDepth returns the stripe fan-in of the most recent non-empty
-// PopDue as one atomic load (see Schedule.LastMergeDepth).
-func (e *QueryEngine) LastMergeDepth() int { return e.sched.LastMergeDepth() }
+// ScheduleLen returns the number of queries armed in the due-period
+// schedule: every live temporal query outside a pop-to-re-arm window.
+func (e *QueryEngine) ScheduleLen() int { return e.sched.Len() }
 
 // rearmEntry is one deferred schedule re-arm: query q's next boundary is
 // due.
@@ -462,54 +450,48 @@ type rearmEntry struct {
 	due sim.Time
 }
 
-// RearmBatch collects deferred schedule re-arms, bucketed by schedule
-// stripe. EvaluateDue appends to it instead of taking the schedule lock per
-// query; FlushRearms then takes each touched stripe's lock exactly once. One
-// batch belongs to one worker at a time (it is not synchronized); create
-// per-worker batches with NewRearmBatch and reuse them across Advance steps
-// — a flushed batch is empty and allocation-free to refill.
+// RearmBatch collects deferred schedule re-arms. EvaluateDue appends to it
+// instead of taking the schedule lock per query; FlushRearms then takes the
+// lock once. One batch belongs to one worker at a time (it is not
+// synchronized); create per-worker batches with NewRearmBatch and reuse
+// them across Advance steps — a flushed batch is empty and allocation-free
+// to refill.
 type RearmBatch struct {
-	byStripe [][]rearmEntry
+	entries []rearmEntry
 }
 
-// NewRearmBatch returns an empty re-arm batch sized for e's scheduler.
-func (e *QueryEngine) NewRearmBatch() *RearmBatch {
-	return &RearmBatch{byStripe: make([][]rearmEntry, e.sched.StripeCount())}
-}
+// NewRearmBatch returns an empty re-arm batch.
+func (e *QueryEngine) NewRearmBatch() *RearmBatch { return &RearmBatch{} }
 
 // add records q's next boundary. Consecutive re-arms of the same query
 // coalesce: when a driver drains several due periods of one query in a row,
 // only the final boundary needs to reach the schedule.
-func (rb *RearmBatch) add(q *Query, due sim.Time, stripe int) {
-	b := rb.byStripe[stripe]
-	if n := len(b); n > 0 && b[n-1].q == q {
-		b[n-1].due = due
+func (rb *RearmBatch) add(q *Query, due sim.Time) {
+	if n := len(rb.entries); n > 0 && rb.entries[n-1].q == q {
+		rb.entries[n-1].due = due
 		return
 	}
-	rb.byStripe[stripe] = append(b, rearmEntry{q: q, due: due})
+	rb.entries = append(rb.entries, rearmEntry{q: q, due: due})
 }
 
-// FlushRearms applies every deferred re-arm in rb to the schedule, one
-// stripe lock hold per touched stripe, and resets rb for reuse. Queries
-// deregistered since their evaluation are skipped by the upsert itself
-// (see Schedule.Remove).
+// FlushRearms applies every deferred re-arm in rb to the schedule under one
+// lock hold and resets rb for reuse. Queries deregistered since their
+// evaluation are skipped by the upsert itself (see Schedule.Remove).
 func (e *QueryEngine) FlushRearms(rb *RearmBatch) {
-	for i, bucket := range rb.byStripe {
-		if len(bucket) == 0 {
-			continue
-		}
-		st := &e.sched.stripes[i]
-		st.mu.Lock()
-		for _, en := range bucket {
-			st.upsert(en.q, en.due)
-		}
-		st.publishHead()
-		st.mu.Unlock()
-		// Zero the handles so a burst-sized batch doesn't pin closed queries
-		// for the batch's (service-long) lifetime.
-		clear(bucket)
-		rb.byStripe[i] = bucket[:0]
+	if len(rb.entries) == 0 {
+		return
 	}
+	s := e.sched
+	s.mu.Lock()
+	for _, en := range rb.entries {
+		s.upsert(en.q, en.due)
+	}
+	s.publishHead()
+	s.mu.Unlock()
+	// Zero the handles so a burst-sized batch doesn't pin closed queries for
+	// the batch's (service-long) lifetime.
+	clear(rb.entries)
+	rb.entries = rb.entries[:0]
 }
 
 // UpdateWaypoint moves a user's query center (the user walked). It reports

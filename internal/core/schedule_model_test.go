@@ -27,7 +27,7 @@ type modelQuery struct {
 
 // scheduleModel is the reference the intrusive schedule is checked against:
 // a flat list of every handle ever registered, scanned and sorted on every
-// pop. No heap, no stripes, no stored indices.
+// pop. No heap, no stored indices.
 type scheduleModel struct {
 	all     []*modelQuery
 	handles map[uint32]*modelQuery // the live handle of each id
@@ -61,24 +61,27 @@ func (mq *modelQuery) arm(due sim.Time) {
 
 // checkIntrusive verifies the engine's schedule against the model: the
 // armed sets agree, every entry's query points back at its own slot, every
-// unarmed handle says so, and each stripe is a valid heap.
+// unarmed handle says so, and the heap is a valid heap.
 func checkIntrusive(t *testing.T, step int, e *QueryEngine, m *scheduleModel) {
 	t.Helper()
-	armed := 0
-	for si := range e.sched.stripes {
-		st := &e.sched.stripes[si]
-		for i, en := range st.heap {
-			if en.Query.heapPos != int32(i+1) {
-				t.Fatalf("step %d: stripe %d slot %d holds query %d whose stored slot is %d", step, si, i, en.ID, en.Query.heapPos-1)
-			}
-			if en.ID != en.Query.id || e.sched.stripeIndex(en.ID) != si {
-				t.Fatalf("step %d: stripe %d slot %d: entry id %d, query id %d", step, si, i, en.ID, en.Query.id)
-			}
-			if i > 0 && dueLess(en, st.heap[(i-1)/arity]) {
-				t.Fatalf("step %d: stripe %d slot %d sorts before its parent", step, si, i)
-			}
+	heap := e.sched.heap
+	for i, en := range heap {
+		if en.Query.heapPos != int32(i+1) {
+			t.Fatalf("step %d: slot %d holds query %d whose stored slot is %d", step, i, en.ID, en.Query.heapPos-1)
 		}
-		armed += len(st.heap)
+		if en.ID != en.Query.id {
+			t.Fatalf("step %d: slot %d: entry id %d, query id %d", step, i, en.ID, en.Query.id)
+		}
+		if i > 0 && dueLess(en, heap[(i-1)/arity]) {
+			t.Fatalf("step %d: slot %d sorts before its parent", step, i)
+		}
+	}
+	wantHead := int64(headEmpty)
+	if len(heap) > 0 {
+		wantHead = int64(heap[0].Due)
+	}
+	if head := e.sched.head.Load(); head != wantHead {
+		t.Fatalf("step %d: published head %d, the heap's minimum is %d", step, head, wantHead)
 	}
 	want := 0
 	for _, mq := range m.all {
@@ -88,8 +91,7 @@ func checkIntrusive(t *testing.T, step int, e *QueryEngine, m *scheduleModel) {
 			if p := mq.q.heapPos; p <= 0 {
 				t.Fatalf("step %d: query %d should be armed at %v, stored slot %d", step, mq.id, mq.armedAt, p-1)
 			}
-			st := &e.sched.stripes[e.sched.stripeIndex(mq.id)]
-			if en := st.heap[mq.q.heapPos-1]; en.Query != mq.q || en.Due != mq.armedAt {
+			if en := heap[mq.q.heapPos-1]; en.Query != mq.q || en.Due != mq.armedAt {
 				t.Fatalf("step %d: query %d's slot holds (%d, %v), want its own entry at %v", step, mq.id, en.ID, en.Due, mq.armedAt)
 			}
 		case mq.live:
@@ -102,8 +104,8 @@ func checkIntrusive(t *testing.T, step int, e *QueryEngine, m *scheduleModel) {
 			}
 		}
 	}
-	if armed != want {
-		t.Fatalf("step %d: schedule holds %d entries, model %d", step, armed, want)
+	if len(heap) != want {
+		t.Fatalf("step %d: schedule holds %d entries, model %d", step, len(heap), want)
 	}
 }
 
@@ -111,26 +113,21 @@ func checkIntrusive(t *testing.T, step int, e *QueryEngine, m *scheduleModel) {
 // register, deregister, re-register of a freed id, PopDue, immediate and
 // batched evaluation and FlushRearms — with deregisters and same-id
 // re-registers landing between an evaluation and its flush — through the
-// engine and through the naive model above, at stripe counts 1, 4 and 64.
+// engine and through the naive model above.
 // Pop sequences must be identical, in (due, id) order and handle for
 // handle; every armed query's stored slot must hold its own entry; and a
 // deregistered handle never pops or re-arms, whatever still carries it.
 func TestIntrusiveScheduleAgainstModel(t *testing.T) {
-	for _, stripes := range []int{1, 4, 64} {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("stripes=%d/seed=%d", stripes, seed), func(t *testing.T) {
-				runScheduleModel(t, stripes, seed)
-			})
-		}
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			runScheduleModel(t, seed)
+		})
 	}
 }
 
-func runScheduleModel(t *testing.T, stripes int, seed int64) {
+func runScheduleModel(t *testing.T, seed int64) {
 	const idSpace = 96
-	e := scheduleTestEngine(t, stripes)
-	if got := e.sched.StripeCount(); got != stripes {
-		t.Fatalf("engine schedule has %d stripes, want %d", got, stripes)
-	}
+	e := scheduleTestEngine(t)
 	rng := rand.New(rand.NewSource(seed))
 	m := &scheduleModel{handles: make(map[uint32]*modelQuery)}
 	rb := e.NewRearmBatch()
@@ -273,7 +270,7 @@ func runScheduleModel(t *testing.T, stripes int, seed int64) {
 	}
 	flush()
 	checkIntrusive(t, -1, e, m)
-	if len(m.handles) == 0 || e.sched.Stats().Len == 0 {
+	if len(m.handles) == 0 || e.sched.Len() == 0 {
 		t.Fatal("model test degenerated: nothing left scheduled")
 	}
 }

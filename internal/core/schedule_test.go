@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,9 +14,9 @@ import (
 // scheduleTestEngine builds an engine over an empty node field: window
 // evaluation then visits no sensors, so scheduler tests exercise the
 // temporal bookkeeping without spatial cost.
-func scheduleTestEngine(t testing.TB, workers int) *QueryEngine {
+func scheduleTestEngine(t testing.TB) *QueryEngine {
 	t.Helper()
-	e, err := NewQueryEngineE(geom.Square(100), 10, field.Uniform{Value: 1}, EngineConfig{Workers: workers})
+	e, err := NewQueryEngineE(geom.Square(100), 10, field.Uniform{Value: 1}, EngineConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +25,9 @@ func scheduleTestEngine(t testing.TB, workers int) *QueryEngine {
 
 // idSchedule drives a bare Schedule by query id, the way these tests state
 // their interleavings: it owns one handle per id and mints a fresh one
-// after a Remove, because a removed handle is spent. The lock only guards
-// the id table; the schedule calls run outside it.
+// after a Remove, because a removed handle is spent. Single-goroutine use.
 type idSchedule struct {
 	*Schedule
-	mu sync.Mutex
 	qs map[uint32]*Query
 }
 
@@ -40,35 +36,30 @@ func newIDSchedule(s *Schedule) *idSchedule {
 }
 
 func (s *idSchedule) Upsert(id uint32, due sim.Time) {
-	s.mu.Lock()
 	q := s.qs[id]
 	if q == nil {
 		q = &Query{id: id}
 		s.qs[id] = q
 	}
-	s.mu.Unlock()
 	s.Schedule.Upsert(q, due)
 }
 
 func (s *idSchedule) Remove(id uint32) {
-	s.mu.Lock()
-	q := s.qs[id]
-	delete(s.qs, id)
-	s.mu.Unlock()
-	if q != nil {
+	if q := s.qs[id]; q != nil {
+		delete(s.qs, id)
 		s.Schedule.Remove(q)
 	}
 }
 
-// sameDue compares two entries by what the pop contract orders: each
-// schedule under comparison holds its own handles.
+// sameDue compares two entries by what the pop contract orders, (id, due):
+// an expected entry written as a literal carries no handle.
 func sameDue(a, b DueEntry) bool { return a.ID == b.ID && a.Due == b.Due }
 
 // TestSchedulePopOrder pins the pop contract: entries come out in
 // ascending (due, id) order, ties broken by id, regardless of insertion
 // order.
 func TestSchedulePopOrder(t *testing.T) {
-	s := newIDSchedule(NewScheduleStriped(1))
+	s := newIDSchedule(NewSchedule())
 	s.Upsert(3, 10*time.Second)
 	s.Upsert(1, 20*time.Second)
 	s.Upsert(2, 10*time.Second)
@@ -83,7 +74,7 @@ func TestSchedulePopOrder(t *testing.T) {
 			t.Fatalf("popped %v, want %v", got, want)
 		}
 	}
-	if n := s.Stats().Len; n != 1 {
+	if n := s.Len(); n != 1 {
 		t.Fatalf("schedule holds %d entries after pop, want 1", n)
 	}
 	// Upsert moves an existing entry.
@@ -109,7 +100,7 @@ func TestSchedulePopOrder(t *testing.T) {
 // shadow map of every query's next due period.
 func TestSchedulePropertyAgainstBruteForce(t *testing.T) {
 	const nIDs = 10_000
-	e := scheduleTestEngine(t, 1)
+	e := scheduleTestEngine(t)
 	rng := rand.New(rand.NewSource(7))
 
 	// shadow mirrors what the schedule must hold: next due per live query.
@@ -201,14 +192,16 @@ func TestSchedulePropertyAgainstBruteForce(t *testing.T) {
 }
 
 // TestScheduleConcurrentChurn hammers the schedule from many goroutines —
-// registration, evaluation, deregistration, and pops on overlapping id
-// ranges — and checks it converges to exactly one entry per live temporal
-// query. Run under -race this doubles as the scheduler's race test.
+// registration, evaluation with immediate and with batched re-arms,
+// deregistration, pops and length reads on overlapping id ranges — and
+// checks it converges to exactly one entry per live temporal query, which a
+// draining pop hands out sorted and once each. Run under -race this doubles
+// as the scheduler's race test.
 func TestScheduleConcurrentChurn(t *testing.T) {
-	e := scheduleTestEngine(t, 4)
+	e := scheduleTestEngine(t)
 	const (
 		goroutines = 8
-		perG       = 300
+		perG       = 600
 		idSpace    = 64 // overlapping ranges force contention
 	)
 	var wg sync.WaitGroup
@@ -218,21 +211,37 @@ func TestScheduleConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			spec := TemporalSpec{Period: time.Second}
+			rb := e.NewRearmBatch()
+			var buf []DueEntry
 			for i := 0; i < perG; i++ {
 				id := uint32(1 + rng.Intn(idSpace))
 				now := sim.Time(rng.Int63n(int64(time.Minute)))
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					_ = e.RegisterTemporalE(id, 5, geom.Pt(50, 50), spec, now)
 				case 1:
 					e.Deregister(id)
 				case 2:
-					e.EvaluateDue(id, now)
+					e.EvaluateDue(id|1, now)
 				case 3:
-					for _, de := range e.PopDue(now, nil) {
-						// Re-arm popped queries as a clock driver would.
-						e.EvaluateDue(de.ID, de.Due)
+					// Drive popped queries forward as a clock driver would: odd
+					// ids by id with an immediate re-arm, even ids through the
+					// handle with the re-arm batched, as an Advance worker does
+					// (a query deregistered since the pop is declined by the
+					// flush). One query is never driven both ways — an immediate
+					// re-arm and a pending batched one would race to set its
+					// boundary — which is why case 2 keeps to odd ids.
+					buf = e.PopDue(now, buf[:0])
+					for _, de := range buf {
+						if de.ID%2 == 1 {
+							e.EvaluateDue(de.ID, de.Due)
+						} else {
+							de.Query.EvaluateDue(de.Due, rb)
+						}
 					}
+					e.FlushRearms(rb)
+				case 4:
+					e.ScheduleLen()
 				}
 			}
 		}(g)
@@ -247,7 +256,7 @@ func TestScheduleConcurrentChurn(t *testing.T) {
 			live++
 		}
 	}
-	if n := e.sched.Stats().Len; n != live {
+	if n := e.ScheduleLen(); n != live {
 		t.Fatalf("schedule holds %d entries, %d queries live", n, live)
 	}
 	far := sim.Time(1000 * time.Hour)
@@ -255,164 +264,17 @@ func TestScheduleConcurrentChurn(t *testing.T) {
 	if len(popped) != live {
 		t.Fatalf("draining pop returned %d entries, %d queries live", len(popped), live)
 	}
-	for _, de := range popped {
+	for i, de := range popped {
+		// dueLess is strict and total, so sorted also means no id twice.
+		if i > 0 && !dueLess(popped[i-1], de) {
+			t.Fatalf("drain order violated at %d: %v then %v", i, popped[i-1], de)
+		}
 		_, due, ok := e.NextDue(de.ID)
 		if !ok || due != de.Due {
 			t.Fatalf("entry %v disagrees with NextDue (%v, %v)", de, due, ok)
 		}
 	}
-}
-
-// TestScheduleStripedMatchesSingle is the striping property test: over 10k
-// randomized upsert/remove/pop interleavings, every striped layout must
-// produce element-wise identical PopDue output (and identical Len) to the
-// single-stripe baseline. This is the determinism argument the service's
-// digest pins rest on — stripe count is a pure concurrency knob.
-func TestScheduleStripedMatchesSingle(t *testing.T) {
-	if got := NewScheduleStriped(3).StripeCount(); got != 4 {
-		t.Fatalf("StripeCount(3 requested) = %d, want rounded up to 4", got)
-	}
-	if got := NewScheduleStriped(1000).StripeCount(); got != maxScheduleStripes {
-		t.Fatalf("StripeCount(1000 requested) = %d, want clamp %d", got, maxScheduleStripes)
-	}
-	rng := rand.New(rand.NewSource(11))
-	single := newIDSchedule(NewScheduleStriped(1))
-	striped := []*idSchedule{newIDSchedule(NewScheduleStriped(4)), newIDSchedule(NewScheduleStriped(16)), newIDSchedule(NewScheduleStriped(64))}
-	all := append([]*idSchedule{single}, striped...)
-
-	const idSpace = 512
-	now := sim.Time(0)
-	var want, got []DueEntry
-	for op := 0; op < 10_000; op++ {
-		switch rng.Intn(5) {
-		case 0, 1:
-			id := uint32(1 + rng.Intn(idSpace))
-			due := now + sim.Time(rng.Int63n(int64(10*time.Second)))
-			for _, s := range all {
-				s.Upsert(id, due)
-			}
-		case 2:
-			id := uint32(1 + rng.Intn(idSpace))
-			for _, s := range all {
-				s.Remove(id)
-			}
-		default:
-			now += sim.Time(rng.Int63n(int64(3 * time.Second)))
-			want = single.PopDue(now, want[:0])
-			for _, s := range striped {
-				got = s.PopDue(now, got[:0])
-				if len(got) != len(want) {
-					t.Fatalf("op %d: %d stripes popped %d entries, single-heap popped %d",
-						op, s.StripeCount(), len(got), len(want))
-				}
-				for i := range want {
-					if !sameDue(got[i], want[i]) {
-						t.Fatalf("op %d: %d stripes popped %v at %d, single-heap %v",
-							op, s.StripeCount(), got[i], i, want[i])
-					}
-				}
-				if len(want) > 0 {
-					st := s.Stats()
-					if st.LastMergeDepth < 1 || st.LastMergeDepth > s.StripeCount() {
-						t.Fatalf("op %d: merge depth %d outside [1, %d]", op, st.LastMergeDepth, s.StripeCount())
-					}
-				}
-			}
-		}
-		if op%1000 == 0 {
-			for _, s := range striped {
-				if s.Stats().Len != single.Stats().Len {
-					t.Fatalf("op %d: %d stripes hold %d entries, single-heap %d",
-						op, s.StripeCount(), s.Stats().Len, single.Stats().Len)
-				}
-			}
-		}
-	}
-	// Final drain: whatever is left must come out identically too.
-	far := sim.Time(1000 * time.Hour)
-	want = single.PopDue(far, want[:0])
-	for _, s := range striped {
-		got = s.PopDue(far, got[:0])
-		if len(got) != len(want) {
-			t.Fatalf("final drain: %d stripes popped %d, single-heap %d", s.StripeCount(), len(got), len(want))
-		}
-		for i := range want {
-			if !sameDue(got[i], want[i]) {
-				t.Fatalf("final drain: entry %d = %v, single-heap %v", i, got[i], want[i])
-			}
-		}
-	}
-	if len(want) == 0 {
-		t.Fatal("property test degenerated: nothing left to drain")
-	}
-}
-
-// TestScheduleStripedConcurrentChurn hammers a striped schedule directly
-// from many goroutines — upserts, removes, pops, and stats on
-// overlapping id ranges spanning every stripe — then checks the quiesced
-// invariants: a draining pop is sorted, duplicate-free, agrees with Stats,
-// and empties the schedule. Under -race this is the scheduler's
-// cross-stripe race test (the engine-level TestScheduleConcurrentChurn
-// covers the registry integration).
-func TestScheduleStripedConcurrentChurn(t *testing.T) {
-	s := newIDSchedule(NewScheduleStriped(8))
-	const (
-		goroutines = 8
-		perG       = 2000
-		idSpace    = 256 // spans every stripe; overlap forces contention
-	)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + g)))
-			var buf []DueEntry
-			for i := 0; i < perG; i++ {
-				id := uint32(1 + rng.Intn(idSpace))
-				now := sim.Time(rng.Int63n(int64(time.Minute)))
-				switch rng.Intn(6) {
-				case 0, 1, 2:
-					s.Upsert(id, now+sim.Time(rng.Int63n(int64(time.Second))))
-				case 3:
-					s.Remove(id)
-				case 4:
-					buf = s.PopDue(now, buf[:0])
-					for _, de := range buf {
-						// Re-arm popped entries as a clock driver would.
-						s.Upsert(de.ID, de.Due+sim.Time(time.Second))
-					}
-				case 5:
-					s.Stats()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	st := s.Stats()
-	sum := 0
-	for _, n := range st.StripeLens {
-		sum += n
-	}
-	if sum != st.Len {
-		t.Fatalf("stripe lens sum to %d, Len is %d", sum, st.Len)
-	}
-	popped := s.PopDue(sim.Time(1000*time.Hour), nil)
-	if len(popped) != st.Len {
-		t.Fatalf("draining pop returned %d entries, schedule held %d", len(popped), st.Len)
-	}
-	seen := make(map[uint32]bool, len(popped))
-	for i, de := range popped {
-		if i > 0 && !dueLess(popped[i-1], de) {
-			t.Fatalf("drain order violated at %d: %v then %v", i, popped[i-1], de)
-		}
-		if seen[de.ID] {
-			t.Fatalf("id %d popped twice", de.ID)
-		}
-		seen[de.ID] = true
-	}
-	if n := s.Stats().Len; n != 0 {
+	if n := e.ScheduleLen(); n != 0 {
 		t.Fatalf("schedule holds %d entries after full drain", n)
 	}
 }
@@ -420,7 +282,7 @@ func TestScheduleStripedConcurrentChurn(t *testing.T) {
 // BenchmarkSchedulePopIdle measures the idle-tick cost with 100k queries
 // scheduled and nothing due: the peek that makes Advance O(1).
 func BenchmarkSchedulePopIdle(b *testing.B) {
-	s := newIDSchedule(NewScheduleStriped(1))
+	s := newIDSchedule(NewSchedule())
 	for id := uint32(1); id <= 100_000; id++ {
 		s.Upsert(id, time.Hour+sim.Time(id))
 	}
@@ -456,60 +318,12 @@ func BenchmarkScheduleScanBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleContended measures the striping payoff under parallel
-// load: GOMAXPROCS goroutines hammer Upsert (the re-arm pattern of parallel
-// EvaluateDue workers) with a PopDue-and-re-arm cycle mixed in, over 100k
-// and 1M resident entries at stripe counts 1, 4, and 16. On one core the
-// stripe counts tie (the mutex is never contended); the spread between
-// stripes=1 and stripes=16 on a multicore box is the serialization the
-// striped scheduler removes.
-func BenchmarkScheduleContended(b *testing.B) {
-	for _, entries := range []int{100_000, 1_000_000} {
-		for _, stripes := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("entries=%d/stripes=%d", entries, stripes), func(b *testing.B) {
-				s := NewScheduleStriped(stripes)
-				if s.StripeCount() != stripes {
-					b.Fatalf("stripe count %d, want %d", s.StripeCount(), stripes)
-				}
-				// Entry id hashing spreads ids across stripes; dues start
-				// one hour out so the population stays resident.
-				base := sim.Time(time.Hour)
-				qs := make([]Query, entries+1)
-				for id := 1; id <= entries; id++ {
-					qs[id].id = uint32(id)
-					s.Upsert(&qs[id], base+sim.Time(id))
-				}
-				var ctr atomic.Int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					var buf []DueEntry
-					for pb.Next() {
-						i := ctr.Add(1)
-						// Re-arm a pseudo-random resident entry further out.
-						id := uint32(1 + (uint64(i)*2654435761)%uint64(entries))
-						s.Upsert(&qs[id], base+sim.Time(i)+sim.Time(entries))
-						if i%1024 == 0 {
-							// A popper sweeps anything the re-arms left due
-							// and re-arms it, like an Advance batch would.
-							buf = s.PopDue(base+sim.Time(i), buf[:0])
-							for _, de := range buf {
-								s.Upsert(de.Query, de.Due+sim.Time(entries))
-							}
-						}
-					}
-				})
-			})
-		}
-	}
-}
-
 // BenchmarkScheduleCycle measures the steady-state per-query cost of the
 // heap itself: pop one due entry and re-arm it one period later, 100k
 // queries resident. This is the O(log n) bound the 4-ary layout was
 // picked to minimize; swap arity to compare layouts.
 func BenchmarkScheduleCycle(b *testing.B) {
-	s := NewScheduleStriped(1)
+	s := NewSchedule()
 	const n = 100_000
 	period := sim.Time(n) // ids 1..n due at 1..n: one due per tick
 	qs := make([]Query, n+1)
@@ -526,40 +340,5 @@ func BenchmarkScheduleCycle(b *testing.B) {
 		for _, de := range buf {
 			s.Upsert(de.Query, de.Due+period)
 		}
-	}
-}
-
-// TestScheduleStatsInto pins the allocation-reusing snapshot: it matches
-// Stats exactly, reuses the caller's StripeLens capacity, and a warm call
-// allocates nothing.
-func TestScheduleStatsInto(t *testing.T) {
-	s := newIDSchedule(NewScheduleStriped(8))
-	for id := uint32(1); id <= 100; id++ {
-		s.Upsert(id, sim.Time(id)*time.Millisecond)
-	}
-	s.PopDue(20*time.Millisecond, nil)
-
-	var into ScheduleStats
-	s.StatsInto(&into)
-	direct := s.Stats()
-	if into.Stripes != direct.Stripes || into.Len != direct.Len ||
-		into.LastMergeDepth != direct.LastMergeDepth ||
-		len(into.StripeLens) != len(direct.StripeLens) {
-		t.Fatalf("StatsInto = %+v, Stats = %+v", into, direct)
-	}
-	for i := range into.StripeLens {
-		if into.StripeLens[i] != direct.StripeLens[i] {
-			t.Fatalf("stripe %d: StatsInto %d != Stats %d", i, into.StripeLens[i], direct.StripeLens[i])
-		}
-	}
-	if into.LastMergeDepth != s.LastMergeDepth() {
-		t.Fatalf("LastMergeDepth accessor %d != snapshot %d", s.LastMergeDepth(), into.LastMergeDepth)
-	}
-	before := &into.StripeLens[0]
-	if allocs := testing.AllocsPerRun(100, func() { s.StatsInto(&into) }); allocs != 0 {
-		t.Fatalf("warm StatsInto allocates %v per run", allocs)
-	}
-	if &into.StripeLens[0] != before {
-		t.Fatalf("warm StatsInto replaced the StripeLens backing array")
 	}
 }

@@ -392,8 +392,8 @@ func (e *QueryEngine) EvaluateDueBatch(queryID uint32, now sim.Time, rb *RearmBa
 // and advance its period counter exactly once each.
 //
 // The schedule is re-armed at the following boundary: at once when rb is
-// nil, otherwise deferred into rb, which the driver flushes once per stripe
-// (FlushRearms) before the next PopDue that should see these boundaries.
+// nil, otherwise deferred into rb, which the driver flushes (FlushRearms)
+// before the next PopDue that should see these boundaries.
 // Until then the query is absent from the schedule, but NextDue — computed
 // from the period counter — already reports the following boundary, so
 // drain loops are unaffected.
@@ -459,7 +459,7 @@ func (q *Query) evaluateDue(now sim.Time, rb *RearmBatch) (WindowResult, bool) {
 	// re-registration of the id is another handle with its own entry.
 	next := due + q.spec.Period
 	if rb != nil {
-		rb.add(q, next, e.sched.stripeIndex(q.id))
+		rb.add(q, next)
 	} else {
 		e.sched.Upsert(q, next)
 	}

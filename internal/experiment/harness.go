@@ -81,37 +81,51 @@ func (c Base) inner() geom.Rect {
 	return geom.NewRect(0.15*c.RegionSide, 0.15*c.RegionSide, 0.85*c.RegionSide, 0.85*c.RegionSide)
 }
 
-// duePump is the harness's clock driver. Per tick it pops every query with a
-// period boundary at or before t — in the scheduler's deterministic
-// (due, id) order — and drains each popped query's due periods on a dispatch
-// worker. A tick on which nothing is due (most of them, at Tick << Period)
-// is the scheduler's O(stripes) idle peek. The pump owns the pop scratch so
-// steady-state ticks do not allocate; one pump drives one engine from one
-// goroutine.
+// duePump is the harness's clock driver, on the protocol Service.Advance
+// runs. Per tick it pops every query with a period boundary at or before t —
+// in the scheduler's deterministic (due, id) order — drains each popped
+// query's due periods on a dispatch worker, the worker's schedule re-arms
+// collecting in its own batch, and flushes the batches once the fan-out is
+// done. A tick on which nothing is due (most of them, at Tick << Period) is
+// the scheduler's one-load idle check. The pump owns the pop scratch and the
+// batches so steady-state ticks do not allocate; one pump drives one engine
+// from one goroutine.
 type duePump struct {
-	eng *core.QueryEngine
-	due []core.DueEntry
+	eng    *core.QueryEngine
+	due    []core.DueEntry
+	rearms []*core.RearmBatch // one per dispatch worker
+}
+
+func newDuePump(eng *core.QueryEngine) *duePump {
+	p := &duePump{eng: eng, rearms: make([]*core.RearmBatch, eng.Workers())}
+	for i := range p.rearms {
+		p.rearms[i] = eng.NewRearmBatch()
+	}
+	return p
 }
 
 // tick advances the pump to virtual time t, calling step once per due
-// boundary of each popped query, in ascending boundary order. step reports
-// whether draining this query may continue; returning false (the evaluation
-// refused) stops its loop. step runs concurrently for distinct users and
-// must only touch u's own state and harness state that is itself safe to
-// share.
-func (p *duePump) tick(t sim.Time, step func(u *user, boundary sim.Time) bool) {
+// boundary of each popped query, in ascending boundary order, with the batch
+// its evaluation must re-arm into. step reports whether draining this query
+// may continue; returning false (the evaluation refused) stops its loop.
+// step runs concurrently for distinct users and must only touch u's own
+// state and harness state that is itself safe to share.
+func (p *duePump) tick(t sim.Time, step func(u *user, boundary sim.Time, rb *core.RearmBatch) bool) {
 	p.due = p.eng.PopDue(t, p.due[:0])
 	due := p.due
-	p.eng.Dispatch(len(due), func(i int) {
+	p.eng.DispatchWorkers(len(due), func(worker, i int) {
 		q := due[i].Query
 		u := q.Owner().(*user)
 		for {
 			_, boundary := q.NextDue()
-			if boundary > t || !step(u, boundary) {
+			if boundary > t || !step(u, boundary, p.rearms[worker]) {
 				return
 			}
 		}
 	})
+	for _, rb := range p.rearms {
+		p.eng.FlushRearms(rb)
+	}
 }
 
 // user is one mobile user of a scenario: ground truth and predictions, drawn
@@ -392,11 +406,11 @@ func (w *workload) runPass(a arm) (Outcome, error) {
 	replansDone := 0
 
 	var now sim.Time
-	step := func(u *user, due sim.Time) bool {
+	step := func(u *user, due sim.Time, rb *core.RearmBatch) bool {
 		u.path.Before(due)
 		pos := u.pos(due)
 		evalStart := time.Now()
-		wr, ok := u.q.EvaluateDueAt(pos, now, nil)
+		wr, ok := u.q.EvaluateDueAt(pos, now, rb)
 		ns := time.Since(evalStart).Nanoseconds()
 		if !ok {
 			return false
@@ -426,7 +440,7 @@ func (w *workload) runPass(a arm) (Outcome, error) {
 		}
 		return true
 	}
-	pump := duePump{eng: eng}
+	pump := newDuePump(eng)
 	for now = w.Tick; now <= w.Duration; now += w.Tick {
 		// Membership changes first: arrivals register with periods counted
 		// from their join tick, departures free their ids immediately.

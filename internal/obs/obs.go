@@ -60,7 +60,7 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Histogram bucket geometry: values below histLinear get one bucket each
-// (exact small counts — merge depths, tiny batches); above that, each
+// (exact small counts — tiny batches); above that, each
 // power-of-two octave splits into histSub log-linear sub-buckets, giving a
 // worst-case relative bucket width of 1/histSub across the whole range. The
 // bucket index is pure arithmetic (bits.Len64 + shift + mask), never a

@@ -279,8 +279,8 @@ func TestValidateExpositionRejects(t *testing.T) {
 
 // The record-path benchmarks hard-fail on any allocation in the timed loop
 // — the same enforcement pattern as BenchmarkAdvance1M/Idle, and the teeth
-// behind the 0-alloc claim (bench-compare's -allocfloor exempts near-zero
-// baselines, so the in-benchmark check is what actually gates).
+// behind the 0-alloc claim (the in-benchmark check is what gates it; the
+// smoke pass only reports).
 
 func benchNoAlloc(b *testing.B, f func(i int)) {
 	b.Helper()

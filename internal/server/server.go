@@ -71,12 +71,6 @@ type Server struct {
 	// entry lives exactly as long as its subscribe handler.
 	mu   sync.Mutex
 	subs map[uint32]*mobiquery.Subscription
-
-	// statsMu guards the reused /v1/stats snapshot: the handler writes
-	// the response while holding it because the wire view aliases the
-	// snapshot's stripe-occupancy slice.
-	statsMu      sync.Mutex
-	statsScratch mobiquery.ServiceStats
 }
 
 // httpMaxLatency bounds the per-route request-latency histograms;
@@ -148,10 +142,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	s.svc.StatsInto(&s.statsScratch)
-	writeJSON(w, http.StatusOK, wire.FromServiceStats(s.statsScratch))
+	writeJSON(w, http.StatusOK, wire.FromServiceStats(s.svc.Stats()))
 }
 
 // handleMetrics renders the service registry as Prometheus text

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -129,12 +130,11 @@ func TestHealthAndStats(t *testing.T) {
 	if st.Nodes != 300 || st.Opened != 0 || st.Draining {
 		t.Errorf("stats %+v", st)
 	}
-	if st.SchedStripes < 1 || st.SchedLen != 0 {
+	if st.SchedLen != 0 {
 		t.Errorf("empty service scheduler stats %+v", st)
 	}
 
-	// One live subscription means one scheduled period, and the striped
-	// scheduler's shape survives the wire round trip.
+	// One live subscription means one scheduled period.
 	_, _, done := h.subscribe(t, context.Background(), wire.SubscribeRequest{
 		Spec:   testSpec(),
 		Motion: wire.Motion{Kind: "static", XM: 225, YM: 225},
@@ -152,15 +152,58 @@ func TestHealthAndStats(t *testing.T) {
 	if st.Subscribers != 1 || st.SchedLen != 1 {
 		t.Errorf("scheduler stats after subscribe %+v", st)
 	}
-	if sum := 0; true {
-		for _, n := range st.SchedStripeLens {
-			sum += n
+}
+
+// stalledWriter is the response side of a client that stopped reading its
+// socket: the first Write announces itself and then blocks until released.
+type stalledWriter struct {
+	header  http.Header
+	once    sync.Once
+	writing chan struct{}
+	release chan struct{}
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.writing) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestStatsIsNotHeldByAStalledReader pins that /v1/stats requests share
+// nothing while they write: one whose client never drains its response must
+// not keep the next from being answered.
+func TestStatsIsNotHeldByAStalledReader(t *testing.T) {
+	h := newHarness(t, mobiquery.ServiceConfig{})
+	stalled := &stalledWriter{header: http.Header{}, writing: make(chan struct{}), release: make(chan struct{})}
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		h.srv.ServeHTTP(stalled, httptest.NewRequest("GET", "/v1/stats", nil))
+	}()
+	<-stalled.writing
+
+	second := make(chan error, 1)
+	go func() {
+		resp, err := http.Get(h.ts.URL + "/v1/stats")
+		if err == nil {
+			var st wire.ServiceStats
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
 		}
-		if len(st.SchedStripeLens) != st.SchedStripes || sum != st.SchedLen {
-			t.Errorf("stripe lens %v inconsistent with stripes=%d len=%d",
-				st.SchedStripeLens, st.SchedStripes, st.SchedLen)
+		second <- err
+	}()
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Errorf("second /v1/stats: %v", err)
 		}
+	case <-time.After(5 * time.Second):
+		t.Error("/v1/stats waited behind a request whose client stopped reading")
 	}
+	close(stalled.release)
+	<-first
 }
 
 func TestSubscribeStreamsResultsAndEndFrame(t *testing.T) {

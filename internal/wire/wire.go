@@ -379,12 +379,9 @@ type ServiceStats struct {
 	PyramidServes  uint64 `json:"pyramid_serves"`
 	PyramidBuilds  uint64 `json:"pyramid_builds"`
 
-	// Scheduler shape: stripe count, total scheduled periods, per-stripe
-	// occupancy, and the width of the last PopDue merge.
-	SchedStripes    int   `json:"sched_stripes"`
-	SchedLen        int   `json:"sched_len"`
-	SchedStripeLens []int `json:"sched_stripe_lens,omitempty"`
-	SchedMergeDepth int   `json:"sched_merge_depth"`
+	// SchedLen is the number of periods armed in the due-period schedule
+	// (equal to Subscribers on a quiescent service).
+	SchedLen int `json:"sched_len"`
 }
 
 // FromServiceStats renders the service ledger for the wire.
@@ -404,10 +401,7 @@ func FromServiceStats(st mobiquery.ServiceStats) ServiceStats {
 		PyramidServes:  st.PyramidServes,
 		PyramidBuilds:  st.PyramidBuilds,
 
-		SchedStripes:    st.SchedStripes,
-		SchedLen:        st.SchedLen,
-		SchedStripeLens: st.SchedStripeLens,
-		SchedMergeDepth: st.SchedMergeDepth,
+		SchedLen: st.SchedLen,
 	}
 }
 

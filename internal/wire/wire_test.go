@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -360,18 +359,13 @@ func TestLedgerConversions(t *testing.T) {
 	ss := mobiquery.ServiceStats{
 		Now: 5 * time.Second, Nodes: 200, Subscribers: 3, Draining: true,
 		Opened: 9, Closed: 6, Delivered: 100, Dropped: 2, Late: 1,
-		SchedStripes: 4, SchedLen: 3, SchedStripeLens: []int{2, 0, 1, 0},
-		SchedMergeDepth: 2,
+		SchedLen: 3,
 	}
 	w := FromServiceStats(ss)
 	if w.NowNS != int64(5*time.Second) || w.Nodes != 200 || w.Subscribers != 3 ||
 		!w.Draining || w.Opened != 9 || w.Closed != 6 || w.Delivered != 100 ||
-		w.Dropped != 2 || w.Late != 1 {
+		w.Dropped != 2 || w.Late != 1 || w.SchedLen != 3 {
 		t.Errorf("service stats mapped to %+v", w)
-	}
-	if w.SchedStripes != 4 || w.SchedLen != 3 || w.SchedMergeDepth != 2 ||
-		!slices.Equal(w.SchedStripeLens, []int{2, 0, 1, 0}) {
-		t.Errorf("scheduler stats mapped to %+v", w)
 	}
 	st := mobiquery.SubscriptionStats{Delivered: 4, Dropped: 1, Late: 2, NextPeriod: 6}
 	if got := FromSubStats(st); got != (SubStats{Delivered: 4, Dropped: 1, Late: 2, NextPeriod: 6}) {

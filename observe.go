@@ -2,10 +2,8 @@ package mobiquery
 
 import (
 	"runtime"
-	"strconv"
 	"time"
 
-	"mobiquery/internal/core"
 	"mobiquery/internal/obs"
 )
 
@@ -52,18 +50,12 @@ type svcObs struct {
 	stageFlush   *obs.Histogram
 	stageDeliver *obs.Histogram
 	popBatch     *obs.Histogram
-	mergeDepth   *obs.Histogram
 
 	// Per-serve-class evaluation ledger (recorded live in collectDue). The
 	// classes partition evaluated periods: their counters sum to
 	// delivered + dropped, which the loopback reconciliation test pins.
 	classCount [obs.NumClasses]*obs.Counter
 	classEval  [obs.NumClasses]*obs.Histogram
-
-	// scratch is the reused ServiceStats snapshot behind the OnScrape
-	// sampler (StatsInto keeps its StripeLens capacity), guarded by the
-	// registry lock all OnScrape hooks run under.
-	scratch ServiceStats
 }
 
 // obsMaxStage bounds the stage-latency histograms: anything past ~64 s of
@@ -91,8 +83,6 @@ func newSvcObs(s *Service) *svcObs {
 	o.stageDeliver = stage("deliver")
 	o.popBatch = reg.Histogram("mobiquery_advance_pop_batch", "",
 		"subscriptions popped due per non-empty Advance step", 1<<21, 1)
-	o.mergeDepth = reg.Histogram("mobiquery_advance_merge_depth", "",
-		"scheduler stripes contributing to each non-empty PopDue (fan-in of its stripe merge)", 64, 1)
 
 	for c := obs.Class(0); c < obs.NumClasses; c++ {
 		lbl := `class="` + c.String() + `"`
@@ -102,9 +92,9 @@ func newSvcObs(s *Service) *svcObs {
 			"per-period engine evaluation latency by serve class", obsMaxStage, 1e-9)
 	}
 
-	// The delivery ledger and scheduler shape are sampled just in time for
-	// each scrape from the same StatsInto snapshot /v1/stats is served
-	// from, so the two surfaces always reconcile exactly.
+	// The delivery ledger and the schedule's length are sampled just in time
+	// for each scrape from the same Stats snapshot /v1/stats is served from,
+	// so the two surfaces always reconcile exactly.
 	nowG := reg.Gauge("mobiquery_virtual_time_ns", "", "service virtual clock, nanoseconds")
 	nodesG := reg.Gauge("mobiquery_nodes", "", "sensor nodes in the field")
 	subsG := reg.Gauge("mobiquery_subscribers", "", "live subscriptions")
@@ -123,13 +113,7 @@ func newSvcObs(s *Service) *svcObs {
 		"reading columns dropped because the node index changed during the build or before a scan finished with them")
 	colScans := reg.Counter("mobiquery_reading_column_scans_total", "",
 		"evaluations that folded their nodes through a reading column instead of deriving each reading")
-	stripesG := reg.Gauge("mobiquery_sched_stripes", "", "due-period scheduler stripe count")
 	schedLenG := reg.Gauge("mobiquery_sched_entries", "", "armed schedule entries (one per live temporal query)")
-	stripeG := make([]*obs.Gauge, s.engine.ScheduleStats().Stripes)
-	for i := range stripeG {
-		stripeG[i] = reg.Gauge("mobiquery_sched_stripe_entries",
-			`stripe="`+strconv.Itoa(i)+`"`, "armed schedule entries per stripe (balance under load)")
-	}
 
 	// Go runtime self-metrics and the span-firehose ledger ride the same
 	// scrape-time sampler: sampled just in time for each scrape, costing
@@ -160,8 +144,7 @@ func newSvcObs(s *Service) *svcObs {
 	})
 
 	reg.OnScrape(func() {
-		st := &o.scratch
-		s.StatsInto(st)
+		st := s.Stats()
 		nowG.Set(int64(st.Now))
 		nodesG.Set(int64(st.Nodes))
 		subsG.Set(int64(st.Subscribers))
@@ -184,40 +167,7 @@ func newSvcObs(s *Service) *svcObs {
 		colBuilds.Set(col.Builds)
 		colDiscards.Set(col.Discards)
 		colScans.Set(col.Scans)
-		stripesG.Set(int64(st.SchedStripes))
 		schedLenG.Set(int64(st.SchedLen))
-		for i, n := range st.SchedStripeLens {
-			stripeG[i].Set(int64(n))
-		}
 	})
 	return o
-}
-
-// StatsInto is Stats writing into a caller-owned snapshot, reusing its
-// SchedStripeLens capacity — the allocation-free form for callers that
-// snapshot repeatedly (the metrics scrape sampler, the /v1/stats handler).
-// Everything else about the snapshot matches Stats exactly.
-func (s *Service) StatsInto(st *ServiceStats) {
-	s.mu.RLock()
-	st.Now = s.now
-	st.Draining = s.draining
-	pt, classes := s.pyramidTotalsLocked()
-	st.PyramidClasses = classes
-	st.PyramidServes = pt.Served
-	st.PyramidBuilds = pt.Builds
-	s.mu.RUnlock()
-	st.Subscribers = s.engine.QueryCount()
-	st.Nodes = s.engine.NodeCount()
-	st.Opened = s.totOpened.Load()
-	st.Closed = s.totClosed.Load()
-	st.Delivered = s.totDelivered.Load()
-	st.Dropped = s.totDropped.Load()
-	st.Late = s.totLate.Load()
-	var ss core.ScheduleStats
-	ss.StripeLens = st.SchedStripeLens[:0]
-	s.engine.ScheduleStatsInto(&ss)
-	st.SchedStripes = ss.Stripes
-	st.SchedLen = ss.Len
-	st.SchedStripeLens = ss.StripeLens
-	st.SchedMergeDepth = ss.LastMergeDepth
 }

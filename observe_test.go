@@ -85,37 +85,10 @@ func TestTraceDisabled(t *testing.T) {
 	}
 }
 
-// TestServiceStatsInto pins the reuse variant: identical to Stats, reusing
-// the SchedStripeLens backing array, allocation-free once warm.
-func TestServiceStatsInto(t *testing.T) {
-	svc := mustOpen(t, WithAlignedSampling())
-	if _, err := svc.Subscribe(context.Background(), centerSpec(), StaticPosition(Pt(225, 225))); err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	if err := svc.Advance(2 * time.Second); err != nil {
-		t.Fatalf("Advance: %v", err)
-	}
-	var into ServiceStats
-	svc.StatsInto(&into)
-	direct := svc.Stats()
-	if into.Now != direct.Now || into.Subscribers != direct.Subscribers ||
-		into.Delivered != direct.Delivered || into.SchedLen != direct.SchedLen ||
-		into.SchedStripes != direct.SchedStripes ||
-		len(into.SchedStripeLens) != len(direct.SchedStripeLens) {
-		t.Fatalf("StatsInto = %+v, Stats = %+v", into, direct)
-	}
-	before := &into.SchedStripeLens[0]
-	if allocs := testing.AllocsPerRun(100, func() { svc.StatsInto(&into) }); allocs != 0 {
-		t.Fatalf("warm StatsInto allocates %v per run", allocs)
-	}
-	if &into.SchedStripeLens[0] != before {
-		t.Fatalf("warm StatsInto replaced the SchedStripeLens backing array")
-	}
-}
-
 // TestServiceMetricsExposition pins the service registry: deterministic
 // counters after a manual-clock run, validator-clean exposition, and the
-// scrape-time ledger agreeing with Stats.
+// scrape-time ledger agreeing with Stats — which every scrape, /v1/stats and
+// /healthz snapshot through, so it must not allocate.
 func TestServiceMetricsExposition(t *testing.T) {
 	svc := mustOpen(t, WithAlignedSampling())
 	sub, err := svc.Subscribe(context.Background(), smallSpec(), StaticPosition(Pt(225, 225)))
@@ -147,10 +120,14 @@ func TestServiceMetricsExposition(t *testing.T) {
 		"mobiquery_subscribers 1\n",
 		"mobiquery_virtual_time_ns 3000000000\n",
 		"mobiquery_advance_pop_batch_count 1\n",
+		"mobiquery_sched_entries 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = svc.Stats() }); allocs != 0 {
+		t.Fatalf("Stats allocates %v per call", allocs)
 	}
 	_ = sub
 }

@@ -453,25 +453,36 @@ type ServiceStats struct {
 	PyramidClasses int
 	PyramidServes  uint64
 	PyramidBuilds  uint64
-	// SchedStripes is the due-period scheduler's stripe count and SchedLen
-	// its armed-entry total; SchedStripeLens breaks SchedLen down per
-	// stripe (balance under load), and SchedMergeDepth is how many stripes
-	// contributed to the most recent non-empty due batch — the fan-in of
-	// PopDue's merge of its stripes into (due, id) order.
-	SchedStripes    int
-	SchedLen        int
-	SchedStripeLens []int
-	SchedMergeDepth int
+	// SchedLen is the number of periods armed in the due-period schedule:
+	// one per live subscription between Advance steps, so it equals
+	// Subscribers on a quiescent service (a lost re-arm shows as a gap).
+	SchedLen int
 }
 
 // Stats returns the service-wide delivery ledger. It takes only the clock's
 // read lock, so introspection never blocks an in-flight Advance batch; the
-// totals are atomics and may trail a concurrent delivery by an instant.
-// Callers that snapshot repeatedly should use StatsInto (observe.go), which
-// this wraps.
+// totals are atomics and may trail a concurrent delivery by an instant. It
+// allocates nothing, so the metrics scrape, /v1/stats and /healthz all
+// snapshot through it.
 func (s *Service) Stats() ServiceStats {
-	var st ServiceStats
-	s.StatsInto(&st)
+	s.mu.RLock()
+	pt, classes := s.pyramidTotalsLocked()
+	st := ServiceStats{
+		Now:            s.now,
+		Draining:       s.draining,
+		PyramidClasses: classes,
+		PyramidServes:  pt.Served,
+		PyramidBuilds:  pt.Builds,
+	}
+	s.mu.RUnlock()
+	st.Subscribers = s.engine.QueryCount()
+	st.Nodes = s.engine.NodeCount()
+	st.Opened = s.totOpened.Load()
+	st.Closed = s.totClosed.Load()
+	st.Delivered = s.totDelivered.Load()
+	st.Dropped = s.totDropped.Load()
+	st.Late = s.totLate.Load()
+	st.SchedLen = s.engine.ScheduleLen()
 	return st
 }
 
@@ -482,13 +493,12 @@ func (s *Service) Stats() ServiceStats {
 // stalled — is delivered marked late. Advance is exactly reproducible:
 // the same configuration and call sequence yields the same results.
 //
-// The cost of a step is O(due): the engine's striped due-period schedule
-// hands back exactly the subscriptions with a period boundary at or before
+// The cost of a step is O(due): the engine's due-period schedule hands back exactly the subscriptions with a period boundary at or before
 // the new time, so a tick on which nothing is due returns in constant time
 // no matter how many subscribers are idle. Due subscriptions are evaluated
 // in parallel across the engine's worker pool (waypoint update plus
 // freshness-windowed evaluation per period), with each worker batching its
-// schedule re-arms and flushing them once per stripe; the evaluated periods
+// schedule re-arms for one flush after the fan-out; the evaluated periods
 // are then delivered serially, one subscription after another in the order
 // PopDue handed them out. Every subscription has its own Results channel,
 // so the order that is promised is the one a subscriber can observe:
@@ -525,7 +535,6 @@ func (s *Service) Advance(d time.Duration) error {
 		return nil
 	}
 	o.popBatch.Observe(int64(len(s.due)))
-	o.mergeDepth.Observe(int64(s.engine.LastMergeDepth()))
 	poppedNS := popEnd.UnixNano()
 
 	// Fan the due subscriptions across the worker pool: a popped entry's
@@ -551,8 +560,8 @@ func (s *Service) Advance(d time.Duration) error {
 	})
 	evalEnd := time.Now()
 	o.stageEval.Observe(evalEnd.Sub(popEnd).Nanoseconds())
-	// Flush the workers' deferred re-arms, one schedule stripe lock hold
-	// per stripe per worker, so the next PopDue sees every next boundary.
+	// Flush the workers' deferred re-arms, one schedule lock hold per
+	// worker, so the next PopDue sees every next boundary.
 	for _, rb := range rearms {
 		s.engine.FlushRearms(rb)
 	}

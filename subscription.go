@@ -622,8 +622,8 @@ func (sub *Subscription) close() {
 // touches only this subscription's engine query and session state, so
 // distinct subscriptions evaluate in parallel; delivery happens later, in
 // Advance's serial phase. Schedule re-arms go into the worker's private
-// rb — Advance flushes each worker's batch once per stripe after the
-// dispatch, so parallel workers never contend on the schedule locks.
+// rb — Advance flushes each worker's batch after the dispatch, so parallel
+// workers never contend on the schedule lock.
 // poppedNS is the wall time the Advance step's PopDue completed — the
 // popped stamp shared by the first span of each subscription in the
 // batch; catch-up periods armed mid-drain stamp their own arming instant
