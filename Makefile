@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-idle-1m bench-evaluate-cold bench-advance-dense repo-bench-smoke serve-smoke slo-compare obs-smoke trace-smoke fmt vet loc check
+.PHONY: all build test race bench bench-idle-1m bench-evaluate-cold bench-advance-dense repo-bench-smoke serve-smoke trace-smoke fmt vet loc check
 
 all: build
 
@@ -17,12 +17,14 @@ test:
 # on, each against its naive model: the intrusive schedule's (cheap, seeded,
 # owner of the heap-index invariant) and the reading column's, with the
 # three-party race over a column's lifetime beside it. The third repeats the
-# service-level close storm: Close, Subscribe and Advance meeting on the one
-# schedule lock.
+# service-level close storm — Close, Subscribe and Advance meeting on the one
+# schedule lock, with the one ledger reconciled afterwards — and its
+# deterministic form, a Close landing between a period's evaluation and the
+# step's re-arm flush.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run='^(TestIntrusiveScheduleAgainstModel|TestReadingColumnMatchesNaiveReference|TestReadingColumnUnderConcurrentChurn)$$' ./internal/core
-	$(GO) test -race -count=5 -run='^TestCloseStormAgainstAdvanceAndSubscribe$$' .
+	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered)$$' .
 
 # One pass over every benchmark as a smoke test, after the cold-evaluation
 # allocation gate; use `go test -bench=. ./...` directly for real
@@ -64,12 +66,13 @@ repo-bench-smoke:
 	done
 
 # Build the network front-end and drive it with a short seeded workload;
-# writes the SLO_pr.json artifact CI uploads and slo-compare gates,
-# METRICS_pr.txt — a mid-run /metrics scrape, validated in-process and
-# again by obs-smoke — and TRACE_pr.ndjson, the joined client+server trace
-# log trace-smoke validates. The parameters mirror the CI smoke job: small
-# field, sub-second periods, an elasticity wave landing mid-run, every
-# second subscription traced.
+# writes the SLO_pr.json artifact CI uploads, METRICS_pr.txt — a mid-run
+# /metrics scrape, validated by the loadgen as it is taken — and
+# TRACE_pr.ndjson, the joined client+server trace log trace-smoke
+# validates. The loadgen exits non-zero on any subscribe error, an empty
+# steady phase, a traced run without spans or a malformed scrape. The
+# parameters mirror the CI smoke job: small field, sub-second periods, an
+# elasticity wave landing mid-run, every second subscription traced.
 serve-smoke:
 	$(GO) build -o bin/mobiquery-serve ./cmd/mobiquery-serve
 	$(GO) run ./cmd/mobiquery-loadgen -serve bin/mobiquery-serve -out SLO_pr.json \
@@ -79,22 +82,6 @@ serve-smoke:
 		-wave-workers 8 -wave-at 3s -period 200ms -deadline 100ms \
 		-fresh 200ms -lifetime 1s -jit-every 4 -course-every 5 \
 		-large-radius 200 -large-every 16
-
-# Compare the fresh SLO_pr.json against the committed SLO_baseline.json.
-# SLO_THRESHOLD > 0 gates three p99s — steady subscribe latency, steady
-# delivery lateness, wave subscribe latency — failing beyond that
-# percentage over max(baseline, floor); the floors absorb shared-runner
-# scheduler noise on millisecond-scale baselines. The default matches CI.
-SLO_THRESHOLD ?= 200
-slo-compare: serve-smoke
-	$(GO) run ./cmd/mobiquery-slocmp -baseline SLO_baseline.json -current SLO_pr.json -threshold $(SLO_THRESHOLD)
-
-# Validate the mid-run /metrics scrape serve-smoke wrote: exposition
-# syntax, TYPE discipline, histogram monotonicity. Fails on a malformed
-# or empty exposition — the CI loadgen-smoke job runs this before
-# uploading METRICS_pr.txt.
-obs-smoke: serve-smoke
-	$(GO) run ./cmd/mobiquery-slocmp -expfmt METRICS_pr.txt
 
 # Validate the trace log serve-smoke wrote and render the lateness
 # attribution table: span-id derivation, monotone segment chains, no
@@ -123,7 +110,6 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-# serve-smoke is a prerequisite of slo-compare, obs-smoke, and
-# trace-smoke; make runs it once per invocation, so check drives one
-# smoke run and gates all three artifacts off it.
-check: build fmt vet test race bench slo-compare obs-smoke trace-smoke
+# trace-smoke runs serve-smoke first: check drives one smoke run and gates
+# the trace log off it.
+check: build fmt vet test race bench trace-smoke

@@ -653,8 +653,9 @@ func benchAdvance1MService(b *testing.B, subscribers int, period time.Duration, 
 // in CI gates the invariant rather than asserting it locally.
 //
 // Dense makes all million periods due every op: PopDue draining the whole
-// heap in (due, id) order, the parallel evaluation fan-out with per-worker
-// batched re-arms, and the serial delivery pass all at full width. DenseSerial is the same
+// heap in (due, id) order, the parallel fan-out in which each worker
+// evaluates and delivers its subscriptions' periods, and the per-worker
+// batched re-arm flush, all at full width. DenseSerial is the same
 // workload pinned to one worker — the scaling denominator, so
 // Dense/DenseSerial measures what Workers>1 buys end to end (on a
 // single-core host the two tie).

@@ -2,7 +2,7 @@
 // seeded closed- or open-loop subscriber workload and writes the SLO
 // report (subscribe-latency / delivery-lateness percentiles per phase,
 // drop counts, sustained subscriptions/sec) as machine-readable JSON —
-// the SLO_pr.json artifact CI trends and cmd/mobiquery-slocmp gates.
+// the SLO_pr.json artifact CI trends.
 //
 // Point it at a running server with -addr, or let it spawn one with
 // -serve (the path to a mobiquery-serve binary): the spawned server gets

@@ -124,6 +124,10 @@ func run(args []string, ready chan<- string) error {
 		defer pprofSrv.Close()
 		fmt.Printf("mobiquery-serve pprof listening on http://%s/debug/pprof/\n", pprofBound)
 	}
+	// Registered before anyone is told the server is up: a SIGTERM sent the
+	// moment it reports ready must drain, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if ready != nil {
 		ready <- scheme + "://" + bound
 	}
@@ -137,8 +141,6 @@ func run(args []string, ready chan<- string) error {
 		}
 	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err

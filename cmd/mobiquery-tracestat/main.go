@@ -10,8 +10,7 @@
 //     equals MintSpanID(trace_id, k) — span ids are derived, not random,
 //     so a mis-joined or orphaned span is detectable offline
 //   - the server segment chain is monotone: armed <= popped <=
-//     eval_start <= eval_end <= flush <= delivered <= wire, every stage
-//     stamped
+//     eval_start <= eval_end <= delivered <= wire, every stage stamped
 //   - the client stamps are monotone (send <= ack <= recv) and present
 //   - no duplicate (trace_id, span_id); within a trace, period indices
 //     strictly increase in arrival order
@@ -65,8 +64,7 @@ var segments = []struct {
 	{"sched", "armed -> popped: waiting in the due-period scheduler"},
 	{"dispatch", "popped -> eval_start: waiting for a dispatch worker"},
 	{"eval", "eval_start -> eval_end: engine evaluation"},
-	{"flush", "eval_end -> flush: schedule re-arm flush barrier"},
-	{"deliver", "flush -> delivered: channel sends, one subscription after another"},
+	{"deliver", "eval_end -> delivered: hand-over to the Results channel, on the evaluating worker"},
 	{"wire", "delivered -> wire: stream handler wake + frame encode"},
 	{"client", "wire -> recv: network + client scheduling (clamped >= 0)"},
 }
@@ -75,18 +73,17 @@ var segments = []struct {
 // The cross-clock client segment is clamped at zero: the server and
 // client stamps come from different clocks (same host under the smoke
 // harness, but the contract tolerates skew).
-func segmentsOf(cs wire.ClientSpan) [7]int64 {
+func segmentsOf(cs wire.ClientSpan) [6]int64 {
 	s := cs.Server
 	client := cs.RecvNS - s.WireNS
 	if client < 0 {
 		client = 0
 	}
-	return [7]int64{
+	return [6]int64{
 		s.PoppedNS - s.ArmedNS,
 		s.EvalStartNS - s.PoppedNS,
 		s.EvalEndNS - s.EvalStartNS,
-		s.FlushNS - s.EvalEndNS,
-		s.DeliveredNS - s.FlushNS,
+		s.DeliveredNS - s.EvalEndNS,
 		s.WireNS - s.DeliveredNS,
 		client,
 	}
@@ -122,8 +119,7 @@ func validate(i int, cs wire.ClientSpan, errs []string) []string {
 		ns   int64
 	}{
 		{"armed", s.ArmedNS}, {"popped", s.PoppedNS}, {"eval_start", s.EvalStartNS},
-		{"eval_end", s.EvalEndNS}, {"flush", s.FlushNS}, {"delivered", s.DeliveredNS},
-		{"wire", s.WireNS},
+		{"eval_end", s.EvalEndNS}, {"delivered", s.DeliveredNS}, {"wire", s.WireNS},
 	}
 	for j, st := range stamps {
 		if st.ns == 0 {

@@ -30,7 +30,7 @@ func span(trace uint64, k int, late bool) wire.ClientSpan {
 			PoppedNS:    base + 1_000_000,
 			EvalStartNS: base + 2_000_000,
 			EvalEndNS:   base + 3_000_000,
-			FlushNS:     base + 4_000_000,
+			FlushNS:     base + 3_000_000, // not a stage: stamped equal to eval_end
 			DeliveredNS: base + 5_000_000,
 			WireNS:      base + 6_000_000,
 			Class:       "cold",
@@ -71,7 +71,7 @@ func TestValidLogPassesCheck(t *testing.T) {
 		t.Errorf("wrong span/trace summary:\n%s", out)
 	}
 	// The table names every segment and counts the late period.
-	for _, seg := range []string{"sched", "dispatch", "eval", "flush", "deliver", "wire", "client"} {
+	for _, seg := range []string{"sched", "dispatch", "eval", "deliver", "wire", "client"} {
 		if !strings.Contains(out, seg) {
 			t.Errorf("segment %q missing from table:\n%s", seg, out)
 		}
@@ -103,9 +103,9 @@ func TestBackwardsSegmentFails(t *testing.T) {
 
 func TestMissingStageFails(t *testing.T) {
 	s := span(0xabc, 1, false)
-	s.Server.FlushNS = 0
+	s.Server.DeliveredNS = 0
 	if out, err := runTool(t, "-trace", write(t, s), "-check"); err == nil {
-		t.Fatalf("missing flush stamp passed:\n%s", out)
+		t.Fatalf("missing delivered stamp passed:\n%s", out)
 	}
 }
 

@@ -149,7 +149,7 @@ func TestCoarseAdvanceDeliversEachStreamInOrder(t *testing.T) {
 // paths answer the same boundaries of the same run. Stepped a second at a
 // time every boundary is popped, so every one of them gets a reading column;
 // in one five-second step only each subscription's first boundary is popped
-// and columned, and collectDue folds boundaries 2…K of the step directly.
+// and columned, and step folds boundaries 2…K of the step directly.
 // The streams must be byte-identical, at Workers 1 and 4, apart from what
 // the step size itself decides: EvaluatedAt (the deadline slack is wide
 // enough that nothing is late either way) and the serve route below.
@@ -342,8 +342,11 @@ func TestSubscribeOnAnEndedContext(t *testing.T) {
 // serve classes while one goroutine steps the clock and another subscribes
 // replacements, each paced by the step counter so the closes spread over
 // every stage of many steps. Afterwards the schedule holds exactly the live
-// subscriptions, the ledger partitions, every channel carries K = 1, 2, 3, …
-// with no gap, and a stream ends where its Close cut it.
+// subscriptions, every channel carries K = 1, 2, 3, … with no gap, a stream
+// ends where its Close cut it, and there is one ledger: periods evaluated by
+// class == spans published == Σ per-subscription delivered + dropped, a
+// Close meeting a step included — a period is either not evaluated or handed
+// over, never evaluated and delivered to no one.
 func TestCloseStormAgainstAdvanceAndSubscribe(t *testing.T) {
 	const (
 		initial = 2000
@@ -446,6 +449,7 @@ func TestCloseStormAgainstAdvanceAndSubscribe(t *testing.T) {
 	if st.Delivered+st.Dropped != byClass {
 		t.Errorf("delivered %d + dropped %d, per-class evaluated %d", st.Delivered, st.Dropped, byClass)
 	}
+	var perSub, perSubDropped uint64
 	now := svc.Now()
 	for i, sub := range append(subs, replacements...) {
 		got, closed := buffered(sub)
@@ -464,6 +468,8 @@ func TestCloseStormAgainstAdvanceAndSubscribe(t *testing.T) {
 		if led.Dropped != 0 || led.Delivered != len(got) {
 			t.Errorf("sub %d: ledger %+v beside %d results on the channel", i, led, len(got))
 		}
+		perSub += uint64(led.Delivered + led.Dropped)
+		perSubDropped += uint64(led.Dropped)
 		switch all := int(now / sub.Spec().Period); {
 		case closed && len(got) >= all:
 			t.Errorf("sub %d: closed mid-storm yet holds all %d periods of the run", i, len(got))
@@ -472,5 +478,70 @@ func TestCloseStormAgainstAdvanceAndSubscribe(t *testing.T) {
 		case !closed && len(got) == 0:
 			t.Errorf("sub %d: live through a %v step and nothing delivered", i, settle)
 		}
+	}
+	if _, published, _ := svc.FirehoseSpans(nil); byClass != published || byClass != perSub || st.Dropped != perSubDropped {
+		t.Errorf("evaluated by class %d, spans published %d, per-subscription delivered+dropped %d; service dropped %d, per-subscription %d",
+			byClass, published, perSub, st.Dropped, perSubDropped)
+	}
+}
+
+// closingSource stands at p and runs closeOther the one time it is asked for
+// the position at instant at.
+type closingSource struct {
+	p          Point
+	at         time.Duration
+	closeOther func()
+}
+
+func (c closingSource) PositionAt(t time.Duration) Point {
+	if t == c.at {
+		c.closeOther()
+	}
+	return c.p
+}
+
+// TestPeriodEvaluatedBeforeCloseIsDelivered pins, deterministically, the
+// outcome one lock hold per period removes: a period evaluated, counted by
+// class, and delivered to no one. At Workers 1 two subscriptions of one
+// period are stepped in id order; B's motion source closes A when B's first
+// boundary is read — after A's first period has been evaluated, before the
+// step's re-arm flush. A's stream must hold that period and end behind it,
+// its ledger must say so, nothing is counted dropped, and A's batched re-arm
+// must be declined rather than resurrect its schedule entry.
+func TestPeriodEvaluatedBeforeCloseIsDelivered(t *testing.T) {
+	nc := testNetwork()
+	nc.Service = ServiceConfig{Shards: 1, Workers: 1}
+	svc, err := Open(context.Background(), nc)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer svc.Close()
+	spec := smallSpec()
+	at := Pt(225, 225)
+	a, err := svc.Subscribe(context.Background(), spec, StaticPosition(at))
+	if err != nil {
+		t.Fatalf("Subscribe A: %v", err)
+	}
+	b, err := svc.Subscribe(context.Background(), spec, closingSource{p: at, at: spec.Period, closeOther: func() { a.Close() }})
+	if err != nil {
+		t.Fatalf("Subscribe B: %v", err)
+	}
+	for step := 1; step <= 2; step++ {
+		if err := svc.Advance(spec.Period); err != nil {
+			t.Fatalf("Advance: %v", err)
+		}
+		if st := svc.Stats(); st.SchedLen != 1 || st.Subscribers != 1 || st.Dropped != 0 {
+			t.Errorf("after step %d: %d scheduled, %d subscribers, %d dropped; want 1, 1, 0", step, st.SchedLen, st.Subscribers, st.Dropped)
+		}
+	}
+	got, closed := buffered(a)
+	if len(got) != 1 || got[0].K != 1 || !closed {
+		t.Errorf("A's channel: %d results (closed %v), want period 1 and then the end: %+v", len(got), closed, got)
+	}
+	if st := a.Stats(); st.Delivered != 1 || st.Dropped != 0 || st.NextPeriod != 2 {
+		t.Errorf("A's ledger %+v, want one period delivered", st)
+	}
+	if got, closed := buffered(b); len(got) != 2 || closed {
+		t.Errorf("B's channel: %d results (closed %v), want 2 and open", len(got), closed)
 	}
 }

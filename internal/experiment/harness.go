@@ -471,7 +471,6 @@ func (w *workload) runPass(a arm) (Outcome, error) {
 			replansDone++
 			for _, u := range w.users {
 				if u.joined && !u.gone {
-					u.q.SetWaypoint(u.pos(now))
 					u.path.Replan(u.plan(now), now)
 				}
 			}

@@ -2,10 +2,10 @@
 // mobiquery-serve front-end and measures its SLOs: subscribe latency,
 // per-period delivery lateness, drop counts, and sustained
 // subscriptions/sec, reported as the machine-readable SLO_pr.json
-// artifact CI trends and gates (cmd/mobiquery-slocmp).
+// artifact CI trends.
 //
 // The run is phased. A warmup window absorbs connection setup and cold
-// caches; the steady window is what the gates read; an optional
+// caches; the steady window is the one to read; an optional
 // elasticity wave — a burst of extra workers resubscribing mid-run —
 // shows how subscribe latency behaves as load steps up, so scaling is
 // reported as a curve (steady vs wave percentiles), not a point.
@@ -14,8 +14,9 @@
 // position, motion (linear or a GPS-predicted course through the
 // mobility profilers) and strategy (on-demand or JIT) from Seed+i alone,
 // so two runs against equal servers subscribe identical workloads. The
-// measured latencies are wall-clock and as noisy as the host; the gates
-// compare them with generous floors.
+// measured latencies are wall-clock and as noisy as the host: a comparison
+// needs paired runs on one machine (ROADMAP 6(a)), which nothing in CI
+// makes yet.
 package loadgen
 
 import (
@@ -207,7 +208,7 @@ type Totals struct {
 	SubsPerSec float64 `json:"subs_per_sec"`
 }
 
-// Report is the SLO_pr.json schema, versioned so the comparer can reject
+// Report is the SLO_pr.json schema, versioned so a reader can reject
 // incompatible artifacts.
 type Report struct {
 	Schema        int               `json:"schema"`

@@ -115,19 +115,18 @@ func MintSpanID(t TraceID, k int) SpanID {
 }
 
 // PeriodSpan is one subscription period's lifecycle: stamped as it moves
-// armed → popped → evaluated → flushed → delivered → written to
-// the wire. Due is virtual service time; the *NS fields are wall-clock
-// unix nanoseconds, so stage latencies are differences between
-// consecutive stamps (Armed is the wall time the period's schedule entry
-// was last re-armed — the end of the previous period's evaluation — so
-// Popped-Armed is time spent waiting in the scheduler; a catch-up period
-// drained in the same batch that armed it carries Popped == Armed, since
-// it never returned to the scheduler). FlushNS is when
-// the Advance step's schedule re-arms finished (shared by every span of
-// the step, like PoppedNS); WireNS is stamped by the network front-end
-// the instant the result frame is handed to the wire, and stays zero for
-// in-process deliveries. Trace and Span are zero unless the subscription
-// carries a trace context.
+// armed → popped → evaluated → delivered → written to the wire. Due is
+// virtual service time; the *NS fields are wall-clock unix nanoseconds,
+// so stage latencies are differences between consecutive stamps (Armed is
+// the wall time the period's schedule entry was last re-armed — the end
+// of the previous period's evaluation — so Popped-Armed is time spent
+// waiting in the scheduler; a catch-up period drained in the same batch
+// that armed it carries Popped == Armed, since it never returned to the
+// scheduler). The worker that evaluates a period delivers it, so
+// Delivered-EvalEnd is the hand-over alone. WireNS is stamped by the
+// network front-end the instant the result frame is handed to the wire,
+// and stays zero for in-process deliveries. Trace and Span are zero unless
+// the subscription carries a trace context.
 type PeriodSpan struct {
 	Trace       TraceID
 	Span        SpanID
@@ -137,6 +136,10 @@ type PeriodSpan struct {
 	PoppedNS    int64
 	EvalStartNS int64
 	EvalEndNS   int64
+	// FlushNS is not a stage — delivery does not wait for the step's
+	// schedule re-arms — and is stamped equal to EvalEndNS. It and wire
+	// flush_ns stay for one reason: benchmark/probes.go and
+	// benchmark/trace.go name them and are frozen (ROADMAP 6(b)).
 	FlushNS     int64
 	DeliveredNS int64 // handed to (or dropped at) the Results channel
 	WireNS      int64 // result frame written to the wire (networked only)

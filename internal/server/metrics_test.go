@@ -227,8 +227,7 @@ func TestTraceEndpoint(t *testing.T) {
 			t.Errorf("span %d: empty class", i)
 		}
 		if !(sp.ArmedNS <= sp.PoppedNS && sp.PoppedNS <= sp.EvalStartNS &&
-			sp.EvalStartNS <= sp.EvalEndNS && sp.EvalEndNS <= sp.FlushNS &&
-			sp.FlushNS <= sp.DeliveredNS) {
+			sp.EvalStartNS <= sp.EvalEndNS && sp.EvalEndNS <= sp.DeliveredNS) {
 			t.Errorf("span %d: stamps out of stage order: %+v", i, sp)
 		}
 		if sp.TraceID != "" || sp.SpanID != "" {
@@ -334,7 +333,7 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	}
 
 	// Advance stage histograms all saw every tick.
-	for _, stage := range []string{"pop", "evaluate", "flush", "deliver"} {
+	for _, stage := range []string{"pop", "evaluate", "flush"} {
 		name := `mobiquery_advance_stage_seconds_count{stage="` + stage + `"}`
 		if stage == "pop" {
 			if got := samples[name]; got != 10 {

@@ -170,7 +170,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFirehose streams the service-wide span firehose: every completed
-// period span still in the ring, oldest first, one NDJSON line each. The
+// period span still in the ring, oldest first, one NDJSON line each — in
+// the order the evaluating workers published them, which is ascending k
+// within a subscription and nothing more across them. The
 // response is a bounded snapshot, not a tail — ring capacity caps the
 // body, and spans overwritten before this snapshot are only counted, so
 // the endpoint can never apply back-pressure to the tick path. The

@@ -106,8 +106,7 @@ func TestTracedLoopbackChainsReconcileExactly(t *testing.T) {
 				{"send", st.send}, {"ack", st.ack},
 				{"armed", sp.ArmedNS}, {"popped", sp.PoppedNS},
 				{"eval_start", sp.EvalStartNS}, {"eval_end", sp.EvalEndNS},
-				{"flush", sp.FlushNS}, {"delivered", sp.DeliveredNS},
-				{"wire", sp.WireNS}, {"recv", recv},
+				{"delivered", sp.DeliveredNS}, {"wire", sp.WireNS}, {"recv", recv},
 			}
 			for j := 1; j < len(chain); j++ {
 				if chain[j].ns == 0 {
@@ -150,7 +149,7 @@ func TestTracedLoopbackChainsReconcileExactly(t *testing.T) {
 
 // TestTracedCatchUpSpansStayMonotone pins the stamp semantics of
 // catch-up periods: one coarse manual-clock advance spanning several
-// periods drains them all in a single collectDue call, so periods after
+// periods drains them all in a single Subscription.step call, so periods after
 // the first are armed AFTER the batch's PopDue completed. Their logical
 // pop instant is their arming moment (they never returned to the
 // scheduler), so popped == armed and the chain stays monotone — the
@@ -188,8 +187,7 @@ func TestTracedCatchUpSpansStayMonotone(t *testing.T) {
 		}{
 			{"armed", sp.ArmedNS}, {"popped", sp.PoppedNS},
 			{"eval_start", sp.EvalStartNS}, {"eval_end", sp.EvalEndNS},
-			{"flush", sp.FlushNS}, {"delivered", sp.DeliveredNS},
-			{"wire", sp.WireNS},
+			{"delivered", sp.DeliveredNS}, {"wire", sp.WireNS},
 		}
 		for j := 0; j < len(chain); j++ {
 			if chain[j].ns == 0 {

@@ -437,7 +437,8 @@ func FromPrefetchStats(st mobiquery.PrefetchStats) PrefetchStats {
 // and the echo on a traced result frame. Timestamps are wall-clock
 // nanoseconds; zero means the stage was never reached. TraceID and
 // SpanID are fixed-width lowercase hex (FormatID), empty when the
-// subscription carries no trace context.
+// subscription carries no trace context. flush_ns is no stage of the chain:
+// it equals eval_end_ns (see obs.PeriodSpan).
 type TraceSpan struct {
 	TraceID     string `json:"trace_id,omitempty"`
 	SpanID      string `json:"span_id,omitempty"`

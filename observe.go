@@ -43,17 +43,17 @@ type svcObs struct {
 	reg *obs.Registry
 
 	// Advance stage timings and tick counters (recorded live in Advance).
-	ticks        *obs.Counter
-	idleTicks    *obs.Counter
-	stagePop     *obs.Histogram
-	stageEval    *obs.Histogram
-	stageFlush   *obs.Histogram
-	stageDeliver *obs.Histogram
-	popBatch     *obs.Histogram
+	ticks      *obs.Counter
+	idleTicks  *obs.Counter
+	stagePop   *obs.Histogram
+	stageEval  *obs.Histogram
+	stageFlush *obs.Histogram
+	popBatch   *obs.Histogram
 
-	// Per-serve-class evaluation ledger (recorded live in collectDue). The
-	// classes partition evaluated periods: their counters sum to
-	// delivered + dropped, which the loopback reconciliation test pins.
+	// Per-serve-class evaluation ledger (recorded live in
+	// Subscription.serve). The classes partition evaluated periods: their
+	// counters sum to delivered + dropped, which the loopback
+	// reconciliation test pins.
 	classCount [obs.NumClasses]*obs.Counter
 	classEval  [obs.NumClasses]*obs.Histogram
 }
@@ -74,13 +74,12 @@ func newSvcObs(s *Service) *svcObs {
 		"Advance calls on which no period was due")
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("mobiquery_advance_stage_seconds", `stage="`+name+`"`,
-			"wall time per Advance stage: pop (due-batch collection), evaluate (fan-out), flush (schedule re-arms), deliver (channel sends, one subscription after another)",
+			"wall time per Advance stage: pop (due-batch collection), evaluate (the fan-out: each worker evaluates its subscriptions' due periods and delivers them), flush (schedule re-arms)",
 			obsMaxStage, 1e-9)
 	}
 	o.stagePop = stage("pop")
 	o.stageEval = stage("evaluate")
 	o.stageFlush = stage("flush")
-	o.stageDeliver = stage("deliver")
 	o.popBatch = reg.Histogram("mobiquery_advance_pop_batch", "",
 		"subscriptions popped due per non-empty Advance step", 1<<21, 1)
 

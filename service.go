@@ -158,7 +158,6 @@ func WithRealTime(tick time.Duration) Option {
 type Service struct {
 	cfg    NetworkConfig
 	opts   serviceOptions
-	region geom.Rect
 	cell   float64
 	engine *core.QueryEngine
 
@@ -206,8 +205,8 @@ type Service struct {
 	stopCtx func() bool
 
 	// Lifetime delivery totals across every subscription, live or closed
-	// (ServiceStats). Atomics: deliver runs under per-subscription locks,
-	// never a service-wide one.
+	// (ServiceStats). Atomics: periods are served under per-subscription
+	// locks, never a service-wide one.
 	totOpened    atomic.Uint64
 	totClosed    atomic.Uint64
 	totDelivered atomic.Uint64
@@ -216,13 +215,11 @@ type Service struct {
 
 	// advMu serializes Advance calls (the clock moves one step at a time)
 	// and guards the scratch buffers below, which are reused across steps
-	// so a steady-state Advance allocates nothing on the scheduling path.
-	// outs holds the evaluated periods of each popped subscription; rearms
-	// one schedule re-arm batch per dispatch worker (created on the first
-	// non-empty step).
+	// so a steady-state Advance allocates nothing on the scheduling path:
+	// the popped batch, and one schedule re-arm batch per dispatch worker
+	// (created on the first non-empty step).
 	advMu  sync.Mutex
 	due    []core.DueEntry
-	outs   [][]pendingResult
 	rearms []*core.RearmBatch
 }
 
@@ -256,7 +253,6 @@ func Open(ctx context.Context, nc NetworkConfig, opts ...Option) (*Service, erro
 	s := &Service{
 		cfg:      nc,
 		opts:     o,
-		region:   region,
 		cell:     cell,
 		engine:   engine,
 		pyramids: make(map[pyrKey]*pyramid.Pyramid),
@@ -493,17 +489,17 @@ func (s *Service) Stats() ServiceStats {
 // stalled — is delivered marked late. Advance is exactly reproducible:
 // the same configuration and call sequence yields the same results.
 //
-// The cost of a step is O(due): the engine's due-period schedule hands back exactly the subscriptions with a period boundary at or before
-// the new time, so a tick on which nothing is due returns in constant time
-// no matter how many subscribers are idle. Due subscriptions are evaluated
-// in parallel across the engine's worker pool (waypoint update plus
-// freshness-windowed evaluation per period), with each worker batching its
-// schedule re-arms for one flush after the fan-out; the evaluated periods
-// are then delivered serially, one subscription after another in the order
-// PopDue handed them out. Every subscription has its own Results channel,
-// so the order that is promised is the one a subscriber can observe:
-// ascending K on each channel, byte-identical whatever the Shards/Workers
-// configuration. No order is promised across subscriptions.
+// The cost of a step is O(due): the engine's due-period schedule hands back
+// exactly the subscriptions with a period boundary at or before the new
+// time, so a tick on which nothing is due returns in constant time no
+// matter how many subscribers are idle. Due subscriptions are fanned across
+// the engine's worker pool, and the worker that evaluates a period hands
+// its result over before it moves on (Subscription.step): no period waits
+// for another subscription's. Each worker batches its schedule re-arms for
+// one flush after the fan-out. Every subscription has its own Results
+// channel, so the order that is promised is the one a subscriber can
+// observe: ascending K on each channel, byte-identical whatever the
+// Shards/Workers configuration. No order is promised across subscriptions.
 func (s *Service) Advance(d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("mobiquery: cannot advance time backwards (%v)", d)
@@ -539,24 +535,19 @@ func (s *Service) Advance(d time.Duration) error {
 
 	// Fan the due subscriptions across the worker pool: a popped entry's
 	// query handle is owned by its subscription (one closed since the pop
-	// collects nothing). Each worker drains every period of its subscription
-	// due by now into a private buffer and accumulates its schedule re-arms
-	// in a private batch; subscriptions are independent, so the fan-out
-	// cannot change results.
-	if len(s.outs) < len(s.due) {
-		s.outs = append(s.outs, make([][]pendingResult, len(s.due)-len(s.outs))...)
-	}
+	// serves nothing). Each worker evaluates and delivers every period of
+	// its subscription due by now and accumulates its schedule re-arms in a
+	// private batch; subscriptions are independent, so the fan-out cannot
+	// change results.
 	if s.rearms == nil {
 		s.rearms = make([]*core.RearmBatch, s.engine.Workers())
 		for i := range s.rearms {
 			s.rearms[i] = s.engine.NewRearmBatch()
 		}
 	}
-	outs, due := s.outs[:len(s.due)], s.due
-	rearms := s.rearms
+	due, rearms := s.due, s.rearms
 	s.engine.DispatchWorkers(len(due), func(worker, i int) {
-		sub := due[i].Query.Owner().(*Subscription)
-		outs[i] = sub.collectDue(now, poppedNS, outs[i][:0], rearms[worker])
+		due[i].Query.Owner().(*Subscription).step(now, poppedNS, rearms[worker])
 	})
 	evalEnd := time.Now()
 	o.stageEval.Observe(evalEnd.Sub(popEnd).Nanoseconds())
@@ -565,36 +556,10 @@ func (s *Service) Advance(d time.Duration) error {
 	for _, rb := range rearms {
 		s.engine.FlushRearms(rb)
 	}
-	flushEnd := time.Now()
-	o.stageFlush.Observe(flushEnd.Sub(evalEnd).Nanoseconds())
-	// Like the popped stamp, the flush stamp is shared by every span of
-	// the step: the schedule re-arms complete once, for the whole batch.
-	flushNS := flushEnd.UnixNano()
-
-	// Deliver serially, subscription by subscription: each one's periods are
-	// in ascending K, and the subscriptions follow PopDue's deterministic
-	// (due, id) order, so the whole sequence is a function of the call
-	// sequence alone.
-	for i, out := range outs {
-		sub := due[i].Query.Owner().(*Subscription)
-		for j := range out {
-			p := &out[j]
-			if p.expire {
-				sub.close()
-			} else {
-				p.span.FlushNS = flushNS
-				sub.deliver(&p.result, &p.span)
-			}
-		}
-	}
-	o.stageDeliver.Observe(time.Since(flushEnd).Nanoseconds())
-	// Zero the pointer-holding scratch so a burst-sized batch doesn't pin
-	// closed subscriptions for the life of the service. Capacities are
-	// kept; only the windows used this step hold non-zero data.
+	o.stageFlush.Observe(time.Since(evalEnd).Nanoseconds())
+	// Zero the handles so a burst-sized batch doesn't pin closed
+	// subscriptions for the life of the service; the capacity is kept.
 	clear(s.due)
-	for i := range outs {
-		clear(outs[i])
-	}
 	return nil
 }
 
@@ -603,8 +568,9 @@ func (s *Service) Advance(d time.Duration) error {
 // lifetime published and dropped span counts as of the snapshot. The
 // firehose sees every completed period of every subscription (traced or
 // not), ring-buffered to the WithSpanFirehose depth; with the firehose
-// disabled it returns buf unchanged and zero counts. Safe for concurrent
-// use with a running service.
+// disabled it returns buf unchanged and zero counts. Workers publish as
+// they deliver, so the order is ascending K within each subscription and
+// nothing more. Safe for concurrent use with a running service.
 func (s *Service) FirehoseSpans(buf []PeriodSpan) (spans []PeriodSpan, published, dropped uint64) {
 	return s.spans.Snapshot(buf)
 }

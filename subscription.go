@@ -122,8 +122,9 @@ type QuerySpec struct {
 	// every period of the subscription carries a span identified by
 	// (Trace, MintSpanID(Trace, k)); completed spans are attached to
 	// QueryResult.Trace so a network front-end can echo them to the
-	// client. Zero (the default) leaves the subscription untraced — the
-	// per-period cost of the machinery is then a single comparison.
+	// client. Zero (the default) leaves the subscription untraced: its
+	// periods still build a span each, for the trace ring and the service
+	// firehose, but mint no span id and attach no copy to the result.
 	Trace TraceID
 }
 
@@ -389,8 +390,8 @@ type Subscription struct {
 
 	// path is the query's serve machinery — prefetch planner, corridor
 	// cache, shared pyramid — and the state of driving it. Attached once by
-	// Subscribe; collectDue, which Advance serializes per subscription, steps
-	// it around every evaluation.
+	// Subscribe; step, which Advance serializes per subscription, drives it
+	// around every evaluation.
 	path servepath.Path
 
 	// trace is the fixed-depth ring of recent period lifecycle spans
@@ -399,14 +400,17 @@ type Subscription struct {
 	// lastArmedNS is the wall time this subscription's schedule entry was
 	// last re-armed — the end of the previous period's evaluation, or the
 	// Subscribe instant — giving each span its armed→popped scheduler wait.
-	// Written only from collectDue (serialized per subscription) and
-	// Subscribe (before the subscription is visible to Advance).
+	// Written only from step (serialized per subscription) and Subscribe
+	// (before the subscription is visible to Advance).
 	trace       *obs.TraceRing
 	lastArmedNS int64
 
 	// mu guards the mutable session state. It is per-subscription so one
 	// user's waypoint updates, stats reads, and deliveries never contend
 	// with another's, and none of them block the service registry lock.
+	// step holds it once per period, from the closed check to the send, so
+	// a period is either not evaluated or handed over — and Close, Stats
+	// and UpdateWaypoint wait for one evaluation at most.
 	mu       sync.Mutex
 	manual   *Point // set by UpdateWaypoint; overrides src from then on
 	manualAt time.Duration
@@ -415,19 +419,6 @@ type Subscription struct {
 	// stopCtx detaches the subscription from the Subscribe context; nil when
 	// that context can't end, or has ended already.
 	stopCtx func() bool
-}
-
-// pendingResult is one evaluated period awaiting delivery (or, with
-// expire set, the end of a subscription whose spec Lifetime ran out).
-// Workers produce them in parallel, one buffer per popped subscription;
-// Advance delivers the buffers serially, each to its own subscription.
-type pendingResult struct {
-	result QueryResult
-	expire bool
-	// span is the period's lifecycle record so far (armed → popped →
-	// evaluated); deliver finishes it with the outcome stamp and hands it
-	// to the subscription's trace ring.
-	span obs.PeriodSpan
 }
 
 // Subscribe registers a streaming query for a mobile user whose position
@@ -564,7 +555,6 @@ func (sub *Subscription) UpdateWaypoint(p Point) error {
 	sub.manual = &p
 	sub.manualAt = now
 	sub.mu.Unlock()
-	sub.q.SetWaypoint(p)
 	if sub.path.Planned() {
 		sub.path.Replan(waypointProfile(p, prev, prevAt, sub.src, sub.t0, now, sub.spec.Period), now)
 	}
@@ -604,8 +594,8 @@ func (sub *Subscription) close() {
 		return
 	}
 	sub.closed = true
-	// Closed under mu: deliver sends under the same lock, so a racing
-	// Advance can never write to a closed channel.
+	// Closed under mu: step sends under the same lock, so a racing Advance
+	// can never write to a closed channel.
 	close(sub.results)
 	stop := sub.stopCtx
 	sub.mu.Unlock()
@@ -616,96 +606,129 @@ func (sub *Subscription) close() {
 	sub.q.Deregister()
 }
 
-// collectDue evaluates every period of this subscription due by virtual
-// time now, appending one pendingResult per period (and an expire marker
-// when the spec's Lifetime runs out). It runs on a dispatch worker and
-// touches only this subscription's engine query and session state, so
-// distinct subscriptions evaluate in parallel; delivery happens later, in
-// Advance's serial phase. Schedule re-arms go into the worker's private
-// rb — Advance flushes each worker's batch after the dispatch, so parallel
-// workers never contend on the schedule lock.
+// step serves every period of this subscription due by virtual time now,
+// each in one pass — evaluate, stamp, hand over — and ends the stream right
+// behind its last result when the spec's Lifetime runs out. It runs to
+// completion on the dispatch worker that was handed the popped subscription
+// and touches only this subscription's engine query and session state, so
+// distinct subscriptions proceed in parallel and no period waits for
+// another subscription's. Schedule re-arms go into the worker's private rb,
+// which Advance flushes after the fan-out: delivery precedes the flush, and
+// a receiver that closes on receipt spends the handle, so its batched
+// re-arm is declined (Schedule.Remove).
 // poppedNS is the wall time the Advance step's PopDue completed — the
 // popped stamp shared by the first span of each subscription in the
 // batch; catch-up periods armed mid-drain stamp their own arming instant
 // instead, keeping every span chain monotone.
-func (sub *Subscription) collectDue(now time.Duration, poppedNS int64, buf []pendingResult, rb *core.RearmBatch) []pendingResult {
+func (sub *Subscription) step(now time.Duration, poppedNS int64, rb *core.RearmBatch) {
 	for {
-		sub.mu.Lock()
-		closed, manual := sub.closed, sub.manual
-		sub.mu.Unlock()
-		if closed {
-			return buf
-		}
 		_, due := sub.q.NextDue()
 		// The lifetime check precedes the due check: it depends only on
 		// the period index, so a session whose clock stops exactly at
 		// t0+Lifetime still closes its stream after the final result.
 		if sub.spec.Lifetime > 0 && due > sub.t0+sub.spec.Lifetime {
-			return append(buf, pendingResult{expire: true})
+			sub.close()
+			return
 		}
 		if due > now {
-			return buf
+			return
 		}
 		// Predictions delivered by this boundary re-plan it, and its pyramid
 		// epoch is ingested, before it is evaluated.
 		sub.path.Before(due)
 		// The waypoint is evaluated as of the period boundary, so coarse
 		// clock steps still see the position the user held at the
-		// deadline.
-		var pos Point
-		if manual != nil {
-			pos = *manual
-		} else {
-			pos = sub.src.PositionAt(due - sub.t0)
+		// deadline. The source is the caller's code: read outside the hold.
+		if !sub.serve(sub.src.PositionAt(due-sub.t0), now, poppedNS, rb) {
+			return
 		}
-		evalStartNS := time.Now().UnixNano()
-		wr, ok := sub.q.EvaluateDueAt(pos, now, rb)
-		evalEndNS := time.Now().UnixNano()
-		if !ok {
-			return buf
-		}
-		// The serve classes partition evaluated periods, so the per-class
-		// counters sum to the delivery ledger (delivered + dropped), which
-		// the loopback reconciliation test pins.
-		class, _ := sub.path.After(&wr, pos)
-		so := sub.svc.obs
-		so.classCount[class].Inc()
-		so.classEval[class].Observe(evalEndNS - evalStartNS)
-		// A traced subscription's span carries its wire identity: the
-		// client-minted trace id plus the deterministic per-period span id
-		// both tiers can recompute (see obs.MintSpanID).
-		var sid obs.SpanID
-		if sub.spec.Trace != 0 {
-			sid = obs.MintSpanID(sub.spec.Trace, wr.K)
-		}
-		// A catch-up period (armed by the previous iteration of this very
-		// drain, after the batch pop) never went back to the scheduler: its
-		// logical pop instant is its armed instant, not the batch pop stamp
-		// taken before the period existed — keeping armed <= popped and its
-		// scheduler-wait segment honestly zero.
-		popNS := poppedNS
-		if sub.lastArmedNS > popNS {
-			popNS = sub.lastArmedNS
-		}
-		buf = append(buf, pendingResult{
-			result: sub.makeResult(wr),
-			span: obs.PeriodSpan{
-				Trace:       sub.spec.Trace,
-				Span:        sid,
-				K:           wr.K,
-				Due:         wr.Due,
-				ArmedNS:     sub.lastArmedNS,
-				PoppedNS:    popNS,
-				EvalStartNS: evalStartNS,
-				EvalEndNS:   evalEndNS,
-				Class:       class,
-				Late:        wr.Late,
-			},
-		})
-		// The evaluation just re-armed the schedule at the next boundary;
-		// that instant is the next span's armed stamp.
-		sub.lastArmedNS = evalEndNS
 	}
+}
+
+// serve is one period under one hold of sub.mu: unless the subscription has
+// closed, evaluate the due period at pos (or at the UpdateWaypoint override),
+// count it by serve class, complete its lifecycle span, and hand the result
+// to the subscriber — or, when the buffer is full, discard it and count it
+// in Stats().Dropped rather than stalling the service. The span is recorded
+// in the subscription's trace ring, published to the service span firehose,
+// and — for a traced subscription — attached to the result so the network
+// front-end can echo it to the client. It reports whether a period was
+// served.
+func (sub *Subscription) serve(pos Point, now time.Duration, poppedNS int64, rb *core.RearmBatch) bool {
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	if sub.closed {
+		return false
+	}
+	if sub.manual != nil {
+		pos = *sub.manual
+	}
+	evalStartNS := time.Now().UnixNano()
+	wr, ok := sub.q.EvaluateDueAt(pos, now, rb)
+	evalEndNS := time.Now().UnixNano()
+	if !ok {
+		return false
+	}
+	// The serve classes partition evaluated periods, so the per-class
+	// counters sum to the delivery ledger (delivered + dropped) and to the
+	// spans published, at rest and under churn.
+	class, _ := sub.path.After(&wr, pos)
+	so := sub.svc.obs
+	so.classCount[class].Inc()
+	so.classEval[class].Observe(evalEndNS - evalStartNS)
+	// A catch-up period (armed by the previous iteration of this very
+	// drain, after the batch pop) never went back to the scheduler: its
+	// logical pop instant is its armed instant, not the batch pop stamp
+	// taken before the period existed — keeping armed <= popped and its
+	// scheduler-wait segment honestly zero.
+	span := obs.PeriodSpan{
+		Trace:       sub.spec.Trace,
+		K:           wr.K,
+		Due:         wr.Due,
+		ArmedNS:     sub.lastArmedNS,
+		PoppedNS:    max(poppedNS, sub.lastArmedNS),
+		EvalStartNS: evalStartNS,
+		EvalEndNS:   evalEndNS,
+		FlushNS:     evalEndNS,
+		Class:       class,
+		Late:        wr.Late,
+		Outcome:     obs.OutcomeDelivered,
+	}
+	// The evaluation just re-armed the schedule at the next boundary;
+	// that instant is the next span's armed stamp.
+	sub.lastArmedNS = evalEndNS
+
+	r := sub.makeResult(wr)
+	sub.stats.NextPeriod = r.K + 1
+	if !r.OnTime {
+		sub.stats.Late++
+		sub.svc.totLate.Add(1)
+	}
+	// The delivery stamp precedes the channel send so a traced result's
+	// echoed span already carries it. A traced subscription's span carries
+	// its wire identity — the client-minted trace id plus the deterministic
+	// per-period span id both tiers can recompute (obs.MintSpanID) — and the
+	// heap copy is per traced period: untraced subscriptions keep the
+	// allocation-free path.
+	span.DeliveredNS = time.Now().UnixNano()
+	if span.Trace != 0 {
+		span.Span = obs.MintSpanID(span.Trace, wr.K)
+		sp := new(obs.PeriodSpan)
+		*sp = span
+		r.Trace = sp
+	}
+	select {
+	case sub.results <- r:
+		sub.stats.Delivered++
+		sub.svc.totDelivered.Add(1)
+	default:
+		span.Outcome = obs.OutcomeDropped
+		sub.stats.Dropped++
+		sub.svc.totDropped.Add(1)
+	}
+	sub.trace.Record(&span)
+	sub.svc.spans.Publish(&span)
+	return true
 }
 
 // makeResult converts one engine window evaluation into the public
@@ -736,52 +759,6 @@ func (sub *Subscription) makeResult(wr core.WindowResult) QueryResult {
 	}
 	qr.Success = qr.OnTime && qr.Fidelity >= SuccessThreshold
 	return qr
-}
-
-// deliver hands one evaluated period to the subscriber, keeping the
-// drop-vs-deliver ledger: when the buffer is full the result is discarded
-// and counted in Stats().Dropped rather than stalling the service. span is
-// the period's lifecycle record; deliver completes it (delivery stamp and
-// outcome), records it in the subscription's trace ring, publishes it to
-// the service span firehose, and — for a traced subscription — attaches a
-// copy to the result so the network front-end can echo it to the client.
-func (sub *Subscription) deliver(r *QueryResult, span *obs.PeriodSpan) {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	if sub.closed {
-		// The period was evaluated but the subscription closed mid-tick:
-		// the result has nowhere to go, so count it against the service
-		// drop ledger — the per-class evaluated counters were already
-		// bumped, and they must keep partitioning delivered + dropped.
-		sub.svc.totDropped.Add(1)
-		return
-	}
-	sub.stats.NextPeriod = r.K + 1
-	if !r.OnTime {
-		sub.stats.Late++
-		sub.svc.totLate.Add(1)
-	}
-	// The delivery stamp precedes the channel send so a traced result's
-	// echoed span already carries it; the heap copy is per traced period —
-	// untraced subscriptions keep the allocation-free path.
-	span.DeliveredNS = time.Now().UnixNano()
-	span.Outcome = obs.OutcomeDelivered
-	if span.Trace != 0 {
-		sp := new(obs.PeriodSpan)
-		*sp = *span
-		r.Trace = sp
-	}
-	select {
-	case sub.results <- *r:
-		sub.stats.Delivered++
-		sub.svc.totDelivered.Add(1)
-	default:
-		span.Outcome = obs.OutcomeDropped
-		sub.stats.Dropped++
-		sub.svc.totDropped.Add(1)
-	}
-	sub.trace.Record(span)
-	sub.svc.spans.Publish(span)
 }
 
 // TraceSpans appends the subscription's recent period lifecycle spans to
