@@ -341,7 +341,13 @@ func TestSubscribeOnAnEndedContext(t *testing.T) {
 // goroutines close half of 2000 subscriptions of four periods and three
 // serve classes while one goroutine steps the clock and another subscribes
 // replacements, each paced by the step counter so the closes spread over
-// every stage of many steps. Afterwards the schedule holds exactly the live
+// every stage of many steps. A last goroutine meanwhile reads and moves live
+// cold and JIT subscriptions through every accessor — UpdateWaypoint (a JIT
+// one re-plans through planner and cache locks while a worker evaluates under
+// the query lock and asks the plan for its period status), Stats,
+// PrefetchStats, TraceSpans — so the race detector sees the one session lock
+// under each of them, not only under Close. Afterwards the schedule holds
+// exactly the live
 // subscriptions, every channel carries K = 1, 2, 3, … with no gap, a stream
 // ends where its Close cut it, and there is one ledger: periods evaluated by
 // class == spans published == Σ per-subscription delivered + dropped, a
@@ -415,6 +421,37 @@ func TestCloseStormAgainstAdvanceAndSubscribe(t *testing.T) {
 	go func() {
 		defer storm.Done()
 		paced(len(replacements), func(j int) { replacements[j] = subscribe(initial + j) })
+	}()
+	// The odd subscriptions of the first generation are never closed; take
+	// the cold and the JIT ones among them.
+	var touched []int
+	for i := 1; i < initial; i += 2 {
+		if spec := specOf(i); spec.Radius == 50 || spec.Strategy.Prefetching() {
+			touched = append(touched, i)
+		}
+	}
+	storm.Add(1)
+	go func() {
+		defer storm.Done()
+		paced(4*spread, func(j int) {
+			i := touched[j*7%len(touched)]
+			sub := subs[i]
+			if err := sub.UpdateWaypoint(Pt(100+float64(i%200), 200+float64(j))); err != nil {
+				t.Errorf("UpdateWaypoint on live sub %d: %v", i, err)
+			}
+			if led := sub.Stats(); led.NextPeriod < 1 {
+				t.Errorf("sub %d: ledger %+v", i, led)
+			}
+			if _, ok := sub.PrefetchStats(); ok != sub.Spec().Strategy.Prefetching() {
+				t.Errorf("sub %d: PrefetchStats ok = %v", i, ok)
+			}
+			spans := sub.TraceSpans(nil)
+			for k := 1; k < len(spans); k++ {
+				if spans[k].K != spans[k-1].K+1 {
+					t.Errorf("sub %d: trace ring holds period %d after %d", i, spans[k].K, spans[k-1].K)
+				}
+			}
+		})
 	}()
 	stormOver := make(chan struct{})
 	go func() { storm.Wait(); close(stormOver) }()

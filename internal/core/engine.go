@@ -54,11 +54,12 @@ func (c EngineConfig) Validate() error {
 const queryStripes = 64
 
 // Query is one registered user query — a radius around a mobile waypoint —
-// and the handle registration returns: the per-query operations are methods
-// on it, so a driver that keeps the handle never resolves an id (the
-// id-keyed engine methods resolve once and delegate here). One mutex guards
-// all mutable state: a period is one lock acquisition, and evaluations of
-// distinct queries never contend.
+// and its handle, stored by value in the caller's per-user state: the
+// per-query operations are methods on it, so a driver that keeps the handle
+// never resolves an id (the id-keyed engine methods resolve once and delegate
+// here). One mutex (Lock) guards all mutable state, the query's and its
+// owner's session state beside it: a period is one lock acquisition, and
+// evaluations of distinct queries never contend.
 type Query struct {
 	id uint32
 	// heapPos is the query's slot in the schedule's heap plus one: 0 while
@@ -105,6 +106,11 @@ const heapRemoved = -1
 // Owner returns the value registration attached to the query: a driver
 // goes from a popped schedule entry to its own state without a lookup.
 func (q *Query) Owner() any { return q.owner }
+
+// Lock and Unlock are the query's mutex, which is also its owner's session
+// lock: a driver holds it around EvaluateDueAt and its own per-period state.
+func (q *Query) Lock()   { q.mu.Lock() }
+func (q *Query) Unlock() { q.mu.Unlock() }
 
 type engineStripe struct {
 	mu      sync.RWMutex
@@ -256,25 +262,29 @@ func (e *QueryEngine) Register(queryID uint32, radius float64, pos geom.Point) {
 // radius, duplicate id) as an error. A query id freed by Deregister may be
 // registered again.
 func (e *QueryEngine) RegisterE(queryID uint32, radius float64, pos geom.Point) error {
-	_, err := e.register(queryID, radius, pos, TemporalSpec{}, 0, nil)
-	return err
+	return e.register(new(Query), queryID, radius, pos, TemporalSpec{}, 0, nil)
 }
 
-func (e *QueryEngine) register(queryID uint32, radius float64, pos geom.Point, spec TemporalSpec, t0 sim.Time, owner any) (*Query, error) {
-	if queryID == 0 {
-		return nil, fmt.Errorf("core: query id must be non-zero")
+// register fills in and publishes q. Storage ever registered is refused:
+// Schedule.Remove spent its handle for good, and a stale re-arm still carrying
+// it must never reach a later registration made in the same memory.
+func (e *QueryEngine) register(q *Query, queryID uint32, radius float64, pos geom.Point, spec TemporalSpec, t0 sim.Time, owner any) error {
+	switch {
+	case queryID == 0:
+		return fmt.Errorf("core: query id must be non-zero")
+	case radius <= 0:
+		return fmt.Errorf("core: query radius must be positive")
+	case q.eng != nil: // set here and never cleared
+		return fmt.Errorf("core: query %d storage was already registered", queryID)
 	}
-	if radius <= 0 {
-		return nil, fmt.Errorf("core: query radius must be positive")
-	}
-	q := &Query{id: queryID, radius: radius, eng: e, owner: owner, spec: spec, t0: t0, pos: pos}
-	q.nextK.Store(1)
 	st := e.stripe(queryID)
 	st.mu.Lock()
 	if _, dup := st.queries[queryID]; dup {
 		st.mu.Unlock()
-		return nil, fmt.Errorf("core: duplicate query id %d", queryID)
+		return fmt.Errorf("core: duplicate query id %d", queryID)
 	}
+	q.id, q.radius, q.eng, q.owner, q.spec, q.t0, q.pos = queryID, radius, e, owner, spec, t0, pos
+	q.nextK.Store(1)
 	st.queries[queryID] = q
 	st.mu.Unlock()
 	e.nq.Add(1)
@@ -283,7 +293,7 @@ func (e *QueryEngine) register(queryID uint32, radius float64, pos geom.Point, s
 		// q first spends the handle, and the Upsert then declines.
 		e.sched.Upsert(q, t0+spec.Period)
 	}
-	return q, nil
+	return nil
 }
 
 // lookup resolves a query id through the registry; nil when unknown.
@@ -499,17 +509,11 @@ func (e *QueryEngine) FlushRearms(rb *RearmBatch) {
 func (e *QueryEngine) UpdateWaypoint(queryID uint32, pos geom.Point) bool {
 	q := e.lookup(queryID)
 	if q != nil {
-		q.SetWaypoint(pos)
+		q.mu.Lock()
+		q.pos = pos
+		q.mu.Unlock()
 	}
 	return q != nil
-}
-
-// SetWaypoint moves the query center. Updates for distinct queries never
-// contend; an evaluation in flight completes at the old point.
-func (q *Query) SetWaypoint(pos geom.Point) {
-	q.mu.Lock()
-	q.pos = pos
-	q.mu.Unlock()
 }
 
 // QueryCount returns the number of registered live queries.

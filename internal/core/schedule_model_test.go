@@ -110,7 +110,8 @@ func checkIntrusive(t *testing.T, step int, e *QueryEngine, m *scheduleModel) {
 }
 
 // TestIntrusiveScheduleAgainstModel drives seeded random interleavings of
-// register, deregister, re-register of a freed id, PopDue, immediate and
+// register, deregister, re-register of a freed id into fresh storage,
+// refused re-registration of storage already used, PopDue, immediate and
 // batched evaluation and FlushRearms — with deregisters and same-id
 // re-registers landing between an evaluation and its flush — through the
 // engine and through the naive model above.
@@ -141,8 +142,8 @@ func runScheduleModel(t *testing.T, seed int64) {
 			return
 		}
 		period := sim.Time(1+rng.Intn(5)) * sim.Time(time.Second)
-		q, err := e.RegisterQuery(id, 5, geom.Pt(50, 50), TemporalSpec{Period: period}, now, nil)
-		if err != nil {
+		q := new(Query)
+		if err := e.RegisterQuery(q, id, 5, geom.Pt(50, 50), TemporalSpec{Period: period}, now, nil); err != nil {
 			t.Fatal(err)
 		}
 		mq := &modelQuery{q: q, id: id, period: period, next: now + period, live: true}
@@ -204,7 +205,7 @@ func runScheduleModel(t *testing.T, seed int64) {
 		register(id)
 	}
 	for step := 0; step < 1500; step++ {
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(11); {
 		case op < 2:
 			register(uint32(1 + rng.Intn(idSpace)))
 		case op < 4:
@@ -215,6 +216,18 @@ func runScheduleModel(t *testing.T, seed int64) {
 			id := uint32(1 + rng.Intn(idSpace))
 			deregister(id)
 			register(id)
+		case op == 10:
+			// Registering storage a second time — live, popped or spent, under
+			// a free id — is refused and changes nothing: a spent handle stays
+			// spent, so its stale re-arms never reach a later registration.
+			mq := m.all[rng.Intn(len(m.all))]
+			free := uint32(idSpace + 1)
+			if err := e.RegisterQuery(mq.q, free, 5, geom.Pt(50, 50), TemporalSpec{Period: time.Second}, now, nil); err == nil {
+				t.Fatalf("step %d: storage of query %d (live=%v) registered again", step, mq.id, mq.live)
+			}
+			if e.lookup(free) != nil {
+				t.Fatalf("step %d: a refused registration published id %d", step, free)
+			}
 		case op < 7:
 			now += sim.Time(rng.Int63n(int64(2 * time.Second)))
 			// Unflushed re-arms must reach the schedule before a pop that
@@ -254,7 +267,7 @@ func runScheduleModel(t *testing.T, seed int64) {
 			if rng.Intn(2) == 0 {
 				flush()
 			}
-		default:
+		case op == 9:
 			// A direct evaluation by handle with an immediate re-arm, on any
 			// handle ever registered — armed, popped or spent.
 			mq := m.all[rng.Intn(len(m.all))]

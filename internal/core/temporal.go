@@ -323,21 +323,21 @@ func (e *QueryEngine) withTemporal(queryID uint32, fn func(*Query)) bool {
 	return q != nil
 }
 
-// RegisterQuery registers a live query carrying a temporal contract and
-// returns its handle: periods are counted from t0, with the first result
-// due at t0+Period, and the query is driven with NextDue/EvaluateDue. owner
+// RegisterQuery registers q — storage the caller owns, never registered
+// before — as a live query with a temporal contract: periods count from t0,
+// the first result due at t0+Period, driven with NextDue/EvaluateDue. owner
 // is what Query.Owner hands back from a popped schedule entry.
-func (e *QueryEngine) RegisterQuery(queryID uint32, radius float64, pos geom.Point, spec TemporalSpec, t0 sim.Time, owner any) (*Query, error) {
+func (e *QueryEngine) RegisterQuery(q *Query, queryID uint32, radius float64, pos geom.Point, spec TemporalSpec, t0 sim.Time, owner any) error {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	return e.register(queryID, radius, pos, spec, t0, owner)
+	return e.register(q, queryID, radius, pos, spec, t0, owner)
 }
 
-// RegisterTemporalE is RegisterQuery for callers that drive the query by id.
+// RegisterTemporalE is RegisterQuery into fresh storage, for callers that
+// drive the query by id.
 func (e *QueryEngine) RegisterTemporalE(queryID uint32, radius float64, pos geom.Point, spec TemporalSpec, t0 sim.Time) error {
-	_, err := e.RegisterQuery(queryID, radius, pos, spec, t0, nil)
-	return err
+	return e.RegisterQuery(new(Query), queryID, radius, pos, spec, t0, nil)
 }
 
 // temporal resolves a query id, or returns nil if the query is unknown or
@@ -400,20 +400,14 @@ func (e *QueryEngine) EvaluateDueBatch(queryID uint32, now sim.Time, rb *RearmBa
 func (q *Query) EvaluateDue(now sim.Time, rb *RearmBatch) (WindowResult, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.evaluateDue(now, rb)
+	return q.EvaluateDueAt(q.pos, now, rb)
 }
 
-// EvaluateDueAt is SetWaypoint(pos) then EvaluateDue under one lock
-// acquisition: a driver's whole period.
+// EvaluateDueAt moves the query center to pos, then is EvaluateDue with the
+// caller holding the query's lock (Lock): a driver's whole period, inside the
+// one hold that also covers its own session state.
 func (q *Query) EvaluateDueAt(pos geom.Point, now sim.Time, rb *RearmBatch) (WindowResult, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	q.pos = pos
-	return q.evaluateDue(now, rb)
-}
-
-// evaluateDue is the body of EvaluateDue. Caller holds q.mu.
-func (q *Query) evaluateDue(now sim.Time, rb *RearmBatch) (WindowResult, bool) {
 	e := q.eng
 	k, due := q.NextDue()
 	if due > now {

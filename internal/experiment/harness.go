@@ -150,10 +150,10 @@ type user struct {
 	pass
 }
 
-// pass is a user's state within one arm: the registered query, its serve
-// path, membership, and the ledger.
+// pass is a user's state within one arm, zeroed before each: the query,
+// stored in place, its serve path, membership, and the ledger.
 type pass struct {
-	q            *core.Query
+	q            core.Query
 	path         servepath.Path
 	joined, gone bool
 
@@ -370,7 +370,7 @@ func (w *workload) runPass(a arm) (Outcome, error) {
 	join := func(u *user, at sim.Time) (err error) {
 		pos := u.pos(at)
 		u.joined = true
-		if u.q, err = eng.RegisterQuery(u.id, w.Radius, pos, spec, at, u); err != nil {
+		if err = eng.RegisterQuery(&u.q, u.id, w.Radius, pos, spec, at, u); err != nil {
 			return err
 		}
 		prof := mobility.Profile{Path: mobility.Stationary(pos, at), TS: at, Generated: at}
@@ -383,7 +383,7 @@ func (w *workload) runPass(a arm) (Outcome, error) {
 		}
 		c := cfg
 		c.T0 = at
-		return u.path.Attach(u.q, c, pos, prof, stream)
+		return u.path.Attach(&u.q, c, pos, prof, stream)
 	}
 
 	out := Outcome{Label: a.label, Strategy: a.strat}
@@ -410,7 +410,9 @@ func (w *workload) runPass(a arm) (Outcome, error) {
 		u.path.Before(due)
 		pos := u.pos(due)
 		evalStart := time.Now()
+		u.q.Lock()
 		wr, ok := u.q.EvaluateDueAt(pos, now, rb)
+		u.q.Unlock()
 		ns := time.Since(evalStart).Nanoseconds()
 		if !ok {
 			return false

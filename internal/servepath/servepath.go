@@ -7,7 +7,9 @@
 //	path.Attach(q, cfg, pos, profile, stream)  // once, after registering q
 //	for each due boundary:
 //		path.Before(due)
+//		q.Lock()
 //		wr, ok := q.EvaluateDueAt(pos, now, rb)
+//		q.Unlock()
 //		class, mispredicted := path.After(&wr, pos)
 package servepath
 

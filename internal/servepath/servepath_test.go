@@ -74,8 +74,8 @@ func TestMispredictIsCorrectedFromObservedMotion(t *testing.T) {
 		return turn.Add(northEast.Scale(float64(k-turnAt+1) * period.Seconds()))
 	}
 
-	q, err := eng.RegisterQuery(1, radius, start, core.TemporalSpec{Period: period, Deadline: deadline, Fresh: time.Second}, 0, nil)
-	if err != nil {
+	q := new(core.Query)
+	if err := eng.RegisterQuery(q, 1, radius, start, core.TemporalSpec{Period: period, Deadline: deadline, Fresh: time.Second}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	var p Path
@@ -90,7 +90,9 @@ func TestMispredictIsCorrectedFromObservedMotion(t *testing.T) {
 		t.Helper()
 		due := sim.Time(k) * period
 		p.Before(due)
+		q.Lock()
 		wr, ok := q.EvaluateDueAt(actual(k), due+300*time.Millisecond, nil)
+		q.Unlock()
 		if !ok || wr.K != k {
 			t.Fatalf("boundary %d: evaluated K=%d ok=%v", k, wr.K, ok)
 		}
@@ -165,8 +167,8 @@ func TestStreamProfileInstalledOnceBeforeItsBoundary(t *testing.T) {
 	second := LinearProfile(geom.Pt(320, 330), geom.V(0, 5), deliverAt, period)
 	stream := []mobility.TimedProfile{{Deliver: 0, Profile: first}, {Deliver: deliverAt, Profile: second}}
 
-	q, err := eng.RegisterQuery(1, radius, start, core.TemporalSpec{Period: period, Deadline: deadline, Fresh: time.Second}, 0, nil)
-	if err != nil {
+	q := new(core.Query)
+	if err := eng.RegisterQuery(q, 1, radius, start, core.TemporalSpec{Period: period, Deadline: deadline, Fresh: time.Second}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	var p Path
@@ -205,7 +207,9 @@ func TestStreamProfileInstalledOnceBeforeItsBoundary(t *testing.T) {
 			t.Errorf("boundary %d: plan epoch %v, want the delivery instant %v", k, st.Epoch, deliverAt)
 		}
 		pos := start
+		q.Lock()
 		wr, ok := q.EvaluateDueAt(pos, due, nil)
+		q.Unlock()
 		if !ok {
 			t.Fatalf("boundary %d not due", k)
 		}
@@ -221,8 +225,8 @@ func TestStreamProfileInstalledOnceBeforeItsBoundary(t *testing.T) {
 func TestUnplannedPathIsInert(t *testing.T) {
 	eng, sampler := testField(t)
 	start := geom.Pt(500, 500)
-	q, err := eng.RegisterQuery(1, radius, start, core.TemporalSpec{Period: period, Deadline: deadline, Fresh: time.Second}, 0, nil)
-	if err != nil {
+	q := new(core.Query)
+	if err := eng.RegisterQuery(q, 1, radius, start, core.TemporalSpec{Period: period, Deadline: deadline, Fresh: time.Second}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig(eng, sampler, 0)
@@ -243,7 +247,9 @@ func TestUnplannedPathIsInert(t *testing.T) {
 	}
 	p.Replan(LinearProfile(start, geom.V(1, 0), 0, period), 0)
 	p.Before(period)
+	q.Lock()
 	wr, ok := q.EvaluateDueAt(start, period, nil)
+	q.Unlock()
 	if !ok {
 		t.Fatal("boundary 1 not due")
 	}

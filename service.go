@@ -110,9 +110,9 @@ func WithAlignedSampling() Option {
 
 // WithTraceDepth sets how many recent period lifecycle spans each
 // subscription's trace ring retains (default 16; see
-// Subscription.TraceSpans). 0 disables tracing entirely — subscriptions
-// then carry no ring and the per-period tracing cost is one nil check.
-// The ring is allocated once at Subscribe, so tracing adds nothing to the
+// Subscription.TraceSpans). 0 drops only that ring: every period still
+// builds its span for the service firehose (WithSpanFirehose) and a traced
+// result. The ring is allocated once at Subscribe, so it adds nothing to the
 // Advance hot path's allocation count at any depth.
 func WithTraceDepth(n int) Option {
 	return func(o *serviceOptions) {
@@ -205,8 +205,8 @@ type Service struct {
 	stopCtx func() bool
 
 	// Lifetime delivery totals across every subscription, live or closed
-	// (ServiceStats). Atomics: periods are served under per-subscription
-	// locks, never a service-wide one.
+	// (ServiceStats). Atomics: periods are served under each subscription's
+	// query lock, never a service-wide one.
 	totOpened    atomic.Uint64
 	totClosed    atomic.Uint64
 	totDelivered atomic.Uint64

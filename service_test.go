@@ -463,6 +463,30 @@ func TestSubscribeWatcherDoesNotLeak(t *testing.T) {
 	}
 }
 
+// TestSubscribeAllocations pins what a session costs the heap: a
+// subscription stores its engine query in place, so Subscribe+Close with
+// default options allocates the Subscription, its result channel and buffer,
+// and its trace ring and spans — and no separate query.
+func TestSubscribeAllocations(t *testing.T) {
+	svc, err := Open(context.Background(), DefaultNetworkConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	spec := QuerySpec{Radius: 150, Period: time.Second, Freshness: time.Second, Aggregate: Count}
+	src := StaticPosition(Pt(225, 225))
+	allocs := testing.AllocsPerRun(200, func() {
+		sub, err := svc.Subscribe(context.Background(), spec, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub.Close()
+	})
+	if allocs != 5 {
+		t.Fatalf("Subscribe+Close allocates %v objects, want 5", allocs)
+	}
+}
+
 // TestContextBoundSubscriptionsAddNoGoroutines pins that tying
 // subscriptions to a cancellable context costs no goroutine each — the
 // context itself calls Close when it ends — and that cancelling it still

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"mobiquery/internal/core"
@@ -382,11 +381,11 @@ type Subscription struct {
 	agg  AggKind
 
 	results chan QueryResult
-	// q is the engine query's handle, which the period path drives directly
-	// and whose registration is the subscription's membership in the service.
-	// Set once by Subscribe, before the subscription is returned, bound to a
-	// context, or reachable by a later Advance or Service.Close.
-	q *core.Query
+	// q is the engine query, stored in place: the period path drives it, its
+	// registration is the subscription's membership in the service, and its
+	// lock guards the session state below. Registered by Subscribe before the
+	// subscription is returned or reachable by an Advance or Service.Close.
+	q core.Query
 
 	// path is the query's serve machinery — prefetch planner, corridor
 	// cache, shared pyramid — and the state of driving it. Attached once by
@@ -395,8 +394,8 @@ type Subscription struct {
 	path servepath.Path
 
 	// trace is the fixed-depth ring of recent period lifecycle spans
-	// (TraceSpans); nil when the service was opened with WithTraceDepth(0).
-	// Allocated once at Subscribe so the Advance path never does.
+	// (TraceSpans), allocated once at Subscribe; nil under WithTraceDepth(0),
+	// which drops only this ring, not the span each period still publishes.
 	// lastArmedNS is the wall time this subscription's schedule entry was
 	// last re-armed — the end of the previous period's evaluation, or the
 	// Subscribe instant — giving each span its armed→popped scheduler wait.
@@ -405,13 +404,12 @@ type Subscription struct {
 	trace       *obs.TraceRing
 	lastArmedNS int64
 
-	// mu guards the mutable session state. It is per-subscription so one
-	// user's waypoint updates, stats reads, and deliveries never contend
+	// The mutable session state, under q's lock. It is per-subscription so
+	// one user's waypoint updates, stats reads, and deliveries never contend
 	// with another's, and none of them block the service registry lock.
-	// step holds it once per period, from the closed check to the send, so
+	// serve holds it once per period, from the closed check to the send, so
 	// a period is either not evaluated or handed over — and Close, Stats
 	// and UpdateWaypoint wait for one evaluation at most.
-	mu       sync.Mutex
 	manual   *Point // set by UpdateWaypoint; overrides src from then on
 	manualAt time.Duration
 	closed   bool
@@ -502,12 +500,11 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 		}
 	}
 	pos := src.PositionAt(0)
-	sub.q, err = s.engine.RegisterQuery(sub.id, spec.Radius, pos,
-		core.TemporalSpec{Period: spec.Period, Deadline: spec.Deadline, Fresh: spec.Freshness, Window: spec.Window}, s.now, sub)
-	if err != nil {
+	if err := s.engine.RegisterQuery(&sub.q, sub.id, spec.Radius, pos,
+		core.TemporalSpec{Period: spec.Period, Deadline: spec.Deadline, Fresh: spec.Freshness, Window: spec.Window}, s.now, sub); err != nil {
 		return nil, err
 	}
-	if err := sub.path.Attach(sub.q, cfg, pos, prof, stream); err != nil {
+	if err := sub.path.Attach(&sub.q, cfg, pos, prof, stream); err != nil {
 		sub.q.Deregister()
 		return nil, err
 	}
@@ -519,9 +516,9 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 		// that has ended already may run Close before stop is stored; close()
 		// then finds nothing to detach, which is right.
 		stop := context.AfterFunc(ctx, func() { sub.Close() })
-		sub.mu.Lock()
+		sub.q.Lock()
 		sub.stopCtx = stop
-		sub.mu.Unlock()
+		sub.q.Unlock()
 	}
 	return sub, nil
 }
@@ -546,15 +543,15 @@ func (sub *Subscription) Spec() QuerySpec { return sub.spec }
 // few results carry Warmup=true — the paper's cost of a motion change.
 func (sub *Subscription) UpdateWaypoint(p Point) error {
 	now := sub.svc.Now()
-	sub.mu.Lock()
+	sub.q.Lock()
 	if sub.closed {
-		sub.mu.Unlock()
+		sub.q.Unlock()
 		return fmt.Errorf("mobiquery: subscription %d is closed", sub.id)
 	}
 	prev, prevAt := sub.manual, sub.manualAt
 	sub.manual = &p
 	sub.manualAt = now
-	sub.mu.Unlock()
+	sub.q.Unlock()
 	if sub.path.Planned() {
 		sub.path.Replan(waypointProfile(p, prev, prevAt, sub.src, sub.t0, now, sub.spec.Period), now)
 	}
@@ -571,8 +568,8 @@ func (sub *Subscription) PrefetchStats() (PrefetchStats, bool) {
 
 // Stats returns the subscription's delivery ledger so far.
 func (sub *Subscription) Stats() SubscriptionStats {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
+	sub.q.Lock()
+	defer sub.q.Unlock()
 	return sub.stats
 }
 
@@ -588,17 +585,17 @@ func (sub *Subscription) Close() error {
 // stream, and deregisters the engine query — which is what removes it from
 // the service. Idempotent, and safe from any goroutine.
 func (sub *Subscription) close() {
-	sub.mu.Lock()
+	sub.q.Lock()
 	if sub.closed {
-		sub.mu.Unlock()
+		sub.q.Unlock()
 		return
 	}
 	sub.closed = true
-	// Closed under mu: step sends under the same lock, so a racing Advance
+	// Closed under the lock: serve sends under it too, so a racing Advance
 	// can never write to a closed channel.
 	close(sub.results)
 	stop := sub.stopCtx
-	sub.mu.Unlock()
+	sub.q.Unlock()
 	if stop != nil {
 		stop()
 	}
@@ -645,18 +642,18 @@ func (sub *Subscription) step(now time.Duration, poppedNS int64, rb *core.RearmB
 	}
 }
 
-// serve is one period under one hold of sub.mu: unless the subscription has
-// closed, evaluate the due period at pos (or at the UpdateWaypoint override),
-// count it by serve class, complete its lifecycle span, and hand the result
-// to the subscriber — or, when the buffer is full, discard it and count it
-// in Stats().Dropped rather than stalling the service. The span is recorded
-// in the subscription's trace ring, published to the service span firehose,
-// and — for a traced subscription — attached to the result so the network
-// front-end can echo it to the client. It reports whether a period was
-// served.
+// serve is one period under one hold of the query's lock, the session's only
+// one: unless the subscription has closed, evaluate the due period at pos (or
+// at the UpdateWaypoint override), count it by serve class, complete its
+// lifecycle span, and hand the result to the subscriber — or, when the buffer
+// is full, discard it and count it in Stats().Dropped rather than stalling
+// the service. The span is recorded in the subscription's trace ring,
+// published to the service span firehose, and — for a traced subscription —
+// attached to the result so the network front-end can echo it to the client.
+// It reports whether a period was served.
 func (sub *Subscription) serve(pos Point, now time.Duration, poppedNS int64, rb *core.RearmBatch) bool {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
+	sub.q.Lock()
+	defer sub.q.Unlock()
 	if sub.closed {
 		return false
 	}
