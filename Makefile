@@ -16,14 +16,15 @@ test:
 # The second pass repeats the two differential tests the period path rests
 # on, each against its naive model: the intrusive schedule's (cheap, seeded,
 # owner of the heap-index invariant) and the reading column's, with the
-# three-party race over a column's lifetime beside it. The third repeats the
-# service-level close storm — Close, Subscribe and Advance meeting on the one
-# schedule lock, with the one ledger reconciled afterwards — and its
-# deterministic form, a Close landing between a period's evaluation and the
-# step's re-arm flush.
+# three-party race over a column's lifetime beside it, and the engine churn
+# storm, every registry writer and reader against the one registry lock. The
+# third repeats the service-level close storm — Close, Subscribe and Advance
+# meeting on the one schedule lock, with the one ledger reconciled
+# afterwards — and its deterministic form, a Close landing between a
+# period's evaluation and the step's re-arm flush.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run='^(TestIntrusiveScheduleAgainstModel|TestReadingColumnMatchesNaiveReference|TestReadingColumnUnderConcurrentChurn)$$' ./internal/core
+	$(GO) test -race -count=5 -run='^(TestIntrusiveScheduleAgainstModel|TestReadingColumnMatchesNaiveReference|TestReadingColumnUnderConcurrentChurn|TestEngineChurnUnderRace)$$' ./internal/core
 	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered)$$' .
 
 # One pass over every benchmark as a smoke test, after the cold-evaluation

@@ -330,8 +330,8 @@ type Result struct {
 // SuccessThreshold is the fidelity cutoff used for SuccessRatio.
 const SuccessThreshold = metrics.FidelityThreshold
 
-// ScaleConfig configures the multi-user scale scenario: many mobile users
-// issuing instantaneous area queries over a large sensor field, driven
+// ScaleConfig configures the multi-user scale scenario: many mobile users,
+// each with one periodic area query over a large sensor field, driven
 // directly through the sharded concurrent query engine (no radio
 // simulation). Construct with DefaultScaleConfig and override as needed.
 type ScaleConfig struct {

@@ -12,6 +12,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,7 +222,8 @@ func BenchmarkAblationMechanisms(b *testing.B) {
 }
 
 // benchEngine builds a populated query engine for the dispatch benchmarks:
-// users queries of the paper's 150 m radius over a 20k-node field.
+// users queries of the paper's 150 m radius over a 20k-node field, each with
+// a one-second period whose k-th boundary is at k-1 seconds.
 func benchEngine(users int, cfg core.EngineConfig) *core.QueryEngine {
 	rng := rand.New(rand.NewSource(1))
 	region := geom.Square(5000)
@@ -230,20 +232,40 @@ func benchEngine(users int, cfg core.EngineConfig) *core.QueryEngine {
 		e.UpsertNode(radio.NodeID(i), region.UniformPoint(rng))
 	}
 	for u := 1; u <= users; u++ {
-		e.Register(uint32(u), 150, region.UniformPoint(rng))
+		if err := e.RegisterTemporalE(uint32(u), 150, region.UniformPoint(rng), core.TemporalSpec{Period: time.Second}, -time.Second); err != nil {
+			panic(err)
+		}
 	}
 	return e
 }
 
-// BenchmarkMultiUserDispatchSharded measures a full sweep of 2000 users'
-// query areas through the sharded concurrent engine's worker pool.
+// BenchmarkMultiUserDispatchSharded measures one boundary of 2000 users'
+// queries through the sharded concurrent engine's worker pool, as a clock
+// driver runs it: PopDue, one evaluation per popped query into its worker's
+// re-arm batch, FlushRearms.
 func BenchmarkMultiUserDispatchSharded(b *testing.B) {
 	b.ReportAllocs()
 	e := benchEngine(2000, core.EngineConfig{})
+	rearms := make([]*core.RearmBatch, e.Workers())
+	for w := range rearms {
+		rearms[w] = e.NewRearmBatch()
+	}
+	var due []core.DueEntry
+	var evaluated atomic.Int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := e.EvaluateAll(time.Duration(i) * time.Second)
-		if len(res) != 2000 {
+		now := time.Duration(i) * time.Second
+		due = e.PopDue(now, due[:0])
+		evaluated.Store(0)
+		e.DispatchWorkers(len(due), func(w, j int) {
+			if _, ok := due[j].Query.EvaluateDue(now, rearms[w]); ok {
+				evaluated.Add(1)
+			}
+		})
+		for _, rb := range rearms {
+			e.FlushRearms(rb)
+		}
+		if evaluated.Load() != 2000 {
 			b.Fatal("evaluation dropped users")
 		}
 	}

@@ -15,9 +15,10 @@ import (
 
 // TestEngineChurnUnderRace hammers the engine with every mutating operation
 // at once — registration, deregistration, re-registration of freed ids,
-// waypoint updates, node churn, full sweeps, and streaming evaluations —
-// and is meaningful mainly under `go test -race`. It pins the service-shaped
-// contract: users may join and leave while evaluation is in flight.
+// waypoint updates, node churn, registry walks, schedule pops with batched
+// re-arms, and streaming evaluations — and is meaningful mainly under
+// `go test -race`. It pins the service-shaped contract: users may join and
+// leave while evaluation is in flight.
 func TestEngineChurnUnderRace(t *testing.T) {
 	region := geom.Square(1000)
 	e := NewQueryEngine(region, 100, field.Uniform{Value: 20}, EngineConfig{Shards: 8, Workers: 8})
@@ -31,12 +32,8 @@ func TestEngineChurnUnderRace(t *testing.T) {
 		churners = 8  // goroutines cycling their own id through reg/dereg
 		loops    = 60
 	)
+	spec := TemporalSpec{Period: time.Second, Deadline: 50 * time.Millisecond, Fresh: time.Second}
 	for u := 1; u <= stable; u++ {
-		if u%2 == 0 {
-			e.Register(uint32(u), 150, geom.Pt(float64(u*10), 500))
-			continue
-		}
-		spec := TemporalSpec{Period: time.Second, Deadline: 50 * time.Millisecond, Fresh: time.Second}
 		if err := e.RegisterTemporalE(uint32(u), 150, geom.Pt(float64(u*10), 500), spec, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +41,7 @@ func TestEngineChurnUnderRace(t *testing.T) {
 
 	var wg sync.WaitGroup
 	// Churners: deregister and immediately re-register the same id, so a
-	// sweep in flight keeps meeting queries that appear and disappear.
+	// walk or pop in flight keeps meeting queries that appear and disappear.
 	for c := 0; c < churners; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -52,12 +49,12 @@ func TestEngineChurnUnderRace(t *testing.T) {
 			id := uint32(1000 + c)
 			rng := rand.New(rand.NewSource(int64(c)))
 			for i := 0; i < loops; i++ {
-				if err := e.RegisterE(id, 150, region.UniformPoint(rng)); err != nil {
+				if err := e.RegisterTemporalE(id, 150, region.UniformPoint(rng), spec, 0); err != nil {
 					t.Errorf("churner %d: re-register of freed id: %v", c, err)
 					return
 				}
 				e.UpdateWaypoint(id, region.UniformPoint(rng))
-				_, _ = e.Evaluate(id, 0)
+				_, _ = e.EvaluateDue(id, time.Second)
 				e.Deregister(id)
 			}
 		}(c)
@@ -73,27 +70,40 @@ func TestEngineChurnUnderRace(t *testing.T) {
 			}
 		}(w)
 	}
-	// Full sweeps racing the churn.
+	// evaluated counts the periods each stable query actually returned,
+	// across all evaluators.
+	var evaluated [stable + 1]atomic.Int64
+	// The whole-registry readers racing the churn: registry walks, and a clock
+	// driver popping every due boundary — churners' spent handles included —
+	// and evaluating it into a re-arm batch it flushes after each pop.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		rb := e.NewRearmBatch()
+		var due []DueEntry
 		for i := 0; i < loops/2; i++ {
-			if res := e.EvaluateAll(sim.Time(i) * time.Second); len(res) < stable {
-				t.Errorf("sweep %d returned %d results, below the stable population %d", i, len(res), stable)
+			if qs := e.Queries(); len(qs) < stable {
+				t.Errorf("walk %d returned %d queries, below the stable population %d", i, len(qs), stable)
 				return
 			}
+			now := sim.Time(i) * time.Second
+			due = e.PopDue(now, due[:0])
+			for _, d := range due {
+				if _, ok := d.Query.EvaluateDue(now, rb); ok && d.ID <= stable {
+					evaluated[d.ID].Add(1)
+				}
+			}
+			e.FlushRearms(rb)
 		}
 	}()
-	// Streaming evaluations of the temporal queries, two goroutines per
-	// query id so EvaluateDue's period counter is contested; evaluated counts
-	// the periods each query actually returned, across both.
-	var evaluated [stable + 1]atomic.Int64
+	// Streaming evaluations of the stable queries, two goroutines per query
+	// id so EvaluateDue's period counter is contested.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 1; i <= loops; i++ {
-				for u := 1; u <= stable; u += 2 {
+				for u := 1; u <= stable; u++ {
 					if _, ok := e.EvaluateDue(uint32(u), sim.Time(i)*time.Second); ok {
 						evaluated[u].Add(1)
 					}
@@ -118,13 +128,13 @@ func TestEngineChurnUnderRace(t *testing.T) {
 	if n := e.QueryCount(); n != stable {
 		t.Fatalf("QueryCount after churn = %d, want %d", n, stable)
 	}
-	// Each temporal query was offered period indices 1..loops by two racing
-	// goroutines; EvaluateDue must have advanced each exactly once per due
+	// Each stable query was offered period indices 1..loops by the racing
+	// evaluators; EvaluateDue must have advanced each exactly once per due
 	// period, never double-counting.
-	for u := 1; u <= stable; u += 2 {
+	for u := 1; u <= stable; u++ {
 		k, _, ok := e.NextDue(uint32(u))
 		if !ok {
-			t.Fatalf("temporal query %d lost its state", u)
+			t.Fatalf("query %d lost its state", u)
 		}
 		if n := evaluated[u].Load(); n != loops || k != loops+1 {
 			t.Errorf("query %d: evaluated %d periods (next %d), want %d", u, n, k, loops)

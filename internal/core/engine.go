@@ -48,11 +48,6 @@ func (c EngineConfig) Validate() error {
 	return nil
 }
 
-// queryStripes is the number of hash stripes of the query registry. It
-// bounds contention between concurrent Register/UpdateWaypoint calls for
-// different users.
-const queryStripes = 64
-
 // Query is one registered user query — a radius around a mobile waypoint —
 // and its handle, stored by value in the caller's per-user state: the
 // per-query operations are methods on it, so a driver that keeps the handle
@@ -72,10 +67,9 @@ type Query struct {
 	radius    float64
 	eng       *QueryEngine
 	owner     any
-	// spec and t0 are the temporal contract, fixed at registration; a zero
-	// Period marks a query registered without one. nextK is the 1-based
-	// index of the next period to evaluate: written under mu, read
-	// lock-free by NextDue.
+	// spec and t0 are the temporal contract, fixed at registration. nextK is
+	// the 1-based index of the next period to evaluate: written under mu,
+	// read lock-free by NextDue.
 	spec  TemporalSpec
 	t0    sim.Time
 	nextK atomic.Int64
@@ -112,28 +106,24 @@ func (q *Query) Owner() any { return q.owner }
 func (q *Query) Lock()   { q.mu.Lock() }
 func (q *Query) Unlock() { q.mu.Unlock() }
 
-type engineStripe struct {
-	mu      sync.RWMutex
-	queries map[uint32]*Query
-}
-
 // QueryEngine is the sharded, concurrent multi-user query engine: a spatial
-// index of sensor-node positions (geom.ShardedGrid) plus a registry of live
-// user queries, with all per-user work — registration, waypoint updates,
-// and query-area evaluation — safe to issue from many goroutines at once
-// and fanned across a worker pool by EvaluateAll/Dispatch.
+// index of sensor-node positions (geom.ShardedGrid), a registry of live
+// temporal queries and the schedule of their period boundaries, with
+// per-query work safe to issue from many goroutines at once and fanned
+// across a worker pool by Dispatch.
 //
-// It answers the instantaneous form of the paper's spatiotemporal query:
-// "which sensors are inside the circle of radius Rq around each user right
-// now, and what is the aggregate of their readings". The discrete-event
-// Service uses it as its oracle node index; the experiment scale harness
-// drives it directly with tens of thousands of users.
+// It answers the paper's spatiotemporal query: at each period boundary, the
+// aggregate of the fresh readings inside the circle of radius Rq around the
+// user. The discrete-event Service uses it as its node index only.
 type QueryEngine struct {
 	cfg     EngineConfig
 	grid    *geom.ShardedGrid
 	fld     field.Field
 	sampler Sampler
-	stripes [queryStripes]engineStripe
+	// mu guards queries, the registry: one write per registration or
+	// deregistration, never taken on the period path, which holds handles.
+	mu      sync.Mutex
+	queries map[uint32]*Query
 	nq      atomic.Int64
 	// sched tracks every temporal query's next period boundary, keyed
 	// (due, id), so PopDue hands a clock driver exactly the queries with a
@@ -210,15 +200,13 @@ func NewQueryEngineE(region geom.Rect, cellSize float64, fld field.Field, cfg En
 	}
 	cfg = cfg.normalized()
 	e := &QueryEngine{
-		cfg:   cfg,
-		grid:  geom.NewShardedGrid(region, cellSize, cfg.Shards),
-		fld:   fld,
-		sched: NewSchedule(),
+		cfg:     cfg,
+		grid:    geom.NewShardedGrid(region, cellSize, cfg.Shards),
+		fld:     fld,
+		queries: make(map[uint32]*Query),
+		sched:   NewSchedule(),
 	}
 	e.maxNode.Store(-1)
-	for i := range e.stripes {
-		e.stripes[i].queries = make(map[uint32]*Query)
-	}
 	return e, nil
 }
 
@@ -244,64 +232,11 @@ func (e *QueryEngine) RemoveNode(id radio.NodeID) { e.grid.Remove(int32(id)) }
 // NodeCount returns the number of indexed sensor nodes.
 func (e *QueryEngine) NodeCount() int { return e.grid.Len() }
 
-func (e *QueryEngine) stripe(queryID uint32) *engineStripe {
-	return &e.stripes[(queryID*2654435761)%queryStripes]
-}
-
-// Register adds a live user query of the given radius centered at pos.
-// QueryIDs must be unique and non-zero; radius must be positive. Distinct
-// users may register concurrently. It panics on invalid input; RegisterE
-// is the error-returning variant.
-func (e *QueryEngine) Register(queryID uint32, radius float64, pos geom.Point) {
-	if err := e.RegisterE(queryID, radius, pos); err != nil {
-		panic(err)
-	}
-}
-
-// RegisterE is Register reporting invalid input (zero id, non-positive
-// radius, duplicate id) as an error. A query id freed by Deregister may be
-// registered again.
-func (e *QueryEngine) RegisterE(queryID uint32, radius float64, pos geom.Point) error {
-	return e.register(new(Query), queryID, radius, pos, TemporalSpec{}, 0, nil)
-}
-
-// register fills in and publishes q. Storage ever registered is refused:
-// Schedule.Remove spent its handle for good, and a stale re-arm still carrying
-// it must never reach a later registration made in the same memory.
-func (e *QueryEngine) register(q *Query, queryID uint32, radius float64, pos geom.Point, spec TemporalSpec, t0 sim.Time, owner any) error {
-	switch {
-	case queryID == 0:
-		return fmt.Errorf("core: query id must be non-zero")
-	case radius <= 0:
-		return fmt.Errorf("core: query radius must be positive")
-	case q.eng != nil: // set here and never cleared
-		return fmt.Errorf("core: query %d storage was already registered", queryID)
-	}
-	st := e.stripe(queryID)
-	st.mu.Lock()
-	if _, dup := st.queries[queryID]; dup {
-		st.mu.Unlock()
-		return fmt.Errorf("core: duplicate query id %d", queryID)
-	}
-	q.id, q.radius, q.eng, q.owner, q.spec, q.t0, q.pos = queryID, radius, e, owner, spec, t0, pos
-	q.nextK.Store(1)
-	st.queries[queryID] = q
-	st.mu.Unlock()
-	e.nq.Add(1)
-	if spec.Period > 0 {
-		// Armed after the registry lock is released: a Deregister that finds
-		// q first spends the handle, and the Upsert then declines.
-		e.sched.Upsert(q, t0+spec.Period)
-	}
-	return nil
-}
-
 // lookup resolves a query id through the registry; nil when unknown.
 func (e *QueryEngine) lookup(queryID uint32) *Query {
-	st := e.stripe(queryID)
-	st.mu.RLock()
-	q := st.queries[queryID]
-	st.mu.RUnlock()
+	e.mu.Lock()
+	q := e.queries[queryID]
+	e.mu.Unlock()
 	return q
 }
 
@@ -317,16 +252,16 @@ func (e *QueryEngine) Deregister(queryID uint32) {
 // (Schedule.Remove), and its id may be registered again — to a new handle
 // the old one cannot touch. Idempotent.
 func (q *Query) Deregister() {
-	st := q.eng.stripe(q.id)
-	st.mu.Lock()
-	live := st.queries[q.id] == q
+	e := q.eng
+	e.mu.Lock()
+	live := e.queries[q.id] == q
 	if live {
-		delete(st.queries, q.id)
+		delete(e.queries, q.id)
 	}
-	st.mu.Unlock()
+	e.mu.Unlock()
 	if live {
-		q.eng.nq.Add(-1)
-		q.eng.sched.Remove(q)
+		e.nq.Add(-1)
+		e.sched.Remove(q)
 	}
 }
 
@@ -519,70 +454,17 @@ func (e *QueryEngine) UpdateWaypoint(queryID uint32, pos geom.Point) bool {
 // QueryCount returns the number of registered live queries.
 func (e *QueryEngine) QueryCount() int { return int(e.nq.Load()) }
 
-// AreaResult is the instantaneous evaluation of one user's query area.
-type AreaResult struct {
-	QueryID uint32
-	// Center and Radius are the evaluated circle.
-	Center geom.Point
-	Radius float64
-	// Nodes lists the in-area sensor nodes in canonical grid order (cell
-	// row, cell column, then id — see geom.ShardedGrid.VisitWithin).
-	Nodes []radio.NodeID
-	// Data aggregates the in-area readings at the evaluation instant.
-	Data Partial
-}
-
-// evaluate computes one query's area result at virtual time at, folding
-// each node as the grid visits it: the visit order is canonical, so Nodes
-// and the float accumulation order are deterministic regardless of shard
-// layout and insertion interleaving. Pure with respect to engine state: it
-// only reads immutable bucket snapshots and a copy of the query's waypoint,
-// so any number of evaluations run in parallel.
-func (e *QueryEngine) evaluate(q *Query, at sim.Time) AreaResult {
-	q.mu.Lock()
-	center := q.pos
-	q.mu.Unlock()
-	res := AreaResult{QueryID: q.id, Center: center, Radius: q.radius, Data: NewPartial()}
-	e.grid.VisitWithin(center, q.radius, func(id int32, pos geom.Point) {
-		res.Nodes = append(res.Nodes, radio.NodeID(id))
-		res.Data.Add(e.fld.Sample(pos, at))
-	})
-	return res
-}
-
-// Evaluate computes one registered query's area result at virtual time at.
-func (e *QueryEngine) Evaluate(queryID uint32, at sim.Time) (AreaResult, bool) {
-	q := e.lookup(queryID)
-	if q == nil {
-		return AreaResult{}, false
-	}
-	return e.evaluate(q, at), true
-}
-
 // Queries returns the handles of the registered queries, sorted by id: the
 // one registry a driver walks when it needs every live query (a sweep, a
 // shutdown).
 func (e *QueryEngine) Queries() []*Query {
-	out := make([]*Query, 0, e.nq.Load())
-	for i := range e.stripes {
-		st := &e.stripes[i]
-		st.mu.RLock()
-		for _, q := range st.queries {
-			out = append(out, q)
-		}
-		st.mu.RUnlock()
+	e.mu.Lock()
+	out := make([]*Query, 0, len(e.queries))
+	for _, q := range e.queries {
+		out = append(out, q)
 	}
+	e.mu.Unlock()
 	slices.SortFunc(out, func(a, b *Query) int { return cmp.Compare(a.id, b.id) })
-	return out
-}
-
-// EvaluateAll evaluates every registered query at virtual time at,
-// dispatching independent users across the worker pool. Results are in
-// ascending query-id order whatever the pool size.
-func (e *QueryEngine) EvaluateAll(at sim.Time) []AreaResult {
-	qs := e.Queries()
-	out := make([]AreaResult, len(qs))
-	e.Dispatch(len(qs), func(i int) { out[i] = e.evaluate(qs[i], at) })
 	return out
 }
 

@@ -94,12 +94,9 @@ func (g *Gateway) start() {
 	}
 }
 
-// moveTick advances the proxy along the ground-truth course and pushes the
-// new position to the query engine as the user's current waypoint.
+// moveTick advances the proxy along the ground-truth course.
 func (g *Gateway) moveTick() {
-	pos := g.course.PosAt(g.svc.eng.Now())
-	g.proxy.Move(pos)
-	g.svc.engine.UpdateWaypoint(g.qid, pos)
+	g.proxy.Move(g.course.PosAt(g.svc.eng.Now()))
 	g.svc.eng.After(g.svc.cfg.MoveTick, g.moveTick)
 }
 

@@ -254,12 +254,11 @@ func (s *Service) AddUser(queryID uint32, scheme Scheme, spec QuerySpec, course 
 // Start launches every registered query session. Must be called after the
 // network's Start, at simulation time zero.
 //
-// Start also stands up the service's concurrent query engine: sensor-node
-// indexing and per-user query registration are independent, so both are
-// dispatched through the engine's worker pool rather than a serial loop.
-// The per-gateway protocol kickoff stays serial in ascending query-id
-// order — it schedules events into the shared discrete-event engine, whose
-// determinism depends on scheduling order.
+// Start also stands up the service's query engine as the sensor-node index,
+// indexing the nodes through the engine's worker pool. The per-gateway
+// protocol kickoff stays serial in ascending query-id order — it schedules
+// events into the shared discrete-event engine, whose determinism depends on
+// scheduling order.
 func (s *Service) Start() {
 	if s.started {
 		panic("core: Service started twice")
@@ -286,10 +285,6 @@ func (s *Service) Start() {
 		ids = append(ids, qid)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	s.engine.Dispatch(len(ids), func(i int) {
-		g := s.gateways[ids[i]]
-		s.engine.Register(g.qid, g.spec.Radius, g.proxy.Pos())
-	})
 	for _, qid := range ids {
 		s.gateways[qid].start()
 	}
@@ -327,9 +322,6 @@ func (s *Service) LiveTrees(id radio.NodeID) int {
 	}
 	return ag.liveTrees()
 }
-
-// Config returns the service configuration.
-func (s *Service) Config() Config { return s.cfg }
 
 // sleepPeriod exposes the PSM sleep period for the equation (10) hold rule.
 func (s *Service) sleepPeriod() time.Duration { return s.macCfg.SleepPeriod }

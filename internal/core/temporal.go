@@ -91,7 +91,7 @@ type AggIndex interface {
 // per Period, due Deadline after each period boundary, computed from
 // readings no staler than Fresh at the boundary. It is the engine-level
 // counterpart of the paper's (Tperiod, Td, Tfresh) triple for queries
-// evaluated through the instantaneous engine rather than the radio stack.
+// evaluated through the engine rather than the radio stack.
 type TemporalSpec struct {
 	// Period is Tperiod: one result is due every Period.
 	Period time.Duration
@@ -244,10 +244,9 @@ func readingOf(fld field.Field, pos geom.Point, due sim.Time, fresh time.Duratio
 }
 
 // SetSampler installs the node sampling schedule used by windowed
-// evaluation. A nil sampler (the default) means readings are taken at the
-// evaluation instant itself — the instantaneous oracle the batch paths
-// use. Must be called before any evaluation starts; it is not synchronized
-// with concurrent evaluations.
+// evaluation. A nil sampler (the default) means every node samples at the
+// period boundary itself. Must be called before any evaluation starts; it is
+// not synchronized with concurrent evaluations.
 func (e *QueryEngine) SetSampler(s Sampler) { e.sampler = s }
 
 // SetSampler installs a per-query sampler, overriding the engine-global
@@ -295,28 +294,28 @@ func (q *Query) SetAggIndex(ix AggIndex) {
 }
 
 // SetQuerySampler is Query.SetSampler by id; like its three siblings it
-// reports whether the query exists and carries a temporal contract.
+// reports whether the query exists.
 func (e *QueryEngine) SetQuerySampler(queryID uint32, s AreaSampler) bool {
-	return e.withTemporal(queryID, func(q *Query) { q.SetSampler(s) })
+	return e.withQuery(queryID, func(q *Query) { q.SetSampler(s) })
 }
 
 // SetQueryPlan is Query.SetPlan by id.
 func (e *QueryEngine) SetQueryPlan(queryID uint32, p PrefetchPlan) bool {
-	return e.withTemporal(queryID, func(q *Query) { q.SetPlan(p) })
+	return e.withQuery(queryID, func(q *Query) { q.SetPlan(p) })
 }
 
 // SetQueryWarmer is Query.SetWarmer by id.
 func (e *QueryEngine) SetQueryWarmer(queryID uint32, w CorridorWarmer) bool {
-	return e.withTemporal(queryID, func(q *Query) { q.SetWarmer(w) })
+	return e.withQuery(queryID, func(q *Query) { q.SetWarmer(w) })
 }
 
 // SetQueryAggIndex is Query.SetAggIndex by id.
 func (e *QueryEngine) SetQueryAggIndex(queryID uint32, ix AggIndex) bool {
-	return e.withTemporal(queryID, func(q *Query) { q.SetAggIndex(ix) })
+	return e.withQuery(queryID, func(q *Query) { q.SetAggIndex(ix) })
 }
 
-func (e *QueryEngine) withTemporal(queryID uint32, fn func(*Query)) bool {
-	q := e.temporal(queryID)
+func (e *QueryEngine) withQuery(queryID uint32, fn func(*Query)) bool {
+	q := e.lookup(queryID)
 	if q != nil {
 		fn(q)
 	}
@@ -324,14 +323,38 @@ func (e *QueryEngine) withTemporal(queryID uint32, fn func(*Query)) bool {
 }
 
 // RegisterQuery registers q — storage the caller owns, never registered
-// before — as a live query with a temporal contract: periods count from t0,
-// the first result due at t0+Period, driven with NextDue/EvaluateDue. owner
-// is what Query.Owner hands back from a popped schedule entry.
+// before — as a live query: periods count from t0, the first result due at
+// t0+Period, driven with NextDue/EvaluateDue. owner is what Query.Owner hands
+// back from a popped schedule entry. QueryIDs must be unique and non-zero and
+// radius positive; an id freed by Deregister may be registered again. Storage
+// ever registered is refused: Schedule.Remove spent its handle for good, and a
+// stale re-arm still carrying it must never reach a later registration made in
+// the same memory.
 func (e *QueryEngine) RegisterQuery(q *Query, queryID uint32, radius float64, pos geom.Point, spec TemporalSpec, t0 sim.Time, owner any) error {
-	if err := spec.Validate(); err != nil {
+	switch err := spec.Validate(); {
+	case err != nil:
 		return err
+	case queryID == 0:
+		return fmt.Errorf("core: query id must be non-zero")
+	case radius <= 0:
+		return fmt.Errorf("core: query radius must be positive")
+	case q.eng != nil: // set here and never cleared
+		return fmt.Errorf("core: query %d storage was already registered", queryID)
 	}
-	return e.register(q, queryID, radius, pos, spec, t0, owner)
+	e.mu.Lock()
+	if _, dup := e.queries[queryID]; dup {
+		e.mu.Unlock()
+		return fmt.Errorf("core: duplicate query id %d", queryID)
+	}
+	q.id, q.radius, q.eng, q.owner, q.spec, q.t0, q.pos = queryID, radius, e, owner, spec, t0, pos
+	q.nextK.Store(1)
+	e.queries[queryID] = q
+	e.mu.Unlock()
+	e.nq.Add(1)
+	// Armed after the registry lock is released: a Deregister that finds q
+	// first spends the handle, and the Upsert then declines.
+	e.sched.Upsert(q, t0+spec.Period)
+	return nil
 }
 
 // RegisterTemporalE is RegisterQuery into fresh storage, for callers that
@@ -340,20 +363,9 @@ func (e *QueryEngine) RegisterTemporalE(queryID uint32, radius float64, pos geom
 	return e.RegisterQuery(new(Query), queryID, radius, pos, spec, t0, nil)
 }
 
-// temporal resolves a query id, or returns nil if the query is unknown or
-// was registered without a temporal contract.
-func (e *QueryEngine) temporal(queryID uint32) *Query {
-	q := e.lookup(queryID)
-	if q == nil || q.spec.Period == 0 {
-		return nil
-	}
-	return q
-}
-
-// NextDue is Query.NextDue by id. ok is false for unknown or non-temporal
-// queries.
+// NextDue is Query.NextDue by id. ok is false for unknown queries.
 func (e *QueryEngine) NextDue(queryID uint32) (k int, due sim.Time, ok bool) {
-	q := e.temporal(queryID)
+	q := e.lookup(queryID)
 	if q == nil {
 		return 0, 0, false
 	}
@@ -374,9 +386,9 @@ func (e *QueryEngine) EvaluateDue(queryID uint32, now sim.Time) (WindowResult, b
 }
 
 // EvaluateDueBatch is Query.EvaluateDue by id; ok is also false when the
-// query is unknown or has no temporal contract.
+// query is unknown.
 func (e *QueryEngine) EvaluateDueBatch(queryID uint32, now sim.Time, rb *RearmBatch) (WindowResult, bool) {
-	q := e.temporal(queryID)
+	q := e.lookup(queryID)
 	if q == nil {
 		return WindowResult{}, false
 	}

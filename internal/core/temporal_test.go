@@ -57,21 +57,22 @@ func TestNewQueryEngineEAndRegisterE(t *testing.T) {
 		t.Error("negative shards should be an error")
 	}
 	e := testEngine(EngineConfig{})
-	if err := e.RegisterE(0, 10, geom.Pt(0, 0)); err == nil {
+	spec := TemporalSpec{Period: time.Second}
+	if err := e.RegisterTemporalE(0, 10, geom.Pt(0, 0), spec, 0); err == nil {
 		t.Error("zero id should be an error")
 	}
-	if err := e.RegisterE(1, 0, geom.Pt(0, 0)); err == nil {
+	if err := e.RegisterTemporalE(1, 0, geom.Pt(0, 0), spec, 0); err == nil {
 		t.Error("zero radius should be an error")
 	}
-	if err := e.RegisterE(1, 10, geom.Pt(0, 0)); err != nil {
-		t.Fatalf("RegisterE: %v", err)
+	if err := e.RegisterTemporalE(1, 10, geom.Pt(0, 0), spec, 0); err != nil {
+		t.Fatalf("RegisterTemporalE: %v", err)
 	}
-	if err := e.RegisterE(1, 10, geom.Pt(0, 0)); err == nil {
+	if err := e.RegisterTemporalE(1, 10, geom.Pt(0, 0), spec, 0); err == nil {
 		t.Error("duplicate id should be an error")
 	}
 	// A deregistered id is free for re-registration.
 	e.Deregister(1)
-	if err := e.RegisterE(1, 20, geom.Pt(5, 5)); err != nil {
+	if err := e.RegisterTemporalE(1, 20, geom.Pt(5, 5), spec, 0); err != nil {
 		t.Fatalf("re-register after deregister: %v", err)
 	}
 }
@@ -206,14 +207,13 @@ func TestEvaluateDueDeadlineAccounting(t *testing.T) {
 	}
 }
 
+// TestEvaluateDueNonTemporalAndUnknown pins what has no period to evaluate: an
+// unknown id answers nothing, and a query without a period is refused at
+// registration.
 func TestEvaluateDueNonTemporalAndUnknown(t *testing.T) {
 	e := temporalEngine(t)
-	e.Register(5, 100, geom.Pt(0, 0)) // plain instantaneous query
-	if _, ok := e.EvaluateDue(5, time.Hour); ok {
-		t.Error("EvaluateDue fired for a non-temporal query")
-	}
-	if _, _, ok := e.NextDue(5); ok {
-		t.Error("NextDue answered for a non-temporal query")
+	if _, _, ok := e.NextDue(999); ok {
+		t.Error("NextDue answered for an unknown query")
 	}
 	if _, ok := e.EvaluateDue(999, time.Hour); ok {
 		t.Error("EvaluateDue fired for an unknown query")
@@ -256,7 +256,7 @@ func TestPerQuerySamplerOverridesGlobal(t *testing.T) {
 		return 0, false, false
 	})
 	if !ok {
-		t.Fatal("SetQuerySampler rejected a temporal query")
+		t.Fatal("SetQuerySampler rejected a registered query")
 	}
 
 	res, ok := e.EvaluateDue(1, 2*time.Second)
@@ -277,11 +277,6 @@ func TestPerQuerySamplerOverridesGlobal(t *testing.T) {
 		t.Errorf("global-sampler query: prefetched/count/stale = %d/%d/%d, want 0/1/2", res2.Prefetched, res2.Data.Count, res2.StaleNodes)
 	}
 
-	// The hooks are temporal-only.
-	e.Register(5, 100, geom.Pt(0, 0))
-	if e.SetQuerySampler(5, nil) || e.SetQueryPlan(5, nil) {
-		t.Error("per-query hooks accepted a non-temporal query")
-	}
 	if e.SetQuerySampler(99, nil) || e.SetQueryPlan(99, nil) {
 		t.Error("per-query hooks accepted an unknown query")
 	}
@@ -339,7 +334,7 @@ func TestCorridorWarmerServesStagedBoundaries(t *testing.T) {
 		}{n.id, geom.Pt(n.x, 0)})
 	}
 	if !e.SetQueryWarmer(1, w) {
-		t.Fatal("SetQueryWarmer rejected a temporal query")
+		t.Fatal("SetQueryWarmer rejected a registered query")
 	}
 
 	warm, ok := e.EvaluateDue(1, 2*time.Second)
@@ -367,10 +362,8 @@ func TestCorridorWarmerServesStagedBoundaries(t *testing.T) {
 		t.Errorf("warmer refused %d boundaries, want 1", w.refusals)
 	}
 
-	// The hook is temporal-only, like the sampler and plan hooks.
-	e.Register(5, 100, geom.Pt(0, 0))
-	if e.SetQueryWarmer(5, w) || e.SetQueryWarmer(99, w) {
-		t.Error("SetQueryWarmer accepted a non-temporal or unknown query")
+	if e.SetQueryWarmer(99, w) {
+		t.Error("SetQueryWarmer accepted an unknown query")
 	}
 }
 
@@ -389,7 +382,7 @@ func TestEvaluateDueCreditsStagedPeriods(t *testing.T) {
 		warmupUntil: 4 * time.Second,
 	}
 	if !e.SetQueryPlan(4, plan) {
-		t.Fatal("SetQueryPlan rejected a temporal query")
+		t.Fatal("SetQueryPlan rejected a registered query")
 	}
 	// The plan's chains cover the whole area: every reading is prefetched,
 	// captured at the boundary (boundary credit requires actual coverage).

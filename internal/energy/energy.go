@@ -91,9 +91,6 @@ func NewMeter(profile Profile, clock func() sim.Time, initial Mode) *Meter {
 	}
 }
 
-// Mode returns the current radio mode.
-func (m *Meter) Mode() Mode { return m.mode }
-
 // SetMode switches the radio to mode, attributing the elapsed interval to
 // the previous mode. Switching to the current mode is a no-op.
 func (m *Meter) SetMode(mode Mode) {

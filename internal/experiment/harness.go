@@ -108,17 +108,16 @@ func newDuePump(eng *core.QueryEngine) *duePump {
 // boundary of each popped query, in ascending boundary order, with the batch
 // its evaluation must re-arm into. step reports whether draining this query
 // may continue; returning false (the evaluation refused) stops its loop.
-// step runs concurrently for distinct users and must only touch u's own
-// state and harness state that is itself safe to share.
-func (p *duePump) tick(t sim.Time, step func(u *user, boundary sim.Time, rb *core.RearmBatch) bool) {
+// step runs concurrently for distinct queries and must only touch q's own
+// owner and driver state that is itself safe to share.
+func (p *duePump) tick(t sim.Time, step func(q *core.Query, boundary sim.Time, rb *core.RearmBatch) bool) {
 	p.due = p.eng.PopDue(t, p.due[:0])
 	due := p.due
 	p.eng.DispatchWorkers(len(due), func(worker, i int) {
 		q := due[i].Query
-		u := q.Owner().(*user)
 		for {
 			_, boundary := q.NextDue()
-			if boundary > t || !step(u, boundary, p.rearms[worker]) {
+			if boundary > t || !step(q, boundary, p.rearms[worker]) {
 				return
 			}
 		}
@@ -406,7 +405,8 @@ func (w *workload) runPass(a arm) (Outcome, error) {
 	replansDone := 0
 
 	var now sim.Time
-	step := func(u *user, due sim.Time, rb *core.RearmBatch) bool {
+	step := func(q *core.Query, due sim.Time, rb *core.RearmBatch) bool {
+		u := q.Owner().(*user)
 		u.path.Before(due)
 		pos := u.pos(due)
 		evalStart := time.Now()

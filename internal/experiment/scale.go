@@ -13,8 +13,8 @@ import (
 	"mobiquery/internal/radio"
 )
 
-// ScaleConfig describes the multi-user scale scenario: Users mobile users
-// issuing instantaneous area queries over a field of Nodes sensors, driven
+// ScaleConfig describes the multi-user scale scenario: Users mobile users,
+// each with one periodic area query over a field of Nodes sensors, driven
 // directly through the core.QueryEngine (no radio simulation). It measures
 // the query-dispatch layer itself at populations far beyond what the
 // discrete-event stack can carry — the ROADMAP's "millions of users"
@@ -31,8 +31,8 @@ type ScaleConfig struct {
 	Radius     float64
 
 	// Each round every user moves Step meters along a fixed random heading
-	// (reflecting at the region boundary) and every query area is
-	// re-evaluated; Rounds rounds are executed.
+	// (reflecting at the region boundary) and every query's period of that
+	// round is evaluated; Rounds rounds are executed.
 	Step   float64
 	Rounds int
 
@@ -108,8 +108,9 @@ func resultDigest(queryID uint32, v float64) uint64 {
 }
 
 // RunScale executes the scale scenario: it indexes the node field, registers
-// every user, then alternates concurrent waypoint updates with full
-// query-area evaluation sweeps, all dispatched through the engine's worker
+// one temporal query per user — period one second, so round r's boundary is
+// at r seconds — then alternates concurrent moves with rounds of the
+// harness's due pump, every evaluation dispatched through the engine's worker
 // pool (which with one worker is a serial loop).
 func RunScale(cfg ScaleConfig) ScaleResult {
 	if err := cfg.Validate(); err != nil {
@@ -138,9 +139,27 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 	e.Dispatch(cfg.Nodes, func(i int) {
 		e.UpsertNode(radio.NodeID(i), nodePos[i])
 	})
-	e.Dispatch(cfg.Users, func(i int) {
-		e.Register(uint32(i+1), cfg.Radius, userPos[i])
-	})
+	qs := make([]core.Query, cfg.Users)
+	spec := core.TemporalSpec{Period: time.Second}
+	for i := range qs {
+		if err := e.RegisterQuery(&qs[i], uint32(i+1), cfg.Radius, userPos[i], spec, -time.Second, i); err != nil {
+			panic(err)
+		}
+	}
+
+	// Each round's results land in their user's slot and are folded serially
+	// in id order, so the float sums do not depend on worker finish order.
+	out := make([]core.WindowResult, cfg.Users)
+	var at time.Duration
+	step := func(q *core.Query, _ time.Duration, rb *core.RearmBatch) bool {
+		i := q.Owner().(int)
+		q.Lock()
+		wr, ok := q.EvaluateDueAt(userPos[i], at, rb)
+		q.Unlock()
+		out[i] = wr
+		return ok
+	}
+	pump := newDuePump(e)
 
 	res := ScaleResult{Config: cfg}
 	sweepLat := obs.NewHistogram(int64(10*time.Minute), 1e-9)
@@ -152,21 +171,24 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 			e.Dispatch(cfg.Users, func(i int) {
 				userDir[i] = region.Reflect(userPos[i], userDir[i])
 				userPos[i] = region.Clamp(userPos[i].Add(userDir[i].Scale(cfg.Step)))
-				e.UpdateWaypoint(uint32(i+1), userPos[i])
 			})
 		}
-		at := time.Duration(round) * time.Second
+		at = time.Duration(round) * time.Second
 		sweepStart := time.Now()
-		sweep := e.EvaluateAll(at)
+		pump.tick(at, step)
 		sweepLat.Observe(time.Since(sweepStart).Nanoseconds())
-		for _, ar := range sweep {
+		for i := range out {
+			wr := &out[i]
+			if wr.K != round+1 {
+				continue
+			}
 			res.Evaluations++
-			areaSum += float64(len(ar.Nodes))
-			if ar.Data.Count > 0 {
-				v := ar.Data.Value(core.AggAvg)
+			areaSum += float64(wr.AreaNodes)
+			if wr.Data.Count > 0 {
+				v := wr.Data.Value(core.AggAvg)
 				valueSum += v
 				valued++
-				checksum += resultDigest(ar.QueryID, v)
+				checksum += resultDigest(uint32(i+1), v)
 			}
 		}
 	}

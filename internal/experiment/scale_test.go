@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"testing"
 
 	"mobiquery/internal/field"
@@ -39,23 +40,41 @@ func TestScaleValidate(t *testing.T) {
 }
 
 // TestScaleShardedMatchesSerial pins the acceptance property of the
-// concurrent engine: sharded dispatch changes wall time, never results.
+// concurrent engine: sharded dispatch changes wall time, never results. The
+// headline scenario's digest is pinned too, so a change to what the scale
+// run computes cannot pass unseen while serial and sharded still agree.
 func TestScaleShardedMatchesSerial(t *testing.T) {
-	serial := smallScale()
-	serial.Shards, serial.Workers = 1, 1
-	sharded := smallScale()
-	sharded.Shards = 8
-	sharded.Workers = 8
-	a := RunScale(serial)
-	b := RunScale(sharded)
-	if a.Evaluations != b.Evaluations || a.Evaluations != 400*3 {
-		t.Fatalf("evaluations %d vs %d, want %d", a.Evaluations, b.Evaluations, 400*3)
+	type digest struct {
+		checksum            uint64
+		meanArea, meanValue uint64 // float64 bits
 	}
-	if a.MeanArea != b.MeanArea || a.MeanValue != b.MeanValue || a.Checksum != b.Checksum {
-		t.Fatalf("serial %+v diverges from sharded %+v", a, b)
+	cases := []struct {
+		name string
+		cfg  ScaleConfig
+		want *digest
+	}{
+		{"small", smallScale(), nil},
+		{"default", DefaultScale(), &digest{4250957185759232411, 0x40516c801f75104d, 0x4041890429ae515f}},
 	}
-	if a.MeanArea <= 0 {
-		t.Fatal("scale scenario evaluated empty areas everywhere; geometry is off")
+	for _, tc := range cases {
+		serial, sharded := tc.cfg, tc.cfg
+		serial.Shards, serial.Workers = 1, 1
+		sharded.Shards, sharded.Workers = 8, 8
+		a := RunScale(serial)
+		b := RunScale(sharded)
+		if want := tc.cfg.Users * tc.cfg.Rounds; a.Evaluations != b.Evaluations || a.Evaluations != want {
+			t.Fatalf("%s: evaluations %d vs %d, want %d", tc.name, a.Evaluations, b.Evaluations, want)
+		}
+		if a.MeanArea != b.MeanArea || a.MeanValue != b.MeanValue || a.Checksum != b.Checksum {
+			t.Fatalf("%s: serial %+v diverges from sharded %+v", tc.name, a, b)
+		}
+		if a.MeanArea <= 0 {
+			t.Fatalf("%s: scale scenario evaluated empty areas everywhere; geometry is off", tc.name)
+		}
+		if got := (digest{a.Checksum, math.Float64bits(a.MeanArea), math.Float64bits(a.MeanValue)}); tc.want != nil && got != *tc.want {
+			t.Fatalf("%s: digest {%d %#x %#x}, want {%d %#x %#x}", tc.name,
+				got.checksum, got.meanArea, got.meanValue, tc.want.checksum, tc.want.meanArea, tc.want.meanValue)
+		}
 	}
 }
 

@@ -118,9 +118,6 @@ func NewShardedGrid(region Rect, cellSize float64, shardCount int) *ShardedGrid 
 	return g
 }
 
-// Shards returns the number of spatial shards.
-func (g *ShardedGrid) Shards() int { return len(g.shards) }
-
 // Region returns the rectangle the grid was constructed over. Items may be
 // stored outside it: cellOf clamps out-of-region points into edge cells.
 func (g *ShardedGrid) Region() Rect { return g.region }

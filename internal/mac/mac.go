@@ -226,9 +226,6 @@ func (m *MAC) Radio() *radio.Radio { return m.radio }
 // Role returns the node's power management class.
 func (m *MAC) Role() Role { return m.role }
 
-// Config returns the link-layer configuration.
-func (m *MAC) Config() Config { return m.cfg }
-
 // Stats returns a snapshot of the node's link-layer counters.
 func (m *MAC) Stats() Stats { return m.stats }
 

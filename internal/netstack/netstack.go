@@ -486,9 +486,3 @@ func (n *Node) deliver(port Port, src radio.NodeID, body any) {
 func (n *Node) ResetFloodCache() {
 	n.seen = make(map[floodKey]struct{})
 }
-
-// Airtime exposes the medium airtime for a payload of the given size plus
-// envelope and MAC overheads; used by upper layers to size timeouts.
-func (nw *Network) Airtime(bodySize int) time.Duration {
-	return nw.med.Params().Airtime(bodySize + plainOverhead + nw.macCfg.HeaderSize)
-}

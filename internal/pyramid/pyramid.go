@@ -211,9 +211,6 @@ func New(grid *geom.ShardedGrid, cfg Config) (*Pyramid, error) {
 	return p, nil
 }
 
-// Levels returns the number of resolution levels, including the cell layer.
-func (p *Pyramid) Levels() int { return p.maxLevel + 1 }
-
 // Version returns the pyramid's mutation counter: it advances on every
 // epoch publication and ring rotation, and is stable while no ingest runs.
 func (p *Pyramid) Version() uint64 { return p.version.Load() }
