@@ -104,8 +104,9 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Non-test Go lines per package directory and in total: the "net LOC down"
-# half of ROADMAP 3(e)'s gate as a number (CI uploads it as LOC.txt).
+# Non-test Go lines per package directory and in total: the "`make loc`
+# down" gates of ROADMAP items 3 and 6(c) as a number (CI uploads it as
+# LOC.txt).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.git/*' -exec wc -l {} + | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

@@ -109,10 +109,11 @@ func PlumeField(center Point, amplitude, sigma, driftX, driftY float64) Field {
 	return field.GaussianPlume{Center: center, Amplitude: amplitude, Sigma: sigma, Drift: geom.V(driftX, driftY)}
 }
 
-// ServiceConfig exposes the concurrency knobs of the sharded multi-user
-// query engine: how many spatial shards the sensor index is split into and
-// how many workers dispatch independent users' work. The zero value selects
-// sane defaults (geom.DefaultShards spatial shards, one worker per core).
+// ServiceConfig sizes the sharded multi-user query engine of the session API
+// (NetworkConfig.Service) and of the scale scenario (ScaleConfig.Service):
+// how many spatial shards the sensor index is split into and how many
+// workers dispatch independent users' work. The zero value selects sane
+// defaults (geom.DefaultShards spatial shards, one worker per core).
 // Concurrency never changes results — only wall time.
 type ServiceConfig struct {
 	// Shards is the spatial shard count of the node index (0 = auto).
@@ -166,9 +167,6 @@ type Simulation struct {
 
 	// Field is what the sensors measure.
 	Field Field
-
-	// Service sizes the concurrent multi-user query engine.
-	Service ServiceConfig
 }
 
 // DefaultSimulation returns the paper's Section 6.1 settings: 200 nodes in
@@ -196,7 +194,6 @@ func DefaultSimulation() Simulation {
 		AdvanceTime:    sc.AdvanceTime,
 		GPSError:       sc.GPSError,
 		Field:          sc.Field,
-		Service:        ServiceConfig{Shards: sc.Shards, Workers: sc.Workers},
 	}
 }
 
@@ -222,8 +219,6 @@ func (s Simulation) scenario() experiment.Scenario {
 	sc.AdvanceTime = s.AdvanceTime
 	sc.GPSError = s.GPSError
 	sc.Field = s.Field
-	sc.Shards = s.Service.Shards
-	sc.Workers = s.Service.Workers
 	return sc
 }
 

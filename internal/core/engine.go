@@ -114,7 +114,7 @@ func (q *Query) Unlock() { q.mu.Unlock() }
 //
 // It answers the paper's spatiotemporal query: at each period boundary, the
 // aggregate of the fresh readings inside the circle of radius Rq around the
-// user. The discrete-event Service uses it as its node index only.
+// user.
 type QueryEngine struct {
 	cfg     EngineConfig
 	grid    *geom.ShardedGrid

@@ -78,9 +78,6 @@ type Config struct {
 	TeardownGrace time.Duration
 	// MoveTick is the proxy position update granularity.
 	MoveTick time.Duration
-	// Engine sizes the concurrent multi-user query engine (spatial shards
-	// and dispatch workers). Zero values select sane defaults.
-	Engine EngineConfig
 }
 
 // DefaultConfig returns the configuration used throughout the paper's
@@ -124,7 +121,7 @@ func (c Config) Validate() error {
 	case c.ForwardLead < 0:
 		return fmt.Errorf("core: forward lead must be non-negative")
 	}
-	return c.Engine.Validate()
+	return nil
 }
 
 // Hooks receive protocol events for metrics collection. Any field may be
@@ -173,7 +170,6 @@ type Service struct {
 	agents   map[radio.NodeID]*agent
 	gateways map[uint32]*Gateway
 	proxies  map[uint32]*netstack.Node
-	engine   *QueryEngine
 	hooks    hookSet
 	started  bool
 }
@@ -251,14 +247,10 @@ func (s *Service) AddUser(queryID uint32, scheme Scheme, spec QuerySpec, course 
 	return g
 }
 
-// Start launches every registered query session. Must be called after the
-// network's Start, at simulation time zero.
-//
-// Start also stands up the service's query engine as the sensor-node index,
-// indexing the nodes through the engine's worker pool. The per-gateway
-// protocol kickoff stays serial in ascending query-id order — it schedules
-// events into the shared discrete-event engine, whose determinism depends on
-// scheduling order.
+// Start launches every registered query session, in ascending query-id
+// order: each kickoff schedules events into the shared discrete-event
+// engine, whose determinism depends on scheduling order. Must be called
+// after the network's Start, at simulation time zero.
 func (s *Service) Start() {
 	if s.started {
 		panic("core: Service started twice")
@@ -267,18 +259,6 @@ func (s *Service) Start() {
 		panic("core: Start with no users registered")
 	}
 	s.started = true
-
-	s.engine = NewQueryEngine(s.nw.Region(), s.nw.Medium().Params().Range, s.field, s.cfg.Engine)
-	sensors := make([]radio.NodeID, 0, len(s.agents))
-	for id, ag := range s.agents {
-		if ag.isSensor {
-			sensors = append(sensors, id)
-		}
-	}
-	sort.Slice(sensors, func(i, j int) bool { return sensors[i] < sensors[j] })
-	s.engine.Dispatch(len(sensors), func(i int) {
-		s.engine.UpsertNode(sensors[i], s.nw.Node(sensors[i]).Pos())
-	})
 
 	ids := make([]uint32, 0, len(s.gateways))
 	for qid := range s.gateways {
@@ -289,9 +269,6 @@ func (s *Service) Start() {
 		s.gateways[qid].start()
 	}
 }
-
-// Engine returns the concurrent query engine. Nil before Start.
-func (s *Service) Engine() *QueryEngine { return s.engine }
 
 // Results returns the per-period outcomes of the sole user (panics with
 // several users; use ResultsFor).

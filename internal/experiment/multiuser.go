@@ -4,14 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"mobiquery/internal/ccp"
 	"mobiquery/internal/core"
-	"mobiquery/internal/deploy"
 	"mobiquery/internal/geom"
-	"mobiquery/internal/mac"
 	"mobiquery/internal/metrics"
 	"mobiquery/internal/mobility"
-	"mobiquery/internal/netstack"
 	"mobiquery/internal/radio"
 	"mobiquery/internal/sim"
 )
@@ -39,24 +35,7 @@ func RunMulti(sc Scenario, users []UserSpec) []RunResult {
 	}
 	eng := sim.NewEngine(sc.Seed)
 	region := geom.Square(sc.RegionSide)
-
-	topo := deploy.Uniform(region, sc.Nodes, eng.RNG("deploy"))
-	ccpCfg := ccp.DefaultConfig()
-	ccpCfg.SensingRange = sc.SensingRange
-	ccpCfg.CommRange = sc.CommRange
-	sel := ccp.Select(region, topo.Positions, ccpCfg, eng.RNG("ccp"))
-
-	radioParams := radio.Params{Range: sc.CommRange, Bandwidth: sc.Bandwidth, PropagationDelay: time.Microsecond}
-	macCfg := mac.DefaultConfig(sc.SleepPeriod)
-	macCfg.ActiveWindow = sc.ActiveWindow
-	nw := netstack.NewNetwork(eng, region, radioParams, macCfg)
-	for i, p := range topo.Positions {
-		role := mac.RoleDutyCycled
-		if sel.Active[i] {
-			role = mac.RoleAlwaysOn
-		}
-		nw.AddNode(radio.NodeID(i), p, role)
-	}
+	topo, sel, nw := buildNetwork(eng, sc, region)
 
 	courses := make([]mobility.Course, len(users))
 	proxies := make([]radio.NodeID, len(users))
@@ -71,7 +50,6 @@ func RunMulti(sc Scenario, users []UserSpec) []RunResult {
 	coreCfg := core.DefaultConfig(sc.Spec)
 	coreCfg.ScopeMargin = sc.CommRange / 2
 	coreCfg.T0 = queryStart(eng, sc)
-	coreCfg.Engine = core.EngineConfig{Shards: sc.Shards, Workers: sc.Workers}
 	svc := core.NewService(nw, coreCfg, sc.Field, core.Hooks{})
 	seen := make(map[uint32]bool, len(users))
 	for i, u := range users {
@@ -87,26 +65,20 @@ func RunMulti(sc Scenario, users []UserSpec) []RunResult {
 	svc.Start()
 	eng.Run(sc.Duration + 2*time.Second)
 
-	// Per-user evaluation is independent, so it fans out across the service
-	// engine's worker pool; every user reads the same sharded node index.
-	// Results are deterministic: evaluation is pure and out[i] is written
-	// only by the worker that drew index i.
-	idx := svc.Engine().Index()
 	out := make([]RunResult, len(users))
-	svc.Engine().Dispatch(len(users), func(i int) {
-		u := users[i]
+	for i, u := range users {
 		res := RunResult{
-			Scenario:    sc,
-			Records:     metrics.EvaluateAggIndexed(svc.ResultsFor(u.QueryID), courses[i], idx, sc.Spec.Radius, sc.Spec.Period, sc.Spec.Agg),
-			MediumStats: nw.Medium().Stats(),
-			NetStats:    nw.Stats(),
-			EventsFired: eng.EventsFired(),
+			Scenario:      sc,
+			Records:       metrics.EvaluateAgg(svc.ResultsFor(u.QueryID), courses[i], region, topo.Positions, sc.Spec.Radius, sc.Spec.Period, sc.Spec.Agg),
+			BackboneNodes: sel.NumActive,
+			MediumStats:   nw.Medium().Stats(),
+			NetStats:      nw.Stats(),
+			EventsFired:   eng.EventsFired(),
 		}
 		res.SuccessRatio = metrics.SuccessRatio(res.Records)
 		res.TargetSuccessRatio = metrics.TargetSuccessRatio(res.Records)
 		res.MeanFidelity = metrics.MeanFidelity(res.Records)
-		res.BackboneNodes = sel.NumActive
 		out[i] = res
-	})
+	}
 	return out
 }

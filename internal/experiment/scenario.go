@@ -81,13 +81,6 @@ type Scenario struct {
 	// measure their contribution.
 	DisableFloodJitter bool
 	DisableForwardLead bool
-
-	// Shards and Workers size the service's concurrent query engine
-	// (spatial shards of the node index, worker-pool width for multi-user
-	// dispatch). Zero selects sane defaults; concurrency never changes a
-	// run's results, only its wall time.
-	Shards  int
-	Workers int
 }
 
 // Default returns the paper's Section 6.1 experimental settings: 200 nodes
@@ -146,8 +139,6 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("experiment: unknown profiler kind %d", s.Profiler)
 	case s.Field == nil:
 		return fmt.Errorf("experiment: Field must be set")
-	case s.Shards < 0 || s.Workers < 0:
-		return fmt.Errorf("experiment: Shards and Workers must be non-negative")
 	}
 	return s.Spec.Validate()
 }
@@ -187,28 +178,19 @@ func queryStart(eng *sim.Engine, sc Scenario) sim.Time {
 	return 200*time.Millisecond + time.Duration(eng.RNG("t0").Int63n(int64(sc.Spec.Period)))
 }
 
-// Run executes one scenario to completion and evaluates it.
-func Run(sc Scenario) RunResult {
-	if err := sc.Validate(); err != nil {
-		panic(err)
-	}
-	eng := sim.NewEngine(sc.Seed)
-	region := geom.Square(sc.RegionSide)
-
+// buildNetwork deploys sc's sensors over region, selects the CCP coverage
+// backbone and adds every sensor to a new network: always-on on the
+// backbone, duty-cycled off it. Run and RunMulti build their networks here.
+func buildNetwork(eng *sim.Engine, sc Scenario, region geom.Rect) (deploy.Topology, ccp.Result, *netstack.Network) {
 	topo := deploy.Uniform(region, sc.Nodes, eng.RNG("deploy"))
 	ccpCfg := ccp.DefaultConfig()
 	ccpCfg.SensingRange = sc.SensingRange
 	ccpCfg.CommRange = sc.CommRange
 	sel := ccp.Select(region, topo.Positions, ccpCfg, eng.RNG("ccp"))
 
-	radioParams := radio.Params{
-		Range:            sc.CommRange,
-		Bandwidth:        sc.Bandwidth,
-		PropagationDelay: time.Microsecond,
-	}
+	radioParams := radio.Params{Range: sc.CommRange, Bandwidth: sc.Bandwidth, PropagationDelay: time.Microsecond}
 	macCfg := mac.DefaultConfig(sc.SleepPeriod)
 	macCfg.ActiveWindow = sc.ActiveWindow
-
 	nw := netstack.NewNetwork(eng, region, radioParams, macCfg)
 	if sc.DisableFloodJitter {
 		nw.SetFloodJitter(0)
@@ -220,6 +202,17 @@ func Run(sc Scenario) RunResult {
 		}
 		nw.AddNode(radio.NodeID(i), p, role)
 	}
+	return topo, sel, nw
+}
+
+// Run executes one scenario to completion and evaluates it.
+func Run(sc Scenario) RunResult {
+	if err := sc.Validate(); err != nil {
+		panic(err)
+	}
+	eng := sim.NewEngine(sc.Seed)
+	region := geom.Square(sc.RegionSide)
+	topo, sel, nw := buildNetwork(eng, sc, region)
 
 	course := mobility.NewRandomCourse(mobility.CourseSpec{
 		Region:         region,
@@ -250,7 +243,6 @@ func Run(sc Scenario) RunResult {
 	coreCfg := core.DefaultConfig(sc.Spec)
 	coreCfg.Scheme = sc.Scheme
 	coreCfg.ScopeMargin = sc.CommRange / 2
-	coreCfg.Engine = core.EngineConfig{Shards: sc.Shards, Workers: sc.Workers}
 	// The query's issue time is arbitrary relative to the synchronized PSM
 	// schedule; draw the phase per run. A fixed phase resonates when the
 	// sleep period is a multiple of the query period (NP's recruit windows
@@ -288,7 +280,7 @@ func Run(sc Scenario) RunResult {
 	}
 	res := RunResult{
 		Scenario:           sc,
-		Records:            metrics.EvaluateAgg(results, course, topo.Positions, sc.Spec.Radius, sc.Spec.Period, sc.Spec.Agg),
+		Records:            metrics.EvaluateAgg(results, course, region, topo.Positions, sc.Spec.Radius, sc.Spec.Period, sc.Spec.Agg),
 		MaxPrefetchLength:  tracker.MaxPrefetchLength(),
 		MeanPrefetchLength: tracker.MeanPrefetchLength(),
 		MaxTreesPerNode:    tracker.MaxTreesPerNode(),

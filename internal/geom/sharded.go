@@ -313,22 +313,10 @@ func (g *ShardedGrid) Len() int {
 	return n
 }
 
-// Within appends to dst the ids of all items within radius r of p
-// (inclusive) and returns the extended slice. The read path takes no locks:
-// it walks immutable bucket snapshots, so it runs concurrently with any
-// number of writers and other readers. Results are in canonical grid order
-// (see VisitWithin).
-func (g *ShardedGrid) Within(dst []int32, p Point, r float64) []int32 {
-	g.VisitWithin(p, r, func(id int32, _ Point) {
-		dst = append(dst, id)
-	})
-	return dst
-}
-
 // VisitWithin calls fn for every item within radius r of p (inclusive),
-// passing the item's stored position. Like Within it takes no locks, so it
-// is the preferred read path when the caller needs positions: it avoids one
-// striped-index lookup per result.
+// passing the item's stored position. The read path takes no locks: it
+// walks immutable bucket snapshots, so it runs concurrently with any number
+// of writers and other readers.
 //
 // Items are emitted in canonical grid order: cell row, then cell column,
 // then ascending id within the cell. The order is a function of the region,

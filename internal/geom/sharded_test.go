@@ -9,6 +9,12 @@ import (
 	"testing"
 )
 
+// within collects the ids VisitWithin emits, Grid.Within-style.
+func within(g *ShardedGrid, dst []int32, p Point, r float64) []int32 {
+	g.VisitWithin(p, r, func(id int32, _ Point) { dst = append(dst, id) })
+	return dst
+}
+
 func TestShardedGridMatchesGrid(t *testing.T) {
 	// Randomized insert/move/remove traffic must leave the sharded grid
 	// answering range queries identically to the serial reference grid.
@@ -35,7 +41,7 @@ func TestShardedGridMatchesGrid(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			center := region.UniformPoint(rng)
 			radius := rng.Float64() * 250
-			got := sorted(sg.Within(nil, center, radius))
+			got := sorted(within(sg, nil, center, radius))
 			want := sorted(ref.Within(nil, center, radius))
 			if len(got) != len(want) {
 				t.Fatalf("shards=%d trial %d: got %d ids, want %d", shards, trial, len(got), len(want))
@@ -57,12 +63,12 @@ func TestShardedGridQueryStraddlesShardBoundary(t *testing.T) {
 	g.Insert(1, Pt(50, 25)) // shard 0
 	g.Insert(2, Pt(50, 35)) // shard 1
 	g.Insert(3, Pt(50, 95)) // far shard
-	got := sorted(g.Within(nil, Pt(50, 30), 8))
+	got := sorted(within(g, nil, Pt(50, 30), 8))
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("straddling query = %v, want [1 2]", got)
 	}
 	// A radius covering the whole region must cross every shard.
-	if got := g.Within(nil, Pt(50, 50), 200); len(got) != 3 {
+	if got := within(g, nil, Pt(50, 50), 200); len(got) != 3 {
 		t.Errorf("full-region query = %v, want all 3 items", got)
 	}
 }
@@ -81,7 +87,7 @@ func TestShardedGridItemsOnRegionBorder(t *testing.T) {
 			t.Fatalf("Position(%d) missing", id)
 		}
 		found := false
-		for _, got := range g.Within(nil, p, 0.001) {
+		for _, got := range within(g, nil, p, 0.001) {
 			if got == id {
 				found = true
 			}
@@ -90,7 +96,7 @@ func TestShardedGridItemsOnRegionBorder(t *testing.T) {
 			t.Errorf("border item %d at %v not returned by Within", id, p)
 		}
 	}
-	if got := sorted(g.Within(nil, Pt(100, 100), 0)); len(got) != 1 || got[0] != 2 {
+	if got := sorted(within(g, nil, Pt(100, 100), 0)); len(got) != 1 || got[0] != 2 {
 		t.Errorf("zero-radius corner query = %v, want [2]", got)
 	}
 }
@@ -119,10 +125,10 @@ func TestShardedGridMoveAcrossShards(t *testing.T) {
 	g := NewShardedGrid(Square(100), 10, 4)
 	g.Insert(9, Pt(50, 5))
 	g.Move(9, Pt(50, 95)) // bottom band to top band
-	if ids := g.Within(nil, Pt(50, 5), 10); len(ids) != 0 {
+	if ids := within(g, nil, Pt(50, 5), 10); len(ids) != 0 {
 		t.Errorf("item still visible in old shard: %v", ids)
 	}
-	if ids := g.Within(nil, Pt(50, 95), 1); len(ids) != 1 || ids[0] != 9 {
+	if ids := within(g, nil, Pt(50, 95), 1); len(ids) != 1 || ids[0] != 9 {
 		t.Errorf("item not visible in new shard: %v", ids)
 	}
 }
@@ -167,7 +173,7 @@ func TestShardedGridConcurrentChurn(t *testing.T) {
 					return
 				default:
 				}
-				buf = g.Within(buf[:0], region.UniformPoint(rng), rng.Float64()*300)
+				buf = within(g, buf[:0], region.UniformPoint(rng), rng.Float64()*300)
 				for _, id := range buf {
 					if id < 0 || id >= writers*perWriter {
 						t.Errorf("reader saw malformed id %d", id)
@@ -190,7 +196,7 @@ func TestShardedGridConcurrentChurn(t *testing.T) {
 			continue
 		}
 		found := false
-		for _, got := range g.Within(nil, p, 0.001) {
+		for _, got := range within(g, nil, p, 0.001) {
 			if got == id {
 				found = true
 			}
@@ -228,7 +234,7 @@ func TestShardedGridVersionAdvancesOnMutation(t *testing.T) {
 	}
 	// Reads never mutate.
 	v3 := g.Version()
-	g.Within(nil, Pt(50, 50), 200)
+	within(g, nil, Pt(50, 50), 200)
 	g.VisitCellsInBox(Pt(50, 50), 200, func(int, int) {})
 	g.VisitCell(0, 0, func(int32, Point) {})
 	if g.Version() != v3 {
@@ -309,7 +315,7 @@ func BenchmarkShardedGridWithin(b *testing.B) {
 	var buf []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = g.Within(buf[:0], Pt(225, 225), 105)
+		buf = within(g, buf[:0], Pt(225, 225), 105)
 	}
 }
 

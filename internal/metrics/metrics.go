@@ -11,7 +11,6 @@ import (
 	"mobiquery/internal/core"
 	"mobiquery/internal/geom"
 	"mobiquery/internal/mobility"
-	"mobiquery/internal/pyramid"
 	"mobiquery/internal/radio"
 	"mobiquery/internal/sim"
 )
@@ -42,44 +41,18 @@ type QueryRecord struct {
 	TargetSuccess  bool // OnTime && TargetFidelity >= threshold
 }
 
-// NodeIndex is a read-only spatial index of sensor-node positions. Both
-// *geom.Grid and *geom.ShardedGrid satisfy it; node ids are the int32 ids
-// stored in the index.
-type NodeIndex interface {
-	// Within appends the ids of all items within radius r of p (inclusive)
-	// to dst and returns the extended slice.
-	Within(dst []int32, p geom.Point, r float64) []int32
-	// Position returns the stored position of id.
-	Position(id int32) (geom.Point, bool)
-}
-
-// indexPositions builds a NodeIndex over a dense position slice (node id i
-// at positions[i]). It returns a pyramid-decomposed index sized so that
-// radius-rq queries cover most of their area with coarse tiles and only
-// disk-test a thin fringe, instead of testing every candidate node.
-func indexPositions(positions []geom.Point, rq float64) NodeIndex {
-	return pyramid.NewIndex(positions, rq/8, 0)
-}
-
-// Evaluate scores gateway results against ground truth: the true query area
-// is the circle of radius rq around the user's actual position at each
+// EvaluateAgg scores gateway results against ground truth: the true query
+// area is the circle of radius rq around the user's actual position at each
 // deadline, and fidelity is the fraction of its sensor nodes whose readings
-// reached the user (Section 6's definition).
-func Evaluate(results []core.PeriodResult, course mobility.Course, positions []geom.Point, rq float64, period time.Duration) []QueryRecord {
-	return EvaluateAgg(results, course, positions, rq, period, core.AggAvg)
-}
-
-// EvaluateAgg is Evaluate with an explicit aggregation function used to
-// compute each record's Value. It indexes the positions once instead of
-// scanning all of them every period.
-func EvaluateAgg(results []core.PeriodResult, course mobility.Course, positions []geom.Point, rq float64, period time.Duration, agg core.AggKind) []QueryRecord {
-	return EvaluateAggIndexed(results, course, indexPositions(positions, rq), rq, period, agg)
-}
-
-// EvaluateAggIndexed is EvaluateAgg over a prebuilt spatial index of the
-// sensor positions. Several users of one run can be evaluated concurrently
-// against a shared index: the function only reads from it.
-func EvaluateAggIndexed(results []core.PeriodResult, course mobility.Course, idx NodeIndex, rq float64, period time.Duration, agg core.AggKind) []QueryRecord {
+// reached the user (Section 6's definition). agg is the aggregation function
+// each record's Value reports. Sensor i sits at positions[i], inside region;
+// the positions are indexed once in a geom.Grid with rq-sized cells, the
+// plain grid the radio medium and CCP use.
+func EvaluateAgg(results []core.PeriodResult, course mobility.Course, region geom.Rect, positions []geom.Point, rq float64, period time.Duration, agg core.AggKind) []QueryRecord {
+	grid := geom.NewGrid(region, rq)
+	for i, p := range positions {
+		grid.Insert(int32(i), p)
+	}
 	out := make([]QueryRecord, 0, len(results))
 	var buf []int32
 	for _, pr := range results {
@@ -94,7 +67,7 @@ func EvaluateAggIndexed(results []core.PeriodResult, course mobility.Course, idx
 			rec.Value = pr.Data.Value(agg)
 		}
 		userPos := course.PosAt(pr.Deadline)
-		buf = idx.Within(buf[:0], userPos, rq)
+		buf = grid.Within(buf[:0], userPos, rq)
 		inArea := make(map[radio.NodeID]bool, len(buf))
 		for _, id := range buf {
 			inArea[radio.NodeID(id)] = true
@@ -114,16 +87,15 @@ func EvaluateAggIndexed(results []core.PeriodResult, course mobility.Course, idx
 			targetHits := 0
 			tseen := make(map[radio.NodeID]bool, len(pr.Data.Contribs))
 			for _, id := range pr.Data.Contribs {
-				pos, ok := idx.Position(int32(id))
-				if !ok {
+				if id < 0 || int(id) >= len(positions) {
 					continue
 				}
-				if pos.Within(pr.Pickup, rq) && !tseen[id] {
+				if positions[id].Within(pr.Pickup, rq) && !tseen[id] {
 					tseen[id] = true
 					targetHits++
 				}
 			}
-			targetNodes := len(idx.Within(buf[:0], pr.Pickup, rq))
+			targetNodes := len(grid.Within(buf[:0], pr.Pickup, rq))
 			if targetNodes > 0 {
 				rec.TargetFidelity = float64(targetHits) / float64(targetNodes)
 			} else {

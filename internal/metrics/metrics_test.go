@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,7 +46,7 @@ func evalFixture() ([]core.PeriodResult, mobility.Course, []geom.Point) {
 
 func TestEvaluate(t *testing.T) {
 	results, course, positions := evalFixture()
-	recs := Evaluate(results, course, positions, 170, 2*time.Second)
+	recs := EvaluateAgg(results, course, geom.Square(450), positions, 170, 2*time.Second, core.AggAvg)
 	if len(recs) != 5 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -69,6 +71,73 @@ func TestEvaluate(t *testing.T) {
 	if recs[0].AreaNodes != 3 {
 		t.Errorf("area nodes = %d, want 3", recs[0].AreaNodes)
 	}
+
+	// A seeded 500-sensor field and a course that walks out of the region:
+	// area nodes, missing nodes and target fidelity must equal a brute-force
+	// scan of the positions, out-of-range contributor ids ignored.
+	rng := rand.New(rand.NewSource(29))
+	region := geom.Square(450)
+	field := make([]geom.Point, 500)
+	for i := range field {
+		field[i] = region.UniformPoint(rng)
+	}
+	walk := mobility.Course{Trajectory: mobility.LinearPath(geom.Pt(300, 200), geom.V(10, 3), 0, sec(60))}
+	const rq = 150
+	var rs []core.PeriodResult
+	for k := 1; k <= 30; k++ {
+		pr := core.PeriodResult{K: k, Deadline: sec(float64(2 * k)), Received: k%7 != 0, OnTime: true}
+		pr.Arrival = pr.Deadline
+		pr.Pickup = walk.PosAt(pr.Deadline).Add(geom.V(rng.Float64()*40-20, rng.Float64()*40-20))
+		p := core.NewPartial()
+		for id := range field {
+			if rng.Intn(10) < 7 {
+				p.AddReading(radio.NodeID(id), 1)
+			}
+		}
+		p.AddReading(-1, 1)
+		p.AddReading(radio.NodeID(len(field)), 1)
+		pr.Data = p
+		rs = append(rs, pr)
+	}
+	recs = EvaluateAgg(rs, walk, region, field, rq, 2*time.Second, core.AggAvg)
+	for i, rec := range recs {
+		pr := rs[i]
+		contributed := map[radio.NodeID]bool{}
+		for _, id := range pr.Data.Contribs {
+			contributed[id] = true
+		}
+		area, target, hits := 0, 0, 0
+		var missing []radio.NodeID
+		for id, pos := range field {
+			nid := radio.NodeID(id)
+			if pos.Dist2(walk.PosAt(pr.Deadline)) <= rq*rq {
+				area++
+				if !pr.Received || !contributed[nid] {
+					missing = append(missing, nid)
+				}
+			}
+			if pos.Dist2(pr.Pickup) <= rq*rq {
+				target++
+				if contributed[nid] {
+					hits++
+				}
+			}
+		}
+		wantTarget := 0.0
+		if pr.Received {
+			wantTarget = 1
+			if target > 0 {
+				wantTarget = float64(hits) / float64(target)
+			}
+		}
+		if rec.AreaNodes != area || !slices.Equal(rec.Missing, missing) || rec.TargetFidelity != wantTarget {
+			t.Fatalf("random field k=%d: area %d missing %v target %v, brute force %d %v %v",
+				pr.K, rec.AreaNodes, rec.Missing, rec.TargetFidelity, area, missing, wantTarget)
+		}
+	}
+	if last := recs[len(recs)-1]; last.AreaNodes != 0 {
+		t.Errorf("course should end outside the field, last period has %d area nodes", last.AreaNodes)
+	}
 }
 
 func TestEvaluateDedupContributors(t *testing.T) {
@@ -80,7 +149,7 @@ func TestEvaluateDedupContributors(t *testing.T) {
 	results := []core.PeriodResult{{
 		K: 1, Deadline: sec(2), Received: true, Arrival: sec(1.9), OnTime: true, Data: p,
 	}}
-	recs := Evaluate(results, course, positions, 50, 2*time.Second)
+	recs := EvaluateAgg(results, course, geom.Square(450), positions, 50, 2*time.Second, core.AggAvg)
 	if recs[0].Contributors != 1 {
 		t.Errorf("duplicate contributor counted twice: %d", recs[0].Contributors)
 	}
@@ -89,7 +158,7 @@ func TestEvaluateDedupContributors(t *testing.T) {
 func TestEvaluateEmptyArea(t *testing.T) {
 	course := mobility.Course{Trajectory: mobility.Stationary(geom.Pt(0, 0), 0)}
 	results := []core.PeriodResult{{K: 1, Deadline: sec(2), Received: true, OnTime: true, Arrival: sec(2)}}
-	recs := Evaluate(results, course, nil, 150, 2*time.Second)
+	recs := EvaluateAgg(results, course, geom.Square(450), nil, 150, 2*time.Second, core.AggAvg)
 	if recs[0].Fidelity != 1 {
 		t.Errorf("empty area fidelity = %v, want vacuous 1", recs[0].Fidelity)
 	}

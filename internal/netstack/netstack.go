@@ -106,9 +106,6 @@ func (nw *Network) Engine() *sim.Engine { return nw.eng }
 // Medium returns the shared radio medium.
 func (nw *Network) Medium() *radio.Medium { return nw.med }
 
-// Region returns the deployment region.
-func (nw *Network) Region() geom.Rect { return nw.med.Region() }
-
 // MACConfig returns the link-layer configuration shared by all nodes.
 func (nw *Network) MACConfig() mac.Config { return nw.macCfg }
 

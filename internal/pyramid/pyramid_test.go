@@ -396,47 +396,3 @@ func TestEnsureEpochUnderConcurrentChurn(t *testing.T) {
 	}
 	sameServe(t, "at rest", got, flatServe(g, due, geom.Pt(1000, 1000), 300, fresh, testSampler, quantField))
 }
-
-// TestIndexWithinMatchesFlat checks the static pyramid Index against the
-// grid's own flat radius scan over random disks.
-func TestIndexWithinMatchesFlat(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	positions := make([]geom.Point, 2500)
-	for i := range positions {
-		positions[i] = geom.Pt(rng.Float64()*1500, rng.Float64()*1500)
-	}
-	ix := NewIndex(positions, 200.0/8, 0)
-	if ix.Levels() < 3 {
-		t.Fatalf("index built only %d levels", ix.Levels())
-	}
-	var buf []int32
-	for trial := 0; trial < 80; trial++ {
-		radius := 50 + rng.Float64()*400
-		center := geom.Pt(rng.Float64()*1900-200, rng.Float64()*1900-200)
-		buf = ix.Within(buf[:0], center, radius)
-		got := make(map[int32]bool, len(buf))
-		for _, id := range buf {
-			got[id] = true
-		}
-		if len(got) != len(buf) {
-			t.Fatalf("trial %d: Within returned %d ids with duplicates", trial, len(buf))
-		}
-		r2 := radius * radius
-		want := 0
-		for i, pos := range positions {
-			if pos.Dist2(center) <= r2 {
-				want++
-				if !got[int32(i)] {
-					t.Fatalf("trial %d: node %d at %v missing from Within(%v, %v)", trial, i, pos, center, radius)
-				}
-			}
-		}
-		if want != len(buf) {
-			t.Fatalf("trial %d: Within returned %d ids, brute force found %d", trial, len(buf), want)
-		}
-		pos, ok := ix.Position(int32(trial))
-		if !ok || pos != positions[trial] {
-			t.Fatalf("Position(%d) = %v,%v", trial, pos, ok)
-		}
-	}
-}

@@ -75,7 +75,6 @@ type Stats struct {
 type Medium struct {
 	eng    *sim.Engine
 	params Params
-	region geom.Rect
 	grid   *geom.Grid
 	radios map[NodeID]*Radio
 	active []*transmission
@@ -91,7 +90,6 @@ func NewMedium(eng *sim.Engine, region geom.Rect, params Params) *Medium {
 	return &Medium{
 		eng:    eng,
 		params: params,
-		region: region,
 		grid:   geom.NewGrid(region, params.Range),
 		radios: make(map[NodeID]*Radio),
 	}
@@ -99,9 +97,6 @@ func NewMedium(eng *sim.Engine, region geom.Rect, params Params) *Medium {
 
 // Params returns the physical-layer configuration.
 func (m *Medium) Params() Params { return m.params }
-
-// Region returns the deployment region the medium spans.
-func (m *Medium) Region() geom.Rect { return m.region }
 
 // Stats returns a snapshot of the medium counters.
 func (m *Medium) Stats() Stats { return m.stats }

@@ -138,44 +138,6 @@ func TestRunTeam(t *testing.T) {
 	}
 }
 
-func TestServiceConfigThreadsThrough(t *testing.T) {
-	s := quickSim()
-	s.Service = ServiceConfig{Shards: 4, Workers: 2}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("valid service config rejected: %v", err)
-	}
-	s.Service.Workers = -1
-	if s.Validate() == nil {
-		t.Error("negative workers should fail validation")
-	}
-	s.Service = ServiceConfig{Shards: -1}
-	if s.Validate() == nil {
-		t.Error("negative shards should fail validation")
-	}
-}
-
-func TestRunTeamWithServiceConfig(t *testing.T) {
-	// The concurrency knobs must not change results: a team run with an
-	// explicit engine sizing matches the default sizing exactly.
-	base := quickSim()
-	members := []TeamMember{
-		{QueryID: 1, Scheme: JIT, Start: Pt(50, 100), VelocityX: 4},
-		{QueryID: 2, Scheme: JIT, Start: Pt(400, 350), VelocityX: -4},
-	}
-	ref := RunTeam(base, members)
-	tuned := base
-	tuned.Service = ServiceConfig{Shards: 32, Workers: 8}
-	got := RunTeam(tuned, members)
-	if len(got) != len(ref) {
-		t.Fatalf("result count %d, want %d", len(got), len(ref))
-	}
-	for i := range got {
-		if got[i].SuccessRatio != ref[i].SuccessRatio || got[i].MeanFidelity != ref[i].MeanFidelity {
-			t.Errorf("member %d: tuned engine changed results: %+v vs %+v", i, got[i], ref[i])
-		}
-	}
-}
-
 func TestRunScalePublicAPI(t *testing.T) {
 	c := DefaultScaleConfig()
 	if err := c.Validate(); err != nil {
