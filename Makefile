@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-idle-1m bench-evaluate-cold bench-advance-dense repo-bench-smoke serve-smoke trace-smoke fmt vet loc check
+.PHONY: all build test race bench bench-idle-1m bench-evaluate-cold bench-advance-dense bench-wire fuzz-smoke repo-bench-smoke serve-smoke trace-smoke fmt vet loc check
 
 all: build
 
@@ -49,6 +49,18 @@ bench-evaluate-cold:
 # ~1000 allocs/op.
 bench-advance-dense:
 	$(GO) test -run=xxx -bench='^BenchmarkAdvanceDense$$' -benchtime=200x .
+
+# The result frame's allocation gate: BenchmarkResultFrameCodec b.Fatals if
+# a steady-state result frame append, traced or not, allocates at all, or a
+# decode into a reused Frame allocates more than its *Result.
+bench-wire:
+	$(GO) test -run=xxx -bench='^BenchmarkResultFrameCodec$$' -benchtime=20000x ./internal/wire
+
+# Every fuzz target past its seed corpus, ten seconds each: the result
+# frame codec against encoding/json, and the /metrics exposition validator.
+fuzz-smoke:
+	$(GO) test -run=xxx -fuzz='^FuzzResultFrameCodec$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run=xxx -fuzz='^FuzzValidateExposition$$' -fuzztime=10s ./internal/obs
 
 # The million-subscriber idle gate on its own: one pass of the idle arm of
 # BenchmarkAdvance1M, which b.Fatals if the timed loop allocates at all —

@@ -159,11 +159,16 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	spans := sub.TraceSpans(nil)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := wire.NewEncoder(w)
+	writeSpans(w, sub.TraceSpans(nil))
+}
+
+// writeSpans writes one wire.TraceSpan line per span, one Write each.
+func writeSpans(w io.Writer, spans []mobiquery.PeriodSpan) {
+	var buf []byte
 	for i := range spans {
-		if enc.Encode(wire.FromPeriodSpan(spans[i])) != nil {
+		buf = wire.AppendTraceSpan(buf[:0], &spans[i])
+		if _, err := w.Write(buf); err != nil {
 			return
 		}
 	}
@@ -183,16 +188,15 @@ func (s *Server) handleFirehose(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Mobiquery-Trace-Published", strconv.FormatUint(published, 10))
 	w.Header().Set("X-Mobiquery-Trace-Dropped", strconv.FormatUint(dropped, 10))
-	enc := wire.NewEncoder(w)
-	for i := range spans {
-		if enc.Encode(wire.FromPeriodSpan(spans[i])) != nil {
-			return
-		}
-	}
+	writeSpans(w, spans)
 }
 
 // handleSubscribe opens a subscription from the request body and streams
 // its results until the subscription or the client goes away.
+//
+// Each result is appended (wire.AppendResultFrame) into the stream's one
+// reused buffer and goes out in one Write and one Flush; a closed channel
+// ends the stream with the end frame.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	var req wire.SubscribeRequest
 	if err := wire.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -236,6 +240,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
+	id := sub.ID()
+	var buf []byte
 	for {
 		select {
 		case <-ctx.Done():
@@ -243,30 +249,21 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		case res, ok := <-sub.Results():
 			if !ok {
 				st := wire.FromSubStats(sub.Stats())
-				f := wire.Frame{Type: wire.FrameEnd, ID: sub.ID(), Stats: &st}
-				if enc.Encode(f) == nil {
+				if enc.Encode(wire.Frame{Type: wire.FrameEnd, ID: id, Stats: &st}) == nil {
 					rc.Flush()
 				}
 				return
 			}
-			rf := wire.FromResult(res)
-			if rf.Trace != nil {
+			var wireNS int64
+			if res.Trace != nil {
 				// The wire-write stamp closes the server's segment chain:
 				// taken the instant the frame is handed to the wire, so
 				// the client's receive stamp measures only the network and
 				// its own scheduling.
-				rf.Trace.WireNS = time.Now().UnixNano()
+				wireNS = time.Now().UnixNano()
 			}
-			f := wire.Frame{Type: wire.FrameResult, ID: sub.ID(), Result: &rf}
-			if err := enc.Encode(f); err != nil {
-				// Tell the client why its stream stops short of an end
-				// frame (a write error will fail this frame too).
-				if enc.Encode(wire.Frame{Type: wire.FrameError, ID: sub.ID(), Error: err.Error()}) == nil {
-					rc.Flush()
-				}
-				return
-			}
-			if rc.Flush() != nil {
+			buf = wire.AppendResultFrame(buf[:0], id, &res, wireNS)
+			if _, err := w.Write(buf); err != nil || rc.Flush() != nil {
 				return
 			}
 		}

@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"testing"
@@ -282,4 +286,90 @@ func TestFirehoseEndpoint(t *testing.T) {
 	if traced != 3 || len(spans)-traced != 3 {
 		t.Errorf("span mix %d traced / %d untraced, want 3/3", traced, len(spans)-traced)
 	}
+}
+
+// TestTraceLinesAreEncodingJSONBytes pins the hand-written span and traced
+// frame lines to encoding/json: a traced result frame off a live stream and
+// every line of both trace endpoints re-encode byte for byte through
+// json.Marshal — ids present (a traced subscription) and omitted (an
+// untraced one), wire_ns present (the frame's echo) and omitted (the
+// rings), late omitted.
+func TestTraceLinesAreEncodingJSONBytes(t *testing.T) {
+	h := newHarness(t, mobiquery.ServiceConfig{})
+	spec := testSpec()
+	spec.TraceID = wire.FormatID(0xFEED)
+	body, err := json.Marshal(wire.SubscribeRequest{Spec: spec, Motion: wire.Motion{Kind: "static", XM: 225, YM: 225}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := h.ts.Client().Post(h.ts.URL+"/v1/subscribe", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
+	defer resp.Body.Close()
+	stream := bufio.NewReader(resp.Body)
+	line, err := stream.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("ack: %v", err)
+	}
+	ack := reencode[wire.Frame](t, line)
+	_, _, done := h.subscribe(t, context.Background(), wire.SubscribeRequest{
+		Spec:   testSpec(),
+		Motion: wire.Motion{Kind: "static", XM: 225, YM: 225},
+	})
+	defer done()
+	for i := 0; i < 4; i++ {
+		h.advance(t, time.Second) // 2 periods per subscription
+	}
+
+	if line, err = stream.ReadBytes('\n'); err != nil {
+		t.Fatalf("result frame: %v", err)
+	}
+	if f := reencode[wire.Frame](t, line); f.Result == nil || f.Result.Trace == nil || f.Result.Trace.WireNS == 0 {
+		t.Fatalf("want a traced result frame with its wire stamp, got %s", line)
+	}
+	traced, untraced := 0, 0
+	for _, path := range []string{"/v1/subscriptions/" + strconv.FormatUint(uint64(ack.ID), 10) + "/trace", "/v1/trace"} {
+		resp, err := http.Get(h.ts.URL + path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		lines := bytes.SplitAfter(raw, []byte("\n"))
+		if len(lines) < 3 || len(lines[len(lines)-1]) != 0 {
+			t.Fatalf("%s: body %q, want newline-terminated span lines", path, raw)
+		}
+		for _, line := range lines[:len(lines)-1] {
+			if sp := reencode[wire.TraceSpan](t, line); sp.TraceID != "" {
+				traced++
+			} else {
+				untraced++
+			}
+		}
+	}
+	if traced != 4 || untraced != 2 {
+		t.Errorf("%d traced and %d untraced span lines, want 4 and 2", traced, untraced)
+	}
+}
+
+// reencode decodes one line with encoding/json and requires json.Marshal to
+// write the same bytes back.
+func reencode[T any](t *testing.T, line []byte) T {
+	t.Helper()
+	var v T
+	if err := json.Unmarshal(line, &v); err != nil {
+		t.Fatalf("line %q: %v", line, err)
+	}
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.TrimSuffix(line, []byte("\n")); !bytes.Equal(got, want) {
+		t.Errorf("line\n%s\nis not what encoding/json writes:\n%s", got, want)
+	}
+	return v
 }

@@ -10,14 +10,26 @@
 // applied as it arrives.
 //
 // The frame schema is the session API rendered losslessly: durations are
-// int64 nanoseconds, floats are float64 (encoding/json round-trips both
-// exactly), so a Result decoded from the wire reconstructs the original
+// int64 nanoseconds, floats are float64 written as shortest round-trip
+// decimals, so a Result decoded from the wire reconstructs the original
 // mobiquery.QueryResult byte for byte — the loopback tests pin this. The
 // one exception is a Value JSON cannot write (NaN, ±Inf: an aggregate over
-// an empty area), which travels as null and arrives as NaN.
+// an empty area), which travels as "value":null, last in the result
+// object, and arrives as NaN.
+//
+// The result frame, the one message on the period path, has a hand-written
+// codec (codec.go): AppendResultFrame writes exactly the bytes encoding/json
+// would, and Decoder scans a result line in that key order in one pass,
+// without reflection. Any line the scanner does not recognise — ack, end
+// and error frames, another producer's key order or whitespace, escapes,
+// unknown keys — goes to json.Unmarshal, so a decoder accepts any key order
+// and decodes every line exactly as encoding/json does. Every other message
+// (subscribe bodies, waypoints, stats, ClientSpan) is plain encoding/json.
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -37,11 +49,7 @@ func FormatID(v uint64) string {
 		return ""
 	}
 	var b [16]byte
-	for i := 15; i >= 0; i-- {
-		b[i] = "0123456789abcdef"[v&0xf]
-		v >>= 4
-	}
-	return string(b[:])
+	return string(appendID(b[:0], v))
 }
 
 // ParseID is the inverse of FormatID; "" parses as 0 (untraced).
@@ -224,8 +232,8 @@ type Frame struct {
 }
 
 // Value is a result's aggregate on the wire: a plain JSON number, except
-// that null decodes to NaN — what Encoder writes for a value JSON has no
-// number for.
+// that null decodes to NaN — what AppendResultFrame writes for a value JSON
+// has no number for.
 type Value float64
 
 // UnmarshalJSON decodes a JSON number, or null as NaN.
@@ -551,44 +559,127 @@ type AdvanceRequest struct {
 // Encoder writes NDJSON: one compact JSON value per line. json.Encoder
 // already emits exactly that for flat objects; the type exists so both
 // ends share one definition of the framing.
-type Encoder struct{ enc *json.Encoder }
+type Encoder struct {
+	w   io.Writer
+	enc *json.Encoder
+	buf []byte // a result frame's line
+}
 
 // NewEncoder returns an Encoder writing to w.
-func NewEncoder(w io.Writer) *Encoder { return &Encoder{enc: json.NewEncoder(w)} }
+func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w, enc: json.NewEncoder(w)} }
 
-// Encode writes one frame line. A result Frame whose Value is NaN or ±Inf
-// (an aggregate over an empty area) is written with "value":null, which
-// Value decodes back to NaN, rather than failing the stream on a number
-// JSON cannot carry; every other frame encodes exactly as json.Encoder
-// would.
+// Encode writes one frame line. A result Frame goes through
+// AppendResultFrame, so a Value that is NaN or ±Inf (an aggregate over an
+// empty area) is written as "value":null, which Value decodes back to NaN,
+// rather than failing the stream on a number JSON cannot carry. Every other
+// value, and a result frame AppendResultFrame could not have written (one
+// carrying more than its id and result, a span FromPeriodSpan cannot
+// produce, a non-finite Fidelity), encodes exactly as json.Encoder would —
+// which refuses a non-finite Value.
 func (e *Encoder) Encode(v any) error {
 	if f, ok := v.(Frame); ok && f.Result != nil {
-		if x := float64(f.Result.Value); math.IsNaN(x) || math.IsInf(x, 0) {
-			v = nullValueFrame{Frame: f, Result: nullValueResult{Result: f.Result}}
+		if q, wireNS, ok := f.sessionResult(); ok {
+			e.buf = AppendResultFrame(e.buf[:0], f.ID, &q, wireNS)
+			_, err := e.w.Write(e.buf)
+			return err
 		}
 	}
 	return e.enc.Encode(v)
 }
 
-// nullValueFrame is a result Frame with its result's "value" key shadowed
-// by null: encoding/json resolves a key clash in favour of the shallower
-// field, so the outer Result and the outer Value (always nil) win over the
-// embedded ones while every other field encodes as usual.
-type nullValueFrame struct {
-	Frame
-	Result nullValueResult `json:"result"`
+// sessionResult returns the session result and wire stamp a result frame
+// was rendered from, or false when AppendResultFrame would not reproduce
+// the frame's encoding/json bytes.
+func (f *Frame) sessionResult() (mobiquery.QueryResult, int64, bool) {
+	r := f.Result
+	if f.Type != FrameResult || f.NowNS != 0 || f.Stats != nil || f.Error != "" ||
+		math.IsNaN(r.Fidelity) || math.IsInf(r.Fidelity, 0) {
+		return mobiquery.QueryResult{}, 0, false
+	}
+	q := r.QueryResult()
+	if r.Trace == nil {
+		return q, 0, true
+	}
+	return q, r.Trace.WireNS, FromPeriodSpan(*q.Trace) == *r.Trace
 }
 
-type nullValueResult struct {
-	*Result
-	Value *float64 `json:"value"`
-}
+// lineSize is the frame reader's buffer: json.Decoder's own first read. An
+// untraced result frame fits; a longer line is accumulated in Decoder.long.
+const lineSize = 512
 
 // Decoder reads a stream of NDJSON values.
-type Decoder struct{ dec *json.Decoder }
+type Decoder struct {
+	r    io.Reader
+	br   *bufio.Reader // the frame line reader, made by the first Frame decode
+	long []byte        // a line longer than br's buffer, accumulated
+	// dec is made by the first decode of any other value, and from then on
+	// every value goes through it.
+	dec *json.Decoder
+}
 
 // NewDecoder returns a Decoder reading from r.
-func NewDecoder(r io.Reader) *Decoder { return &Decoder{dec: json.NewDecoder(r)} }
+func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
 
 // Decode reads the next value into v; io.EOF ends a clean stream.
-func (d *Decoder) Decode(v any) error { return d.dec.Decode(v) }
+//
+// A *Frame is read one line at a time and overwritten whole: a result line
+// in AppendResultFrame's shape is scanned in one pass, allocating only its
+// *Result (and a traced result's span), and any other line is
+// json.Unmarshal'd into the zeroed frame — either way *v ends as
+// encoding/json decodes that line into a zero Frame. Any other v keeps
+// json.Decoder's stream semantics (a value may span lines), and from then
+// on so does every value, a *Frame included.
+func (d *Decoder) Decode(v any) error {
+	if f, ok := v.(*Frame); ok && d.dec == nil {
+		return d.decodeFrame(f)
+	}
+	if d.dec == nil {
+		if d.br != nil {
+			d.dec = json.NewDecoder(d.br)
+		} else {
+			d.dec = json.NewDecoder(d.r)
+		}
+	}
+	return d.dec.Decode(v)
+}
+
+func (d *Decoder) decodeFrame(f *Frame) error {
+	if d.br == nil {
+		d.br = bufio.NewReaderSize(d.r, lineSize)
+	}
+	for {
+		line, err := d.readLine()
+		if err != nil {
+			return err
+		}
+		// json.Decoder skips whitespace between values: so do blank lines.
+		if line = bytes.TrimRight(line, " \t\r\n"); len(line) == 0 {
+			continue
+		}
+		if id, r, ok := scanResultFrame(line); ok {
+			*f = Frame{Type: FrameResult, ID: id, Result: r}
+			return nil
+		}
+		*f = Frame{}
+		return json.Unmarshal(line, f)
+	}
+}
+
+// readLine returns the next line, newline included when there is one; a
+// last line without one is returned whole, and io.EOF only once nothing is
+// left.
+func (d *Decoder) readLine() ([]byte, error) {
+	line, err := d.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		d.long = append(d.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = d.br.ReadSlice('\n')
+			d.long = append(d.long, line...)
+		}
+		line = d.long
+	}
+	if err == io.EOF && len(line) > 0 {
+		err = nil
+	}
+	return line, err
+}

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"math"
 	"reflect"
@@ -75,56 +74,6 @@ func TestResultRoundTripZeroAndExtremes(t *testing.T) {
 		if got := r.QueryResult(); got != orig {
 			t.Errorf("case %d: got %+v want %+v", i, got, orig)
 		}
-	}
-}
-
-// TestNonFiniteValueTravelsAsNull pins the one lossy corner of the schema:
-// an aggregate over an empty area (Avg of nothing is NaN, Min/Max of
-// nothing ±Inf) has no JSON number, so the frame carries "value":null and
-// the client reads NaN — with every other field intact, and without moving
-// a byte of a finite frame.
-func TestNonFiniteValueTravelsAsNull(t *testing.T) {
-	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		orig := fullResult()
-		orig.Value = v
-		var buf bytes.Buffer
-		if err := NewEncoder(&buf).Encode(Frame{Type: FrameResult, ID: 9, Result: ptr(FromResult(orig))}); err != nil {
-			t.Fatalf("value %v: encode: %v", v, err)
-		}
-		if !bytes.Contains(buf.Bytes(), []byte(`"value":null`)) || bytes.Count(buf.Bytes(), []byte(`"value"`)) != 1 {
-			t.Fatalf("value %v: frame is %s, want exactly one \"value\":null", v, buf.Bytes())
-		}
-		var f Frame
-		if err := NewDecoder(&buf).Decode(&f); err != nil {
-			t.Fatalf("value %v: decode: %v", v, err)
-		}
-		if f.Type != FrameResult || f.ID != 9 || f.Result == nil {
-			t.Fatalf("value %v: frame came back as %+v", v, f)
-		}
-		got := f.Result.QueryResult()
-		if !math.IsNaN(got.Value) {
-			t.Errorf("value %v: decoded %v, want NaN", v, got.Value)
-		}
-		got.Value, orig.Value = 0, 0
-		if got != orig {
-			t.Errorf("value %v: the rest of the result changed:\n got %+v\nwant %+v", v, got, orig)
-		}
-	}
-
-	finite := Frame{Type: FrameResult, ID: 9, Result: ptr(FromResult(fullResult()))}
-	var buf bytes.Buffer
-	if err := NewEncoder(&buf).Encode(finite); err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(finite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bytes.TrimSuffix(buf.Bytes(), []byte("\n")); !bytes.Equal(got, want) {
-		t.Errorf("finite frame encodes as %s, plain JSON is %s", got, want)
-	}
-	if err := new(Value).UnmarshalJSON([]byte(`"12"`)); err == nil {
-		t.Error("a quoted value should not decode")
 	}
 }
 
