@@ -21,11 +21,15 @@ test:
 # third repeats the service-level close storm — Close, Subscribe and Advance
 # meeting on the one schedule lock, with the one ledger reconciled
 # afterwards — and its deterministic form, a Close landing between a
-# period's evaluation and the step's re-arm flush.
+# period's evaluation and the step's re-arm flush. The last runs the grid's
+# canonical-order test ten times over, varying the writer interleaving: the
+# engine's folds and the discrete-event run's radio, CCP and scoring all
+# inherit its scan order.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run='^(TestIntrusiveScheduleAgainstModel|TestReadingColumnMatchesNaiveReference|TestReadingColumnUnderConcurrentChurn|TestEngineChurnUnderRace)$$' ./internal/core
 	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered)$$' .
+	$(GO) test -race -count=10 -run='^TestShardedGridCanonicalOrder$$' ./internal/geom
 
 # One pass over every benchmark as a smoke test, after the cold-evaluation
 # allocation gate; use `go test -bench=. ./...` directly for real

@@ -263,8 +263,8 @@ func prefetchFigure() temporalFigure {
 // corridorFigure is the corridor comparison — exact vs noisy motion
 // profiles, with and without the spatial corridor cache: the warm path must
 // never change results (corridor/exact matches jit/exact bit for bit), and
-// the figure reports staged-hit and mispredict rates plus the measured
-// warm-vs-cold evaluation cost.
+// the figure reports staged-hit and mispredict rates plus each arm's wall
+// time per period of the whole serve, staging included.
 func corridorFigure() temporalFigure {
 	cfg := experiment.DefaultCorridor()
 	return temporalFigure{
@@ -274,13 +274,13 @@ func corridorFigure() temporalFigure {
 				cfg.Users, cfg.Nodes, cfg.Duration, cfg.Period, cfg.SamplePeriod, cfg.GPSSampling, cfg.GPSError, cfg.Lookahead)
 		},
 		run: func() (experiment.Result, error) { return experiment.RunCorridor(cfg) },
-		header: fmt.Sprintf("  %-20s %8s %6s %7s %9s %10s %8s %8s %8s %8s %9s %9s  %s",
-			"arm", "periods", "late", "warmup", "stale", "prefetched", "hits", "cold", "mispred", "replans", "warm-ns", "cold-ns", "digest"),
-		rowFormat: "  %-20s %8d %6d %7d %9d %10d %8d %8d %8d %8d %9.0f %9.0f  %#x\n",
+		header: fmt.Sprintf("  %-20s %8s %6s %7s %9s %10s %8s %8s %8s %8s %9s  %s",
+			"arm", "periods", "late", "warmup", "stale", "prefetched", "hits", "cold", "mispred", "replans", "serve-ns", "digest"),
+		rowFormat: "  %-20s %8d %6d %7d %9d %10d %8d %8d %8d %8d %9.0f  %#x\n",
 		row: func(o experiment.Outcome) []any {
 			return []any{o.Label, o.Evaluations, o.Late, o.WarmupPeriods, o.StaleExclusions,
 				o.PrefetchedReadings, o.StagedHits, o.ColdEvaluations, o.Mispredicts,
-				o.Replans, o.WarmEvalNs, o.ColdEvalNs, o.Digest}
+				o.Replans, o.ServeNs, o.Digest}
 		},
 		check: func(res experiment.Result) error {
 			jitExact, _ := res.Arm("jit/exact")

@@ -54,6 +54,12 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers on either listener, so an idle or trickling connection cannot
+// hold a server goroutine open indefinitely. Request bodies are not under
+// it: a waypoint stream legitimately stays open for a subscription's life.
+const readHeaderTimeout = 10 * time.Second
+
 // run stands the server up. ready, when non-nil, receives the bound
 // address once listening — the tests' and spawners' synchronization
 // point (the same address is printed to stdout for script consumers).
@@ -95,7 +101,7 @@ func run(args []string, ready chan<- string) error {
 	defer svc.Close()
 
 	handler := server.New(svc, server.Options{AllowAdvance: *tick == 0})
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -181,7 +187,7 @@ func startPprof(addr string) (string, *http.Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	go srv.Serve(ln)
 	return ln.Addr().String(), srv, nil
 }

@@ -86,7 +86,7 @@ func Select(region geom.Rect, positions []geom.Point, cfg Config, rng *rand.Rand
 	// Withdrawal pass: in random order, each node sleeps if its sensing
 	// disk is covered by the remaining active nodes.
 	order := rng.Perm(n)
-	grid := geom.NewGrid(region, cfg.SensingRange)
+	grid := geom.NewShardedGrid(region, cfg.SensingRange, 1)
 	for i, p := range positions {
 		grid.Insert(int32(i), p)
 	}
@@ -99,7 +99,7 @@ func Select(region geom.Rect, positions []geom.Point, cfg Config, rng *rand.Rand
 
 	// Coverage repair: every grid sample point coverable by some node must
 	// be covered by an active node.
-	res.CoverageRepairs = repairCoverage(region, positions, active, cfg, grid, &buf)
+	res.CoverageRepairs = repairCoverage(region, active, cfg, grid)
 
 	// Connectivity repair: with Rc >= 2*Rs this should be a no-op, but the
 	// sampled eligibility rule can leave rare corner gaps.
@@ -116,16 +116,16 @@ func Select(region geom.Rect, positions []geom.Point, cfg Config, rng *rand.Rand
 // diskCovered reports whether node i's sensing disk (clipped to the region)
 // is covered by the sensing disks of other active nodes. Coverage is tested
 // at the disk center and at sampled perimeter points.
-func diskCovered(i int, positions []geom.Point, active []bool, region geom.Rect, cfg Config, grid *geom.Grid, buf *[]int32) bool {
+func diskCovered(i int, positions []geom.Point, active []bool, region geom.Rect, cfg Config, grid *geom.ShardedGrid, buf *[]int32) bool {
 	p := positions[i]
 	// Candidate coverers: active nodes within 2*Rs of p.
-	*buf = grid.Within((*buf)[:0], p, 2*cfg.SensingRange)
 	cands := (*buf)[:0]
-	for _, id := range *buf {
+	grid.VisitWithin(p, 2*cfg.SensingRange, func(id int32, _ geom.Point) {
 		if int(id) != i && active[id] {
 			cands = append(cands, id)
 		}
-	}
+	})
+	*buf = cands
 	if len(cands) == 0 {
 		return false
 	}
@@ -155,28 +155,30 @@ func diskCovered(i int, positions []geom.Point, active []bool, region geom.Rect,
 
 // repairCoverage re-activates nodes until every coverable grid sample point
 // is covered, returning the number of re-activations.
-func repairCoverage(region geom.Rect, positions []geom.Point, active []bool, cfg Config, grid *geom.Grid, buf *[]int32) int {
+func repairCoverage(region geom.Rect, active []bool, cfg Config, grid *geom.ShardedGrid) int {
 	repairs := 0
 	for x := region.MinX + cfg.GridStep/2; x <= region.MaxX; x += cfg.GridStep {
 		for y := region.MinY + cfg.GridStep/2; y <= region.MaxY; y += cfg.GridStep {
 			q := geom.Pt(x, y)
-			*buf = grid.Within((*buf)[:0], q, cfg.SensingRange)
-			if len(*buf) == 0 {
-				continue // deployment hole: nobody can cover this point
-			}
-			coveredBy := -1
+			// The first active node in scan order covers q; until one shows
+			// up, track the nearest inactive one. A deployment hole (nobody
+			// within range) leaves both unset.
+			covered := false
 			bestInactive := -1
 			bestDist := math.MaxFloat64
-			for _, id := range *buf {
-				if active[id] {
-					coveredBy = int(id)
-					break
+			grid.VisitWithin(q, cfg.SensingRange, func(id int32, pos geom.Point) {
+				if covered {
+					return
 				}
-				if d := positions[id].Dist2(q); d < bestDist {
+				if active[id] {
+					covered = true
+					return
+				}
+				if d := pos.Dist2(q); d < bestDist {
 					bestInactive, bestDist = int(id), d
 				}
-			}
-			if coveredBy < 0 {
+			})
+			if !covered && bestInactive >= 0 {
 				active[bestInactive] = true
 				repairs++
 			}
@@ -297,26 +299,19 @@ func Verify(region geom.Rect, positions []geom.Point, active []bool, cfg Config)
 	if len(active) != len(positions) {
 		return fmt.Errorf("ccp: active mask length %d != positions %d", len(active), len(positions))
 	}
-	grid := geom.NewGrid(region, cfg.SensingRange)
+	grid := geom.NewShardedGrid(region, cfg.SensingRange, 1)
 	for i, p := range positions {
 		grid.Insert(int32(i), p)
 	}
-	var buf []int32
 	for x := region.MinX + cfg.GridStep/2; x <= region.MaxX; x += cfg.GridStep {
 		for y := region.MinY + cfg.GridStep/2; y <= region.MaxY; y += cfg.GridStep {
 			q := geom.Pt(x, y)
-			buf = grid.Within(buf[:0], q, cfg.SensingRange)
-			if len(buf) == 0 {
-				continue
-			}
-			ok := false
-			for _, id := range buf {
-				if active[id] {
-					ok = true
-					break
-				}
-			}
-			if !ok {
+			coverable, ok := false, false
+			grid.VisitWithin(q, cfg.SensingRange, func(id int32, _ geom.Point) {
+				coverable = true
+				ok = ok || active[id]
+			})
+			if coverable && !ok {
 				return fmt.Errorf("ccp: point %v uncovered by active set", q)
 			}
 		}

@@ -232,8 +232,8 @@ func (e *QueryEngine) RemoveNode(id radio.NodeID) { e.grid.Remove(int32(id)) }
 // NodeCount returns the number of indexed sensor nodes.
 func (e *QueryEngine) NodeCount() int { return e.grid.Len() }
 
-// lookup resolves a query id through the registry; nil when unknown.
-func (e *QueryEngine) lookup(queryID uint32) *Query {
+// Lookup resolves a query id through the registry; nil when unknown.
+func (e *QueryEngine) Lookup(queryID uint32) *Query {
 	e.mu.Lock()
 	q := e.queries[queryID]
 	e.mu.Unlock()
@@ -242,7 +242,7 @@ func (e *QueryEngine) lookup(queryID uint32) *Query {
 
 // Deregister removes a live query. Unknown ids are a no-op.
 func (e *QueryEngine) Deregister(queryID uint32) {
-	if q := e.lookup(queryID); q != nil {
+	if q := e.Lookup(queryID); q != nil {
 		q.Deregister()
 	}
 }
@@ -442,7 +442,7 @@ func (e *QueryEngine) FlushRearms(rb *RearmBatch) {
 // UpdateWaypoint moves a user's query center (the user walked). It reports
 // whether the query is registered.
 func (e *QueryEngine) UpdateWaypoint(queryID uint32, pos geom.Point) bool {
-	q := e.lookup(queryID)
+	q := e.Lookup(queryID)
 	if q != nil {
 		q.mu.Lock()
 		q.pos = pos

@@ -225,7 +225,7 @@ func runScheduleModel(t *testing.T, seed int64) {
 			if err := e.RegisterQuery(mq.q, free, 5, geom.Pt(50, 50), TemporalSpec{Period: time.Second}, now, nil); err == nil {
 				t.Fatalf("step %d: storage of query %d (live=%v) registered again", step, mq.id, mq.live)
 			}
-			if e.lookup(free) != nil {
+			if e.Lookup(free) != nil {
 				t.Fatalf("step %d: a refused registration published id %d", step, free)
 			}
 		case op < 7:

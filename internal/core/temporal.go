@@ -315,7 +315,7 @@ func (e *QueryEngine) SetQueryAggIndex(queryID uint32, ix AggIndex) bool {
 }
 
 func (e *QueryEngine) withQuery(queryID uint32, fn func(*Query)) bool {
-	q := e.lookup(queryID)
+	q := e.Lookup(queryID)
 	if q != nil {
 		fn(q)
 	}
@@ -365,7 +365,7 @@ func (e *QueryEngine) RegisterTemporalE(queryID uint32, radius float64, pos geom
 
 // NextDue is Query.NextDue by id. ok is false for unknown queries.
 func (e *QueryEngine) NextDue(queryID uint32) (k int, due sim.Time, ok bool) {
-	q := e.lookup(queryID)
+	q := e.Lookup(queryID)
 	if q == nil {
 		return 0, 0, false
 	}
@@ -388,7 +388,7 @@ func (e *QueryEngine) EvaluateDue(queryID uint32, now sim.Time) (WindowResult, b
 // EvaluateDueBatch is Query.EvaluateDue by id; ok is also false when the
 // query is unknown.
 func (e *QueryEngine) EvaluateDueBatch(queryID uint32, now sim.Time, rb *RearmBatch) (WindowResult, bool) {
-	q := e.lookup(queryID)
+	q := e.Lookup(queryID)
 	if q == nil {
 		return WindowResult{}, false
 	}

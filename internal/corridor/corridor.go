@@ -301,13 +301,13 @@ func (c *Cache) stageWindowLocked(now sim.Time) {
 }
 
 // buildStage sweeps and snapshots one boundary: the corridor cells of the
-// inflated predicted circle, their bucket contents filtered to the circle.
-// The row-major cell sweep over id-sorted buckets leaves the nodes in
-// canonical grid order, and the box of the inflated circle contains the box
-// of any circle it covers, so filtering the buffer to such a circle yields
-// exactly the sequence a cold VisitWithin would — the warm fold matches
-// the cold one bit for bit with no sort here or at serve time. Returns nil
-// when the profile does not cover the boundary. Caller holds mu.
+// inflated predicted circle (its CellBox), their bucket contents filtered to
+// the circle. The row-major cell sweep over id-sorted buckets leaves the
+// nodes in canonical grid order, and the box of the inflated circle contains
+// the box of any circle it covers, so filtering the buffer to such a circle
+// yields exactly the sequence a cold VisitWithin would — the warm fold
+// matches the cold one bit for bit with no sort here or at serve time.
+// Returns nil when the profile does not cover the boundary. Caller holds mu.
 func (c *Cache) buildStage(k int, now sim.Time) *stage {
 	due := c.cfg.T0 + sim.Time(k)*c.cfg.Period
 	if due < c.profile.TS {
@@ -321,6 +321,7 @@ func (c *Cache) buildStage(k int, now sim.Time) *stage {
 	st := c.blankLocked()
 	st.k, st.due, st.center, st.radius, st.builtAt = k, due, center, r, now
 	r2 := r * r
+	minCX, minCY, maxCX, maxCY := c.grid.CellBox(center, r)
 	// Clean-bracket snapshot: SnapshotVersion must return ok with equal
 	// versions on both sides of the cell sweep — no mutation completed in
 	// between and none was in flight at either edge — so the staged
@@ -330,14 +331,16 @@ func (c *Cache) buildStage(k int, now sim.Time) *stage {
 		v0, ok0 := c.grid.SnapshotVersion()
 		st.cells = st.cells[:0]
 		st.nodes = st.nodes[:0]
-		c.grid.VisitCellsInBox(center, r, func(cx, cy int) {
-			st.cells = append(st.cells, cellKey{cx, cy})
-			c.grid.VisitCell(cx, cy, func(id int32, pos geom.Point) {
-				if pos.Dist2(center) <= r2 {
-					st.nodes = append(st.nodes, StagedNode{ID: id, Pos: pos})
-				}
-			})
-		})
+		for cy := minCY; cy <= maxCY; cy++ {
+			for cx := minCX; cx <= maxCX; cx++ {
+				st.cells = append(st.cells, cellKey{cx, cy})
+				c.grid.VisitCell(cx, cy, func(id int32, pos geom.Point) {
+					if pos.Dist2(center) <= r2 {
+						st.nodes = append(st.nodes, StagedNode{ID: id, Pos: pos})
+					}
+				})
+			}
+		}
 		v1, ok1 := c.grid.SnapshotVersion()
 		if ok0 && ok1 && v0 == v1 {
 			st.version = v0

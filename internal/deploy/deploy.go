@@ -30,34 +30,6 @@ func Uniform(region geom.Rect, n int, rng *rand.Rand) Topology {
 	return Topology{Region: region, Positions: pts}
 }
 
-// UniformMinSeparation places n nodes uniformly with a minimum pairwise
-// separation, rejecting draws closer than minSep to an accepted point. It
-// gives up on a draw after maxTries attempts and accepts it anyway, so the
-// function always terminates.
-func UniformMinSeparation(region geom.Rect, n int, minSep float64, rng *rand.Rand) Topology {
-	const maxTries = 64
-	pts := make([]geom.Point, 0, n)
-	for len(pts) < n {
-		p := region.UniformPoint(rng)
-		ok := true
-		for try := 0; try < maxTries; try++ {
-			ok = true
-			for _, q := range pts {
-				if p.Within(q, minSep) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				break
-			}
-			p = region.UniformPoint(rng)
-		}
-		pts = append(pts, p)
-	}
-	return Topology{Region: region, Positions: pts}
-}
-
 // Len returns the number of nodes.
 func (t Topology) Len() int { return len(t.Positions) }
 
@@ -68,17 +40,6 @@ func (t Topology) Density() float64 {
 		return 0
 	}
 	return float64(len(t.Positions)) / area
-}
-
-// NodesIn returns the indices of nodes inside the circle, in index order.
-func (t Topology) NodesIn(c geom.Circle) []int {
-	var out []int
-	for i, p := range t.Positions {
-		if c.Contains(p) {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // SuggestPickupRadius returns a pickup-point anycast radius Rp such that a
@@ -96,10 +57,4 @@ func SuggestPickupRadius(t Topology, backboneFraction, confidence float64) float
 	}
 	// P(no backbone node within Rp) = exp(-lambda*pi*Rp^2) = 1 - confidence.
 	return math.Sqrt(-math.Log(1-confidence) / (lambda * math.Pi))
-}
-
-// ExpectedNeighbors returns the mean number of neighbours per node at the
-// given communication range (ignoring boundary effects).
-func (t Topology) ExpectedNeighbors(commRange float64) float64 {
-	return t.Density() * math.Pi * commRange * commRange
 }

@@ -48,45 +48,11 @@ func TestUniformNegativePanics(t *testing.T) {
 	Uniform(geom.Square(450), -1, rand.New(rand.NewSource(1)))
 }
 
-func TestUniformMinSeparation(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	topo := UniformMinSeparation(geom.Square(450), 100, 20, rng)
-	if topo.Len() != 100 {
-		t.Fatalf("Len = %d", topo.Len())
-	}
-	tooClose := 0
-	for i := 0; i < topo.Len(); i++ {
-		for j := i + 1; j < topo.Len(); j++ {
-			if topo.Positions[i].Within(topo.Positions[j], 20) {
-				tooClose++
-			}
-		}
-	}
-	// The sampler accepts rare failures after maxTries; nearly all pairs
-	// must respect the separation.
-	if tooClose > 2 {
-		t.Errorf("%d pairs violate min separation", tooClose)
-	}
-}
-
 func TestDensity(t *testing.T) {
 	topo := Uniform(geom.Square(450), 200, rand.New(rand.NewSource(1)))
 	want := 200.0 / (450 * 450)
 	if got := topo.Density(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Density = %v, want %v", got, want)
-	}
-}
-
-func TestNodesIn(t *testing.T) {
-	topo := Topology{
-		Region: geom.Square(100),
-		Positions: []geom.Point{
-			geom.Pt(10, 10), geom.Pt(50, 50), geom.Pt(52, 50), geom.Pt(90, 90),
-		},
-	}
-	got := topo.NodesIn(geom.Circle{C: geom.Pt(50, 50), R: 10})
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("NodesIn = %v, want [1 2]", got)
 	}
 }
 
@@ -114,14 +80,5 @@ func TestSuggestPickupRadiusPanics(t *testing.T) {
 			SuggestPickupRadius(topo, args[0], args[1])
 			t.Errorf("SuggestPickupRadius(%v) should panic", args)
 		}()
-	}
-}
-
-func TestExpectedNeighbors(t *testing.T) {
-	topo := Uniform(geom.Square(450), 200, rand.New(rand.NewSource(1)))
-	// 200 nodes, range 105: lambda*pi*r^2 = 200/202500 * pi * 11025 ~ 34.
-	got := topo.ExpectedNeighbors(105)
-	if got < 30 || got > 40 {
-		t.Errorf("ExpectedNeighbors = %.1f, want about 34", got)
 	}
 }

@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -237,34 +240,77 @@ func TestOptionsScaling(t *testing.T) {
 	}
 }
 
-// TestFigureSmoke runs every figure at drastically reduced scale to ensure
-// the harness executes end to end. Shape assertions live in the benches and
-// EXPERIMENTS.md; here we only require well-formed output.
+// TestFigureSmoke runs every discrete-event figure at drastically reduced
+// scale, checks each table's shape, and pins each table's rendered text by
+// its sha256: the radio medium, CCP and the fidelity scorer must keep
+// producing the same bytes whatever spatial index serves them. A digest
+// moves only when a figure's results do; update it only with a change that
+// means to move them.
 func TestFigureSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure smoke is expensive")
 	}
 	opts := Options{Runs: 1, BaseSeed: 1, Scale: 0.2}
-	for _, tbl := range Fig4(opts) {
+	got := map[string]Table{}
+	for i, tbl := range Fig4(opts) {
 		if len(tbl.Rows) != 5 {
 			t.Errorf("Fig4 rows = %d", len(tbl.Rows))
 		}
+		got[fmt.Sprintf("fig4/%d", i)] = tbl
 	}
 	if tbl := Fig5(opts); len(tbl.Rows) < 20 {
 		t.Errorf("Fig5 rows = %d", len(tbl.Rows))
+	} else {
+		got["fig5"] = tbl
 	}
 	if tbl := Fig6(opts); len(tbl.Rows) != 5 {
 		t.Errorf("Fig6 rows = %d", len(tbl.Rows))
+	} else {
+		got["fig6"] = tbl
 	}
-	for _, tbl := range Fig7(opts) {
+	for i, tbl := range Fig7(opts) {
 		if len(tbl.Rows) != 5 {
 			t.Errorf("Fig7 rows = %d", len(tbl.Rows))
 		}
+		got[fmt.Sprintf("fig7/%d", i)] = tbl
 	}
 	if tbl := Fig8(opts); len(tbl.Rows) != 3 {
 		t.Errorf("Fig8 rows = %d", len(tbl.Rows))
+	} else {
+		got["fig8"] = tbl
 	}
 	if tbl := WarmupValidation(opts); len(tbl.Rows) != 5 {
 		t.Errorf("Warmup rows = %d", len(tbl.Rows))
+	} else {
+		got["warmup"] = tbl
+	}
+	if tbl := Ablation(opts); len(tbl.Rows) == 0 {
+		t.Error("Ablation has no rows")
+	} else {
+		got["ablation"] = tbl
+	}
+
+	want := map[string]string{
+		"fig4/0":   "b36b4ad912e5c06f03b640050cebfe6db55d77525e3c848cffd62db54c67b180",
+		"fig4/1":   "eadf2a4694dbca8c8408c3c90c91137da6a7f78025736538e8aeaa390878ebc5",
+		"fig4/2":   "7a7b6db8edfd8103d92cd3eb79efab7fcfd4236b1a2c13b67eebd99162657e14",
+		"fig5":     "13bb3d830f0a08081a286fadae37b52abd3e4c5df8b68a304cb45a8bc7838e9d",
+		"fig6":     "12656e28a7c96784c63843c2fce8e50703144ec3fea96e214f132b118c7b4830",
+		"fig7/0":   "33bf5c044ecdc7bdfed0affd0aca51321ae6613dfe120eab2bf3b60d3b48c728",
+		"fig7/1":   "25b699f2cb142c099a5a8dca1a187ba1a67c35f7b60bc3a53d666a7d9609a458",
+		"fig8":     "c5ef05220b8ca44d91725fa94ea3a77e644c32281413b865f0cf814300ea8800",
+		"warmup":   "349fa2136fbbca9d4b6ec0d84c6049719a314e30771e18824a533fa4e5fa9a32",
+		"ablation": "61cc666195295cdcadfefa7d65bcae389be895562062717f42154610d76071a5",
+	}
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s: no table", name)
+		}
+	}
+	for name, tbl := range got {
+		sum := sha256.Sum256([]byte(tbl.Format()))
+		if d := hex.EncodeToString(sum[:]); d != want[name] {
+			t.Errorf("%s digest = %s, want %s\n%s", name, d, want[name], tbl.Format())
+		}
 	}
 }

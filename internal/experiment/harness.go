@@ -159,9 +159,10 @@ type pass struct {
 	evals, late, warm, stale, prefetched, fresh int
 	stalenessSum                                time.Duration
 	peakOut                                     int
-	// Evaluated periods and their wall nanoseconds, per serve class.
+	// Evaluated periods per serve class, and the wall nanoseconds of every
+	// period's serve from path.Before through path.After.
 	classes [obs.NumClasses]int
-	classNs [obs.NumClasses]int64
+	serveNs int64
 	digest  uint64
 	folded  [10]uint64 // fold scratch
 }
@@ -277,10 +278,11 @@ type Outcome struct {
 	Mispredicts     int
 	Replans         int
 
-	// WarmEvalNs and ColdEvalNs are mean wall nanoseconds per staged hit and
-	// per cold evaluation. Wall time: reported, never part of the digest.
-	WarmEvalNs float64
-	ColdEvalNs float64
+	// ServeNs is the mean wall nanoseconds per delivered period of the whole
+	// serve, path.Before through path.After, so whatever staging or planning
+	// a serve path does is charged to the periods that pay for it. Wall
+	// time: reported, never part of the digest.
+	ServeNs float64
 
 	// Joins and Leaves count churner arrivals and departures that actually
 	// happened; PeakLive is the largest concurrent population.
@@ -407,20 +409,20 @@ func (w *workload) runPass(a arm) (Outcome, error) {
 	var now sim.Time
 	step := func(q *core.Query, due sim.Time, rb *core.RearmBatch) bool {
 		u := q.Owner().(*user)
+		start := time.Now()
 		u.path.Before(due)
 		pos := u.pos(due)
-		evalStart := time.Now()
 		u.q.Lock()
 		wr, ok := u.q.EvaluateDueAt(pos, now, rb)
 		u.q.Unlock()
-		ns := time.Since(evalStart).Nanoseconds()
 		if !ok {
+			u.serveNs += time.Since(start).Nanoseconds()
 			return false
 		}
 		class, _ := u.path.After(&wr, pos)
+		u.serveNs += time.Since(start).Nanoseconds()
 		u.evals++
 		u.classes[class]++
-		u.classNs[class] += ns
 		u.fresh += wr.Data.Count
 		u.stale += wr.StaleNodes
 		u.prefetched += wr.Prefetched
@@ -483,7 +485,7 @@ func (w *workload) runPass(a arm) (Outcome, error) {
 	var stalenessSum time.Duration
 	var fresh int
 	var classes [obs.NumClasses]int
-	var classNs [obs.NumClasses]int64
+	var serveNs int64
 	for _, u := range w.users {
 		out.Evaluations += u.evals
 		out.Late += u.late
@@ -497,8 +499,8 @@ func (w *workload) runPass(a arm) (Outcome, error) {
 		}
 		for c := range classes {
 			classes[c] += u.classes[c]
-			classNs[c] += u.classNs[c]
 		}
+		serveNs += u.serveNs
 		if st, ok := u.path.Stats(); ok {
 			out.Strategy = st.Strategy
 			out.Replans += st.Replans
@@ -514,12 +516,7 @@ func (w *workload) runPass(a arm) (Outcome, error) {
 	if out.Evaluations > 0 {
 		out.MeanFresh = float64(fresh) / float64(out.Evaluations)
 		out.MeanStaleness = stalenessSum / time.Duration(out.Evaluations)
-	}
-	if out.StagedHits > 0 {
-		out.WarmEvalNs = float64(classNs[obs.ClassCorridor]) / float64(out.StagedHits)
-	}
-	if out.ColdEvaluations > 0 {
-		out.ColdEvalNs = float64(classNs[obs.ClassCold]+classNs[obs.ClassPlanned]) / float64(out.ColdEvaluations)
+		out.ServeNs = float64(serveNs) / float64(out.Evaluations)
 	}
 	if cfg.Pyramid != nil {
 		out.Index = cfg.Pyramid.Stats()

@@ -40,7 +40,7 @@ func TestScenarioDigestsInvariant(t *testing.T) {
 	// ledger is an outcome without its wall-clock readings and without the
 	// pyramid's own counters, which depend on how workers shared an ingest.
 	ledger := func(o Outcome) Outcome {
-		o.WarmEvalNs, o.ColdEvalNs, o.Index = 0, 0, pyramid.Stats{}
+		o.ServeNs, o.Index = 0, pyramid.Stats{}
 		return o
 	}
 	for _, sc := range scenarios {

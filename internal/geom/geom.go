@@ -85,9 +85,6 @@ func (v Vec) Unit() Vec {
 	return Vec{v.DX / l, v.DY / l}
 }
 
-// Angle returns the direction of v in radians, in (-π, π].
-func (v Vec) Angle() float64 { return math.Atan2(v.DY, v.DX) }
-
 // FromAngle returns the unit vector pointing in direction theta (radians).
 func FromAngle(theta float64) Vec {
 	return Vec{math.Cos(theta), math.Sin(theta)}
@@ -101,11 +98,6 @@ type Circle struct {
 
 // Contains reports whether p lies inside or on the circle.
 func (c Circle) Contains(p Point) bool { return c.C.Within(p, c.R) }
-
-// Intersects reports whether two circles overlap (inclusive of tangency).
-func (c Circle) Intersects(d Circle) bool {
-	return c.C.Within(d.C, c.R+d.R)
-}
 
 // Area returns the area of the circle in square meters.
 func (c Circle) Area() float64 { return math.Pi * c.R * c.R }
@@ -153,15 +145,6 @@ func (r Rect) Clamp(p Point) Point {
 // Center returns the midpoint of r.
 func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
-}
-
-// Corners returns the four corners of r in counter-clockwise order starting
-// from (MinX, MinY).
-func (r Rect) Corners() [4]Point {
-	return [4]Point{
-		{r.MinX, r.MinY}, {r.MaxX, r.MinY},
-		{r.MaxX, r.MaxY}, {r.MinX, r.MaxY},
-	}
 }
 
 // UniformPoint samples a point uniformly at random inside r.

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// The TestGrid tests pin the grid as the serial discrete-event run uses it:
+// one shard, static id-ordered inserts, the odd mobile proxy moving.
+
+// newSerialGrid is the one-shard grid the radio medium, CCP and the fidelity
+// scorer index on.
+func newSerialGrid(region Rect, cell float64) *ShardedGrid {
+	return NewShardedGrid(region, cell, 1)
+}
+
 func sorted(ids []int32) []int32 {
 	out := append([]int32(nil), ids...)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -14,17 +23,17 @@ func sorted(ids []int32) []int32 {
 }
 
 func TestGridInsertAndWithin(t *testing.T) {
-	g := NewGrid(Square(100), 10)
+	g := newSerialGrid(Square(100), 10)
 	g.Insert(1, Pt(10, 10))
 	g.Insert(2, Pt(20, 10))
 	g.Insert(3, Pt(90, 90))
 
-	got := sorted(g.Within(nil, Pt(10, 10), 15))
+	got := sorted(within(g, nil, Pt(10, 10), 15))
 	want := []int32{1, 2}
 	if len(got) != len(want) || got[0] != 1 || got[1] != 2 {
 		t.Errorf("Within = %v, want %v", got, want)
 	}
-	if ids := g.Within(nil, Pt(50, 50), 5); len(ids) != 0 {
+	if ids := within(g, nil, Pt(50, 50), 5); len(ids) != 0 {
 		t.Errorf("Within empty region = %v, want none", ids)
 	}
 	if g.Len() != 3 {
@@ -33,22 +42,22 @@ func TestGridInsertAndWithin(t *testing.T) {
 }
 
 func TestGridWithinInclusiveBoundary(t *testing.T) {
-	g := NewGrid(Square(100), 7)
+	g := newSerialGrid(Square(100), 7)
 	g.Insert(1, Pt(0, 0))
 	g.Insert(2, Pt(10, 0))
-	if got := g.Within(nil, Pt(0, 0), 10); len(got) != 2 {
+	if got := within(g, nil, Pt(0, 0), 10); len(got) != 2 {
 		t.Errorf("radius exactly at distance should include boundary node, got %v", got)
 	}
 }
 
 func TestGridMove(t *testing.T) {
-	g := NewGrid(Square(100), 10)
+	g := newSerialGrid(Square(100), 10)
 	g.Insert(7, Pt(5, 5))
 	g.Move(7, Pt(95, 95))
-	if ids := g.Within(nil, Pt(5, 5), 10); len(ids) != 0 {
+	if ids := within(g, nil, Pt(5, 5), 10); len(ids) != 0 {
 		t.Errorf("moved node still found at old position: %v", ids)
 	}
-	if ids := g.Within(nil, Pt(95, 95), 1); len(ids) != 1 || ids[0] != 7 {
+	if ids := within(g, nil, Pt(95, 95), 1); len(ids) != 1 || ids[0] != 7 {
 		t.Errorf("moved node not found at new position: %v", ids)
 	}
 	p, ok := g.Position(7)
@@ -58,7 +67,7 @@ func TestGridMove(t *testing.T) {
 }
 
 func TestGridUnknownIDs(t *testing.T) {
-	g := NewGrid(Square(100), 10)
+	g := newSerialGrid(Square(100), 10)
 	g.Remove(5) // removing an absent id is a no-op
 	if g.Len() != 0 {
 		t.Errorf("Len after removing unknown id = %d", g.Len())
@@ -67,20 +76,20 @@ func TestGridUnknownIDs(t *testing.T) {
 	if p, ok := g.Position(5); !ok || p != Pt(30, 30) {
 		t.Errorf("Position after Move of unknown id = %v, %v", p, ok)
 	}
-	if ids := g.Within(nil, Pt(30, 30), 1); len(ids) != 1 || ids[0] != 5 {
+	if ids := within(g, nil, Pt(30, 30), 1); len(ids) != 1 || ids[0] != 5 {
 		t.Errorf("moved-in unknown id not findable: %v", ids)
 	}
 }
 
 func TestGridRemove(t *testing.T) {
-	g := NewGrid(Square(100), 10)
+	g := newSerialGrid(Square(100), 10)
 	g.Insert(1, Pt(50, 50))
 	g.Remove(1)
 	g.Remove(1) // removing twice is a no-op
 	if g.Len() != 0 {
 		t.Errorf("Len after remove = %d", g.Len())
 	}
-	if ids := g.Within(nil, Pt(50, 50), 50); len(ids) != 0 {
+	if ids := within(g, nil, Pt(50, 50), 50); len(ids) != 0 {
 		t.Errorf("removed node still present: %v", ids)
 	}
 	if _, ok := g.Position(1); ok {
@@ -91,13 +100,13 @@ func TestGridRemove(t *testing.T) {
 func TestGridOutOfRegionClamped(t *testing.T) {
 	// Items slightly outside the region (mobile proxy near the boundary)
 	// must still be stored and findable.
-	g := NewGrid(Square(100), 10)
+	g := newSerialGrid(Square(100), 10)
 	g.Insert(1, Pt(-5, -5))
 	g.Insert(2, Pt(105, 105))
-	if ids := g.Within(nil, Pt(0, 0), 10); len(ids) != 1 || ids[0] != 1 {
+	if ids := within(g, nil, Pt(0, 0), 10); len(ids) != 1 || ids[0] != 1 {
 		t.Errorf("out-of-region item not found: %v", ids)
 	}
-	if ids := g.Within(nil, Pt(100, 100), 10); len(ids) != 1 || ids[0] != 2 {
+	if ids := within(g, nil, Pt(100, 100), 10); len(ids) != 1 || ids[0] != 2 {
 		t.Errorf("out-of-region item not found: %v", ids)
 	}
 }
@@ -108,7 +117,7 @@ func TestGridMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	region := Square(450)
 	for trial := 0; trial < 50; trial++ {
-		g := NewGrid(region, 105)
+		g := newSerialGrid(region, 105)
 		pts := make(map[int32]Point)
 		n := 50 + rng.Intn(150)
 		for i := 0; i < n; i++ {
@@ -118,7 +127,7 @@ func TestGridMatchesBruteForce(t *testing.T) {
 		}
 		center := region.UniformPoint(rng)
 		radius := rng.Float64() * 200
-		got := sorted(g.Within(nil, center, radius))
+		got := sorted(within(g, nil, center, radius))
 		var want []int32
 		for id, p := range pts {
 			if p.Within(center, radius) {
@@ -138,14 +147,14 @@ func TestGridMatchesBruteForce(t *testing.T) {
 }
 
 func TestGridQuickInsertFindable(t *testing.T) {
-	g := NewGrid(Square(1000), 50)
+	g := newSerialGrid(Square(1000), 50)
 	f := func(id int32, x, y float64) bool {
 		if id < 0 {
 			id = -id
 		}
 		p := Square(1000).Clamp(Pt(x, y))
 		g.Insert(id, p)
-		ids := g.Within(nil, p, 0.001)
+		ids := within(g, nil, p, 0.001)
 		for _, got := range ids {
 			if got == id {
 				return true
@@ -155,19 +164,5 @@ func TestGridQuickInsertFindable(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkGridWithin(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	region := Square(450)
-	g := NewGrid(region, 105)
-	for i := 0; i < 200; i++ {
-		g.Insert(int32(i), region.UniformPoint(rng))
-	}
-	var buf []int32
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = g.Within(buf[:0], Pt(225, 225), 105)
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// ShardedGrid is a concurrency-safe spatial hash with the same query API as
-// Grid, built for many independent writers and readers: the cell space is
+// ShardedGrid is the repository's one spatial hash: it answers "all items
+// within radius r of point p" for the query engine and, with one shard, for
+// the serial discrete-event run (radio medium, CCP, fidelity scoring). It is
+// built for many independent writers and readers: the cell space is
 // partitioned into horizontal shards with one write lock each, cell buckets
 // are immutable snapshots published through atomic pointers (radius queries
 // never take a lock), and the id→position index is striped by id hash so
@@ -153,7 +155,7 @@ func (g *ShardedGrid) SnapshotVersion() (version uint64, ok bool) {
 	return g.version.Load(), true
 }
 
-// cellOf returns the clamped cell coordinates of p, mirroring Grid.index.
+// cellOf returns the clamped cell coordinates of p.
 func (g *ShardedGrid) cellOf(p Point) (cx, cy int) {
 	cx = int((p.X - g.region.MinX) / g.cell)
 	cy = int((p.Y - g.region.MinY) / g.cell)
@@ -325,22 +327,7 @@ func (g *ShardedGrid) Len() int {
 // the same bits under any sizing, and a row-major VisitCell sweep over a
 // box containing the disk yields this sequence as a subsequence.
 func (g *ShardedGrid) VisitWithin(p Point, r float64, fn func(id int32, pos Point)) {
-	minCX := int((p.X - r - g.region.MinX) / g.cell)
-	maxCX := int((p.X + r - g.region.MinX) / g.cell)
-	minCY := int((p.Y - r - g.region.MinY) / g.cell)
-	maxCY := int((p.Y + r - g.region.MinY) / g.cell)
-	if minCX < 0 {
-		minCX = 0
-	}
-	if minCY < 0 {
-		minCY = 0
-	}
-	if maxCX >= g.cols {
-		maxCX = g.cols - 1
-	}
-	if maxCY >= g.rows {
-		maxCY = g.rows - 1
-	}
+	minCX, minCY, maxCX, maxCY := g.CellBox(p, r)
 	r2 := r * r
 	for cy := minCY; cy <= maxCY; cy++ {
 		sh := g.shardFor(cy)
@@ -359,34 +346,20 @@ func (g *ShardedGrid) VisitWithin(p Point, r float64, fn func(id int32, pos Poin
 	}
 }
 
-// VisitCellsInBox calls fn for every cell a radius-r query around p scans —
-// the same clamped bounding box VisitWithin walks. It is the cell-sweep
-// primitive of the corridor cache: collecting exactly these cells for a
-// disk guarantees the collection is a superset of any VisitWithin over a
-// disk contained in it, including the clamped edge cells that hold items
-// lying outside the region.
-func (g *ShardedGrid) VisitCellsInBox(p Point, r float64, fn func(cx, cy int)) {
-	minCX := int((p.X - r - g.region.MinX) / g.cell)
-	maxCX := int((p.X + r - g.region.MinX) / g.cell)
-	minCY := int((p.Y - r - g.region.MinY) / g.cell)
-	maxCY := int((p.Y + r - g.region.MinY) / g.cell)
-	if minCX < 0 {
-		minCX = 0
-	}
-	if minCY < 0 {
-		minCY = 0
-	}
-	if maxCX >= g.cols {
-		maxCX = g.cols - 1
-	}
-	if maxCY >= g.rows {
-		maxCY = g.rows - 1
-	}
-	for cy := minCY; cy <= maxCY; cy++ {
-		for cx := minCX; cx <= maxCX; cx++ {
-			fn(cx, cy)
-		}
-	}
+// CellBox returns the clamped cell box a radius-r scan around p covers: the
+// cells (cx, cy) with minCX <= cx <= maxCX and minCY <= cy <= maxCY. It is
+// the one place that decision is made. VisitWithin scans exactly these
+// cells; a row-major sweep over them, filtered to any disk inside the
+// radius-r one, yields that disk's VisitWithin sequence, clamped edge cells
+// (which hold the items lying outside the region) included — the corridor
+// cache stages on this and the tile pyramid decomposes exactly this box.
+// The box is empty (max < min) only for a disk wholly outside the region.
+func (g *ShardedGrid) CellBox(p Point, r float64) (minCX, minCY, maxCX, maxCY int) {
+	minCX = int((p.X - r - g.region.MinX) / g.cell)
+	minCY = int((p.Y - r - g.region.MinY) / g.cell)
+	maxCX = int((p.X + r - g.region.MinX) / g.cell)
+	maxCY = int((p.Y + r - g.region.MinY) / g.cell)
+	return max(minCX, 0), max(minCY, 0), min(maxCX, g.cols-1), min(maxCY, g.rows-1)
 }
 
 // VisitCell streams the items of one cell in ascending id order. Like

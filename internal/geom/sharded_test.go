@@ -9,40 +9,58 @@ import (
 	"testing"
 )
 
-// within collects the ids VisitWithin emits, Grid.Within-style.
+// within collects the ids VisitWithin emits.
 func within(g *ShardedGrid, dst []int32, p Point, r float64) []int32 {
 	g.VisitWithin(p, r, func(id int32, _ Point) { dst = append(dst, id) })
 	return dst
 }
 
-func TestShardedGridMatchesGrid(t *testing.T) {
-	// Randomized insert/move/remove traffic must leave the sharded grid
-	// answering range queries identically to the serial reference grid.
+// sweep calls fn for every cell of CellBox(p, r) in row-major order, the
+// corridor cache's staging sweep.
+func sweep(g *ShardedGrid, p Point, r float64, fn func(cx, cy int)) {
+	minCX, minCY, maxCX, maxCY := g.CellBox(p, r)
+	for cy := minCY; cy <= maxCY; cy++ {
+		for cx := minCX; cx <= maxCX; cx++ {
+			fn(cx, cy)
+		}
+	}
+}
+
+func TestShardedGridMatchesBruteForce(t *testing.T) {
+	// Randomized insert/move/remove traffic must leave the grid answering
+	// range queries exactly like a linear scan of the stored positions,
+	// whatever the shard count.
 	rng := rand.New(rand.NewSource(7))
 	region := Square(450)
 	for _, shards := range []int{1, 3, 16, 1000} {
-		ref := NewGrid(region, 105)
+		ref := map[int32]Point{}
 		sg := NewShardedGrid(region, 105, shards)
 		for step := 0; step < 2000; step++ {
 			id := int32(rng.Intn(300))
 			switch rng.Intn(4) {
 			case 0:
 				sg.Remove(id)
-				ref.Remove(id)
+				delete(ref, id)
 			default:
 				p := region.UniformPoint(rng)
 				sg.Insert(id, p)
-				ref.Insert(id, p)
+				ref[id] = p
 			}
 		}
-		if sg.Len() != ref.Len() {
-			t.Fatalf("shards=%d: Len = %d, want %d", shards, sg.Len(), ref.Len())
+		if sg.Len() != len(ref) {
+			t.Fatalf("shards=%d: Len = %d, want %d", shards, sg.Len(), len(ref))
 		}
 		for trial := 0; trial < 50; trial++ {
 			center := region.UniformPoint(rng)
 			radius := rng.Float64() * 250
 			got := sorted(within(sg, nil, center, radius))
-			want := sorted(ref.Within(nil, center, radius))
+			var want []int32
+			for id, p := range ref {
+				if p.Dist2(center) <= radius*radius {
+					want = append(want, id)
+				}
+			}
+			want = sorted(want)
 			if len(got) != len(want) {
 				t.Fatalf("shards=%d trial %d: got %d ids, want %d", shards, trial, len(got), len(want))
 			}
@@ -235,7 +253,7 @@ func TestShardedGridVersionAdvancesOnMutation(t *testing.T) {
 	// Reads never mutate.
 	v3 := g.Version()
 	within(g, nil, Pt(50, 50), 200)
-	g.VisitCellsInBox(Pt(50, 50), 200, func(int, int) {})
+	sweep(g, Pt(50, 50), 200, func(int, int) {})
 	g.VisitCell(0, 0, func(int32, Point) {})
 	if g.Version() != v3 {
 		t.Error("read paths advanced the version")
@@ -250,7 +268,7 @@ func TestShardedGridVersionAdvancesOnMutation(t *testing.T) {
 }
 
 // TestShardedGridCellSweepMatchesVisitWithin pins the corridor cache's core
-// assumption: collecting every cell of VisitCellsInBox and filtering by
+// assumption: collecting every cell of CellBox and filtering by
 // distance yields exactly the VisitWithin result — for interior disks,
 // disks poking past the region, and clamped out-of-region items.
 func TestShardedGridCellSweepMatchesVisitWithin(t *testing.T) {
@@ -269,7 +287,7 @@ func TestShardedGridCellSweepMatchesVisitWithin(t *testing.T) {
 		g.VisitWithin(center, radius, func(id int32, pos Point) { want[id] = pos })
 		got := map[int32]Point{}
 		r2 := radius * radius
-		g.VisitCellsInBox(center, radius, func(cx, cy int) {
+		sweep(g, center, radius, func(cx, cy int) {
 			g.VisitCell(cx, cy, func(id int32, pos Point) {
 				if pos.Dist2(center) <= r2 {
 					got[id] = pos
@@ -291,7 +309,7 @@ func TestShardedGridCellRect(t *testing.T) {
 	g := NewShardedGrid(Square(100), 10, 4)
 	g.Insert(7, Pt(34, 56))
 	var cells []Rect
-	g.VisitCellsInBox(Pt(34, 56), 0, func(cx, cy int) {
+	sweep(g, Pt(34, 56), 0, func(cx, cy int) {
 		cells = append(cells, g.CellRect(cx, cy))
 	})
 	if len(cells) != 1 {
@@ -319,9 +337,9 @@ func BenchmarkShardedGridWithin(b *testing.B) {
 	}
 }
 
-func TestShardedGridVisitCellsInBoxMatchesBruteForce(t *testing.T) {
+func TestShardedGridCellBoxMatchesBruteForce(t *testing.T) {
 	// Property pin for the tile-decomposition prerequisite: for any box
-	// that intersects the region, the cells VisitCellsInBox enumerates must
+	// that intersects the region, the cells CellBox spans must
 	// be exactly those whose effective extent intersects the box, where
 	// edge cells extend unboundedly outward (cellOf clamps out-of-region
 	// points into them). Centers are drawn so the box frequently spills
@@ -339,7 +357,7 @@ func TestShardedGridVisitCellsInBoxMatchesBruteForce(t *testing.T) {
 			center := Pt(rng.Float64()*(450+1.6*radius)-0.8*radius,
 				rng.Float64()*(450+1.6*radius)-0.8*radius)
 			got := make(map[[2]int]bool)
-			g.VisitCellsInBox(center, radius, func(cx, cy int) {
+			sweep(g, center, radius, func(cx, cy int) {
 				if got[[2]int{cx, cy}] {
 					t.Fatalf("cell (%d,%d) visited twice", cx, cy)
 				}
@@ -509,7 +527,7 @@ func TestShardedGridCanonicalOrder(t *testing.T) {
 			}
 			// A wider box swept cell by cell, filtered to the disk: the
 			// corridor cache's staging order.
-			g.VisitCellsInBox(center, radius+rng.Float64()*120, func(cx, cy int) {
+			sweep(g, center, radius+rng.Float64()*120, func(cx, cy int) {
 				g.VisitCell(cx, cy, func(id int32, p Point) {
 					if p.Dist2(center) <= radius*radius {
 						swept = append(swept, item{id, p})

@@ -46,15 +46,15 @@ type QueryRecord struct {
 // deadline, and fidelity is the fraction of its sensor nodes whose readings
 // reached the user (Section 6's definition). agg is the aggregation function
 // each record's Value reports. Sensor i sits at positions[i], inside region;
-// the positions are indexed once in a geom.Grid with rq-sized cells, the
-// plain grid the radio medium and CCP use.
+// the positions are indexed once in a one-shard geom.ShardedGrid with
+// rq-sized cells, the grid the radio medium and CCP use, so "inside the
+// area" is the engine's own inclusive disk test.
 func EvaluateAgg(results []core.PeriodResult, course mobility.Course, region geom.Rect, positions []geom.Point, rq float64, period time.Duration, agg core.AggKind) []QueryRecord {
-	grid := geom.NewGrid(region, rq)
+	grid := geom.NewShardedGrid(region, rq, 1)
 	for i, p := range positions {
 		grid.Insert(int32(i), p)
 	}
 	out := make([]QueryRecord, 0, len(results))
-	var buf []int32
 	for _, pr := range results {
 		rec := QueryRecord{
 			K:        pr.K,
@@ -67,11 +67,8 @@ func EvaluateAgg(results []core.PeriodResult, course mobility.Course, region geo
 			rec.Value = pr.Data.Value(agg)
 		}
 		userPos := course.PosAt(pr.Deadline)
-		buf = grid.Within(buf[:0], userPos, rq)
-		inArea := make(map[radio.NodeID]bool, len(buf))
-		for _, id := range buf {
-			inArea[radio.NodeID(id)] = true
-		}
+		inArea := make(map[radio.NodeID]bool)
+		grid.VisitWithin(userPos, rq, func(id int32, _ geom.Point) { inArea[radio.NodeID(id)] = true })
 		rec.AreaNodes = len(inArea)
 		seen := make(map[radio.NodeID]bool)
 		if pr.Received {
@@ -95,7 +92,8 @@ func EvaluateAgg(results []core.PeriodResult, course mobility.Course, region geo
 					targetHits++
 				}
 			}
-			targetNodes := len(grid.Within(buf[:0], pr.Pickup, rq))
+			targetNodes := 0
+			grid.VisitWithin(pr.Pickup, rq, func(int32, geom.Point) { targetNodes++ })
 			if targetNodes > 0 {
 				rec.TargetFidelity = float64(targetHits) / float64(targetNodes)
 			} else {

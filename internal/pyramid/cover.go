@@ -23,19 +23,18 @@ import (
 	"mobiquery/internal/geom"
 )
 
-// cellGeom is the cell-space geometry a decomposition runs over, copied
-// from the grid so the recursion depends only on region/cellSize/dims —
-// never on shard count, which is what makes decompositions identical across
-// ServiceConfig sizings.
+// cellGeom is the cell space a decomposition runs over: the grid, whose
+// CellBox and CellRect decide which cells a disk touches and where they lie,
+// and its dimensions. Neither depends on the shard count, which is what
+// makes decompositions identical across ServiceConfig sizings.
 type cellGeom struct {
-	region     geom.Rect
-	cell       float64
+	grid       *geom.ShardedGrid
 	cols, rows int
 }
 
 func geometryOf(g *geom.ShardedGrid) cellGeom {
 	cols, rows := g.CellCount()
-	return cellGeom{region: g.Region(), cell: g.CellSize(), cols: cols, rows: rows}
+	return cellGeom{grid: g, cols: cols, rows: rows}
 }
 
 // maxLevels returns the number of rollup levels above the cells worth
@@ -91,23 +90,8 @@ func coverDisk(cg cellGeom, maxLevel int, center geom.Point, r float64, tileFn f
 		tileFn:   tileFn,
 		cellFn:   cellFn,
 	}
-	// The same clamped bounding box VisitWithin and VisitCellsInBox walk.
-	c.minCX = int((center.X - r - cg.region.MinX) / cg.cell)
-	c.maxCX = int((center.X + r - cg.region.MinX) / cg.cell)
-	c.minCY = int((center.Y - r - cg.region.MinY) / cg.cell)
-	c.maxCY = int((center.Y + r - cg.region.MinY) / cg.cell)
-	if c.minCX < 0 {
-		c.minCX = 0
-	}
-	if c.minCY < 0 {
-		c.minCY = 0
-	}
-	if c.maxCX >= cg.cols {
-		c.maxCX = cg.cols - 1
-	}
-	if c.maxCY >= cg.rows {
-		c.maxCY = cg.rows - 1
-	}
+	// The box VisitWithin scans.
+	c.minCX, c.minCY, c.maxCX, c.maxCY = cg.grid.CellBox(center, r)
 	if c.maxCX < c.minCX || c.maxCY < c.minCY {
 		return 0, 0
 	}
@@ -137,12 +121,8 @@ func (c *cover) visit(level, tx, ty int) {
 	// cells hold nodes arbitrarily far outside it.
 	edge := c0x == 0 || c0y == 0 || c1x == c.cols-1 || c1y == c.rows-1
 	if !edge {
-		rect := geom.Rect{
-			MinX: c.region.MinX + float64(c0x)*c.cell,
-			MinY: c.region.MinY + float64(c0y)*c.cell,
-			MaxX: c.region.MinX + float64(c1x+1)*c.cell,
-			MaxY: c.region.MinY + float64(c1y+1)*c.cell,
-		}
+		lo, hi := c.grid.CellRect(c0x, c0y), c.grid.CellRect(c1x, c1y)
+		rect := geom.Rect{MinX: lo.MinX, MinY: lo.MinY, MaxX: hi.MaxX, MaxY: hi.MaxY}
 		min2, max2 := rectDist2(rect, c.center)
 		if min2 > c.r2 {
 			// Entirely outside the disk: every node here fails the cold

@@ -75,11 +75,10 @@ type Stats struct {
 type Medium struct {
 	eng    *sim.Engine
 	params Params
-	grid   *geom.Grid
+	grid   *geom.ShardedGrid
 	radios map[NodeID]*Radio
 	active []*transmission
 	stats  Stats
-	buf    []int32 // scratch for range queries
 }
 
 // NewMedium creates a medium over the given deployment region.
@@ -90,7 +89,7 @@ func NewMedium(eng *sim.Engine, region geom.Rect, params Params) *Medium {
 	return &Medium{
 		eng:    eng,
 		params: params,
-		grid:   geom.NewGrid(region, params.Range),
+		grid:   geom.NewShardedGrid(region, params.Range, 1),
 		radios: make(map[NodeID]*Radio),
 	}
 }
@@ -131,12 +130,10 @@ func (m *Medium) InRange(a, b NodeID) bool {
 	return ra.pos.Within(rb.pos, m.params.Range)
 }
 
-// NodesWithin appends the ids of all attached nodes within radius r of p.
+// NodesWithin appends the ids of all attached nodes within radius r of p,
+// in the grid's canonical scan order.
 func (m *Medium) NodesWithin(dst []NodeID, p geom.Point, r float64) []NodeID {
-	m.buf = m.grid.Within(m.buf[:0], p, r)
-	for _, id := range m.buf {
-		dst = append(dst, NodeID(id))
-	}
+	m.grid.VisitWithin(p, r, func(id int32, _ geom.Point) { dst = append(dst, NodeID(id)) })
 	return dst
 }
 
@@ -265,19 +262,20 @@ func (r *Radio) Transmit(f Frame) time.Duration {
 
 	tx := &transmission{src: r, frame: f}
 	m.stats.Transmissions++
-	m.buf = m.grid.Within(m.buf[:0], r.pos, m.params.Range)
-	for _, rid := range m.buf {
+	// Receptions open in the grid's canonical scan order; nothing here
+	// moves a radio, so the scan sees one grid state throughout.
+	m.grid.VisitWithin(r.pos, m.params.Range, func(rid int32, _ geom.Point) {
 		if NodeID(rid) == r.id {
-			continue
+			return
 		}
 		rx := m.radios[NodeID(rid)]
 		if !rx.on {
 			m.stats.MissedOff++
-			continue
+			return
 		}
 		if rx.transmitting {
 			m.stats.MissedBusy++
-			continue
+			return
 		}
 		rec := &reception{rx: rx}
 		if len(rx.incoming) > 0 {
@@ -294,7 +292,7 @@ func (r *Radio) Transmit(f Frame) time.Duration {
 		rx.incoming = append(rx.incoming, rec)
 		rx.updateMode()
 		tx.receptions = append(tx.receptions, rec)
-	}
+	})
 	m.active = append(m.active, tx)
 	// The sender is released when the frame leaves the air; receivers
 	// resolve one propagation delay later.

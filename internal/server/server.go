@@ -44,7 +44,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"mobiquery"
@@ -60,18 +59,19 @@ type Options struct {
 	AllowAdvance bool
 }
 
-// Server is the front-end handler. Create with New.
+// Server is the front-end handler. Create with New. It keeps no registry
+// of its own: the {id} endpoints resolve through the service.
 type Server struct {
 	svc  *mobiquery.Service
 	opts Options
 	mux  *http.ServeMux
-
-	// mu guards the id -> subscription registry of streams this server
-	// opened, so the waypoint and stats endpoints can address them. An
-	// entry lives exactly as long as its subscribe handler.
-	mu   sync.Mutex
-	subs map[uint32]*mobiquery.Subscription
 }
+
+// maxRequestBody bounds the subscribe and advance request bodies; a
+// subscribe request is well under 1 KB. Past it a request is refused with
+// 413 before anything is opened or advanced. The client-streamed waypoint
+// body is not bounded in total: it is a stream of small lines.
+const maxRequestBody = 4 << 10
 
 // httpMaxLatency bounds the per-route request-latency histograms;
 // subscribe streams (which live as long as the subscription) are not
@@ -84,7 +84,6 @@ func New(svc *mobiquery.Service, opts Options) *Server {
 		svc:  svc,
 		opts: opts,
 		mux:  http.NewServeMux(),
-		subs: make(map[uint32]*mobiquery.Subscription),
 	}
 	s.handle("GET /healthz", "healthz", s.handleHealth)
 	// The scrape instruments itself too: the wrapper records after the
@@ -126,15 +125,6 @@ func (s *Server) handle(pattern, route string, h http.HandlerFunc) {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Streams reports the number of subscribe streams currently open on this
-// server (distinct from the service's Subscribers, which may include
-// in-process subscriptions).
-func (s *Server) Streams() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.subs)
-}
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	st := s.svc.Stats()
@@ -199,8 +189,7 @@ func (s *Server) handleFirehose(w http.ResponseWriter, r *http.Request) {
 // ends the stream with the end frame.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	var req wire.SubscribeRequest
-	if err := wire.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "wire: bad subscribe request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, "subscribe", &req) {
 		return
 	}
 	spec, err := req.Spec.QuerySpec()
@@ -220,15 +209,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	s.mu.Lock()
-	s.subs[sub.ID()] = sub
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.subs, sub.ID())
-		s.mu.Unlock()
-		sub.Close()
-	}()
+	defer sub.Close()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	rc := http.NewResponseController(w)
@@ -271,7 +252,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWaypoints applies a client-streamed body of ground-truth position
-// updates to a subscription this server opened, each as it arrives. Only a
+// updates to an open subscription of the service, each as it arrives. Only a
 // clean end of the body is a success: a line that does not decode is 400, a
 // subscription that closed mid-stream 409, and either message says how many
 // updates had been applied by then (they stay applied).
@@ -314,8 +295,7 @@ func (s *Server) handleSubStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req wire.AdvanceRequest
-	if err := wire.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "wire: bad advance request: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, "advance", &req) {
 		return
 	}
 	if err := s.svc.Advance(time.Duration(req.DNS)); err != nil {
@@ -325,17 +305,32 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wire.Health{OK: true, NowNS: int64(s.svc.Now()), Subscribers: s.svc.Subscribers()})
 }
 
-// lookup resolves the {id} path value to a subscription opened on this
-// server, writing the error response when it can't.
+// decodeBody decodes the request body, at most maxRequestBody bytes of it,
+// into v, writing the error response when it can't: 413 for a body past
+// the bound, 400 for one that does not decode.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := wire.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "wire: bad "+what+" request: "+err.Error(), code)
+	return false
+}
+
+// lookup resolves the {id} path value to an open subscription of the
+// service, writing the error response when it can't.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*mobiquery.Subscription, bool) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 32)
 	if err != nil {
 		http.Error(w, "bad subscription id", http.StatusBadRequest)
 		return nil, false
 	}
-	s.mu.Lock()
-	sub := s.subs[uint32(id)]
-	s.mu.Unlock()
+	sub := s.svc.Subscription(uint32(id))
 	if sub == nil {
 		http.Error(w, "no such subscription", http.StatusNotFound)
 		return nil, false

@@ -213,7 +213,7 @@ func TestSubscribeStreamsResultsAndEndFrame(t *testing.T) {
 		Motion: wire.Motion{Kind: "static", XM: 225, YM: 225},
 	}
 	req.Spec.LifetimeNS = int64(6 * time.Second) // 3 periods, then the stream ends
-	_, dec, done := h.subscribe(t, context.Background(), req)
+	ack, dec, done := h.subscribe(t, context.Background(), req)
 	defer done()
 
 	for i := 0; i < 8; i++ {
@@ -246,8 +246,17 @@ func TestSubscribeStreamsResultsAndEndFrame(t *testing.T) {
 	if end.Stats == nil || end.Stats.Delivered != 3 || end.Stats.Dropped != 0 {
 		t.Errorf("end frame stats %+v", end.Stats)
 	}
-	// The handler unregistered its stream.
-	waitFor(t, "stream unregistered", func() bool { return h.srv.Streams() == 0 })
+	// The subscription left the registry with its stream, and its id no
+	// longer resolves.
+	waitFor(t, "subscription closed", func() bool { return h.svc.Subscribers() == 0 })
+	resp, err := http.Get(fmt.Sprintf("%s/v1/subscriptions/%d/stats", h.ts.URL, ack.ID))
+	if err != nil {
+		t.Fatalf("stats of the ended subscription: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("stats of the ended subscription: status %d, want 404", resp.StatusCode)
+	}
 }
 
 // TestClientDisconnectTearsDownSubscription pins the teardown contract:
@@ -266,14 +275,13 @@ func TestClientDisconnectTearsDownSubscription(t *testing.T) {
 	if err := dec.Decode(&f); err != nil || f.Type != wire.FrameResult {
 		t.Fatalf("first result: %+v err=%v", f, err)
 	}
-	if h.svc.Subscribers() != 1 || h.srv.Streams() != 1 {
-		t.Fatalf("live: %d subscribers, %d streams", h.svc.Subscribers(), h.srv.Streams())
+	if h.svc.Subscribers() != 1 {
+		t.Fatalf("live: %d subscribers, want 1", h.svc.Subscribers())
 	}
 
 	cancel() // client walks away mid-stream
 
 	waitFor(t, "subscription closed", func() bool { return h.svc.Subscribers() == 0 })
-	waitFor(t, "stream unregistered", func() bool { return h.srv.Streams() == 0 })
 	h.ts.Client().CloseIdleConnections()
 	waitFor(t, "goroutines returned", func() bool {
 		runtime.GC()
@@ -419,7 +427,7 @@ func TestWaypointStreamErrors(t *testing.T) {
 	fmt.Fprintln(pw, `{"x_m":10,"y_m":10}`)
 	waitFor(t, "first waypoint applied", func() bool { return nextAreaNodes() == corner })
 	cancel()
-	waitFor(t, "subscribe stream torn down", func() bool { return h.srv.Streams() == 0 })
+	waitFor(t, "subscription closed", func() bool { return h.svc.Subscribers() == 0 })
 	fmt.Fprintln(pw, `{"x_m":225,"y_m":225}`)
 	pw.Close()
 	r := <-got
@@ -433,10 +441,19 @@ func TestWaypointStreamErrors(t *testing.T) {
 
 func TestBadRequestsAreClientErrors(t *testing.T) {
 	h := newHarness(t, mobiquery.ServiceConfig{})
+	spec, err := json.Marshal(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A valid request padded past maxRequestBody with whitespace inside the
+	// object: without the padding it would open a subscription.
+	pad := strings.Repeat(" ", maxRequestBody)
+	oversized := `{"spec":` + string(spec) + `,` + pad + `"motion":{"kind":"static","x_m":225,"y_m":225}}`
 	cases := []struct {
 		body string
 		want int
 	}{
+		{oversized, http.StatusRequestEntityTooLarge},
 		{"{not json", http.StatusBadRequest},
 		{`{"spec":{"radius_m":100,"period_ns":1000000000,"strategy":"psychic"},"motion":{"kind":"static"}}`, http.StatusBadRequest},
 		{`{"spec":{"radius_m":100,"period_ns":1000000000},"motion":{"kind":"teleport"}}`, http.StatusBadRequest},
@@ -450,8 +467,20 @@ func TestBadRequestsAreClientErrors(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
-			t.Errorf("body %q: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+			t.Errorf("body %.60q: status %d, want %d", tc.body, resp.StatusCode, tc.want)
 		}
+	}
+	if st := h.svc.Stats(); st.Opened != 0 || h.svc.Subscribers() != 0 {
+		t.Errorf("refused subscribes opened %d subscriptions (%d live)", st.Opened, h.svc.Subscribers())
+	}
+	// The advance body has the same bound, and a refused step moves no clock.
+	resp, err := http.Post(h.ts.URL+"/v1/advance", "application/json", strings.NewReader(`{"d_ns":1000000000`+pad+`}`))
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || h.svc.Now() != 0 {
+		t.Errorf("oversized advance: status %d, clock at %v; want 413 and 0", resp.StatusCode, h.svc.Now())
 	}
 }
 

@@ -402,6 +402,16 @@ func (s *Service) NodeCount() int { return s.engine.NodeCount() }
 // in-flight Advance.
 func (s *Service) Subscribers() int { return s.engine.QueryCount() }
 
+// Subscription returns the open subscription with the given id, or nil. The
+// engine's registry is the one id-keyed map of subscriptions: an id resolves
+// from Subscribe until the subscription closes.
+func (s *Service) Subscription(id uint32) *Subscription {
+	if q := s.engine.Lookup(id); q != nil {
+		return q.Owner().(*Subscription)
+	}
+	return nil
+}
+
 // Drain puts the service into drain mode: new Subscribe calls fail while
 // every existing subscription keeps streaming until it ends on its own
 // (Lifetime, Close, context) — the graceful half of a shutdown. The clock
