@@ -61,9 +61,12 @@ bench-wire:
 	$(GO) test -run=xxx -bench='^BenchmarkResultFrameCodec$$' -benchtime=20000x ./internal/wire
 
 # Every fuzz target past its seed corpus, ten seconds each: the result
-# frame codec against encoding/json, and the /metrics exposition validator.
+# frame codec against encoding/json, a subscribe body through everything
+# the server runs before Subscribe against the build bounds, and the
+# /metrics exposition validator.
 fuzz-smoke:
 	$(GO) test -run=xxx -fuzz='^FuzzResultFrameCodec$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run=xxx -fuzz='^FuzzSubscribeRequest$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=xxx -fuzz='^FuzzValidateExposition$$' -fuzztime=10s ./internal/obs
 
 # The million-subscriber idle gate on its own: one pass of the idle arm of

@@ -110,9 +110,9 @@ func PlumeField(center Point, amplitude, sigma, driftX, driftY float64) Field {
 }
 
 // ServiceConfig sizes the sharded multi-user query engine of the session API
-// (NetworkConfig.Service) and of the scale scenario (ScaleConfig.Service):
-// how many spatial shards the sensor index is split into and how many
-// workers dispatch independent users' work. The zero value selects sane
+// (NetworkConfig.Service): how many spatial shards the sensor index is split
+// into and how many workers dispatch independent users' work. The zero
+// value selects sane
 // defaults (geom.DefaultShards spatial shards, one worker per core).
 // Concurrency never changes results — only wall time.
 type ServiceConfig struct {
@@ -121,10 +121,6 @@ type ServiceConfig struct {
 	// Workers is the dispatch worker-pool width (0 = one per core).
 	Workers int
 }
-
-// DefaultServiceConfig returns the automatic sizing (shards and workers
-// chosen from the host).
-func DefaultServiceConfig() ServiceConfig { return ServiceConfig{} }
 
 // Simulation configures one batch MobiQuery run through the discrete-event
 // stack. Construct with DefaultSimulation and override fields as needed.
@@ -324,82 +320,6 @@ type Result struct {
 
 // SuccessThreshold is the fidelity cutoff used for SuccessRatio.
 const SuccessThreshold = metrics.FidelityThreshold
-
-// ScaleConfig configures the multi-user scale scenario: many mobile users,
-// each with one periodic area query over a large sensor field, driven
-// directly through the sharded concurrent query engine (no radio
-// simulation). Construct with DefaultScaleConfig and override as needed.
-type ScaleConfig struct {
-	// Seed makes the run reproducible.
-	Seed int64
-	// Nodes sensors over a RegionSide × RegionSide square; Users concurrent
-	// mobile users each querying a circle of QueryRadius.
-	Nodes       int
-	Users       int
-	RegionSide  float64
-	QueryRadius float64
-	// Each of Rounds rounds moves every user Step meters and re-evaluates
-	// every query area.
-	Step   float64
-	Rounds int
-	// Service sizes the engine; Shards 1 with Workers 1 is the serial
-	// reference for comparison.
-	Service ServiceConfig
-	// Field is what the sensors measure.
-	Field Field
-}
-
-// DefaultScaleConfig returns the headline scale scenario: 10k concurrent
-// users over a 100k-node field in a 10 km square.
-func DefaultScaleConfig() ScaleConfig {
-	c := experiment.DefaultScale()
-	return ScaleConfig{
-		Seed:        c.Seed,
-		Nodes:       c.Nodes,
-		Users:       c.Users,
-		RegionSide:  c.RegionSide,
-		QueryRadius: c.Radius,
-		Step:        c.Step,
-		Rounds:      c.Rounds,
-		Field:       c.Field,
-	}
-}
-
-func (c ScaleConfig) scale() experiment.ScaleConfig {
-	return experiment.ScaleConfig{
-		Seed:       c.Seed,
-		Nodes:      c.Nodes,
-		Users:      c.Users,
-		RegionSide: c.RegionSide,
-		Radius:     c.QueryRadius,
-		Step:       c.Step,
-		Rounds:     c.Rounds,
-		Shards:     c.Service.Shards,
-		Workers:    c.Service.Workers,
-		Field:      c.Field,
-	}
-}
-
-// Validate reports configuration errors without running anything.
-func (c ScaleConfig) Validate() error { return c.scale().Validate() }
-
-// ScaleResult summarizes a scale run. All fields except Elapsed are pure
-// functions of the configuration, independent of sharding and worker count.
-type ScaleResult struct {
-	// Evaluations is Users × Rounds completed area evaluations.
-	Evaluations int
-	// MeanAreaNodes is the mean in-area sensor count per evaluation;
-	// MeanValue the mean Avg aggregate over non-empty areas.
-	MeanAreaNodes float64
-	MeanValue     float64
-	// Checksum is an order-independent integer digest of every per-user
-	// result. Two runs of the same configuration must agree on it
-	// regardless of Service sizing — compare a Shards 1, Workers 1 run with
-	// a sharded one to verify the engine's concurrency invariant.
-	Checksum uint64
-	// Elapsed is the wall time of the dispatch phase.
-	Elapsed time.Duration
-}
 
 // TeamMember configures one user in a multi-user simulation. Each member
 // issues an independent spatiotemporal query (the base Simulation's query

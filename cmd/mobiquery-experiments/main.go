@@ -271,7 +271,7 @@ func corridorFigure() temporalFigure {
 		base: &cfg.Base, users: &cfg.Users,
 		banner: func() string {
 			return fmt.Sprintf("corridor scenario: %d turning users on a %d-node field (%v session, Tperiod=%v, duty cycle %v, GPS %v/%vm, lookahead %d)",
-				cfg.Users, cfg.Nodes, cfg.Duration, cfg.Period, cfg.SamplePeriod, cfg.GPSSampling, cfg.GPSError, cfg.Lookahead)
+				cfg.Users, cfg.Nodes, cfg.Duration, cfg.Period, cfg.SamplePeriod, experiment.CorridorGPSSampling, cfg.GPSError, cfg.Lookahead)
 		},
 		run: func() (experiment.Result, error) { return experiment.RunCorridor(cfg) },
 		header: fmt.Sprintf("  %-20s %8s %6s %7s %9s %10s %8s %8s %8s %8s %9s  %s",

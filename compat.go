@@ -58,33 +58,6 @@ func Run(s Simulation) Result {
 	return res
 }
 
-// RunScaleE executes the scale scenario to completion, reporting
-// configuration errors instead of panicking.
-func RunScaleE(c ScaleConfig) (ScaleResult, error) {
-	sc := c.scale()
-	if err := sc.Validate(); err != nil {
-		return ScaleResult{}, err
-	}
-	r := experiment.RunScale(sc)
-	return ScaleResult{
-		Evaluations:   r.Evaluations,
-		MeanAreaNodes: r.MeanArea,
-		MeanValue:     r.MeanValue,
-		Checksum:      r.Checksum,
-		Elapsed:       r.Elapsed,
-	}, nil
-}
-
-// RunScale executes the scale scenario to completion. It panics on invalid
-// configuration; RunScaleE is the error-returning variant.
-func RunScale(c ScaleConfig) ScaleResult {
-	res, err := RunScaleE(c)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // RunTeamE runs base's network with several concurrent mobile users and
 // returns one Result per member, in order, reporting configuration errors
 // instead of panicking. The members share the sensor network, so their

@@ -60,11 +60,6 @@ func TestRunEReportsErrors(t *testing.T) {
 	if _, err := RunE(s); err == nil {
 		t.Error("RunE of an invalid simulation should error")
 	}
-	c := DefaultScaleConfig()
-	c.Users = 0
-	if _, err := RunScaleE(c); err == nil {
-		t.Error("RunScaleE of an invalid config should error")
-	}
 	if _, err := RunTeamE(DefaultSimulation(), nil); err == nil {
 		t.Error("RunTeamE with no members should error")
 	}
@@ -82,9 +77,6 @@ func TestRunPanicsDelegateToErrorVariants(t *testing.T) {
 	bad := DefaultSimulation()
 	bad.Nodes = 0
 	assertPanics(t, "Run", func() { Run(bad) })
-	badScale := DefaultScaleConfig()
-	badScale.Users = 0
-	assertPanics(t, "RunScale", func() { RunScale(badScale) })
 	assertPanics(t, "RunTeam", func() { RunTeam(bad, []TeamMember{{QueryID: 1, Scheme: JIT}}) })
 }
 

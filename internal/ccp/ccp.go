@@ -22,31 +22,26 @@ import (
 
 // Config holds the coverage protocol's parameters.
 type Config struct {
-	// SensingRange is each node's sensing radius Rs (paper: 50 m).
-	SensingRange float64
-	// CommRange is the communication radius Rc (paper: 105 m).
-	CommRange float64
-	// PerimeterSamples is the number of points sampled on a node's sensing
-	// perimeter for the eligibility check.
-	PerimeterSamples int
 	// GridStep is the sample spacing for the global coverage repair pass.
 	GridStep float64
 }
 
 // DefaultConfig returns the paper's evaluation settings.
 func DefaultConfig() Config {
-	return Config{SensingRange: 50, CommRange: 105, PerimeterSamples: 16, GridStep: 15}
+	return Config{GridStep: 15}
 }
+
+const (
+	sensingRange = 50  // each node's sensing radius Rs (m), as in the paper
+	commRange    = 105 // the communication radius Rc (m), as in the paper
+	// perimeterSamples is the number of points sampled on a node's sensing
+	// perimeter for the eligibility check.
+	perimeterSamples = 16
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.SensingRange <= 0:
-		return fmt.Errorf("ccp: SensingRange must be positive")
-	case c.CommRange <= 0:
-		return fmt.Errorf("ccp: CommRange must be positive")
-	case c.PerimeterSamples < 4:
-		return fmt.Errorf("ccp: PerimeterSamples must be at least 4")
 	case c.GridStep <= 0:
 		return fmt.Errorf("ccp: GridStep must be positive")
 	}
@@ -86,7 +81,7 @@ func Select(region geom.Rect, positions []geom.Point, cfg Config, rng *rand.Rand
 	// Withdrawal pass: in random order, each node sleeps if its sensing
 	// disk is covered by the remaining active nodes.
 	order := rng.Perm(n)
-	grid := geom.NewShardedGrid(region, cfg.SensingRange, 1)
+	grid := geom.NewShardedGrid(region, sensingRange, 1)
 	for i, p := range positions {
 		grid.Insert(int32(i), p)
 	}
@@ -120,7 +115,7 @@ func diskCovered(i int, positions []geom.Point, active []bool, region geom.Rect,
 	p := positions[i]
 	// Candidate coverers: active nodes within 2*Rs of p.
 	cands := (*buf)[:0]
-	grid.VisitWithin(p, 2*cfg.SensingRange, func(id int32, _ geom.Point) {
+	grid.VisitWithin(p, 2*sensingRange, func(id int32, _ geom.Point) {
 		if int(id) != i && active[id] {
 			cands = append(cands, id)
 		}
@@ -131,7 +126,7 @@ func diskCovered(i int, positions []geom.Point, active []bool, region geom.Rect,
 	}
 	covered := func(q geom.Point) bool {
 		for _, id := range cands {
-			if positions[id].Within(q, cfg.SensingRange) {
+			if positions[id].Within(q, sensingRange) {
 				return true
 			}
 		}
@@ -140,9 +135,9 @@ func diskCovered(i int, positions []geom.Point, active []bool, region geom.Rect,
 	if !covered(p) {
 		return false
 	}
-	for k := 0; k < cfg.PerimeterSamples; k++ {
-		theta := 2 * math.Pi * float64(k) / float64(cfg.PerimeterSamples)
-		q := p.Add(geom.FromAngle(theta).Scale(cfg.SensingRange * 0.999))
+	for k := 0; k < perimeterSamples; k++ {
+		theta := 2 * math.Pi * float64(k) / perimeterSamples
+		q := p.Add(geom.FromAngle(theta).Scale(sensingRange * 0.999))
 		if !region.Contains(q) {
 			continue // points outside the region need no coverage
 		}
@@ -166,7 +161,7 @@ func repairCoverage(region geom.Rect, active []bool, cfg Config, grid *geom.Shar
 			covered := false
 			bestInactive := -1
 			bestDist := math.MaxFloat64
-			grid.VisitWithin(q, cfg.SensingRange, func(id int32, pos geom.Point) {
+			grid.VisitWithin(q, sensingRange, func(id int32, pos geom.Point) {
 				if covered {
 					return
 				}
@@ -195,7 +190,7 @@ func repairCoverage(region geom.Rect, active []bool, cfg Config, grid *geom.Shar
 func repairConnectivity(positions []geom.Point, active []bool, cfg Config) int {
 	repairs := 0
 	for {
-		comp := components(positions, active, cfg.CommRange)
+		comp := components(positions, active, commRange)
 		if comp.count <= 1 {
 			return repairs
 		}
@@ -299,7 +294,7 @@ func Verify(region geom.Rect, positions []geom.Point, active []bool, cfg Config)
 	if len(active) != len(positions) {
 		return fmt.Errorf("ccp: active mask length %d != positions %d", len(active), len(positions))
 	}
-	grid := geom.NewShardedGrid(region, cfg.SensingRange, 1)
+	grid := geom.NewShardedGrid(region, sensingRange, 1)
 	for i, p := range positions {
 		grid.Insert(int32(i), p)
 	}
@@ -307,7 +302,7 @@ func Verify(region geom.Rect, positions []geom.Point, active []bool, cfg Config)
 		for y := region.MinY + cfg.GridStep/2; y <= region.MaxY; y += cfg.GridStep {
 			q := geom.Pt(x, y)
 			coverable, ok := false, false
-			grid.VisitWithin(q, cfg.SensingRange, func(id int32, _ geom.Point) {
+			grid.VisitWithin(q, sensingRange, func(id int32, _ geom.Point) {
 				coverable = true
 				ok = ok || active[id]
 			})
@@ -324,7 +319,7 @@ func Verify(region geom.Rect, positions []geom.Point, active []bool, cfg Config)
 		}
 	}
 	if anyActive {
-		if c := components(positions, active, cfg.CommRange); c.count > 1 {
+		if c := components(positions, active, commRange); c.count > 1 {
 			return fmt.Errorf("ccp: active set has %d components, want 1", c.count)
 		}
 	}

@@ -21,8 +21,8 @@ func TestSelectCoversAndConnects(t *testing.T) {
 		if err := Verify(topo.Region, topo.Positions, res.Active, cfg); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
-		if res.NumActive == 0 || res.NumActive == topo.Len() {
-			t.Errorf("seed %d: degenerate backbone size %d of %d", seed, res.NumActive, topo.Len())
+		if res.NumActive == 0 || res.NumActive == len(topo.Positions) {
+			t.Errorf("seed %d: degenerate backbone size %d of %d", seed, res.NumActive, len(topo.Positions))
 		}
 	}
 }
@@ -33,7 +33,7 @@ func TestBackboneFractionReasonable(t *testing.T) {
 	cfg := DefaultConfig()
 	topo := paperTopology(7)
 	res := Select(topo.Region, topo.Positions, cfg, rand.New(rand.NewSource(7)))
-	frac := float64(res.NumActive) / float64(topo.Len())
+	frac := float64(res.NumActive) / float64(len(topo.Positions))
 	if frac < 0.10 || frac > 0.60 {
 		t.Errorf("backbone fraction = %.2f (%d nodes), want within [0.10, 0.60]",
 			frac, res.NumActive)
@@ -110,7 +110,7 @@ func TestConnectivityRepairBridgesGap(t *testing.T) {
 		pts = append(pts, geom.Pt(70+float64(i)*70, 70+float64(i)*70))
 	}
 	res := Select(geom.Square(450), pts, cfg, rand.New(rand.NewSource(2)))
-	if c := components(pts, res.Active, cfg.CommRange); c.count != 1 {
+	if c := components(pts, res.Active, commRange); c.count != 1 {
 		t.Errorf("backbone has %d components after repair", c.count)
 	}
 }
@@ -142,12 +142,7 @@ func TestVerifyLengthMismatch(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{SensingRange: 0, CommRange: 1, PerimeterSamples: 8, GridStep: 1},
-		{SensingRange: 1, CommRange: 0, PerimeterSamples: 8, GridStep: 1},
-		{SensingRange: 1, CommRange: 1, PerimeterSamples: 2, GridStep: 1},
-		{SensingRange: 1, CommRange: 1, PerimeterSamples: 8, GridStep: 0},
-	}
+	bad := []Config{{GridStep: 0}, {GridStep: -1}}
 	for i, c := range bad {
 		if c.Validate() == nil {
 			t.Errorf("config %d should fail validation", i)

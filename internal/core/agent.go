@@ -166,7 +166,7 @@ func (a *agent) onPrefetch(_ radio.NodeID, body any) {
 
 	now := a.now()
 	deadline := msg.Spec.Deadline(msg.T0, msg.K)
-	if now < deadline-a.svc.cfg.CollectorMargin {
+	if now < deadline-collectorMargin {
 		// Disseminate the query tree for this period. The flood scope
 		// extends past the query area so boundary leaves still find a
 		// router/recruiter, per DESIGN.md.
@@ -314,7 +314,7 @@ func (a *agent) onSetup(relay, _ radio.NodeID, body any, _ int) {
 	if _, exists := a.trees[key]; exists {
 		return // first-heard relay is the parent; later copies are ignored
 	}
-	if now >= msg.Deadline-a.svc.cfg.CollectorMargin {
+	if now >= msg.Deadline-collectorMargin {
 		return // too late for this period
 	}
 	ts := &treeState{
@@ -342,7 +342,7 @@ func (a *agent) onSetup(relay, _ radio.NodeID, body any, _ int) {
 		ts.sampleTimer = a.eng().Schedule(at, func() { a.sampleInto(ts) })
 	}
 	ts.flushTimer = a.eng().Schedule(a.flushAt(ts), func() { a.flush(ts) })
-	ts.teardownTimer = a.eng().Schedule(msg.Deadline+a.svc.cfg.TeardownGrace, func() { a.teardown(ts) })
+	ts.teardownTimer = a.eng().Schedule(msg.Deadline+teardownGrace, func() { a.teardown(ts) })
 
 	// Arm leaf recruitment for the coming active windows.
 	a.pending[key] = ts
@@ -355,7 +355,7 @@ func (a *agent) onSetup(relay, _ radio.NodeID, body any, _ int) {
 func (a *agent) flushAt(ts *treeState) sim.Time {
 	now := a.now()
 	if ts.parent < 0 {
-		at := ts.deadline - a.svc.cfg.CollectorMargin
+		at := ts.deadline - collectorMargin
 		if at < now {
 			at = now
 		}
@@ -364,11 +364,11 @@ func (a *agent) flushAt(ts *treeState) sim.Time {
 	frac := a.node.Pos().Dist(ts.rootPos) / (a.svc.cfg.PickupRadius + ts.spec.Radius)
 	du := ts.deadline - sim.Time(frac*float64(ts.spec.Fresh))
 	sampleAt := ts.deadline - ts.spec.Fresh
-	if min := sampleAt + a.svc.cfg.FlushMargin; du < min {
+	if min := sampleAt + flushMargin; du < min {
 		du = min // routers beyond Rp+Rq must still wait for leaf samples
 	}
 	du += a.jitter(20 * time.Millisecond) // decorrelate clamped flushes
-	if max := ts.deadline - a.svc.cfg.CollectorMargin - 10*time.Millisecond; du > max {
+	if max := ts.deadline - collectorMargin - 10*time.Millisecond; du > max {
 		du = max // collector-adjacent nodes must beat the result dispatch
 	}
 	if du < now {
@@ -428,7 +428,7 @@ func (a *agent) onReport(_ radio.NodeID, body any) {
 		// late partials are passed through unaggregated while the collector
 		// can still use them (TAG-style late forwarding). Only the root has
 		// truly finished once it dispatched.
-		if ts.parent >= 0 && a.now() < ts.deadline-a.svc.cfg.CollectorMargin {
+		if ts.parent >= 0 && a.now() < ts.deadline-collectorMargin {
 			a.node.Send(ts.parent, portReport, msg, reportSize, nil)
 		}
 		return
@@ -528,7 +528,7 @@ func (a *agent) recruitTick() {
 			continue
 		}
 		sampleAt := ts.deadline - ts.spec.Fresh
-		if sampleAt <= now+a.svc.cfg.RecruitLead {
+		if sampleAt <= now+recruitLead {
 			delete(a.pending, key) // too late for sleepers to join
 			continue
 		}
@@ -590,7 +590,7 @@ func (a *agent) joinAsLeaf(key treeKey, parent radio.NodeID, pickup geom.Point, 
 		sampleAt = now // heard the setup late but can still contribute
 	}
 	ls := &leafState{parent: parent, sampleAt: sampleAt, deadline: deadline}
-	ls.wakeTimer = a.node.MAC().WakeAt(sampleAt, sampleAt+a.svc.cfg.LeafAwake)
+	ls.wakeTimer = a.node.MAC().WakeAt(sampleAt, sampleAt+leafAwake)
 	reportAt := sampleAt + time.Millisecond + a.jitter(30*time.Millisecond)
 	ls.sampleTimer = a.eng().Schedule(reportAt, func() { a.leafReport(key, ls) })
 	a.leafJoined[key] = ls
@@ -617,7 +617,7 @@ func (a *agent) leafReport(key treeKey, ls *leafState) {
 // flushed). This is the standard network-layer answer to a dead link and
 // keeps single MAC failures from erasing whole subtrees.
 func (a *agent) reportFallback(rootPos geom.Point, deadline sim.Time, msg reportMsg) {
-	if a.now() >= deadline-a.svc.cfg.CollectorMargin {
+	if a.now() >= deadline-collectorMargin {
 		return // too late to matter
 	}
 	a.node.GeoSend(rootPos, 30, portReport, msg, reportSize)

@@ -54,7 +54,7 @@ func TestEngineChurnUnderRace(t *testing.T) {
 					return
 				}
 				e.UpdateWaypoint(id, region.UniformPoint(rng))
-				_, _ = e.EvaluateDue(id, time.Second)
+				_, _ = e.EvaluateDueBatch(id, time.Second, nil)
 				e.Deregister(id)
 			}
 		}(c)
@@ -104,7 +104,7 @@ func TestEngineChurnUnderRace(t *testing.T) {
 			defer wg.Done()
 			for i := 1; i <= loops; i++ {
 				for u := 1; u <= stable; u++ {
-					if _, ok := e.EvaluateDue(uint32(u), sim.Time(i)*time.Second); ok {
+					if _, ok := e.EvaluateDueBatch(uint32(u), sim.Time(i)*time.Second, nil); ok {
 						evaluated[u].Add(1)
 					}
 				}

@@ -179,9 +179,7 @@ func TestConfigValidate(t *testing.T) {
 		{"bad scheme", func(c *Config) { c.Scheme = 0 }},
 		{"zero pickup radius", func(c *Config) { c.PickupRadius = 0 }},
 		{"negative scope margin", func(c *Config) { c.ScopeMargin = -1 }},
-		{"collector margin too large", func(c *Config) { c.CollectorMargin = 2 * time.Second }},
-		{"flush under collector margin", func(c *Config) { c.FlushMargin = c.CollectorMargin / 2 }},
-		{"zero leaf awake", func(c *Config) { c.LeafAwake = 0 }},
+		{"collector margin too large", func(c *Config) { c.Spec.Fresh = collectorMargin }},
 		{"negative forward lead", func(c *Config) { c.ForwardLead = -time.Second }},
 	}
 	for _, tt := range tests {
@@ -514,7 +512,7 @@ func TestCancelPreservesPreChangePeriods(t *testing.T) {
 	r := buildRig(t, SchemeJIT, course, profiler, 3*time.Second, 36*time.Second, hooks)
 
 	// Count teardowns that happen well before the period's own deadline
-	// (natural teardown fires TeardownGrace after it).
+	// (natural teardown fires teardownGrace after it).
 	downBefore := make(map[int]sim.Time)
 	_ = downBefore
 	r.svc.hooks.h.OnTreeDown = func(_ radio.NodeID, k int, at sim.Time) {

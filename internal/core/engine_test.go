@@ -33,10 +33,10 @@ func TestQueryEngineRegistry(t *testing.T) {
 	if e.UpdateWaypoint(8, geom.Pt(0, 0)) {
 		t.Error("UpdateWaypoint of unknown query reported true")
 	}
-	if res, ok := e.EvaluateDue(7, time.Second); !ok || res.AreaNodes != 1 {
+	if res, ok := e.EvaluateDueBatch(7, time.Second, nil); !ok || res.AreaNodes != 1 {
 		t.Errorf("EvaluateDue after waypoint update: %+v, %v", res, ok)
 	}
-	if _, ok := e.EvaluateDue(999, time.Second); ok {
+	if _, ok := e.EvaluateDueBatch(999, time.Second, nil); ok {
 		t.Error("EvaluateDue of unknown query reported ok")
 	}
 	if qs := e.Queries(); len(qs) != 1 || qs[0].id != 7 {
@@ -95,7 +95,7 @@ func TestQueryEngineConcurrentUsers(t *testing.T) {
 			}
 			for i := 1; i <= 50; i++ {
 				e.UpdateWaypoint(uint32(u), region.UniformPoint(rng))
-				if _, ok := e.EvaluateDue(uint32(u), sim.Time(i)*time.Second); !ok {
+				if _, ok := e.EvaluateDueBatch(uint32(u), sim.Time(i)*time.Second, nil); !ok {
 					t.Errorf("user %d: own query vanished", u)
 					return
 				}

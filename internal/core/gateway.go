@@ -97,7 +97,7 @@ func (g *Gateway) start() {
 // moveTick advances the proxy along the ground-truth course.
 func (g *Gateway) moveTick() {
 	g.proxy.Move(g.course.PosAt(g.svc.eng.Now()))
-	g.svc.eng.After(g.svc.cfg.MoveTick, g.moveTick)
+	g.svc.eng.After(moveInterval, g.moveTick)
 }
 
 // onProfile reacts to a new motion profile. Periods whose deadlines fall
@@ -123,7 +123,7 @@ func (g *Gateway) onProfile(p mobility.Profile) {
 	if fromK < 1 {
 		fromK = 1
 	}
-	for fromK <= g.spec.Periods() && g.spec.Deadline(g.t0, fromK) <= now+cfg.CollectorMargin {
+	for fromK <= g.spec.Periods() && g.spec.Deadline(g.t0, fromK) <= now+collectorMargin {
 		fromK++
 	}
 

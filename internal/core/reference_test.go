@@ -201,7 +201,7 @@ func runDifferential(t *testing.T, nodes []refNode, spec core.TemporalSpec, samp
 			}
 		}
 		e.Dispatch(len(queries), func(i int) {
-			res, ok := e.EvaluateDue(queries[i].id, due)
+			res, ok := e.EvaluateDueBatch(queries[i].id, due, nil)
 			if !ok {
 				t.Errorf("query %d: period %d not due at its boundary", queries[i].id, k)
 			}
@@ -473,7 +473,7 @@ func TestReadingColumnUnderConcurrentChurn(t *testing.T) {
 				return
 			default:
 			}
-			e.EvaluateDue(uint32(1+rng.Intn(len(queries))), sim.Time(now.Load()))
+			e.EvaluateDueBatch(uint32(1+rng.Intn(len(queries))), sim.Time(now.Load()), nil)
 		}
 	}()
 

@@ -136,7 +136,7 @@ func TestSchedulePropertyAgainstBruteForce(t *testing.T) {
 				register(id, now)
 			case 2:
 				due, live := shadow[id]
-				wr, ok := e.EvaluateDue(id, now)
+				wr, ok := e.EvaluateDueBatch(id, now, nil)
 				wantOK := live && due <= now
 				if ok != wantOK {
 					t.Fatalf("step %d: EvaluateDue(%d, %v) ok=%v, want %v", step, id, now, ok, wantOK)
@@ -178,7 +178,7 @@ func TestSchedulePropertyAgainstBruteForce(t *testing.T) {
 		// the schedule is re-armed for the next round.
 		for _, de := range got {
 			for shadow[de.ID] <= now {
-				wr, ok := e.EvaluateDue(de.ID, now)
+				wr, ok := e.EvaluateDueBatch(de.ID, now, nil)
 				if !ok {
 					t.Fatalf("step %d: popped query %d refused evaluation", step, de.ID)
 				}
@@ -222,7 +222,7 @@ func TestScheduleConcurrentChurn(t *testing.T) {
 				case 1:
 					e.Deregister(id)
 				case 2:
-					e.EvaluateDue(id|1, now)
+					e.EvaluateDueBatch(id|1, now, nil)
 				case 3:
 					// Drive popped queries forward as a clock driver would: odd
 					// ids by id with an immediate re-arm, even ids through the
@@ -234,7 +234,7 @@ func TestScheduleConcurrentChurn(t *testing.T) {
 					buf = e.PopDue(now, buf[:0])
 					for _, de := range buf {
 						if de.ID%2 == 1 {
-							e.EvaluateDue(de.ID, de.Due)
+							e.EvaluateDueBatch(de.ID, de.Due, nil)
 						} else {
 							de.Query.EvaluateDue(de.Due, rb)
 						}

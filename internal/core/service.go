@@ -62,41 +62,40 @@ type Config struct {
 	// just-in-time hold bound. It keeps prefetch forwarding (and the tree
 	// setup it triggers) clear of the collection burst at deadline-Tfresh.
 	ForwardLead time.Duration
-	// CollectorMargin is how long before the deadline the collector
-	// dispatches the result to the user.
-	CollectorMargin time.Duration
-	// FlushMargin is the minimum gap between a node's sample time and its
-	// sub-deadline flush.
-	FlushMargin time.Duration
-	// RecruitLead is the minimum time before a tree's sample instant for a
-	// recruit entry to still be worth broadcasting.
-	RecruitLead time.Duration
-	// LeafAwake is how long a recruited leaf stays awake past its sample
-	// time to deliver the report.
-	LeafAwake time.Duration
-	// TeardownGrace is how long after its deadline a tree's state persists.
-	TeardownGrace time.Duration
-	// MoveTick is the proxy position update granularity.
-	MoveTick time.Duration
 }
+
+// Protocol timing of the discrete-event run, as in the paper's evaluation.
+const (
+	// collectorMargin is how long before the deadline the collector
+	// dispatches the result to the user; Validate requires Tfresh to
+	// exceed it.
+	collectorMargin = 30 * time.Millisecond
+	// flushMargin is the minimum gap between a node's sample time and its
+	// sub-deadline flush. It exceeds collectorMargin.
+	flushMargin = 150 * time.Millisecond
+	// recruitLead is the minimum time before a tree's sample instant for a
+	// recruit entry to still be worth broadcasting.
+	recruitLead = 20 * time.Millisecond
+	// leafAwake is how long a recruited leaf stays awake past its sample
+	// time to deliver the report.
+	leafAwake = 250 * time.Millisecond
+	// teardownGrace is how long after its deadline a tree's state persists.
+	teardownGrace = time.Second
+	// moveInterval is the proxy position update granularity.
+	moveInterval = 100 * time.Millisecond
+)
 
 // DefaultConfig returns the configuration used throughout the paper's
 // evaluation for the given query spec.
 func DefaultConfig(spec QuerySpec) Config {
 	return Config{
-		QueryID:         1,
-		Spec:            spec,
-		Scheme:          SchemeJIT,
-		T0:              500 * time.Millisecond,
-		ForwardLead:     250 * time.Millisecond,
-		PickupRadius:    40,
-		ScopeMargin:     52.5, // Rc/2 with the default 105 m range
-		CollectorMargin: 30 * time.Millisecond,
-		FlushMargin:     150 * time.Millisecond,
-		RecruitLead:     20 * time.Millisecond,
-		LeafAwake:       250 * time.Millisecond,
-		TeardownGrace:   time.Second,
-		MoveTick:        100 * time.Millisecond,
+		QueryID:      1,
+		Spec:         spec,
+		Scheme:       SchemeJIT,
+		T0:           500 * time.Millisecond,
+		ForwardLead:  250 * time.Millisecond,
+		PickupRadius: 40,
+		ScopeMargin:  52.5, // Rc/2 with the default 105 m range
 	}
 }
 
@@ -112,12 +111,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: pickup radius must be positive")
 	case c.ScopeMargin < 0:
 		return fmt.Errorf("core: scope margin must be non-negative")
-	case c.CollectorMargin <= 0 || c.CollectorMargin >= c.Spec.Fresh:
-		return fmt.Errorf("core: collector margin %v must be within (0, Tfresh)", c.CollectorMargin)
-	case c.FlushMargin <= c.CollectorMargin:
-		return fmt.Errorf("core: flush margin %v must exceed collector margin %v", c.FlushMargin, c.CollectorMargin)
-	case c.LeafAwake <= 0 || c.TeardownGrace <= 0 || c.MoveTick <= 0 || c.RecruitLead < 0:
-		return fmt.Errorf("core: durations must be positive")
+	case c.Spec.Fresh <= collectorMargin:
+		return fmt.Errorf("core: collector margin %v must be within (0, Tfresh)", collectorMargin)
 	case c.ForwardLead < 0:
 		return fmt.Errorf("core: forward lead must be non-negative")
 	}

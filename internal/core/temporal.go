@@ -380,11 +380,6 @@ func (q *Query) NextDue() (k int, due sim.Time) {
 	return k, q.t0 + sim.Time(k)*q.spec.Period
 }
 
-// EvaluateDue is EvaluateDueBatch re-arming the schedule immediately.
-func (e *QueryEngine) EvaluateDue(queryID uint32, now sim.Time) (WindowResult, bool) {
-	return e.EvaluateDueBatch(queryID, now, nil)
-}
-
 // EvaluateDueBatch is Query.EvaluateDue by id; ok is also false when the
 // query is unknown.
 func (e *QueryEngine) EvaluateDueBatch(queryID uint32, now sim.Time, rb *RearmBatch) (WindowResult, bool) {

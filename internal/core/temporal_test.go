@@ -104,7 +104,7 @@ func TestEvaluateDueFreshnessWindow(t *testing.T) {
 	}
 
 	// Not yet due before the first period boundary.
-	if _, ok := e.EvaluateDue(7, 1999*time.Millisecond); ok {
+	if _, ok := e.EvaluateDueBatch(7, 1999*time.Millisecond, nil); ok {
 		t.Fatal("EvaluateDue before the boundary should not fire")
 	}
 	k, due, ok := e.NextDue(7)
@@ -114,7 +114,7 @@ func TestEvaluateDueFreshnessWindow(t *testing.T) {
 
 	// At the boundary: node 0 (age 500 ms) is fresh; node 1 (age 1.8 s)
 	// and node 2 (never sampled) are stale.
-	res, ok := e.EvaluateDue(7, 2*time.Second)
+	res, ok := e.EvaluateDueBatch(7, 2*time.Second, nil)
 	if !ok {
 		t.Fatal("EvaluateDue at the boundary should fire")
 	}
@@ -140,7 +140,7 @@ func TestEvaluateDueFreshnessWindow(t *testing.T) {
 	if k, due, ok := e.NextDue(7); !ok || k != 2 || due != 4*time.Second {
 		t.Errorf("NextDue after one evaluation = (%d, %v, %v), want (2, 4s, true)", k, due, ok)
 	}
-	if _, ok := e.EvaluateDue(7, 2*time.Second); ok {
+	if _, ok := e.EvaluateDueBatch(7, 2*time.Second, nil); ok {
 		t.Error("the evaluated period fired again")
 	}
 }
@@ -151,7 +151,7 @@ func TestEvaluateDueZeroFreshAcceptsAnyReading(t *testing.T) {
 	if err := e.RegisterTemporalE(9, 100, geom.Pt(0, 0), spec, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, ok := e.EvaluateDue(9, 2*time.Second)
+	res, ok := e.EvaluateDueBatch(9, 2*time.Second, nil)
 	if !ok {
 		t.Fatal("EvaluateDue should fire")
 	}
@@ -176,7 +176,7 @@ func TestEvaluateDueDeadlineAccounting(t *testing.T) {
 	now := 6050 * time.Millisecond
 	var got []WindowResult
 	for {
-		res, ok := e.EvaluateDue(3, now)
+		res, ok := e.EvaluateDueBatch(3, now, nil)
 		if !ok {
 			break
 		}
@@ -215,7 +215,7 @@ func TestEvaluateDueNonTemporalAndUnknown(t *testing.T) {
 	if _, _, ok := e.NextDue(999); ok {
 		t.Error("NextDue answered for an unknown query")
 	}
-	if _, ok := e.EvaluateDue(999, time.Hour); ok {
+	if _, ok := e.EvaluateDueBatch(999, time.Hour, nil); ok {
 		t.Error("EvaluateDue fired for an unknown query")
 	}
 	if err := e.RegisterTemporalE(6, 100, geom.Pt(0, 0), TemporalSpec{}, 0); err == nil {
@@ -259,7 +259,7 @@ func TestPerQuerySamplerOverridesGlobal(t *testing.T) {
 		t.Fatal("SetQuerySampler rejected a registered query")
 	}
 
-	res, ok := e.EvaluateDue(1, 2*time.Second)
+	res, ok := e.EvaluateDueBatch(1, 2*time.Second, nil)
 	if !ok {
 		t.Fatal("EvaluateDue should fire")
 	}
@@ -272,7 +272,7 @@ func TestPerQuerySamplerOverridesGlobal(t *testing.T) {
 	}
 
 	// Query 2 still sees the global schedule: only node 0 is fresh.
-	res2, _ := e.EvaluateDue(2, 2*time.Second)
+	res2, _ := e.EvaluateDueBatch(2, 2*time.Second, nil)
 	if res2.Prefetched != 0 || res2.Data.Count != 1 || res2.StaleNodes != 2 {
 		t.Errorf("global-sampler query: prefetched/count/stale = %d/%d/%d, want 0/1/2", res2.Prefetched, res2.Data.Count, res2.StaleNodes)
 	}
@@ -337,11 +337,11 @@ func TestCorridorWarmerServesStagedBoundaries(t *testing.T) {
 		t.Fatal("SetQueryWarmer rejected a registered query")
 	}
 
-	warm, ok := e.EvaluateDue(1, 2*time.Second)
+	warm, ok := e.EvaluateDueBatch(1, 2*time.Second, nil)
 	if !ok || !warm.CorridorHit {
 		t.Fatalf("staged boundary not served warm (ok %v, hit %v)", ok, warm.CorridorHit)
 	}
-	cold, ok := e.EvaluateDue(2, 2*time.Second)
+	cold, ok := e.EvaluateDueBatch(2, 2*time.Second, nil)
 	if !ok || cold.CorridorHit {
 		t.Fatalf("warmer-less query reported a corridor hit (ok %v)", ok)
 	}
@@ -354,7 +354,7 @@ func TestCorridorWarmerServesStagedBoundaries(t *testing.T) {
 	}
 
 	// Boundary 2 (due 4s) is not staged: cold fallback, no hit.
-	fallback, ok := e.EvaluateDue(1, 4*time.Second)
+	fallback, ok := e.EvaluateDueBatch(1, 4*time.Second, nil)
 	if !ok || fallback.CorridorHit {
 		t.Fatalf("unstaged boundary reported a corridor hit (ok %v)", ok)
 	}
@@ -392,7 +392,7 @@ func TestEvaluateDueCreditsStagedPeriods(t *testing.T) {
 	now := 6500 * time.Millisecond // all three periods collected in one step
 	var got []WindowResult
 	for {
-		res, ok := e.EvaluateDue(4, now)
+		res, ok := e.EvaluateDueBatch(4, now, nil)
 		if !ok {
 			break
 		}
@@ -445,7 +445,7 @@ func TestStagedCreditRequiresCoverage(t *testing.T) {
 		return at, true, false
 	})
 	now := 2500 * time.Millisecond
-	res, ok := e.EvaluateDue(8, now)
+	res, ok := e.EvaluateDueBatch(8, now, nil)
 	if !ok {
 		t.Fatal("EvaluateDue should fire")
 	}
@@ -460,7 +460,7 @@ func TestStagedCreditRequiresCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetQueryPlan(9, fakePlan{staged: map[sim.Time]bool{2 * time.Second: true}})
-	res, ok = e.EvaluateDue(9, now)
+	res, ok = e.EvaluateDueBatch(9, now, nil)
 	if !ok {
 		t.Fatal("EvaluateDue should fire")
 	}
@@ -478,7 +478,7 @@ func TestEvaluateDueDefaultSamplerIsInstantaneous(t *testing.T) {
 	if err := e.RegisterTemporalE(1, 100, geom.Pt(0, 0), TemporalSpec{Period: time.Second, Fresh: time.Millisecond}, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, ok := e.EvaluateDue(1, time.Second)
+	res, ok := e.EvaluateDueBatch(1, time.Second, nil)
 	if !ok {
 		t.Fatal("EvaluateDue should fire")
 	}
@@ -526,14 +526,14 @@ func BenchmarkEvaluateDueCold(b *testing.B) {
 		b.Fatal(err)
 	}
 	// The first period arms the schedule entry and anything else lazy.
-	if res, ok := e.EvaluateDue(1, time.Second); !ok || res.Data.Count == 0 || res.StaleNodes == 0 {
+	if res, ok := e.EvaluateDueBatch(1, time.Second, nil); !ok || res.Data.Count == 0 || res.StaleNodes == 0 {
 		b.Fatalf("warm-up period: ok %v, %d fresh / %d stale nodes; the disk must hold both", ok, res.Data.Count, res.StaleNodes)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := e.EvaluateDue(1, sim.Time(i+2)*time.Second); !ok {
+		if _, ok := e.EvaluateDueBatch(1, sim.Time(i+2)*time.Second, nil); !ok {
 			b.Fatal("period not due at its boundary")
 		}
 	}

@@ -30,9 +30,6 @@ func Uniform(region geom.Rect, n int, rng *rand.Rand) Topology {
 	return Topology{Region: region, Positions: pts}
 }
 
-// Len returns the number of nodes.
-func (t Topology) Len() int { return len(t.Positions) }
-
 // Density returns nodes per square meter.
 func (t Topology) Density() float64 {
 	area := t.Region.Area()

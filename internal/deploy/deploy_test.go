@@ -12,8 +12,8 @@ func TestUniformPlacement(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	region := geom.Square(450)
 	topo := Uniform(region, 200, rng)
-	if topo.Len() != 200 {
-		t.Fatalf("Len = %d", topo.Len())
+	if len(topo.Positions) != 200 {
+		t.Fatalf("%d positions, want 200", len(topo.Positions))
 	}
 	for i, p := range topo.Positions {
 		if !region.Contains(p) {
@@ -34,8 +34,8 @@ func TestUniformDeterministic(t *testing.T) {
 
 func TestUniformZeroNodes(t *testing.T) {
 	topo := Uniform(geom.Square(450), 0, rand.New(rand.NewSource(1)))
-	if topo.Len() != 0 {
-		t.Errorf("Len = %d, want 0", topo.Len())
+	if len(topo.Positions) != 0 {
+		t.Errorf("%d positions, want 0", len(topo.Positions))
 	}
 }
 

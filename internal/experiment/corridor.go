@@ -21,10 +21,10 @@ type CorridorConfig struct {
 	Base
 	Courses
 
-	// GPSSampling and GPSError parameterize the noisy profile modes'
-	// history-based predictor (the paper's Section 6.3 location error).
-	GPSSampling time.Duration
-	GPSError    float64
+	// GPSError parameterizes the noisy profile modes' history-based
+	// predictor (the paper's Section 6.3 location error), which samples
+	// every CorridorGPSSampling.
+	GPSError float64
 
 	// Lookahead is how many boundaries ahead the corridor stages.
 	// ErrorBound is the noisy arms' corridor inflation in meters; zero
@@ -35,16 +35,18 @@ type CorridorConfig struct {
 	ErrorBound float64
 }
 
+// CorridorGPSSampling is the corridor scenario's GPS fix interval.
+const CorridorGPSSampling = 2 * time.Second
+
 // DefaultCorridor returns the headline comparison: the prefetch scenario's
 // 40-user/5k-node sleepy field, but with turning courses and a 2 s / 5 m
 // GPS predictor feeding the planners.
 func DefaultCorridor() CorridorConfig {
 	return CorridorConfig{
-		Base:        DefaultPrefetch().Base,
-		Courses:     Courses{Users: 40, SpeedMin: 1, SpeedMax: 5, ChangeInterval: 8 * time.Second},
-		GPSSampling: 2 * time.Second,
-		GPSError:    5,
-		Lookahead:   4,
+		Base:      DefaultPrefetch().Base,
+		Courses:   Courses{Users: 40, SpeedMin: 1, SpeedMax: 5, ChangeInterval: 8 * time.Second},
+		GPSError:  5,
+		Lookahead: 4,
 	}
 }
 
@@ -90,8 +92,8 @@ func (c CorridorConfig) Validate() error {
 		return err
 	}
 	switch {
-	case c.GPSSampling <= 0 || c.GPSError < 0:
-		return fmt.Errorf("experiment: corridor GPSSampling must be positive and GPSError non-negative")
+	case c.GPSError < 0:
+		return fmt.Errorf("experiment: corridor GPSError must be non-negative")
 	case c.Lookahead <= 0 || c.ErrorBound < 0:
 		return fmt.Errorf("experiment: corridor Lookahead must be positive and ErrorBound non-negative")
 	}
@@ -142,7 +144,7 @@ func RunCorridor(cfg CorridorConfig) (Result, error) {
 			exact: mobility.ExactProfiler{Course: course}.Profiles(),
 			noisy: mobility.GPSPredictor{
 				Course:   course,
-				Sampling: cfg.GPSSampling,
+				Sampling: CorridorGPSSampling,
 				Err:      cfg.GPSError,
 				RNG:      gpsRNG,
 			}.Profiles(),

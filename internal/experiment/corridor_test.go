@@ -32,7 +32,6 @@ func TestCorridorValidate(t *testing.T) {
 		func(c *CorridorConfig) { c.ChangeInterval = 0 },
 		func(c *CorridorConfig) { c.Tick = 0 },
 		func(c *CorridorConfig) { c.Duration = c.Period / 2 },
-		func(c *CorridorConfig) { c.GPSSampling = 0 },
 		func(c *CorridorConfig) { c.GPSError = -1 },
 		func(c *CorridorConfig) { c.Lookahead = 0 },
 		func(c *CorridorConfig) { c.ErrorBound = -1 },

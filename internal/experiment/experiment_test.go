@@ -23,7 +23,6 @@ func TestScenarioValidate(t *testing.T) {
 	}{
 		{"zero nodes", func(s *Scenario) { s.Nodes = 0 }},
 		{"zero region", func(s *Scenario) { s.RegionSide = 0 }},
-		{"zero bandwidth", func(s *Scenario) { s.Bandwidth = 0 }},
 		{"zero duration", func(s *Scenario) { s.Duration = 0 }},
 		{"bad profiler", func(s *Scenario) { s.Profiler = 0 }},
 		{"nil field", func(s *Scenario) { s.Field = nil }},

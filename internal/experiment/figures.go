@@ -159,7 +159,10 @@ func Fig7(opts Options) []Table {
 		{"Ta=-8s err=10m", func(s *Scenario) { s.Profiler = ProfilerGPS; s.GPSError = 10 }},
 	}
 	runs := opts.runs(5)
-	cols := []string{"interval(s)", "Ta=6s", "Ta=0s", "Ta=-8s", "Ta=-8s err=5m", "Ta=-8s err=10m"}
+	cols := []string{"interval(s)"}
+	for _, st := range settings {
+		cols = append(cols, st.label)
+	}
 	strict := Table{
 		ID:      "Figure 7",
 		Title:   "MQ-JIT success ratio vs motion-change interval (sleep 9 s), true-area fidelity",
@@ -208,7 +211,10 @@ func Fig8(opts Options) Table {
 	tbl := Table{
 		ID:      "Figure 8",
 		Title:   "average power per sleeping node (W), motion change every 70 s",
-		Columns: []string{"sleep(s)", "CCP", "MQ-JIT Ta=-3s", "MQ-JIT Ta=9s"},
+		Columns: []string{"sleep(s)"},
+	}
+	for _, st := range settings {
+		tbl.Columns = append(tbl.Columns, st.label)
 	}
 	for _, sleep := range sleeps {
 		row := Row{Label: fmt.Sprintf("%.0f", sleep.Seconds())}

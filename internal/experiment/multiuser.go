@@ -48,7 +48,6 @@ func RunMulti(sc Scenario, users []UserSpec) []RunResult {
 	}
 
 	coreCfg := core.DefaultConfig(sc.Spec)
-	coreCfg.ScopeMargin = sc.CommRange / 2
 	coreCfg.T0 = queryStart(eng, sc)
 	svc := core.NewService(nw, coreCfg, sc.Field, core.Hooks{})
 	seen := make(map[uint32]bool, len(users))

@@ -33,9 +33,12 @@ const (
 	// change (Section 6.3 advance-time experiments).
 	ProfilerExact
 	// ProfilerGPS estimates each leg from two noisy GPS fixes taken
-	// GPSSampling apart (Section 6.3 location-error experiments).
+	// gpsSampling apart (Section 6.3 location-error experiments).
 	ProfilerGPS
 )
+
+// gpsSampling is ProfilerGPS's fix interval.
+const gpsSampling = 8 * time.Second
 
 // Scenario fully describes one simulation run. The zero value is not
 // runnable; start from Default.
@@ -46,10 +49,8 @@ type Scenario struct {
 	Nodes      int
 	RegionSide float64
 
-	// Radio/MAC.
-	Bandwidth    float64
-	CommRange    float64
-	SensingRange float64
+	// Radio/MAC. The radio is radio.DefaultParams' (2 Mbps, Rc = 105 m),
+	// the coverage backbone ccp.DefaultConfig's (Rs = 50 m).
 	ActiveWindow time.Duration
 	SleepPeriod  time.Duration
 
@@ -66,7 +67,6 @@ type Scenario struct {
 	// Motion profiles.
 	Profiler    ProfilerKind
 	AdvanceTime time.Duration // Ta for ProfilerExact
-	GPSSampling time.Duration // delta for ProfilerGPS
 	GPSError    float64       // max location error for ProfilerGPS
 
 	// Field sampled by the sensors.
@@ -93,9 +93,6 @@ func Default() Scenario {
 		Seed:         1,
 		Nodes:        200,
 		RegionSide:   450,
-		Bandwidth:    2e6,
-		CommRange:    105,
-		SensingRange: 50,
 		ActiveWindow: 100 * time.Millisecond,
 		SleepPeriod:  15 * time.Second,
 		Scheme:       core.SchemeJIT,
@@ -111,7 +108,6 @@ func Default() Scenario {
 		ChangeInterval: 50 * time.Second,
 		Duration:       duration,
 		Profiler:       ProfilerOracle,
-		GPSSampling:    8 * time.Second,
 		Field:          field.Uniform{Value: 20},
 	}
 }
@@ -131,8 +127,6 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("experiment: Nodes must be positive")
 	case s.RegionSide <= 0:
 		return fmt.Errorf("experiment: RegionSide must be positive")
-	case s.Bandwidth <= 0 || s.CommRange <= 0 || s.SensingRange <= 0:
-		return fmt.Errorf("experiment: radio parameters must be positive")
 	case s.Duration <= 0:
 		return fmt.Errorf("experiment: Duration must be positive")
 	case s.Profiler < ProfilerOracle || s.Profiler > ProfilerGPS:
@@ -183,15 +177,11 @@ func queryStart(eng *sim.Engine, sc Scenario) sim.Time {
 // backbone, duty-cycled off it. Run and RunMulti build their networks here.
 func buildNetwork(eng *sim.Engine, sc Scenario, region geom.Rect) (deploy.Topology, ccp.Result, *netstack.Network) {
 	topo := deploy.Uniform(region, sc.Nodes, eng.RNG("deploy"))
-	ccpCfg := ccp.DefaultConfig()
-	ccpCfg.SensingRange = sc.SensingRange
-	ccpCfg.CommRange = sc.CommRange
-	sel := ccp.Select(region, topo.Positions, ccpCfg, eng.RNG("ccp"))
+	sel := ccp.Select(region, topo.Positions, ccp.DefaultConfig(), eng.RNG("ccp"))
 
-	radioParams := radio.Params{Range: sc.CommRange, Bandwidth: sc.Bandwidth, PropagationDelay: time.Microsecond}
 	macCfg := mac.DefaultConfig(sc.SleepPeriod)
 	macCfg.ActiveWindow = sc.ActiveWindow
-	nw := netstack.NewNetwork(eng, region, radioParams, macCfg)
+	nw := netstack.NewNetwork(eng, region, radio.DefaultParams(), macCfg)
 	if sc.DisableFloodJitter {
 		nw.SetFloodJitter(0)
 	}
@@ -234,7 +224,7 @@ func Run(sc Scenario) RunResult {
 	case ProfilerGPS:
 		profiler = mobility.GPSPredictor{
 			Course:   course,
-			Sampling: sc.GPSSampling,
+			Sampling: gpsSampling,
 			Err:      sc.GPSError,
 			RNG:      eng.RNG("gps"),
 		}
@@ -242,7 +232,6 @@ func Run(sc Scenario) RunResult {
 
 	coreCfg := core.DefaultConfig(sc.Spec)
 	coreCfg.Scheme = sc.Scheme
-	coreCfg.ScopeMargin = sc.CommRange / 2
 	// The query's issue time is arbitrary relative to the synchronized PSM
 	// schedule; draw the phase per run. A fixed phase resonates when the
 	// sleep period is a multiple of the query period (NP's recruit windows

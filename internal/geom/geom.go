@@ -60,12 +60,6 @@ type Vec struct {
 // V is shorthand for Vec{dx, dy}.
 func V(dx, dy float64) Vec { return Vec{DX: dx, DY: dy} }
 
-// Add returns the component-wise sum of v and w.
-func (v Vec) Add(w Vec) Vec { return Vec{v.DX + w.DX, v.DY + w.DY} }
-
-// Sub returns the component-wise difference of v and w.
-func (v Vec) Sub(w Vec) Vec { return Vec{v.DX - w.DX, v.DY - w.DY} }
-
 // Scale returns v multiplied by s.
 func (v Vec) Scale(s float64) Vec { return Vec{v.DX * s, v.DY * s} }
 
@@ -74,16 +68,6 @@ func (v Vec) Len() float64 { return math.Hypot(v.DX, v.DY) }
 
 // Dot returns the dot product of v and w.
 func (v Vec) Dot(w Vec) float64 { return v.DX*w.DX + v.DY*w.DY }
-
-// Unit returns the unit vector in the direction of v. The zero vector is
-// returned unchanged.
-func (v Vec) Unit() Vec {
-	l := v.Len()
-	if l == 0 {
-		return Vec{}
-	}
-	return Vec{v.DX / l, v.DY / l}
-}
 
 // FromAngle returns the unit vector pointing in direction theta (radians).
 func FromAngle(theta float64) Vec {
@@ -98,9 +82,6 @@ type Circle struct {
 
 // Contains reports whether p lies inside or on the circle.
 func (c Circle) Contains(p Point) bool { return c.C.Within(p, c.R) }
-
-// Area returns the area of the circle in square meters.
-func (c Circle) Area() float64 { return math.Pi * c.R * c.R }
 
 // Rect is an axis-aligned rectangle [MinX,MaxX] x [MinY,MaxY].
 type Rect struct {
@@ -140,11 +121,6 @@ func (r Rect) Clamp(p Point) Point {
 		X: math.Max(r.MinX, math.Min(r.MaxX, p.X)),
 		Y: math.Max(r.MinY, math.Min(r.MaxY, p.Y)),
 	}
-}
-
-// Center returns the midpoint of r.
-func (r Rect) Center() Point {
-	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
 }
 
 // UniformPoint samples a point uniformly at random inside r.

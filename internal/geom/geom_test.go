@@ -78,21 +78,8 @@ func TestVecOps(t *testing.T) {
 	if got := v.Len(); got != 5 {
 		t.Errorf("Len = %v, want 5", got)
 	}
-	u := v.Unit()
-	if !almostEqual(u.Len(), 1, 1e-12) {
-		t.Errorf("Unit().Len() = %v, want 1", u.Len())
-	}
-	if got := (Vec{}).Unit(); got != (Vec{}) {
-		t.Errorf("zero vector Unit = %v, want zero", got)
-	}
 	if got := v.Scale(2); got != V(6, 8) {
 		t.Errorf("Scale(2) = %v, want (6,8)", got)
-	}
-	if got := v.Add(V(1, 1)); got != V(4, 5) {
-		t.Errorf("Add = %v, want (4,5)", got)
-	}
-	if got := v.Sub(V(1, 1)); got != V(2, 3) {
-		t.Errorf("Sub = %v, want (2,3)", got)
 	}
 	if got := v.Dot(V(1, 0)); got != 3 {
 		t.Errorf("Dot = %v, want 3", got)
@@ -119,9 +106,6 @@ func TestCircle(t *testing.T) {
 	if c.Contains(Pt(10.01, 0)) {
 		t.Error("outside point should not be contained")
 	}
-	if !almostEqual(c.Area(), math.Pi*100, 1e-9) {
-		t.Errorf("Area = %v", c.Area())
-	}
 }
 
 func TestRect(t *testing.T) {
@@ -143,9 +127,6 @@ func TestRect(t *testing.T) {
 	}
 	if got := r.Clamp(Pt(-5, 100)); got != Pt(0, 20) {
 		t.Errorf("Clamp = %v, want (0,20)", got)
-	}
-	if got := r.Center(); got != Pt(5, 12.5) {
-		t.Errorf("Center = %v, want (5,12.5)", got)
 	}
 }
 

@@ -124,13 +124,10 @@ func NewShardedGrid(region Rect, cellSize float64, shardCount int) *ShardedGrid 
 // stored outside it: cellOf clamps out-of-region points into edge cells.
 func (g *ShardedGrid) Region() Rect { return g.region }
 
-// CellSize returns the edge length of one grid cell.
-func (g *ShardedGrid) CellSize() float64 { return g.cell }
-
 // CellCount returns the cell-space dimensions: cells are addressed
-// (cx, cy) with 0 <= cx < cols and 0 <= cy < rows. Together with CellSize
-// and Region this is the addressing contract tile pyramids build on: cell
-// (cx, cy) nominally spans CellRect(cx, cy), except that edge cells
+// (cx, cy) with 0 <= cx < cols and 0 <= cy < rows. Together with Region
+// this is the addressing contract tile pyramids build on: cell (cx, cy)
+// nominally spans CellRect(cx, cy), except that edge cells
 // (cx or cy at 0 or the last index) extend unboundedly outward.
 func (g *ShardedGrid) CellCount() (cols, rows int) { return g.cols, g.rows }
 

@@ -54,39 +54,32 @@ type Config struct {
 	// SleepPeriod is the full schedule period; the duty cycle is
 	// ActiveWindow/SleepPeriod (paper: 3 s to 15 s).
 	SleepPeriod time.Duration
-
-	// CSMA timing.
-	SlotTime time.Duration
-	SIFS     time.Duration
-	DIFS     time.Duration
-	CWMin    int // initial contention window, in slots
-	CWMax    int // maximum contention window, in slots
-
-	// RetryLimit is the number of retransmissions after the first attempt
-	// of a unicast frame before it is dropped.
-	RetryLimit int
-	// AckSize is the on-air size of an acknowledgement frame in bytes.
-	AckSize int
-	// HeaderSize is the MAC framing overhead added to every payload.
-	HeaderSize int
 	// QueueCap bounds the transmit queue; excess frames are dropped.
 	QueueCap int
 }
 
-// DefaultConfig returns 802.11-flavoured CSMA parameters with the given
-// sleep period and the paper's 100 ms active window.
+// 802.11-flavoured CSMA/CA parameters.
+const (
+	slotTime = 20 * time.Microsecond
+	sifs     = 10 * time.Microsecond
+	difs     = 50 * time.Microsecond
+	cwMin    = 32   // initial contention window, in slots
+	cwMax    = 1024 // maximum contention window, in slots
+	// retryLimit is the number of retransmissions after the first attempt
+	// of a unicast frame before it is dropped.
+	retryLimit = 5
+	// ackSize is the on-air size of an acknowledgement frame in bytes.
+	ackSize = 14
+	// headerSize is the MAC framing overhead added to every payload.
+	headerSize = 12
+)
+
+// DefaultConfig returns the paper's 100 ms active window with the given
+// sleep period and a 256-frame transmit queue.
 func DefaultConfig(sleepPeriod time.Duration) Config {
 	return Config{
 		ActiveWindow: 100 * time.Millisecond,
 		SleepPeriod:  sleepPeriod,
-		SlotTime:     20 * time.Microsecond,
-		SIFS:         10 * time.Microsecond,
-		DIFS:         50 * time.Microsecond,
-		CWMin:        32,
-		CWMax:        1024,
-		RetryLimit:   5,
-		AckSize:      14,
-		HeaderSize:   12,
 		QueueCap:     256,
 	}
 }
@@ -98,12 +91,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mac: ActiveWindow %v must be positive", c.ActiveWindow)
 	case c.SleepPeriod <= c.ActiveWindow:
 		return fmt.Errorf("mac: SleepPeriod %v must exceed ActiveWindow %v", c.SleepPeriod, c.ActiveWindow)
-	case c.SlotTime <= 0 || c.SIFS <= 0 || c.DIFS <= 0:
-		return fmt.Errorf("mac: CSMA timings must be positive")
-	case c.CWMin < 1 || c.CWMax < c.CWMin:
-		return fmt.Errorf("mac: invalid contention window [%d, %d]", c.CWMin, c.CWMax)
-	case c.RetryLimit < 0:
-		return fmt.Errorf("mac: RetryLimit must be non-negative")
 	case c.QueueCap < 1:
 		return fmt.Errorf("mac: QueueCap must be at least 1")
 	}
@@ -144,7 +131,7 @@ type Stats struct {
 	Delivered      uint64 // payloads handed to the upper layer
 	Duplicates     uint64 // retransmissions filtered by the dedup cache
 	AckTimeouts    uint64
-	Drops          uint64 // unicasts abandoned after RetryLimit
+	Drops          uint64 // unicasts abandoned after retryLimit
 	QueueDrops     uint64 // frames rejected by a full queue
 	BusyDeferrals  uint64 // carrier-sense backoffs
 	SleepDeferrals uint64 // sleep postponed to flush the queue
@@ -214,7 +201,7 @@ func New(eng *sim.Engine, r *radio.Radio, cfg Config, role Role) *MAC {
 		cfg:     cfg,
 		role:    role,
 		rng:     eng.RNG("mac"),
-		cw:      cfg.CWMin,
+		cw:      cwMin,
 		lastSeq: make(map[radio.NodeID]uint16),
 	}
 	return m
@@ -231,9 +218,6 @@ func (m *MAC) Stats() Stats { return m.stats }
 
 // OnReceive registers the upper-layer delivery callback.
 func (m *MAC) OnReceive(fn func(src radio.NodeID, payload any)) { m.recv = fn }
-
-// Awake reports whether the radio is currently powered.
-func (m *MAC) Awake() bool { return m.radio.On() }
 
 // Start arms the duty-cycle schedule. It must be called exactly once, at
 // simulation time zero, after construction.
@@ -320,19 +304,19 @@ func (m *MAC) WakeAt(at, until sim.Time) *sim.Timer {
 
 // Send queues a unicast payload for dst with link-layer acknowledgement and
 // retries. done, if non-nil, is invoked with the delivery outcome: true once
-// the ACK arrives, false when the frame is dropped after RetryLimit
+// the ACK arrives, false when the frame is dropped after retryLimit
 // retransmissions or a queue overflow.
 func (m *MAC) Send(dst radio.NodeID, payload any, size int, done func(ok bool)) {
 	if dst == radio.Broadcast {
 		panic("mac: Send requires a unicast destination; use Broadcast")
 	}
-	m.enqueue(&outgoing{dst: dst, payload: payload, size: size + m.cfg.HeaderSize, done: done})
+	m.enqueue(&outgoing{dst: dst, payload: payload, size: size + headerSize, done: done})
 }
 
 // Broadcast queues a one-hop broadcast. Broadcasts are unacknowledged and
 // delivered only to neighbours whose radios are on for the whole frame.
 func (m *MAC) Broadcast(payload any, size int) {
-	m.enqueue(&outgoing{dst: radio.Broadcast, payload: payload, size: size + m.cfg.HeaderSize})
+	m.enqueue(&outgoing{dst: radio.Broadcast, payload: payload, size: size + headerSize})
 }
 
 func (m *MAC) enqueue(o *outgoing) {
@@ -358,22 +342,22 @@ func (m *MAC) kick() {
 	m.current = m.queue[0]
 	copy(m.queue, m.queue[1:])
 	m.queue = m.queue[:len(m.queue)-1]
-	m.cw = m.cfg.CWMin
+	m.cw = cwMin
 	m.backoff()
 }
 
 // backoff schedules the next transmission attempt after DIFS plus a random
 // number of slots drawn from the current contention window.
 func (m *MAC) backoff() {
-	delay := m.cfg.DIFS + time.Duration(m.rng.Intn(m.cw))*m.cfg.SlotTime
+	delay := difs + time.Duration(m.rng.Intn(m.cw))*slotTime
 	m.attemptTimer = m.eng.After(delay, m.attempt)
 }
 
-// widen doubles the contention window up to CWMax.
+// widen doubles the contention window up to cwMax.
 func (m *MAC) widen() {
 	m.cw *= 2
-	if m.cw > m.cfg.CWMax {
-		m.cw = m.cfg.CWMax
+	if m.cw > cwMax {
+		m.cw = cwMax
 	}
 }
 
@@ -388,7 +372,7 @@ func (m *MAC) attempt() {
 	}
 	if m.radio.Transmitting() {
 		// An ACK transmission is in progress; retry shortly after.
-		m.attemptTimer = m.eng.After(m.cfg.SIFS, m.attempt)
+		m.attemptTimer = m.eng.After(sifs, m.attempt)
 		return
 	}
 	if m.radio.CarrierSense() {
@@ -413,8 +397,8 @@ func (m *MAC) attempt() {
 		return
 	}
 	m.stats.UnicastSent++
-	timeout := air + m.cfg.SIFS + m.radio.Airtime(m.cfg.AckSize) +
-		2*m.radio.PropagationDelay() + 4*m.cfg.SlotTime
+	timeout := air + sifs + m.radio.Airtime(ackSize) +
+		2*m.radio.PropagationDelay() + 4*slotTime
 	m.ackTimer = m.eng.After(timeout, func() { m.ackTimeout(o) })
 }
 
@@ -425,7 +409,7 @@ func (m *MAC) ackTimeout(o *outgoing) {
 	}
 	m.stats.AckTimeouts++
 	m.inflight = false
-	if o.retries >= m.cfg.RetryLimit {
+	if o.retries >= retryLimit {
 		m.stats.Drops++
 		m.current = nil
 		if o.done != nil {
@@ -481,14 +465,14 @@ func (m *MAC) onFrame(f radio.Frame) {
 // sendAck transmits an acknowledgement after SIFS, bypassing carrier sense
 // (SIFS priority, as in 802.11).
 func (m *MAC) sendAck(dst radio.NodeID, seq uint16) {
-	m.eng.After(m.cfg.SIFS, func() {
+	m.eng.After(sifs, func() {
 		if !m.radio.On() || m.radio.Transmitting() {
 			return // sender will retry
 		}
 		m.stats.AcksSent++
 		m.radio.Transmit(radio.Frame{
 			Dst:     dst,
-			Size:    m.cfg.AckSize,
+			Size:    ackSize,
 			Payload: header{Kind: kindAck, Seq: seq},
 		})
 	})

@@ -49,9 +49,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero active window", func(c *Config) { c.ActiveWindow = 0 }},
 		{"sleep shorter than active", func(c *Config) { c.SleepPeriod = 50 * time.Millisecond }},
-		{"zero slot", func(c *Config) { c.SlotTime = 0 }},
-		{"cw inverted", func(c *Config) { c.CWMax = 1 }},
-		{"negative retries", func(c *Config) { c.RetryLimit = -1 }},
 		{"zero queue", func(c *Config) { c.QueueCap = 0 }},
 	}
 	for _, tt := range tests {
@@ -184,8 +181,8 @@ func TestUnicastToSleepingNodeDrops(t *testing.T) {
 	if s.Drops != 1 {
 		t.Errorf("Drops = %d, want 1", s.Drops)
 	}
-	if s.AckTimeouts != uint64(cfg.RetryLimit)+1 {
-		t.Errorf("AckTimeouts = %d, want %d", s.AckTimeouts, cfg.RetryLimit+1)
+	if s.AckTimeouts != uint64(retryLimit)+1 {
+		t.Errorf("AckTimeouts = %d, want %d", s.AckTimeouts, retryLimit+1)
 	}
 }
 
@@ -207,8 +204,8 @@ func TestDutyCycleSchedule(t *testing.T) {
 	for _, s := range samples {
 		s := s
 		r.eng.Schedule(s.at, func() {
-			if b.Awake() != s.awake {
-				t.Errorf("at %v: awake = %v, want %v", s.at, b.Awake(), s.awake)
+			if b.radio.On() != s.awake {
+				t.Errorf("at %v: awake = %v, want %v", s.at, b.radio.On(), s.awake)
 			}
 		})
 	}
@@ -221,7 +218,7 @@ func TestAlwaysOnNeverSleeps(t *testing.T) {
 	a := r.node(0, geom.Pt(0, 0), cfg, RoleAlwaysOn)
 	for _, at := range []sim.Time{0, time.Second, 10 * time.Second} {
 		r.eng.Schedule(at, func() {
-			if !a.Awake() {
+			if !a.radio.On() {
 				t.Errorf("always-on node asleep at %v", r.eng.Now())
 			}
 		})
@@ -236,12 +233,12 @@ func TestWakeUntilOverride(t *testing.T) {
 
 	r.eng.Schedule(time.Second, func() { b.WakeUntil(1500 * time.Millisecond) })
 	r.eng.Schedule(1200*time.Millisecond, func() {
-		if !b.Awake() {
+		if !b.radio.On() {
 			t.Error("override should keep node awake at 1.2s")
 		}
 	})
 	r.eng.Schedule(1600*time.Millisecond, func() {
-		if b.Awake() {
+		if b.radio.On() {
 			t.Error("node should sleep again after override expires")
 		}
 	})
@@ -255,17 +252,17 @@ func TestWakeAtSchedulesFutureWake(t *testing.T) {
 
 	b.WakeAt(2*time.Second, 2200*time.Millisecond)
 	r.eng.Schedule(1900*time.Millisecond, func() {
-		if b.Awake() {
+		if b.radio.On() {
 			t.Error("node awake before WakeAt time")
 		}
 	})
 	r.eng.Schedule(2100*time.Millisecond, func() {
-		if !b.Awake() {
+		if !b.radio.On() {
 			t.Error("node not awake during WakeAt override")
 		}
 	})
 	r.eng.Schedule(2400*time.Millisecond, func() {
-		if b.Awake() {
+		if b.radio.On() {
 			t.Error("node still awake after WakeAt override")
 		}
 	})
@@ -280,7 +277,7 @@ func TestWakeAtCancel(t *testing.T) {
 	tm := b.WakeAt(2*time.Second, 2500*time.Millisecond)
 	r.eng.Schedule(time.Second, func() { r.eng.Cancel(tm) })
 	r.eng.Schedule(2100*time.Millisecond, func() {
-		if b.Awake() {
+		if b.radio.On() {
 			t.Error("canceled WakeAt still woke node")
 		}
 	})

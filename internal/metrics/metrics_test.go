@@ -249,18 +249,12 @@ func TestStorageTracker(t *testing.T) {
 	if got := st.MaxPrefetchLength(); got != 4 {
 		t.Errorf("MaxPrefetchLength = %d, want 4", got)
 	}
-	if got := st.MaxLivePeriods(); got != 2 {
-		t.Errorf("MaxLivePeriods = %d", got)
-	}
 	if got := st.Setups(); got != 3 {
 		t.Errorf("Setups = %d", got)
 	}
 	st.Remove(10, 3, sec(6))
 	st.Remove(11, 3, sec(6))
 	st.Remove(10, 4, sec(8))
-	if got := st.MaxLivePeriods(); got != 2 {
-		t.Errorf("MaxLivePeriods after removal should remember the peak: %d", got)
-	}
 	if mean := st.MeanPrefetchLength(); mean <= 0 {
 		t.Errorf("MeanPrefetchLength = %v", mean)
 	}

@@ -16,22 +16,19 @@ type StorageTracker struct {
 	t0     sim.Time
 	period time.Duration
 
-	live        map[radio.NodeID]int
-	maxPerNode  int
-	setups      int
-	plSum       float64
-	plMax       int
-	distinctMax int
-	distinct    map[int]int // live period index -> node count
+	live       map[radio.NodeID]int
+	maxPerNode int
+	setups     int
+	plSum      float64
+	plMax      int
 }
 
 // NewStorageTracker tracks a query issued at t0 with the given period.
 func NewStorageTracker(t0 sim.Time, period time.Duration) *StorageTracker {
 	return &StorageTracker{
-		t0:       t0,
-		period:   period,
-		live:     make(map[radio.NodeID]int),
-		distinct: make(map[int]int),
+		t0:     t0,
+		period: period,
+		live:   make(map[radio.NodeID]int),
 	}
 }
 
@@ -55,21 +52,13 @@ func (st *StorageTracker) Add(node radio.NodeID, k int, at sim.Time) {
 	if pl > st.plMax {
 		st.plMax = pl
 	}
-	st.distinct[k]++
-	if len(st.distinct) > st.distinctMax {
-		st.distinctMax = len(st.distinct)
-	}
 }
 
 // Remove records a tree teardown for period k on a node.
-func (st *StorageTracker) Remove(node radio.NodeID, k int, _ sim.Time) {
+func (st *StorageTracker) Remove(node radio.NodeID, _ int, _ sim.Time) {
 	st.live[node]--
 	if st.live[node] <= 0 {
 		delete(st.live, node)
-	}
-	st.distinct[k]--
-	if st.distinct[k] <= 0 {
-		delete(st.distinct, k)
 	}
 }
 
@@ -88,10 +77,6 @@ func (st *StorageTracker) MeanPrefetchLength() float64 {
 	}
 	return st.plSum / float64(st.setups)
 }
-
-// MaxLivePeriods returns the peak number of distinct periods with live
-// trees anywhere in the network.
-func (st *StorageTracker) MaxLivePeriods() int { return st.distinctMax }
 
 // Setups returns the total number of (node, tree) instantiations.
 func (st *StorageTracker) Setups() int { return st.setups }

@@ -60,9 +60,6 @@ func Stationary(p geom.Point, t0 sim.Time) Trajectory {
 	return Trajectory{wps: []Waypoint{{T: t0, P: p}}}
 }
 
-// Start returns the first waypoint time.
-func (tr Trajectory) Start() sim.Time { return tr.wps[0].T }
-
 // End returns the last waypoint time.
 func (tr Trajectory) End() sim.Time { return tr.wps[len(tr.wps)-1].T }
 

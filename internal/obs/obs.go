@@ -16,7 +16,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,12 +32,9 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Set overwrites the counter's value. It exists for scrape-time sampling of
 // an external monotone ledger (the service's lifetime delivery totals) into
-// the exposition; instrumented code paths should use Inc/Add.
+// the exposition; instrumented code paths should use Inc.
 func (c *Counter) Set(n uint64) { c.v.Store(n) }
 
 // Load returns the current value.
@@ -52,12 +48,6 @@ type Gauge struct {
 
 // Set replaces the gauge's value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Histogram bucket geometry: values below histLinear get one bucket each
 // (exact small counts — tiny batches); above that, each
@@ -137,24 +127,8 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of observed values in recorded (unscaled) units.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// NumBuckets returns the bucket count including the +Inf overflow bucket.
-func (h *Histogram) NumBuckets() int { return len(h.bkts) }
-
-// Bucket returns bucket i's inclusive upper bound in recorded units and its
-// (non-cumulative) count. The last bucket's bound is reported as
-// math.MaxInt64 semantics via ok=false.
-func (h *Histogram) Bucket(i int) (bound int64, count uint64, ok bool) {
-	if i == len(h.bkts)-1 {
-		return 0, h.bkts[i].Load(), false
-	}
-	return h.bounds[i], h.bkts[i].Load(), true
-}
 
 // Quantile returns an upper bound on the q-quantile of the observed values
 // in recorded units: the inclusive upper bound of the bucket the quantile
@@ -402,18 +376,4 @@ func writeSample(b *strings.Builder, name, suffix, labels, value string) {
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// TypeLines returns the registry's `# TYPE name kind` lines sorted by
-// metric name — the deterministic skeleton of the exposition, which golden
-// tests pin without depending on timing-valued samples.
-func (r *Registry) TypeLines() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.fams))
-	for _, f := range r.fams {
-		out = append(out, fmt.Sprintf("# TYPE %s %s", f.name, f.kind))
-	}
-	sort.Strings(out)
-	return out
 }

@@ -15,7 +15,9 @@ import (
 
 // DefaultPrefetchSpeed is the Section 5.2 vprfh estimate for MICA2-class
 // hardware (100 m pickup spacing, 5 hops, 60-byte messages, 5 kbit/s
-// effective bandwidth): roughly 208 m/s, far above any mobile user.
+// effective bandwidth): roughly 208 m/s, far above any mobile user. It is
+// the prefetch speed of every planner's equation-16 warmup bound, whose
+// user speed is read off the motion profile.
 var DefaultPrefetchSpeed = analysis.PrefetchSpeed(100, 5, 60, 5000)
 
 // Config fixes the quantities a Planner needs: the subscription's temporal
@@ -37,11 +39,6 @@ type Config struct {
 	Sleep time.Duration
 	// T0 is the subscription epoch: period k comes due at T0 + k*Period.
 	T0 sim.Time
-	// UserSpeed and PrefetchSpeed feed the equation-16 warmup bound. Zero
-	// UserSpeed estimates the speed from the motion profile; zero
-	// PrefetchSpeed selects DefaultPrefetchSpeed.
-	UserSpeed     float64
-	PrefetchSpeed float64
 }
 
 // Validate reports configuration errors.
@@ -58,8 +55,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("prefetch: period %v must be positive", c.Period)
 	case c.Deadline < 0 || c.Fresh < 0 || c.Sleep < 0:
 		return fmt.Errorf("prefetch: deadline, freshness, and sleep must be non-negative")
-	case c.UserSpeed < 0 || c.PrefetchSpeed < 0:
-		return fmt.Errorf("prefetch: speeds must be non-negative")
 	}
 	return nil
 }
@@ -70,14 +65,11 @@ func (c Config) Validate() error {
 // boundary it serves.
 func (c Config) holdBound() time.Duration { return c.Sleep + 2*c.Fresh }
 
-// normalized fills derived defaults: the prefetch speed and Greedy's
-// minimal safe lookahead ceil((Tsleep+2*Tfresh)/Tperiod)+1 — one more than
-// the equation-12 storage constant, the smallest window that still meets
-// every equation-10 forward deadline.
+// normalized fills Greedy's derived default, its minimal safe lookahead
+// ceil((Tsleep+2*Tfresh)/Tperiod)+1 — one more than the equation-12 storage
+// constant, the smallest window that still meets every equation-10 forward
+// deadline.
 func (c Config) normalized() Config {
-	if c.PrefetchSpeed <= 0 {
-		c.PrefetchSpeed = DefaultPrefetchSpeed
-	}
 	if c.Strategy.Kind == Greedy && c.Strategy.Lookahead == 0 {
 		q := analysis.QueryParams{Period: c.Period, Fresh: c.Fresh, Sleep: c.Sleep}
 		c.Strategy.Lookahead = analysis.StorageJIT(q)
@@ -191,11 +183,8 @@ func (p *Planner) install(profile mobility.Profile, now sim.Time) {
 // rather than a panic).
 func (p *Planner) warmupInterval(profile mobility.Profile) time.Duration {
 	q := analysis.QueryParams{Period: p.cfg.Period, Fresh: p.cfg.Fresh, Sleep: p.cfg.Sleep}
-	vp := p.cfg.PrefetchSpeed
-	vu := p.cfg.UserSpeed
-	if vu <= 0 {
-		vu = profile.Path.VelAt(profile.TS).Len()
-	}
+	vp := DefaultPrefetchSpeed
+	vu := profile.Path.VelAt(profile.TS).Len()
 	if vu <= 0 || math.IsNaN(vu) {
 		vu = 1e-3
 	}
@@ -308,23 +297,6 @@ func (p *Planner) PeriodStatus(due sim.Time) (ready sim.Time, staged, warmup boo
 		return 0, false, true
 	}
 	return e.ReadyAt, true, false
-}
-
-// ReadyAt reports when the prefetched answer for the period due at `due`
-// was staged at the user's pickup point; ok is false when the period has
-// no usable prefetch (uncovered, or a warmup period whose chain missed the
-// equation-10 forward deadline).
-func (p *Planner) ReadyAt(due sim.Time) (sim.Time, bool) {
-	ready, staged, _ := p.PeriodStatus(due)
-	return ready, staged
-}
-
-// Warmup reports whether a period due at `due` is still warming up: a
-// covered boundary whose chain missed its equation-10 forward deadline, so
-// its result falls back to on-demand collection (see PeriodStatus).
-func (p *Planner) Warmup(due sim.Time) bool {
-	_, _, warmup := p.PeriodStatus(due)
-	return warmup
 }
 
 // Sampler wraps the field's node sampling schedule with the plan: a node

@@ -64,7 +64,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Period = 0 },
 		func(c *Config) { c.Fresh = -1 },
 		func(c *Config) { c.Sleep = -1 },
-		func(c *Config) { c.UserSpeed = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := testConfig(Strategy{Kind: JIT})
@@ -92,8 +91,8 @@ func TestJITEquation10Staging(t *testing.T) {
 		if e.OnTime {
 			t.Errorf("period %d staged on time inside the equation-10 margin", k)
 		}
-		if _, ok := p.ReadyAt(due); ok {
-			t.Errorf("period %d: ReadyAt should refuse a late chain", k)
+		if _, ok, _ := p.PeriodStatus(due); ok {
+			t.Errorf("period %d: PeriodStatus should refuse a late chain", k)
 		}
 	}
 	e, ok := p.EntryFor(6 * time.Second)
@@ -103,8 +102,8 @@ func TestJITEquation10Staging(t *testing.T) {
 	if e.LaunchAt != 0 {
 		t.Errorf("period 6 launch = %v, want 0 (the equation-10 instant)", e.LaunchAt)
 	}
-	if ready, ok := p.ReadyAt(6 * time.Second); !ok || ready != 6*time.Second {
-		t.Errorf("ReadyAt(6s) = %v/%v, want 6s/true", ready, ok)
+	if ready, ok, _ := p.PeriodStatus(6 * time.Second); !ok || ready != 6*time.Second {
+		t.Errorf("PeriodStatus(6s) = %v/%v, want 6s/true", ready, ok)
 	}
 	// JIT captures at the boundary: fresh readings, hold bound 5 s out.
 	if e.CaptureAt != 6*time.Second || e.HoldUntil != 11*time.Second {
@@ -132,7 +131,7 @@ func TestWarmupMatchesEquation16(t *testing.T) {
 	for k := 1; k <= 10; k++ {
 		due := sim.Time(k) * time.Second
 		want := due < tw
-		if got := p.Warmup(due); got != want {
+		if _, _, got := p.PeriodStatus(due); got != want {
 			t.Errorf("Warmup(period %d) = %v, want %v (Tw = %v)", k, got, want, tw)
 		}
 	}
@@ -153,11 +152,11 @@ func TestNoGapBetweenWarmupAndStaging(t *testing.T) {
 		}
 		for k := 1; k <= 20; k++ {
 			due := sim.Time(k) * time.Second
-			_, staged := p.ReadyAt(due)
-			if !staged && !p.Warmup(due) {
+			_, staged, warmup := p.PeriodStatus(due)
+			if !staged && !warmup {
 				t.Errorf("sleep %v: period %d is neither staged nor warmup", sleep, k)
 			}
-			if staged && p.Warmup(due) {
+			if staged && warmup {
 				t.Errorf("sleep %v: period %d is both staged and warmup", sleep, k)
 			}
 		}
@@ -219,7 +218,7 @@ func TestReplanRestartsWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.ReadyAt(10 * time.Second); !ok {
+	if _, ok, _ := p.PeriodStatus(10 * time.Second); !ok {
 		t.Fatal("period 10 should be staged before the replan")
 	}
 	// The user turned at t=8s: straight-line profile from (8, 0) north.
@@ -233,10 +232,10 @@ func TestReplanRestartsWarmup(t *testing.T) {
 	if st := p.Stats(); st.Replans != 1 || st.Epoch != 8*time.Second {
 		t.Fatalf("stats after replan = %+v", st)
 	}
-	if _, ok := p.ReadyAt(10 * time.Second); ok {
+	if _, ok, _ := p.PeriodStatus(10 * time.Second); ok {
 		t.Error("period 10 still staged after the replan re-dispatched its chain")
 	}
-	if !p.Warmup(10 * time.Second) {
+	if _, _, w := p.PeriodStatus(10 * time.Second); !w {
 		t.Error("period 10 should be inside the restarted warmup interval")
 	}
 	// Far enough out the new plan is staged again, centered on the new path.
@@ -317,10 +316,10 @@ func TestStationaryUserWarmsUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Warmup(time.Second) {
+	if _, _, w := p.PeriodStatus(time.Second); !w {
 		t.Error("first period should still warm up: the chain cannot precede the profile")
 	}
-	if p.Warmup(time.Hour) {
+	if _, _, w := p.PeriodStatus(time.Hour); w {
 		t.Error("a stationary user should eventually leave warmup")
 	}
 }

@@ -13,10 +13,10 @@ import (
 	"mobiquery/internal/sim"
 )
 
-// DefaultLevels is the number of rollup levels above the cell layer when
-// Config.Levels is zero — five resolutions in total, each tile 2× coarser
-// than the one below.
-const DefaultLevels = 4
+// levels is the number of rollup levels above the cell layer — five
+// resolutions in total, each tile 2× coarser than the one below. New clamps
+// it so the coarsest tile never exceeds the grid.
+const levels = 4
 
 // DefaultEpochs is the epoch-ring depth when Config.Epochs is zero.
 const DefaultEpochs = 4
@@ -27,10 +27,6 @@ const DefaultEpochs = 4
 // answer under different freshness or sampling rules than the cold scan it
 // replaces.
 type Config struct {
-	// Levels is the number of rollup levels above the cells (0 selects
-	// DefaultLevels). It is clamped so the coarsest tile never exceeds the
-	// grid.
-	Levels int
 	// Epochs is the ring depth: how many recent period boundaries keep
 	// their per-tile aggregates servable (0 selects DefaultEpochs). Late
 	// evaluations and lookbacks older than the ring fall back to the cold
@@ -50,8 +46,6 @@ type Config struct {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.Levels < 0:
-		return fmt.Errorf("pyramid: levels %d must be non-negative", c.Levels)
 	case c.Epochs < 0:
 		return fmt.Errorf("pyramid: epoch ring depth %d must be non-negative", c.Epochs)
 	case c.Fresh < 0:
@@ -166,11 +160,6 @@ type Pyramid struct {
 	bmu    sync.Mutex
 	builds map[sim.Time]*build
 
-	// version counts epoch publications and ring rotations — the pyramid's
-	// own mutation counter, so tests can bracket serve sequences the way
-	// grid sweeps bracket SnapshotVersion.
-	version atomic.Uint64
-
 	sBuilds, sDirty                 atomic.Uint64
 	sServed, sNoEpoch, sFresh, sVer atomic.Uint64
 	sIngested, sFringe, sArea       atomic.Uint64
@@ -183,9 +172,6 @@ func New(grid *geom.ShardedGrid, cfg Config) (*Pyramid, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Levels == 0 {
-		cfg.Levels = DefaultLevels
-	}
 	if cfg.Epochs == 0 {
 		cfg.Epochs = DefaultEpochs
 	}
@@ -193,7 +179,7 @@ func New(grid *geom.ShardedGrid, cfg Config) (*Pyramid, error) {
 	p := &Pyramid{
 		grid:     grid,
 		cg:       cg,
-		maxLevel: cg.maxLevels(cfg.Levels),
+		maxLevel: cg.maxLevels(levels),
 		fresh:    cfg.Fresh,
 		sample:   cfg.Sample,
 		fld:      cfg.Field,
@@ -210,10 +196,6 @@ func New(grid *geom.ShardedGrid, cfg Config) (*Pyramid, error) {
 	}
 	return p, nil
 }
-
-// Version returns the pyramid's mutation counter: it advances on every
-// epoch publication and ring rotation, and is stable while no ingest runs.
-func (p *Pyramid) Version() uint64 { return p.version.Load() }
 
 // Stats returns a snapshot of the lifetime counters.
 func (p *Pyramid) Stats() Stats {
@@ -334,7 +316,6 @@ func (p *Pyramid) rotate(due sim.Time) *epoch {
 	if e.rowRd == nil {
 		e.rowRd = make([][]keptReading, p.cg.rows)
 	}
-	p.version.Add(1)
 	return e
 }
 
@@ -454,7 +435,6 @@ func (p *Pyramid) finishBuild(due sim.Time, b *build) {
 	}
 	p.sIngested.Add(uint64(e.ingested.Load()))
 	e.ready.Store(true)
-	p.version.Add(1)
 	p.bmu.Lock()
 	delete(p.builds, due)
 	p.bmu.Unlock()

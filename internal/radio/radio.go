@@ -117,9 +117,6 @@ func (m *Medium) Attach(id NodeID, pos geom.Point, handler func(Frame)) *Radio {
 	return r
 }
 
-// Radio returns the radio attached as id, or nil.
-func (m *Medium) Radio(id NodeID) *Radio { return m.radios[id] }
-
 // InRange reports whether nodes a and b are currently within communication
 // range of each other.
 func (m *Medium) InRange(a, b NodeID) bool {

@@ -407,10 +407,13 @@ func BenchmarkTransmitBroadcast(b *testing.B) {
 	m := testMedium(eng)
 	rng := eng.RNG("bench")
 	region := geom.Square(450)
+	var src *Radio
 	for i := 0; i < 200; i++ {
-		m.Attach(NodeID(i), region.UniformPoint(rng), func(Frame) {})
+		r := m.Attach(NodeID(i), region.UniformPoint(rng), func(Frame) {})
+		if i == 0 {
+			src = r
+		}
 	}
-	src := m.Radio(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Schedule(eng.Now(), func() { src.Transmit(Frame{Dst: Broadcast, Size: 60}) })

@@ -27,6 +27,7 @@
 //	                                     applied as each arrives (client
 //	                                     streaming); reply: applied count,
 //	                                     or 400 at the first malformed line
+//	                                     / 413 at one past maxRequestBody
 //	                                     / 409 once the subscription closed
 //	GET  /v1/subscriptions/{id}/stats    per-subscription + prefetch ledger
 //	POST /v1/advance                     manual-clock servers only: move
@@ -39,6 +40,9 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -70,7 +74,7 @@ type Server struct {
 // maxRequestBody bounds the subscribe and advance request bodies; a
 // subscribe request is well under 1 KB. Past it a request is refused with
 // 413 before anything is opened or advanced. The client-streamed waypoint
-// body is not bounded in total: it is a stream of small lines.
+// body is not bounded in total, only each of its lines.
 const maxRequestBody = 4 << 10
 
 // httpMaxLatency bounds the per-route request-latency histograms;
@@ -252,22 +256,26 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWaypoints applies a client-streamed body of ground-truth position
-// updates to an open subscription of the service, each as it arrives. Only a
-// clean end of the body is a success: a line that does not decode is 400, a
-// subscription that closed mid-stream 409, and either message says how many
-// updates had been applied by then (they stay applied).
+// updates, one per line, to an open subscription of the service, each as it
+// arrives. The stream is unbounded; each line is bounded by maxRequestBody.
+// Only a clean end of the body is a success: a line that does not decode is
+// 400, a longer line 413, a subscription that closed mid-stream 409, and
+// each message says how many updates had been applied by then (they stay
+// applied).
 func (s *Server) handleWaypoints(w http.ResponseWriter, r *http.Request) {
 	sub, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
-	dec := wire.NewDecoder(r.Body)
+	lines := bufio.NewScanner(r.Body)
+	lines.Buffer(nil, maxRequestBody)
 	applied := 0
-	for {
+	for lines.Scan() {
+		if len(bytes.TrimSpace(lines.Bytes())) == 0 {
+			continue
+		}
 		var wp wire.Waypoint
-		if err := dec.Decode(&wp); errors.Is(err, io.EOF) {
-			break
-		} else if err != nil {
+		if err := json.Unmarshal(lines.Bytes(), &wp); err != nil {
 			http.Error(w, fmt.Sprintf("wire: bad waypoint after %d applied: %v", applied, err), http.StatusBadRequest)
 			return
 		}
@@ -276,6 +284,13 @@ func (s *Server) handleWaypoints(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		applied++
+	}
+	if err := lines.Err(); errors.Is(err, bufio.ErrTooLong) {
+		http.Error(w, fmt.Sprintf("wire: waypoint line past %d bytes after %d applied", maxRequestBody, applied), http.StatusRequestEntityTooLarge)
+		return
+	} else if err != nil {
+		http.Error(w, fmt.Sprintf("wire: bad waypoint after %d applied: %v", applied, err), http.StatusBadRequest)
+		return
 	}
 	writeJSON(w, http.StatusOK, wire.WaypointReply{Applied: applied})
 }

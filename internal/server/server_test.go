@@ -439,6 +439,36 @@ func TestWaypointStreamErrors(t *testing.T) {
 	}
 }
 
+// TestWaypointLineBound pins the per-line bound of the waypoint stream: one
+// valid line, then one past maxRequestBody. The second is refused with 413
+// naming the applied count, and the first stays applied.
+func TestWaypointLineBound(t *testing.T) {
+	h := newHarness(t, mobiquery.ServiceConfig{})
+	ack, dec, done := h.subscribe(t, context.Background(), wire.SubscribeRequest{
+		Spec:   testSpec(),
+		Motion: wire.Motion{Kind: "static", XM: 10, YM: 10}, // corner: few nodes
+	})
+	defer done()
+	body := `{"x_m":225,"y_m":225}` + "\n" + `{"x_m":10,` + strings.Repeat(" ", maxRequestBody) + `"y_m":10}` + "\n"
+	resp, err := http.Post(fmt.Sprintf("%s/v1/subscriptions/%d/waypoints", h.ts.URL, ack.ID), "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("waypoints: %v", err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "after 1 applied") {
+		t.Fatalf("oversized line: status %d %q, want 413 naming 1 applied", resp.StatusCode, msg)
+	}
+	h.advance(t, 2*time.Second)
+	var f wire.Frame
+	if err := dec.Decode(&f); err != nil || f.Type != wire.FrameResult {
+		t.Fatalf("result frame: %+v err=%v", f, err)
+	}
+	if f.Result.AreaNodes < 50 {
+		t.Errorf("the valid line before the oversized one was lost: area nodes %d", f.Result.AreaNodes)
+	}
+}
+
 func TestBadRequestsAreClientErrors(t *testing.T) {
 	h := newHarness(t, mobiquery.ServiceConfig{})
 	spec, err := json.Marshal(testSpec())
@@ -459,6 +489,12 @@ func TestBadRequestsAreClientErrors(t *testing.T) {
 		{`{"spec":{"radius_m":100,"period_ns":1000000000},"motion":{"kind":"teleport"}}`, http.StatusBadRequest},
 		// Valid wire shape, invalid spec: rejected by Subscribe.
 		{`{"spec":{"radius_m":-1,"period_ns":1000000000},"motion":{"kind":"static"}}`, http.StatusUnprocessableEntity},
+		// One past each build bound: refused before Subscribe runs.
+		{fmt.Sprintf(`{"spec":{"radius_m":100,"period_ns":1000000000,"window":%d},"motion":{"kind":"static"}}`, wire.MaxWindow+1), http.StatusBadRequest},
+		{overBound(int64(wire.MaxCourseDuration)+1, int64(wire.MaxCourseDuration)+1, int64(wire.MaxCourseDuration)+1, 1e9), http.StatusBadRequest},
+		{overBound(wire.MaxCourseSteps+1, 1, wire.MaxCourseSteps+1, 1e9), http.StatusBadRequest},
+		{overBound(wire.MaxCourseSteps+1, wire.MaxCourseSteps+1, 1, 1e9), http.StatusBadRequest},
+		{overBound(int64(wire.MaxCourseSteps+1)*1e9, int64(wire.MaxCourseSteps+1)*1e9, int64(wire.MaxCourseSteps+1)*1e9, 1), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(h.ts.URL+"/v1/subscribe", "application/json", strings.NewReader(tc.body))
@@ -482,6 +518,15 @@ func TestBadRequestsAreClientErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || h.svc.Now() != 0 {
 		t.Errorf("oversized advance: status %d, clock at %v; want 413 and 0", resp.StatusCode, h.svc.Now())
 	}
+}
+
+// overBound is a subscribe body with a course motion of the given duration,
+// change interval, GPS sampling period (all ns) and region side (m), at
+// 1 m/s.
+func overBound(durationNS, changeNS, samplingNS int64, sideM float64) string {
+	return fmt.Sprintf(`{"spec":{"radius_m":100,"period_ns":1000000000,"strategy":"jit"},`+
+		`"motion":{"kind":"course","region_side_m":%g,"speed_min_mps":1,"speed_max_mps":1,`+
+		`"duration_ns":%d,"change_interval_ns":%d,"gps_sampling_ns":%d}}`, sideM, durationNS, changeNS, samplingNS)
 }
 
 func TestDrainRejectsNewSubscribesKeepsStreams(t *testing.T) {

@@ -109,13 +109,28 @@ var aggNames = map[string]mobiquery.AggKind{
 	"avg":   mobiquery.Avg,
 }
 
+// Bounds on what one subscribe body can make the server build, each far
+// past what a session needs: a result window aggregates at most MaxWindow
+// periods, and a course motion lasts at most MaxCourseDuration and takes at
+// most MaxCourseSteps legs (duration / change interval), GPS samples
+// (duration / sampling period) and wall reflections (about top speed ×
+// duration / region side).
+const (
+	MaxWindow         = 1 << 12
+	MaxCourseDuration = 7 * 24 * time.Hour
+	MaxCourseSteps    = 1 << 16
+)
+
 // QuerySpec converts the wire spec to the session form. Unknown
-// aggregate/strategy names are errors; everything else is left to
-// QuerySpec.Validate at Subscribe time.
+// aggregate/strategy names and a window past MaxWindow are errors;
+// everything else is left to QuerySpec.Validate at Subscribe time.
 func (s Spec) QuerySpec() (mobiquery.QuerySpec, error) {
 	agg, ok := aggNames[s.Aggregate]
 	if !ok {
 		return mobiquery.QuerySpec{}, fmt.Errorf("wire: unknown aggregate %q", s.Aggregate)
+	}
+	if s.Window > MaxWindow {
+		return mobiquery.QuerySpec{}, fmt.Errorf("wire: window %d exceeds %d periods", s.Window, MaxWindow)
 	}
 	q := mobiquery.QuerySpec{
 		Radius:    s.RadiusM,
@@ -175,7 +190,8 @@ type Motion struct {
 	GPSThresholdM float64 `json:"gps_threshold_m,omitempty"`
 }
 
-// Source builds the session MotionSource the wire motion describes.
+// Source builds the session MotionSource the wire motion describes. A
+// course past the MaxCourse bounds is refused before anything is built.
 func (m Motion) Source() (mobiquery.MotionSource, error) {
 	switch m.Kind {
 	case "static":
@@ -183,6 +199,9 @@ func (m Motion) Source() (mobiquery.MotionSource, error) {
 	case "linear":
 		return mobiquery.LinearMotion(mobiquery.Pt(m.XM, m.YM), m.VXMPS, m.VYMPS), nil
 	case "course":
+		if err := m.courseBounded(); err != nil {
+			return nil, err
+		}
 		return mobiquery.GPSPredictedMotion(
 			mobiquery.CourseConfig{
 				Seed:           m.Seed,
@@ -204,6 +223,25 @@ func (m Motion) Source() (mobiquery.MotionSource, error) {
 	}
 }
 
+// courseBounded refuses a course past the MaxCourse bounds. Values
+// GPSPredictedMotion rejects anyway (non-positive intervals, durations,
+// sides) are left to it.
+func (m Motion) courseBounded() error {
+	d := m.DurationNS
+	switch {
+	case d > int64(MaxCourseDuration):
+		return fmt.Errorf("wire: course duration %v exceeds %v", time.Duration(d), MaxCourseDuration)
+	case m.ChangeIntervalNS > 0 && d/m.ChangeIntervalNS > MaxCourseSteps:
+		return fmt.Errorf("wire: course of %d legs exceeds %d", d/m.ChangeIntervalNS, MaxCourseSteps)
+	case m.GPSSamplingNS > 0 && d/m.GPSSamplingNS > MaxCourseSteps:
+		return fmt.Errorf("wire: course of %d GPS samples exceeds %d", d/m.GPSSamplingNS, MaxCourseSteps)
+	case m.RegionSideM > 0 && m.SpeedMaxMPS*time.Duration(d).Seconds()/m.RegionSideM > MaxCourseSteps:
+		return fmt.Errorf("wire: course of about %.0f wall reflections exceeds %d",
+			m.SpeedMaxMPS*time.Duration(d).Seconds()/m.RegionSideM, MaxCourseSteps)
+	}
+	return nil
+}
+
 // SubscribeRequest is the body of POST /v1/subscribe.
 type SubscribeRequest struct {
 	Spec   Spec   `json:"spec"`
@@ -215,20 +253,18 @@ const (
 	FrameAck    = "ack"
 	FrameResult = "result"
 	FrameEnd    = "end"
-	FrameError  = "error"
 )
 
 // Frame is one line of a subscribe stream. Type discriminates: an ack
 // frame carries ID and NowNS (the service virtual time the subscription's
 // periods count from), a result frame carries Result, an end frame
-// carries the final Stats, an error frame carries Error.
+// carries the final Stats.
 type Frame struct {
 	Type   string    `json:"type"`
 	ID     uint32    `json:"id,omitempty"`
 	NowNS  int64     `json:"now_ns,omitempty"`
 	Result *Result   `json:"result,omitempty"`
 	Stats  *SubStats `json:"stats,omitempty"`
-	Error  string    `json:"error,omitempty"`
 }
 
 // Value is a result's aggregate on the wire: a plain JSON number, except
@@ -592,7 +628,7 @@ func (e *Encoder) Encode(v any) error {
 // the frame's encoding/json bytes.
 func (f *Frame) sessionResult() (mobiquery.QueryResult, int64, bool) {
 	r := f.Result
-	if f.Type != FrameResult || f.NowNS != 0 || f.Stats != nil || f.Error != "" ||
+	if f.Type != FrameResult || f.NowNS != 0 || f.Stats != nil ||
 		math.IsNaN(r.Fidelity) || math.IsInf(r.Fidelity, 0) {
 		return mobiquery.QueryResult{}, 0, false
 	}

@@ -449,3 +449,40 @@ func TestSpecTraceIDConversion(t *testing.T) {
 		t.Error("malformed trace id accepted")
 	}
 }
+
+// FuzzSubscribeRequest drives a subscribe body through everything the
+// server runs on it before Subscribe: Decoder, Spec.QuerySpec and
+// Motion.Source. None may panic, and whatever they accept stays inside the
+// build bounds. The seeds hold the shapes that used to be unbounded: a
+// course of ~9·10⁹ legs, one of as many GPS samples, one of ~10¹³ wall
+// reflections, and a 10⁹-period window.
+func FuzzSubscribeRequest(f *testing.F) {
+	const spec = `"spec":{"radius_m":150,"period_ns":1000000000,"strategy":"jit"}`
+	for _, body := range []string{
+		`{` + spec + `,"motion":{"kind":"course","x_m":225,"y_m":225,"region_side_m":450,"speed_min_mps":1,"speed_max_mps":4,"change_interval_ns":5000000000,"duration_ns":60000000000,"gps_sampling_ns":500000000,"gps_err_m":5}}`,
+		`{` + spec + `,"motion":{"kind":"course","region_side_m":1e9,"speed_min_mps":1,"speed_max_mps":1,"change_interval_ns":1000000000,"duration_ns":9000000000000000000,"gps_sampling_ns":9000000000000000000}}`,
+		`{` + spec + `,"motion":{"kind":"course","region_side_m":1e9,"speed_min_mps":1,"speed_max_mps":1,"change_interval_ns":9000000000000000000,"duration_ns":9000000000000000000,"gps_sampling_ns":1000000000}}`,
+		`{` + spec + `,"motion":{"kind":"course","region_side_m":1,"speed_min_mps":1,"speed_max_mps":1e6,"change_interval_ns":1000000000000000,"duration_ns":1000000000000000,"gps_sampling_ns":1000000000000000}}`,
+		`{"spec":{"radius_m":150,"period_ns":1000000000,"window":1000000000},"motion":{"kind":"static","x_m":225,"y_m":225}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req SubscribeRequest
+		if NewDecoder(bytes.NewReader(body)).Decode(&req) != nil {
+			return
+		}
+		if spec, err := req.Spec.QuerySpec(); err == nil && spec.Window > MaxWindow {
+			t.Fatalf("accepted a %d-period window", spec.Window)
+		}
+		m := req.Motion
+		if _, err := m.Source(); err != nil || m.Kind != "course" {
+			return
+		}
+		d := m.DurationNS
+		if d > int64(MaxCourseDuration) || d/m.ChangeIntervalNS > MaxCourseSteps || d/m.GPSSamplingNS > MaxCourseSteps ||
+			m.SpeedMaxMPS*time.Duration(d).Seconds()/m.RegionSideM > MaxCourseSteps {
+			t.Fatalf("accepted a course past the bounds: %+v", m)
+		}
+	})
+}

@@ -137,31 +137,3 @@ func TestRunTeam(t *testing.T) {
 		}
 	}
 }
-
-func TestRunScalePublicAPI(t *testing.T) {
-	c := DefaultScaleConfig()
-	if err := c.Validate(); err != nil {
-		t.Fatalf("default scale config invalid: %v", err)
-	}
-	c.Nodes = 2000
-	c.Users = 200
-	c.RegionSide = 2000
-	c.Rounds = 2
-	c.Field = UniformField(7)
-	sharded := RunScale(c)
-	if sharded.Evaluations != 400 {
-		t.Fatalf("Evaluations = %d, want 400", sharded.Evaluations)
-	}
-	if sharded.MeanValue != 7 {
-		t.Errorf("MeanValue = %v, want 7", sharded.MeanValue)
-	}
-	serial := c
-	serial.Service = ServiceConfig{Shards: 1, Workers: 1}
-	if got := RunScale(serial); got.Checksum != sharded.Checksum || got.MeanAreaNodes != sharded.MeanAreaNodes {
-		t.Errorf("serial run %+v diverges from sharded %+v", got, sharded)
-	}
-	c.Users = 0
-	if c.Validate() == nil {
-		t.Error("zero users should fail validation")
-	}
-}

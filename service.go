@@ -423,13 +423,6 @@ func (s *Service) Drain() {
 	s.mu.Unlock()
 }
 
-// Draining reports whether Drain has been called.
-func (s *Service) Draining() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.draining
-}
-
 // ServiceStats is a point-in-time aggregate of the service's delivery
 // ledger: the live membership plus lifetime totals accumulated across
 // every subscription the service has ever carried, including closed ones.
