@@ -61,13 +61,11 @@ bench-wire:
 	$(GO) test -run=xxx -bench='^BenchmarkResultFrameCodec$$' -benchtime=20000x ./internal/wire
 
 # Every fuzz target past its seed corpus, ten seconds each: the result
-# frame codec against encoding/json, a subscribe body through everything
-# the server runs before Subscribe against the build bounds, and the
-# /metrics exposition validator.
+# frame codec against encoding/json, and a subscribe body through
+# everything the server runs before Subscribe against the build bounds.
 fuzz-smoke:
 	$(GO) test -run=xxx -fuzz='^FuzzResultFrameCodec$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=xxx -fuzz='^FuzzSubscribeRequest$$' -fuzztime=10s ./internal/wire
-	$(GO) test -run=xxx -fuzz='^FuzzValidateExposition$$' -fuzztime=10s ./internal/obs
 
 # The million-subscriber idle gate on its own: one pass of the idle arm of
 # BenchmarkAdvance1M, which b.Fatals if the timed loop allocates at all —
@@ -87,10 +85,10 @@ repo-bench-smoke:
 
 # Build the network front-end and drive it with a short seeded workload;
 # writes the SLO_pr.json artifact CI uploads, METRICS_pr.txt — a mid-run
-# /metrics scrape, validated by the loadgen as it is taken — and
-# TRACE_pr.ndjson, the joined client+server trace log trace-smoke
-# validates. The loadgen exits non-zero on any subscribe error, an empty
-# steady phase, a traced run without spans or a malformed scrape. The
+# /metrics scrape, written as served — and TRACE_pr.ndjson, the joined
+# client+server trace log trace-smoke validates. The loadgen exits
+# non-zero on any subscribe error, an empty steady phase, a traced run
+# without spans or a failed scrape (timeout, non-200 status). The
 # parameters mirror the CI smoke job: small field, sub-second periods, an
 # elasticity wave landing mid-run, every second subscription traced.
 serve-smoke:
@@ -108,7 +106,8 @@ serve-smoke:
 # duplicates, and per-class traced counts reconciled against the
 # END-of-run /metrics ledger (the mid-run METRICS_pr.txt scrape predates
 # the log's later spans, so only the final scrape's counters cover every
-# span). -check makes any integrity violation fail the build;
+# span; a ledger line that does not parse fails the run). -check makes any
+# integrity violation fail the build;
 # TRACE_attrib.txt is the CI artifact.
 trace-smoke: serve-smoke
 	$(GO) run ./cmd/mobiquery-tracestat -trace TRACE_pr.ndjson \

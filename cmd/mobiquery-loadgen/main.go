@@ -15,7 +15,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -28,7 +27,6 @@ import (
 	"time"
 
 	"mobiquery/internal/loadgen"
-	"mobiquery/internal/obs"
 )
 
 func main() {
@@ -65,7 +63,7 @@ func run(args []string) error {
 		largeN   = fs.Int("large-every", 16, "every Nth subscription uses -large-radius (on-demand, pyramid-served)")
 		nodes    = fs.Int("nodes", 2000, "spawned server: sensor node count")
 		tick     = fs.Duration("tick", 20*time.Millisecond, "spawned server: real-time clock tick")
-		metrOut  = fs.String("metrics-out", "", "scrape BASE/metrics mid-run, validate the exposition, and write it to this file")
+		metrOut  = fs.String("metrics-out", "", "scrape BASE/metrics mid-run and write it to this file")
 		metrFin  = fs.String("metrics-final-out", "", "scrape BASE/metrics after the run drains and write it to this file (the ledger mobiquery-tracestat reconciles the trace log against: counters as of after the last span)")
 		traceOut = fs.String("trace-out", "", "write the joined client+server trace log (NDJSON) to this file")
 		traceN   = fs.Int("trace-every", 2, "every Nth subscription carries a trace context (with -trace-out; 0 = never)")
@@ -140,7 +138,7 @@ func run(args []string) error {
 		if err := os.WriteFile(*metrOut, sc.body, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d families, %d samples)\n", *metrOut, sc.families, sc.samples)
+		fmt.Printf("wrote %s (%d bytes)\n", *metrOut, len(sc.body))
 	}
 	// The final scrape happens after Run has drained every stream, so its
 	// counters cover every span in the trace log — the mid-run scrape
@@ -154,7 +152,7 @@ func run(args []string) error {
 		if err := os.WriteFile(*metrFin, sc.body, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d families, %d samples)\n", *metrFin, sc.families, sc.samples)
+		fmt.Printf("wrote %s (%d bytes)\n", *metrFin, len(sc.body))
 	}
 	if *out != "-" {
 		if err := rep.WriteFile(*out); err != nil {
@@ -180,18 +178,18 @@ func run(args []string) error {
 	return nil
 }
 
-// scrape is one validated /metrics fetch.
+// scrape is one /metrics fetch.
 type scrape struct {
-	body              []byte
-	families, samples int
-	err               error
+	body []byte
+	err  error
 }
 
-// scrapeMetrics GETs base/metrics and validates the exposition format, so
-// a malformed exposition fails the run rather than shipping as a healthy
-// looking artifact. The fetch is bounded so a wedged server fails the run
-// with a scrape error instead of hanging it (run blocks on the scrape
-// result after the load phases finish).
+// scrapeMetrics GETs base/metrics. The fetch is bounded so a wedged server
+// fails the run with a scrape error instead of hanging it (run blocks on
+// the scrape result after the load phases finish); a non-200 answer fails
+// it too. The body is written as served: the server's registry is the one
+// writer of the format, pinned by its own tests, and the reader of the
+// final scrape (mobiquery-tracestat) checks the lines it reads.
 func scrapeMetrics(base string) scrape {
 	client := &http.Client{Timeout: 30 * time.Second}
 	resp, err := client.Get(base + "/metrics")
@@ -203,14 +201,7 @@ func scrapeMetrics(base string) scrape {
 		return scrape{err: fmt.Errorf("GET /metrics: status %d", resp.StatusCode)}
 	}
 	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return scrape{err: err}
-	}
-	families, samples, err := obs.ValidateExposition(bytes.NewReader(body))
-	if err != nil {
-		return scrape{err: fmt.Errorf("invalid exposition: %w", err)}
-	}
-	return scrape{body: body, families: families, samples: samples}
+	return scrape{body: body, err: err}
 }
 
 // spawnServe launches a mobiquery-serve binary on a free port and parses

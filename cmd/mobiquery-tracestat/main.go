@@ -32,7 +32,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -143,37 +142,30 @@ func validate(i int, cs wire.ClientSpan, errs []string) []string {
 // exposition.
 type ledger map[string]float64
 
-// readLedger extracts mobiquery_periods_evaluated_total{class} samples
-// from a Prometheus text exposition, validating the format first.
+// readLedger extracts the mobiquery_periods_evaluated_total{class="…"}
+// samples from a /metrics exposition. It reads only the lines with that
+// prefix, and one whose class or value does not parse fails the run rather
+// than leaving its class out of the ledger.
 func readLedger(path string) (ledger, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := obs.ValidateExposition(strings.NewReader(string(b))); err != nil {
-		return nil, fmt.Errorf("%s: invalid exposition: %w", path, err)
-	}
 	led := ledger{}
 	const prefix = `mobiquery_periods_evaluated_total{class="`
-	sc := bufio.NewScanner(strings.NewReader(string(b)))
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, prefix) {
+	for _, line := range strings.Split(string(b), "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
 			continue
 		}
-		rest := line[len(prefix):]
-		q := strings.Index(rest, `"`)
-		sp := strings.LastIndexByte(rest, ' ')
-		if q < 0 || sp < q {
-			continue
+		class, value, ok := strings.Cut(rest, `"} `)
+		v, err := strconv.ParseFloat(value, 64)
+		if !ok || class == "" || err != nil {
+			return nil, fmt.Errorf("%s: unparsable ledger sample %q", path, line)
 		}
-		v, err := strconv.ParseFloat(rest[sp+1:], 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s: bad sample %q", path, line)
-		}
-		led[rest[:q]] = v
+		led[class] = v
 	}
-	return led, sc.Err()
+	return led, nil
 }
 
 func run(args []string, w io.Writer) error {

@@ -147,18 +147,23 @@ func TestCheckOffStillReportsButPasses(t *testing.T) {
 	}
 }
 
-// exposition renders a minimal valid ledger for -metrics.
-func exposition(t *testing.T, cold int) string {
+// ledgerFile writes body as a -metrics exposition and returns its path.
+func ledgerFile(t *testing.T, body string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "METRICS_pr.txt")
-	body := "# HELP mobiquery_periods_evaluated_total periods evaluated by serve class\n" +
-		"# TYPE mobiquery_periods_evaluated_total counter\n" +
-		"mobiquery_periods_evaluated_total{class=\"cold\"} " + strconv.Itoa(cold) + "\n" +
-		"mobiquery_periods_evaluated_total{class=\"planned\"} 0\n"
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatalf("write exposition: %v", err)
 	}
 	return path
+}
+
+// exposition renders a minimal valid ledger for -metrics.
+func exposition(t *testing.T, cold int) string {
+	t.Helper()
+	return ledgerFile(t, "# HELP mobiquery_periods_evaluated_total periods evaluated by serve class\n"+
+		"# TYPE mobiquery_periods_evaluated_total counter\n"+
+		"mobiquery_periods_evaluated_total{class=\"cold\"} "+strconv.Itoa(cold)+"\n"+
+		"mobiquery_periods_evaluated_total{class=\"planned\"} 0\n")
 }
 
 func TestLedgerReconciliation(t *testing.T) {
@@ -174,6 +179,19 @@ func TestLedgerReconciliation(t *testing.T) {
 	}
 	if !strings.Contains(out, "exceed the ledger") {
 		t.Errorf("violation not attributed to the ledger:\n%s", out)
+	}
+	// A ledger line that does not parse fails the run even when the rest
+	// of the ledger covers the spans: it is not skipped.
+	for _, bad := range []string{
+		`mobiquery_periods_evaluated_total{class="planned"} many`,
+		`mobiquery_periods_evaluated_total{class="planned} 0`,
+		`mobiquery_periods_evaluated_total{class=""} 0`,
+	} {
+		led := ledgerFile(t, "mobiquery_periods_evaluated_total{class=\"cold\"} 5\n"+bad+"\n")
+		_, err := runTool(t, "-trace", trace, "-metrics", led, "-check")
+		if err == nil || !strings.Contains(err.Error(), "unparsable ledger sample") {
+			t.Errorf("ledger line %q: err = %v, want an unparsable-sample error", bad, err)
+		}
 	}
 }
 

@@ -170,7 +170,7 @@ func (a *agent) onPrefetch(_ radio.NodeID, body any) {
 		// Disseminate the query tree for this period. The flood scope
 		// extends past the query area so boundary leaves still find a
 		// router/recruiter, per DESIGN.md.
-		scope := geom.Circle{C: msg.Pickup, R: msg.Spec.Radius + a.svc.cfg.ScopeMargin}
+		scope := geom.Circle{C: msg.Pickup, R: msg.Spec.Radius + scopeMargin}
 		a.node.StartFlood(scope, portSetup, setupMsg{
 			QueryID:  msg.QueryID,
 			Version:  msg.Version,

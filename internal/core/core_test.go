@@ -178,7 +178,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"bad scheme", func(c *Config) { c.Scheme = 0 }},
 		{"zero pickup radius", func(c *Config) { c.PickupRadius = 0 }},
-		{"negative scope margin", func(c *Config) { c.ScopeMargin = -1 }},
 		{"collector margin too large", func(c *Config) { c.Spec.Fresh = collectorMargin }},
 		{"negative forward lead", func(c *Config) { c.ForwardLead = -time.Second }},
 	}

@@ -193,7 +193,7 @@ func (g *Gateway) onProfile(p mobility.Profile) {
 // user broadcasts the query into the current area, rooted at the proxy.
 func (g *Gateway) npFlood(k int) {
 	pos := g.proxy.Pos()
-	scope := geom.Circle{C: pos, R: g.spec.Radius + g.svc.cfg.ScopeMargin}
+	scope := geom.Circle{C: pos, R: g.spec.Radius + scopeMargin}
 	g.proxy.StartFlood(scope, portSetup, setupMsg{
 		QueryID:  g.qid,
 		Version:  0,

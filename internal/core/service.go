@@ -43,8 +43,6 @@ func (s Scheme) String() string {
 
 // Config parameterizes a MobiQuery service instance.
 type Config struct {
-	// QueryID labels the single query session of this service.
-	QueryID uint32
 	// Spec is the spatiotemporal query specification.
 	Spec QuerySpec
 	// Scheme selects JIT, GP, or NP.
@@ -55,9 +53,6 @@ type Config struct {
 	T0 sim.Time
 	// PickupRadius is Rp: anycast delivery radius around pickup points.
 	PickupRadius float64
-	// ScopeMargin extends the setup flood past Rq so boundary leaves have a
-	// recruiting router (default Rc/2).
-	ScopeMargin float64
 	// ForwardLead is a safety margin subtracted from the equation (10)
 	// just-in-time hold bound. It keeps prefetch forwarding (and the tree
 	// setup it triggers) clear of the collection burst at deadline-Tfresh.
@@ -85,17 +80,19 @@ const (
 	moveInterval = 100 * time.Millisecond
 )
 
+// scopeMargin (m) extends the setup flood past Rq so boundary leaves have a
+// recruiting router: Rc/2 with the default 105 m range.
+const scopeMargin = 52.5
+
 // DefaultConfig returns the configuration used throughout the paper's
 // evaluation for the given query spec.
 func DefaultConfig(spec QuerySpec) Config {
 	return Config{
-		QueryID:      1,
 		Spec:         spec,
 		Scheme:       SchemeJIT,
 		T0:           500 * time.Millisecond,
 		ForwardLead:  250 * time.Millisecond,
 		PickupRadius: 40,
-		ScopeMargin:  52.5, // Rc/2 with the default 105 m range
 	}
 }
 
@@ -109,8 +106,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: invalid scheme %d", int(c.Scheme))
 	case c.PickupRadius <= 0:
 		return fmt.Errorf("core: pickup radius must be positive")
-	case c.ScopeMargin < 0:
-		return fmt.Errorf("core: scope margin must be non-negative")
 	case c.Spec.Fresh <= collectorMargin:
 		return fmt.Errorf("core: collector margin %v must be within (0, Tfresh)", collectorMargin)
 	case c.ForwardLead < 0:
@@ -170,12 +165,12 @@ type Service struct {
 }
 
 // New builds a MobiQuery service over an un-started network with a single
-// mobile user. proxyID must identify a node previously added with AddProxy;
-// every other node gets a sensor agent. Call Start after
-// netstack.Network.Start.
+// mobile user, whose query id is 1. proxyID must identify a node previously
+// added with AddProxy; every other node gets a sensor agent. Call Start
+// after netstack.Network.Start.
 func New(nw *netstack.Network, cfg Config, fld field.Field, course mobility.Course, profiler mobility.Profiler, proxyID radio.NodeID, hooks Hooks) *Service {
 	s := NewService(nw, cfg, fld, hooks)
-	s.AddUser(cfg.QueryID, cfg.Scheme, cfg.Spec, course, profiler, proxyID)
+	s.AddUser(1, cfg.Scheme, cfg.Spec, course, profiler, proxyID)
 	return s
 }
 

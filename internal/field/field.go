@@ -54,18 +54,6 @@ func (g GaussianPlume) Sample(p geom.Point, t sim.Time) float64 {
 	return g.Amplitude * math.Exp(-d2/(2*g.Sigma*g.Sigma))
 }
 
-// Sum composes fields additively.
-type Sum []Field
-
-// Sample implements Field.
-func (s Sum) Sample(p geom.Point, t sim.Time) float64 {
-	var v float64
-	for _, f := range s {
-		v += f.Sample(p, t)
-	}
-	return v
-}
-
 // Func adapts a plain function to the Field interface.
 type Func func(p geom.Point, t sim.Time) float64
 

@@ -59,16 +59,6 @@ func TestGaussianPlumeDrift(t *testing.T) {
 	}
 }
 
-func TestSum(t *testing.T) {
-	f := Sum{Uniform{Value: 20}, Gradient{Slope: geom.V(0.1, 0)}}
-	if got := f.Sample(geom.Pt(10, 0), 0); math.Abs(got-21) > 1e-12 {
-		t.Errorf("Sum = %v, want 21", got)
-	}
-	if got := (Sum{}).Sample(geom.Pt(1, 1), 0); got != 0 {
-		t.Errorf("empty Sum = %v", got)
-	}
-}
-
 func TestFunc(t *testing.T) {
 	f := Func(func(p geom.Point, t2 time.Duration) float64 { return p.X + t2.Seconds() })
 	if got := f.Sample(geom.Pt(3, 0), 2*time.Second); got != 5 {

@@ -199,23 +199,3 @@ func MeanCI95(xs []float64) (mean, halfWidth float64) {
 	}
 	return mean, t * sd / math.Sqrt(float64(n))
 }
-
-// Percentile returns the pth percentile (0..100) of xs by nearest-rank.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}

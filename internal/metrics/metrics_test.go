@@ -217,26 +217,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("empty percentile = %v", got)
-	}
-	// Input must stay unsorted (no mutation).
-	if xs[0] != 5 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
 func TestStorageTracker(t *testing.T) {
 	st := NewStorageTracker(sec(0.5), 2*time.Second)
 	// At t=1s the user is in period 0; trees for k=3 and k=4 go up.

@@ -474,14 +474,6 @@ func TestGPSPredictorDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-func TestFixedProfiler(t *testing.T) {
-	want := []TimedProfile{{Deliver: sec(1)}}
-	got := FixedProfiler(want).Profiles()
-	if len(got) != 1 || got[0].Deliver != sec(1) {
-		t.Errorf("FixedProfiler = %+v", got)
-	}
-}
-
 func TestCourseShortLastLeg(t *testing.T) {
 	// Duration not a multiple of the change interval: last leg truncated.
 	spec := courseSpec()

@@ -198,10 +198,3 @@ func legStarts(c Course) []sim.Time {
 	out = append(out, c.Changes...)
 	return out
 }
-
-// FixedProfiler returns exactly the supplied profiles; used by tests and by
-// applications that drive MobiQuery with externally computed plans.
-type FixedProfiler []TimedProfile
-
-// Profiles implements Profiler.
-func (f FixedProfiler) Profiles() []TimedProfile { return f }

@@ -160,20 +160,6 @@ func (nw *Network) NodeIDs() []radio.NodeID {
 // InRange reports whether two nodes are currently within radio range.
 func (nw *Network) InRange(a, b radio.NodeID) bool { return nw.med.InRange(a, b) }
 
-// NodesWithin returns the ids of relay-capable sensor nodes within radius r
-// of p, sorted by id for determinism.
-func (nw *Network) NodesWithin(p geom.Point, r float64) []radio.NodeID {
-	ids := nw.med.NodesWithin(nil, p, r)
-	out := ids[:0]
-	for _, id := range ids {
-		if n := nw.nodes[id]; n != nil && n.relay {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Start freezes the topology, builds neighbour tables, and arms every
 // node's MAC schedule. Call exactly once at simulation time zero.
 func (nw *Network) Start() {
@@ -476,10 +462,4 @@ func (n *Node) deliver(port Port, src radio.NodeID, body any) {
 	if h := n.handlers[port]; h != nil {
 		h(src, body)
 	}
-}
-
-// ResetFloodCache clears the duplicate-suppression cache. Long-running
-// simulations call this between query sessions to bound memory.
-func (n *Node) ResetFloodCache() {
-	n.seen = make(map[floodKey]struct{})
 }

@@ -262,17 +262,6 @@ func TestNeighborsSortedAndFiltered(t *testing.T) {
 	}
 }
 
-func TestNodesWithinExcludesProxy(t *testing.T) {
-	_, nw := newNet(1)
-	nw.AddNode(0, geom.Pt(100, 100), mac.RoleAlwaysOn)
-	nw.AddNode(1, geom.Pt(120, 100), mac.RoleDutyCycled)
-	nw.AddProxy(99, geom.Pt(105, 100))
-	got := nw.NodesWithin(geom.Pt(100, 100), 50)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("NodesWithin = %v, want [0 1]", got)
-	}
-}
-
 func TestAddAfterStartPanics(t *testing.T) {
 	_, nw := newNet(1)
 	nw.AddNode(0, geom.Pt(0, 0), mac.RoleAlwaysOn)
@@ -294,25 +283,6 @@ func TestDuplicateNodePanics(t *testing.T) {
 		}
 	}()
 	nw.AddNode(0, geom.Pt(1, 1), mac.RoleAlwaysOn)
-}
-
-func TestResetFloodCacheAllowsRedelivery(t *testing.T) {
-	eng, nw := newNet(1)
-	a := nw.AddNode(0, geom.Pt(0, 100), mac.RoleAlwaysOn)
-	b := nw.AddNode(1, geom.Pt(80, 100), mac.RoleAlwaysOn)
-	count := 0
-	b.HandleFlood(portFlood, func(_, _ radio.NodeID, _ any, _ int) { count++ })
-	nw.Start()
-	scope := geom.Circle{C: geom.Pt(40, 100), R: 200}
-	eng.Schedule(0, func() { a.StartFlood(scope, portFlood, "x", 10) })
-	eng.Schedule(100*time.Millisecond, func() {
-		b.ResetFloodCache()
-		a.StartFlood(scope, portFlood, "y", 10)
-	})
-	eng.Run(time.Second)
-	if count != 2 {
-		t.Errorf("flood deliveries = %d, want 2", count)
-	}
 }
 
 func TestProxyMoveTracksRange(t *testing.T) {

@@ -2,7 +2,7 @@
 // and gauges, fixed-boundary log-spaced histograms whose record path is
 // 0-alloc and lock-free, and a registry rendering the lot in Prometheus
 // text exposition format (version 0.0.4). It also carries the period
-// lifecycle tracer (trace.go) and a tiny exposition validator (expfmt.go).
+// lifecycle tracer (trace.go).
 //
 // The record path is the design constraint: Counter.Inc, Gauge.Set, and
 // Histogram.Observe are a handful of atomic operations with no allocation,

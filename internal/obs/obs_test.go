@@ -2,6 +2,7 @@ package obs
 
 import (
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -128,14 +129,37 @@ func TestConcurrentIncrement(t *testing.T) {
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
-	if _, _, err := ValidateExposition(strings.NewReader(sb.String())); err != nil {
-		t.Fatalf("exposition invalid: %v\n%s", err, sb.String())
+	// The rendered histogram: cumulative buckets never decrease, and the
+	// +Inf bucket and _count both carry every observation.
+	out := sb.String()
+	var prev, inf uint64
+	for _, line := range strings.Split(out, "\n") {
+		rest, ok := strings.CutPrefix(line, "t_seconds_bucket{le=")
+		if !ok {
+			continue
+		}
+		le, v, _ := strings.Cut(rest, "} ")
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			t.Fatalf("bucket line %q: %v", line, err)
+		}
+		if n < prev {
+			t.Fatalf("bucket %s = %d falls below the previous %d:\n%s", le, n, prev, out)
+		}
+		prev = n
+		if le == `"+Inf"` {
+			inf = n
+		}
+	}
+	want := "t_seconds_count " + strconv.Itoa(workers*per) + "\n"
+	if inf != workers*per || !strings.Contains(out, want) {
+		t.Fatalf("+Inf bucket = %d, want it and _count at %d:\n%s", inf, workers*per, out)
 	}
 }
 
 // TestRegistryExposition pins the rendered format end to end: family order,
 // get-or-create identity, OnScrape sampling, label rendering, histogram
-// bucket elision with +Inf/_sum/_count, and validator acceptance.
+// bucket elision with +Inf/_sum/_count.
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("app_things_total", `kind="a"`, "things processed")
@@ -177,13 +201,6 @@ func TestRegistryExposition(t *testing.T) {
 	// Elision: only observed buckets (plus +Inf) appear.
 	if n := strings.Count(out, "app_op_seconds_bucket"); n != 3 {
 		t.Fatalf("want 3 bucket lines after elision, got %d:\n%s", n, out)
-	}
-	fams, samples, err := ValidateExposition(strings.NewReader(out))
-	if err != nil {
-		t.Fatalf("exposition invalid: %v\n%s", err, out)
-	}
-	if fams != 3 || samples < 8 {
-		t.Fatalf("validator saw %d families / %d samples, want 3 / >=8", fams, samples)
 	}
 }
 
@@ -231,41 +248,6 @@ func TestTraceRing(t *testing.T) {
 		if got[i].K != want {
 			t.Fatalf("wrapped snapshot[%d].K = %d, want %d", i, got[i].K, want)
 		}
-	}
-}
-
-// TestValidateExpositionRejects pins the validator against the malformed
-// lines CI is meant to catch.
-func TestValidateExpositionRejects(t *testing.T) {
-	cases := map[string]string{
-		"bad metric name":  "# TYPE ok counter\n1bad 3\n",
-		"no value":         "# TYPE ok counter\nok\n",
-		"bad value":        "# TYPE ok counter\nok abc\n",
-		"no TYPE":          "orphan 3\n",
-		"unterminated":     "# TYPE ok counter\nok{a=\"x 3\n",
-		"bad label name":   "# TYPE ok counter\nok{1a=\"x\"} 3\n",
-		"bucket no le":     "# TYPE h histogram\nh_bucket 1\nh_sum 1\nh_count 1\n",
-		"non-monotone":     "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n",
-		"inf != count":     "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 4\n",
-		"missing +Inf":     "# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_sum 1\nh_count 3\n",
-		"duplicate TYPE":   "# TYPE ok counter\n# TYPE ok counter\nok 1\n",
-		"unknown kind":     "# TYPE ok widget\nok 1\n",
-		"trailing garbage": "# TYPE ok counter\nok 3 12 9\n",
-	}
-	for name, in := range cases {
-		if _, _, err := ValidateExposition(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: validator accepted %q", name, in)
-		}
-	}
-	good := "# some comment\n# HELP ok fine\n# TYPE ok counter\nok{a=\"x,y\",b=\"z\"} 3 1700000000000\n\n"
-	if _, _, err := ValidateExposition(strings.NewReader(good)); err != nil {
-		t.Fatalf("validator rejected valid exposition: %v", err)
-	}
-	// '}' and escaped quotes inside a quoted label value are legal — the
-	// closing-brace scan must not stop inside the value.
-	braces := "# TYPE ok counter\nok{path=\"/v1/{id}/trace\",q=\"a\\\"b}\"} 3\n"
-	if _, _, err := ValidateExposition(strings.NewReader(braces)); err != nil {
-		t.Fatalf("validator rejected label value containing '}': %v", err)
 	}
 }
 

@@ -491,6 +491,7 @@ func TestBadRequestsAreClientErrors(t *testing.T) {
 		{`{"spec":{"radius_m":-1,"period_ns":1000000000},"motion":{"kind":"static"}}`, http.StatusUnprocessableEntity},
 		// One past each build bound: refused before Subscribe runs.
 		{fmt.Sprintf(`{"spec":{"radius_m":100,"period_ns":1000000000,"window":%d},"motion":{"kind":"static"}}`, wire.MaxWindow+1), http.StatusBadRequest},
+		{fmt.Sprintf(`{"spec":{"radius_m":100,"period_ns":1000000000,"strategy":"jit","corridor_lookahead":%d},"motion":{"kind":"static"}}`, wire.MaxCorridorLookahead+1), http.StatusBadRequest},
 		{overBound(int64(wire.MaxCourseDuration)+1, int64(wire.MaxCourseDuration)+1, int64(wire.MaxCourseDuration)+1, 1e9), http.StatusBadRequest},
 		{overBound(wire.MaxCourseSteps+1, 1, wire.MaxCourseSteps+1, 1e9), http.StatusBadRequest},
 		{overBound(wire.MaxCourseSteps+1, wire.MaxCourseSteps+1, 1, 1e9), http.StatusBadRequest},

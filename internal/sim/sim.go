@@ -47,7 +47,6 @@ type Engine struct {
 	rootSeed int64
 	streams  map[string]*rand.Rand
 	fired    uint64
-	halted   bool
 }
 
 // NewEngine returns an engine with its virtual clock at zero and all RNG
@@ -125,15 +124,11 @@ func (e *Engine) Cancel(t *Timer) {
 	}
 }
 
-// Halt stops the current Run after the in-flight event completes.
-func (e *Engine) Halt() { e.halted = true }
-
 // Run executes events in timestamp order until the queue empties or the
 // next event is later than until. The clock finishes at until (or at the
 // last event if the queue drains first and exceeds it).
 func (e *Engine) Run(until Time) {
-	e.halted = false
-	for e.queue.Len() > 0 && !e.halted {
+	for e.queue.Len() > 0 {
 		next := e.queue[0]
 		if next.at > until {
 			break
@@ -148,39 +143,9 @@ func (e *Engine) Run(until Time) {
 		e.fired++
 		fn()
 	}
-	if e.now < until && !e.halted {
+	if e.now < until {
 		e.now = until
 	}
-}
-
-// Step executes exactly one pending event, if any, and reports whether an
-// event was executed. Used by tests that need fine-grained control.
-func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		next := heap.Pop(&e.queue).(*Timer)
-		if next.canceled {
-			continue
-		}
-		e.now = next.at
-		fn := next.fn
-		next.fn = nil
-		e.fired++
-		fn()
-		return true
-	}
-	return false
-}
-
-// Pending returns the number of events waiting in the queue (including
-// not-yet-compacted canceled entries are excluded).
-func (e *Engine) Pending() int {
-	n := 0
-	for _, t := range e.queue {
-		if !t.canceled {
-			n++
-		}
-	}
-	return n
 }
 
 // timerHeap orders timers by (time, sequence) so simultaneous events fire in

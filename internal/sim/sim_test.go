@@ -127,57 +127,6 @@ func TestRunStopsAtHorizon(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				e.Halt()
-			}
-		})
-	}
-	e.Run(time.Minute)
-	if count != 3 {
-		t.Errorf("count = %d after Halt, want 3", count)
-	}
-	// Run can resume after a halt.
-	e.Run(time.Minute)
-	if count != 10 {
-		t.Errorf("count = %d after resume, want 10", count)
-	}
-}
-
-func TestStep(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	e.Schedule(time.Second, func() { count++ })
-	e.Schedule(2*time.Second, func() { count++ })
-	if !e.Step() || count != 1 {
-		t.Fatalf("first Step: count=%d", count)
-	}
-	if !e.Step() || count != 2 {
-		t.Fatalf("second Step: count=%d", count)
-	}
-	if e.Step() {
-		t.Error("Step on empty queue should return false")
-	}
-}
-
-func TestPending(t *testing.T) {
-	e := NewEngine(1)
-	a := e.Schedule(time.Second, func() {})
-	e.Schedule(2*time.Second, func() {})
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", e.Pending())
-	}
-	e.Cancel(a)
-	if e.Pending() != 1 {
-		t.Errorf("Pending after cancel = %d, want 1", e.Pending())
-	}
-}
-
 func TestEventsFired(t *testing.T) {
 	e := NewEngine(1)
 	for i := 1; i <= 5; i++ {

@@ -111,19 +111,22 @@ var aggNames = map[string]mobiquery.AggKind{
 
 // Bounds on what one subscribe body can make the server build, each far
 // past what a session needs: a result window aggregates at most MaxWindow
-// periods, and a course motion lasts at most MaxCourseDuration and takes at
-// most MaxCourseSteps legs (duration / change interval), GPS samples
-// (duration / sampling period) and wall reflections (about top speed ×
-// duration / region side).
+// periods, a corridor stages at most MaxCorridorLookahead boundaries (at
+// Subscribe, under the service lock), and a course motion lasts at most
+// MaxCourseDuration and takes at most MaxCourseSteps legs (duration /
+// change interval), GPS samples (duration / sampling period) and wall
+// reflections (about top speed × duration / region side).
 const (
-	MaxWindow         = 1 << 12
-	MaxCourseDuration = 7 * 24 * time.Hour
-	MaxCourseSteps    = 1 << 16
+	MaxWindow            = 1 << 12
+	MaxCorridorLookahead = 64
+	MaxCourseDuration    = 7 * 24 * time.Hour
+	MaxCourseSteps       = 1 << 16
 )
 
 // QuerySpec converts the wire spec to the session form. Unknown
-// aggregate/strategy names and a window past MaxWindow are errors;
-// everything else is left to QuerySpec.Validate at Subscribe time.
+// aggregate/strategy names, a window past MaxWindow and a corridor
+// lookahead past MaxCorridorLookahead are errors; everything else is left
+// to QuerySpec.Validate at Subscribe time.
 func (s Spec) QuerySpec() (mobiquery.QuerySpec, error) {
 	agg, ok := aggNames[s.Aggregate]
 	if !ok {
@@ -131,6 +134,9 @@ func (s Spec) QuerySpec() (mobiquery.QuerySpec, error) {
 	}
 	if s.Window > MaxWindow {
 		return mobiquery.QuerySpec{}, fmt.Errorf("wire: window %d exceeds %d periods", s.Window, MaxWindow)
+	}
+	if s.CorridorLookahead > MaxCorridorLookahead {
+		return mobiquery.QuerySpec{}, fmt.Errorf("wire: corridor lookahead %d exceeds %d boundaries", s.CorridorLookahead, MaxCorridorLookahead)
 	}
 	q := mobiquery.QuerySpec{
 		Radius:    s.RadiusM,

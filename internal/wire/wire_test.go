@@ -455,7 +455,7 @@ func TestSpecTraceIDConversion(t *testing.T) {
 // Motion.Source. None may panic, and whatever they accept stays inside the
 // build bounds. The seeds hold the shapes that used to be unbounded: a
 // course of ~9·10⁹ legs, one of as many GPS samples, one of ~10¹³ wall
-// reflections, and a 10⁹-period window.
+// reflections, a 10⁹-period window and a 2³⁰-boundary corridor lookahead.
 func FuzzSubscribeRequest(f *testing.F) {
 	const spec = `"spec":{"radius_m":150,"period_ns":1000000000,"strategy":"jit"}`
 	for _, body := range []string{
@@ -464,6 +464,7 @@ func FuzzSubscribeRequest(f *testing.F) {
 		`{` + spec + `,"motion":{"kind":"course","region_side_m":1e9,"speed_min_mps":1,"speed_max_mps":1,"change_interval_ns":9000000000000000000,"duration_ns":9000000000000000000,"gps_sampling_ns":1000000000}}`,
 		`{` + spec + `,"motion":{"kind":"course","region_side_m":1,"speed_min_mps":1,"speed_max_mps":1e6,"change_interval_ns":1000000000000000,"duration_ns":1000000000000000,"gps_sampling_ns":1000000000000000}}`,
 		`{"spec":{"radius_m":150,"period_ns":1000000000,"window":1000000000},"motion":{"kind":"static","x_m":225,"y_m":225}}`,
+		`{"spec":{"radius_m":150,"period_ns":1000000000,"strategy":"jit","corridor_lookahead":1073741824},"motion":{"kind":"static","x_m":225,"y_m":225}}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -474,6 +475,8 @@ func FuzzSubscribeRequest(f *testing.F) {
 		}
 		if spec, err := req.Spec.QuerySpec(); err == nil && spec.Window > MaxWindow {
 			t.Fatalf("accepted a %d-period window", spec.Window)
+		} else if err == nil && spec.Corridor.Lookahead > MaxCorridorLookahead {
+			t.Fatalf("accepted a %d-boundary corridor lookahead", spec.Corridor.Lookahead)
 		}
 		m := req.Motion
 		if _, err := m.Source(); err != nil || m.Kind != "course" {

@@ -86,9 +86,9 @@ func TestTraceDisabled(t *testing.T) {
 }
 
 // TestServiceMetricsExposition pins the service registry: deterministic
-// counters after a manual-clock run, validator-clean exposition, and the
-// scrape-time ledger agreeing with Stats — which every scrape, /v1/stats and
-// /healthz snapshot through, so it must not allocate.
+// counters after a manual-clock run, and the scrape-time ledger agreeing
+// with Stats — which every scrape, /v1/stats and /healthz snapshot
+// through, so it must not allocate.
 func TestServiceMetricsExposition(t *testing.T) {
 	svc := mustOpen(t, WithAlignedSampling())
 	sub, err := svc.Subscribe(context.Background(), smallSpec(), StaticPosition(Pt(225, 225)))
@@ -105,9 +105,6 @@ func TestServiceMetricsExposition(t *testing.T) {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	out := sb.String()
-	if _, _, err := obs.ValidateExposition(strings.NewReader(out)); err != nil {
-		t.Fatalf("exposition invalid: %v\n%s", err, out)
-	}
 	st := svc.Stats()
 	if st.Delivered != 1 {
 		t.Fatalf("delivered = %d, want 1 (3 x 1s over a 2s period)", st.Delivered)
