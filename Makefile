@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-idle-1m bench-evaluate-cold bench-advance-dense bench-wire fuzz-smoke repo-bench-smoke serve-smoke trace-smoke fmt vet loc check
+.PHONY: all build test race bench bench-idle-1m bench-schedule bench-evaluate-cold bench-advance-dense bench-wire fuzz-smoke repo-bench-smoke serve-smoke trace-smoke fmt vet loc check
 
 all: build
 
@@ -15,7 +15,7 @@ test:
 
 # The second pass repeats the two differential tests the period path rests
 # on, each against its naive model: the intrusive schedule's (cheap, seeded,
-# owner of the heap-index invariant) and the reading column's, with the
+# owner of the bucket-slot invariant) and the reading column's, with the
 # three-party race over a column's lifetime beside it, and the engine churn
 # storm, every registry writer and reader against the one registry lock. The
 # third repeats the service-level close storm — Close, Subscribe and Advance
@@ -63,9 +63,12 @@ bench-wire:
 # Every fuzz target past its seed corpus, ten seconds each: the result
 # frame codec against encoding/json, and a subscribe body through
 # everything the server runs before Subscribe against the build bounds.
+# -fuzzminimizetime=1s caps the minimization of each new interesting input;
+# at Go's default of 60 s, the first one found stalls the run at 0 execs/s
+# for the rest of its ten seconds.
 fuzz-smoke:
-	$(GO) test -run=xxx -fuzz='^FuzzResultFrameCodec$$' -fuzztime=10s ./internal/wire
-	$(GO) test -run=xxx -fuzz='^FuzzSubscribeRequest$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run=xxx -fuzz='^FuzzResultFrameCodec$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
+	$(GO) test -run=xxx -fuzz='^FuzzSubscribeRequest$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
 
 # The million-subscriber idle gate on its own: one pass of the idle arm of
 # BenchmarkAdvance1M, which b.Fatals if the timed loop allocates at all —
@@ -73,6 +76,13 @@ fuzz-smoke:
 # invariant.
 bench-idle-1m:
 	$(GO) test -run=xxx -bench='^BenchmarkAdvance1M$$/^Idle$$' -benchtime=1x .
+
+# The schedule's steady-state gate: BenchmarkScheduleCohorts pops and
+# re-arms whole due cohorts (50k queries over 100 slots, 4k on one due, 1M
+# over 1000 slots) and b.Fatals if the timed loop allocates at all or a
+# popped batch leaves (due, id) order.
+bench-schedule:
+	$(GO) test -run=xxx -bench='^BenchmarkScheduleCohorts$$' -benchtime=2000x ./internal/core
 
 # Two seconds of each workload of the repository benchmark (BENCHMARK.json,
 # benchmark/README.md). The numbers of so short a run mean nothing; the run

@@ -669,18 +669,19 @@ func benchAdvance1MService(b *testing.B, subscribers int, period time.Duration, 
 // million live subscribers on one service.
 //
 // Idle steps the clock 1 µs at a time with every period an hour out —
-// the scheduler's idle check, one atomic load of the heap's published head,
-// must keep the tick O(1) and allocation-free, and the benchmark hard-fails
-// (not just reports) if the timed loop allocates at all, so `-benchtime=1x`
-// in CI gates the invariant rather than asserting it locally.
+// the scheduler's idle check, one atomic load of the schedule's published
+// head, must keep the tick O(1) and allocation-free, and the benchmark
+// hard-fails (not just reports) if the timed loop allocates at all, so
+// `-benchtime=1x` in CI gates the invariant rather than asserting it
+// locally.
 //
-// Dense makes all million periods due every op: PopDue draining the whole
-// heap in (due, id) order, the parallel fan-out in which each worker
-// evaluates and delivers its subscriptions' periods, and the per-worker
-// batched re-arm flush, all at full width. DenseSerial is the same
-// workload pinned to one worker — the scaling denominator, so
-// Dense/DenseSerial measures what Workers>1 buys end to end (on a
-// single-core host the two tie).
+// Dense makes all million periods due every op, on one shared due: PopDue
+// taking that due's million-entry bucket and sorting it by id, the
+// parallel fan-out in which each worker evaluates and delivers its
+// subscriptions' periods, and the per-worker batched re-arm flush into one
+// new bucket, all at full width. DenseSerial is the same workload pinned
+// to one worker — the scaling denominator, so Dense/DenseSerial measures
+// what Workers>1 buys end to end (on a single-core host the two tie).
 func BenchmarkAdvance1M(b *testing.B) {
 	const subscribers = 1_000_000
 	b.Run("Idle", func(b *testing.B) {

@@ -57,13 +57,15 @@ func (c EngineConfig) Validate() error {
 // evaluations of distinct queries never contend.
 type Query struct {
 	id uint32
-	// heapPos is the query's slot in the schedule's heap plus one: 0 while
-	// popped or not yet armed, heapRemoved once deregistered. Guarded by the
-	// schedule lock, not mu.
-	heapPos int32
+	// slot is the query's index in its schedule bucket plus one: 0 while
+	// popped or not yet armed, slotRemoved once deregistered. bucket is that
+	// bucket's index in the schedule's table while slot > 0. Both are
+	// guarded by the schedule lock, not mu.
+	slot int32
 	// offColumn mirrors sampler != nil || aggIndex != nil — the query's
 	// readings are its plan's or its pyramid's — for PopDue to read without mu.
 	offColumn atomic.Bool
+	bucket    int32
 	radius    float64
 	eng       *QueryEngine
 	owner     any
@@ -94,8 +96,8 @@ type Query struct {
 	aggIndex AggIndex
 }
 
-// heapRemoved is Query.heapPos after Schedule.Remove, for good.
-const heapRemoved = -1
+// slotRemoved is Query.slot after Schedule.Remove, for good.
+const slotRemoved = -1
 
 // Owner returns the value registration attached to the query: a driver
 // goes from a popped schedule entry to its own state without a lookup.

@@ -60,52 +60,102 @@ func (mq *modelQuery) arm(due sim.Time) {
 }
 
 // checkIntrusive verifies the engine's schedule against the model: the
-// armed sets agree, every entry's query points back at its own slot, every
-// unarmed handle says so, and the heap is a valid heap.
+// bucket layout is sound (checkBuckets), the armed sets agree, every armed
+// query's stored bucket and slot hold its own entry at its due, and every
+// unarmed handle says so.
 func checkIntrusive(t *testing.T, step int, e *QueryEngine, m *scheduleModel) {
 	t.Helper()
-	heap := e.sched.heap
-	for i, en := range heap {
-		if en.Query.heapPos != int32(i+1) {
-			t.Fatalf("step %d: slot %d holds query %d whose stored slot is %d", step, i, en.ID, en.Query.heapPos-1)
-		}
-		if en.ID != en.Query.id {
-			t.Fatalf("step %d: slot %d: entry id %d, query id %d", step, i, en.ID, en.Query.id)
-		}
-		if i > 0 && dueLess(en, heap[(i-1)/arity]) {
-			t.Fatalf("step %d: slot %d sorts before its parent", step, i)
-		}
-	}
-	wantHead := int64(headEmpty)
-	if len(heap) > 0 {
-		wantHead = int64(heap[0].Due)
-	}
-	if head := e.sched.head.Load(); head != wantHead {
-		t.Fatalf("step %d: published head %d, the heap's minimum is %d", step, head, wantHead)
-	}
+	s := e.sched
+	checkBuckets(t, step, s)
 	want := 0
 	for _, mq := range m.all {
 		switch {
 		case mq.armed:
 			want++
-			if p := mq.q.heapPos; p <= 0 {
+			if p := mq.q.slot; p <= 0 {
 				t.Fatalf("step %d: query %d should be armed at %v, stored slot %d", step, mq.id, mq.armedAt, p-1)
 			}
-			if en := heap[mq.q.heapPos-1]; en.Query != mq.q || en.Due != mq.armedAt {
+			if en := s.buckets[mq.q.bucket].entries[mq.q.slot-1]; en.Query != mq.q || en.Due != mq.armedAt {
 				t.Fatalf("step %d: query %d's slot holds (%d, %v), want its own entry at %v", step, mq.id, en.ID, en.Due, mq.armedAt)
 			}
 		case mq.live:
-			if mq.q.heapPos != 0 {
-				t.Fatalf("step %d: popped query %d stores slot %d", step, mq.id, mq.q.heapPos-1)
+			if mq.q.slot != 0 {
+				t.Fatalf("step %d: popped query %d stores slot %d", step, mq.id, mq.q.slot-1)
 			}
 		default:
-			if mq.q.heapPos != heapRemoved {
-				t.Fatalf("step %d: deregistered query %d stores slot %d, want spent", step, mq.id, mq.q.heapPos-1)
+			if mq.q.slot != slotRemoved {
+				t.Fatalf("step %d: deregistered query %d stores slot %d, want spent", step, mq.id, mq.q.slot-1)
 			}
 		}
 	}
-	if len(heap) != want {
-		t.Fatalf("step %d: schedule holds %d entries, model %d", step, len(heap), want)
+	if s.n != want {
+		t.Fatalf("step %d: schedule holds %d entries, model %d", step, s.n, want)
+	}
+}
+
+// checkBuckets verifies the schedule's structure, not only its order:
+// every entry stores its own bucket and slot and carries its bucket's due;
+// every live bucket is non-empty, stores its slot in the due-heap and is
+// the one the index finds for its due; the due-heap is a heap; the index,
+// the heap, the free list and the entry count agree; and the published head
+// is the minimum due.
+func checkBuckets(t *testing.T, step int, s *Schedule) {
+	t.Helper()
+	entries := 0
+	minDue := sim.Time(headEmpty)
+	live := make(map[int32]bool, len(s.dues))
+	for i, r := range s.dues {
+		bk := &s.buckets[r.b]
+		switch {
+		case live[r.b]:
+			t.Fatalf("step %d: bucket %d sits in the due-heap twice", step, r.b)
+		case int(bk.pos) != i:
+			t.Fatalf("step %d: due-heap slot %d holds bucket %d, which stores slot %d", step, i, r.b, bk.pos)
+		case r.due != bk.due:
+			t.Fatalf("step %d: due-heap slot %d keys bucket %d at %v, the bucket is due %v", step, i, r.b, r.due, bk.due)
+		case i > 0 && r.due < s.dues[(i-1)/2].due:
+			t.Fatalf("step %d: due-heap slot %d sorts before its parent", step, i)
+		case len(bk.entries) == 0:
+			t.Fatalf("step %d: empty bucket %d (due %v) sits in the due-heap", step, r.b, bk.due)
+		}
+		if b, ok := s.find(bk.due); !ok || b != r.b {
+			t.Fatalf("step %d: the index finds (%d, %v) for due %v, its bucket is %d", step, b, ok, bk.due, r.b)
+		}
+		live[r.b] = true
+		for j, en := range bk.entries {
+			if en.Query.slot != int32(j+1) || en.Query.bucket != r.b {
+				t.Fatalf("step %d: bucket %d slot %d holds query %d, which stores bucket %d slot %d", step, r.b, j, en.ID, en.Query.bucket, en.Query.slot-1)
+			}
+			if en.ID != en.Query.id || en.Due != bk.due {
+				t.Fatalf("step %d: bucket %d (due %v) slot %d holds (%d, %v) for query %d", step, r.b, bk.due, j, en.ID, en.Due, en.Query.id)
+			}
+		}
+		entries += len(bk.entries)
+		minDue = min(minDue, bk.due)
+	}
+	indexed := 0
+	for _, v := range s.index {
+		if v != 0 {
+			indexed++
+		}
+	}
+	if indexed != len(s.dues) {
+		t.Fatalf("step %d: the index holds %d dues, the due-heap %d", step, indexed, len(s.dues))
+	}
+	for _, b := range s.free {
+		if live[b] || len(s.buckets[b].entries) != 0 {
+			t.Fatalf("step %d: free bucket %d is live, listed twice or holds %d entries", step, b, len(s.buckets[b].entries))
+		}
+		live[b] = true // each free bucket once
+	}
+	if len(live) != len(s.buckets) || len(s.free)+len(s.dues) != len(s.buckets) {
+		t.Fatalf("step %d: %d live and %d free buckets in a table of %d", step, len(s.dues), len(s.free), len(s.buckets))
+	}
+	if entries != s.n {
+		t.Fatalf("step %d: buckets hold %d entries, the count says %d", step, entries, s.n)
+	}
+	if head := s.head.Load(); head != int64(minDue) {
+		t.Fatalf("step %d: published head %d, the minimum due is %d", step, head, minDue)
 	}
 }
 

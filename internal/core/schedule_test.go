@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -51,6 +52,14 @@ func (s *idSchedule) Remove(id uint32) {
 	}
 }
 
+// dueLess orders entries by (Due, ID), the pop contract's total order.
+func dueLess(a, b DueEntry) bool {
+	if a.Due != b.Due {
+		return a.Due < b.Due
+	}
+	return a.ID < b.ID
+}
+
 // sameDue compares two entries by what the pop contract orders, (id, due):
 // an expected entry written as a literal carries no handle.
 func sameDue(a, b DueEntry) bool { return a.ID == b.ID && a.Due == b.Due }
@@ -93,15 +102,33 @@ func TestSchedulePopOrder(t *testing.T) {
 	}
 }
 
-// TestSchedulePropertyAgainstBruteForce drives 10k temporal queries
-// through a long random interleaving of RegisterTemporalE, EvaluateDue,
-// Deregister, and PopDue, checking after every operation batch that the
-// engine's schedule agrees exactly with a brute-force O(n) scan over a
-// shadow map of every query's next due period.
+// TestSchedulePropertyAgainstBruteForce drives temporal queries through a
+// long random interleaving of RegisterTemporalE, EvaluateDue, Deregister,
+// and PopDue, checking after every operation batch that the engine's
+// schedule agrees exactly with a brute-force O(n) scan over a shadow map of
+// every query's next due period, and that its bucket layout is sound. Two
+// shapes: "distinct", 10k queries on a nanosecond clock, where nearly every
+// due is a bucket of its own; and "shared", 2k queries on a 10 ms tick,
+// where few dues are each shared by several queries, the popped queries
+// are re-armed through one batched flush, and the walk must have taken
+// every bucket transition: a Deregister that empties a bucket, an Upsert to
+// the entry's own due (a no-op), an immediate re-arm that moves an armed
+// entry from one bucket to another, and a re-arm into a bucket the same
+// flush opened.
 func TestSchedulePropertyAgainstBruteForce(t *testing.T) {
-	const nIDs = 10_000
+	t.Run("distinct", func(t *testing.T) { runScheduleProperty(t, 10_000, 1, false) })
+	t.Run("shared", func(t *testing.T) { runScheduleProperty(t, 2_000, 10*time.Millisecond, true) })
+}
+
+func runScheduleProperty(t *testing.T, nIDs int, tick sim.Time, shared bool) {
 	e := scheduleTestEngine(t)
+	s := e.sched
 	rng := rand.New(rand.NewSource(7))
+	// rb batches the shared shape's re-arms; nil re-arms immediately.
+	var rb *RearmBatch
+	if shared {
+		rb = e.NewRearmBatch()
+	}
 
 	// shadow mirrors what the schedule must hold: next due per live query.
 	shadow := make(map[uint32]sim.Time, nIDs)
@@ -118,18 +145,27 @@ func TestSchedulePropertyAgainstBruteForce(t *testing.T) {
 		}
 		shadow[id] = now + spec(id).Period
 	}
-	for id := uint32(1); id <= nIDs; id++ {
+	for id := uint32(1); id <= uint32(nIDs); id++ {
 		register(id, 0)
 	}
 
+	// Bucket transitions the shared shape must take at least once each.
+	var emptied, noops, moved, flushFilled int
+	ops := 3
+	if shared {
+		ops = 4
+	}
 	now := sim.Time(0)
 	for step := 0; step < 200; step++ {
-		now += sim.Time(rng.Int63n(int64(3 * time.Second)))
+		now += tick * sim.Time(rng.Int63n(int64(3*time.Second/tick)))
 		// A burst of random churn and direct evaluations between pops.
 		for i := 0; i < 50; i++ {
 			id := uint32(1 + rng.Intn(nIDs))
-			switch rng.Intn(3) {
+			switch rng.Intn(ops) {
 			case 0:
+				if q := e.Lookup(id); q != nil && q.slot > 0 && len(s.buckets[q.bucket].entries) == 1 {
+					emptied++
+				}
 				e.Deregister(id)
 				delete(shadow, id)
 			case 1:
@@ -143,9 +179,22 @@ func TestSchedulePropertyAgainstBruteForce(t *testing.T) {
 				}
 				if ok {
 					shadow[id] = wr.Due + spec(id).Period
+					moved++
+				}
+			case 3:
+				// Every live query is armed between pops, at its shadow due, so
+				// this Upsert must leave its entry where it is.
+				if q := e.Lookup(id); q != nil {
+					b, slot := q.bucket, q.slot
+					s.Upsert(q, shadow[id])
+					if slot <= 0 || q.bucket != b || q.slot != slot {
+						t.Fatalf("step %d: Upsert of query %d to its own due moved it from (%d, %d) to (%d, %d)", step, id, b, slot, q.bucket, q.slot)
+					}
+					noops++
 				}
 			}
 		}
+		checkBuckets(t, step, s)
 
 		// The scheduler's pop must equal the brute-force scan: every live
 		// query with a due period, in ascending (due, id) order.
@@ -161,7 +210,7 @@ func TestSchedulePropertyAgainstBruteForce(t *testing.T) {
 		}
 		seen := make(map[uint32]sim.Time, len(got))
 		for i, de := range got {
-			if i > 0 && (got[i-1].Due > de.Due || (got[i-1].Due == de.Due && got[i-1].ID >= de.ID)) {
+			if i > 0 && !dueLess(got[i-1], de) {
 				t.Fatalf("step %d: pop order violated at %d: %v then %v", step, i, got[i-1], de)
 			}
 			if shadow[de.ID] != de.Due {
@@ -175,19 +224,37 @@ func TestSchedulePropertyAgainstBruteForce(t *testing.T) {
 			}
 		}
 		// Drive every popped query forward like a clock driver would, so
-		// the schedule is re-armed for the next round.
+		// the schedule is re-armed for the next round: immediately, or
+		// batched and flushed at once as Advance does.
 		for _, de := range got {
 			for shadow[de.ID] <= now {
-				wr, ok := e.EvaluateDueBatch(de.ID, now, nil)
+				wr, ok := e.EvaluateDueBatch(de.ID, now, rb)
 				if !ok {
 					t.Fatalf("step %d: popped query %d refused evaluation", step, de.ID)
 				}
 				shadow[de.ID] = wr.Due + spec(de.ID).Period
 			}
 		}
+		if shared {
+			before := make(map[sim.Time]bool, len(s.dues))
+			for _, r := range s.dues {
+				before[r.due] = true
+			}
+			e.FlushRearms(rb)
+			for _, r := range s.dues {
+				if !before[r.due] && len(s.buckets[r.b].entries) > 1 {
+					flushFilled++
+				}
+			}
+		}
+		checkBuckets(t, step, s)
 	}
 	if len(shadow) == 0 {
 		t.Fatal("property test degenerated: no live queries left")
+	}
+	if shared && (emptied == 0 || noops == 0 || moved == 0 || flushFilled == 0) {
+		t.Fatalf("shared shape missed a bucket transition: %d emptying deregisters, %d no-op upserts, %d moves, %d buckets filled by the flush that opened them",
+			emptied, noops, moved, flushFilled)
 	}
 }
 
@@ -318,10 +385,10 @@ func BenchmarkScheduleScanBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleCycle measures the steady-state per-query cost of the
-// heap itself: pop one due entry and re-arm it one period later, 100k
-// queries resident. This is the O(log n) bound the 4-ary layout was
-// picked to minimize; swap arity to compare layouts.
+// BenchmarkScheduleCycle measures the schedule's worst case: every query
+// on its own due, 100k queries resident, each op popping one due entry and
+// re-arming it one period later. Every bucket holds one entry, so each op
+// closes and opens one and the due-heap is as deep as the entries.
 func BenchmarkScheduleCycle(b *testing.B) {
 	s := NewSchedule()
 	const n = 100_000
@@ -340,5 +407,68 @@ func BenchmarkScheduleCycle(b *testing.B) {
 		for _, de := range buf {
 			s.Upsert(de.Query, de.Due+period)
 		}
+	}
+}
+
+// BenchmarkScheduleCohorts measures the shapes a session's schedule has:
+// queries spread over a few phase slots of a shared period, so each due is
+// a cohort. Each op pops one slot and re-arms it one period later under one
+// lock hold, as FlushRearms does; ns/entry is the per-query cost. The
+// benchmark fails if the timed loop allocates at all, or if a popped batch
+// is not in (due, id) order.
+func BenchmarkScheduleCohorts(b *testing.B) {
+	for _, sh := range []struct {
+		name           string
+		queries, slots int
+	}{
+		{"50k/100slots", 50_000, 100}, // sparse_churn: 500 due per tick
+		{"4k/1slot", 4_000, 1},        // dense_eval: one shared boundary
+		{"1M/1000slots", 1_000_000, 1_000},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			s := NewSchedule()
+			period := sim.Time(sh.slots) // slot k is due at k+1, k+1+period, …
+			qs := make([]Query, sh.queries)
+			rng := rand.New(rand.NewSource(1))
+			for i, j := range rng.Perm(sh.queries) {
+				qs[j].id = uint32(j + 1)
+				s.Upsert(&qs[j], sim.Time(1+i%sh.slots))
+			}
+			var buf []DueEntry
+			now := sim.Time(0)
+			cycle := func() {
+				now++
+				buf = s.PopDue(now, buf[:0])
+				if len(buf) != sh.queries/sh.slots {
+					b.Fatalf("popped %d entries at %v, want %d", len(buf), now, sh.queries/sh.slots)
+				}
+				for i := 1; i < len(buf); i++ {
+					if !dueLess(buf[i-1], buf[i]) {
+						b.Fatalf("pop order violated at %d: %v then %v", i, buf[i-1], buf[i])
+					}
+				}
+				s.mu.Lock()
+				for _, de := range buf {
+					s.upsert(de.Query, de.Due+period)
+				}
+				s.publishHead()
+				s.mu.Unlock()
+			}
+			for i := 0; i < 2*sh.slots; i++ {
+				cycle() // two periods: every bucket and buf at full size
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+				b.Fatalf("%d pop-and-re-arm cycles allocated %d times; a steady-state schedule must not allocate", b.N, allocs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/entry")
+		})
 	}
 }
