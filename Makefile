@@ -140,6 +140,6 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-# trace-smoke runs serve-smoke first: check drives one smoke run and gates
-# the trace log off it.
-check: build fmt vet test race bench trace-smoke
+# Every gate CI runs, in its order. trace-smoke runs serve-smoke first:
+# check drives one smoke run and gates the trace log off it.
+check: build fmt vet test race bench bench-idle-1m bench-schedule bench-advance-dense bench-wire fuzz-smoke repo-bench-smoke trace-smoke

@@ -54,11 +54,6 @@ type Result struct {
 	Active []bool
 	// NumActive is the backbone size.
 	NumActive int
-	// CoverageRepairs counts nodes re-activated by the global coverage
-	// patch (0 when the eligibility pass alone sufficed).
-	CoverageRepairs int
-	// ConnectivityRepairs counts nodes activated to reconnect components.
-	ConnectivityRepairs int
 }
 
 // Select computes the active backbone for the given node positions. The rng
@@ -87,18 +82,18 @@ func Select(region geom.Rect, positions []geom.Point, cfg Config, rng *rand.Rand
 	}
 	var buf []int32
 	for _, i := range order {
-		if diskCovered(i, positions, active, region, cfg, grid, &buf) {
+		if diskCovered(i, positions, active, region, grid, &buf) {
 			active[i] = false
 		}
 	}
 
 	// Coverage repair: every grid sample point coverable by some node must
 	// be covered by an active node.
-	res.CoverageRepairs = repairCoverage(region, active, cfg, grid)
+	repairCoverage(region, active, cfg, grid)
 
 	// Connectivity repair: with Rc >= 2*Rs this should be a no-op, but the
 	// sampled eligibility rule can leave rare corner gaps.
-	res.ConnectivityRepairs = repairConnectivity(positions, active, cfg)
+	repairConnectivity(positions, active)
 
 	for _, a := range active {
 		if a {
@@ -111,7 +106,7 @@ func Select(region geom.Rect, positions []geom.Point, cfg Config, rng *rand.Rand
 // diskCovered reports whether node i's sensing disk (clipped to the region)
 // is covered by the sensing disks of other active nodes. Coverage is tested
 // at the disk center and at sampled perimeter points.
-func diskCovered(i int, positions []geom.Point, active []bool, region geom.Rect, cfg Config, grid *geom.ShardedGrid, buf *[]int32) bool {
+func diskCovered(i int, positions []geom.Point, active []bool, region geom.Rect, grid *geom.ShardedGrid, buf *[]int32) bool {
 	p := positions[i]
 	// Candidate coverers: active nodes within 2*Rs of p.
 	cands := (*buf)[:0]
@@ -149,9 +144,8 @@ func diskCovered(i int, positions []geom.Point, active []bool, region geom.Rect,
 }
 
 // repairCoverage re-activates nodes until every coverable grid sample point
-// is covered, returning the number of re-activations.
-func repairCoverage(region geom.Rect, active []bool, cfg Config, grid *geom.ShardedGrid) int {
-	repairs := 0
+// is covered.
+func repairCoverage(region geom.Rect, active []bool, cfg Config, grid *geom.ShardedGrid) {
 	for x := region.MinX + cfg.GridStep/2; x <= region.MaxX; x += cfg.GridStep {
 		for y := region.MinY + cfg.GridStep/2; y <= region.MaxY; y += cfg.GridStep {
 			q := geom.Pt(x, y)
@@ -175,24 +169,20 @@ func repairCoverage(region geom.Rect, active []bool, cfg Config, grid *geom.Shar
 			})
 			if !covered && bestInactive >= 0 {
 				active[bestInactive] = true
-				repairs++
 			}
 		}
 	}
-	return repairs
 }
 
 // repairConnectivity activates additional nodes until the active set forms
-// a single connected component under the communication range, returning the
-// number of activations. It gives up (leaving the network partitioned) only
-// when no inactive node can reduce the gap, which cannot happen for
-// deployments dense enough to be covered.
-func repairConnectivity(positions []geom.Point, active []bool, cfg Config) int {
-	repairs := 0
+// a single connected component under the communication range. It gives up
+// (leaving the network partitioned) only when no inactive node can reduce the
+// gap, which cannot happen for deployments dense enough to be covered.
+func repairConnectivity(positions []geom.Point, active []bool) {
 	for {
 		comp := components(positions, active, commRange)
 		if comp.count <= 1 {
-			return repairs
+			return
 		}
 		// Closest pair of active nodes across two different components.
 		bestA, bestB := -1, -1
@@ -211,7 +201,7 @@ func repairConnectivity(positions []geom.Point, active []bool, cfg Config) int {
 			}
 		}
 		if bestA < 0 {
-			return repairs
+			return
 		}
 		// Activate the inactive node that best bridges the gap.
 		bridge := -1
@@ -226,10 +216,9 @@ func repairConnectivity(positions []geom.Point, active []bool, cfg Config) int {
 			}
 		}
 		if bridge < 0 {
-			return repairs // nothing left to activate
+			return // nothing left to activate
 		}
 		active[bridge] = true
-		repairs++
 	}
 }
 

@@ -26,7 +26,6 @@ type treeKey struct {
 // and the sub-deadline flush of equation (1).
 type treeState struct {
 	key      treeKey
-	root     radio.NodeID
 	rootPos  geom.Point
 	pickup   geom.Point
 	deadline sim.Time
@@ -101,11 +100,8 @@ func (g gate) advance(version, fromK int) gate {
 
 // leafState is a duty-cycled node's membership in one query tree.
 type leafState struct {
-	parent      radio.NodeID
-	sampleAt    sim.Time
-	deadline    sim.Time
-	wakeTimer   *sim.Timer
-	sampleTimer *sim.Timer
+	parent   radio.NodeID
+	deadline sim.Time
 }
 
 func newAgent(svc *Service, node *netstack.Node, isSensor bool) *agent {
@@ -231,7 +227,6 @@ func (a *agent) onPrefetch(_ radio.NodeID, body any) {
 	send := func() {
 		st.forwarded = true
 		st.holdTimer = nil
-		a.svc.hooks.onPrefetchForward(msg.K, nextK, a.now())
 		a.node.GeoSend(nextPickup, a.svc.cfg.PickupRadius, portPrefetch, *st.msg, prefetchSize)
 	}
 	if sendAt <= now {
@@ -319,7 +314,6 @@ func (a *agent) onSetup(relay, _ radio.NodeID, body any, _ int) {
 	}
 	ts := &treeState{
 		key:      key,
-		root:     msg.Root,
 		rootPos:  msg.RootPos,
 		pickup:   msg.Pickup,
 		deadline: msg.Deadline,
@@ -441,13 +435,10 @@ func (a *agent) onReport(_ radio.NodeID, body any) {
 // one geographic relay toward the proxy's announced position is attempted.
 func (a *agent) dispatchResult(ts *treeState) {
 	msg := resultMsg{
-		QueryID:    ts.key.qid,
-		Version:    ts.key.version,
-		K:          ts.key.k,
-		Root:       ts.root,
-		Pickup:     ts.pickup,
-		Data:       ts.acc,
-		Dispatched: a.now(),
+		QueryID: ts.key.qid,
+		K:       ts.key.k,
+		Pickup:  ts.pickup,
+		Data:    ts.acc,
 	}
 	a.deliverResult(msg)
 }
@@ -589,10 +580,10 @@ func (a *agent) joinAsLeaf(key treeKey, parent radio.NodeID, pickup geom.Point, 
 		}
 		sampleAt = now // heard the setup late but can still contribute
 	}
-	ls := &leafState{parent: parent, sampleAt: sampleAt, deadline: deadline}
-	ls.wakeTimer = a.node.MAC().WakeAt(sampleAt, sampleAt+leafAwake)
+	ls := &leafState{parent: parent, deadline: deadline}
+	a.node.MAC().WakeAt(sampleAt, sampleAt+leafAwake)
 	reportAt := sampleAt + time.Millisecond + a.jitter(30*time.Millisecond)
-	ls.sampleTimer = a.eng().Schedule(reportAt, func() { a.leafReport(key, ls) })
+	a.eng().Schedule(reportAt, func() { a.leafReport(key, ls) })
 	a.leafJoined[key] = ls
 }
 

@@ -16,7 +16,6 @@ type PeriodResult struct {
 	Received bool
 	Arrival  sim.Time
 	OnTime   bool
-	Version  int        // motion-profile version that produced the result
 	Pickup   geom.Point // center of the area the result covers
 	Data     Partial
 }
@@ -36,7 +35,6 @@ type Gateway struct {
 	profiles []mobility.TimedProfile
 
 	version     int
-	lastProfile mobility.Profile
 	holds       []*gwHold
 	firstPickup geom.Point
 	forwarded   bool
@@ -146,7 +144,6 @@ func (g *Gateway) onProfile(p mobility.Profile) {
 			cancelMsg{QueryID: g.qid, NewVersion: p.Version, FromK: fromK}, cancelSize)
 	}
 	g.version = p.Version
-	g.lastProfile = p
 
 	if fromK > g.spec.Periods() {
 		return // query lifetime exhausted
@@ -178,7 +175,6 @@ func (g *Gateway) onProfile(p mobility.Profile) {
 		}
 		g.firstPickup = h.msg.Pickup
 		g.forwarded = true
-		g.svc.hooks.onPrefetchForward(h.k-1, h.k, g.svc.eng.Now())
 		g.proxy.GeoSend(h.msg.Pickup, cfg.PickupRadius, portPrefetch, h.msg, prefetchSize)
 	}
 	if sendAt <= now {
@@ -221,7 +217,6 @@ func (g *Gateway) recordResult(msg resultMsg) {
 		Received: true,
 		Arrival:  now,
 		OnTime:   now <= deadline,
-		Version:  msg.Version,
 		Pickup:   msg.Pickup,
 		Data:     msg.Data,
 	}

@@ -98,14 +98,11 @@ type reportMsg struct {
 // area is the circle of radius Rq around it), letting the gateway judge how
 // well a result matches its actual position.
 type resultMsg struct {
-	QueryID    uint32
-	Version    int
-	K          int
-	Root       radio.NodeID
-	Pickup     geom.Point
-	Data       Partial
-	Dispatched sim.Time
-	Relayed    bool // one geographic relay attempt has been spent
+	QueryID uint32
+	K       int
+	Pickup  geom.Point
+	Data    Partial
+	Relayed bool // one geographic relay attempt has been spent
 }
 
 // cancelMsg chases a superseded prefetch chain: state with version below

@@ -121,9 +121,6 @@ type Hooks struct {
 	OnTreeUp func(node radio.NodeID, k int, at sim.Time)
 	// OnTreeDown fires when that state is released.
 	OnTreeDown func(node radio.NodeID, k int, at sim.Time)
-	// OnPrefetchForward fires when a prefetch message is forwarded from the
-	// collector of period fromK toward period toK's pickup point.
-	OnPrefetchForward func(fromK, toK int, at sim.Time)
 }
 
 // hookSet wraps Hooks with nil-safety.
@@ -138,12 +135,6 @@ func (hs hookSet) onTreeUp(n radio.NodeID, k int, at sim.Time) {
 func (hs hookSet) onTreeDown(n radio.NodeID, k int, at sim.Time) {
 	if hs.h.OnTreeDown != nil {
 		hs.h.OnTreeDown(n, k, at)
-	}
-}
-
-func (hs hookSet) onPrefetchForward(fromK, toK int, at sim.Time) {
-	if hs.h.OnPrefetchForward != nil {
-		hs.h.OnPrefetchForward(fromK, toK, at)
 	}
 }
 
@@ -202,7 +193,7 @@ func NewService(nw *netstack.Network, cfg Config, fld field.Field, hooks Hooks) 
 // AddProxy before NewService) issuing one query with the given scheme and
 // spec, following course with motion profiles from profiler. QueryIDs must
 // be unique. Must be called before Start.
-func (s *Service) AddUser(queryID uint32, scheme Scheme, spec QuerySpec, course mobility.Course, profiler mobility.Profiler, proxyID radio.NodeID) *Gateway {
+func (s *Service) AddUser(queryID uint32, scheme Scheme, spec QuerySpec, course mobility.Course, profiler mobility.Profiler, proxyID radio.NodeID) {
 	if s.started {
 		panic("core: AddUser after Start")
 	}
@@ -234,7 +225,6 @@ func (s *Service) AddUser(queryID uint32, scheme Scheme, spec QuerySpec, course 
 			}
 		})
 	}
-	return g
 }
 
 // Start launches every registered query session, in ascending query-id

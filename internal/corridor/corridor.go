@@ -131,7 +131,6 @@ type StagedNode struct {
 // the grid version it was cut at, and the in-circle nodes in canonical grid
 // order — the warm, contiguous buffer evaluation iterates.
 type stage struct {
-	k       int
 	due     sim.Time
 	center  geom.Point
 	radius  float64 // cfg.Radius + inflation (+ collectSlack)
@@ -319,7 +318,7 @@ func (c *Cache) buildStage(k int, now sim.Time) *stage {
 	center := c.profile.PredictAt(due)
 	r := c.cfg.Radius + c.cfg.Model.Inflation(due-c.profile.Generated) + collectSlack
 	st := c.blankLocked()
-	st.k, st.due, st.center, st.radius, st.builtAt = k, due, center, r, now
+	st.due, st.center, st.radius, st.builtAt = due, center, r, now
 	r2 := r * r
 	minCX, minCY, maxCX, maxCY := c.grid.CellBox(center, r)
 	// Clean-bracket snapshot: SnapshotVersion must return ok with equal

@@ -68,10 +68,9 @@ func RunMulti(sc Scenario, users []UserSpec) []RunResult {
 	for i, u := range users {
 		res := RunResult{
 			Scenario:      sc,
-			Records:       metrics.EvaluateAgg(svc.ResultsFor(u.QueryID), courses[i], region, topo.Positions, sc.Spec.Radius, sc.Spec.Period, sc.Spec.Agg),
+			Records:       metrics.EvaluateAgg(svc.ResultsFor(u.QueryID), courses[i], region, topo.Positions, sc.Spec.Radius, sc.Spec.Agg),
 			BackboneNodes: sel.NumActive,
 			MediumStats:   nw.Medium().Stats(),
-			NetStats:      nw.Stats(),
 			EventsFired:   eng.EventsFired(),
 		}
 		res.SuccessRatio = metrics.SuccessRatio(res.Records)

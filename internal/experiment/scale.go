@@ -82,7 +82,6 @@ func (c ScaleConfig) Validate() error {
 // pure function of the configuration (independent of Shards/Workers), which
 // is how the tests pin down that sharded dispatch changes only wall time.
 type ScaleResult struct {
-	Config      ScaleConfig
 	Evaluations int     // Users × Rounds area evaluations performed
 	MeanArea    float64 // mean in-area sensor count per evaluation
 	MeanValue   float64 // mean Avg aggregate over non-empty areas
@@ -161,7 +160,7 @@ func RunScale(cfg ScaleConfig) ScaleResult {
 	}
 	pump := newDuePump(e)
 
-	res := ScaleResult{Config: cfg}
+	var res ScaleResult
 	sweepLat := obs.NewHistogram(int64(10*time.Minute), 1e-9)
 	var areaSum, valueSum float64
 	var checksum uint64

@@ -154,14 +154,11 @@ type RunResult struct {
 	PowerBackbone float64
 
 	// Storage metrics (Section 5.2).
-	MaxPrefetchLength  int
-	MeanPrefetchLength float64
-	MaxTreesPerNode    int
-	TreeSetups         int
+	MaxPrefetchLength int
+	TreeSetups        int
 
 	BackboneNodes int
 	MediumStats   radio.Stats
-	NetStats      netstack.Stats
 	EventsFired   uint64
 }
 
@@ -251,7 +248,7 @@ func Run(sc Scenario) RunResult {
 	coreCfg.PickupRadius = rp
 
 	tracker := metrics.NewStorageTracker(coreCfg.T0, sc.Spec.Period)
-	hooks := core.Hooks{OnTreeUp: tracker.Add, OnTreeDown: tracker.Remove}
+	hooks := core.Hooks{OnTreeUp: tracker.Add}
 	var svc *core.Service
 	if !sc.Idle {
 		svc = core.New(nw, coreCfg, sc.Field, course, profiler, proxyID, hooks)
@@ -268,16 +265,13 @@ func Run(sc Scenario) RunResult {
 		results = svc.Results()
 	}
 	res := RunResult{
-		Scenario:           sc,
-		Records:            metrics.EvaluateAgg(results, course, region, topo.Positions, sc.Spec.Radius, sc.Spec.Period, sc.Spec.Agg),
-		MaxPrefetchLength:  tracker.MaxPrefetchLength(),
-		MeanPrefetchLength: tracker.MeanPrefetchLength(),
-		MaxTreesPerNode:    tracker.MaxTreesPerNode(),
-		TreeSetups:         tracker.Setups(),
-		BackboneNodes:      sel.NumActive,
-		MediumStats:        nw.Medium().Stats(),
-		NetStats:           nw.Stats(),
-		EventsFired:        eng.EventsFired(),
+		Scenario:          sc,
+		Records:           metrics.EvaluateAgg(results, course, region, topo.Positions, sc.Spec.Radius, sc.Spec.Agg),
+		MaxPrefetchLength: tracker.MaxPrefetchLength(),
+		TreeSetups:        tracker.Setups(),
+		BackboneNodes:     sel.NumActive,
+		MediumStats:       nw.Medium().Stats(),
+		EventsFired:       eng.EventsFired(),
 	}
 	res.SuccessRatio = metrics.SuccessRatio(res.Records)
 	res.TargetSuccessRatio = metrics.TargetSuccessRatio(res.Records)

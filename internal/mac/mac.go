@@ -178,9 +178,8 @@ type MAC struct {
 	inflight bool
 	cw       int
 
-	attemptTimer *sim.Timer
-	ackTimer     *sim.Timer
-	sleepTimer   *sim.Timer
+	ackTimer   *sim.Timer
+	sleepTimer *sim.Timer
 
 	overrideUntil sim.Time
 	started       bool
@@ -350,7 +349,7 @@ func (m *MAC) kick() {
 // number of slots drawn from the current contention window.
 func (m *MAC) backoff() {
 	delay := difs + time.Duration(m.rng.Intn(m.cw))*slotTime
-	m.attemptTimer = m.eng.After(delay, m.attempt)
+	m.eng.After(delay, m.attempt)
 }
 
 // widen doubles the contention window up to cwMax.
@@ -372,7 +371,7 @@ func (m *MAC) attempt() {
 	}
 	if m.radio.Transmitting() {
 		// An ACK transmission is in progress; retry shortly after.
-		m.attemptTimer = m.eng.After(sifs, m.attempt)
+		m.eng.After(sifs, m.attempt)
 		return
 	}
 	if m.radio.CarrierSense() {

@@ -6,7 +6,6 @@ package metrics
 import (
 	"math"
 	"sort"
-	"time"
 
 	"mobiquery/internal/core"
 	"mobiquery/internal/geom"
@@ -24,8 +23,6 @@ type QueryRecord struct {
 	Deadline     sim.Time
 	Received     bool
 	OnTime       bool
-	Arrival      sim.Time
-	Latency      time.Duration  // arrival minus period start; 0 if missing
 	AreaNodes    int            // sensor nodes inside the true query area
 	Contributors int            // contributors inside the true query area
 	Missing      []radio.NodeID // in-area nodes that did not contribute
@@ -49,7 +46,7 @@ type QueryRecord struct {
 // the positions are indexed once in a one-shard geom.ShardedGrid with
 // rq-sized cells, the grid the radio medium and CCP use, so "inside the
 // area" is the engine's own inclusive disk test.
-func EvaluateAgg(results []core.PeriodResult, course mobility.Course, region geom.Rect, positions []geom.Point, rq float64, period time.Duration, agg core.AggKind) []QueryRecord {
+func EvaluateAgg(results []core.PeriodResult, course mobility.Course, region geom.Rect, positions []geom.Point, rq float64, agg core.AggKind) []QueryRecord {
 	grid := geom.NewShardedGrid(region, rq, 1)
 	for i, p := range positions {
 		grid.Insert(int32(i), p)
@@ -61,7 +58,6 @@ func EvaluateAgg(results []core.PeriodResult, course mobility.Course, region geo
 			Deadline: pr.Deadline,
 			Received: pr.Received,
 			OnTime:   pr.Received && pr.OnTime,
-			Arrival:  pr.Arrival,
 		}
 		if pr.Received {
 			rec.Value = pr.Data.Value(agg)
@@ -72,7 +68,6 @@ func EvaluateAgg(results []core.PeriodResult, course mobility.Course, region geo
 		rec.AreaNodes = len(inArea)
 		seen := make(map[radio.NodeID]bool)
 		if pr.Received {
-			rec.Latency = pr.Arrival - (pr.Deadline - sim.Time(period))
 			for _, id := range pr.Data.Contribs {
 				if inArea[id] && !seen[id] {
 					seen[id] = true

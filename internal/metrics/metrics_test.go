@@ -46,7 +46,7 @@ func evalFixture() ([]core.PeriodResult, mobility.Course, []geom.Point) {
 
 func TestEvaluate(t *testing.T) {
 	results, course, positions := evalFixture()
-	recs := EvaluateAgg(results, course, geom.Square(450), positions, 170, 2*time.Second, core.AggAvg)
+	recs := EvaluateAgg(results, course, geom.Square(450), positions, 170, core.AggAvg)
 	if len(recs) != 5 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -99,7 +99,7 @@ func TestEvaluate(t *testing.T) {
 		pr.Data = p
 		rs = append(rs, pr)
 	}
-	recs = EvaluateAgg(rs, walk, region, field, rq, 2*time.Second, core.AggAvg)
+	recs = EvaluateAgg(rs, walk, region, field, rq, core.AggAvg)
 	for i, rec := range recs {
 		pr := rs[i]
 		contributed := map[radio.NodeID]bool{}
@@ -149,7 +149,7 @@ func TestEvaluateDedupContributors(t *testing.T) {
 	results := []core.PeriodResult{{
 		K: 1, Deadline: sec(2), Received: true, Arrival: sec(1.9), OnTime: true, Data: p,
 	}}
-	recs := EvaluateAgg(results, course, geom.Square(450), positions, 50, 2*time.Second, core.AggAvg)
+	recs := EvaluateAgg(results, course, geom.Square(450), positions, 50, core.AggAvg)
 	if recs[0].Contributors != 1 {
 		t.Errorf("duplicate contributor counted twice: %d", recs[0].Contributors)
 	}
@@ -158,7 +158,7 @@ func TestEvaluateDedupContributors(t *testing.T) {
 func TestEvaluateEmptyArea(t *testing.T) {
 	course := mobility.Course{Trajectory: mobility.Stationary(geom.Pt(0, 0), 0)}
 	results := []core.PeriodResult{{K: 1, Deadline: sec(2), Received: true, OnTime: true, Arrival: sec(2)}}
-	recs := EvaluateAgg(results, course, geom.Square(450), nil, 150, 2*time.Second, core.AggAvg)
+	recs := EvaluateAgg(results, course, geom.Square(450), nil, 150, core.AggAvg)
 	if recs[0].Fidelity != 1 {
 		t.Errorf("empty area fidelity = %v, want vacuous 1", recs[0].Fidelity)
 	}
@@ -223,22 +223,10 @@ func TestStorageTracker(t *testing.T) {
 	st.Add(10, 3, sec(1))
 	st.Add(10, 4, sec(1))
 	st.Add(11, 3, sec(1))
-	if got := st.MaxTreesPerNode(); got != 2 {
-		t.Errorf("MaxTreesPerNode = %d", got)
-	}
 	if got := st.MaxPrefetchLength(); got != 4 {
 		t.Errorf("MaxPrefetchLength = %d, want 4", got)
 	}
 	if got := st.Setups(); got != 3 {
 		t.Errorf("Setups = %d", got)
-	}
-	st.Remove(10, 3, sec(6))
-	st.Remove(11, 3, sec(6))
-	st.Remove(10, 4, sec(8))
-	if mean := st.MeanPrefetchLength(); mean <= 0 {
-		t.Errorf("MeanPrefetchLength = %v", mean)
-	}
-	if NewStorageTracker(0, time.Second).MeanPrefetchLength() != 0 {
-		t.Error("empty tracker mean should be 0")
 	}
 }

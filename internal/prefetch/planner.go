@@ -81,8 +81,7 @@ func (c Config) normalized() Config {
 // serving it is dispatched and captures its readings, and the hold-time
 // ledger bounding how long those readings may be served.
 type Entry struct {
-	// K is the 1-based period index, due at Due.
-	K   int
+	// Due is the period's boundary.
 	Due sim.Time
 	// Center is the predicted pickup point: the profile's position at Due.
 	Center geom.Point
@@ -232,7 +231,6 @@ func (p *Planner) entryLocked(k int) (Entry, bool) {
 		launch = p.epoch
 	}
 	e := Entry{
-		K:        k,
 		Due:      due,
 		Center:   p.profile.PredictAt(due),
 		LaunchAt: launch,

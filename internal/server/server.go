@@ -66,9 +66,8 @@ type Options struct {
 // Server is the front-end handler. Create with New. It keeps no registry
 // of its own: the {id} endpoints resolve through the service.
 type Server struct {
-	svc  *mobiquery.Service
-	opts Options
-	mux  *http.ServeMux
+	svc *mobiquery.Service
+	mux *http.ServeMux
 }
 
 // maxRequestBody bounds the subscribe and advance request bodies; a
@@ -85,9 +84,8 @@ const httpMaxLatency = int64(64 * time.Second)
 // New returns a Server handling the wire protocol over svc.
 func New(svc *mobiquery.Service, opts Options) *Server {
 	s := &Server{
-		svc:  svc,
-		opts: opts,
-		mux:  http.NewServeMux(),
+		svc: svc,
+		mux: http.NewServeMux(),
 	}
 	s.handle("GET /healthz", "healthz", s.handleHealth)
 	// The scrape instruments itself too: the wrapper records after the

@@ -489,7 +489,9 @@ func TestBadRequestsAreClientErrors(t *testing.T) {
 		{`{"spec":{"radius_m":100,"period_ns":1000000000},"motion":{"kind":"teleport"}}`, http.StatusBadRequest},
 		// Valid wire shape, invalid spec: rejected by Subscribe.
 		{`{"spec":{"radius_m":-1,"period_ns":1000000000},"motion":{"kind":"static"}}`, http.StatusUnprocessableEntity},
-		// One past each build bound: refused before Subscribe runs.
+		// One past each build bound (one below MinPeriod): refused before
+		// Subscribe runs.
+		{fmt.Sprintf(`{"spec":{"radius_m":100,"period_ns":%d},"motion":{"kind":"static"}}`, wire.MinPeriod-1), http.StatusBadRequest},
 		{fmt.Sprintf(`{"spec":{"radius_m":100,"period_ns":1000000000,"window":%d},"motion":{"kind":"static"}}`, wire.MaxWindow+1), http.StatusBadRequest},
 		{fmt.Sprintf(`{"spec":{"radius_m":100,"period_ns":1000000000,"strategy":"jit","corridor_lookahead":%d},"motion":{"kind":"static"}}`, wire.MaxCorridorLookahead+1), http.StatusBadRequest},
 		{overBound(int64(wire.MaxCourseDuration)+1, int64(wire.MaxCourseDuration)+1, int64(wire.MaxCourseDuration)+1, 1e9), http.StatusBadRequest},

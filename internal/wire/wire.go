@@ -115,8 +115,12 @@ var aggNames = map[string]mobiquery.AggKind{
 // Subscribe, under the service lock), and a course motion lasts at most
 // MaxCourseDuration and takes at most MaxCourseSteps legs (duration /
 // change interval), GPS samples (duration / sampling period) and wall
-// reflections (about top speed × duration / region side).
+// reflections (about top speed × duration / region side). A period is at
+// least MinPeriod: a step evaluates every period a subscription has come
+// due for, so at 10 ns one 2 ms step of the real-time clock would owe
+// 200 000 of them.
 const (
+	MinPeriod            = time.Millisecond
 	MaxWindow            = 1 << 12
 	MaxCorridorLookahead = 64
 	MaxCourseDuration    = 7 * 24 * time.Hour
@@ -124,13 +128,16 @@ const (
 )
 
 // QuerySpec converts the wire spec to the session form. Unknown
-// aggregate/strategy names, a window past MaxWindow and a corridor
-// lookahead past MaxCorridorLookahead are errors; everything else is left
-// to QuerySpec.Validate at Subscribe time.
+// aggregate/strategy names, a period below MinPeriod, a window past
+// MaxWindow and a corridor lookahead past MaxCorridorLookahead are errors;
+// everything else is left to QuerySpec.Validate at Subscribe time.
 func (s Spec) QuerySpec() (mobiquery.QuerySpec, error) {
 	agg, ok := aggNames[s.Aggregate]
 	if !ok {
 		return mobiquery.QuerySpec{}, fmt.Errorf("wire: unknown aggregate %q", s.Aggregate)
+	}
+	if s.PeriodNS < int64(MinPeriod) {
+		return mobiquery.QuerySpec{}, fmt.Errorf("wire: period %v is below %v", time.Duration(s.PeriodNS), MinPeriod)
 	}
 	if s.Window > MaxWindow {
 		return mobiquery.QuerySpec{}, fmt.Errorf("wire: window %d exceeds %d periods", s.Window, MaxWindow)

@@ -118,10 +118,11 @@ func TestEveryResultFieldCrossesTheWire(t *testing.T) {
 }
 
 // specCounterparts names, for every QuerySpec field, a wire Spec that sets
-// it (and nothing else).
+// it (and nothing else) on top of minSpec, the least spec QuerySpec accepts.
+// A row without a period gets minSpec's.
 var specCounterparts = map[string]Spec{
 	"Radius":    {RadiusM: 5},
-	"Period":    {PeriodNS: 7},
+	"Period":    {PeriodNS: int64(2 * MinPeriod)},
 	"Deadline":  {DeadlineNS: 7},
 	"Freshness": {FreshnessNS: 7},
 	"Aggregate": {Aggregate: "max"},
@@ -132,11 +133,18 @@ var specCounterparts = map[string]Spec{
 	"Trace":     {TraceID: FormatID(9)},
 }
 
+var minSpec = Spec{PeriodNS: int64(MinPeriod)}
+
 // TestEverySpecFieldIsReachableFromTheWire fails when QuerySpec grows a
 // field no wire Spec can set — how Window went missing: a client could not
 // ask for what the session API offers.
 func TestEverySpecFieldIsReachableFromTheWire(t *testing.T) {
-	rt := reflect.TypeOf(mobiquery.QuerySpec{})
+	base, err := minSpec.QuerySpec()
+	if err != nil {
+		t.Fatalf("minSpec: %v", err)
+	}
+	bv := reflect.ValueOf(base)
+	rt := bv.Type()
 	for i := 0; i < rt.NumField(); i++ {
 		name := rt.Field(i).Name
 		ws, ok := specCounterparts[name]
@@ -144,14 +152,17 @@ func TestEverySpecFieldIsReachableFromTheWire(t *testing.T) {
 			t.Errorf("QuerySpec.%s has no wire counterpart: add a Spec field and a specCounterparts row", name)
 			continue
 		}
+		if ws.PeriodNS == 0 {
+			ws.PeriodNS = minSpec.PeriodNS
+		}
 		q, err := ws.QuerySpec()
 		if err != nil {
 			t.Fatalf("QuerySpec.%s: %v", name, err)
 		}
 		qv := reflect.ValueOf(q)
 		for j := 0; j < rt.NumField(); j++ {
-			if zero := qv.Field(j).IsZero(); zero == (j == i) {
-				t.Errorf("wire spec %+v for QuerySpec.%s: field %s zero=%v", ws, name, rt.Field(j).Name, zero)
+			if same := reflect.DeepEqual(qv.Field(j).Interface(), bv.Field(j).Interface()); same == (j == i) {
+				t.Errorf("wire spec %+v for QuerySpec.%s: field %s as in minSpec=%v", ws, name, rt.Field(j).Name, same)
 			}
 		}
 	}
@@ -246,8 +257,10 @@ func TestSpecConversion(t *testing.T) {
 	}
 
 	for _, bad := range []Spec{
-		{RadiusM: 100, PeriodNS: 1, Aggregate: "median"},
-		{RadiusM: 100, PeriodNS: 1, Strategy: "psychic"},
+		{RadiusM: 100, PeriodNS: int64(time.Second), Aggregate: "median"},
+		{RadiusM: 100, PeriodNS: int64(time.Second), Strategy: "psychic"},
+		{RadiusM: 100, PeriodNS: int64(MinPeriod) - 1},
+		{RadiusM: 100},
 	} {
 		if _, err := bad.QuerySpec(); err == nil {
 			t.Errorf("spec %+v: expected a conversion error", bad)
@@ -473,7 +486,9 @@ func FuzzSubscribeRequest(f *testing.F) {
 		if NewDecoder(bytes.NewReader(body)).Decode(&req) != nil {
 			return
 		}
-		if spec, err := req.Spec.QuerySpec(); err == nil && spec.Window > MaxWindow {
+		if spec, err := req.Spec.QuerySpec(); err == nil && spec.Period < MinPeriod {
+			t.Fatalf("accepted a %v period", spec.Period)
+		} else if err == nil && spec.Window > MaxWindow {
 			t.Fatalf("accepted a %d-period window", spec.Window)
 		} else if err == nil && spec.Corridor.Lookahead > MaxCorridorLookahead {
 			t.Fatalf("accepted a %d-boundary corridor lookahead", spec.Corridor.Lookahead)

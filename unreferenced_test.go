@@ -9,7 +9,9 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,7 +22,9 @@ import (
 // such name under internal/ and cmd/, and the root package's unexported ones.
 // A use inside the name's own declaration (recursion, a method's receiver)
 // is not a reference. A method whose type satisfies an interface declaring
-// it is exempt: calls through the interface do not name the method.
+// it is exempt: calls through the interface do not name the method. The same
+// type-check also fails on every struct field, by the same coverage rule,
+// that nothing reads (see unreadFields).
 func TestNoUnreferencedNames(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{} // by import path; "…_test" for external tests
@@ -43,7 +47,7 @@ func TestNoUnreferencedNames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
 	pkgs := map[string]*types.Package{}
 	std := importer.Default()
 	var conf types.Config
@@ -119,6 +123,83 @@ func TestNoUnreferencedNames(t *testing.T) {
 	for _, m := range missing {
 		t.Errorf("%s is referenced nowhere in the module", m)
 	}
+	for _, v := range unreadFields(fset, files, info) {
+		t.Errorf("%s: field %s is read nowhere in the module", fset.Position(v.Pos()), v.Name())
+	}
+}
+
+// unreadFields returns, in declaration order, every struct field declared in
+// files that covered admits and that no use in files reads. A use is a write
+// when it is a composite-literal key or the selector on the left of = or :=;
+// every other use, +=, ++, &x.f, x.f.g = … and x.f[i] = … included, reads.
+// Exempt are blank and embedded fields, json-tagged fields (encoding/json
+// reads them) and the fields of a struct type used as a map key (the map
+// compares them).
+func unreadFields(fset *token.FileSet, files map[string][]*ast.File, info *types.Info) []*types.Var {
+	write := map[*ast.Ident]bool{}
+	exempt := map[*types.Var]bool{}
+	var fields []*types.Var
+	for _, fs := range files {
+		for _, f := range fs {
+			file := fset.File(f.Pos()).Name()
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								write[id] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+						for _, l := range n.Lhs {
+							if sel, ok := ast.Unparen(l).(*ast.SelectorExpr); ok {
+								write[sel.Sel] = true
+							}
+						}
+					}
+				case *ast.MapType:
+					if st, ok := info.TypeOf(n.Key).Underlying().(*types.Struct); ok {
+						for i := 0; i < st.NumFields(); i++ {
+							exempt[st.Field(i)] = true
+						}
+					}
+				case *ast.StructType:
+					for _, fd := range n.Fields.List {
+						tag := ""
+						if fd.Tag != nil {
+							tag, _ = strconv.Unquote(fd.Tag.Value)
+						}
+						_, json := reflect.StructTag(tag).Lookup("json")
+						for _, id := range fd.Names {
+							v := info.Defs[id].(*types.Var)
+							exempt[v] = exempt[v] || json
+							if covered(v, file) {
+								fields = append(fields, v)
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	read := map[*types.Var]bool{}
+	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !write[id] {
+			read[v.Origin()] = true
+		}
+	}
+	var unread []*types.Var
+	for _, v := range fields {
+		if !read[v] && !exempt[v] {
+			unread = append(unread, v)
+		}
+	}
+	sort.Slice(unread, func(i, j int) bool { return unread[i].Pos() < unread[j].Pos() })
+	return unread
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -146,4 +227,52 @@ func satisfies(fn *types.Func, ifaces []*types.Interface) bool {
 		}
 	}
 	return false
+}
+
+// TestUnreadFieldsClassifier runs unreadFields over small packages, each
+// with a field f that must be flagged exactly when nothing reads it.
+func TestUnreadFieldsClassifier(t *testing.T) {
+	cases := []struct {
+		name, src, test string // declarations of x.go and x_test.go
+		unread          bool
+	}{
+		{"assigned only", "type T struct{ f int }\nfunc g(t *T) { t.f = 1 }", "", true},
+		{"composite-literal key only", "type T struct{ f int }\nvar _ = T{f: 1}", "", true},
+		{"declared only", "type T struct{ f int }\nvar _ T", "", true},
+		{"plain read", "type T struct{ f int }\nfunc g(t T) int { return t.f }", "", false},
+		{"+=", "type T struct{ f int }\nfunc g(t *T) { t.f += 1 }", "", false},
+		{"++", "type T struct{ f int }\nfunc g(t *T) { t.f++ }", "", false},
+		{"address taken", "type T struct{ f int }\nfunc g(t *T) *int { return &t.f }", "", false},
+		{"inner field assigned", "type U struct{ g int }\ntype T struct{ f U }\nfunc h(t *T) { t.f.g = 1 }", "", false},
+		{"element assigned", "type T struct{ f []int }\nfunc g(t *T) { t.f[0] = 1 }", "", false},
+		{"json tag", "type T struct{ f int `json:\"f\"` }\nfunc g(t *T) { t.f = 1 }", "", false},
+		{"embedded", "type f struct{}\ntype T struct{ f }\nfunc g(t *T) { t.f = f{} }", "", false},
+		{"map key", "type T struct{ f int }\nvar _ = map[T]bool{{f: 1}: true}", "", false},
+		{"read in a test file", "type T struct{ f int }\nfunc g(t *T) { t.f = 1 }", "func h(t T) int { return t.f }", false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fset := token.NewFileSet()
+			var fs []*ast.File
+			for _, src := range [][2]string{{"x.go", c.src}, {"x_test.go", c.test}} {
+				f, err := parser.ParseFile(fset, src[0], "package x\n"+src[1], parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs = append(fs, f)
+			}
+			const ip = "mobiquery/internal/x"
+			info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+			if _, err := new(types.Config).Check(ip, fset, fs, info); err != nil {
+				t.Fatal(err)
+			}
+			unread := false
+			for _, v := range unreadFields(fset, map[string][]*ast.File{ip: fs}, info) {
+				unread = unread || v.Name() == "f"
+			}
+			if unread != c.unread {
+				t.Errorf("f flagged unread = %v, want %v", unread, c.unread)
+			}
+		})
+	}
 }
