@@ -271,23 +271,6 @@ func BenchmarkMultiUserDispatchSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleScenario runs the full multi-user scale harness (waypoint
-// churn plus evaluation sweeps) at a reduced population and reports
-// evaluations per second.
-func BenchmarkScaleScenario(b *testing.B) {
-	b.ReportAllocs()
-	cfg := experiment.DefaultScale()
-	cfg.Nodes = 20_000
-	cfg.Users = 2000
-	cfg.RegionSide = 5000
-	cfg.Rounds = 2
-	for i := 0; i < b.N; i++ {
-		res := experiment.RunScale(cfg)
-		b.ReportMetric(float64(res.Evaluations)/res.Elapsed.Seconds(), "evals/s")
-		b.ReportMetric(res.MeanArea, "mean-area-nodes")
-	}
-}
-
 // BenchmarkSessionStream measures the session API end to end: a service
 // over a 20k-node field streaming 200 subscribers for 30 virtual seconds
 // of 1 s periods with freshness windows. Reports periods per second of
@@ -328,29 +311,6 @@ func BenchmarkSessionStream(b *testing.B) {
 		}
 		b.ReportMetric(float64(delivered)/elapsed.Seconds(), "periods/s")
 		svc.Close()
-	}
-}
-
-// BenchmarkChurnScenario runs the dynamic-membership harness (streaming
-// temporal evaluation with users joining and leaving) at a reduced
-// population and reports evaluations per second.
-func BenchmarkChurnScenario(b *testing.B) {
-	b.ReportAllocs()
-	cfg := experiment.DefaultChurn()
-	cfg.Nodes = 2000
-	cfg.RegionSide = 1000
-	cfg.Static = 20
-	cfg.Churners = 40
-	cfg.Duration = 30 * time.Second
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunChurn(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		churn, _ := res.Arm(experiment.ChurnArm)
-		alone, _ := res.Arm(experiment.StaticArm)
-		b.ReportMetric(float64(churn.Evaluations+alone.Evaluations)/res.Elapsed.Seconds(), "evals/s")
-		b.ReportMetric(churn.MeanFresh, "fresh-sensors")
 	}
 }
 

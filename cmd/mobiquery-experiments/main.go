@@ -15,6 +15,7 @@ import (
 	"os"
 	"time"
 
+	"mobiquery"
 	"mobiquery/internal/experiment"
 )
 
@@ -96,94 +97,96 @@ func printFig4(opts experiment.Options) {
 	}
 }
 
-// printScale runs the multi-user scale scenario twice — serial dispatch and
-// sharded concurrent dispatch — and reports the speedup. Results (areas,
-// aggregates) are identical between the two; only wall time moves.
+// printScale runs the multi-user scale figure twice — serial dispatch and
+// sharded concurrent dispatch, each on its own Service — and reports the
+// speedup. Results (areas, aggregates) are identical between the two; only
+// wall time moves.
 func printScale(seed int64, users, nodes, shards, workers int) error {
-	cfg := experiment.DefaultScale()
-	cfg.Seed = seed
+	cfg := defaultScale()
+	cfg.net.Seed = seed
 	if users != 0 {
-		cfg.Users = users
+		cfg.users = users
 	}
 	if nodes != 0 {
-		cfg.Nodes = nodes
+		cfg.net.Nodes = nodes
 	}
-	cfg.Shards = shards
-	cfg.Workers = workers
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
+	cfg.net.Service = mobiquery.ServiceConfig{Shards: shards, Workers: workers}
 
 	fmt.Printf("scale scenario: %d users on a %d-node field (%.0f m square, Rq=%.0f m, %d rounds)\n",
-		cfg.Users, cfg.Nodes, cfg.RegionSide, cfg.Radius, cfg.Rounds)
+		cfg.users, cfg.net.Nodes, cfg.net.RegionSide, cfg.spec.Radius, cfg.rounds())
 
 	serial := cfg
-	serial.Shards, serial.Workers = 1, 1
-	sres := experiment.RunScale(serial)
-	pres := experiment.RunScale(cfg)
-
-	if sres.Checksum != pres.Checksum {
-		return fmt.Errorf("serial and sharded dispatch disagree (checksums %v vs %v) — engine bug", sres.Checksum, pres.Checksum)
+	serial.net.Service = mobiquery.ServiceConfig{Shards: 1, Workers: 1}
+	sres, err := runScale(serial)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("  serial dispatch:  %10v  (%.0f evals/s)\n", sres.Elapsed.Truncate(time.Millisecond), float64(sres.Evaluations)/sres.Elapsed.Seconds())
-	fmt.Printf("  sharded dispatch: %10v  (%.0f evals/s)\n", pres.Elapsed.Truncate(time.Millisecond), float64(pres.Evaluations)/pres.Elapsed.Seconds())
+	pres, err := runScale(cfg)
+	if err != nil {
+		return err
+	}
+	s, p := sres.arms[0], pres.arms[0]
+	if s.digest != p.digest {
+		return fmt.Errorf("serial and sharded dispatch disagree (digests %#x vs %#x) — engine bug", s.digest, p.digest)
+	}
+	fmt.Printf("  serial dispatch:  %10v  (%.0f evals/s)\n", s.advance.Truncate(time.Millisecond), float64(s.periods)/s.advance.Seconds())
+	fmt.Printf("  sharded dispatch: %10v  (%.0f evals/s)\n", p.advance.Truncate(time.Millisecond), float64(p.periods)/p.advance.Seconds())
 	fmt.Printf("  speedup: %.2fx   mean in-area sensors: %.1f   mean value: %.3f\n",
-		sres.Elapsed.Seconds()/pres.Elapsed.Seconds(), pres.MeanArea, pres.MeanValue)
+		s.advance.Seconds()/p.advance.Seconds(), p.meanArea(), p.meanValue())
 	fmt.Printf("  sweep latency p50/p99: serial %v/%v, sharded %v/%v\n",
-		sres.SweepP50.Truncate(time.Millisecond), sres.SweepP99.Truncate(time.Millisecond),
-		pres.SweepP50.Truncate(time.Millisecond), pres.SweepP99.Truncate(time.Millisecond))
+		s.p50.Truncate(time.Millisecond), s.p99.Truncate(time.Millisecond),
+		p.p50.Truncate(time.Millisecond), p.p99.Truncate(time.Millisecond))
 	return nil
 }
 
-// temporalFigure is one of the churn, prefetch, corridor and pyramid
-// scenarios as the command prints it: its configuration (base and users point
-// into it, for the flags), its banner, its table, and its headline checks
-// with the summary lines they earn.
+// temporalFigure is one of the churn, prefetch, corridor and pyramid figures
+// as the command prints it: its scenario (the flags write into it), its
+// banner, its table, and its headline checks with the summary lines they
+// earn.
 type temporalFigure struct {
-	base   *experiment.Base
-	users  *int
+	sc     *scenario
 	banner func() string
-	run    func() (experiment.Result, error)
+	run    func() (result, error)
 	// header is the table's heading and rowFormat/row one arm's line; a
 	// figure without a table leaves them zero.
 	header, rowFormat string
-	row               func(o experiment.Outcome) []any
-	// check runs the scenario's headline checks on the as-configured result
+	row               func(o outcome) []any
+	// check runs the figure's headline checks on the as-configured result
 	// and prints the summary.
-	check func(res experiment.Result) error
+	check func(res result) error
 }
 
 // printTemporal applies the flags to a temporal figure, runs it once as
 // configured and once at Shards 1 / Workers 1 — failing when any arm's digest
 // moved — and prints its table and headline.
 func printTemporal(f temporalFigure, seed int64, users, nodes, shards, workers int) error {
-	f.base.Seed = seed
+	f.sc.net.Seed = seed
 	if users != 0 {
-		*f.users = users
+		f.sc.users = users
 	}
 	if nodes != 0 {
-		f.base.Nodes = nodes
+		f.sc.net.Nodes = nodes
 	}
-	f.base.Shards, f.base.Workers = shards, workers
+	f.sc.net.Service = mobiquery.ServiceConfig{Shards: shards, Workers: workers}
 	fmt.Println(f.banner())
 
 	res, err := f.run()
 	if err != nil {
 		return err
 	}
-	f.base.Shards, f.base.Workers = 1, 1
+	f.sc.net.Service = mobiquery.ServiceConfig{Shards: 1, Workers: 1}
 	ref, err := f.run()
 	if err != nil {
 		return err
 	}
-	for i, out := range res.Arms {
-		if out.Digest != ref.Arms[i].Digest {
-			return fmt.Errorf("%s digest moved across engine sizing (%#x vs %#x) — engine bug", out.Label, out.Digest, ref.Arms[i].Digest)
+	for i, out := range res.arms {
+		if out.digest != ref.arms[i].digest {
+			return fmt.Errorf("%s digest moved across engine sizing (%#x vs %#x) — engine bug", out.label, out.digest, ref.arms[i].digest)
 		}
 	}
 	if f.row != nil {
 		fmt.Println(f.header)
-		for _, out := range res.Arms {
+		for _, out := range res.arms {
 			fmt.Printf(f.rowFormat, f.row(out)...)
 		}
 	}
@@ -197,30 +200,29 @@ var temporalFigures = map[string]func() temporalFigure{
 	"pyramid":  pyramidFigure,
 }
 
-// churnFigure is the dynamic-membership scenario — streaming users with
+// churnFigure is the dynamic-membership figure — streaming users with
 // freshness windows and deadlines, joining and leaving mid-run — against the
 // static population alone: churn must leave the static users' results
 // untouched.
 func churnFigure() temporalFigure {
-	cfg := experiment.DefaultChurn()
+	sc := defaultChurn()
 	return temporalFigure{
-		base: &cfg.Base, users: &cfg.Static,
+		sc: &sc,
 		banner: func() string {
 			return fmt.Sprintf("churn scenario: %d static + %d churning users on a %d-node field (%v session, Tperiod=%v, Tfresh=%v)",
-				cfg.Static, cfg.Churners, cfg.Nodes, cfg.Duration, cfg.Period, cfg.Fresh)
+				sc.users, sc.churners, sc.net.Nodes, sc.duration, sc.spec.Period, sc.spec.Freshness)
 		},
-		run: func() (experiment.Result, error) { return experiment.RunChurn(cfg) },
-		check: func(res experiment.Result) error {
-			churn, _ := res.Arm(experiment.ChurnArm)
-			alone, _ := res.Arm(experiment.StaticArm)
-			if churn.Digest != alone.Digest {
-				return fmt.Errorf("churn perturbed the static users (digests %#x vs %#x) — engine bug", churn.Digest, alone.Digest)
+		run: func() (result, error) { return runChurn(sc) },
+		check: func(res result) error {
+			churn, alone := res.arm(churnArm), res.arm(staticArm)
+			if churn.digest != alone.digest {
+				return fmt.Errorf("churn perturbed the static users (digests %#x vs %#x) — engine bug", churn.digest, alone.digest)
 			}
 			fmt.Printf("  %d evaluations (%d late, %d stale readings excluded) in %v\n",
-				churn.Evaluations, churn.Late, churn.StaleExclusions, ms(res.Elapsed))
+				churn.periods, churn.late, churn.stale, ms(res.elapsed))
 			fmt.Printf("  %d joins, %d leaves, peak %d live users, %.1f fresh sensors per result\n",
-				churn.Joins, churn.Leaves, churn.PeakLive, churn.MeanFresh)
-			fmt.Printf("  static users' digest unchanged by churn: %#x\n", churn.Digest)
+				churn.joins, churn.leaves, churn.peakLive, churn.meanFresh())
+			fmt.Printf("  static users' digest unchanged by churn: %#x\n", churn.digest)
 			return nil
 		},
 	}
@@ -230,31 +232,29 @@ func churnFigure() temporalFigure {
 // sleepy sensor field evaluated on demand, with just-in-time prefetching, and
 // with greedy prefetching: prefetching must reduce late periods.
 func prefetchFigure() temporalFigure {
-	cfg := experiment.DefaultPrefetch()
+	sc := defaultPrefetch()
 	return temporalFigure{
-		base: &cfg.Base, users: &cfg.Users,
+		sc: &sc,
 		banner: func() string {
 			return fmt.Sprintf("prefetch scenario: %d mobile users on a %d-node field (%v session, Tperiod=%v, Tfresh=%v, duty cycle %v, tick %v)",
-				cfg.Users, cfg.Nodes, cfg.Duration, cfg.Period, cfg.Fresh, cfg.SamplePeriod, cfg.Tick)
+				sc.users, sc.net.Nodes, sc.duration, sc.spec.Period, sc.spec.Freshness, sc.net.SamplePeriod, sc.tick)
 		},
-		run: func() (experiment.Result, error) { return experiment.RunPrefetch(cfg) },
+		run: func() (result, error) { return runPrefetch(sc) },
 		header: fmt.Sprintf("  %-12s %8s %8s %8s %10s %10s %9s %8s  %s",
 			"strategy", "periods", "late", "warmup", "stale", "prefetched", "staleness", "storage", "digest"),
 		rowFormat: "  %-12v %8d %8d %8d %10d %10d %9v %8d  %#x\n",
-		row: func(o experiment.Outcome) []any {
-			return []any{o.Strategy, o.Evaluations, o.Late, o.WarmupPeriods, o.StaleExclusions,
-				o.PrefetchedReadings, ms(o.MeanStaleness), o.PeakOutstanding, o.Digest}
+		row: func(o outcome) []any {
+			return []any{o.strategy, o.periods, o.late, o.warmup, o.stale,
+				o.prefetched, ms(o.meanStaleness()), o.storage, o.digest}
 		},
-		check: func(res experiment.Result) error {
-			od, _ := res.Arm("on-demand")
-			jit, _ := res.Arm("jit")
-			greedy, _ := res.Arm("greedy")
-			if jit.Late >= od.Late || greedy.Late >= od.Late {
+		check: func(res result) error {
+			od, jit, greedy := res.arm("on-demand"), res.arm("jit"), res.arm("greedy")
+			if jit.late >= od.late || greedy.late >= od.late {
 				return fmt.Errorf("prefetching did not reduce late periods (on-demand %d, jit %d, greedy %d) — planner bug",
-					od.Late, jit.Late, greedy.Late)
+					od.late, jit.late, greedy.late)
 			}
 			fmt.Printf("  digests invariant to Shards/Workers; prefetching cut late periods %d -> %d (jit) / %d (greedy) in %v\n",
-				od.Late, jit.Late, greedy.Late, ms(res.Elapsed))
+				od.late, jit.late, greedy.late, ms(res.elapsed))
 			return nil
 		},
 	}
@@ -263,92 +263,83 @@ func prefetchFigure() temporalFigure {
 // corridorFigure is the corridor comparison — exact vs noisy motion
 // profiles, with and without the spatial corridor cache: the warm path must
 // never change results (corridor/exact matches jit/exact bit for bit), and
-// the figure reports staged-hit and mispredict rates plus each arm's wall
-// time per period of the whole serve, staging included.
+// the figure reports staged-hit and mispredict rates plus each arm's Advance
+// wall time per delivered period, staging included.
 func corridorFigure() temporalFigure {
-	cfg := experiment.DefaultCorridor()
+	sc := defaultCorridor()
 	return temporalFigure{
-		base: &cfg.Base, users: &cfg.Users,
+		sc: &sc,
 		banner: func() string {
 			return fmt.Sprintf("corridor scenario: %d turning users on a %d-node field (%v session, Tperiod=%v, duty cycle %v, GPS %v/%vm, lookahead %d)",
-				cfg.Users, cfg.Nodes, cfg.Duration, cfg.Period, cfg.SamplePeriod, experiment.CorridorGPSSampling, cfg.GPSError, cfg.Lookahead)
+				sc.users, sc.net.Nodes, sc.duration, sc.spec.Period, sc.net.SamplePeriod, corridorGPSSampling, sc.gpsError, sc.lookahead)
 		},
-		run: func() (experiment.Result, error) { return experiment.RunCorridor(cfg) },
-		header: fmt.Sprintf("  %-20s %8s %6s %7s %9s %10s %8s %8s %8s %8s %9s  %s",
-			"arm", "periods", "late", "warmup", "stale", "prefetched", "hits", "cold", "mispred", "replans", "serve-ns", "digest"),
-		rowFormat: "  %-20s %8d %6d %7d %9d %10d %8d %8d %8d %8d %9.0f  %#x\n",
-		row: func(o experiment.Outcome) []any {
-			return []any{o.Label, o.Evaluations, o.Late, o.WarmupPeriods, o.StaleExclusions,
-				o.PrefetchedReadings, o.StagedHits, o.ColdEvaluations, o.Mispredicts,
-				o.Replans, o.ServeNs, o.Digest}
+		run: func() (result, error) { return runCorridor(sc) },
+		header: fmt.Sprintf("  %-20s %8s %6s %7s %9s %10s %8s %8s %8s %8s %10s  %s",
+			"arm", "periods", "late", "warmup", "stale", "prefetched", "hits", "cold", "mispred", "replans", "advance-ns", "digest"),
+		rowFormat: "  %-20s %8d %6d %7d %9d %10d %8d %8d %8d %8d %10.0f  %#x\n",
+		row: func(o outcome) []any {
+			return []any{o.label, o.periods, o.late, o.warmup, o.stale,
+				o.prefetched, o.hits, o.cold, o.mispredicts, o.replans, o.advanceNs(), o.digest}
 		},
-		check: func(res experiment.Result) error {
-			jitExact, _ := res.Arm("jit/exact")
-			jitNoisy, _ := res.Arm("jit/noisy")
-			corrExact, _ := res.Arm("jit+corridor/exact")
-			corrNoisy, _ := res.Arm("jit+corridor/noisy")
-			if corrExact.Digest != jitExact.Digest {
-				return fmt.Errorf("corridor changed exact-profile results (%#x vs %#x) — warm path not bit-identical", corrExact.Digest, jitExact.Digest)
+		check: func(res result) error {
+			jitExact, jitNoisy := res.arm("jit/exact"), res.arm("jit/noisy")
+			corrExact, corrNoisy := res.arm("jit+corridor/exact"), res.arm("jit+corridor/noisy")
+			if corrExact.digest != jitExact.digest {
+				return fmt.Errorf("corridor changed exact-profile results (%#x vs %#x) — warm path not bit-identical", corrExact.digest, jitExact.digest)
 			}
-			if corrNoisy.StagedHits == 0 || corrExact.StagedHits == 0 {
+			if corrNoisy.hits == 0 || corrExact.hits == 0 {
 				return fmt.Errorf("corridor arms served no warm periods — staging bug")
 			}
-			if corrNoisy.ColdEvaluations >= jitNoisy.ColdEvaluations {
-				return fmt.Errorf("corridor did not reduce cold evaluations on the noisy workload (%d vs %d)",
-					corrNoisy.ColdEvaluations, jitNoisy.ColdEvaluations)
+			if corrNoisy.cold >= jitNoisy.cold {
+				return fmt.Errorf("corridor did not reduce cold evaluations on the noisy workload (%d vs %d)", corrNoisy.cold, jitNoisy.cold)
 			}
 			fmt.Printf("  digests invariant to Shards/Workers; corridor/exact == jit/exact (warm path bit-identical)\n")
 			fmt.Printf("  noisy workload: staged-hit rate %.0f%%, mispredict rate %.1f%%, cold evaluations %d -> %d, in %v\n",
-				100*float64(corrNoisy.StagedHits)/float64(corrNoisy.Evaluations), 100*float64(corrNoisy.Mispredicts)/float64(corrNoisy.Evaluations),
-				jitNoisy.ColdEvaluations, corrNoisy.ColdEvaluations, ms(res.Elapsed))
+				100*float64(corrNoisy.hits)/float64(corrNoisy.periods), 100*float64(corrNoisy.mispredicts)/float64(corrNoisy.periods),
+				jitNoisy.cold, corrNoisy.cold, ms(res.elapsed))
 			return nil
 		},
 	}
 }
 
-// pyramidFigure is the aggregate-pyramid comparison — flat area scans vs
-// hierarchical tile decomposition, single-period and windowed: every pyramid
-// arm must reproduce its flat twin bit for bit while serving entirely from
-// the pyramid, and the figure reports the node-visit accounting — what an
-// epoch ingest costs and what each decomposed serve saves over the flat scan.
+// pyramidFigure is the aggregate-pyramid figure, single-period and windowed:
+// every period must be served from the Service's tile pyramid, and the figure
+// reports the node-visit accounting — what an epoch ingest costs and what
+// each decomposed serve saves over the flat scan. That a pyramid serve equals
+// the flat scan bit for bit is the engine's to prove, and its tests do.
 func pyramidFigure() temporalFigure {
-	cfg := experiment.DefaultPyramid()
+	sc := defaultPyramid()
 	return temporalFigure{
-		base: &cfg.Base, users: &cfg.Users,
+		sc: &sc,
 		banner: func() string {
 			return fmt.Sprintf("pyramid scenario: %d users sweeping %vm disks over a %d-node field (%v session, Tperiod=%v, Tfresh=%v, window %d)",
-				cfg.Users, cfg.Radius, cfg.Nodes, cfg.Duration, cfg.Period, cfg.Fresh, cfg.Window)
+				sc.users, sc.spec.Radius, sc.net.Nodes, sc.duration, sc.spec.Period, sc.spec.Freshness, sc.window)
 		},
-		run: func() (experiment.Result, error) { return experiment.RunPyramid(cfg) },
+		run: func() (result, error) { return runPyramid(sc) },
 		header: fmt.Sprintf("  %-16s %8s %6s %8s %8s %9s %8s %10s %10s %11s  %s",
 			"arm", "periods", "late", "served", "cold", "stale", "builds", "ingested", "fringe", "area-nodes", "digest"),
 		rowFormat: "  %-16s %8d %6d %8d %8d %9d %8d %10d %10d %11d  %#x\n",
-		row: func(o experiment.Outcome) []any {
-			return []any{o.Label, o.Evaluations, o.Late, o.PyramidServes, o.ColdEvaluations,
-				o.StaleExclusions, o.Index.Builds, o.Index.NodesIngested,
-				o.Index.FringeNodes, o.Index.ServedAreaNodes, o.Digest}
+		row: func(o outcome) []any {
+			return []any{o.label, o.periods, o.late, o.pyramid, o.cold, o.stale, o.index.Builds,
+				o.index.NodesIngested, o.index.FringeNodes, o.index.ServedAreaNodes, o.digest}
 		},
-		check: func(res experiment.Result) error {
-			for _, pair := range [][2]string{{"flat", "pyramid"}, {"flat/window", "pyramid/window"}} {
-				flat, _ := res.Arm(pair[0])
-				pyr, _ := res.Arm(pair[1])
-				if pyr.Digest != flat.Digest {
-					return fmt.Errorf("%s digest %#x != %s digest %#x — pyramid serves changed observable results", pair[1], pyr.Digest, pair[0], flat.Digest)
-				}
-				if pyr.ColdEvaluations != 0 || pyr.PyramidServes != pyr.Evaluations {
+		check: func(res result) error {
+			for _, o := range res.arms {
+				if o.periods == 0 || o.cold != 0 || o.pyramid != o.periods {
 					return fmt.Errorf("%s served %d/%d from the pyramid (%d cold) — exactness gate declined provable serves",
-						pair[1], pyr.PyramidServes, pyr.Evaluations, pyr.ColdEvaluations)
+						o.label, o.pyramid, o.periods, o.cold)
 				}
 			}
-			pyr, _ := res.Arm("pyramid")
-			visits := pyr.Index.NodesIngested + pyr.Index.FringeNodes
-			if visits == 0 || pyr.Index.ServedAreaNodes == 0 {
-				return fmt.Errorf("pyramid ledger empty: %+v", pyr.Index)
+			pyr := res.arm("pyramid")
+			visits := pyr.index.NodesIngested + pyr.index.FringeNodes
+			if visits == 0 || pyr.index.ServedAreaNodes == 0 {
+				return fmt.Errorf("pyramid ledger empty: %+v", pyr.index)
 			}
-			fmt.Printf("  digests invariant to Shards/Workers; pyramid == flat bit for bit on both pairs\n")
+			misses := pyr.index.MissNoEpoch + pyr.index.MissFreshness + pyr.index.MissVersion
+			fmt.Printf("  digests invariant to Shards/Workers; every period of both arms served by the pyramid (%d misses)\n", misses)
 			fmt.Printf("  pyramid arm: %d epoch builds, %.2fx node-visit advantage (%d flat-equivalent area nodes vs %d ingested+fringe), in %v\n",
-				pyr.Index.Builds, float64(pyr.Index.ServedAreaNodes)/float64(visits),
-				pyr.Index.ServedAreaNodes, visits, ms(res.Elapsed))
+				pyr.index.Builds, float64(pyr.index.ServedAreaNodes)/float64(visits),
+				pyr.index.ServedAreaNodes, visits, ms(res.elapsed))
 			return nil
 		},
 	}

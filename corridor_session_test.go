@@ -258,6 +258,56 @@ func TestGPSPredictedMotionMispredicts(t *testing.T) {
 	}
 }
 
+// TestPlannedMotionNeverMispredicts drives the same course as the GPS test
+// from PlannedMotion's exact per-leg profiles: positions follow the course,
+// every leg re-plans once, and a corridor of two meters serves warm without
+// a single mispredict. A bad course is refused as GPSPredictedMotion
+// refuses it.
+func TestPlannedMotionNeverMispredicts(t *testing.T) {
+	course := CourseConfig{Seed: 7, RegionSide: 450, Start: Pt(220, 220), SpeedMin: 3, SpeedMax: 5,
+		ChangeInterval: 5 * time.Second, Duration: 90 * time.Second}
+	src, err := PlannedMotion(course)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gps, err := GPSPredictedMotion(course, GPSConfig{Seed: 11, Sampling: 2 * time.Second, Error: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := time.Duration(0); at <= course.Duration; at += time.Second {
+		if src.PositionAt(at) != gps.PositionAt(at) {
+			t.Fatalf("t=%v: planned position %v, course %v", at, src.PositionAt(at), gps.PositionAt(at))
+		}
+	}
+	svc, err := Open(context.Background(), sleepyNetwork(), WithResultBuffer(128))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	spec := prefetchSpec(JITStrategy())
+	spec.Corridor = CorridorSpec{Lookahead: 3, ErrorModel: ErrorModel{Base: 2}}
+	sub, err := svc.Subscribe(context.Background(), spec, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 90; i++ {
+		if err := svc.Advance(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, ok := sub.PrefetchStats()
+	if !ok || st.CorridorHits == 0 || st.CorridorMispredicts != 0 {
+		t.Fatalf("planned corridor ledger %+v/%v: want warm periods and no mispredict", st, ok)
+	}
+	if legs := int(course.Duration / course.ChangeInterval); st.Replans != legs-1 {
+		t.Errorf("%d replans, want one per leg after the first (%d)", st.Replans, legs-1)
+	}
+	course.SpeedMin = 0
+	if _, err := PlannedMotion(course); err == nil {
+		t.Error("zero SpeedMin accepted")
+	}
+}
+
 // TestGPSPredictedMotionValidation pins constructor errors.
 func TestGPSPredictedMotionValidation(t *testing.T) {
 	good := CourseConfig{Seed: 1, RegionSide: 450, Start: Pt(10, 10), SpeedMin: 1, SpeedMax: 2,

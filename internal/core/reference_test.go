@@ -232,6 +232,97 @@ func runDifferential(t *testing.T, nodes []refNode, spec core.TemporalSpec, samp
 	}
 }
 
+// TestWindowedPyramidMatchesCold registers Window-3 twins on the quantised
+// field — one served through a tile pyramid, one by cold scans — and requires
+// the pyramid twin to serve every period and both twins to agree bit for bit
+// on every result, across engine sizings. Over a quantised field float
+// addition is associative, so the pyramid's tile-major grouping of Sum cannot
+// hide behind a tolerance.
+func TestWindowedPyramidMatchesCold(t *testing.T) {
+	spec, sample := refSpec, refSampler()
+	spec.Window = 3
+	nodes := refField(9)
+	fld := refFields[1].fld
+	for _, shards := range []int{1, 16} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				e := core.NewQueryEngine(geom.Square(refSide), refCell, fld, core.EngineConfig{Shards: shards, Workers: workers})
+				e.SetSampler(sample)
+				e.Dispatch(len(nodes), func(i int) { e.UpsertNode(radio.NodeID(nodes[i].id), nodes[i].pos) })
+				p, err := pyramid.New(e.Index(), pyramid.Config{Fresh: spec.Fresh, Sample: sample, Field: fld})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Twin i is ids 2i+1 (pyramid) and 2i+2 (cold), moving together.
+				rng := rand.New(rand.NewSource(10))
+				twins := make([]refQuery, 8)
+				for i := range twins {
+					twins[i] = refQuery{
+						id:     uint32(2*i + 1),
+						radius: 400 + rng.Float64()*200,
+						start:  geom.Pt(600+rng.Float64()*800, 600+rng.Float64()*800),
+						vel:    geom.V(rng.Float64()*8-4, rng.Float64()*8-4),
+					}
+					for _, id := range []uint32{twins[i].id, twins[i].id + 1} {
+						if err := e.RegisterTemporalE(id, twins[i].radius, twins[i].start, spec, 0); err != nil {
+							t.Fatal(err)
+						}
+					}
+					e.SetQueryAggIndex(twins[i].id, p)
+				}
+				got := make([]core.WindowResult, 2*len(twins))
+				for k := 1; k <= 8; k++ {
+					due := sim.Time(k) * spec.Period
+					p.EnsureEpoch(due)
+					for _, q := range twins {
+						e.UpdateWaypoint(q.id, q.at(due))
+						e.UpdateWaypoint(q.id+1, q.at(due))
+					}
+					e.Dispatch(len(got), func(i int) {
+						res, ok := e.EvaluateDueBatch(uint32(i+1), due, nil)
+						if !ok {
+							t.Errorf("query %d: period %d not due at its boundary", i+1, k)
+						}
+						got[i] = res
+					})
+					for i := 0; i < len(got); i += 2 {
+						pyr, cold := got[i], got[i+1]
+						if cold.Data.Count == 0 || cold.StaleNodes == 0 {
+							t.Fatalf("twin %d k=%d: %d fresh / %d stale nodes; the setup must exercise both", i/2, k, cold.Data.Count, cold.StaleNodes)
+						}
+						if !pyr.PyramidHit || cold.PyramidHit {
+							t.Fatalf("twin %d k=%d: pyramid served %v/%v, want true/false", i/2, k, pyr.PyramidHit, cold.PyramidHit)
+						}
+						if k >= spec.Window && pyr.WindowPeriods != spec.Window {
+							t.Fatalf("twin %d k=%d: merged %d periods, want %d", i/2, k, pyr.WindowPeriods, spec.Window)
+						}
+						if a, b := windowBits(pyr), windowBits(cold); a != b || !slices.Equal(pyr.Data.Contribs, cold.Data.Contribs) {
+							t.Fatalf("twin %d k=%d: pyramid %+v\ncold    %+v", i/2, k, pyr, cold)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// windowBits is every field of a window result but the route flag
+// PyramidHit and the contributor list, floats as their bits.
+func windowBits(wr core.WindowResult) [16]uint64 {
+	b := func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	return [16]uint64{
+		uint64(wr.Data.Count), math.Float64bits(wr.Data.Sum), math.Float64bits(wr.Data.Min), math.Float64bits(wr.Data.Max),
+		uint64(wr.K), uint64(wr.Due), uint64(wr.EvaluatedAt), b(wr.Late), uint64(wr.Lateness),
+		uint64(wr.AreaNodes), uint64(wr.StaleNodes), uint64(wr.MaxStaleness), uint64(wr.Prefetched),
+		b(wr.Warmup), b(wr.CorridorHit), uint64(wr.WindowPeriods),
+	}
+}
+
 // refWindow is the model of a Window query: the last w single-period
 // reference evaluations merged oldest first, staleness re-aged to the newest
 // boundary, exactly as TemporalSpec.Window promises.

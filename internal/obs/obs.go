@@ -67,7 +67,7 @@ const (
 // Histogram is a fixed-boundary log-spaced histogram over non-negative
 // int64 values (typically nanoseconds or sizes). Observe is lock-free and
 // allocation-free. Obtain from Registry.Histogram, or standalone from
-// NewHistogram for non-exported uses (experiment harnesses).
+// NewHistogram for non-exported uses (the benchmark's probes).
 type Histogram struct {
 	labels string
 	scale  float64 // multiplies bounds and sum at exposition (1e-9: ns → s)

@@ -373,6 +373,10 @@ type Stats struct {
 	WarmupUntil sim.Time
 	// Epoch is when the governing profile was installed.
 	Epoch sim.Time
+	// Outstanding counts the chains dispatched and not yet consumed at the
+	// last evaluated boundary — the live equation-11/12 storage. A bare
+	// Planner does not know that boundary; servepath.Path.Stats fills it.
+	Outstanding int
 
 	// The corridor counters describe the subscription's spatial corridor
 	// cache when one is attached; servepath.Path.Stats fills them from

@@ -1,16 +1,16 @@
 // Package servepath is the serve protocol of one temporal query, written
 // once: which machinery the query is wired to (prefetch planner, corridor
 // cache, shared aggregate pyramid) and what its driver owes that machinery
-// around every period. The session layer and the experiment harness hold a
-// Path per query and drive it the same way:
+// around every period. The session layer holds a Path per subscription and
+// drives it so:
 //
 //	path.Attach(q, cfg, pos, profile, stream)  // once, after registering q
 //	for each due boundary:
 //		path.Before(due)
 //		q.Lock()
 //		wr, ok := q.EvaluateDueAt(pos, now, rb)
-//		q.Unlock()
 //		class, mispredicted := path.After(&wr, pos)
+//		q.Unlock()
 package servepath
 
 import (
@@ -55,8 +55,8 @@ type Config struct {
 
 // Path is one query's serve machinery and the state of driving it. The zero
 // value serves cold and on demand; hold it by value. Before and After belong
-// to the query's one driver; Replan, Stats and Outstanding are safe from any
-// goroutine once Attach has returned.
+// to the query's one driver; Replan is safe from any goroutine once Attach
+// has returned, and Stats from any that excludes After.
 type Path struct {
 	planner *prefetch.Planner
 	cache   *corridor.Cache
@@ -193,12 +193,15 @@ func (p *Path) Replan(profile mobility.Profile, at sim.Time) {
 func (p *Path) Planned() bool { return p.planner != nil }
 
 // Stats returns the planner's ledger with the corridor cache's counters
-// merged in; ok is false on an unplanned path.
+// merged in and the chains outstanding at the boundary After last settled;
+// ok is false on an unplanned path. It reads that boundary, so it must not
+// run concurrently with After.
 func (p *Path) Stats() (st prefetch.Stats, ok bool) {
 	if p.planner == nil {
 		return prefetch.Stats{}, false
 	}
 	st = p.planner.Stats()
+	st.Outstanding = p.planner.Outstanding(p.lastAt)
 	if p.cache != nil {
 		cs := p.cache.Stats()
 		st.CorridorHits = cs.Hits
@@ -207,15 +210,6 @@ func (p *Path) Stats() (st prefetch.Stats, ok bool) {
 		st.CorridorStaged = cs.StagedBoundaries
 	}
 	return st, true
-}
-
-// Outstanding is the number of chains dispatched and not yet consumed at
-// virtual time at — the live equation-11/12 storage; zero when unplanned.
-func (p *Path) Outstanding(at sim.Time) int {
-	if p.planner == nil {
-		return 0
-	}
-	return p.planner.Outstanding(at)
 }
 
 // LinearProfile is the prediction one ground-truth observation supports: a

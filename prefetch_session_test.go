@@ -42,6 +42,46 @@ func drain(sub *Subscription) []QueryResult {
 	return out
 }
 
+// TestPrefetchStatsOutstandingMatchesStorageBounds pins the live storage
+// ledger (equations 11 and 12) at the session: past its warmup a JIT
+// subscription holds exactly the equation-12 constant of chains outstanding,
+// a greedy one its lookahead, and an on-demand one has no ledger at all.
+func TestPrefetchStatsOutstandingMatchesStorageBounds(t *testing.T) {
+	nc := sleepyNetwork()
+	svc, err := Open(context.Background(), nc, WithResultBuffer(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	subscribe := func(s Strategy) *Subscription {
+		sub, err := svc.Subscribe(context.Background(), prefetchSpec(s), LinearMotion(Pt(150, 150), 2, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	jit, greedy, onDemand := subscribe(JITStrategy()), subscribe(GreedyStrategy(9)), subscribe(OnDemandStrategy())
+	for i := 0; i < 20; i++ {
+		if err := svc.Advance(time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := prefetchSpec(JITStrategy())
+	st, ok := jit.PrefetchStats()
+	if !ok || st.WarmupUntil >= svc.Now() {
+		t.Fatalf("JIT stats %+v/%v: want a ledger past its warmup at %v", st, ok, svc.Now())
+	}
+	if want := JITStorageBound(nc.SamplePeriod, spec.Freshness, spec.Period); st.Outstanding != want {
+		t.Errorf("JIT outstanding = %d, want the equation-12 constant %d", st.Outstanding, want)
+	}
+	if st, ok := greedy.PrefetchStats(); !ok || st.Outstanding != 9 {
+		t.Errorf("greedy(9) stats %+v/%v: want 9 chains outstanding", st, ok)
+	}
+	if st, ok := onDemand.PrefetchStats(); ok || st.Outstanding != 0 {
+		t.Errorf("on-demand subscription reports a prefetch ledger: %+v/%v", st, ok)
+	}
+}
+
 // TestPrefetchReducesLatenessAndStaleness is the headline property: against
 // the same sleepy field and the same coarse 300 ms service clock, the JIT
 // subscriber's post-warmup periods are staged at their boundaries (on time,

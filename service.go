@@ -141,7 +141,7 @@ func WithSpanFirehose(n int) Option {
 // advances by tick every tick of real time, so subscriptions stream
 // results without explicit Advance calls. Without this option the clock is
 // manual — the caller advances it with Service.Advance, which is exactly
-// reproducible and is what tests and the experiment harness use.
+// reproducible and is what tests and the extension figures use.
 func WithRealTime(tick time.Duration) Option {
 	return func(o *serviceOptions) { o.tick = tick }
 }
@@ -272,8 +272,8 @@ func Open(ctx context.Context, nc NetworkConfig, opts ...Option) (*Service, erro
 	engine.SetSampler(s.sample)
 	s.obs = newSvcObs(s)
 
-	// Node placement matches the scale harness: one serial RNG drained up
-	// front, so the field depends only on the seed.
+	// Node placement is one serial RNG drained up front, so the field
+	// depends only on the seed.
 	rng := rand.New(rand.NewSource(nc.Seed))
 	pos := make([]geom.Point, nc.Nodes)
 	for i := range pos {

@@ -207,8 +207,8 @@ func LinearMotion(start Point, vx, vy float64) MotionSource {
 // stages) from the predictions while its actual positions keep following
 // PositionAt — the paper's Section 6.3 location-error setting, live.
 //
-// The interface is sealed: construct implementations with
-// GPSPredictedMotion.
+// The interface is sealed: construct implementations with PlannedMotion
+// or GPSPredictedMotion.
 type ProfileSource interface {
 	MotionSource
 	// predictedProfiles returns the profile stream in delivery order, all
@@ -242,24 +242,19 @@ type GPSConfig struct {
 	Threshold float64
 }
 
-// gpsMotion is the ProfileSource behind GPSPredictedMotion.
-type gpsMotion struct {
+// courseMotion is the ProfileSource behind PlannedMotion and
+// GPSPredictedMotion: a ground-truth course and the predictions laid over it.
+type courseMotion struct {
 	course   mobility.Course
 	profiles []mobility.TimedProfile
 }
 
-func (g *gpsMotion) PositionAt(t time.Duration) Point { return g.course.PosAt(t) }
+func (g *courseMotion) PositionAt(t time.Duration) Point { return g.course.PosAt(t) }
 
-func (g *gpsMotion) predictedProfiles() []mobility.TimedProfile { return g.profiles }
+func (g *courseMotion) predictedProfiles() []mobility.TimedProfile { return g.profiles }
 
-// GPSPredictedMotion returns a ProfileSource whose ground truth follows a
-// random-direction course while its predictions come from a noisy GPS
-// predictor — actual positions and predicted profiles deliberately
-// disagree, within gps.Error and the predictor's threshold. Pair it with a
-// prefetching Strategy and a Corridor whose ErrorModel covers the
-// predictor (see GPSErrorModel) to exercise spatial prefetching under
-// location error. The source is deterministic in its seeds.
-func GPSPredictedMotion(course CourseConfig, gps GPSConfig) (ProfileSource, error) {
+// newCourse validates course and draws it from its seed.
+func newCourse(course CourseConfig) (mobility.Course, error) {
 	spec := mobility.CourseSpec{
 		Region:         geom.Square(course.RegionSide),
 		Start:          course.Start,
@@ -269,6 +264,35 @@ func GPSPredictedMotion(course CourseConfig, gps GPSConfig) (ProfileSource, erro
 		Duration:       course.Duration,
 	}
 	if err := spec.Validate(); err != nil {
+		return mobility.Course{}, err
+	}
+	return mobility.NewRandomCourse(spec, rand.New(rand.NewSource(course.Seed))), nil
+}
+
+// PlannedMotion returns a ProfileSource whose predictions are exact: one
+// profile per leg of a random-direction course, each delivered the instant
+// its leg begins (the discrete-event Planner profiler with no advance time).
+// A prefetching subscription over it plans every leg from the truth, so a
+// Corridor with a few meters of ErrorModel never mispredicts. The source is
+// deterministic in its seed.
+func PlannedMotion(course CourseConfig) (ProfileSource, error) {
+	c, err := newCourse(course)
+	if err != nil {
+		return nil, err
+	}
+	return &courseMotion{course: c, profiles: mobility.ExactProfiler{Course: c}.Profiles()}, nil
+}
+
+// GPSPredictedMotion returns a ProfileSource whose ground truth follows a
+// random-direction course while its predictions come from a noisy GPS
+// predictor — actual positions and predicted profiles deliberately
+// disagree, within gps.Error and the predictor's threshold. Pair it with a
+// prefetching Strategy and a Corridor whose ErrorModel covers the
+// predictor (see GPSErrorModel) to exercise spatial prefetching under
+// location error. The source is deterministic in its seeds.
+func GPSPredictedMotion(course CourseConfig, gps GPSConfig) (ProfileSource, error) {
+	c, err := newCourse(course)
+	if err != nil {
 		return nil, err
 	}
 	if gps.Sampling <= 0 {
@@ -277,7 +301,6 @@ func GPSPredictedMotion(course CourseConfig, gps GPSConfig) (ProfileSource, erro
 	if gps.Error < 0 {
 		return nil, fmt.Errorf("mobiquery: GPS error %v must be non-negative", gps.Error)
 	}
-	c := mobility.NewRandomCourse(spec, rand.New(rand.NewSource(course.Seed)))
 	predictor := mobility.GPSPredictor{
 		Course:    c,
 		Sampling:  gps.Sampling,
@@ -285,7 +308,7 @@ func GPSPredictedMotion(course CourseConfig, gps GPSConfig) (ProfileSource, erro
 		Threshold: gps.Threshold,
 		RNG:       rand.New(rand.NewSource(gps.Seed)),
 	}
-	return &gpsMotion{course: c, profiles: predictor.Profiles()}, nil
+	return &courseMotion{course: c, profiles: predictor.Profiles()}, nil
 }
 
 // shiftProfile translates a profile's course-relative times onto the
@@ -560,9 +583,12 @@ func (sub *Subscription) UpdateWaypoint(p Point) error {
 
 // PrefetchStats returns the prefetch planner's ledger, including the
 // corridor cache's hit/mispredict counters when the spec asked for a
-// corridor; ok is false for on-demand subscriptions, which have no
-// planner.
+// corridor and the chains outstanding at the last evaluated boundary; ok is
+// false for on-demand subscriptions, which have no planner.
 func (sub *Subscription) PrefetchStats() (PrefetchStats, bool) {
+	// Under the query lock: serve settles each period's boundary under it.
+	sub.q.Lock()
+	defer sub.q.Unlock()
 	return sub.path.Stats()
 }
 

@@ -1,6 +1,7 @@
 package mobiquery
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -10,6 +11,7 @@ import (
 	"path"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,7 +26,8 @@ import (
 // is not a reference. A method whose type satisfies an interface declaring
 // it is exempt: calls through the interface do not name the method. The same
 // type-check also fails on every struct field, by the same coverage rule,
-// that nothing reads (see unreadFields).
+// that nothing reads (see unreadFields), and on every reference to a callee
+// of allowedCallers from a function it does not allow.
 func TestNoUnreferencedNames(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{} // by import path; "…_test" for external tests
@@ -126,6 +129,94 @@ func TestNoUnreferencedNames(t *testing.T) {
 	for _, v := range unreadFields(fset, files, info) {
 		t.Errorf("%s: field %s is read nowhere in the module", fset.Position(v.Pos()), v.Name())
 	}
+	for _, c := range strayCalls(fset, files, info) {
+		t.Error(c)
+	}
+}
+
+// allowedCallers is the design as a table: each callee, and the only
+// functions — or whole packages — that may refer to it, wherever covered
+// would look. Service.Advance is the one driver outside the engine: it alone
+// pops the due schedule, fans out and flushes re-arms. The serve path alone
+// wires a query's hooks (besides the engine's id-keyed wrappers) and builds
+// its planner and corridor; Open alone installs the field's sampling
+// schedule.
+var allowedCallers = map[string][]string{
+	"mobiquery/internal/core.QueryEngine.PopDue":        {"mobiquery.Service.Advance", "mobiquery/internal/core"},
+	"mobiquery/internal/core.QueryEngine.FlushRearms":   {"mobiquery.Service.Advance", "mobiquery/internal/core"},
+	"mobiquery/internal/core.QueryEngine.NewRearmBatch": {"mobiquery.Service.Advance", "mobiquery/internal/core"},
+	"mobiquery/internal/core.Query.SetSampler":          {"mobiquery/internal/servepath", "mobiquery/internal/core.QueryEngine.SetQuerySampler"},
+	"mobiquery/internal/core.Query.SetPlan":             {"mobiquery/internal/servepath", "mobiquery/internal/core.QueryEngine.SetQueryPlan"},
+	"mobiquery/internal/core.Query.SetWarmer":           {"mobiquery/internal/servepath", "mobiquery/internal/core.QueryEngine.SetQueryWarmer"},
+	"mobiquery/internal/core.Query.SetAggIndex":         {"mobiquery/internal/servepath", "mobiquery/internal/core.QueryEngine.SetQueryAggIndex"},
+	"mobiquery/internal/core.QueryEngine.SetSampler":    {"mobiquery.Open"},
+	"mobiquery/internal/prefetch.NewPlanner":            {"mobiquery/internal/servepath.Path.Attach"},
+	"mobiquery/internal/corridor.NewCache":              {"mobiquery/internal/servepath.Path.Attach"},
+}
+
+// strayCalls returns, sorted, every reference to an allowedCallers callee
+// from a function the table does not allow, and every callee of the table
+// that no longer exists.
+func strayCalls(fset *token.FileSet, files map[string][]*ast.File, info *types.Info) []string {
+	var stray []string
+	defined := map[string]bool{}
+	for _, obj := range info.Defs {
+		if fn, ok := obj.(*types.Func); ok {
+			defined[funcKey(fn)] = true
+		}
+	}
+	for callee := range allowedCallers {
+		if !defined[callee] {
+			stray = append(stray, "allowedCallers names "+callee+", which is defined nowhere")
+		}
+	}
+	for ip, fs := range files {
+		for _, f := range fs {
+			if !scanned(ip, fset.File(f.Pos()).Name()) {
+				continue
+			}
+			for _, d := range f.Decls {
+				caller := ip // a package-level initializer
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					caller = funcKey(info.Defs[fd.Name].(*types.Func))
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, _ := n.(*ast.Ident)
+					fn, _ := info.Uses[id].(*types.Func)
+					if fn == nil {
+						return true
+					}
+					callee := funcKey(fn.Origin())
+					if allowed, ok := allowedCallers[callee]; ok && !slices.Contains(allowed, caller) && !slices.Contains(allowed, ip) {
+						stray = append(stray, fmt.Sprintf("%s: %s refers to %s, which only %v may", fset.Position(id.Pos()), caller, callee, allowed))
+					}
+					return true
+				})
+			}
+		}
+	}
+	sort.Strings(stray)
+	return stray
+}
+
+// funcKey names a function as allowedCallers does: package path, then the
+// receiver's type name for a method, then the function's name.
+func funcKey(fn *types.Func) string {
+	recv := fn.Signature().Recv()
+	if fn.Pkg() == nil { // error.Error
+		return fn.Name()
+	}
+	if recv == nil {
+		return fn.Pkg().Path() + "." + fn.Name()
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return fn.Pkg().Path() + "." + n.Obj().Name() + "." + fn.Name()
+	}
+	return fn.Pkg().Path() + "." + t.String() + "." + fn.Name()
 }
 
 // unreadFields returns, in declaration order, every struct field declared in
@@ -210,9 +301,14 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // file, must have a reference.
 func covered(obj types.Object, file string) bool {
 	name, pkg := obj.Name(), obj.Pkg().Path()
-	return !strings.HasSuffix(file, "_test.go") && name != "_" && name != "main" && name != "init" &&
-		(pkg == "mobiquery" && !obj.Exported() ||
-			strings.HasPrefix(pkg, "mobiquery/internal/") || strings.HasPrefix(pkg, "mobiquery/cmd/"))
+	return scanned(pkg, file) && name != "_" && name != "main" && name != "init" && (pkg != "mobiquery" || !obj.Exported())
+}
+
+// scanned reports whether file, of package pkg, is one the checks look at:
+// not a test, and in the root package, internal/ or cmd/.
+func scanned(pkg, file string) bool {
+	return !strings.HasSuffix(file, "_test.go") &&
+		(pkg == "mobiquery" || strings.HasPrefix(pkg, "mobiquery/internal/") || strings.HasPrefix(pkg, "mobiquery/cmd/"))
 }
 
 // satisfies reports whether the method fn's receiver type, or a pointer to
