@@ -577,7 +577,7 @@ func BenchmarkAdvancePyramid(b *testing.B) {
 		if ps.Served == 0 {
 			b.Fatal("no pyramid serves: the aggregate index never attached")
 		}
-		if miss := ps.MissNoEpoch + ps.MissFreshness + ps.MissVersion; miss != 0 {
+		if miss := ps.MissNoEpoch + ps.MissFreshness; miss != 0 {
 			b.Fatalf("%d pyramid misses on a static dense workload", miss)
 		}
 		visits := ps.NodesIngested + ps.FringeNodes

@@ -393,7 +393,7 @@ func TestPyramidFigureServesFromThePyramid(t *testing.T) {
 		if o.index.CoveredTiles == 0 || o.index.Builds == 0 {
 			t.Fatalf("%s: index ledger %+v shows no decomposition", o.label, o.index)
 		}
-		if misses := o.index.MissNoEpoch + o.index.MissFreshness + o.index.MissVersion; misses != 0 {
+		if misses := o.index.MissNoEpoch + o.index.MissFreshness; misses != 0 {
 			t.Fatalf("%s: %d pyramid misses", o.label, misses)
 		}
 	}

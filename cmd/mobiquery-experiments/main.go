@@ -335,7 +335,7 @@ func pyramidFigure() temporalFigure {
 			if visits == 0 || pyr.index.ServedAreaNodes == 0 {
 				return fmt.Errorf("pyramid ledger empty: %+v", pyr.index)
 			}
-			misses := pyr.index.MissNoEpoch + pyr.index.MissFreshness + pyr.index.MissVersion
+			misses := pyr.index.MissNoEpoch + pyr.index.MissFreshness
 			fmt.Printf("  digests invariant to Shards/Workers; every period of both arms served by the pyramid (%d misses)\n", misses)
 			fmt.Printf("  pyramid arm: %d epoch builds, %.2fx node-visit advantage (%d flat-equivalent area nodes vs %d ingested+fringe), in %v\n",
 				pyr.index.Builds, float64(pyr.index.ServedAreaNodes)/float64(visits),

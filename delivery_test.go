@@ -223,8 +223,8 @@ func TestReadingColumnIsInvisibleInDeliveredStreams(t *testing.T) {
 		builds  uint64
 	}{{1, fine, 6}, {1, coarse, 2}, {4, coarse, 2}, {4, fine, 6}} {
 		got, st := run(c.workers, c.steps)
-		if st.Builds != c.builds || st.Scans == 0 || st.Discards != 0 {
-			t.Fatalf("workers=%d steps=%v: column stats %+v, want %d built, used, none discarded", c.workers, c.steps, st, c.builds)
+		if st.Builds != c.builds || st.Scans == 0 {
+			t.Fatalf("workers=%d steps=%v: column stats %+v, want %d built and used", c.workers, c.steps, st, c.builds)
 		}
 		for i := range got {
 			if strings.Join(got[i], "\n") != strings.Join(want[i], "\n") {

@@ -15,10 +15,11 @@ import (
 
 // TestEngineChurnUnderRace hammers the engine with every mutating operation
 // at once — registration, deregistration, re-registration of freed ids,
-// waypoint updates, node churn, registry walks, schedule pops with batched
-// re-arms, and streaming evaluations — and is meaningful mainly under
+// waypoint updates, registry walks, schedule pops with batched re-arms, and
+// streaming evaluations — and is meaningful mainly under
 // `go test -race`. It pins the service-shaped contract: users may join and
-// leave while evaluation is in flight.
+// leave while evaluation is in flight. The pops also build and recycle
+// reading columns that the streaming evaluations may be folding through.
 func TestEngineChurnUnderRace(t *testing.T) {
 	region := geom.Square(1000)
 	e := NewQueryEngine(region, 100, field.Uniform{Value: 20}, EngineConfig{Shards: 8, Workers: 8})
@@ -29,12 +30,20 @@ func TestEngineChurnUnderRace(t *testing.T) {
 
 	const (
 		stable   = 24 // queries that live for the whole test
+		wide     = 8  // radius-400 queries only the clock driver evaluates
 		churners = 8  // goroutines cycling their own id through reg/dereg
 		loops    = 60
 	)
 	spec := TemporalSpec{Period: time.Second, Deadline: 50 * time.Millisecond, Fresh: time.Second}
 	for u := 1; u <= stable; u++ {
 		if err := e.RegisterTemporalE(uint32(u), 150, geom.Pt(float64(u*10), 500), spec, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every pop holds the wide queries' boundary, which their radii alone
+	// repay a reading column for.
+	for u := 1; u <= wide; u++ {
+		if err := e.RegisterTemporalE(uint32(2000+u), 400, geom.Pt(float64(u*100), 500), spec, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,22 +120,13 @@ func TestEngineChurnUnderRace(t *testing.T) {
 			}
 		}()
 	}
-	// Node churn under the evaluations.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < loops*4; i++ {
-			e.UpsertNode(radio.NodeID(i%200), region.UniformPoint(rng))
-			if i%9 == 0 {
-				e.RemoveNode(radio.NodeID(rng.Intn(200)))
-			}
-		}
-	}()
 	wg.Wait()
 
-	if n := e.QueryCount(); n != stable {
-		t.Fatalf("QueryCount after churn = %d, want %d", n, stable)
+	if n := e.QueryCount(); n != stable+wide {
+		t.Fatalf("QueryCount after churn = %d, want %d", n, stable+wide)
+	}
+	if st := e.ColumnStats(); st.Builds < loops/2-1 {
+		t.Fatalf("column stats %+v: each of the %d pops past the first must build a column", st, loops/2-1)
 	}
 	// Each stable query was offered period indices 1..loops by the racing
 	// evaluators; EvaluateDue must have advanced each exactly once per due

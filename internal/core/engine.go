@@ -114,6 +114,11 @@ func (q *Query) Unlock() { q.mu.Unlock() }
 // per-query work safe to issue from many goroutines at once and fanned
 // across a worker pool by Dispatch.
 //
+// The field is placed once: UpsertNode fills the index before the first
+// RegisterQuery, and panics after it. Every reader that keeps what it read
+// of the index — a reading column, a pyramid epoch, a corridor stage —
+// serves it for as long as it likes on that contract alone.
+//
 // It answers the paper's spatiotemporal query: at each period boundary, the
 // aggregate of the fresh readings inside the circle of radius Rq around the
 // user.
@@ -143,41 +148,30 @@ type QueryEngine struct {
 	cols    []*readingColumn
 	colLive atomic.Int32
 	maxNode atomic.Int32
+	// placed latches at the first RegisterQuery: the index is fixed from
+	// then on.
+	placed atomic.Bool
 
-	colBuilds, colDiscards, colScans atomic.Uint64
+	colBuilds, colScans atomic.Uint64
 }
 
 // readingColumn is every node's reading at one period boundary, by node id:
 // what each of the boundary's scans would derive again for every node it
 // covers. Readings, never results — each query still folds its own disk in
-// canonical order against its own freshness window — and exact only for the
-// grid version it was built at.
+// canonical order against its own freshness window.
 type readingColumn struct {
-	due     sim.Time
-	version uint64
-	at      []Reading
-	stale   atomic.Bool          // latched when the version is first seen moved: discarded once
-	fill    func(worker, cy int) // builds one cell row; bound once, so a build allocates nothing
-	// rows holds what the build derived, per cell row, until PopDue's
-	// goroutine moves it into at: a node that a concurrent writer carries
-	// from one row to another mid-build is met by two workers, which must not
-	// both write its entry.
-	rows [][]nodeReading
+	due  sim.Time
+	at   []Reading
+	fill func(worker, cy int) // builds one cell row; bound once, so a build allocates nothing
 }
 
-type nodeReading struct {
-	id int32
-	r  Reading
-}
-
-// ColumnStats counts the reading columns PopDue built, those discarded
-// because the node index changed under them, and the evaluations that folded
-// through one.
-type ColumnStats struct{ Builds, Discards, Scans uint64 }
+// ColumnStats counts the reading columns PopDue built and the evaluations
+// that folded through one.
+type ColumnStats struct{ Builds, Scans uint64 }
 
 // ColumnStats returns the reading-column counters.
 func (e *QueryEngine) ColumnStats() ColumnStats {
-	return ColumnStats{e.colBuilds.Load(), e.colDiscards.Load(), e.colScans.Load()}
+	return ColumnStats{e.colBuilds.Load(), e.colScans.Load()}
 }
 
 // NewQueryEngine creates an engine over region. cellSize tunes the spatial
@@ -219,17 +213,17 @@ func (e *QueryEngine) Workers() int { return e.cfg.Workers }
 func (e *QueryEngine) Index() *geom.ShardedGrid { return e.grid }
 
 // UpsertNode records (or moves) a sensor node's position. Safe for
-// concurrent use across distinct node ids.
+// concurrent use across distinct node ids. It panics once a query has
+// registered: the field is placed before anything is asked of it.
 func (e *QueryEngine) UpsertNode(id radio.NodeID, p geom.Point) {
+	if e.placed.Load() {
+		panic("core: UpsertNode after RegisterQuery")
+	}
 	for m := e.maxNode.Load(); int32(id) > m && !e.maxNode.CompareAndSwap(m, int32(id)); {
 		m = e.maxNode.Load()
 	}
 	e.grid.Insert(int32(id), p)
 }
-
-// RemoveNode drops a sensor node from the index (a failed node). Removing
-// an unknown node is a no-op.
-func (e *QueryEngine) RemoveNode(id radio.NodeID) { e.grid.Remove(int32(id)) }
 
 // NodeCount returns the number of indexed sensor nodes.
 func (e *QueryEngine) NodeCount() int { return e.grid.Len() }
@@ -293,7 +287,7 @@ func (e *QueryEngine) PopDue(now sim.Time, buf []DueEntry) []DueEntry {
 // direct fold per node and a columned fold saves about 20 of a direct fold's
 // 33 ns, so a column pays from two reads a node, given ids dense enough to
 // index by. It is built as a pyramid epoch is: cell rows across the worker
-// pool, inside a SnapshotVersion bracket.
+// pool.
 func (e *QueryEngine) buildColumns(batch []DueEntry) {
 	n := 0
 	for i := 0; i < len(batch); {
@@ -310,29 +304,17 @@ func (e *QueryEngine) buildColumns(batch []DueEntry) {
 		if n == 0 {
 			e.colMu.Lock()
 		}
-		_, rows := e.grid.CellCount()
 		if n == len(e.cols) {
-			c := &readingColumn{rows: make([][]nodeReading, rows)}
+			c := &readingColumn{}
 			c.fill = func(_, cy int) { e.fillRow(c, cy) }
 			e.cols = append(e.cols, c)
 		}
 		c := e.cols[n]
 		n++
 		c.due, c.at = due, slices.Grow(c.at[:0], size)[:size]
-		c.stale.Store(false)
-		v0, ok0 := e.grid.SnapshotVersion()
+		_, rows := e.grid.CellCount()
 		e.DispatchWorkers(rows, c.fill)
-		for _, row := range c.rows {
-			for _, nr := range row {
-				c.at[nr.id] = nr.r
-			}
-		}
-		v1, ok1 := e.grid.SnapshotVersion()
-		c.version = v0
 		e.colBuilds.Add(1)
-		if !ok0 || !ok1 || v0 != v1 {
-			e.discard(c)
-		}
 	}
 	if n > 0 {
 		e.colLive.Store(int32(n))
@@ -345,45 +327,32 @@ func (e *QueryEngine) buildColumns(batch []DueEntry) {
 }
 
 // fillRow derives the reading of every node in cell row cy, under no
-// freshness window: each query tests the entry against its own. The entry of
-// an id the grid does not hold keeps what an earlier boundary left in it; a
-// scan under the build's grid version meets no such id.
+// freshness window: each query tests the entry against its own. A node lies
+// in exactly one row, so the workers write disjoint entries. The entry of an
+// id the grid does not hold keeps what an earlier boundary left in it; with
+// the index fixed, no scan meets such an id.
 func (e *QueryEngine) fillRow(c *readingColumn, cy int) {
-	row := c.rows[cy][:0]
 	cols, _ := e.grid.CellCount()
 	for cx := 0; cx < cols; cx++ {
 		e.grid.VisitCell(cx, cy, func(id int32, pos geom.Point) {
 			if uint(id) < uint(len(c.at)) {
-				row = append(row, nodeReading{id, ReadingAt(e.sampler, e.fld, id, pos, c.due, 0)})
+				c.at[id] = ReadingAt(e.sampler, e.fld, id, pos, c.due, 0)
 			}
 		})
 	}
-	c.rows[cy] = row
 }
 
 // column returns boundary due's live column with colMu held shared, for the
-// caller to release — or nil, nothing held, when there is none or the grid
-// has left the version it was built at.
+// caller to release — or nil, nothing held, when there is none.
 func (e *QueryEngine) column(due sim.Time) *readingColumn {
 	e.colMu.RLock()
 	for _, c := range e.cols[:e.colLive.Load()] {
-		if c.due != due || c.stale.Load() {
-			continue
-		}
-		if c.version == e.grid.Version() {
+		if c.due == due {
 			return c
 		}
-		e.discard(c)
 	}
 	e.colMu.RUnlock()
 	return nil
-}
-
-// discard retires c: the grid left the version it was built at.
-func (e *QueryEngine) discard(c *readingColumn) {
-	if c.stale.CompareAndSwap(false, true) {
-		e.colDiscards.Add(1)
-	}
 }
 
 // ScheduleLen returns the number of queries armed in the due-period

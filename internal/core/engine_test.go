@@ -76,12 +76,33 @@ func TestQueryEngineRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestUpsertNodeAfterRegisterPanics pins the fixed-field contract: the index
+// takes writes until the first query registers, and refuses them after.
+func TestUpsertNodeAfterRegisterPanics(t *testing.T) {
+	e := testEngine(EngineConfig{})
+	e.UpsertNode(0, geom.Pt(10, 10))
+	e.UpsertNode(0, geom.Pt(20, 20)) // still placing: a move is allowed
+	if err := e.RegisterTemporalE(1, 10, geom.Pt(0, 0), TemporalSpec{Period: time.Second}, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("UpsertNode after RegisterQuery did not panic")
+		}
+	}()
+	e.UpsertNode(1, geom.Pt(30, 30))
+}
+
 // TestQueryEngineConcurrentUsers exercises concurrent registration,
-// waypoint updates, node churn, evaluation and registry walks; run with
-// -race.
+// waypoint updates, evaluation and registry walks over a placed field; run
+// with -race.
 func TestQueryEngineConcurrentUsers(t *testing.T) {
 	region := geom.Square(1000)
 	e := NewQueryEngine(region, 100, field.Uniform{Value: 20}, EngineConfig{Shards: 8, Workers: 8})
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 100; i++ {
+		e.UpsertNode(radio.NodeID(i), region.UniformPoint(rng))
+	}
 	const users = 64
 	var wg sync.WaitGroup
 	for u := 1; u <= users; u++ {
@@ -102,17 +123,6 @@ func TestQueryEngineConcurrentUsers(t *testing.T) {
 			}
 		}(u)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 500; i++ {
-			e.UpsertNode(radio.NodeID(i%100), region.UniformPoint(rng))
-			if i%10 == 0 {
-				e.RemoveNode(radio.NodeID(rng.Intn(100)))
-			}
-		}
-	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -48,11 +48,11 @@ type CorridorWarmer interface {
 	// that fall inside the actual query circle (center, radius), in
 	// canonical grid order (geom.ShardedGrid.VisitWithin), and reports true
 	// — or reports false without calling fn when the boundary must be
-	// served by the cold radius scan (nothing staged, the snapshot outdated
-	// by node churn, or the actual position outside the staged corridor — a
-	// mispredict the warmer records). A true return must enumerate exactly
-	// the sequence the cold scan would: the engine folds the period from
-	// this buffer in visit order, so warm equals cold bit for bit.
+	// served by the cold radius scan (nothing staged, or the actual position
+	// outside the staged corridor — a mispredict the warmer records). A true
+	// return must enumerate exactly the sequence the cold scan would: the
+	// engine folds the period from this buffer in visit order, so warm
+	// equals cold bit for bit.
 	VisitStaged(due sim.Time, center geom.Point, radius float64, fn func(id int32, pos geom.Point)) bool
 }
 
@@ -76,13 +76,12 @@ type AggServe struct {
 // freshness-windowed disk aggregate at a period boundary from precomputed
 // multiresolution tile partials, or reports ok=false when it cannot prove
 // the answer equals the cold radius scan — no epoch ingested for this
-// boundary, a freshness window it was not built under, or the node index
-// mutated since ingest. A true return must account exactly the member set
-// the cold scan would: same in-area nodes, same freshness decisions, same
-// Count/Min/Max bit for bit (Sum is folded in the index's deterministic
-// tile-major order, which differs from the cold scan's canonical grid order
-// only by float-addition grouping). A nil index (the default) keeps the
-// cold path exactly.
+// boundary, or a freshness window it was not built under. A true return
+// must account exactly the member set the cold scan would: same in-area
+// nodes, same freshness decisions, same Count/Min/Max bit for bit (Sum is
+// folded in the index's deterministic tile-major order, which differs from
+// the cold scan's canonical grid order only by float-addition grouping). A
+// nil index (the default) keeps the cold path exactly.
 type AggIndex interface {
 	ServeWindow(due sim.Time, center geom.Point, radius float64, fresh time.Duration) (AggServe, bool)
 }
@@ -349,6 +348,7 @@ func (e *QueryEngine) RegisterQuery(q *Query, queryID uint32, radius float64, po
 	q.id, q.radius, q.eng, q.owner, q.spec, q.t0, q.pos = queryID, radius, e, owner, spec, t0, pos
 	q.nextK.Store(1)
 	e.queries[queryID] = q
+	e.placed.Store(true)
 	e.mu.Unlock()
 	e.nq.Add(1)
 	// Armed after the registry lock is released: a Deregister that finds q
@@ -469,26 +469,18 @@ func (q *Query) EvaluateDueAt(pos geom.Point, now sim.Time, rb *RearmBatch) (Win
 
 // evaluateWindow computes the freshness-windowed area result of q as of
 // the period boundary `due`. Caller holds q.mu. If PopDue built the boundary
-// a reading column the nodes are folded through it; should the grid version
-// have moved by the end of the scan the column is discarded and the boundary
-// evaluated again without one — the same bits whenever nothing moved, never
-// a stale reading. Two kinds of query fold through no column: one with its
-// own sampler, because a prefetch plan's CaptureAt readings are per query,
-// and one with an aggregate index, whose pyramid keeps the readings itself.
+// a reading column the nodes are folded through it — the same bits as
+// deriving each reading, since the index is fixed. Two kinds of query fold
+// through no column: one with its own sampler, because a prefetch plan's
+// CaptureAt readings are per query, and one with an aggregate index, whose
+// pyramid keeps the readings itself.
 func (e *QueryEngine) evaluateWindow(q *Query, due sim.Time) WindowResult {
 	if q.sampler == nil && q.aggIndex == nil && e.colLive.Load() > 0 {
 		if c := e.column(due); c != nil {
 			out := e.scanWindow(q, due, c.at)
-			moved := e.grid.Version() != c.version
-			if moved {
-				e.discard(c)
-			} else {
-				e.colScans.Add(1)
-			}
+			e.colScans.Add(1)
 			e.colMu.RUnlock()
-			if !moved {
-				return out
-			}
+			return out
 		}
 	}
 	return e.scanWindow(q, due, nil)
@@ -523,8 +515,8 @@ func (e *QueryEngine) scanWindow(q *Query, due sim.Time, col []Reading) WindowRe
 }
 
 // evaluateWindowWarm asks the query's corridor warmer for the boundary's
-// staged snapshot; ok is false when the warmer declined (nothing staged,
-// stale snapshot, or a mispredict) and the caller must run the cold scan.
+// staged snapshot; ok is false when the warmer declined (nothing staged, or
+// a mispredict) and the caller must run the cold scan.
 // Caller holds q.mu.
 func (e *QueryEngine) evaluateWindowWarm(q *Query, due sim.Time, col []Reading) (WindowResult, bool) {
 	out := WindowResult{Data: NewPartial(), CorridorHit: true}
@@ -538,8 +530,8 @@ func (e *QueryEngine) evaluateWindowWarm(q *Query, due sim.Time, col []Reading) 
 
 // evaluateWindowAgg asks the query's aggregate index for the boundary's
 // whole-disk aggregate; ok is false when the index declined (no epoch for
-// the boundary, freshness mismatch, or node-index skew since ingest) and
-// the caller must run the cold scan. Caller holds q.mu.
+// the boundary, or freshness mismatch) and the caller must run the cold
+// scan. Caller holds q.mu.
 func (e *QueryEngine) evaluateWindowAgg(q *Query, due sim.Time) (WindowResult, bool) {
 	sv, ok := q.aggIndex.ServeWindow(due, q.pos, q.radius, q.spec.Fresh)
 	if !ok {

@@ -8,15 +8,18 @@
 // scan.
 //
 // The cache is honest about prediction error. Every staged snapshot records
-// the inflated circle it covers and the grid version it was cut at; at
-// serve time the user's *actual* query circle must fit inside the staged
-// circle and the grid must be unchanged, otherwise the evaluation falls
+// the inflated circle it covers; at serve time the user's *actual* query
+// circle must fit inside the staged circle, otherwise the evaluation falls
 // back to the cold scan — so a warm serve is bit-identical to the cold one
 // by construction. An actual position outside the corridor is a
 // *mispredict*: it is counted, surfaced through TakeMispredict so the
 // session layer can re-plan immediately from ground truth, and the period
 // keeps the honest on-demand accounting the prefetch planner's
 // whole-answer-staged credit rule demands.
+//
+// The grid a cache stages from must not change while it serves: a snapshot
+// is never re-checked against the grid it was cut from. The query engine
+// guarantees this by fixing its index once the first query registers.
 package corridor
 
 import (
@@ -127,16 +130,14 @@ type StagedNode struct {
 	Pos geom.Point
 }
 
-// stage is one boundary's staged snapshot: the inflated circle it covers,
-// the grid version it was cut at, and the in-circle nodes in canonical grid
-// order — the warm, contiguous buffer evaluation iterates.
+// stage is one boundary's staged snapshot: the inflated circle it covers
+// and the in-circle nodes in canonical grid order — the warm, contiguous
+// buffer evaluation iterates.
 type stage struct {
 	due     sim.Time
 	center  geom.Point
 	radius  float64 // cfg.Radius + inflation (+ collectSlack)
 	builtAt sim.Time
-	version uint64
-	dirty   bool // a writer raced the snapshot; never serve it
 	cells   []cellKey
 	nodes   []StagedNode
 }
@@ -154,13 +155,11 @@ type Cell struct {
 // Stats is the cache's ledger. Hits and Misses partition evaluations the
 // engine asked the cache about: a hit was served warm from a staged
 // snapshot, a miss fell back to the cold scan (no snapshot for the
-// boundary, a snapshot invalidated by grid churn — counted again in
-// StaleStages — or a mispredict, counted again in Mispredicts).
+// boundary, or a mispredict, counted again in Mispredicts).
 type Stats struct {
 	Hits        int64
 	Misses      int64
 	Mispredicts int64
-	StaleStages int64
 	// StagedBoundaries counts snapshots built over the cache's lifetime.
 	StagedBoundaries int64
 }
@@ -192,7 +191,6 @@ type Cache struct {
 	hits        atomic.Int64
 	misses      atomic.Int64
 	mispredicts atomic.Int64
-	staleStages atomic.Int64
 	staged      atomic.Int64
 }
 
@@ -321,32 +319,15 @@ func (c *Cache) buildStage(k int, now sim.Time) *stage {
 	st.due, st.center, st.radius, st.builtAt = due, center, r, now
 	r2 := r * r
 	minCX, minCY, maxCX, maxCY := c.grid.CellBox(center, r)
-	// Clean-bracket snapshot: SnapshotVersion must return ok with equal
-	// versions on both sides of the cell sweep — no mutation completed in
-	// between and none was in flight at either edge — so the staged
-	// buffer is one consistent grid state, the precondition for serving
-	// it as a bit-identical replacement of the cold scan.
-	for attempt := 0; attempt < 2; attempt++ {
-		v0, ok0 := c.grid.SnapshotVersion()
-		st.cells = st.cells[:0]
-		st.nodes = st.nodes[:0]
-		for cy := minCY; cy <= maxCY; cy++ {
-			for cx := minCX; cx <= maxCX; cx++ {
-				st.cells = append(st.cells, cellKey{cx, cy})
-				c.grid.VisitCell(cx, cy, func(id int32, pos geom.Point) {
-					if pos.Dist2(center) <= r2 {
-						st.nodes = append(st.nodes, StagedNode{ID: id, Pos: pos})
-					}
-				})
-			}
+	for cy := minCY; cy <= maxCY; cy++ {
+		for cx := minCX; cx <= maxCX; cx++ {
+			st.cells = append(st.cells, cellKey{cx, cy})
+			c.grid.VisitCell(cx, cy, func(id int32, pos geom.Point) {
+				if pos.Dist2(center) <= r2 {
+					st.nodes = append(st.nodes, StagedNode{ID: id, Pos: pos})
+				}
+			})
 		}
-		v1, ok1 := c.grid.SnapshotVersion()
-		if ok0 && ok1 && v0 == v1 {
-			st.version = v0
-			st.dirty = false
-			break
-		}
-		st.dirty = true // racing writers both attempts: stage unserveable
 	}
 	return st
 }
@@ -355,8 +336,8 @@ func (c *Cache) buildStage(k int, now sim.Time) *stage {
 // staged nodes of the boundary due at `due` that fall inside the actual
 // query circle (center, radius) and reports true, or reports false without
 // calling fn when the evaluation must fall back to the cold scan — no
-// snapshot, a snapshot outdated by grid churn, or the actual circle
-// escaping the staged circle (a mispredict, recorded for TakeMispredict).
+// snapshot, or the actual circle escaping the staged circle (a mispredict,
+// recorded for TakeMispredict).
 // A warm serve enumerates exactly the nodes the cold scan would, in the
 // cold scan's canonical grid order.
 func (c *Cache) VisitStaged(due sim.Time, center geom.Point, radius float64, fn func(id int32, pos geom.Point)) bool {
@@ -370,19 +351,6 @@ func (c *Cache) VisitStaged(due sim.Time, center geom.Point, radius float64, fn 
 	st := c.stages[k]
 	if st == nil {
 		c.mu.Unlock()
-		c.misses.Add(1)
-		return false
-	}
-	// The plain Version suffices here: the snapshot bracket already proved
-	// consistency, equality proves no mutation has completed since, and a
-	// mutation merely in flight cannot matter — the serve reads only the
-	// snapshot, which remains a recent consistent grid state (the same
-	// guarantee a cold scan racing that writer gets).
-	if st.dirty || c.grid.Version() != st.version {
-		c.retireLocked(st)
-		delete(c.stages, k)
-		c.mu.Unlock()
-		c.staleStages.Add(1)
 		c.misses.Add(1)
 		return false
 	}
@@ -482,7 +450,6 @@ func (c *Cache) Stats() Stats {
 		Hits:             c.hits.Load(),
 		Misses:           c.misses.Load(),
 		Mispredicts:      c.mispredicts.Load(),
-		StaleStages:      c.staleStages.Load(),
 		StagedBoundaries: c.staged.Load(),
 	}
 }

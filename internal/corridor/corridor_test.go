@@ -178,37 +178,6 @@ func TestMispredictDetectedAndTaken(t *testing.T) {
 	}
 }
 
-func TestGridChurnInvalidatesStage(t *testing.T) {
-	g := testGrid(300, 5)
-	cfg := testConfig()
-	c, err := NewCache(cfg, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := geom.Pt(400, 400)
-	c.SetProfile(lineProfile(start, 0, 0, 0), 0)
-	// A node moves after staging: the snapshot no longer proves exactness.
-	g.Move(7, geom.Pt(401, 401))
-	if c.VisitStaged(time.Second, start, cfg.Radius, func(int32, geom.Point) {}) {
-		t.Fatal("stale stage served warm after grid churn")
-	}
-	st := c.Stats()
-	if st.StaleStages != 1 {
-		t.Fatalf("ledger = %+v, want one stale stage", st)
-	}
-	// Restaging under the new grid serves warm again and matches cold.
-	c.StageThrough(0)
-	want := 0
-	g.VisitWithin(start, cfg.Radius, func(int32, geom.Point) { want++ })
-	got := 0
-	if !c.VisitStaged(time.Second, start, cfg.Radius, func(int32, geom.Point) { got++ }) {
-		t.Fatal("restaged boundary refused")
-	}
-	if got != want {
-		t.Fatalf("restaged visit found %d nodes, cold scan %d", got, want)
-	}
-}
-
 func TestProfileCoverageBoundsStaging(t *testing.T) {
 	g := testGrid(200, 6)
 	cfg := testConfig()

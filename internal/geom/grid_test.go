@@ -60,40 +60,19 @@ func TestGridMove(t *testing.T) {
 	if ids := within(g, nil, Pt(95, 95), 1); len(ids) != 1 || ids[0] != 7 {
 		t.Errorf("moved node not found at new position: %v", ids)
 	}
-	p, ok := g.Position(7)
-	if !ok || p != Pt(95, 95) {
-		t.Errorf("Position = %v, %v", p, ok)
+	if g.Len() != 1 {
+		t.Errorf("Len after move = %d, want 1", g.Len())
 	}
 }
 
 func TestGridUnknownIDs(t *testing.T) {
 	g := newSerialGrid(Square(100), 10)
-	g.Remove(5) // removing an absent id is a no-op
-	if g.Len() != 0 {
-		t.Errorf("Len after removing unknown id = %d", g.Len())
-	}
 	g.Move(5, Pt(30, 30)) // moving an unknown id inserts it
-	if p, ok := g.Position(5); !ok || p != Pt(30, 30) {
-		t.Errorf("Position after Move of unknown id = %v, %v", p, ok)
+	if g.Len() != 1 {
+		t.Errorf("Len after Move of unknown id = %d, want 1", g.Len())
 	}
 	if ids := within(g, nil, Pt(30, 30), 1); len(ids) != 1 || ids[0] != 5 {
 		t.Errorf("moved-in unknown id not findable: %v", ids)
-	}
-}
-
-func TestGridRemove(t *testing.T) {
-	g := newSerialGrid(Square(100), 10)
-	g.Insert(1, Pt(50, 50))
-	g.Remove(1)
-	g.Remove(1) // removing twice is a no-op
-	if g.Len() != 0 {
-		t.Errorf("Len after remove = %d", g.Len())
-	}
-	if ids := within(g, nil, Pt(50, 50), 50); len(ids) != 0 {
-		t.Errorf("removed node still present: %v", ids)
-	}
-	if _, ok := g.Position(1); ok {
-		t.Error("Position should report absence after Remove")
 	}
 }
 

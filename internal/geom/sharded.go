@@ -19,7 +19,11 @@ import (
 // bucket. A move that crosses cells is not atomic with respect to readers —
 // a radius query racing with the move may miss the moving item for that one
 // call (it is removed from the old cell before it appears in the new one,
-// so an item is never reported twice). Items never vanish from Position.
+// so an item is never reported twice). Nothing here brackets a multi-cell
+// sweep against writers: a reader that keeps what it swept (a pyramid epoch,
+// a corridor stage, a reading column) relies on the grid not changing while
+// it serves — the query engine fixes its index once the first query
+// registers.
 //
 // The zero value is not usable; construct with NewShardedGrid.
 type ShardedGrid struct {
@@ -31,17 +35,6 @@ type ShardedGrid struct {
 	shards       []gridShard
 
 	stripes []posStripe
-
-	// version counts bucket mutations (inserts, moves, removals) and
-	// writers the mutations currently in flight. A reader that snapshots
-	// cell buckets brackets the sweep with SnapshotVersion: equal clean
-	// reads prove the snapshot reflects one consistent grid state — the
-	// corridor cache stakes warm-path bit-identity on this. The version
-	// alone is not enough: a writer stalled between its two bumps would
-	// leave the counter steady over a half-applied move, which is what
-	// the writers gate exists to catch.
-	version atomic.Uint64
-	writers atomic.Int64
 }
 
 // shardEntry is one item in a cell bucket. Positions are stored inline so
@@ -130,27 +123,6 @@ func (g *ShardedGrid) Region() Rect { return g.region }
 // nominally spans CellRect(cx, cy), except that edge cells
 // (cx or cy at 0 or the last index) extend unboundedly outward.
 func (g *ShardedGrid) CellCount() (cols, rows int) { return g.cols, g.rows }
-
-// Version returns the grid's mutation counter: it advances on every insert,
-// move, and removal, and is stable while no writer runs. Comparing two
-// Version reads detects completed mutations between them; use
-// SnapshotVersion when taking a multi-bucket snapshot, which additionally
-// rejects moments with a writer mid-mutation.
-func (g *ShardedGrid) Version() uint64 { return g.version.Load() }
-
-// SnapshotVersion returns the current version for bracketing a bucket
-// snapshot; ok is false while any writer is mid-mutation, when a sweep
-// could observe a half-applied move (an item absent from both its old and
-// new cell). A snapshot is consistent iff SnapshotVersion returned ok with
-// equal versions immediately before and after the sweep: a writer wholly
-// inside the bracket moves the version, and one overlapping either edge
-// trips the writers gate.
-func (g *ShardedGrid) SnapshotVersion() (version uint64, ok bool) {
-	if g.writers.Load() != 0 {
-		return 0, false
-	}
-	return g.version.Load(), true
-}
 
 // cellOf returns the clamped cell coordinates of p.
 func (g *ShardedGrid) cellOf(p Point) (cx, cy int) {
@@ -256,49 +228,15 @@ func (g *ShardedGrid) Insert(id int32, p Point) {
 	// the cell updates keeps racing writers to the same id from interleaving
 	// their remove/add pairs. Shard locks are only ever taken one at a time
 	// under a stripe lock, so the lock order is acyclic.
-	// Writers gate up, version bumped on both sides of the bucket writes:
-	// a snapshot reader (SnapshotVersion) rejects any moment a mutation is
-	// in flight and any bracket a completed mutation moved the version in.
-	g.writers.Add(1)
-	g.version.Add(1)
 	if existed {
 		g.removeFromCell(id, old)
 	}
 	g.addToCell(id, p)
-	g.version.Add(1)
-	g.writers.Add(-1)
 	st.mu.Unlock()
 }
 
 // Move updates the position of id. It is equivalent to Insert.
 func (g *ShardedGrid) Move(id int32, p Point) { g.Insert(id, p) }
-
-// Remove deletes id from the grid. Removing an absent id is a no-op.
-func (g *ShardedGrid) Remove(id int32) {
-	st := g.stripe(id)
-	st.mu.Lock()
-	p, ok := st.where[id]
-	if !ok {
-		st.mu.Unlock()
-		return
-	}
-	delete(st.where, id)
-	g.writers.Add(1)
-	g.version.Add(1)
-	g.removeFromCell(id, p)
-	g.version.Add(1)
-	g.writers.Add(-1)
-	st.mu.Unlock()
-}
-
-// Position returns the stored position of id.
-func (g *ShardedGrid) Position(id int32) (Point, bool) {
-	st := g.stripe(id)
-	st.mu.RLock()
-	p, ok := st.where[id]
-	st.mu.RUnlock()
-	return p, ok
-}
 
 // Len returns the number of items stored.
 func (g *ShardedGrid) Len() int {
@@ -361,8 +299,7 @@ func (g *ShardedGrid) CellBox(p Point, r float64) (minCX, minCY, maxCX, maxCY in
 
 // VisitCell streams the items of one cell in ascending id order. Like
 // VisitWithin it takes no locks — the bucket is an immutable snapshot — so
-// it runs concurrently with writers; bracket a multi-cell sweep with Version
-// reads to detect racing mutations. Out-of-range cell coordinates are a
+// it runs concurrently with writers. Out-of-range cell coordinates are a
 // no-op.
 func (g *ShardedGrid) VisitCell(cx, cy int, fn func(id int32, pos Point)) {
 	if cx < 0 || cx >= g.cols || cy < 0 || cy >= g.rows {

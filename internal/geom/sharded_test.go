@@ -27,9 +27,9 @@ func sweep(g *ShardedGrid, p Point, r float64, fn func(cx, cy int)) {
 }
 
 func TestShardedGridMatchesBruteForce(t *testing.T) {
-	// Randomized insert/move/remove traffic must leave the grid answering
-	// range queries exactly like a linear scan of the stored positions,
-	// whatever the shard count.
+	// Randomized insert/move traffic must leave the grid answering range
+	// queries exactly like a linear scan of the stored positions, whatever
+	// the shard count.
 	rng := rand.New(rand.NewSource(7))
 	region := Square(450)
 	for _, shards := range []int{1, 3, 16, 1000} {
@@ -37,15 +37,9 @@ func TestShardedGridMatchesBruteForce(t *testing.T) {
 		sg := NewShardedGrid(region, 105, shards)
 		for step := 0; step < 2000; step++ {
 			id := int32(rng.Intn(300))
-			switch rng.Intn(4) {
-			case 0:
-				sg.Remove(id)
-				delete(ref, id)
-			default:
-				p := region.UniformPoint(rng)
-				sg.Insert(id, p)
-				ref[id] = p
-			}
+			p := region.UniformPoint(rng)
+			sg.Insert(id, p)
+			ref[id] = p
 		}
 		if sg.Len() != len(ref) {
 			t.Fatalf("shards=%d: Len = %d, want %d", shards, sg.Len(), len(ref))
@@ -93,17 +87,19 @@ func TestShardedGridQueryStraddlesShardBoundary(t *testing.T) {
 
 func TestShardedGridItemsOnRegionBorder(t *testing.T) {
 	g := NewShardedGrid(Square(100), 10, 4)
-	g.Insert(1, Pt(0, 0))
-	g.Insert(2, Pt(100, 100)) // exactly on the max corner
-	g.Insert(3, Pt(0, 100))
-	g.Insert(4, Pt(100, 0))
-	g.Insert(5, Pt(-3, 50)) // clamped into the edge cells, like Grid
-	g.Insert(6, Pt(50, 104))
+	border := []Point{
+		1: Pt(0, 0),
+		2: Pt(100, 100), // exactly on the max corner
+		3: Pt(0, 100),
+		4: Pt(100, 0),
+		5: Pt(-3, 50), // clamped into the edge cells, like Grid
+		6: Pt(50, 104),
+	}
 	for id := int32(1); id <= 6; id++ {
-		p, ok := g.Position(id)
-		if !ok {
-			t.Fatalf("Position(%d) missing", id)
-		}
+		g.Insert(id, border[id])
+	}
+	for id := int32(1); id <= 6; id++ {
+		p := border[id]
 		found := false
 		for _, got := range within(g, nil, p, 0.001) {
 			if got == id {
@@ -121,21 +117,12 @@ func TestShardedGridItemsOnRegionBorder(t *testing.T) {
 
 func TestShardedGridUnknownIDs(t *testing.T) {
 	g := NewShardedGrid(Square(100), 10, 4)
-	g.Remove(42) // removing an absent id is a no-op
-	if g.Len() != 0 {
-		t.Errorf("Len after removing unknown id = %d", g.Len())
-	}
 	g.Move(42, Pt(10, 10)) // moving an unknown id inserts it, as with Grid
-	if p, ok := g.Position(42); !ok || p != Pt(10, 10) {
-		t.Errorf("Position after Move of unknown id = %v, %v", p, ok)
+	if ids := within(g, nil, Pt(10, 10), 1); len(ids) != 1 || ids[0] != 42 {
+		t.Errorf("moved-in unknown id not findable: %v", ids)
 	}
 	if g.Len() != 1 {
 		t.Errorf("Len = %d, want 1", g.Len())
-	}
-	g.Remove(42)
-	g.Remove(42)
-	if _, ok := g.Position(42); ok || g.Len() != 0 {
-		t.Error("remove of known-then-unknown id left state behind")
 	}
 }
 
@@ -152,30 +139,27 @@ func TestShardedGridMoveAcrossShards(t *testing.T) {
 }
 
 func TestShardedGridConcurrentChurn(t *testing.T) {
-	// Writers churn disjoint id ranges while readers run radius queries;
-	// run with -race to exercise the lock-free read path. Every reader must
-	// see only fully formed entries (ids in range, positions inside the
-	// region's clamp envelope).
+	// Writers insert and move disjoint id ranges while readers run radius
+	// queries; run with -race to exercise the lock-free read path. Every
+	// reader must see only fully formed entries (ids in range).
 	region := Square(450)
 	g := NewShardedGrid(region, 105, 8)
 	const writers = 4
 	const perWriter = 200
 	var writerWG, readerWG sync.WaitGroup
 	stop := make(chan struct{})
+	final := make([]map[int32]Point, writers)
 	for w := 0; w < writers; w++ {
 		writerWG.Add(1)
+		final[w] = map[int32]Point{}
 		go func(w int) {
 			defer writerWG.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			base := int32(w * perWriter)
 			for i := 0; i < 3000; i++ {
-				id := base + int32(rng.Intn(perWriter))
-				switch rng.Intn(5) {
-				case 0:
-					g.Remove(id)
-				default:
-					g.Insert(id, region.UniformPoint(rng))
-				}
+				id, p := base+int32(rng.Intn(perWriter)), region.UniformPoint(rng)
+				g.Insert(id, p)
+				final[w][id] = p
 			}
 		}(w)
 	}
@@ -199,7 +183,6 @@ func TestShardedGridConcurrentChurn(t *testing.T) {
 					}
 				}
 				_ = g.Len()
-				_, _ = g.Position(int32(rng.Intn(writers * perWriter)))
 			}
 		}(r)
 	}
@@ -207,63 +190,24 @@ func TestShardedGridConcurrentChurn(t *testing.T) {
 	close(stop)
 	readerWG.Wait()
 	// The final state must be internally consistent: every stored item is
-	// findable at its position.
-	for id := int32(0); id < writers*perWriter; id++ {
-		p, ok := g.Position(id)
-		if !ok {
-			continue
-		}
-		found := false
-		for _, got := range within(g, nil, p, 0.001) {
-			if got == id {
-				found = true
+	// findable at its last position.
+	stored := 0
+	for _, m := range final {
+		stored += len(m)
+		for id, p := range m {
+			found := false
+			for _, got := range within(g, nil, p, 0.001) {
+				if got == id {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("item %d at %v lost from its cell after churn", id, p)
 			}
 		}
-		if !found {
-			t.Errorf("item %d at %v lost from its cell after churn", id, p)
-		}
 	}
-}
-
-func TestShardedGridVersionAdvancesOnMutation(t *testing.T) {
-	g := NewShardedGrid(Square(100), 10, 4)
-	v0 := g.Version()
-	g.Insert(1, Pt(10, 10))
-	v1 := g.Version()
-	if v1 <= v0 {
-		t.Fatalf("insert did not advance the version (%d -> %d)", v0, v1)
-	}
-	g.Insert(1, Pt(10, 10)) // no-op move: position unchanged
-	if g.Version() != v1 {
-		t.Errorf("no-op insert advanced the version (%d -> %d)", v1, g.Version())
-	}
-	g.Move(1, Pt(90, 90))
-	v2 := g.Version()
-	if v2 <= v1 {
-		t.Errorf("move did not advance the version (%d -> %d)", v1, v2)
-	}
-	g.Remove(42) // absent id: no mutation
-	if g.Version() != v2 {
-		t.Errorf("no-op remove advanced the version (%d -> %d)", v2, g.Version())
-	}
-	g.Remove(1)
-	if g.Version() <= v2 {
-		t.Errorf("remove did not advance the version (%d -> %d)", v2, g.Version())
-	}
-	// Reads never mutate.
-	v3 := g.Version()
-	within(g, nil, Pt(50, 50), 200)
-	sweep(g, Pt(50, 50), 200, func(int, int) {})
-	g.VisitCell(0, 0, func(int32, Point) {})
-	if g.Version() != v3 {
-		t.Error("read paths advanced the version")
-	}
-	// With no writer in flight, SnapshotVersion is ok and agrees with
-	// Version; two consecutive clean reads bracket an empty sweep.
-	sv0, ok0 := g.SnapshotVersion()
-	sv1, ok1 := g.SnapshotVersion()
-	if !ok0 || !ok1 || sv0 != v3 || sv0 != sv1 {
-		t.Errorf("SnapshotVersion = (%d,%v)/(%d,%v), want clean %d twice", sv0, ok0, sv1, ok1, v3)
+	if g.Len() != stored {
+		t.Errorf("Len = %d after churn, want %d", g.Len(), stored)
 	}
 }
 
@@ -403,12 +347,11 @@ func TestShardedGridCellBoxMatchesBruteForce(t *testing.T) {
 
 // gridOp is one scripted mutation of the canonical-order property test.
 type gridOp struct {
-	id     int32
-	remove bool
-	p      Point
+	id int32
+	p  Point
 }
 
-// canonicalOps scripts seeded Insert/Move/Remove traffic for `writers`
+// canonicalOps scripts seeded Insert/Move traffic for `writers`
 // goroutines over disjoint id ranges (calls for one id must be externally
 // ordered), with positions straying past the region so clamped edge cells
 // take part. It returns the scripts and the final id→position state they
@@ -419,14 +362,11 @@ func canonicalOps(seed int64, region Rect, writers, perWriter, steps int) ([][]g
 	for w := range scripts {
 		rng := rand.New(rand.NewSource(seed + int64(w)))
 		for i := 0; i < steps; i++ {
-			op := gridOp{id: int32(w*perWriter + rng.Intn(perWriter))}
-			if rng.Intn(4) == 0 {
-				op.remove = true
-				delete(final, op.id)
-			} else {
-				op.p = Pt(region.MinX-40+rng.Float64()*(region.Width()+80), region.MinY-40+rng.Float64()*(region.Height()+80))
-				final[op.id] = op.p
+			op := gridOp{
+				id: int32(w*perWriter + rng.Intn(perWriter)),
+				p:  Pt(region.MinX-40+rng.Float64()*(region.Width()+80), region.MinY-40+rng.Float64()*(region.Height()+80)),
 			}
+			final[op.id] = op.p
 			scripts[w] = append(scripts[w], op)
 		}
 	}
@@ -434,7 +374,7 @@ func canonicalOps(seed int64, region Rect, writers, perWriter, steps int) ([][]g
 }
 
 // TestShardedGridCanonicalOrder is the invariant single-pass evaluation
-// rests on: after any interleaving of concurrent Insert/Move/Remove traffic
+// rests on: after any interleaving of concurrent Insert/Move traffic
 // every bucket is strictly ascending by id, so VisitWithin — and a
 // row-major cell sweep over any box containing the disk — emits the stored
 // in-disk items in (cell row, cell column, id) order, the same sequence for
@@ -453,11 +393,7 @@ func TestShardedGridCanonicalOrder(t *testing.T) {
 			go func(script []gridOp) {
 				defer wg.Done()
 				for _, op := range script {
-					if op.remove {
-						g.Remove(op.id)
-					} else {
-						g.Insert(op.id, op.p)
-					}
+					g.Insert(op.id, op.p)
 				}
 			}(script)
 		}
@@ -540,20 +476,21 @@ func TestShardedGridCanonicalOrder(t *testing.T) {
 		}
 	}
 
-	// Draining the grid leaves every cell reading as never written.
+	// Moving every item into the corner cell leaves every other cell
+	// reading as never written.
 	for shards, g := range grids {
 		for id := range final {
-			g.Remove(id)
+			g.Move(id, Pt(-100, -100))
 		}
 		for s := range g.shards {
 			for c := range g.shards[s].cells {
-				if g.shards[s].cells[c].Load() != nil {
+				if (s != 0 || c != 0) && g.shards[s].cells[c].Load() != nil {
 					t.Fatalf("shards=%d: shard %d cell %d not nil after draining", shards, s, c)
 				}
 			}
 		}
-		g.VisitWithin(Pt(225, 225), 1000, func(id int32, _ Point) {
-			t.Fatalf("shards=%d: drained grid still emits item %d", shards, id)
+		g.VisitWithin(Pt(225, 225), 100, func(id int32, _ Point) {
+			t.Fatalf("shards=%d: drained cells still emit item %d", shards, id)
 		})
 	}
 }

@@ -14,9 +14,12 @@
 // in-disk nodes, the fringe is disk-tested node by node, edge cells are
 // never covered because clamping makes their extent unbounded), and the
 // epoch gate guarantees state equality (same boundary, same freshness
-// window, same sampling schedule, node index unchanged since ingest).
-// Anything unprovable is declined and the caller falls back to the cold
-// scan with honest accounting.
+// window, same sampling schedule). Anything unprovable is declined and the
+// caller falls back to the cold scan with honest accounting.
+//
+// The grid a pyramid indexes must not change while it serves: an epoch is
+// never re-checked against the grid it was ingested from. The query engine
+// guarantees this by fixing its index once the first query registers.
 package pyramid
 
 import (

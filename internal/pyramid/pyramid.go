@@ -72,27 +72,16 @@ type cellAgg struct {
 // epoch is the pyramid state frozen at one period boundary: level 0 holds
 // one cellAgg per grid cell, each higher level one per 2×-coarser tile.
 // rd keeps the reading the ingest derived for each node, by node id, for the
-// fringe of a serve to load instead of deriving it again; rowRd is where
-// each cell row's builder leaves them for finishBuild to move into rd — a
-// node a concurrent writer carries from one row to another mid-ingest is met
-// by two builders, which must not both write its entry. Buffers are reused
-// across ring rotations; ready is the publication gate (set with release
-// semantics after the rollup, checked with acquire before any read).
+// fringe of a serve to load instead of deriving it again; a node lies in
+// exactly one cell row, so the row builders write disjoint entries. Buffers
+// are reused across ring rotations; ready is the publication gate (set with
+// release semantics after the rollup, checked with acquire before any read).
 type epoch struct {
-	due         sim.Time
-	gridVersion uint64
-	startOK     bool
-	clean       bool
-	ready       atomic.Bool
-	lv          [][]cellAgg
-	rd          []core.Reading
-	rowRd       [][]keptReading
-	ingested    atomic.Int64
-}
-
-type keptReading struct {
-	id int32
-	r  core.Reading
+	due      sim.Time
+	ready    atomic.Bool
+	lv       [][]cellAgg
+	rd       []core.Reading
+	ingested atomic.Int64
 }
 
 // build coordinates one cooperative epoch ingest: concurrent EnsureEpoch
@@ -110,18 +99,14 @@ type build struct {
 
 // Stats is a snapshot of a pyramid's lifetime counters.
 type Stats struct {
-	// Builds counts epoch ingests; DirtyBuilds those whose clean-bracket
-	// version check failed (their epochs decline every serve).
-	Builds      uint64
-	DirtyBuilds uint64
+	// Builds counts epoch ingests.
+	Builds uint64
 	// Served counts successful ServeWindow calls; the Miss counters the
-	// declines, by reason: no epoch ingested for the boundary, a freshness
-	// window the pyramid was not built under, or grid mutations since
-	// ingest.
+	// declines, by reason: no epoch ingested for the boundary, or a
+	// freshness window the pyramid was not built under.
 	Served        uint64
 	MissNoEpoch   uint64
 	MissFreshness uint64
-	MissVersion   uint64
 	// NodesIngested counts node readings folded during epoch builds and
 	// FringeNodes those disk-tested on the fringe during serves — together
 	// the pyramid's total node-visit cost. ServedAreaNodes counts the
@@ -160,10 +145,10 @@ type Pyramid struct {
 	bmu    sync.Mutex
 	builds map[sim.Time]*build
 
-	sBuilds, sDirty                 atomic.Uint64
-	sServed, sNoEpoch, sFresh, sVer atomic.Uint64
-	sIngested, sFringe, sArea       atomic.Uint64
-	sTiles, sCells                  atomic.Uint64
+	sBuilds                   atomic.Uint64
+	sServed, sNoEpoch, sFresh atomic.Uint64
+	sIngested, sFringe, sArea atomic.Uint64
+	sTiles, sCells            atomic.Uint64
 }
 
 // New creates a pyramid over grid. The grid's cell layer is the pyramid's
@@ -201,11 +186,9 @@ func New(grid *geom.ShardedGrid, cfg Config) (*Pyramid, error) {
 func (p *Pyramid) Stats() Stats {
 	return Stats{
 		Builds:          p.sBuilds.Load(),
-		DirtyBuilds:     p.sDirty.Load(),
 		Served:          p.sServed.Load(),
 		MissNoEpoch:     p.sNoEpoch.Load(),
 		MissFreshness:   p.sFresh.Load(),
-		MissVersion:     p.sVer.Load(),
 		NodesIngested:   p.sIngested.Load(),
 		FringeNodes:     p.sFringe.Load(),
 		ServedAreaNodes: p.sArea.Load(),
@@ -251,7 +234,6 @@ func (p *Pyramid) EnsureEpoch(due sim.Time) {
 		p.mu.Lock()
 		ep := p.rotate(due)
 		p.mu.Unlock()
-		ep.gridVersion, ep.startOK = p.grid.SnapshotVersion()
 		b = &build{e: ep, fin: make(chan struct{})}
 		p.builds[due] = b
 	}
@@ -292,7 +274,6 @@ func (p *Pyramid) rotate(due sim.Time) *epoch {
 	e := p.ring[victim]
 	e.ready.Store(false)
 	e.due = due
-	e.clean, e.startOK = false, false
 	e.ingested.Store(0)
 	if e.lv == nil {
 		e.lv = make([][]cellAgg, p.maxLevel+1)
@@ -306,15 +287,11 @@ func (p *Pyramid) rotate(due sim.Time) *epoch {
 	}
 	// One entry per node while ids are dense; the fringe derives the reading
 	// of an id beyond that. Entries are overwritten by the ingest, not
-	// cleared: a serve only stands under the ingest's grid version, where
-	// every node it meets was ingested.
+	// cleared: the grid is fixed, so every node a serve meets was ingested.
 	if n := p.grid.Len(); cap(e.rd) < n {
 		e.rd = make([]core.Reading, n)
 	} else {
 		e.rd = e.rd[:n]
-	}
-	if e.rowRd == nil {
-		e.rowRd = make([][]keptReading, p.cg.rows)
 	}
 	return e
 }
@@ -337,12 +314,11 @@ func (p *Pyramid) inFlight(e *epoch) bool {
 // classification.
 func (p *Pyramid) buildRow(e *epoch, cy int) {
 	var agg cellAgg
-	kept := e.rowRd[cy][:0]
 	fold := func(id int32, pos geom.Point) {
 		agg.nodes++
 		r := core.ReadingAt(p.sample, p.fld, id, pos, e.due, p.fresh)
 		if uint(id) < uint(len(e.rd)) {
-			kept = append(kept, keptReading{id, r})
+			e.rd[id] = r
 		}
 		if !r.Fresh(p.fresh) {
 			agg.stale++
@@ -370,7 +346,6 @@ func (p *Pyramid) buildRow(e *epoch, cy int) {
 		visited += int64(agg.nodes)
 		e.lv[0][cy*p.cg.cols+cx] = agg
 	}
-	e.rowRd[cy] = kept
 	e.ingested.Add(visited)
 }
 
@@ -399,15 +374,9 @@ func mergeChild(agg *cellAgg, c *cellAgg) {
 	}
 }
 
-// finishBuild rolls the cell layer up the levels, closes the clean-bracket
-// version check, and publishes the epoch.
+// finishBuild rolls the cell layer up the levels and publishes the epoch.
 func (p *Pyramid) finishBuild(due sim.Time, b *build) {
 	e := b.e
-	for _, kept := range e.rowRd {
-		for _, k := range kept {
-			e.rd[k.id] = k.r
-		}
-	}
 	for lv := 1; lv <= p.maxLevel; lv++ {
 		w, h := p.lw[lv], p.lh[lv]
 		cw, ch := p.lw[lv-1], p.lh[lv-1]
@@ -427,12 +396,7 @@ func (p *Pyramid) finishBuild(due sim.Time, b *build) {
 			}
 		}
 	}
-	v1, ok1 := p.grid.SnapshotVersion()
-	e.clean = e.startOK && ok1 && v1 == e.gridVersion
 	p.sBuilds.Add(1)
-	if !e.clean {
-		p.sDirty.Add(1)
-	}
 	p.sIngested.Add(uint64(e.ingested.Load()))
 	e.ready.Store(true)
 	p.bmu.Lock()
@@ -445,7 +409,7 @@ func (p *Pyramid) finishBuild(due sim.Time, b *build) {
 // (center, radius) at period boundary due, implementing core.AggIndex. It
 // declines (ok=false) unless it can prove the answer equals the cold scan:
 // the boundary's epoch must be in the ring, built under the same freshness
-// window, with a clean ingest bracket and no grid mutation since. Covered
+// window. Covered
 // tiles contribute their rolled-up partials and fringe cells their
 // disk-tested nodes (ascending id within the cell — canonical grid order) as
 // the deterministic coarse-to-fine recursion reaches them, so the result is
@@ -460,10 +424,6 @@ func (p *Pyramid) ServeWindow(due sim.Time, center geom.Point, radius float64, f
 	e := p.findEpoch(due)
 	if e == nil {
 		p.sNoEpoch.Add(1)
-		return core.AggServe{}, false
-	}
-	if !e.clean || p.grid.Version() != e.gridVersion {
-		p.sVer.Add(1)
 		return core.AggServe{}, false
 	}
 	sv := core.AggServe{Data: core.NewPartial()}
@@ -515,13 +475,6 @@ func (p *Pyramid) ServeWindow(due sim.Time, center geom.Point, radius float64, f
 				}
 			})
 		})
-	// The fringe read the live grid and the kept readings: a mutation that
-	// landed during the serve could have paired a node with an entry the
-	// ingest never wrote for it.
-	if p.grid.Version() != e.gridVersion {
-		p.sVer.Add(1)
-		return core.AggServe{}, false
-	}
 	p.sServed.Add(1)
 	p.sTiles.Add(uint64(covered))
 	p.sCells.Add(uint64(fringe))

@@ -100,7 +100,6 @@ func TestMetricsGolden(t *testing.T) {
 		"# TYPE mobiquery_pyramid_classes gauge",
 		"# TYPE mobiquery_pyramid_serves_total counter",
 		"# TYPE mobiquery_reading_column_builds_total counter",
-		"# TYPE mobiquery_reading_column_discards_total counter",
 		"# TYPE mobiquery_reading_column_scans_total counter",
 		"# TYPE mobiquery_results_delivered_total counter",
 		"# TYPE mobiquery_results_dropped_total counter",

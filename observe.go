@@ -108,8 +108,6 @@ func newSvcObs(s *Service) *svcObs {
 	pyrBuilds := reg.Counter("mobiquery_pyramid_builds_total", "", "pyramid epoch ingests")
 	colBuilds := reg.Counter("mobiquery_reading_column_builds_total", "",
 		"reading columns built: one per popped boundary whose queries, by their radii, will read every node about twice over")
-	colDiscards := reg.Counter("mobiquery_reading_column_discards_total", "",
-		"reading columns dropped because the node index changed during the build or before a scan finished with them")
 	colScans := reg.Counter("mobiquery_reading_column_scans_total", "",
 		"evaluations that folded their nodes through a reading column instead of deriving each reading")
 	schedLenG := reg.Gauge("mobiquery_sched_entries", "", "armed schedule entries (one per live temporal query)")
@@ -164,7 +162,6 @@ func newSvcObs(s *Service) *svcObs {
 		// its wire form, does not carry the column counters.
 		col := s.engine.ColumnStats()
 		colBuilds.Set(col.Builds)
-		colDiscards.Set(col.Discards)
 		colScans.Set(col.Scans)
 		schedLenG.Set(int64(st.SchedLen))
 	})

@@ -348,11 +348,9 @@ func (s *Service) pyramidTotalsLocked() (PyramidStats, int) {
 	for _, p := range s.pyramids {
 		st := p.Stats()
 		tot.Builds += st.Builds
-		tot.DirtyBuilds += st.DirtyBuilds
 		tot.Served += st.Served
 		tot.MissNoEpoch += st.MissNoEpoch
 		tot.MissFreshness += st.MissFreshness
-		tot.MissVersion += st.MissVersion
 		tot.NodesIngested += st.NodesIngested
 		tot.FringeNodes += st.FringeNodes
 		tot.ServedAreaNodes += st.ServedAreaNodes

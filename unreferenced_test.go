@@ -138,9 +138,11 @@ func TestNoUnreferencedNames(t *testing.T) {
 // functions — or whole packages — that may refer to it, wherever covered
 // would look. Service.Advance is the one driver outside the engine: it alone
 // pops the due schedule, fans out and flushes re-arms. The serve path alone
-// wires a query's hooks (besides the engine's id-keyed wrappers) and builds
-// its planner and corridor; Open alone installs the field's sampling
-// schedule.
+// wires a query's hooks (besides the engine's id-keyed wrappers), builds its
+// planner and corridor and drives them and the pyramid around each period;
+// Open alone installs the field's sampling schedule and places its nodes. A
+// sensor is sampled in one place on the engine's side, readingOf, and in the
+// discrete-event agent's two sampling steps.
 var allowedCallers = map[string][]string{
 	"mobiquery/internal/core.QueryEngine.PopDue":        {"mobiquery.Service.Advance", "mobiquery/internal/core"},
 	"mobiquery/internal/core.QueryEngine.FlushRearms":   {"mobiquery.Service.Advance", "mobiquery/internal/core"},
@@ -152,6 +154,14 @@ var allowedCallers = map[string][]string{
 	"mobiquery/internal/core.QueryEngine.SetSampler":    {"mobiquery.Open"},
 	"mobiquery/internal/prefetch.NewPlanner":            {"mobiquery/internal/servepath.Path.Attach"},
 	"mobiquery/internal/corridor.NewCache":              {"mobiquery/internal/servepath.Path.Attach"},
+	"mobiquery/internal/core.QueryEngine.UpsertNode":    {"mobiquery.Open"},
+	"mobiquery/internal/prefetch.Planner.NoteServed":    {"mobiquery/internal/servepath"},
+	"mobiquery/internal/corridor.Cache.TakeMispredict":  {"mobiquery/internal/servepath"},
+	"mobiquery/internal/corridor.Cache.StageThrough":    {"mobiquery/internal/servepath"},
+	"mobiquery/internal/pyramid.Pyramid.EnsureEpoch":    {"mobiquery/internal/servepath"},
+	"mobiquery/internal/field.Field.Sample": {
+		"mobiquery/internal/core.readingOf", "mobiquery/internal/core.agent.sampleInto", "mobiquery/internal/core.agent.leafReport",
+	},
 }
 
 // strayCalls returns, sorted, every reference to an allowedCallers callee
