@@ -21,7 +21,9 @@ test:
 # reading columns. The third repeats the service-level close storm — Close,
 # Subscribe and Advance meeting on the one schedule lock, with the one
 # ledger reconciled afterwards — and its deterministic form, a Close landing
-# between a period's evaluation and the step's re-arm flush. The last runs
+# between a period's evaluation and the step's re-arm flush. The fourth
+# drives the real-time clock loop through its fire channel, its test
+# goroutine against the clock goroutine, twenty times over. The last runs
 # the grid's canonical-order test ten times over, varying the writer
 # interleaving: the engine's folds and the discrete-event run's radio, CCP
 # and scoring all inherit its scan order.
@@ -29,6 +31,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run='^(TestIntrusiveScheduleAgainstModel|TestReadingColumnMatchesNaiveReference|TestEngineChurnUnderRace)$$' ./internal/core
 	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered)$$' .
+	$(GO) test -race -count=20 -run='^TestRealTimeClockCatchesUp$$' .
 	$(GO) test -race -count=10 -run='^TestShardedGridCanonicalOrder$$' ./internal/geom
 
 # One pass over every benchmark as a smoke test, after the cold-evaluation

@@ -375,11 +375,11 @@ type Stats struct {
 	Epoch sim.Time
 	// Outstanding counts the chains dispatched and not yet consumed at the
 	// last evaluated boundary — the live equation-11/12 storage. A bare
-	// Planner does not know that boundary; servepath.Path.Stats fills it.
+	// Planner does not know that boundary; Subscription.PrefetchStats fills it.
 	Outstanding int
 
 	// The corridor counters describe the subscription's spatial corridor
-	// cache when one is attached; servepath.Path.Stats fills them from
+	// cache when one is attached; Subscription.PrefetchStats fills them from
 	// corridor.Cache.Stats (the planner itself never touches them, so they
 	// stay zero on a bare Planner). CorridorHits counts periods served
 	// from a warm staged buffer, CorridorMisses cold-scan fallbacks,

@@ -18,8 +18,10 @@ import (
 // it so the coarsest tile never exceeds the grid.
 const levels = 4
 
-// DefaultEpochs is the epoch-ring depth when Config.Epochs is zero.
-const DefaultEpochs = 4
+// epochs is the ring depth: how many recent period boundaries keep their
+// per-tile aggregates servable. Late evaluations and lookbacks older than
+// the ring fall back to the cold scan.
+const epochs = 4
 
 // Config parameterizes a Pyramid. Fresh, Sample, and Field fix the
 // evaluation semantics an epoch is built under; ServeWindow declines any
@@ -27,11 +29,6 @@ const DefaultEpochs = 4
 // answer under different freshness or sampling rules than the cold scan it
 // replaces.
 type Config struct {
-	// Epochs is the ring depth: how many recent period boundaries keep
-	// their per-tile aggregates servable (0 selects DefaultEpochs). Late
-	// evaluations and lookbacks older than the ring fall back to the cold
-	// scan.
-	Epochs int
 	// Fresh is the freshness window (Tfresh) epochs are built under; zero
 	// disables the window, exactly as in core.TemporalSpec.
 	Fresh time.Duration
@@ -46,8 +43,6 @@ type Config struct {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.Epochs < 0:
-		return fmt.Errorf("pyramid: epoch ring depth %d must be non-negative", c.Epochs)
 	case c.Fresh < 0:
 		return fmt.Errorf("pyramid: freshness window %v must be non-negative", c.Fresh)
 	case c.Field == nil:
@@ -157,9 +152,6 @@ func New(grid *geom.ShardedGrid, cfg Config) (*Pyramid, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Epochs == 0 {
-		cfg.Epochs = DefaultEpochs
-	}
 	cg := geometryOf(grid)
 	p := &Pyramid{
 		grid:     grid,
@@ -168,7 +160,7 @@ func New(grid *geom.ShardedGrid, cfg Config) (*Pyramid, error) {
 		fresh:    cfg.Fresh,
 		sample:   cfg.Sample,
 		fld:      cfg.Field,
-		ring:     make([]*epoch, cfg.Epochs),
+		ring:     make([]*epoch, epochs),
 		builds:   make(map[sim.Time]*build),
 	}
 	for i := range p.ring {

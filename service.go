@@ -137,11 +137,13 @@ func WithSpanFirehose(n int) Option {
 	}
 }
 
-// WithRealTime drives the service clock from the wall clock: virtual time
-// advances by tick every tick of real time, so subscriptions stream
-// results without explicit Advance calls. Without this option the clock is
-// manual — the caller advances it with Service.Advance, which is exactly
-// reproducible and is what tests and the extension figures use.
+// WithRealTime drives the service clock from the wall clock: every tick of
+// real time, virtual time advances to the wall time elapsed since Open, so
+// subscriptions stream results without explicit Advance calls, and a step
+// that overruns its tick is caught up at the next one rather than lost.
+// Without this option the clock is manual — the caller advances it with
+// Service.Advance, which is exactly reproducible and is what tests and the
+// extension figures use.
 func WithRealTime(tick time.Duration) Option {
 	return func(o *serviceOptions) { o.tick = tick }
 }
@@ -294,7 +296,12 @@ func Open(ctx context.Context, nc NetworkConfig, opts ...Option) (*Service, erro
 		s.mu.Unlock()
 	}
 	if o.tick > 0 {
-		go s.runClock(o.tick)
+		start := time.Now()
+		t := time.NewTicker(o.tick)
+		go func() {
+			defer t.Stop()
+			s.runClock(t.C, func() time.Duration { return time.Since(start) })
+		}()
 	}
 	return s, nil
 }
@@ -368,17 +375,17 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// runClock is the real-time driver: one Advance(tick) per tick of wall
-// time until the service closes.
-func (s *Service) runClock(tick time.Duration) {
-	t := time.NewTicker(tick)
-	defer t.Stop()
+// runClock is the real-time driver: on each fire it advances virtual time to
+// the wall time elapsed since Open, until the service closes. A ticker drops
+// the fires that come due while an Advance overruns its tick, so the next
+// fire catches up on every tick lost rather than one.
+func (s *Service) runClock(fire <-chan time.Time, elapsed func() time.Duration) {
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-t.C:
-			if s.Advance(tick) != nil {
+		case <-fire:
+			if s.Advance(max(elapsed()-s.Now(), 0)) != nil {
 				return
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -623,6 +624,34 @@ func TestRealTimeDrive(t *testing.T) {
 			t.Fatal("real-time service delivered nothing")
 		}
 	}
+}
+
+// TestRealTimeClockCatchesUp drives the real-time clock loop through its
+// fire channel: ten fires, each owing three ticks of wall time (the ticker
+// dropped two fires while each step overran), must leave virtual time at
+// thirty ticks, not ten.
+func TestRealTimeClockCatchesUp(t *testing.T) {
+	svc := mustOpen(t)
+	const tick = 10 * time.Millisecond
+	var wall atomic.Int64
+	fire := make(chan time.Time)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		svc.runClock(fire, func() time.Duration { return time.Duration(wall.Load()) })
+	}()
+	for i := 1; i <= 10; i++ {
+		wall.Store(int64(time.Duration(3*i) * tick))
+		fire <- time.Time{}
+	}
+	// An eleventh fire owes nothing, and is received only once the tenth
+	// step has finished.
+	fire <- time.Time{}
+	if got := svc.Now(); got != 30*tick {
+		t.Errorf("virtual time after ten fires owing three ticks each: %v, want %v", got, 30*tick)
+	}
+	svc.Close()
+	<-done
 }
 
 func TestServiceCloseIsIdempotent(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 	"mobiquery/internal/mobility"
 	"mobiquery/internal/obs"
 	"mobiquery/internal/prefetch"
-	"mobiquery/internal/servepath"
+	"mobiquery/internal/pyramid"
 )
 
 // Strategy selects how a subscription prefetches sensor data along the
@@ -376,7 +376,20 @@ func waypointProfile(p Point, prev *Point, prevAt time.Duration, src MotionSourc
 		rel := now - t0
 		vel = src.PositionAt(rel + period).Sub(src.PositionAt(rel)).Scale(1 / period.Seconds())
 	}
-	return servepath.LinearProfile(p, vel, now, period)
+	return lineProfile(p, vel, now, period)
+}
+
+// lineProfile is the prediction one ground-truth observation supports: a
+// straight line from pos at vel, generated the instant it takes effect
+// (Ta = 0, so equation 16 charges the full warmup interval — the cost of a
+// motion change) and covering every later boundary.
+func lineProfile(pos Point, vel geom.Vec, at, period time.Duration) mobility.Profile {
+	return mobility.Profile{
+		Path:      mobility.LinearPath(pos, vel, at, at+period),
+		TS:        at,
+		Generated: at,
+		Version:   1,
+	}
 }
 
 // SubscriptionStats summarizes a subscription's temporal ledger.
@@ -410,11 +423,24 @@ type Subscription struct {
 	// subscription is returned or reachable by an Advance or Service.Close.
 	q core.Query
 
-	// path is the query's serve machinery — prefetch planner, corridor
-	// cache, shared pyramid — and the state of driving it. Attached once by
-	// Subscribe; step, which Advance serializes per subscription, drives it
-	// around every evaluation.
-	path servepath.Path
+	// The query's serve machinery, wired to q's hooks once by attach: a
+	// prefetching spec's planner and, with a corridor, its cache; an
+	// on-demand spec's shared pyramid, when its boundary class uses one. Each
+	// is nil when unused. step, which Advance serializes per subscription,
+	// drives them around every evaluation (before, after); replan is safe
+	// from any goroutine once Subscribe has returned.
+	planner *prefetch.Planner
+	cache   *corridor.Cache
+	pyramid *pyramid.Pyramid
+	// stream is a ProfileSource's predicted-profile stream on the service
+	// clock, next its first undelivered index. Read and advanced by before.
+	stream []mobility.TimedProfile
+	next   int
+	// lastPos/lastAt are the latest ground-truth observation — where the
+	// query registered, then each evaluated boundary — from which a
+	// mispredict correction takes its velocity. Under q's lock once attached.
+	lastPos Point
+	lastAt  time.Duration
 
 	// trace is the fixed-depth ring of recent period lifecycle spans
 	// (TraceSpans), allocated once at Subscribe; nil under WithTraceDepth(0),
@@ -478,47 +504,14 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 		results: make(chan QueryResult, s.opts.buffer),
 		trace:   obs.NewTraceRing(s.opts.traceDepth),
 	}
-	sub.stats.NextPeriod = 1
 	sub.lastArmedNS = time.Now().UnixNano()
-	// A prefetching subscription plans from a prediction: a ProfileSource's
-	// own stream (times shifted onto the service clock), bootstrapped from a
-	// stationary guess until its first delivery; otherwise an exact profile
-	// synthesized from the motion source.
-	var prof mobility.Profile
-	var stream []mobility.TimedProfile
-	if spec.Strategy.Prefetching() {
-		if ps, ok := src.(ProfileSource); ok {
-			for _, tp := range ps.predictedProfiles() {
-				stream = append(stream, mobility.TimedProfile{
-					Deliver: tp.Deliver + s.now,
-					Profile: shiftProfile(tp.Profile, s.now),
-				})
-			}
-			prof = bootstrapProfile(src.PositionAt(0), s.now)
-		} else {
-			prof = profileFromSource(src, s.now, spec.Period)
-		}
-	}
-	cfg := servepath.Config{
-		Strategy:  spec.Strategy,
-		Lookahead: spec.Corridor.Lookahead,
-		Model:     spec.Corridor.ErrorModel,
-		Radius:    spec.Radius,
-		Period:    spec.Period,
-		Deadline:  spec.Deadline,
-		Fresh:     spec.Freshness,
-		T0:        s.now,
-		Sleep:     s.cfg.SamplePeriod,
-		Sampler:   s.sample,
-		Grid:      s.engine.Index(),
-	}
 	var err error
 	if !spec.Strategy.Prefetching() && (spec.Window > 1 || spec.Radius >= pyramidMinRadiusCells*s.cell) {
 		// On-demand subscriptions with large areas (or lookback windows,
 		// whose every result re-folds Window boundaries) aggregate through
 		// the shared tile pyramid of their boundary class. Small areas keep
 		// the flat scan: a handful of cells beats an epoch ingest.
-		if cfg.Pyramid, err = s.pyramidFor(spec.Period, spec.Freshness); err != nil {
+		if sub.pyramid, err = s.pyramidFor(spec.Period, spec.Freshness); err != nil {
 			return nil, err
 		}
 	}
@@ -527,7 +520,7 @@ func (s *Service) Subscribe(ctx context.Context, spec QuerySpec, src MotionSourc
 		core.TemporalSpec{Period: spec.Period, Deadline: spec.Deadline, Fresh: spec.Freshness, Window: spec.Window}, s.now, sub); err != nil {
 		return nil, err
 	}
-	if err := sub.path.Attach(&sub.q, cfg, pos, prof, stream); err != nil {
+	if err := sub.attach(pos); err != nil {
 		sub.q.Deregister()
 		return nil, err
 	}
@@ -575,8 +568,8 @@ func (sub *Subscription) UpdateWaypoint(p Point) error {
 	sub.manual = &p
 	sub.manualAt = now
 	sub.q.Unlock()
-	if sub.path.Planned() {
-		sub.path.Replan(waypointProfile(p, prev, prevAt, sub.src, sub.t0, now, sub.spec.Period), now)
+	if sub.planner != nil {
+		sub.replan(waypointProfile(p, prev, prevAt, sub.src, sub.t0, now, sub.spec.Period), now)
 	}
 	return nil
 }
@@ -589,14 +582,30 @@ func (sub *Subscription) PrefetchStats() (PrefetchStats, bool) {
 	// Under the query lock: serve settles each period's boundary under it.
 	sub.q.Lock()
 	defer sub.q.Unlock()
-	return sub.path.Stats()
+	if sub.planner == nil {
+		return PrefetchStats{}, false
+	}
+	st := sub.planner.Stats()
+	st.Outstanding = sub.planner.Outstanding(sub.lastAt)
+	if sub.cache != nil {
+		cs := sub.cache.Stats()
+		st.CorridorHits = cs.Hits
+		st.CorridorMisses = cs.Misses
+		st.CorridorMispredicts = cs.Mispredicts
+		st.CorridorStaged = cs.StagedBoundaries
+	}
+	return st, true
 }
 
 // Stats returns the subscription's delivery ledger so far.
 func (sub *Subscription) Stats() SubscriptionStats {
+	// Under the query lock, which also covers each evaluation's advance of
+	// the period counter.
 	sub.q.Lock()
 	defer sub.q.Unlock()
-	return sub.stats
+	st := sub.stats
+	st.NextPeriod, _ = sub.q.NextDue()
+	return st
 }
 
 // Close ends the subscription: the user leaves the service, the engine
@@ -658,7 +667,7 @@ func (sub *Subscription) step(now time.Duration, poppedNS int64, rb *core.RearmB
 		}
 		// Predictions delivered by this boundary re-plan it, and its pyramid
 		// epoch is ingested, before it is evaluated.
-		sub.path.Before(due)
+		sub.before(due)
 		// The waypoint is evaluated as of the period boundary, so coarse
 		// clock steps still see the position the user held at the
 		// deadline. The source is the caller's code: read outside the hold.
@@ -695,7 +704,7 @@ func (sub *Subscription) serve(pos Point, now time.Duration, poppedNS int64, rb 
 	// The serve classes partition evaluated periods, so the per-class
 	// counters sum to the delivery ledger (delivered + dropped) and to the
 	// spans published, at rest and under churn.
-	class, _ := sub.path.After(&wr, pos)
+	class := sub.after(&wr, pos)
 	so := sub.svc.obs
 	so.classCount[class].Inc()
 	so.classEval[class].Observe(evalEndNS - evalStartNS)
@@ -722,7 +731,6 @@ func (sub *Subscription) serve(pos Point, now time.Duration, poppedNS int64, rb 
 	sub.lastArmedNS = evalEndNS
 
 	r := sub.makeResult(wr)
-	sub.stats.NextPeriod = r.K + 1
 	if !r.OnTime {
 		sub.stats.Late++
 		sub.svc.totLate.Add(1)
@@ -752,6 +760,130 @@ func (sub *Subscription) serve(pos Point, now time.Duration, poppedNS int64, rb 
 	sub.trace.Record(&span)
 	sub.svc.spans.Publish(&span)
 	return true
+}
+
+// attach wires the engine query's hooks, once, after Subscribe registered
+// it at pos. A prefetching spec plans from a prediction: a ProfileSource's
+// own stream (times shifted onto the service clock), bootstrapped from a
+// stationary guess until its first delivery and starting from whatever the
+// stream has delivered by t0; otherwise an exact profile synthesized from the
+// motion source. On error q is left unwired.
+func (sub *Subscription) attach(pos Point) error {
+	s, spec := sub.svc, sub.spec
+	sub.lastPos, sub.lastAt = pos, sub.t0
+	if spec.Strategy.Prefetching() {
+		var profile mobility.Profile
+		if ps, ok := sub.src.(ProfileSource); ok {
+			for _, tp := range ps.predictedProfiles() {
+				sub.stream = append(sub.stream, mobility.TimedProfile{
+					Deliver: tp.Deliver + sub.t0,
+					Profile: shiftProfile(tp.Profile, sub.t0),
+				})
+			}
+			profile = bootstrapProfile(pos, sub.t0)
+		} else {
+			profile = profileFromSource(sub.src, sub.t0, spec.Period)
+		}
+		for sub.next < len(sub.stream) && sub.stream[sub.next].Deliver <= sub.t0 {
+			profile = sub.stream[sub.next].Profile
+			sub.next++
+		}
+		var err error
+		sub.planner, err = prefetch.NewPlanner(prefetch.Config{
+			Strategy: spec.Strategy,
+			Radius:   spec.Radius,
+			Period:   spec.Period,
+			Deadline: spec.Deadline,
+			Fresh:    spec.Freshness,
+			Sleep:    s.cfg.SamplePeriod,
+			T0:       sub.t0,
+		}, profile)
+		if err != nil {
+			return err
+		}
+		if spec.Corridor.Lookahead > 0 {
+			sub.cache, err = corridor.NewCache(corridor.Config{
+				Lookahead: spec.Corridor.Lookahead,
+				Model:     spec.Corridor.ErrorModel,
+				Radius:    spec.Radius,
+				Period:    spec.Period,
+				T0:        sub.t0,
+			}, s.engine.Index())
+			if err != nil {
+				return err
+			}
+			sub.cache.SetProfile(profile, sub.t0)
+			sub.q.SetWarmer(sub.cache)
+		}
+		sub.q.SetSampler(sub.planner.Sampler(s.sample))
+		sub.q.SetPlan(sub.planner)
+	}
+	if sub.pyramid != nil {
+		sub.q.SetAggIndex(sub.pyramid)
+	}
+	return nil
+}
+
+// before prepares the boundary at due: predictions delivered by then govern
+// its plan and corridor, so each is installed, once and in delivery order;
+// and the boundary's pyramid epoch is ingested (every query of the class
+// calls this: the first arrivals build the epoch cooperatively, the rest
+// return at once).
+func (sub *Subscription) before(due time.Duration) {
+	for sub.next < len(sub.stream) && sub.stream[sub.next].Deliver <= due {
+		tp := sub.stream[sub.next]
+		sub.next++
+		sub.replan(tp.Profile, tp.Deliver)
+	}
+	if sub.pyramid != nil {
+		sub.pyramid.EnsureEpoch(due)
+	}
+}
+
+// after settles the period just evaluated at ground-truth position pos,
+// under q's lock: it classifies the serve (the classes partition evaluated
+// periods) and credits the plan with the prefetched readings served. With a
+// corridor it then takes a mispredict — an actual position outside the
+// corridor already cost the period its warm serve and staging credit, the
+// evaluation having run cold with honest accounting — re-planning at once
+// along the line through the last two observed positions; and it tops the
+// staged window up relative to the boundary just collected, so boundary
+// k+1's snapshot is cut ahead of its due time whatever the tick coarseness.
+func (sub *Subscription) after(wr *core.WindowResult, pos Point) (class obs.Class) {
+	switch {
+	case wr.PyramidHit:
+		class = obs.ClassPyramid
+	case wr.CorridorHit:
+		class = obs.ClassCorridor
+	case sub.planner != nil:
+		class = obs.ClassPlanned
+	}
+	if sub.planner != nil {
+		sub.planner.NoteServed(wr.Prefetched)
+	}
+	if sub.cache != nil {
+		if at, actual, ok := sub.cache.TakeMispredict(); ok {
+			var vel geom.Vec
+			if at > sub.lastAt {
+				vel = actual.Sub(sub.lastPos).Scale(1 / (at - sub.lastAt).Seconds())
+			}
+			sub.replan(lineProfile(actual, vel, at, sub.spec.Period), at)
+		}
+		sub.cache.StageThrough(wr.Due)
+	}
+	sub.lastPos, sub.lastAt = pos, wr.Due
+	return class
+}
+
+// replan replaces a planned subscription's governing prediction at virtual
+// time at (a delivered profile, a mispredict correction, a reported
+// waypoint): chains are re-dispatched, the equation-16 warmup clock restarts
+// and the corridor is re-swept.
+func (sub *Subscription) replan(profile mobility.Profile, at time.Duration) {
+	sub.planner.Replan(profile, at)
+	if sub.cache != nil {
+		sub.cache.SetProfile(profile, at)
+	}
 }
 
 // makeResult converts one engine window evaluation into the public

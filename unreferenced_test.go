@@ -137,28 +137,29 @@ func TestNoUnreferencedNames(t *testing.T) {
 // allowedCallers is the design as a table: each callee, and the only
 // functions — or whole packages — that may refer to it, wherever covered
 // would look. Service.Advance is the one driver outside the engine: it alone
-// pops the due schedule, fans out and flushes re-arms. The serve path alone
-// wires a query's hooks (besides the engine's id-keyed wrappers), builds its
-// planner and corridor and drives them and the pyramid around each period;
-// Open alone installs the field's sampling schedule and places its nodes. A
-// sensor is sampled in one place on the engine's side, readingOf, and in the
-// discrete-event agent's two sampling steps.
+// pops the due schedule, fans out and flushes re-arms. A subscription wires
+// its query's hooks (besides the engine's id-keyed wrappers) and builds its
+// planner and corridor in attach alone, and drives them and the pyramid
+// around each period in before and after alone; Open alone installs the
+// field's sampling schedule and places its nodes. A sensor is sampled in one
+// place on the engine's side, readingOf, and in the discrete-event agent's
+// two sampling steps.
 var allowedCallers = map[string][]string{
 	"mobiquery/internal/core.QueryEngine.PopDue":        {"mobiquery.Service.Advance", "mobiquery/internal/core"},
 	"mobiquery/internal/core.QueryEngine.FlushRearms":   {"mobiquery.Service.Advance", "mobiquery/internal/core"},
 	"mobiquery/internal/core.QueryEngine.NewRearmBatch": {"mobiquery.Service.Advance", "mobiquery/internal/core"},
-	"mobiquery/internal/core.Query.SetSampler":          {"mobiquery/internal/servepath", "mobiquery/internal/core.QueryEngine.SetQuerySampler"},
-	"mobiquery/internal/core.Query.SetPlan":             {"mobiquery/internal/servepath", "mobiquery/internal/core.QueryEngine.SetQueryPlan"},
-	"mobiquery/internal/core.Query.SetWarmer":           {"mobiquery/internal/servepath", "mobiquery/internal/core.QueryEngine.SetQueryWarmer"},
-	"mobiquery/internal/core.Query.SetAggIndex":         {"mobiquery/internal/servepath", "mobiquery/internal/core.QueryEngine.SetQueryAggIndex"},
+	"mobiquery/internal/core.Query.SetSampler":          {"mobiquery.Subscription.attach", "mobiquery/internal/core.QueryEngine.SetQuerySampler"},
+	"mobiquery/internal/core.Query.SetPlan":             {"mobiquery.Subscription.attach", "mobiquery/internal/core.QueryEngine.SetQueryPlan"},
+	"mobiquery/internal/core.Query.SetWarmer":           {"mobiquery.Subscription.attach", "mobiquery/internal/core.QueryEngine.SetQueryWarmer"},
+	"mobiquery/internal/core.Query.SetAggIndex":         {"mobiquery.Subscription.attach", "mobiquery/internal/core.QueryEngine.SetQueryAggIndex"},
 	"mobiquery/internal/core.QueryEngine.SetSampler":    {"mobiquery.Open"},
-	"mobiquery/internal/prefetch.NewPlanner":            {"mobiquery/internal/servepath.Path.Attach"},
-	"mobiquery/internal/corridor.NewCache":              {"mobiquery/internal/servepath.Path.Attach"},
+	"mobiquery/internal/prefetch.NewPlanner":            {"mobiquery.Subscription.attach"},
+	"mobiquery/internal/corridor.NewCache":              {"mobiquery.Subscription.attach"},
 	"mobiquery/internal/core.QueryEngine.UpsertNode":    {"mobiquery.Open"},
-	"mobiquery/internal/prefetch.Planner.NoteServed":    {"mobiquery/internal/servepath"},
-	"mobiquery/internal/corridor.Cache.TakeMispredict":  {"mobiquery/internal/servepath"},
-	"mobiquery/internal/corridor.Cache.StageThrough":    {"mobiquery/internal/servepath"},
-	"mobiquery/internal/pyramid.Pyramid.EnsureEpoch":    {"mobiquery/internal/servepath"},
+	"mobiquery/internal/prefetch.Planner.NoteServed":    {"mobiquery.Subscription.after"},
+	"mobiquery/internal/corridor.Cache.TakeMispredict":  {"mobiquery.Subscription.after"},
+	"mobiquery/internal/corridor.Cache.StageThrough":    {"mobiquery.Subscription.after"},
+	"mobiquery/internal/pyramid.Pyramid.EnsureEpoch":    {"mobiquery.Subscription.before"},
 	"mobiquery/internal/field.Field.Sample": {
 		"mobiquery/internal/core.readingOf", "mobiquery/internal/core.agent.sampleInto", "mobiquery/internal/core.agent.leafReport",
 	},
