@@ -20,8 +20,10 @@ test:
 # registry lock, and streaming evaluations against the pops that recycle
 # reading columns. The third repeats the service-level close storm — Close,
 # Subscribe and Advance meeting on the one schedule lock, with the one
-# ledger reconciled afterwards — and its deterministic form, a Close landing
-# between a period's evaluation and the step's re-arm flush. The fourth
+# ledger reconciled afterwards — its deterministic form, a Close landing
+# between a period's evaluation and the step's re-arm flush, and trace-ring
+# snapshots racing the steps that record into the rings, which have no lock
+# of their own (the query lock serializes both). The fourth
 # drives the real-time clock loop through its fire channel, its test
 # goroutine against the clock goroutine, twenty times over. The last runs
 # the grid's canonical-order test ten times over, varying the writer
@@ -30,7 +32,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run='^(TestIntrusiveScheduleAgainstModel|TestReadingColumnMatchesNaiveReference|TestEngineChurnUnderRace)$$' ./internal/core
-	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered)$$' .
+	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered|TestTraceSpansDuringAdvance)$$' .
 	$(GO) test -race -count=20 -run='^TestRealTimeClockCatchesUp$$' .
 	$(GO) test -race -count=10 -run='^TestShardedGridCanonicalOrder$$' ./internal/geom
 

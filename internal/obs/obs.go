@@ -7,8 +7,12 @@
 // The record path is the design constraint: Counter.Inc, Gauge.Set, and
 // Histogram.Observe are a handful of atomic operations with no allocation,
 // no lock, and no time lookup, so they are safe to call from Advance's
-// 1M-subscriber hot loop. All rendering cost (label formatting, bucket
-// bounds, cumulative sums) is paid at registration or scrape time.
+// 1M-subscriber hot loop. A loop that many goroutines run at once need not
+// share even those: each goroutine records into counts and histograms of
+// its own and batches its spans, and Counter.Add, Histogram.Fold and
+// SpanSink.PublishBatch merge them, so the shared cache lines and the
+// firehose's lock are touched once per batch, not once per record. All rendering cost (label formatting, bucket bounds, cumulative
+// sums) is paid at registration or scrape time.
 package obs
 
 import (
@@ -32,9 +36,12 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
+// Add adds n: a batch of events counted elsewhere, merged in one update.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
+
 // Set overwrites the counter's value. It exists for scrape-time sampling of
 // an external monotone ledger (the service's lifetime delivery totals) into
-// the exposition; instrumented code paths should use Inc.
+// the exposition; instrumented code paths should use Inc or Add.
 func (c *Counter) Set(n uint64) { c.v.Store(n) }
 
 // Load returns the current value.
@@ -125,6 +132,24 @@ func (h *Histogram) Observe(v int64) {
 	h.bkts[h.index(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+}
+
+// Fold adds every observation of from into h and leaves from empty, as if
+// each value observed into from had been observed into h instead. from
+// must have h's geometry (the same max) and no concurrent Observe; h may
+// be observed concurrently. Allocation-free.
+func (h *Histogram) Fold(from *Histogram) {
+	if len(from.bkts) != len(h.bkts) {
+		panic("obs: Fold between histograms of different geometry")
+	}
+	for i := range from.bkts {
+		if n := from.bkts[i].Load(); n != 0 {
+			from.bkts[i].Store(0)
+			h.bkts[i].Add(n)
+		}
+	}
+	h.count.Add(from.count.Swap(0))
+	h.sum.Add(from.sum.Swap(0))
 }
 
 // Sum returns the sum of observed values in recorded (unscaled) units.

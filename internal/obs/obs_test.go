@@ -99,6 +99,89 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestCounterAdd pins that Add(n) is n increments, on top of whatever the
+// counter already holds, and that Add(0) changes nothing.
+func TestCounterAdd(t *testing.T) {
+	a := NewRegistry().Counter("a_total", "", "a")
+	b := NewRegistry().Counter("b_total", "", "b")
+	for _, n := range []uint64{0, 1, 7, 0, 1000} {
+		a.Add(n)
+		for range n {
+			b.Inc()
+		}
+		if a.Load() != b.Load() {
+			t.Fatalf("after Add(%d): %d, want %d", n, a.Load(), b.Load())
+		}
+	}
+	if a.Load() != 1008 {
+		t.Fatalf("total %d, want 1008", a.Load())
+	}
+}
+
+// TestHistogramFoldMatchesObserve pins that folding a histogram into
+// another is observing its values there: every bucket, the count, Sum and
+// every Quantile equal those of one histogram that saw every value, and
+// the folded histogram is left empty, ready to fill again.
+func TestHistogramFoldMatchesObserve(t *testing.T) {
+	const max = int64(64 * time.Second)
+	into, from, want := NewHistogram(max, 1e-9), NewHistogram(max, 1e-9), NewHistogram(max, 1e-9)
+	v := int64(1)
+	observe := func(h *Histogram, n int) {
+		for i := 0; i < n; i++ {
+			v = v*6364136223846793005 + 1442695040888963407
+			x := (v >> 20) & (1<<(i%40) - 1) // every octave, overflow included
+			if i%17 == 0 {
+				x = -x // clamps to zero
+			}
+			h.Observe(x)
+			want.Observe(x)
+		}
+	}
+	same := func(when string) {
+		t.Helper()
+		for i := range want.bkts {
+			if into.bkts[i].Load() != want.bkts[i].Load() {
+				t.Fatalf("%s: bucket %d holds %d, want %d", when, i, into.bkts[i].Load(), want.bkts[i].Load())
+			}
+		}
+		if into.count.Load() != want.count.Load() || into.Sum() != want.Sum() {
+			t.Fatalf("%s: count %d sum %d, want %d and %d", when, into.count.Load(), into.Sum(), want.count.Load(), want.Sum())
+		}
+		for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
+			if into.Quantile(q) != want.Quantile(q) {
+				t.Fatalf("%s: Quantile(%v) = %d, want %d", when, q, into.Quantile(q), want.Quantile(q))
+			}
+		}
+		for i := range from.bkts {
+			if from.bkts[i].Load() != 0 {
+				t.Fatalf("%s: the folded histogram keeps %d in bucket %d", when, from.bkts[i].Load(), i)
+			}
+		}
+		if from.count.Load() != 0 || from.Sum() != 0 || from.Quantile(0.5) != 0 {
+			t.Fatalf("%s: the folded histogram keeps count %d sum %d", when, from.count.Load(), from.Sum())
+		}
+	}
+	into.Fold(from)
+	same("empty into empty")
+	observe(into, 300)
+	observe(from, 5000)
+	into.Fold(from)
+	same("first fold")
+	into.Fold(from)
+	same("fold of the emptied histogram")
+	observe(from, 1234)
+	observe(into, 10)
+	into.Fold(from)
+	same("second fold")
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Fold between different geometries did not panic")
+		}
+	}()
+	into.Fold(NewHistogram(1<<20, 1e-9))
+}
+
 // TestConcurrentIncrement hammers one counter and one histogram from many
 // goroutines; run under -race this doubles as the data-race
 // check, and the totals pin that no increment is lost.
@@ -216,17 +299,17 @@ func TestRegistryKindConflict(t *testing.T) {
 	r.Gauge("x_total", "", "x")
 }
 
-// TestTraceRing pins ring semantics: nil rings are no-ops, a partial ring
+// TestTraceRing pins ring semantics: zero rings are no-ops, a partial ring
 // snapshots in insertion order, and a wrapped ring keeps the newest depth
 // spans oldest-first.
 func TestTraceRing(t *testing.T) {
-	var nilRing *TraceRing
-	nilRing.Record(&PeriodSpan{K: 1})
-	if got := nilRing.Snapshot(nil); len(got) != 0 {
-		t.Fatalf("nil ring snapshot = %d spans", len(got))
+	var zero TraceRing
+	zero.Record(&PeriodSpan{K: 1})
+	if got := zero.Snapshot(nil); len(got) != 0 {
+		t.Fatalf("zero ring snapshot = %d spans", len(got))
 	}
-	if NewTraceRing(0) != nil {
-		t.Fatalf("depth 0 should return a nil ring")
+	if off := NewTraceRing(0); off.spans != nil {
+		t.Fatalf("depth 0 should return the zero ring")
 	}
 
 	ring := NewTraceRing(4)

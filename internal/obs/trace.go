@@ -149,51 +149,43 @@ type PeriodSpan struct {
 }
 
 // TraceRing is a fixed-depth ring of the most recent period spans of one
-// subscription. A nil ring is valid and ignores everything — tracing
-// disabled costs one nil check per period. Record and Snapshot are
-// mutually safe; Record is called from the delivery path (serialized per
-// subscription), Snapshot from introspection handlers, and both copy
-// under the mutex so a reader never observes a half-written span.
+// subscription, held by value in its owner. A zero ring (NewTraceRing(0))
+// is valid and ignores everything — tracing disabled costs one length
+// check per period. A ring has no lock of its own: its owner serializes
+// Record and Snapshot (a subscription records and snapshots under its
+// query lock), so a reader never observes a half-written span.
 type TraceRing struct {
-	mu    sync.Mutex
 	spans []PeriodSpan
 	next  int
 	full  bool
 }
 
 // NewTraceRing returns a ring holding the last depth spans; depth <= 0
-// returns nil (tracing disabled).
-func NewTraceRing(depth int) *TraceRing {
+// returns the zero ring (tracing disabled).
+func NewTraceRing(depth int) TraceRing {
 	if depth <= 0 {
-		return nil
+		return TraceRing{}
 	}
-	return &TraceRing{spans: make([]PeriodSpan, depth)}
+	return TraceRing{spans: make([]PeriodSpan, depth)}
 }
 
 // Record appends one completed span, evicting the oldest at capacity.
 func (r *TraceRing) Record(s *PeriodSpan) {
-	if r == nil {
+	if len(r.spans) == 0 {
 		return
 	}
-	r.mu.Lock()
 	r.spans[r.next] = *s
 	r.next++
 	if r.next == len(r.spans) {
 		r.next = 0
 		r.full = true
 	}
-	r.mu.Unlock()
 }
 
 // Snapshot appends the ring's spans to buf, oldest first, and returns it.
-// A nil ring appends nothing. The appends allocate only when buf lacks
+// A zero ring appends nothing. The appends allocate only when buf lacks
 // capacity, so a caller reusing its buffer snapshots allocation-free.
 func (r *TraceRing) Snapshot(buf []PeriodSpan) []PeriodSpan {
-	if r == nil {
-		return buf
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.full {
 		buf = append(buf, r.spans[r.next:]...)
 	}
@@ -203,9 +195,10 @@ func (r *TraceRing) Snapshot(buf []PeriodSpan) []PeriodSpan {
 // SpanSink is the service-wide span firehose: a fixed ring every
 // completed period span is published into, regardless of subscription.
 // It is deliberately lossy — at capacity the oldest span is overwritten
-// and counted dropped — so the tick path pays one short mutex hold and a
-// struct copy per delivered period, never an allocation and never a
-// block on a slow reader. A nil sink ignores everything.
+// and counted dropped — so publishing never allocates and never blocks on
+// a slow reader. Publishers batch: PublishBatch copies a whole batch of
+// spans under one short mutex hold, so the tick path pays the lock once
+// per batch, not once per period. A nil sink ignores everything.
 type SpanSink struct {
 	mu        sync.Mutex
 	spans     []PeriodSpan
@@ -241,6 +234,36 @@ func (s *SpanSink) Publish(sp *PeriodSpan) {
 		s.full = true
 	}
 	s.published++
+	s.mu.Unlock()
+}
+
+// PublishBatch records sps in order under one hold of the lock. The ring
+// and the published and dropped counts end exactly as if each span had
+// been published in turn. Allocation-free.
+func (s *SpanSink) PublishBatch(sps []PeriodSpan) {
+	if s == nil || len(sps) == 0 {
+		return
+	}
+	s.mu.Lock()
+	// Every span published while the ring is full overwrites one; until
+	// then the ring has len-next free slots.
+	free := 0
+	if !s.full {
+		free = len(s.spans) - s.next
+	}
+	if n := len(sps); n > free {
+		s.dropped += uint64(n - free)
+	}
+	s.published += uint64(len(sps))
+	for len(sps) > 0 {
+		c := copy(s.spans[s.next:], sps)
+		sps = sps[c:]
+		s.next += c
+		if s.next == len(s.spans) {
+			s.next = 0
+			s.full = true
+		}
+	}
 	s.mu.Unlock()
 }
 

@@ -84,46 +84,44 @@ func TestSpanSink(t *testing.T) {
 	}
 }
 
-// TestTraceRingConcurrent races recorders against snapshotters; the race
-// detector is the assertion, plus every observed span must be internally
-// consistent (K stamped into both fields, never torn).
-func TestTraceRingConcurrent(t *testing.T) {
-	ring := NewTraceRing(8)
-	var writers, readers sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			var buf []PeriodSpan
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				buf = ring.Snapshot(buf[:0])
-				for _, sp := range buf {
-					if int64(sp.K) != sp.ArmedNS || time.Duration(sp.K) != sp.Due {
-						t.Errorf("torn span: %+v", sp)
-						return
-					}
-				}
-			}
-		}()
+// TestPublishBatchMatchesPublish pins that publishing a batch is publishing
+// its spans one by one: the same ring content in the same order and the
+// same published and dropped counts, for batches that fit, that cross the
+// ring's end, that fill it exactly and that are longer than the ring.
+func TestPublishBatchMatchesPublish(t *testing.T) {
+	var nilSink *SpanSink
+	nilSink.PublishBatch([]PeriodSpan{{K: 1}})
+	if out, pub, drop := nilSink.Snapshot(nil); len(out) != 0 || pub != 0 || drop != 0 {
+		t.Fatalf("nil sink after a batch: %d spans, %d/%d", len(out), pub, drop)
 	}
-	for w := 0; w < 4; w++ {
-		writers.Add(1)
-		go func() {
-			defer writers.Done()
-			for k := 1; k <= 500; k++ {
-				ring.Record(&PeriodSpan{K: k, Due: time.Duration(k), ArmedNS: int64(k)})
+	const depth = 8
+	batched, single := NewSpanSink(depth), NewSpanSink(depth)
+	k := 0
+	for step, n := range []int{0, 3, 4, 2, 8, 1, 11, 0, 17, 5, 8, 3} {
+		batch := make([]PeriodSpan, n)
+		for i := range batch {
+			k++
+			batch[i] = PeriodSpan{K: k, ArmedNS: int64(k)}
+			single.Publish(&batch[i])
+		}
+		batched.PublishBatch(batch)
+		got, gp, gd := batched.Snapshot(nil)
+		want, wp, wd := single.Snapshot(nil)
+		if gp != wp || gd != wd || len(got) != len(want) {
+			t.Fatalf("step %d (batch of %d): %d spans, %d/%d; one by one %d spans, %d/%d", step, n, len(got), gp, gd, len(want), wp, wd)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("step %d (batch of %d): span %d is period %d, want %d", step, n, i, got[i].K, want[i].K)
 			}
-		}()
+		}
+		if batched.next != single.next || batched.full != single.full {
+			t.Fatalf("step %d: cursor %d full %v, want %d %v", step, batched.next, batched.full, single.next, single.full)
+		}
 	}
-	writers.Wait()
-	close(stop)
-	readers.Wait()
+	if pub, drop := batched.Counts(); pub != uint64(k) || drop != uint64(k-depth) {
+		t.Fatalf("Counts = %d/%d, want %d/%d", pub, drop, k, k-depth)
+	}
 }
 
 // TestSpanSinkConcurrent races publishers against snapshotters and checks
@@ -188,6 +186,15 @@ func BenchmarkSpanSinkPublish(b *testing.B) {
 
 // BenchmarkTraceSnapshot pins that a reader reusing its buffer snapshots
 // a full ring without allocating — the firehose handler's steady state.
+func BenchmarkSpanSinkPublishBatch(b *testing.B) {
+	sink := NewSpanSink(4096)
+	batch := make([]PeriodSpan, 256)
+	benchNoAlloc(b, func(i int) {
+		batch[i%len(batch)].K = i
+		sink.PublishBatch(batch)
+	})
+}
+
 func BenchmarkTraceSnapshot(b *testing.B) {
 	sink := NewSpanSink(256)
 	for k := 1; k <= 512; k++ {

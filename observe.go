@@ -50,8 +50,9 @@ type svcObs struct {
 	stageFlush *obs.Histogram
 	popBatch   *obs.Histogram
 
-	// Per-serve-class evaluation ledger (recorded live in
-	// Subscription.serve). The classes partition evaluated periods: their
+	// Per-serve-class evaluation ledger: Subscription.serve records into
+	// its dispatch worker's lane, and Advance folds the lanes in once per
+	// step (lane.fold). The classes partition evaluated periods: their
 	// counters sum to delivered + dropped, which the loopback
 	// reconciliation test pins.
 	classCount [obs.NumClasses]*obs.Counter
@@ -74,7 +75,7 @@ func newSvcObs(s *Service) *svcObs {
 		"Advance calls on which no period was due")
 	stage := func(name string) *obs.Histogram {
 		return reg.Histogram("mobiquery_advance_stage_seconds", `stage="`+name+`"`,
-			"wall time per Advance stage: pop (due-batch collection), evaluate (the fan-out: each worker evaluates its subscriptions' due periods and delivers them), flush (schedule re-arms)",
+			"wall time per Advance stage: pop (due-batch collection), evaluate (the fan-out: each worker evaluates its subscriptions' due periods and delivers them), flush (schedule re-arms, then each dispatch worker's counts, evaluation latencies and spans folded into the service's)",
 			obsMaxStage, 1e-9)
 	}
 	o.stagePop = stage("pop")

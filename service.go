@@ -112,8 +112,10 @@ func WithAlignedSampling() Option {
 // subscription's trace ring retains (default 16; see
 // Subscription.TraceSpans). 0 drops only that ring: every period still
 // builds its span for the service firehose (WithSpanFirehose) and a traced
-// result. The ring is allocated once at Subscribe, so it adds nothing to the
-// Advance hot path's allocation count at any depth.
+// result. The ring's storage is allocated once at Subscribe and its header
+// lives in the Subscription, so it adds nothing to the Advance hot path's
+// allocation count at any depth; a period records into it under the
+// subscription's own lock, which no other subscription's period takes.
 func WithTraceDepth(n int) Option {
 	return func(o *serviceOptions) {
 		if n < 0 {
@@ -179,7 +181,8 @@ type Service struct {
 	// spans is the service-wide span firehose every completed period span
 	// is published into (FirehoseSpans, GET /v1/trace); nil when opened
 	// with WithSpanFirehose(0). Ring-buffered and drop-counted — publish
-	// never allocates or blocks on a reader.
+	// never allocates or blocks on a reader. The dispatch workers publish
+	// their lanes' span batches, one lock hold per batch.
 	spans *obs.SpanSink
 
 	// pyramids holds one aggregate tile pyramid per boundary class — the
@@ -207,8 +210,10 @@ type Service struct {
 	stopCtx func() bool
 
 	// Lifetime delivery totals across every subscription, live or closed
-	// (ServiceStats). Atomics: periods are served under each subscription's
-	// query lock, never a service-wide one.
+	// (ServiceStats). Atomics, read without a lock: Subscribe and close
+	// count opened and closed; the delivery totals are written only by
+	// Advance, which folds each dispatch worker's lane into them once per
+	// step (lane.fold), never per period.
 	totOpened    atomic.Uint64
 	totClosed    atomic.Uint64
 	totDelivered atomic.Uint64
@@ -218,11 +223,96 @@ type Service struct {
 	// advMu serializes Advance calls (the clock moves one step at a time)
 	// and guards the scratch buffers below, which are reused across steps
 	// so a steady-state Advance allocates nothing on the scheduling path:
-	// the popped batch, and one schedule re-arm batch per dispatch worker
-	// (created on the first non-empty step).
-	advMu  sync.Mutex
-	due    []core.DueEntry
-	rearms []*core.RearmBatch
+	// the popped batch, and one lane per dispatch worker (created on the
+	// first non-empty step).
+	advMu sync.Mutex
+	due   []core.DueEntry
+	lanes []*lane
+}
+
+// laneSpans is how many completed period spans a lane batches before it
+// publishes them to the firehose: a few hundred, so one lock hold carries
+// that many spans while a lane's batch stays at ~24 KB.
+const laneSpans = 256
+
+// lane is one dispatch worker's private ledger for the Advance steps: its
+// schedule re-arms, its periods and evaluation latencies by serve class,
+// its delivered, dropped and late counts, and a batch of completed spans.
+// The worker's Subscription.step and serve write only to their lane, so no
+// period of the fan-out writes memory, or takes a lock, that another worker
+// uses. After the fan-out, Advance flushes each lane's re-arms and folds
+// the rest into the service-wide metrics, totals and firehose (fold);
+// every total is folded before Advance returns. A lane whose span batch
+// fills mid-step publishes it at once (publish): a subscription's periods
+// of one step all go to one lane, so the firehose keeps each
+// subscription's spans in ascending K.
+type lane struct {
+	rb        *core.RearmBatch
+	periods   [obs.NumClasses]uint64
+	eval      [obs.NumClasses]*obs.Histogram // the geometry of svcObs.classEval
+	delivered uint64
+	dropped   uint64
+	late      uint64
+	// spans is the batch not yet published to sink, with room for
+	// laneSpans; nil when the firehose is disabled, so the lane buffers
+	// nothing.
+	sink  *obs.SpanSink
+	spans []obs.PeriodSpan
+}
+
+func newLane(rb *core.RearmBatch, sink *obs.SpanSink) *lane {
+	l := &lane{rb: rb, sink: sink}
+	for c := range l.eval {
+		l.eval[c] = obs.NewHistogram(obsMaxStage, 1e-9)
+	}
+	if sink != nil {
+		l.spans = make([]obs.PeriodSpan, 0, laneSpans)
+	}
+	return l
+}
+
+// queue adds a completed span to the batch, publishing the batch once it
+// is full.
+func (l *lane) queue(sp *obs.PeriodSpan) {
+	if l.spans == nil {
+		return
+	}
+	l.spans = append(l.spans, *sp)
+	if len(l.spans) == cap(l.spans) {
+		l.publish()
+	}
+}
+
+// publish hands the batch to the firehose under one hold of its lock.
+func (l *lane) publish() {
+	l.sink.PublishBatch(l.spans)
+	l.spans = l.spans[:0]
+}
+
+// fold merges the lane's counts, histograms and spans into the service's
+// and leaves the lane empty for the next step. Advance calls it after the
+// fan-out, when no worker writes the lane.
+func (l *lane) fold(s *Service) {
+	for c, n := range l.periods {
+		if n != 0 {
+			s.obs.classCount[c].Add(n)
+			s.obs.classEval[c].Fold(l.eval[c])
+			l.periods[c] = 0
+		}
+	}
+	if l.delivered != 0 {
+		s.totDelivered.Add(l.delivered)
+		l.delivered = 0
+	}
+	if l.dropped != 0 {
+		s.totDropped.Add(l.dropped)
+		l.dropped = 0
+	}
+	if l.late != 0 {
+		s.totLate.Add(l.late)
+		l.late = 0
+	}
+	l.publish()
 }
 
 // Open stands up a Service over the configured sensor field. Configuration
@@ -464,10 +554,11 @@ type ServiceStats struct {
 }
 
 // Stats returns the service-wide delivery ledger. It takes only the clock's
-// read lock, so introspection never blocks an in-flight Advance batch; the
-// totals are atomics and may trail a concurrent delivery by an instant. It
-// allocates nothing, so the metrics scrape, /v1/stats and /healthz all
-// snapshot through it.
+// read lock, so introspection never blocks an in-flight Advance batch. The
+// delivery totals are folded in once per Advance step, so they may trail
+// the step in flight — by the periods it has delivered so far — but never a
+// step that has returned. It allocates nothing, so the metrics scrape,
+// /v1/stats and /healthz all snapshot through it.
 func (s *Service) Stats() ServiceStats {
 	s.mu.RLock()
 	pt, classes := s.pyramidTotalsLocked()
@@ -503,11 +594,13 @@ func (s *Service) Stats() ServiceStats {
 // matter how many subscribers are idle. Due subscriptions are fanned across
 // the engine's worker pool, and the worker that evaluates a period hands
 // its result over before it moves on (Subscription.step): no period waits
-// for another subscription's. Each worker batches its schedule re-arms for
-// one flush after the fan-out. Every subscription has its own Results
-// channel, so the order that is promised is the one a subscriber can
-// observe: ascending K on each channel, byte-identical whatever the
-// Shards/Workers configuration. No order is promised across subscriptions.
+// for another subscription's. Each worker keeps its schedule re-arms, its
+// counts and its spans to itself; they are flushed and folded once after
+// the fan-out, so every service-wide total is current when Advance returns.
+// Every subscription has its own Results channel, so the order that is
+// promised is the one a subscriber can observe: ascending K on each
+// channel, byte-identical whatever the Shards/Workers configuration. No
+// order is promised across subscriptions.
 func (s *Service) Advance(d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("mobiquery: cannot advance time backwards (%v)", d)
@@ -544,25 +637,27 @@ func (s *Service) Advance(d time.Duration) error {
 	// Fan the due subscriptions across the worker pool: a popped entry's
 	// query handle is owned by its subscription (one closed since the pop
 	// serves nothing). Each worker evaluates and delivers every period of
-	// its subscription due by now and accumulates its schedule re-arms in a
-	// private batch; subscriptions are independent, so the fan-out cannot
-	// change results.
-	if s.rearms == nil {
-		s.rearms = make([]*core.RearmBatch, s.engine.Workers())
-		for i := range s.rearms {
-			s.rearms[i] = s.engine.NewRearmBatch()
+	// its subscription due by now and keeps its schedule re-arms and its
+	// ledger in its own lane; subscriptions are independent, so the fan-out
+	// cannot change results.
+	if s.lanes == nil {
+		s.lanes = make([]*lane, s.engine.Workers())
+		for i := range s.lanes {
+			s.lanes[i] = newLane(s.engine.NewRearmBatch(), s.spans)
 		}
 	}
-	due, rearms := s.due, s.rearms
+	due, lanes := s.due, s.lanes
 	s.engine.DispatchWorkers(len(due), func(worker, i int) {
-		due[i].Query.Owner().(*Subscription).step(now, poppedNS, rearms[worker])
+		due[i].Query.Owner().(*Subscription).step(now, poppedNS, lanes[worker])
 	})
 	evalEnd := time.Now()
 	o.stageEval.Observe(evalEnd.Sub(popEnd).Nanoseconds())
 	// Flush the workers' deferred re-arms, one schedule lock hold per
-	// worker, so the next PopDue sees every next boundary.
-	for _, rb := range rearms {
-		s.engine.FlushRearms(rb)
+	// worker, so the next PopDue sees every next boundary; then fold each
+	// worker's ledger into the service's.
+	for _, l := range lanes {
+		s.engine.FlushRearms(l.rb)
+		l.fold(s)
 	}
 	o.stageFlush.Observe(time.Since(evalEnd).Nanoseconds())
 	// Zero the handles so a burst-sized batch doesn't pin closed
@@ -576,9 +671,11 @@ func (s *Service) Advance(d time.Duration) error {
 // lifetime published and dropped span counts as of the snapshot. The
 // firehose sees every completed period of every subscription (traced or
 // not), ring-buffered to the WithSpanFirehose depth; with the firehose
-// disabled it returns buf unchanged and zero counts. Workers publish as
-// they deliver, so the order is ascending K within each subscription and
-// nothing more. Safe for concurrent use with a running service.
+// disabled it returns buf unchanged and zero counts. Each dispatch worker
+// publishes its spans per lane batch, before Advance returns, so the order
+// is ascending K within each subscription and nothing more, and a snapshot
+// taken during an Advance may miss spans of the step in flight. Safe for
+// concurrent use with a running service.
 func (s *Service) FirehoseSpans(buf []PeriodSpan) (spans []PeriodSpan, published, dropped uint64) {
 	return s.spans.Snapshot(buf)
 }

@@ -465,9 +465,10 @@ func TestSubscribeWatcherDoesNotLeak(t *testing.T) {
 }
 
 // TestSubscribeAllocations pins what a session costs the heap: a
-// subscription stores its engine query in place, so Subscribe+Close with
-// default options allocates the Subscription, its result channel and buffer,
-// and its trace ring and spans — and no separate query.
+// subscription stores its engine query and its trace ring's header in place,
+// so Subscribe+Close with default options allocates four objects — the
+// Subscription, its result channel, the channel's buffer and the trace
+// ring's spans — and no separate query or ring.
 func TestSubscribeAllocations(t *testing.T) {
 	svc, err := Open(context.Background(), DefaultNetworkConfig())
 	if err != nil {
@@ -483,8 +484,8 @@ func TestSubscribeAllocations(t *testing.T) {
 		}
 		sub.Close()
 	})
-	if allocs != 5 {
-		t.Fatalf("Subscribe+Close allocates %v objects, want 5", allocs)
+	if allocs != 4 {
+		t.Fatalf("Subscribe+Close allocates %v objects, want 4", allocs)
 	}
 }
 

@@ -443,14 +443,17 @@ type Subscription struct {
 	lastAt  time.Duration
 
 	// trace is the fixed-depth ring of recent period lifecycle spans
-	// (TraceSpans), allocated once at Subscribe; nil under WithTraceDepth(0),
-	// which drops only this ring, not the span each period still publishes.
+	// (TraceSpans), held in place with its storage allocated once at
+	// Subscribe; the zero ring under WithTraceDepth(0), which drops only this
+	// ring, not the span each period still publishes. Under q's lock: serve
+	// records into it and TraceSpans snapshots it, so the ring needs no lock
+	// of its own.
 	// lastArmedNS is the wall time this subscription's schedule entry was
 	// last re-armed — the end of the previous period's evaluation, or the
 	// Subscribe instant — giving each span its armed→popped scheduler wait.
 	// Written only from step (serialized per subscription) and Subscribe
 	// (before the subscription is visible to Advance).
-	trace       *obs.TraceRing
+	trace       obs.TraceRing
 	lastArmedNS int64
 
 	// The mutable session state, under q's lock. It is per-subscription so
@@ -644,15 +647,16 @@ func (sub *Subscription) close() {
 // completion on the dispatch worker that was handed the popped subscription
 // and touches only this subscription's engine query and session state, so
 // distinct subscriptions proceed in parallel and no period waits for
-// another subscription's. Schedule re-arms go into the worker's private rb,
+// another subscription's. Schedule re-arms go into the worker's lane l,
 // which Advance flushes after the fan-out: delivery precedes the flush, and
 // a receiver that closes on receipt spends the handle, so its batched
-// re-arm is declined (Schedule.Remove).
+// re-arm is declined (Schedule.Remove). The period's counts and span go
+// into l as well, folded into the service's by Advance.
 // poppedNS is the wall time the Advance step's PopDue completed — the
 // popped stamp shared by the first span of each subscription in the
 // batch; catch-up periods armed mid-drain stamp their own arming instant
 // instead, keeping every span chain monotone.
-func (sub *Subscription) step(now time.Duration, poppedNS int64, rb *core.RearmBatch) {
+func (sub *Subscription) step(now time.Duration, poppedNS int64, l *lane) {
 	for {
 		_, due := sub.q.NextDue()
 		// The lifetime check precedes the due check: it depends only on
@@ -671,7 +675,7 @@ func (sub *Subscription) step(now time.Duration, poppedNS int64, rb *core.RearmB
 		// The waypoint is evaluated as of the period boundary, so coarse
 		// clock steps still see the position the user held at the
 		// deadline. The source is the caller's code: read outside the hold.
-		if !sub.serve(sub.src.PositionAt(due-sub.t0), now, poppedNS, rb) {
+		if !sub.serve(sub.src.PositionAt(due-sub.t0), now, poppedNS, l) {
 			return
 		}
 	}
@@ -683,10 +687,11 @@ func (sub *Subscription) step(now time.Duration, poppedNS int64, rb *core.RearmB
 // lifecycle span, and hand the result to the subscriber — or, when the buffer
 // is full, discard it and count it in Stats().Dropped rather than stalling
 // the service. The span is recorded in the subscription's trace ring,
-// published to the service span firehose, and — for a traced subscription —
-// attached to the result so the network front-end can echo it to the client.
-// It reports whether a period was served.
-func (sub *Subscription) serve(pos Point, now time.Duration, poppedNS int64, rb *core.RearmBatch) bool {
+// queued in the worker's lane for the service span firehose, and — for a
+// traced subscription — attached to the result so the network front-end can
+// echo it to the client. Everything serve counts goes to the lane l, not to
+// memory another worker writes. It reports whether a period was served.
+func (sub *Subscription) serve(pos Point, now time.Duration, poppedNS int64, l *lane) bool {
 	sub.q.Lock()
 	defer sub.q.Unlock()
 	if sub.closed {
@@ -696,7 +701,7 @@ func (sub *Subscription) serve(pos Point, now time.Duration, poppedNS int64, rb 
 		pos = *sub.manual
 	}
 	evalStartNS := time.Now().UnixNano()
-	wr, ok := sub.q.EvaluateDueAt(pos, now, rb)
+	wr, ok := sub.q.EvaluateDueAt(pos, now, l.rb)
 	evalEndNS := time.Now().UnixNano()
 	if !ok {
 		return false
@@ -705,9 +710,8 @@ func (sub *Subscription) serve(pos Point, now time.Duration, poppedNS int64, rb 
 	// counters sum to the delivery ledger (delivered + dropped) and to the
 	// spans published, at rest and under churn.
 	class := sub.after(&wr, pos)
-	so := sub.svc.obs
-	so.classCount[class].Inc()
-	so.classEval[class].Observe(evalEndNS - evalStartNS)
+	l.periods[class]++
+	l.eval[class].Observe(evalEndNS - evalStartNS)
 	// A catch-up period (armed by the previous iteration of this very
 	// drain, after the batch pop) never went back to the scheduler: its
 	// logical pop instant is its armed instant, not the batch pop stamp
@@ -733,7 +737,7 @@ func (sub *Subscription) serve(pos Point, now time.Duration, poppedNS int64, rb 
 	r := sub.makeResult(wr)
 	if !r.OnTime {
 		sub.stats.Late++
-		sub.svc.totLate.Add(1)
+		l.late++
 	}
 	// The delivery stamp precedes the channel send so a traced result's
 	// echoed span already carries it. A traced subscription's span carries
@@ -751,14 +755,14 @@ func (sub *Subscription) serve(pos Point, now time.Duration, poppedNS int64, rb 
 	select {
 	case sub.results <- r:
 		sub.stats.Delivered++
-		sub.svc.totDelivered.Add(1)
+		l.delivered++
 	default:
 		span.Outcome = obs.OutcomeDropped
 		sub.stats.Dropped++
-		sub.svc.totDropped.Add(1)
+		l.dropped++
 	}
 	sub.trace.Record(&span)
-	sub.svc.spans.Publish(&span)
+	l.queue(&span)
 	return true
 }
 
@@ -921,7 +925,11 @@ func (sub *Subscription) makeResult(wr core.WindowResult) QueryResult {
 // still in the trace ring, stamped armed → popped → evaluated →
 // delivered/dropped with its serve class. The ring keeps the last
 // WithTraceDepth spans (default 16); with tracing disabled it is always
-// empty. Safe for concurrent use with a running service.
+// empty. Safe for concurrent use with a running service: it copies under
+// the query lock, which each period records under, so it waits for one
+// period's serve at most and never sees a span half-written.
 func (sub *Subscription) TraceSpans(buf []PeriodSpan) []PeriodSpan {
+	sub.q.Lock()
+	defer sub.q.Unlock()
 	return sub.trace.Snapshot(buf)
 }

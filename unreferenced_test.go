@@ -143,7 +143,10 @@ func TestNoUnreferencedNames(t *testing.T) {
 // around each period in before and after alone; Open alone installs the
 // field's sampling schedule and places its nodes. A sensor is sampled in one
 // place on the engine's side, readingOf, and in the discrete-event agent's
-// two sampling steps.
+// two sampling steps. The period path writes the service's shared ledger
+// only through a dispatch worker's lane: the lane alone publishes span
+// batches to the firehose and folds evaluation histograms, and nothing
+// outside internal/obs publishes one span at a time.
 var allowedCallers = map[string][]string{
 	"mobiquery/internal/core.QueryEngine.PopDue":        {"mobiquery.Service.Advance", "mobiquery/internal/core"},
 	"mobiquery/internal/core.QueryEngine.FlushRearms":   {"mobiquery.Service.Advance", "mobiquery/internal/core"},
@@ -160,6 +163,9 @@ var allowedCallers = map[string][]string{
 	"mobiquery/internal/corridor.Cache.TakeMispredict":  {"mobiquery.Subscription.after"},
 	"mobiquery/internal/corridor.Cache.StageThrough":    {"mobiquery.Subscription.after"},
 	"mobiquery/internal/pyramid.Pyramid.EnsureEpoch":    {"mobiquery.Subscription.before"},
+	"mobiquery/internal/obs.SpanSink.Publish":           {"mobiquery/internal/obs"},
+	"mobiquery/internal/obs.SpanSink.PublishBatch":      {"mobiquery.lane.publish"},
+	"mobiquery/internal/obs.Histogram.Fold":             {"mobiquery.lane.fold"},
 	"mobiquery/internal/field.Field.Sample": {
 		"mobiquery/internal/core.readingOf", "mobiquery/internal/core.agent.sampleInto", "mobiquery/internal/core.agent.leafReport",
 	},
