@@ -23,18 +23,15 @@ test:
 # ledger reconciled afterwards — its deterministic form, a Close landing
 # between a period's evaluation and the step's re-arm flush, and trace-ring
 # snapshots racing the steps that record into the rings, which have no lock
-# of their own (the query lock serializes both). The fourth
-# drives the real-time clock loop through its fire channel, its test
-# goroutine against the clock goroutine, twenty times over. The last runs
-# the grid's canonical-order test ten times over, varying the writer
-# interleaving: the engine's folds and the discrete-event run's radio, CCP
-# and scoring all inherit its scan order.
+# of their own (the query lock serializes both), and the service against its
+# naive model over the fuzz target's seed operation sequences, at Workers 1
+# and 4. The last drives the real-time clock loop through its fire channel,
+# its test goroutine against the clock goroutine, twenty times over.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run='^(TestIntrusiveScheduleAgainstModel|TestReadingColumnMatchesNaiveReference|TestEngineChurnUnderRace)$$' ./internal/core
-	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered|TestTraceSpansDuringAdvance)$$' .
+	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered|TestTraceSpansDuringAdvance|FuzzServiceAgainstModel)$$' .
 	$(GO) test -race -count=20 -run='^TestRealTimeClockCatchesUp$$' .
-	$(GO) test -race -count=10 -run='^TestShardedGridCanonicalOrder$$' ./internal/geom
 
 # One pass over every benchmark as a smoke test, after the cold-evaluation
 # allocation gate; use `go test -bench=. ./...` directly for real

@@ -13,7 +13,7 @@
 // The package has two entry styles:
 //
 // The session API (service.go, subscription.go) runs MobiQuery as a
-// service: Open stands up the sharded query engine over a sensor field
+// service: Open stands up the concurrent query engine over a sensor field
 // once, then any number of mobile users Subscribe and Unsubscribe while it
 // runs, each receiving one aggregate result per query period over a
 // channel, evaluated under the period/deadline/freshness contract of their
@@ -109,14 +109,15 @@ func PlumeField(center Point, amplitude, sigma, driftX, driftY float64) Field {
 	return field.GaussianPlume{Center: center, Amplitude: amplitude, Sigma: sigma, Drift: geom.V(driftX, driftY)}
 }
 
-// ServiceConfig sizes the sharded multi-user query engine of the session API
-// (NetworkConfig.Service): how many spatial shards the sensor index is split
-// into and how many workers dispatch independent users' work. The zero
-// value selects sane
-// defaults (geom.DefaultShards spatial shards, one worker per core).
-// Concurrency never changes results — only wall time.
+// ServiceConfig sizes the multi-user query engine of the session API
+// (NetworkConfig.Service): how many workers dispatch independent users'
+// work. The zero value selects one worker per core. Concurrency never
+// changes results — only wall time.
 type ServiceConfig struct {
-	// Shards is the spatial shard count of the node index (0 = auto).
+	// Shards is ignored: the sensor index is one grid, placed once and
+	// never split. The field stays, and Validate still rejects a negative
+	// value, because the repository benchmark sets it; it goes when the
+	// benchmark stops setting it.
 	Shards int
 	// Workers is the dispatch worker-pool width (0 = one per core).
 	Workers int

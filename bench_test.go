@@ -239,11 +239,11 @@ func benchEngine(users int, cfg core.EngineConfig) *core.QueryEngine {
 	return e
 }
 
-// BenchmarkMultiUserDispatchSharded measures one boundary of 2000 users'
-// queries through the sharded concurrent engine's worker pool, as a clock
+// BenchmarkMultiUserDispatch measures one boundary of 2000 users'
+// queries through the concurrent engine's worker pool, as a clock
 // driver runs it: PopDue, one evaluation per popped query into its worker's
 // re-arm batch, FlushRearms.
-func BenchmarkMultiUserDispatchSharded(b *testing.B) {
+func BenchmarkMultiUserDispatch(b *testing.B) {
 	b.ReportAllocs()
 	e := benchEngine(2000, core.EngineConfig{})
 	rearms := make([]*core.RearmBatch, e.Workers())

@@ -154,7 +154,7 @@ type outcome struct {
 	advance, p50, p99 time.Duration
 	// digest is an order-independent digest of every resident user's
 	// per-period values; identical configurations agree on it whatever
-	// Shards and Workers are.
+	// Workers is.
 	digest uint64
 }
 
@@ -568,7 +568,7 @@ func (m replay) PositionAt(t time.Duration) mobiquery.Point {
 
 // runScale runs the scale figure, one arm: every user's positions drawn up
 // front, all subscribed at t = 0. Its digest covers every aggregate a user
-// reads, so serial and sharded dispatch agree on it exactly when only wall
+// reads, so serial and parallel dispatch agree on it exactly when only wall
 // time moved.
 func runScale(sc scenario) (result, error) {
 	if sc.users <= 0 || sc.step < 0 || sc.spec.Period <= 0 || sc.rounds() <= 0 {

@@ -406,7 +406,7 @@ func TestPyramidFigureServesFromThePyramid(t *testing.T) {
 
 // TestScenarioDigestsInvariant pins determinism and the concurrency
 // invariant on every temporal figure: identical configurations agree on
-// every arm's digest and ledger, whatever the shard and worker sizing, and a
+// every arm's digest and ledger, whatever the worker count, and a
 // re-run changes nothing.
 func TestScenarioDigestsInvariant(t *testing.T) {
 	figures := []struct {
@@ -427,16 +427,16 @@ func TestScenarioDigestsInvariant(t *testing.T) {
 	}
 	for _, fig := range figures {
 		t.Run(fig.name, func(t *testing.T) {
-			run := func(shards, workers int) result {
+			run := func(workers int) result {
 				sc := fig.small()
-				sc.net.Service = mobiquery.ServiceConfig{Shards: shards, Workers: workers}
+				sc.net.Service = mobiquery.ServiceConfig{Workers: workers}
 				res, err := fig.run(sc)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			ref := run(0, 0)
+			ref := run(0)
 			if len(ref.arms) < 2 {
 				t.Fatalf("got %d arms", len(ref.arms))
 			}
@@ -449,11 +449,9 @@ func TestScenarioDigestsInvariant(t *testing.T) {
 					}
 				}
 			}
-			check("identical re-run", run(0, 0))
+			check("identical re-run", run(0))
 			for _, workers := range []int{1, 3} {
-				for _, shards := range []int{1, 16} {
-					check(fmt.Sprintf("workers=%d shards=%d", workers, shards), run(shards, workers))
-				}
+				check(fmt.Sprintf("workers=%d", workers), run(workers))
 			}
 		})
 	}
@@ -471,11 +469,11 @@ func TestScaleValidate(t *testing.T) {
 	)
 }
 
-// runScaleT runs the scale figure at the given engine sizing and returns its
+// runScaleT runs the scale figure at the given worker count and returns its
 // one arm.
-func runScaleT(t *testing.T, sc scenario, shards, workers int) outcome {
+func runScaleT(t *testing.T, sc scenario, workers int) outcome {
 	t.Helper()
-	sc.net.Service = mobiquery.ServiceConfig{Shards: shards, Workers: workers}
+	sc.net.Service = mobiquery.ServiceConfig{Workers: workers}
 	res, err := runScale(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -484,9 +482,9 @@ func runScaleT(t *testing.T, sc scenario, shards, workers int) outcome {
 }
 
 // TestScaleShardedMatchesSerial pins the acceptance property of the
-// concurrent engine: sharded dispatch changes wall time, never results. The
+// concurrent engine: parallel dispatch changes wall time, never results. The
 // headline figure's digest is pinned too, so a change to what the scale run
-// computes cannot pass unseen while serial and sharded still agree.
+// computes cannot pass unseen while serial and parallel still agree.
 func TestScaleShardedMatchesSerial(t *testing.T) {
 	type digest struct {
 		digest              uint64
@@ -501,14 +499,14 @@ func TestScaleShardedMatchesSerial(t *testing.T) {
 		{"default", defaultScale(), &digest{0xb162c73fdfed54f8, 0x405172963dc486ad, 0x40417ebf1dadd737}},
 	}
 	for _, tc := range cases {
-		a := runScaleT(t, tc.sc, 1, 1)
-		b := runScaleT(t, tc.sc, 8, 8)
+		a := runScaleT(t, tc.sc, 1)
+		b := runScaleT(t, tc.sc, 8)
 		if want := tc.sc.users * tc.sc.rounds(); a.periods != b.periods || a.periods != want {
 			t.Fatalf("%s: periods %d vs %d, want %d", tc.name, a.periods, b.periods, want)
 		}
 		got := digest{a.digest, math.Float64bits(a.meanArea()), math.Float64bits(a.meanValue())}
 		if got != (digest{b.digest, math.Float64bits(b.meanArea()), math.Float64bits(b.meanValue())}) {
-			t.Fatalf("%s: serial %+v diverges from sharded %+v", tc.name, a, b)
+			t.Fatalf("%s: serial %+v diverges from parallel %+v", tc.name, a, b)
 		}
 		if a.meanArea() <= 0 {
 			t.Fatalf("%s: scale figure evaluated empty areas everywhere; geometry is off", tc.name)
@@ -521,14 +519,12 @@ func TestScaleShardedMatchesSerial(t *testing.T) {
 }
 
 // TestScaleDeterministicAcrossWorkerCounts re-runs one configuration at
-// several pool widths and shard counts; the digest must never move.
+// several pool widths; the digest must never move.
 func TestScaleDeterministicAcrossWorkerCounts(t *testing.T) {
-	ref := runScaleT(t, smallScale(), 0, 0)
+	ref := runScaleT(t, smallScale(), 0)
 	for _, w := range []int{1, 2, 5} {
-		for _, s := range []int{1, 4, 64} {
-			if got := runScaleT(t, smallScale(), s, w); got.digest != ref.digest || got.area != ref.area {
-				t.Fatalf("workers=%d shards=%d: digest %#x, want %#x", w, s, got.digest, ref.digest)
-			}
+		if got := runScaleT(t, smallScale(), w); got.digest != ref.digest || got.area != ref.area {
+			t.Fatalf("workers=%d: digest %#x, want %#x", w, got.digest, ref.digest)
 		}
 	}
 }
@@ -536,7 +532,7 @@ func TestScaleDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestScaleUniformFieldMeanValue(t *testing.T) {
 	sc := smallScale()
 	sc.net.Field = mobiquery.UniformField(42)
-	if o := runScaleT(t, sc, 0, 0); o.meanValue() != 42 {
+	if o := runScaleT(t, sc, 0); o.meanValue() != 42 {
 		t.Fatalf("mean value over uniform field = %v, want 42", o.meanValue())
 	}
 }
@@ -544,7 +540,7 @@ func TestScaleUniformFieldMeanValue(t *testing.T) {
 // TestScaleSweepQuantiles pins the sweep-latency readout: every round
 // observed, quantiles positive and ordered.
 func TestScaleSweepQuantiles(t *testing.T) {
-	o := runScaleT(t, smallScale(), 0, 0)
+	o := runScaleT(t, smallScale(), 0)
 	if o.p50 <= 0 || o.p99 <= 0 {
 		t.Fatalf("sweep quantiles not recorded: p50=%v p99=%v", o.p50, o.p99)
 	}

@@ -38,7 +38,6 @@ func run(args []string) error {
 		seed    = fs.Int64("seed", 1, "base seed")
 		users   = fs.Int("users", 0, "scale scenario: concurrent users (0 = default 10k)")
 		nodes   = fs.Int("nodes", 0, "scale scenario: field size in sensors (0 = default 100k)")
-		shards  = fs.Int("shards", 0, "scale scenario: spatial shards (0 = auto)")
 		workers = fs.Int("workers", 0, "scale scenario: dispatch workers (0 = one per core)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -65,7 +64,7 @@ func run(args []string) error {
 	case "ablation":
 		fmt.Println(experiment.Ablation(opts).Format())
 	case "scale":
-		if err := printScale(*seed, *users, *nodes, *shards, *workers); err != nil {
+		if err := printScale(*seed, *users, *nodes, *workers); err != nil {
 			return err
 		}
 	case "all":
@@ -83,7 +82,7 @@ func run(args []string) error {
 		if !ok {
 			return fmt.Errorf("unknown figure %q", *fig)
 		}
-		if err := printTemporal(figure(), *seed, *users, *nodes, *shards, *workers); err != nil {
+		if err := printTemporal(figure(), *seed, *users, *nodes, *workers); err != nil {
 			return err
 		}
 	}
@@ -98,10 +97,10 @@ func printFig4(opts experiment.Options) {
 }
 
 // printScale runs the multi-user scale figure twice — serial dispatch and
-// sharded concurrent dispatch, each on its own Service — and reports the
+// parallel dispatch, each on its own Service — and reports the
 // speedup. Results (areas, aggregates) are identical between the two; only
 // wall time moves.
-func printScale(seed int64, users, nodes, shards, workers int) error {
+func printScale(seed int64, users, nodes, workers int) error {
 	cfg := defaultScale()
 	cfg.net.Seed = seed
 	if users != 0 {
@@ -110,13 +109,13 @@ func printScale(seed int64, users, nodes, shards, workers int) error {
 	if nodes != 0 {
 		cfg.net.Nodes = nodes
 	}
-	cfg.net.Service = mobiquery.ServiceConfig{Shards: shards, Workers: workers}
+	cfg.net.Service = mobiquery.ServiceConfig{Workers: workers}
 
 	fmt.Printf("scale scenario: %d users on a %d-node field (%.0f m square, Rq=%.0f m, %d rounds)\n",
 		cfg.users, cfg.net.Nodes, cfg.net.RegionSide, cfg.spec.Radius, cfg.rounds())
 
 	serial := cfg
-	serial.net.Service = mobiquery.ServiceConfig{Shards: 1, Workers: 1}
+	serial.net.Service = mobiquery.ServiceConfig{Workers: 1}
 	sres, err := runScale(serial)
 	if err != nil {
 		return err
@@ -127,13 +126,13 @@ func printScale(seed int64, users, nodes, shards, workers int) error {
 	}
 	s, p := sres.arms[0], pres.arms[0]
 	if s.digest != p.digest {
-		return fmt.Errorf("serial and sharded dispatch disagree (digests %#x vs %#x) — engine bug", s.digest, p.digest)
+		return fmt.Errorf("serial and parallel dispatch disagree (digests %#x vs %#x) — engine bug", s.digest, p.digest)
 	}
 	fmt.Printf("  serial dispatch:  %10v  (%.0f evals/s)\n", s.advance.Truncate(time.Millisecond), float64(s.periods)/s.advance.Seconds())
-	fmt.Printf("  sharded dispatch: %10v  (%.0f evals/s)\n", p.advance.Truncate(time.Millisecond), float64(p.periods)/p.advance.Seconds())
+	fmt.Printf("  parallel dispatch:%10v  (%.0f evals/s)\n", p.advance.Truncate(time.Millisecond), float64(p.periods)/p.advance.Seconds())
 	fmt.Printf("  speedup: %.2fx   mean in-area sensors: %.1f   mean value: %.3f\n",
 		s.advance.Seconds()/p.advance.Seconds(), p.meanArea(), p.meanValue())
-	fmt.Printf("  sweep latency p50/p99: serial %v/%v, sharded %v/%v\n",
+	fmt.Printf("  sweep latency p50/p99: serial %v/%v, parallel %v/%v\n",
 		s.p50.Truncate(time.Millisecond), s.p99.Truncate(time.Millisecond),
 		p.p50.Truncate(time.Millisecond), p.p99.Truncate(time.Millisecond))
 	return nil
@@ -157,9 +156,9 @@ type temporalFigure struct {
 }
 
 // printTemporal applies the flags to a temporal figure, runs it once as
-// configured and once at Shards 1 / Workers 1 — failing when any arm's digest
+// configured and once at Workers 1 — failing when any arm's digest
 // moved — and prints its table and headline.
-func printTemporal(f temporalFigure, seed int64, users, nodes, shards, workers int) error {
+func printTemporal(f temporalFigure, seed int64, users, nodes, workers int) error {
 	f.sc.net.Seed = seed
 	if users != 0 {
 		f.sc.users = users
@@ -167,21 +166,21 @@ func printTemporal(f temporalFigure, seed int64, users, nodes, shards, workers i
 	if nodes != 0 {
 		f.sc.net.Nodes = nodes
 	}
-	f.sc.net.Service = mobiquery.ServiceConfig{Shards: shards, Workers: workers}
+	f.sc.net.Service = mobiquery.ServiceConfig{Workers: workers}
 	fmt.Println(f.banner())
 
 	res, err := f.run()
 	if err != nil {
 		return err
 	}
-	f.sc.net.Service = mobiquery.ServiceConfig{Shards: 1, Workers: 1}
+	f.sc.net.Service = mobiquery.ServiceConfig{Workers: 1}
 	ref, err := f.run()
 	if err != nil {
 		return err
 	}
 	for i, out := range res.arms {
 		if out.digest != ref.arms[i].digest {
-			return fmt.Errorf("%s digest moved across engine sizing (%#x vs %#x) — engine bug", out.label, out.digest, ref.arms[i].digest)
+			return fmt.Errorf("%s digest moved across worker counts (%#x vs %#x) — engine bug", out.label, out.digest, ref.arms[i].digest)
 		}
 	}
 	if f.row != nil {
@@ -253,7 +252,7 @@ func prefetchFigure() temporalFigure {
 				return fmt.Errorf("prefetching did not reduce late periods (on-demand %d, jit %d, greedy %d) — planner bug",
 					od.late, jit.late, greedy.late)
 			}
-			fmt.Printf("  digests invariant to Shards/Workers; prefetching cut late periods %d -> %d (jit) / %d (greedy) in %v\n",
+			fmt.Printf("  digests invariant to Workers; prefetching cut late periods %d -> %d (jit) / %d (greedy) in %v\n",
 				od.late, jit.late, greedy.late, ms(res.elapsed))
 			return nil
 		},
@@ -293,7 +292,7 @@ func corridorFigure() temporalFigure {
 			if corrNoisy.cold >= jitNoisy.cold {
 				return fmt.Errorf("corridor did not reduce cold evaluations on the noisy workload (%d vs %d)", corrNoisy.cold, jitNoisy.cold)
 			}
-			fmt.Printf("  digests invariant to Shards/Workers; corridor/exact == jit/exact (warm path bit-identical)\n")
+			fmt.Printf("  digests invariant to Workers; corridor/exact == jit/exact (warm path bit-identical)\n")
 			fmt.Printf("  noisy workload: staged-hit rate %.0f%%, mispredict rate %.1f%%, cold evaluations %d -> %d, in %v\n",
 				100*float64(corrNoisy.hits)/float64(corrNoisy.periods), 100*float64(corrNoisy.mispredicts)/float64(corrNoisy.periods),
 				jitNoisy.cold, corrNoisy.cold, ms(res.elapsed))
@@ -336,7 +335,7 @@ func pyramidFigure() temporalFigure {
 				return fmt.Errorf("pyramid ledger empty: %+v", pyr.index)
 			}
 			misses := pyr.index.MissNoEpoch + pyr.index.MissFreshness
-			fmt.Printf("  digests invariant to Shards/Workers; every period of both arms served by the pyramid (%d misses)\n", misses)
+			fmt.Printf("  digests invariant to Workers; every period of both arms served by the pyramid (%d misses)\n", misses)
 			fmt.Printf("  pyramid arm: %d epoch builds, %.2fx node-visit advantage (%d flat-equivalent area nodes vs %d ingested+fringe), in %v\n",
 				pyr.index.Builds, float64(pyr.index.ServedAreaNodes)/float64(visits),
 				pyr.index.ServedAreaNodes, visits, ms(res.elapsed))

@@ -21,7 +21,7 @@ func TestRunScaleScenarioSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the scale scenario")
 	}
-	if err := run([]string{"-fig", "scale", "-users", "200", "-nodes", "3000", "-shards", "8", "-workers", "4"}); err != nil {
+	if err := run([]string{"-fig", "scale", "-users", "200", "-nodes", "3000", "-workers", "4"}); err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
 }

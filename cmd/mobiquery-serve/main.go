@@ -71,7 +71,6 @@ func run(args []string, ready chan<- string) error {
 		nodes   = fs.Int("nodes", 200, "sensor node count")
 		region  = fs.Float64("region", 450, "square field side in meters")
 		sample  = fs.Duration("sample", time.Second, "node sampling period")
-		shards  = fs.Int("shards", 0, "spatial shards (0 = auto)")
 		workers = fs.Int("workers", 0, "dispatch workers (0 = one per core)")
 		buffer  = fs.Int("buffer", 16, "per-subscription result buffer")
 		tick    = fs.Duration("tick", 20*time.Millisecond, "real-time clock tick; 0 = manual clock + POST /v1/advance")
@@ -88,7 +87,7 @@ func run(args []string, ready chan<- string) error {
 		Nodes:        *nodes,
 		RegionSide:   *region,
 		SamplePeriod: *sample,
-		Service:      mobiquery.ServiceConfig{Shards: *shards, Workers: *workers},
+		Service:      mobiquery.ServiceConfig{Workers: *workers},
 	}
 	opts := []mobiquery.Option{mobiquery.WithResultBuffer(*buffer)}
 	if *tick > 0 {

@@ -138,13 +138,13 @@ func TestCorridorLookaheadZeroIsDisabled(t *testing.T) {
 }
 
 // TestCorridorInvariantAcrossEngineSizing extends the concurrency
-// invariant to the corridor path: shard and worker counts never change a
+// invariant to the corridor path: worker counts never change a
 // corridor subscription's results — including which periods were served
 // warm.
 func TestCorridorInvariantAcrossEngineSizing(t *testing.T) {
-	run := func(shards, workers int) []QueryResult {
+	run := func(workers int) []QueryResult {
 		nc := sleepyNetwork()
-		nc.Service = ServiceConfig{Shards: shards, Workers: workers}
+		nc.Service = ServiceConfig{Workers: workers}
 		svc, err := Open(context.Background(), nc, WithResultBuffer(64))
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +171,7 @@ func TestCorridorInvariantAcrossEngineSizing(t *testing.T) {
 		}
 		return all
 	}
-	ref := run(0, 0)
+	ref := run(0)
 	warmRef := 0
 	for _, r := range ref {
 		if r.CorridorHit {
@@ -181,14 +181,14 @@ func TestCorridorInvariantAcrossEngineSizing(t *testing.T) {
 	if warmRef == 0 {
 		t.Fatal("reference run served no warm periods; the invariance check is vacuous")
 	}
-	for _, cfg := range [][2]int{{1, 1}, {16, 3}} {
-		got := run(cfg[0], cfg[1])
+	for _, workers := range []int{1, 3} {
+		got := run(workers)
 		if len(got) != len(ref) {
-			t.Fatalf("shards=%d workers=%d: %d results vs %d", cfg[0], cfg[1], len(got), len(ref))
+			t.Fatalf("workers=%d: %d results vs %d", workers, len(got), len(ref))
 		}
 		for i := range got {
 			if got[i] != ref[i] {
-				t.Fatalf("shards=%d workers=%d: result %d diverged:\n got %+v\nwant %+v", cfg[0], cfg[1], i, got[i], ref[i])
+				t.Fatalf("workers=%d: result %d diverged:\n got %+v\nwant %+v", workers, i, got[i], ref[i])
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func buffered(sub *Subscription) (got []QueryResult, closed bool) {
 
 // TestCoarseAdvanceDeliversEachStreamInOrder pins the delivery order the
 // service promises, which is per subscription: whatever the step size and the
-// Shards/Workers sizing, each Results channel carries K = 1, 2, 3, … with no
+// Workers sizing, each Results channel carries K = 1, 2, 3, … with no
 // gap, a subscription whose Lifetime ends inside a step closes right behind
 // its last result, and the ledger accounts for every evaluated period. Forty
 // subscriptions of four periods and three serve classes are driven by one
@@ -136,11 +136,11 @@ func TestCoarseAdvanceDeliversEachStreamInOrder(t *testing.T) {
 		return streams
 	}
 
-	serial := run(ServiceConfig{Shards: 1, Workers: 1})
-	sharded := run(ServiceConfig{Shards: 4, Workers: 4})
+	serial := run(ServiceConfig{Workers: 1})
+	parallel := run(ServiceConfig{Workers: 4})
 	for i := range serial {
-		if strings.Join(serial[i], "\n") != strings.Join(sharded[i], "\n") {
-			t.Errorf("sub %d: stream differs between Workers 1 and Workers 4:\n%v\n%v", i, serial[i], sharded[i])
+		if strings.Join(serial[i], "\n") != strings.Join(parallel[i], "\n") {
+			t.Errorf("sub %d: stream differs between Workers 1 and Workers 4:\n%v\n%v", i, serial[i], parallel[i])
 		}
 	}
 }
@@ -373,7 +373,7 @@ func TestCloseStormAgainstAdvanceAndSubscribe(t *testing.T) {
 		return spec
 	}
 	nc := testNetwork()
-	nc.Service = ServiceConfig{Shards: 4, Workers: 4}
+	nc.Service = ServiceConfig{Workers: 4}
 	svc, err := Open(context.Background(), nc, WithResultBuffer(64))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -547,7 +547,7 @@ func (c closingSource) PositionAt(t time.Duration) Point {
 // must be declined rather than resurrect its schedule entry.
 func TestPeriodEvaluatedBeforeCloseIsDelivered(t *testing.T) {
 	nc := testNetwork()
-	nc.Service = ServiceConfig{Shards: 1, Workers: 1}
+	nc.Service = ServiceConfig{Workers: 1}
 	svc, err := Open(context.Background(), nc)
 	if err != nil {
 		t.Fatalf("Open: %v", err)

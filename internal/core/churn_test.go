@@ -22,7 +22,7 @@ import (
 // reading columns that the streaming evaluations may be folding through.
 func TestEngineChurnUnderRace(t *testing.T) {
 	region := geom.Square(1000)
-	e := NewQueryEngine(region, 100, field.Uniform{Value: 20}, EngineConfig{Shards: 8, Workers: 8})
+	e := NewQueryEngine(region, 100, field.Uniform{Value: 20}, EngineConfig{Workers: 8})
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		e.UpsertNode(radio.NodeID(i), region.UniformPoint(rng))

@@ -16,21 +16,14 @@ import (
 )
 
 // EngineConfig sizes the concurrent multi-user query engine: how many
-// spatial shards the node index uses and how many workers the dispatch pool
-// runs. Zero values select sane defaults, so the zero EngineConfig is valid.
+// workers the dispatch pool runs. The zero EngineConfig is valid.
 type EngineConfig struct {
-	// Shards is the spatial shard count of the node index
-	// (<=0 selects geom.DefaultShards).
-	Shards int
 	// Workers is the worker-pool size used to fan independent users'
 	// work across cores (<=0 selects GOMAXPROCS).
 	Workers int
 }
 
 func (c EngineConfig) normalized() EngineConfig {
-	if c.Shards <= 0 {
-		c.Shards = geom.DefaultShards
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -39,9 +32,6 @@ func (c EngineConfig) normalized() EngineConfig {
 
 // Validate reports configuration errors (negative knobs; zero means auto).
 func (c EngineConfig) Validate() error {
-	if c.Shards < 0 {
-		return fmt.Errorf("core: engine shards must be non-negative, got %d", c.Shards)
-	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: engine workers must be non-negative, got %d", c.Workers)
 	}
@@ -108,11 +98,11 @@ func (q *Query) Owner() any { return q.owner }
 func (q *Query) Lock()   { q.mu.Lock() }
 func (q *Query) Unlock() { q.mu.Unlock() }
 
-// QueryEngine is the sharded, concurrent multi-user query engine: a spatial
+// QueryEngine is the concurrent multi-user query engine: a spatial
 // index of sensor-node positions (geom.ShardedGrid), a registry of live
 // temporal queries and the schedule of their period boundaries, with
 // per-query work safe to issue from many goroutines at once and fanned
-// across a worker pool by Dispatch.
+// across a worker pool by DispatchWorkers.
 //
 // The field is placed once: UpsertNode fills the index before the first
 // RegisterQuery, and panics after it. Every reader that keeps what it read
@@ -147,7 +137,7 @@ type QueryEngine struct {
 	colMu   sync.RWMutex
 	cols    []*readingColumn
 	colLive atomic.Int32
-	maxNode atomic.Int32
+	maxNode int32
 	// placed latches at the first RegisterQuery: the index is fixed from
 	// then on.
 	placed atomic.Bool
@@ -197,31 +187,29 @@ func NewQueryEngineE(region geom.Rect, cellSize float64, fld field.Field, cfg En
 	cfg = cfg.normalized()
 	e := &QueryEngine{
 		cfg:     cfg,
-		grid:    geom.NewShardedGrid(region, cellSize, cfg.Shards),
+		grid:    geom.NewShardedGrid(region, cellSize, 0),
 		fld:     fld,
 		queries: make(map[uint32]*Query),
 		sched:   NewSchedule(),
+		maxNode: -1,
 	}
-	e.maxNode.Store(-1)
 	return e, nil
 }
 
 // Workers returns the dispatch pool size.
 func (e *QueryEngine) Workers() int { return e.cfg.Workers }
 
-// Index returns the underlying sharded node index.
+// Index returns the underlying node index.
 func (e *QueryEngine) Index() *geom.ShardedGrid { return e.grid }
 
-// UpsertNode records (or moves) a sensor node's position. Safe for
-// concurrent use across distinct node ids. It panics once a query has
-// registered: the field is placed before anything is asked of it.
+// UpsertNode records (or moves) a sensor node's position. It is not safe
+// for concurrent use: the field is placed by one writer. It panics once a
+// query has registered: the field is placed before anything is asked of it.
 func (e *QueryEngine) UpsertNode(id radio.NodeID, p geom.Point) {
 	if e.placed.Load() {
 		panic("core: UpsertNode after RegisterQuery")
 	}
-	for m := e.maxNode.Load(); int32(id) > m && !e.maxNode.CompareAndSwap(m, int32(id)); {
-		m = e.maxNode.Load()
-	}
+	e.maxNode = max(e.maxNode, int32(id))
 	e.grid.Insert(int32(id), p)
 }
 
@@ -297,7 +285,7 @@ func (e *QueryEngine) buildColumns(batch []DueEntry) {
 				r2 += q.radius * q.radius
 			}
 		}
-		size := int(e.maxNode.Load()) + 1
+		size := int(e.maxNode) + 1
 		if math.Pi*r2 < 2*e.grid.Region().Area() || size > 2*e.grid.Len() {
 			continue
 		}
@@ -439,20 +427,14 @@ func (e *QueryEngine) Queries() []*Query {
 	return out
 }
 
-// Dispatch runs fn(0..n-1) across the engine's worker pool and returns when
-// all calls have completed. Workers pull indices from a shared queue, so
-// uneven per-user costs balance out. fn must be safe for concurrent
-// invocation with distinct arguments; with one worker (or n<2) the calls
-// run serially in order.
-func (e *QueryEngine) Dispatch(n int, fn func(i int)) {
-	e.DispatchWorkers(n, func(_, i int) { fn(i) })
-}
-
-// DispatchWorkers is Dispatch with the worker's index (0..Workers-1) passed
-// to fn alongside the work index, so callers can hand each worker private
-// scratch (a RearmBatch, an output lane) without synchronization. Which
-// worker runs which index is nondeterministic; with one worker (or n<2)
-// every call runs serially on worker 0.
+// DispatchWorkers runs fn(worker, 0..n-1) across the engine's worker pool
+// and returns when all calls have completed. Workers pull indices from a
+// shared queue, so uneven per-user costs balance out; fn must be safe for
+// concurrent invocation with distinct indices. The worker's index
+// (0..Workers-1) is passed alongside the work index, so callers can hand
+// each worker private scratch (a RearmBatch, an output lane) without
+// synchronization. Which worker runs which index is nondeterministic; with
+// one worker (or n<2) every call runs serially, in order, on worker 0.
 func (e *QueryEngine) DispatchWorkers(n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return

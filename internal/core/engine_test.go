@@ -64,7 +64,6 @@ func TestQueryEngineRejectsBadConfig(t *testing.T) {
 			}
 			return e.RegisterTemporalE(1, 10, geom.Pt(0, 0), spec, 0)
 		}},
-		{"negative shards", func() error { testEngine(EngineConfig{Shards: -1}); return nil }},
 		{"negative workers", func() error { testEngine(EngineConfig{Workers: -1}); return nil }},
 	} {
 		func() {
@@ -98,7 +97,7 @@ func TestUpsertNodeAfterRegisterPanics(t *testing.T) {
 // with -race.
 func TestQueryEngineConcurrentUsers(t *testing.T) {
 	region := geom.Square(1000)
-	e := NewQueryEngine(region, 100, field.Uniform{Value: 20}, EngineConfig{Shards: 8, Workers: 8})
+	e := NewQueryEngine(region, 100, field.Uniform{Value: 20}, EngineConfig{Workers: 8})
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 100; i++ {
 		e.UpsertNode(radio.NodeID(i), region.UniformPoint(rng))
@@ -144,7 +143,10 @@ func TestDispatchCoversAllIndicesOnce(t *testing.T) {
 	const n = 1000
 	var hits [n]int32
 	var mu sync.Mutex
-	e.Dispatch(n, func(i int) {
+	e.DispatchWorkers(n, func(w, i int) {
+		if w < 0 || w >= e.Workers() {
+			t.Errorf("index %d ran on worker %d of %d", i, w, e.Workers())
+		}
 		mu.Lock()
 		hits[i]++
 		mu.Unlock()
@@ -154,7 +156,7 @@ func TestDispatchCoversAllIndicesOnce(t *testing.T) {
 			t.Fatalf("index %d dispatched %d times", i, h)
 		}
 	}
-	e.Dispatch(0, func(int) { t.Error("fn called for n=0") })
+	e.DispatchWorkers(0, func(int, int) { t.Error("fn called for n=0") })
 }
 
 // TestQueryHandleFitsItsSizeClass pins the handle at 208 bytes, a malloc size

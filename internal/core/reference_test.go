@@ -48,6 +48,20 @@ func refField(seed int64) []refNode {
 	return nodes
 }
 
+// placeInterleaved inserts nodes as streams strided streams placed one
+// after another: stream k holds nodes k, k+streams, k+2·streams, … of the
+// canonical order. One stream is the canonical order itself; more streams
+// give the order a streams-way parallel placement could produce, inserting
+// ids into the middle of cell buckets. The canonical bucket order must make
+// every result independent of it.
+func placeInterleaved(e *core.QueryEngine, nodes []refNode, streams int) {
+	for k := 0; k < streams; k++ {
+		for i := k; i < len(nodes); i += streams {
+			e.UpsertNode(radio.NodeID(nodes[i].id), nodes[i].pos)
+		}
+	}
+}
+
 // sortCanonical orders nodes as the grid visits them: cell row, cell column,
 // id.
 func sortCanonical(nodes []refNode) {
@@ -122,7 +136,9 @@ var refFields = []struct {
 }
 
 // TestEvaluateDueMatchesNaiveReference drives the engine's three serve paths
-// against the reference model, across engine sizings: the cold and
+// against the reference model, across worker counts and placement orders
+// (shards=N places the field as N interleaved streams, see
+// placeInterleaved): the cold and
 // corridor-warm paths must agree bit for bit including Sum (they fold node
 // by node in the reference's order), the pyramid path on everything but the
 // grouping of Sum — and on Sum too over a quantised field, where float
@@ -134,19 +150,19 @@ func TestEvaluateDueMatchesNaiveReference(t *testing.T) {
 		for _, shards := range []int{1, 4, 16} {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/shards=%d/workers=%d", f.name, shards, workers), func(t *testing.T) {
-					runDifferential(t, nodes, spec, sample, f.fld, f.quantised, core.EngineConfig{Shards: shards, Workers: workers})
+					runDifferential(t, nodes, shards, spec, sample, f.fld, f.quantised, core.EngineConfig{Workers: workers})
 				})
 			}
 		}
 	}
 }
 
-func runDifferential(t *testing.T, nodes []refNode, spec core.TemporalSpec, sample core.Sampler, fld field.Field, quantised bool, cfg core.EngineConfig) {
+func runDifferential(t *testing.T, nodes []refNode, streams int, spec core.TemporalSpec, sample core.Sampler, fld field.Field, quantised bool, cfg core.EngineConfig) {
 	e := core.NewQueryEngine(geom.Square(refSide), refCell, fld, cfg)
 	e.SetSampler(sample)
-	// Inserted through the worker pool, in the reference's order rather than
-	// by id: with several workers the insertion interleaving is arbitrary.
-	e.Dispatch(len(nodes), func(i int) { e.UpsertNode(radio.NodeID(nodes[i].id), nodes[i].pos) })
+	// Inserted in an interleaving of the reference's order rather than by
+	// id: the scan order must not depend on the insertion order.
+	placeInterleaved(e, nodes, streams)
 
 	rng := rand.New(rand.NewSource(6))
 	var queries []refQuery
@@ -198,7 +214,7 @@ func runDifferential(t *testing.T, nodes []refNode, spec core.TemporalSpec, samp
 				q.pyramid.EnsureEpoch(due)
 			}
 		}
-		e.Dispatch(len(queries), func(i int) {
+		e.DispatchWorkers(len(queries), func(_, i int) {
 			res, ok := e.EvaluateDueBatch(queries[i].id, due, nil)
 			if !ok {
 				t.Errorf("query %d: period %d not due at its boundary", queries[i].id, k)
@@ -233,7 +249,7 @@ func runDifferential(t *testing.T, nodes []refNode, spec core.TemporalSpec, samp
 // TestWindowedPyramidMatchesCold registers Window-3 twins on the quantised
 // field — one served through a tile pyramid, one by cold scans — and requires
 // the pyramid twin to serve every period and both twins to agree bit for bit
-// on every result, across engine sizings. Over a quantised field float
+// on every result, across worker counts and placement orders. Over a quantised field float
 // addition is associative, so the pyramid's tile-major grouping of Sum cannot
 // hide behind a tolerance.
 func TestWindowedPyramidMatchesCold(t *testing.T) {
@@ -244,9 +260,9 @@ func TestWindowedPyramidMatchesCold(t *testing.T) {
 	for _, shards := range []int{1, 16} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				e := core.NewQueryEngine(geom.Square(refSide), refCell, fld, core.EngineConfig{Shards: shards, Workers: workers})
+				e := core.NewQueryEngine(geom.Square(refSide), refCell, fld, core.EngineConfig{Workers: workers})
 				e.SetSampler(sample)
-				e.Dispatch(len(nodes), func(i int) { e.UpsertNode(radio.NodeID(nodes[i].id), nodes[i].pos) })
+				placeInterleaved(e, nodes, shards)
 				p, err := pyramid.New(e.Index(), pyramid.Config{Fresh: spec.Fresh, Sample: sample, Field: fld})
 				if err != nil {
 					t.Fatal(err)
@@ -276,7 +292,7 @@ func TestWindowedPyramidMatchesCold(t *testing.T) {
 						e.UpdateWaypoint(q.id, q.at(due))
 						e.UpdateWaypoint(q.id+1, q.at(due))
 					}
-					e.Dispatch(len(got), func(i int) {
+					e.DispatchWorkers(len(got), func(_, i int) {
 						res, ok := e.EvaluateDueBatch(uint32(i+1), due, nil)
 						if !ok {
 							t.Errorf("query %d: period %d not due at its boundary", i+1, k)
@@ -410,17 +426,17 @@ func TestReadingColumnMatchesNaiveReference(t *testing.T) {
 		for _, shards := range []int{1, 4, 16} {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/shards=%d/workers=%d", f.name, shards, workers), func(t *testing.T) {
-					runColumnDifferential(t, refField(5), spec, sample, f.fld, core.EngineConfig{Shards: shards, Workers: workers})
+					runColumnDifferential(t, refField(5), shards, spec, sample, f.fld, core.EngineConfig{Workers: workers})
 				})
 			}
 		}
 	}
 }
 
-func runColumnDifferential(t *testing.T, nodes []refNode, spec core.TemporalSpec, sample core.Sampler, fld field.Field, cfg core.EngineConfig) {
+func runColumnDifferential(t *testing.T, nodes []refNode, streams int, spec core.TemporalSpec, sample core.Sampler, fld field.Field, cfg core.EngineConfig) {
 	e := core.NewQueryEngine(geom.Square(refSide), refCell, fld, cfg)
 	e.SetSampler(sample)
-	e.Dispatch(len(nodes), func(i int) { e.UpsertNode(radio.NodeID(nodes[i].id), nodes[i].pos) })
+	placeInterleaved(e, nodes, streams)
 	queries := columnFleet(t, e, spec, 252)
 
 	history := make([][]refResult, len(queries)) // per query, every boundary so far

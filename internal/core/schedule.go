@@ -33,7 +33,7 @@ const headEmpty = math.MaxInt64
 // by many queries: popping a boundary takes its whole bucket and sorts it
 // by id, which keeps the delivery order (due, id) by construction, whatever
 // the insertion interleaving — the delivery contract and the digest pins
-// stay blind to Shards and Workers. An entry pays no root-to-leaf sift;
+// stay blind to Workers. An entry pays no root-to-leaf sift;
 // only a bucket opening or closing touches the due-heap. The worst case is
 // every query on its own due (manual-clock tests, BenchmarkScheduleCycle):
 // the due-heap is then as deep as a heap of all entries, and each re-arm

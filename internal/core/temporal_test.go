@@ -53,8 +53,8 @@ func TestNewQueryEngineEAndRegisterE(t *testing.T) {
 	if _, err := NewQueryEngineE(geom.Square(100), 10, nil, EngineConfig{}); err == nil {
 		t.Error("nil field should be an error")
 	}
-	if _, err := NewQueryEngineE(geom.Square(100), 10, field.Uniform{Value: 1}, EngineConfig{Shards: -1}); err == nil {
-		t.Error("negative shards should be an error")
+	if _, err := NewQueryEngineE(geom.Square(100), 10, field.Uniform{Value: 1}, EngineConfig{Workers: -1}); err == nil {
+		t.Error("negative workers should be an error")
 	}
 	e := testEngine(EngineConfig{})
 	spec := TemporalSpec{Period: time.Second}

@@ -3,10 +3,11 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
+	"testing/quick"
 )
 
 // within collects the ids VisitWithin emits.
@@ -26,67 +27,208 @@ func sweep(g *ShardedGrid, p Point, r float64, fn func(cx, cy int)) {
 	}
 }
 
+func sorted(ids []int32) []int32 {
+	out := append([]int32(nil), ids...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func TestGridInsertAndWithin(t *testing.T) {
+	g := NewShardedGrid(Square(100), 10, 0)
+	g.Insert(1, Pt(10, 10))
+	g.Insert(2, Pt(20, 10))
+	g.Insert(3, Pt(90, 90))
+
+	got := sorted(within(g, nil, Pt(10, 10), 15))
+	want := []int32{1, 2}
+	if len(got) != len(want) || got[0] != 1 || got[1] != 2 {
+		t.Errorf("Within = %v, want %v", got, want)
+	}
+	if ids := within(g, nil, Pt(50, 50), 5); len(ids) != 0 {
+		t.Errorf("Within empty region = %v, want none", ids)
+	}
+	if g.Len() != 3 {
+		t.Errorf("Len = %d, want 3", g.Len())
+	}
+}
+
+func TestGridWithinInclusiveBoundary(t *testing.T) {
+	g := NewShardedGrid(Square(100), 7, 0)
+	g.Insert(1, Pt(0, 0))
+	g.Insert(2, Pt(10, 0))
+	if got := within(g, nil, Pt(0, 0), 10); len(got) != 2 {
+		t.Errorf("radius exactly at distance should include boundary node, got %v", got)
+	}
+}
+
+func TestGridMove(t *testing.T) {
+	g := NewShardedGrid(Square(100), 10, 0)
+	g.Insert(7, Pt(5, 5))
+	g.Move(7, Pt(95, 95))
+	if ids := within(g, nil, Pt(5, 5), 10); len(ids) != 0 {
+		t.Errorf("moved node still found at old position: %v", ids)
+	}
+	if ids := within(g, nil, Pt(95, 95), 1); len(ids) != 1 || ids[0] != 7 {
+		t.Errorf("moved node not found at new position: %v", ids)
+	}
+	if g.Len() != 1 {
+		t.Errorf("Len after move = %d, want 1", g.Len())
+	}
+}
+
+func TestGridUnknownIDs(t *testing.T) {
+	g := NewShardedGrid(Square(100), 10, 0)
+	g.Move(5, Pt(30, 30)) // moving an unknown id inserts it
+	if g.Len() != 1 {
+		t.Errorf("Len after Move of unknown id = %d, want 1", g.Len())
+	}
+	if ids := within(g, nil, Pt(30, 30), 1); len(ids) != 1 || ids[0] != 5 {
+		t.Errorf("moved-in unknown id not findable: %v", ids)
+	}
+}
+
+func TestGridOutOfRegionClamped(t *testing.T) {
+	// Items slightly outside the region (mobile proxy near the boundary)
+	// must still be stored and findable.
+	g := NewShardedGrid(Square(100), 10, 0)
+	g.Insert(1, Pt(-5, -5))
+	g.Insert(2, Pt(105, 105))
+	if ids := within(g, nil, Pt(0, 0), 10); len(ids) != 1 || ids[0] != 1 {
+		t.Errorf("out-of-region item not found: %v", ids)
+	}
+	if ids := within(g, nil, Pt(100, 100), 10); len(ids) != 1 || ids[0] != 2 {
+		t.Errorf("out-of-region item not found: %v", ids)
+	}
+}
+
+func TestGridQuickInsertFindable(t *testing.T) {
+	g := NewShardedGrid(Square(1000), 50, 0)
+	f := func(id int32, x, y float64) bool {
+		if id < 0 {
+			id = -id
+		}
+		p := Square(1000).Clamp(Pt(x, y))
+		g.Insert(id, p)
+		ids := within(g, nil, p, 0.001)
+		for _, got := range ids {
+			if got == id {
+				return true
+			}
+		}
+		return false
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestShardedGridMatchesBruteForce(t *testing.T) {
 	// Randomized insert/move traffic must leave the grid answering range
-	// queries exactly like a linear scan of the stored positions, whatever
-	// the shard count.
+	// queries exactly like a linear scan of the stored positions.
 	rng := rand.New(rand.NewSource(7))
 	region := Square(450)
-	for _, shards := range []int{1, 3, 16, 1000} {
-		ref := map[int32]Point{}
-		sg := NewShardedGrid(region, 105, shards)
-		for step := 0; step < 2000; step++ {
-			id := int32(rng.Intn(300))
-			p := region.UniformPoint(rng)
-			sg.Insert(id, p)
-			ref[id] = p
+	ref := map[int32]Point{}
+	g := NewShardedGrid(region, 105, 0)
+	for step := 0; step < 2000; step++ {
+		id := int32(rng.Intn(300))
+		p := region.UniformPoint(rng)
+		g.Insert(id, p)
+		ref[id] = p
+	}
+	if g.Len() != len(ref) {
+		t.Fatalf("Len = %d, want %d", g.Len(), len(ref))
+	}
+	for trial := 0; trial < 200; trial++ {
+		center := region.UniformPoint(rng)
+		radius := rng.Float64() * 250
+		got := sorted(within(g, nil, center, radius))
+		var want []int32
+		for id, p := range ref {
+			if p.Dist2(center) <= radius*radius {
+				want = append(want, id)
+			}
 		}
-		if sg.Len() != len(ref) {
-			t.Fatalf("shards=%d: Len = %d, want %d", shards, sg.Len(), len(ref))
-		}
-		for trial := 0; trial < 50; trial++ {
-			center := region.UniformPoint(rng)
-			radius := rng.Float64() * 250
-			got := sorted(within(sg, nil, center, radius))
-			var want []int32
-			for id, p := range ref {
-				if p.Dist2(center) <= radius*radius {
-					want = append(want, id)
-				}
-			}
-			want = sorted(want)
-			if len(got) != len(want) {
-				t.Fatalf("shards=%d trial %d: got %d ids, want %d", shards, trial, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("shards=%d trial %d: got %v, want %v", shards, trial, got, want)
-				}
-			}
+		if want = sorted(want); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}
 	}
 }
 
-func TestShardedGridQueryStraddlesShardBoundary(t *testing.T) {
-	// With 10 m cells and 4 shards over a 100 m square, the first shard
-	// boundary sits at y≈30. A query circle centered on it must pull items
-	// from both sides.
-	g := NewShardedGrid(Square(100), 10, 4)
-	g.Insert(1, Pt(50, 25)) // shard 0
-	g.Insert(2, Pt(50, 35)) // shard 1
-	g.Insert(3, Pt(50, 95)) // far shard
-	got := sorted(within(g, nil, Pt(50, 30), 8))
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("straddling query = %v, want [1 2]", got)
+// TestGridMatchesBruteForce cross-checks range queries on freshly built,
+// insert-only grids (the static field as Open places it) against a naive
+// scan, one grid per random configuration.
+func TestGridMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	region := Square(450)
+	for trial := 0; trial < 50; trial++ {
+		g := NewShardedGrid(region, 105, 0)
+		pts := make(map[int32]Point)
+		n := 50 + rng.Intn(150)
+		for i := 0; i < n; i++ {
+			p := region.UniformPoint(rng)
+			g.Insert(int32(i), p)
+			pts[int32(i)] = p
+		}
+		center := region.UniformPoint(rng)
+		radius := rng.Float64() * 200
+		got := sorted(within(g, nil, center, radius))
+		var want []int32
+		for id, p := range pts {
+			if p.Within(center, radius) {
+				want = append(want, id)
+			}
+		}
+		if want = sorted(want); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
+		}
 	}
-	// A radius covering the whole region must cross every shard.
-	if got := within(g, nil, Pt(50, 50), 200); len(got) != 3 {
-		t.Errorf("full-region query = %v, want all 3 items", got)
+}
+
+// TestShardedGridUnknownIDs moves unknown ids into an occupied cell: each is
+// inserted, and lands in id order among the bucket's existing items.
+func TestShardedGridUnknownIDs(t *testing.T) {
+	g := NewShardedGrid(Square(100), 10, 0)
+	g.Insert(50, Pt(12, 12))
+	g.Insert(10, Pt(14, 14))
+	g.Move(42, Pt(11, 11)) // moving an unknown id inserts it
+	g.Move(5, Pt(19, 19))
+	if g.Len() != 4 {
+		t.Errorf("Len = %d, want 4", g.Len())
+	}
+	var got []int32
+	g.VisitCell(1, 1, func(id int32, _ Point) { got = append(got, id) })
+	if want := []int32{5, 10, 42, 50}; !slices.Equal(got, want) {
+		t.Errorf("cell (1,1) = %v, want %v", got, want)
+	}
+}
+
+// TestShardedGridMoveAcrossShards moves an item back and forth between the
+// bottom and top cell rows (once separate row-band shards): each move must
+// empty the old bucket to nil and leave exactly one stored copy.
+func TestShardedGridMoveAcrossShards(t *testing.T) {
+	g := NewShardedGrid(Square(100), 10, 0)
+	bottom, top := Pt(50, 5), Pt(50, 95)
+	g.Insert(9, bottom)
+	for i, p := range []Point{top, bottom, top} {
+		old := bottom
+		if p == bottom {
+			old = top
+		}
+		g.Move(9, p)
+		if b := g.cells[g.cellIndex(old)]; b != nil {
+			t.Errorf("move %d: old cell still holds %v, want nil", i, b)
+		}
+		if ids := within(g, nil, p, 1); len(ids) != 1 || ids[0] != 9 {
+			t.Errorf("move %d: item not visible at %v: %v", i, p, ids)
+		}
+		if ids := within(g, nil, Pt(50, 50), 100); len(ids) != 1 {
+			t.Errorf("move %d: whole-region query = %v, want one copy", i, ids)
+		}
 	}
 }
 
 func TestShardedGridItemsOnRegionBorder(t *testing.T) {
-	g := NewShardedGrid(Square(100), 10, 4)
+	g := NewShardedGrid(Square(100), 10, 0)
 	border := []Point{
 		1: Pt(0, 0),
 		2: Pt(100, 100), // exactly on the max corner
@@ -115,102 +257,6 @@ func TestShardedGridItemsOnRegionBorder(t *testing.T) {
 	}
 }
 
-func TestShardedGridUnknownIDs(t *testing.T) {
-	g := NewShardedGrid(Square(100), 10, 4)
-	g.Move(42, Pt(10, 10)) // moving an unknown id inserts it, as with Grid
-	if ids := within(g, nil, Pt(10, 10), 1); len(ids) != 1 || ids[0] != 42 {
-		t.Errorf("moved-in unknown id not findable: %v", ids)
-	}
-	if g.Len() != 1 {
-		t.Errorf("Len = %d, want 1", g.Len())
-	}
-}
-
-func TestShardedGridMoveAcrossShards(t *testing.T) {
-	g := NewShardedGrid(Square(100), 10, 4)
-	g.Insert(9, Pt(50, 5))
-	g.Move(9, Pt(50, 95)) // bottom band to top band
-	if ids := within(g, nil, Pt(50, 5), 10); len(ids) != 0 {
-		t.Errorf("item still visible in old shard: %v", ids)
-	}
-	if ids := within(g, nil, Pt(50, 95), 1); len(ids) != 1 || ids[0] != 9 {
-		t.Errorf("item not visible in new shard: %v", ids)
-	}
-}
-
-func TestShardedGridConcurrentChurn(t *testing.T) {
-	// Writers insert and move disjoint id ranges while readers run radius
-	// queries; run with -race to exercise the lock-free read path. Every
-	// reader must see only fully formed entries (ids in range).
-	region := Square(450)
-	g := NewShardedGrid(region, 105, 8)
-	const writers = 4
-	const perWriter = 200
-	var writerWG, readerWG sync.WaitGroup
-	stop := make(chan struct{})
-	final := make([]map[int32]Point, writers)
-	for w := 0; w < writers; w++ {
-		writerWG.Add(1)
-		final[w] = map[int32]Point{}
-		go func(w int) {
-			defer writerWG.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			base := int32(w * perWriter)
-			for i := 0; i < 3000; i++ {
-				id, p := base+int32(rng.Intn(perWriter)), region.UniformPoint(rng)
-				g.Insert(id, p)
-				final[w][id] = p
-			}
-		}(w)
-	}
-	for r := 0; r < 4; r++ {
-		readerWG.Add(1)
-		go func(r int) {
-			defer readerWG.Done()
-			rng := rand.New(rand.NewSource(int64(100 + r)))
-			var buf []int32
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				buf = within(g, buf[:0], region.UniformPoint(rng), rng.Float64()*300)
-				for _, id := range buf {
-					if id < 0 || id >= writers*perWriter {
-						t.Errorf("reader saw malformed id %d", id)
-						return
-					}
-				}
-				_ = g.Len()
-			}
-		}(r)
-	}
-	writerWG.Wait()
-	close(stop)
-	readerWG.Wait()
-	// The final state must be internally consistent: every stored item is
-	// findable at its last position.
-	stored := 0
-	for _, m := range final {
-		stored += len(m)
-		for id, p := range m {
-			found := false
-			for _, got := range within(g, nil, p, 0.001) {
-				if got == id {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("item %d at %v lost from its cell after churn", id, p)
-			}
-		}
-	}
-	if g.Len() != stored {
-		t.Errorf("Len = %d after churn, want %d", g.Len(), stored)
-	}
-}
-
 // TestShardedGridCellSweepMatchesVisitWithin pins the corridor cache's core
 // assumption: collecting every cell of CellBox and filtering by
 // distance yields exactly the VisitWithin result — for interior disks,
@@ -218,7 +264,7 @@ func TestShardedGridConcurrentChurn(t *testing.T) {
 func TestShardedGridCellSweepMatchesVisitWithin(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	region := Square(450)
-	g := NewShardedGrid(region, 105, 8)
+	g := NewShardedGrid(region, 105, 0)
 	for i := 0; i < 300; i++ {
 		g.Insert(int32(i), region.UniformPoint(rng))
 	}
@@ -250,7 +296,7 @@ func TestShardedGridCellSweepMatchesVisitWithin(t *testing.T) {
 }
 
 func TestShardedGridCellRect(t *testing.T) {
-	g := NewShardedGrid(Square(100), 10, 4)
+	g := NewShardedGrid(Square(100), 10, 0)
 	g.Insert(7, Pt(34, 56))
 	var cells []Rect
 	sweep(g, Pt(34, 56), 0, func(cx, cy int) {
@@ -270,7 +316,7 @@ func TestShardedGridCellRect(t *testing.T) {
 func BenchmarkShardedGridWithin(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	region := Square(450)
-	g := NewShardedGrid(region, 105, 8)
+	g := NewShardedGrid(region, 105, 0)
 	for i := 0; i < 200; i++ {
 		g.Insert(int32(i), region.UniformPoint(rng))
 	}
@@ -351,11 +397,11 @@ type gridOp struct {
 	p  Point
 }
 
-// canonicalOps scripts seeded Insert/Move traffic for `writers`
-// goroutines over disjoint id ranges (calls for one id must be externally
-// ordered), with positions straying past the region so clamped edge cells
-// take part. It returns the scripts and the final id→position state they
-// leave behind, which no interleaving of the writers can change.
+// canonicalOps scripts seeded Insert/Move traffic for `writers` scripts
+// over disjoint id ranges, with positions straying past the region so
+// clamped edge cells take part. It returns the scripts and the final
+// id→position state they leave behind, which no interleaving that keeps
+// each script's order can change.
 func canonicalOps(seed int64, region Rect, writers, perWriter, steps int) ([][]gridOp, map[int32]Point) {
 	scripts := make([][]gridOp, writers)
 	final := map[int32]Point{}
@@ -373,56 +419,64 @@ func canonicalOps(seed int64, region Rect, writers, perWriter, steps int) ([][]g
 	return scripts, final
 }
 
+// interleave merges the scripts into one sequence in an order drawn from
+// seed, keeping each script's own order (and so each id's).
+func interleave(seed int64, scripts [][]gridOp) []gridOp {
+	rng := rand.New(rand.NewSource(seed))
+	next := make([]int, len(scripts))
+	var out []gridOp
+	for live := len(scripts); live > 0; {
+		w := rng.Intn(len(scripts))
+		if next[w] == len(scripts[w]) {
+			continue
+		}
+		out = append(out, scripts[w][next[w]])
+		if next[w]++; next[w] == len(scripts[w]) {
+			live--
+		}
+	}
+	return out
+}
+
 // TestShardedGridCanonicalOrder is the invariant single-pass evaluation
-// rests on: after any interleaving of concurrent Insert/Move traffic
-// every bucket is strictly ascending by id, so VisitWithin — and a
-// row-major cell sweep over any box containing the disk — emits the stored
-// in-disk items in (cell row, cell column, id) order, the same sequence for
-// every shard count and the one a brute-force sort of the final state gives.
-// Run with -race -count=10 to vary the writer interleaving.
+// rests on: after any order of Insert/Move traffic every bucket is strictly
+// ascending by id and nil when empty, so VisitWithin — and a row-major cell
+// sweep over any box containing the disk — emits the stored in-disk items
+// in (cell row, cell column, id) order: the same sequence for every
+// interleaving of the scripts, and the one a brute-force sort of the final
+// state gives.
 func TestShardedGridCanonicalOrder(t *testing.T) {
 	region := Square(450)
 	const cell = 105
 	scripts, final := canonicalOps(21, region, 4, 150, 1500)
-	grids := map[int]*ShardedGrid{}
-	for _, shards := range []int{1, 4, 16} {
-		g := NewShardedGrid(region, cell, shards)
-		var wg sync.WaitGroup
-		for _, script := range scripts {
-			wg.Add(1)
-			go func(script []gridOp) {
-				defer wg.Done()
-				for _, op := range script {
-					g.Insert(op.id, op.p)
-				}
-			}(script)
+	var grids []*ShardedGrid
+	for seed := int64(0); seed < 5; seed++ {
+		g := NewShardedGrid(region, cell, 0)
+		for _, op := range interleave(seed, scripts) {
+			g.Insert(op.id, op.p)
 		}
-		wg.Wait()
 		if g.Len() != len(final) {
-			t.Fatalf("shards=%d: %d items stored, want %d", shards, g.Len(), len(final))
+			t.Fatalf("interleaving %d: %d items stored, want %d", seed, g.Len(), len(final))
 		}
-		for s := range g.shards {
-			for c := range g.shards[s].cells {
-				bucket := g.shards[s].cells[c].Load()
-				if bucket == nil {
-					continue
-				}
-				if len(*bucket) == 0 {
-					t.Fatalf("shards=%d: shard %d cell %d holds an empty bucket, want nil", shards, s, c)
-				}
-				for i := 1; i < len(*bucket); i++ {
-					if (*bucket)[i-1].id >= (*bucket)[i].id {
-						t.Fatalf("shards=%d: shard %d cell %d not strictly ascending: %v", shards, s, c, *bucket)
-					}
+		for c, bucket := range g.cells {
+			if bucket != nil && len(bucket) == 0 {
+				t.Fatalf("interleaving %d: cell %d holds an empty bucket, want nil", seed, c)
+			}
+			for i := 1; i < len(bucket); i++ {
+				if bucket[i-1].id >= bucket[i].id {
+					t.Fatalf("interleaving %d: cell %d not strictly ascending: %v", seed, c, bucket)
 				}
 			}
 		}
-		grids[shards] = g
+		if len(grids) > 0 && !reflect.DeepEqual(g.cells, grids[0].cells) {
+			t.Fatalf("interleaving %d: cells differ from interleaving 0", seed)
+		}
+		grids = append(grids, g)
 	}
 
 	// The brute-force order, from the final state alone: clamp each item's
 	// cell the way the grid does and sort by (row, column, id).
-	cols, rows := grids[1].CellCount()
+	cols, rows := grids[0].CellCount()
 	clampCell := func(v float64, n int) int {
 		return min(max(int(math.Floor(v/cell)), 0), n-1)
 	}
@@ -455,11 +509,11 @@ func TestShardedGridCanonicalOrder(t *testing.T) {
 				want = append(want, it)
 			}
 		}
-		for shards, g := range grids {
+		for seed, g := range grids {
 			var got, swept []item
 			g.VisitWithin(center, radius, func(id int32, p Point) { got = append(got, item{id, p}) })
 			if !slices.Equal(got, want) {
-				t.Fatalf("shards=%d trial %d: VisitWithin sequence\n got %v\nwant %v", shards, trial, got, want)
+				t.Fatalf("interleaving %d trial %d: VisitWithin sequence\n got %v\nwant %v", seed, trial, got, want)
 			}
 			// A wider box swept cell by cell, filtered to the disk: the
 			// corridor cache's staging order.
@@ -471,26 +525,23 @@ func TestShardedGridCanonicalOrder(t *testing.T) {
 				})
 			})
 			if !slices.Equal(swept, want) {
-				t.Fatalf("shards=%d trial %d: cell sweep sequence\n got %v\nwant %v", shards, trial, swept, want)
+				t.Fatalf("interleaving %d trial %d: cell sweep sequence\n got %v\nwant %v", seed, trial, swept, want)
 			}
 		}
 	}
 
 	// Moving every item into the corner cell leaves every other cell
 	// reading as never written.
-	for shards, g := range grids {
-		for id := range final {
-			g.Move(id, Pt(-100, -100))
-		}
-		for s := range g.shards {
-			for c := range g.shards[s].cells {
-				if (s != 0 || c != 0) && g.shards[s].cells[c].Load() != nil {
-					t.Fatalf("shards=%d: shard %d cell %d not nil after draining", shards, s, c)
-				}
-			}
-		}
-		g.VisitWithin(Pt(225, 225), 100, func(id int32, _ Point) {
-			t.Fatalf("shards=%d: drained cells still emit item %d", shards, id)
-		})
+	g := grids[0]
+	for id := range final {
+		g.Move(id, Pt(-100, -100))
 	}
+	for c, bucket := range g.cells {
+		if c != 0 && bucket != nil {
+			t.Fatalf("cell %d not nil after draining", c)
+		}
+	}
+	g.VisitWithin(Pt(225, 225), 100, func(id int32, _ Point) {
+		t.Fatalf("drained cells still emit item %d", id)
+	})
 }

@@ -106,7 +106,7 @@ type Entry struct {
 // Planner is one subscription's prefetch plan: a pure function of the
 // governing motion profile, the plan epoch (when that profile arrived), and
 // the configuration — so the same subscribe/replan/advance sequence always
-// yields the same plans regardless of shard or worker count. All methods
+// yields the same plans regardless of worker count. All methods
 // are safe for concurrent use; Replan may race evaluations, which then see
 // either the old or the new plan.
 type Planner struct {

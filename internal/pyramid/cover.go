@@ -28,7 +28,7 @@ import (
 
 // cellGeom is the cell space a decomposition runs over: the grid, whose
 // CellBox and CellRect decide which cells a disk touches and where they lie,
-// and its dimensions. Neither depends on the shard count, which is what
+// and its dimensions. Neither depends on the worker count, which is what
 // makes decompositions identical across ServiceConfig sizings.
 type cellGeom struct {
 	grid       *geom.ShardedGrid

@@ -81,10 +81,9 @@ type epoch struct {
 
 // build coordinates one cooperative epoch ingest: concurrent EnsureEpoch
 // callers for the same boundary pull cell rows off the shared cursor and
-// build them in parallel (the ingest analogue of the grid's row-band
-// sharding — writers touch disjoint row stripes, so no locks are needed on
-// the hot path); whoever completes the last row runs the rollup and
-// publishes the epoch.
+// build them in parallel (writers touch disjoint row stripes, so no locks
+// are needed on the hot path); whoever completes the last row runs the
+// rollup and publishes the epoch.
 type build struct {
 	e    *epoch
 	rows atomic.Int64
@@ -405,7 +404,7 @@ func (p *Pyramid) finishBuild(due sim.Time, b *build) {
 // tiles contribute their rolled-up partials and fringe cells their
 // disk-tested nodes (ascending id within the cell — canonical grid order) as
 // the deterministic coarse-to-fine recursion reaches them, so the result is
-// identical whatever the shard and worker sizing.
+// identical whatever the worker count.
 func (p *Pyramid) ServeWindow(due sim.Time, center geom.Point, radius float64, fresh time.Duration) (core.AggServe, bool) {
 	if fresh != p.fresh {
 		p.sFresh.Add(1)

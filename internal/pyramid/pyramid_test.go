@@ -116,30 +116,28 @@ func fillGrid(g *geom.ShardedGrid, n int, seed int64) {
 func TestServeWindowMatchesFlatScan(t *testing.T) {
 	region := geom.Rect{MinX: 0, MinY: 0, MaxX: 2000, MaxY: 2000}
 	const fresh = 700 * time.Millisecond
-	for _, shards := range []int{1, 16} {
-		g := geom.NewShardedGrid(region, 62.5, shards)
-		fillGrid(g, 4000, 7)
-		p, err := New(g, Config{Fresh: fresh, Sample: testSampler, Field: quantField})
-		if err != nil {
-			t.Fatal(err)
+	g := geom.NewShardedGrid(region, 62.5, 0)
+	fillGrid(g, 4000, 7)
+	p, err := New(g, Config{Fresh: fresh, Sample: testSampler, Field: quantField})
+	if err != nil {
+		t.Fatal(err)
+	}
+	due := sim.Time(5 * time.Second)
+	p.EnsureEpoch(due)
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		radius := 100 + rng.Float64()*700
+		center := geom.Pt(rng.Float64()*2400-200, rng.Float64()*2400-200)
+		got, ok := p.ServeWindow(due, center, radius, fresh)
+		if !ok {
+			t.Fatalf("trial %d: serve declined on a clean matching epoch", trial)
 		}
-		due := sim.Time(5 * time.Second)
-		p.EnsureEpoch(due)
-		rng := rand.New(rand.NewSource(11))
-		for trial := 0; trial < 60; trial++ {
-			radius := 100 + rng.Float64()*700
-			center := geom.Pt(rng.Float64()*2400-200, rng.Float64()*2400-200)
-			got, ok := p.ServeWindow(due, center, radius, fresh)
-			if !ok {
-				t.Fatalf("shards=%d trial %d: serve declined on a clean matching epoch", shards, trial)
-			}
-			want := flatServe(g, due, center, radius, fresh, testSampler, quantField)
-			sameServe(t, "serve", got, want)
-		}
-		st := p.Stats()
-		if st.Builds != 1 || st.Served != 60 || st.CoveredTiles == 0 {
-			t.Fatalf("shards=%d: stats %+v: want 1 build, 60 serves, covered tiles", shards, st)
-		}
+		want := flatServe(g, due, center, radius, fresh, testSampler, quantField)
+		sameServe(t, "serve", got, want)
+	}
+	st := p.Stats()
+	if st.Builds != 1 || st.Served != 60 || st.CoveredTiles == 0 {
+		t.Fatalf("stats %+v: want 1 build, 60 serves, covered tiles", st)
 	}
 }
 

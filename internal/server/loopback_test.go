@@ -120,11 +120,11 @@ func overWire(t *testing.T, sc mobiquery.ServiceConfig, c loopbackCase) []wire.R
 // TestLoopbackByteIdentical pins the front-end's fidelity contract: the
 // results a client receives over the network are byte-identical (as wire
 // frames) to what the same seed and call sequence yields in-process, and
-// both are invariant to the engine's Shards/Workers sizing.
+// both are invariant to the engine's Workers sizing.
 func TestLoopbackByteIdentical(t *testing.T) {
 	configs := []mobiquery.ServiceConfig{
-		{Shards: 1, Workers: 1},
-		{Shards: 8, Workers: 4},
+		{Workers: 1},
+		{Workers: 4},
 		{}, // auto sizing
 	}
 	for _, c := range loopbackCases() {

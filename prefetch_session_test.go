@@ -328,11 +328,11 @@ func TestReplanRacesAdvance(t *testing.T) {
 }
 
 // TestPrefetchInvariantAcrossEngineSizing pins the concurrency invariant on
-// the new path: shard and worker counts never change prefetched results.
+// the new path: worker counts never change prefetched results.
 func TestPrefetchInvariantAcrossEngineSizing(t *testing.T) {
-	run := func(shards, workers int) []QueryResult {
+	run := func(workers int) []QueryResult {
 		nc := sleepyNetwork()
-		nc.Service = ServiceConfig{Shards: shards, Workers: workers}
+		nc.Service = ServiceConfig{Workers: workers}
 		svc, err := Open(context.Background(), nc, WithResultBuffer(64))
 		if err != nil {
 			t.Fatal(err)
@@ -362,15 +362,15 @@ func TestPrefetchInvariantAcrossEngineSizing(t *testing.T) {
 		}
 		return all
 	}
-	ref := run(0, 0)
-	for _, cfg := range [][2]int{{1, 1}, {16, 3}} {
-		got := run(cfg[0], cfg[1])
+	ref := run(0)
+	for _, workers := range []int{1, 3} {
+		got := run(workers)
 		if len(got) != len(ref) {
-			t.Fatalf("shards=%d workers=%d: %d results vs %d", cfg[0], cfg[1], len(got), len(ref))
+			t.Fatalf("workers=%d: %d results vs %d", workers, len(got), len(ref))
 		}
 		for i := range got {
 			if got[i] != ref[i] {
-				t.Fatalf("shards=%d workers=%d: result %d diverged:\n got %+v\nwant %+v", cfg[0], cfg[1], i, got[i], ref[i])
+				t.Fatalf("workers=%d: result %d diverged:\n got %+v\nwant %+v", workers, i, got[i], ref[i])
 			}
 		}
 	}

@@ -150,7 +150,7 @@ func WithRealTime(tick time.Duration) Option {
 	return func(o *serviceOptions) { o.tick = tick }
 }
 
-// Service is a live MobiQuery session: a sharded concurrent query engine
+// Service is a live MobiQuery session: a concurrent query engine
 // standing over a sensor field, accepting streaming query subscriptions
 // from mobile users while it runs. Open it once; Subscribe and Close
 // subscriptions freely while other subscribers keep streaming — one
@@ -337,7 +337,7 @@ func Open(ctx context.Context, nc NetworkConfig, opts ...Option) (*Service, erro
 	region := geom.Square(nc.RegionSide)
 	cell := nc.RegionSide / 32
 	engine, err := core.NewQueryEngineE(region, cell, nc.Field,
-		core.EngineConfig{Shards: nc.Service.Shards, Workers: nc.Service.Workers})
+		core.EngineConfig{Workers: nc.Service.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -364,16 +364,12 @@ func Open(ctx context.Context, nc NetworkConfig, opts ...Option) (*Service, erro
 	engine.SetSampler(s.sample)
 	s.obs = newSvcObs(s)
 
-	// Node placement is one serial RNG drained up front, so the field
+	// Node placement is one serial RNG drained in id order, so the field
 	// depends only on the seed.
 	rng := rand.New(rand.NewSource(nc.Seed))
-	pos := make([]geom.Point, nc.Nodes)
-	for i := range pos {
-		pos[i] = region.UniformPoint(rng)
+	for i := 0; i < nc.Nodes; i++ {
+		engine.UpsertNode(radio.NodeID(i), region.UniformPoint(rng))
 	}
-	engine.Dispatch(nc.Nodes, func(i int) {
-		engine.UpsertNode(radio.NodeID(i), pos[i])
-	})
 
 	if ctx != nil && ctx.Done() != nil {
 		// No watcher goroutine: the context runs Close itself when it ends,
@@ -599,7 +595,7 @@ func (s *Service) Stats() ServiceStats {
 // the fan-out, so every service-wide total is current when Advance returns.
 // Every subscription has its own Results channel, so the order that is
 // promised is the one a subscriber can observe: ascending K on each
-// channel, byte-identical whatever the Shards/Workers configuration. No
+// channel, byte-identical whatever the Workers configuration. No
 // order is promised across subscriptions.
 func (s *Service) Advance(d time.Duration) error {
 	if d < 0 {

@@ -29,7 +29,7 @@ func pathService(t *testing.T) *Service {
 		Nodes:        2500,
 		RegionSide:   1000,
 		SamplePeriod: time.Second,
-		Service:      ServiceConfig{Shards: 4, Workers: 2},
+		Service:      ServiceConfig{Workers: 2},
 	}
 	svc, err := Open(context.Background(), nc, WithAlignedSampling())
 	if err != nil {
