@@ -23,14 +23,16 @@ test:
 # ledger reconciled afterwards — its deterministic form, a Close landing
 # between a period's evaluation and the step's re-arm flush, and trace-ring
 # snapshots racing the steps that record into the rings, which have no lock
-# of their own (the query lock serializes both), and the service against its
+# of their own (the query lock serializes both), the service against its
 # naive model over the fuzz target's seed operation sequences, at Workers 1
-# and 4. The last drives the real-time clock loop through its fire channel,
-# its test goroutine against the clock goroutine, twenty times over.
+# and 4, and a coarse step's fan-out serving from the pyramid epochs Advance
+# ingested before it, whose routes must match at Workers 1 and 4. The last
+# drives the real-time clock loop through its fire channel, its test
+# goroutine against the clock goroutine, twenty times over.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run='^(TestIntrusiveScheduleAgainstModel|TestReadingColumnMatchesNaiveReference|TestEngineChurnUnderRace)$$' ./internal/core
-	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered|TestTraceSpansDuringAdvance|FuzzServiceAgainstModel)$$' .
+	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered|TestTraceSpansDuringAdvance|FuzzServiceAgainstModel|TestCoarseAdvanceDeliversEachStreamInOrder)$$' .
 	$(GO) test -race -count=20 -run='^TestRealTimeClockCatchesUp$$' .
 
 # One pass over every benchmark as a smoke test, after the cold-evaluation

@@ -36,7 +36,11 @@ func buffered(sub *Subscription) (got []QueryResult, closed bool) {
 // its last result, and the ledger accounts for every evaluated period. Forty
 // subscriptions of four periods and three serve classes are driven by one
 // coarse step spanning at least four periods of each, against buffers small
-// enough that the fastest streams overflow. No order across subscriptions is
+// enough that the fastest streams overflow. The serve route is a function of
+// the popped batch, so it is compared too: each step builds one pyramid
+// epoch per boundary class with a member due, and every catch-up period of
+// a pyramid subscription — each after the first it serves in the step —
+// misses the pyramid and folds cold. No order across subscriptions is
 // promised, and none is asserted.
 func TestCoarseAdvanceDeliversEachStreamInOrder(t *testing.T) {
 	const (
@@ -77,12 +81,45 @@ func TestCoarseAdvanceDeliversEachStreamInOrder(t *testing.T) {
 				t.Fatalf("Subscribe %d: %v", i, err)
 			}
 		}
-		if err := svc.Advance(warm); err != nil {
-			t.Fatalf("Advance: %v", err)
+		// advance steps the clock from `from` by d and checks the pyramid
+		// ledger against the boundaries each live pyramid subscription had
+		// due in (from, from+d]: every member of a class shares its period,
+		// freshness and phase.
+		advance := func(from, d time.Duration, live func(i int) bool) {
+			t.Helper()
+			before, _ := svc.PyramidStats()
+			if err := svc.Advance(d); err != nil {
+				t.Fatalf("Advance: %v", err)
+			}
+			after, _ := svc.PyramidStats()
+			classes := map[time.Duration]bool{}
+			var catchUp uint64
+			for i, sub := range all {
+				if sub.pyramid == nil || !live(i) {
+					continue
+				}
+				p := sub.Spec().Period
+				n := int((from+d)/p - from/p)
+				if i == expiring {
+					n = min(n, max(0, 3-int(from/p)))
+				}
+				if n > 0 {
+					classes[p] = true
+					catchUp += uint64(n - 1)
+				}
+			}
+			if builds := after.Builds - before.Builds; builds != uint64(len(classes)) {
+				t.Errorf("%+v step to %v: %d epoch builds, want one per class with a member due (%d)", sc, from+d, builds, len(classes))
+			}
+			if miss := after.MissNoEpoch - before.MissNoEpoch; miss != catchUp {
+				t.Errorf("%+v step to %v: %d no-epoch misses, want one per catch-up period (%d)", sc, from+d, miss, catchUp)
+			}
 		}
+		advance(0, warm, func(int) bool { return true })
 		all[leaver].Close()
-		if err := svc.Advance(coarse); err != nil {
-			t.Fatalf("Advance: %v", err)
+		advance(warm, coarse, func(i int) bool { return i != leaver })
+		if _, classes := svc.PyramidStats(); classes != len(periods) {
+			t.Errorf("%+v: %d pyramid classes, want one per period (%d)", sc, classes, len(periods))
 		}
 
 		streams := make([][]string, subs)
@@ -105,12 +142,6 @@ func TestCoarseAdvanceDeliversEachStreamInOrder(t *testing.T) {
 				if r.K != j+1 || r.Deadline != time.Duration(j+1)*sub.Spec().Period {
 					t.Errorf("%+v sub %d: result %d is period %d due %v", sc, i, j, r.K, r.Deadline)
 				}
-				// PyramidHit is the serve route, not the answer, and under a
-				// step that spans more boundaries than a pyramid keeps epochs
-				// the route depends on how the workers interleave: one may
-				// rotate an epoch out between another's ingest and its serve,
-				// which then falls back to the cold scan — same values.
-				r.PyramidHit = false
 				streams[i] = append(streams[i], fmt.Sprintf("%+v", r))
 			}
 			if wantClosed := i == expiring || i == leaver; closed != wantClosed {
@@ -200,11 +231,11 @@ func TestReadingColumnIsInvisibleInDeliveredStreams(t *testing.T) {
 					t.Fatalf("workers=%d steps=%v sub %d: period %d late; the slack must cover the whole step", workers, steps, i, r.K)
 				}
 				r.EvaluatedAt = 0
-				// PyramidHit is the serve route, not the answer, and under a
-				// step that spans more boundaries than a pyramid keeps epochs
-				// the route depends on how the workers interleave: one may
-				// rotate an epoch out between another's ingest and its serve,
-				// which then falls back to the cold scan — same values.
+				// PyramidHit is the serve route, not the answer, and the step
+				// size decides it: stepped by the second every boundary is
+				// popped and gets its class's epoch, while in one coarse step
+				// only each subscription's first boundary does. A catch-up
+				// boundary has no epoch and folds cold — same values.
 				r.PyramidHit = false
 				streams[i] = append(streams[i], fmt.Sprintf("%+v", r))
 			}

@@ -20,6 +20,12 @@
 // The grid a pyramid indexes must not change while it serves: an epoch is
 // never re-checked against the grid it was ingested from. The query engine
 // guarantees this by fixing its index once the first query registers.
+//
+// A pyramid holds one epoch: the latest boundary ingested. EnsureEpoch is its
+// one writer and never runs concurrently with itself or with ServeWindow;
+// any number of ServeWindow calls may run together. The service meets this
+// contract by ingesting each popped boundary serially, before it fans the
+// boundary's evaluations out to its workers.
 package pyramid
 
 import (

@@ -3,7 +3,6 @@ package pyramid
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,11 +16,6 @@ import (
 // resolutions in total, each tile 2× coarser than the one below. New clamps
 // it so the coarsest tile never exceeds the grid.
 const levels = 4
-
-// epochs is the ring depth: how many recent period boundaries keep their
-// per-tile aggregates servable. Late evaluations and lookbacks older than
-// the ring fall back to the cold scan.
-const epochs = 4
 
 // Config parameterizes a Pyramid. Fresh, Sample, and Field fix the
 // evaluation semantics an epoch is built under; ServeWindow declines any
@@ -67,28 +61,13 @@ type cellAgg struct {
 // epoch is the pyramid state frozen at one period boundary: level 0 holds
 // one cellAgg per grid cell, each higher level one per 2×-coarser tile.
 // rd keeps the reading the ingest derived for each node, by node id, for the
-// fringe of a serve to load instead of deriving it again; a node lies in
-// exactly one cell row, so the row builders write disjoint entries. Buffers
-// are reused across ring rotations; ready is the publication gate (set with
-// release semantics after the rollup, checked with acquire before any read).
+// fringe of a serve to load instead of deriving it again. Buffers are reused
+// from one boundary to the next; ready is false until the first ingest.
 type epoch struct {
-	due      sim.Time
-	ready    atomic.Bool
-	lv       [][]cellAgg
-	rd       []core.Reading
-	ingested atomic.Int64
-}
-
-// build coordinates one cooperative epoch ingest: concurrent EnsureEpoch
-// callers for the same boundary pull cell rows off the shared cursor and
-// build them in parallel (writers touch disjoint row stripes, so no locks
-// are needed on the hot path); whoever completes the last row runs the
-// rollup and publishes the epoch.
-type build struct {
-	e    *epoch
-	rows atomic.Int64
-	done atomic.Int64
-	fin  chan struct{}
+	due   sim.Time
+	ready bool
+	lv    [][]cellAgg
+	rd    []core.Reading
 }
 
 // Stats is a snapshot of a pyramid's lifetime counters.
@@ -96,8 +75,10 @@ type Stats struct {
 	// Builds counts epoch ingests.
 	Builds uint64
 	// Served counts successful ServeWindow calls; the Miss counters the
-	// declines, by reason: no epoch ingested for the boundary, or a
-	// freshness window the pyramid was not built under.
+	// declines, by reason: the boundary is not the one the pyramid holds, or
+	// a freshness window the pyramid was not built under. In the service a
+	// no-epoch miss is a catch-up boundary — the second or later period one
+	// subscription serves in one Advance step — which folds cold.
 	Served        uint64
 	MissNoEpoch   uint64
 	MissFreshness uint64
@@ -115,14 +96,17 @@ type Stats struct {
 	FringeCells  uint64
 }
 
-// Pyramid is a multiresolution aggregate index over a geom.ShardedGrid: a
-// ring of recent epochs, each holding per-cell partial aggregates rolled up
-// across ~4–6 resolution levels, built once per query-period boundary and
-// shared by every query on the same (period, freshness, schedule) class.
-// EnsureEpoch ingests a boundary (cooperatively across callers); ServeWindow
-// answers whole-disk aggregates from covered coarse tiles plus a disk-tested
-// fringe, declining whenever it cannot prove equality with the cold scan.
-// All methods are safe for concurrent use.
+// Pyramid is a multiresolution aggregate index over a geom.ShardedGrid: the
+// per-cell partial aggregates of one period boundary, rolled up across ~4–6
+// resolution levels, built once per boundary and shared by every query on
+// the same (period, freshness, schedule) class. EnsureEpoch ingests a
+// boundary, replacing the one held before; ServeWindow answers whole-disk
+// aggregates from covered coarse tiles plus a disk-tested fringe, declining
+// whenever it cannot prove equality with the cold scan.
+//
+// EnsureEpoch is the one writer: it must not run concurrently with itself
+// or with ServeWindow. Any number of ServeWindow and Stats calls may run
+// together.
 type Pyramid struct {
 	grid     *geom.ShardedGrid
 	cg       cellGeom
@@ -132,13 +116,14 @@ type Pyramid struct {
 	sample   func(id int32, at sim.Time) (sim.Time, bool)
 	fld      field.Field
 
-	// mu excludes ring rotation (write) from serves and epoch lookups
-	// (read); bmu coordinates build starts. Lock order: bmu before mu.
-	mu     sync.RWMutex
-	ring   []*epoch
-	bmu    sync.Mutex
-	builds map[sim.Time]*build
+	// e is the latest ingested boundary, kept behind a pointer. Embedded by
+	// value, its slice headers would share cache lines with the counters
+	// below, which every serve writes; measured that way, warm_paths ran
+	// slower, likely from false sharing.
+	e *epoch
 
+	// The lifetime counters are atomic: concurrent serves write them, and
+	// Stats may read them at any time.
 	sBuilds                   atomic.Uint64
 	sServed, sNoEpoch, sFresh atomic.Uint64
 	sIngested, sFringe, sArea atomic.Uint64
@@ -159,11 +144,7 @@ func New(grid *geom.ShardedGrid, cfg Config) (*Pyramid, error) {
 		fresh:    cfg.Fresh,
 		sample:   cfg.Sample,
 		fld:      cfg.Field,
-		ring:     make([]*epoch, epochs),
-		builds:   make(map[sim.Time]*build),
-	}
-	for i := range p.ring {
-		p.ring[i] = &epoch{}
+		e:        &epoch{},
 	}
 	p.lw = make([]int, p.maxLevel+1)
 	p.lh = make([]int, p.maxLevel+1)
@@ -188,84 +169,17 @@ func (p *Pyramid) Stats() Stats {
 	}
 }
 
-// findEpoch returns the ready epoch for boundary due, or nil. Caller holds
-// p.mu (either mode).
-func (p *Pyramid) findEpoch(due sim.Time) *epoch {
-	for _, e := range p.ring {
-		if e.ready.Load() && e.due == due {
-			return e
-		}
-	}
-	return nil
-}
-
 // EnsureEpoch ingests the per-tile aggregates for period boundary due,
-// making them servable until the ring rotates past them. Calling it for an
-// already-ingested boundary is a cheap no-op, so every query of a class can
-// call it before evaluating; concurrent callers for the same boundary
-// cooperate on the build (each takes rows off a shared cursor) and all
-// return once the epoch is published.
+// making them servable until the next boundary is ingested. Calling it for
+// the boundary already held is a no-op. It is the pyramid's one writer: no
+// other EnsureEpoch or ServeWindow call may run while it does.
 func (p *Pyramid) EnsureEpoch(due sim.Time) {
-	p.mu.RLock()
-	e := p.findEpoch(due)
-	p.mu.RUnlock()
-	if e != nil {
+	e := p.e
+	if e.ready && e.due == due {
 		return
 	}
-	p.bmu.Lock()
-	p.mu.RLock()
-	e = p.findEpoch(due)
-	p.mu.RUnlock()
-	if e != nil {
-		p.bmu.Unlock()
-		return
-	}
-	b, ok := p.builds[due]
-	if !ok {
-		p.mu.Lock()
-		ep := p.rotate(due)
-		p.mu.Unlock()
-		b = &build{e: ep, fin: make(chan struct{})}
-		p.builds[due] = b
-	}
-	p.bmu.Unlock()
-	total := int64(p.cg.rows)
-	for {
-		row := b.rows.Add(1) - 1
-		if row >= total {
-			break
-		}
-		p.buildRow(b.e, int(row))
-		if b.done.Add(1) == total {
-			p.finishBuild(due, b)
-		}
-	}
-	<-b.fin
-}
-
-// rotate recycles a ring slot for boundary due and returns it unpublished.
-// Caller holds p.bmu and p.mu (write); the write lock excludes serves, so
-// no reader can observe the slot mid-reset.
-func (p *Pyramid) rotate(due sim.Time) *epoch {
-	victim := -1
-	for i, e := range p.ring {
-		if p.inFlight(e) {
-			continue
-		}
-		if victim < 0 || e.due < p.ring[victim].due || !e.ready.Load() && p.ring[victim].ready.Load() {
-			victim = i
-		}
-	}
-	if victim < 0 {
-		// Every slot hosts an in-flight build (ring depth < concurrent
-		// boundaries); grow rather than corrupt one.
-		p.ring = append(p.ring, &epoch{})
-		victim = len(p.ring) - 1
-	}
-	e := p.ring[victim]
-	e.ready.Store(false)
+	e.ready = false
 	e.due = due
-	e.ingested.Store(0)
 	if e.lv == nil {
 		e.lv = make([][]cellAgg, p.maxLevel+1)
 		for lv := range e.lv {
@@ -284,26 +198,22 @@ func (p *Pyramid) rotate(due sim.Time) *epoch {
 	} else {
 		e.rd = e.rd[:n]
 	}
-	return e
-}
-
-// inFlight reports whether e is owned by an unfinished build. Caller holds
-// p.bmu.
-func (p *Pyramid) inFlight(e *epoch) bool {
-	for _, b := range p.builds {
-		if b.e == e {
-			return true
-		}
+	var ingested int
+	for cy := 0; cy < p.cg.rows; cy++ {
+		ingested += p.buildRow(e, cy)
 	}
-	return false
+	p.rollup(e)
+	p.sBuilds.Add(1)
+	p.sIngested.Add(uint64(ingested))
+	e.ready = true
 }
 
-// buildRow ingests one cell row of an epoch: each cell's bucket is folded
-// into the cell's aggregate as the grid streams it — buckets are id-sorted
-// (canonical grid order), so the fold order is deterministic with nothing
-// to capture or sort — with exactly the cold scan's freshness
-// classification.
-func (p *Pyramid) buildRow(e *epoch, cy int) {
+// buildRow ingests one cell row of an epoch and returns the nodes it
+// visited: each cell's bucket is folded into the cell's aggregate as the
+// grid streams it — buckets are id-sorted (canonical grid order), so the
+// fold order is deterministic with nothing to capture or sort — with
+// exactly the cold scan's freshness classification.
+func (p *Pyramid) buildRow(e *epoch, cy int) int {
 	var agg cellAgg
 	fold := func(id int32, pos geom.Point) {
 		agg.nodes++
@@ -327,17 +237,17 @@ func (p *Pyramid) buildRow(e *epoch, cy int) {
 			agg.maxStale = r.Age
 		}
 	}
-	visited := int64(0)
+	visited := 0
 	for cx := 0; cx < p.cg.cols; cx++ {
 		agg = cellAgg{min: math.Inf(1), max: math.Inf(-1)}
 		p.grid.VisitCell(cx, cy, fold)
 		if agg.nodes == 0 {
 			continue
 		}
-		visited += int64(agg.nodes)
+		visited += int(agg.nodes)
 		e.lv[0][cy*p.cg.cols+cx] = agg
 	}
-	e.ingested.Add(visited)
+	return visited
 }
 
 // mergeChild folds one child tile into a parent aggregate, in the same
@@ -365,9 +275,8 @@ func mergeChild(agg *cellAgg, c *cellAgg) {
 	}
 }
 
-// finishBuild rolls the cell layer up the levels and publishes the epoch.
-func (p *Pyramid) finishBuild(due sim.Time, b *build) {
-	e := b.e
+// rollup folds the cell layer up the levels.
+func (p *Pyramid) rollup(e *epoch) {
 	for lv := 1; lv <= p.maxLevel; lv++ {
 		w, h := p.lw[lv], p.lh[lv]
 		cw, ch := p.lw[lv-1], p.lh[lv-1]
@@ -387,33 +296,23 @@ func (p *Pyramid) finishBuild(due sim.Time, b *build) {
 			}
 		}
 	}
-	p.sBuilds.Add(1)
-	p.sIngested.Add(uint64(e.ingested.Load()))
-	e.ready.Store(true)
-	p.bmu.Lock()
-	delete(p.builds, due)
-	p.bmu.Unlock()
-	close(b.fin)
 }
 
 // ServeWindow answers the freshness-windowed aggregate of the disk
 // (center, radius) at period boundary due, implementing core.AggIndex. It
 // declines (ok=false) unless it can prove the answer equals the cold scan:
-// the boundary's epoch must be in the ring, built under the same freshness
-// window. Covered
-// tiles contribute their rolled-up partials and fringe cells their
-// disk-tested nodes (ascending id within the cell — canonical grid order) as
-// the deterministic coarse-to-fine recursion reaches them, so the result is
-// identical whatever the worker count.
+// due must be the boundary the pyramid holds, built under the same
+// freshness window. Covered tiles contribute their rolled-up partials and
+// fringe cells their disk-tested nodes (ascending id within the cell —
+// canonical grid order) as the deterministic coarse-to-fine recursion
+// reaches them, so the result is identical whatever the worker count.
 func (p *Pyramid) ServeWindow(due sim.Time, center geom.Point, radius float64, fresh time.Duration) (core.AggServe, bool) {
 	if fresh != p.fresh {
 		p.sFresh.Add(1)
 		return core.AggServe{}, false
 	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	e := p.findEpoch(due)
-	if e == nil {
+	e := p.e
+	if !e.ready || e.due != due {
 		p.sNoEpoch.Add(1)
 		return core.AggServe{}, false
 	}

@@ -3,7 +3,6 @@ package pyramid
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -213,8 +212,9 @@ func TestServeWindowEdgeCases(t *testing.T) {
 	}
 }
 
-// TestServeWindowGates exercises every decline path: unknown boundary and
-// mismatched freshness window.
+// TestServeWindowGates exercises every decline path — a boundary never
+// ingested, one the pyramid has moved past, a mismatched freshness window —
+// and that re-ensuring the boundary already held builds nothing.
 func TestServeWindowGates(t *testing.T) {
 	region := geom.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
 	g := geom.NewShardedGrid(region, 31.25, 4)
@@ -231,6 +231,10 @@ func TestServeWindowGates(t *testing.T) {
 	}
 	p.EnsureEpoch(due)
 	builds := p.Stats().Builds
+	p.EnsureEpoch(due)
+	if p.Stats().Builds != builds {
+		t.Fatal("re-ensuring the boundary already held must build nothing")
+	}
 	if _, ok := p.ServeWindow(due+1, center, radius, time.Second); ok {
 		t.Fatal("served a boundary that was never ingested")
 	}
@@ -254,40 +258,41 @@ func TestServeWindowGates(t *testing.T) {
 	}
 	sameServe(t, "re-ingest", got,
 		flatServe(g, due+sim.Time(time.Second), center, radius, time.Second, testSampler, quantField))
+	missed := p.Stats().MissNoEpoch
+	if _, ok := p.ServeWindow(due, center, radius, time.Second); ok {
+		t.Fatal("served a boundary older than the one ingested")
+	}
+	if p.Stats().MissNoEpoch != missed+1 {
+		t.Fatal("a serve of a replaced boundary must count as a no-epoch miss")
+	}
 
 	st := p.Stats()
-	if st.MissNoEpoch != 2 || st.MissFreshness != 1 || st.Served != 2 || st.Builds != 2 {
-		t.Fatalf("stats %+v: want 2 no-epoch and 1 freshness misses, 2 serves, 2 builds", st)
+	if st.MissNoEpoch != 3 || st.MissFreshness != 1 || st.Served != 2 || st.Builds != 2 {
+		t.Fatalf("stats %+v: want 3 no-epoch and 1 freshness misses, 2 serves, 2 builds", st)
 	}
 }
 
-// TestEnsureEpochConcurrent has many goroutines demand the same boundary at
-// once: they must cooperate on a single build and all observe the published
-// epoch, with results identical to the flat scan.
-func TestEnsureEpochConcurrent(t *testing.T) {
-	region := geom.Rect{MinX: 0, MinY: 0, MaxX: 2000, MaxY: 2000}
-	g := geom.NewShardedGrid(region, 62.5, 8)
-	fillGrid(g, 3000, 9)
-	p, err := New(g, Config{Fresh: 700 * time.Millisecond, Sample: testSampler, Field: quantField})
+// TestEnsureEpochAllocatesNothing pins the ingest's steady state: once the
+// first boundary has sized the epoch's buffers, each later boundary is built
+// in them, with nothing allocated.
+func TestEnsureEpochAllocatesNothing(t *testing.T) {
+	region := geom.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
+	g := geom.NewShardedGrid(region, 31.25, 4)
+	fillGrid(g, 800, 5)
+	p, err := New(g, Config{Fresh: time.Second, Sample: testSampler, Field: quantField})
 	if err != nil {
 		t.Fatal(err)
 	}
-	due := sim.Time(4 * time.Second)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.EnsureEpoch(due)
-			if _, ok := p.ServeWindow(due, geom.Pt(1000, 1000), 500, 700*time.Millisecond); !ok {
-				t.Error("serve declined after EnsureEpoch returned")
-			}
-		}()
+	due := sim.Time(time.Second)
+	p.EnsureEpoch(due)
+	allocs := testing.AllocsPerRun(50, func() {
+		due += sim.Time(time.Second)
+		p.EnsureEpoch(due)
+	})
+	if allocs != 0 {
+		t.Fatalf("EnsureEpoch allocated %v times per boundary, want 0", allocs)
 	}
-	wg.Wait()
-	if st := p.Stats(); st.Builds != 1 {
-		t.Fatalf("%d builds for one boundary, want 1 cooperative build", st.Builds)
+	if st := p.Stats(); st.Builds != 52 {
+		t.Fatalf("%d builds, want one per boundary (52)", st.Builds)
 	}
-	got, _ := p.ServeWindow(due, geom.Pt(1000, 1000), 500, 700*time.Millisecond)
-	sameServe(t, "concurrent", got, flatServe(g, due, geom.Pt(1000, 1000), 500, 700*time.Millisecond, testSampler, quantField))
 }

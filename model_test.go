@@ -63,20 +63,25 @@ func (s *modelSub) due() time.Duration {
 
 // advance serves every period due by the new time. A subscription with a
 // period due serves all of them, then ends right behind the last one its
-// Lifetime holds.
+// Lifetime holds. The first period it serves in the step is the boundary the
+// service popped and built its class's pyramid epoch for, so an on-demand
+// spec with a large area or a lookback window is pyramid-served there; the
+// catch-up periods after it have no epoch and fold cold.
 func (m *modelService) advance(d time.Duration) {
 	m.now += d
 	for _, s := range m.subs {
+		pyramid := !s.spec.Strategy.Prefetching() && (s.spec.Window > 1 || s.spec.Radius >= 6*m.nc.RegionSide/32)
 		for !s.closed && s.due() <= m.now {
-			m.evaluate(s, s.due())
+			m.evaluate(s, s.due(), pyramid)
+			pyramid = false
 			s.closed = s.spec.Lifetime > 0 && s.due() > s.t0+s.spec.Lifetime
 		}
 	}
 }
 
-func (m *modelService) evaluate(s *modelSub, due time.Duration) {
+func (m *modelService) evaluate(s *modelSub, due time.Duration, pyramid bool) {
 	pos := s.src.PositionAt(due - s.t0)
-	r := QueryResult{K: s.stats.NextPeriod, Deadline: due, Received: true, EvaluatedAt: m.now, Fidelity: 1}
+	r := QueryResult{K: s.stats.NextPeriod, Deadline: due, Received: true, EvaluatedAt: m.now, Fidelity: 1, PyramidHit: pyramid}
 	sum, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
 	for _, n := range m.nodes {
 		if n.pos.Dist2(pos) > s.spec.Radius*s.spec.Radius {
@@ -128,10 +133,10 @@ func (m *modelService) evaluate(s *modelSub, due time.Duration) {
 //	4 t                          advance
 //
 // Each argument indexes its table below modulo the table's length, so any
-// input decodes; spaces are skipped. PyramidHit is not compared: it names
-// the route, and with several workers a serve whose epoch was rotated out
-// falls back to the flat scan. On the smooth field every radius stays below
-// the pyramid's threshold, because a pyramid serve groups Sum by tile.
+// input decodes; spaces are skipped. PyramidHit, the serve route, is
+// compared too: the model predicts it from the popped batch. On the smooth
+// field every radius stays below the pyramid's threshold, because a pyramid
+// serve groups Sum by tile.
 func FuzzServiceAgainstModel(f *testing.F) {
 	f.Add([]byte("0 003110055 111022112351 43 3082 45 44 20 022013009 44 40 45 3175 43"))
 	f.Add([]byte("1 001100055 02311410066 1020202044 000013009 43 45 3100 44 21 45 44"))
@@ -213,7 +218,7 @@ func runAgainstModel(t *testing.T, in []byte, workers int) {
 			for ; ms.buffered > 0; ms.buffered-- {
 				got, want := <-sub.Results(), ms.results[len(ms.results)-ms.buffered]
 				same := math.Float64bits(got.Value) == math.Float64bits(want.Value)
-				if got.Value, want.Value, got.PyramidHit = 0, 0, false; !same || got != want {
+				if got.Value, want.Value = 0, 0; !same || got != want {
 					t.Fatalf("sub %d:\n got %+v\nwant %+v", i, got, want)
 				}
 			}

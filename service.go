@@ -188,8 +188,9 @@ type Service struct {
 	// pyramids holds one aggregate tile pyramid per boundary class — the
 	// (period, freshness, phase) tuple whose subscriptions share the exact
 	// same period-boundary instants, and therefore the same epochs. Guarded
-	// by mu; entries live for the life of the service (classes are few and
-	// epochs bounded by each pyramid's ring).
+	// by mu; entries live for the life of the service (classes are few, and
+	// each pyramid holds one epoch). Advance is each pyramid's one writer: it
+	// ingests the epoch of every popped boundary before the fan-out.
 	pyramids map[pyrKey]*pyramid.Pyramid
 
 	// mu guards the clock, the id counter, the pyramid classes, and the
@@ -610,6 +611,7 @@ func (s *Service) Advance(d time.Duration) error {
 	}
 	s.now += d
 	now := s.now
+	pyramids := len(s.pyramids) > 0 // a class made after this has no member due yet
 	s.mu.Unlock()
 
 	// Collect the due batch: one entry per subscription with a period
@@ -629,6 +631,18 @@ func (s *Service) Advance(d time.Duration) error {
 	}
 	o.popBatch.Observe(int64(len(s.due)))
 	poppedNS := popEnd.UnixNano()
+
+	// Ingest each popped boundary's pyramid epoch serially, before the
+	// fan-out, so every serve below only reads. A class's members share every
+	// boundary instant, so a batch pops at most one per class; a catch-up
+	// boundary served later in this step has no epoch and folds cold.
+	if pyramids {
+		for _, de := range s.due {
+			if p := de.Query.Owner().(*Subscription).pyramid; p != nil {
+				p.EnsureEpoch(de.Due)
+			}
+		}
+	}
 
 	// Fan the due subscriptions across the worker pool: a popped entry's
 	// query handle is owned by its subscription (one closed since the pop

@@ -427,7 +427,8 @@ type Subscription struct {
 	// prefetching spec's planner and, with a corridor, its cache; an
 	// on-demand spec's shared pyramid, when its boundary class uses one. Each
 	// is nil when unused. step, which Advance serializes per subscription,
-	// drives them around every evaluation (before, after); replan is safe
+	// drives the planner and cache around every evaluation (before, after);
+	// Advance ingests the pyramid's epoch before its fan-out. replan is safe
 	// from any goroutine once Subscribe has returned.
 	planner *prefetch.Planner
 	cache   *corridor.Cache
@@ -669,8 +670,8 @@ func (sub *Subscription) step(now time.Duration, poppedNS int64, l *lane) {
 		if due > now {
 			return
 		}
-		// Predictions delivered by this boundary re-plan it, and its pyramid
-		// epoch is ingested, before it is evaluated.
+		// Predictions delivered by this boundary re-plan it before it is
+		// evaluated.
 		sub.before(due)
 		// The waypoint is evaluated as of the period boundary, so coarse
 		// clock steps still see the position the user held at the
@@ -829,18 +830,13 @@ func (sub *Subscription) attach(pos Point) error {
 }
 
 // before prepares the boundary at due: predictions delivered by then govern
-// its plan and corridor, so each is installed, once and in delivery order;
-// and the boundary's pyramid epoch is ingested (every query of the class
-// calls this: the first arrivals build the epoch cooperatively, the rest
-// return at once).
+// its plan and corridor, so each is installed, once and in delivery order.
+// The boundary's pyramid epoch is Advance's to ingest, before the fan-out.
 func (sub *Subscription) before(due time.Duration) {
 	for sub.next < len(sub.stream) && sub.stream[sub.next].Deliver <= due {
 		tp := sub.stream[sub.next]
 		sub.next++
 		sub.replan(tp.Profile, tp.Deliver)
-	}
-	if sub.pyramid != nil {
-		sub.pyramid.EnsureEpoch(due)
 	}
 }
 

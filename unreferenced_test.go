@@ -162,7 +162,7 @@ var allowedCallers = map[string][]string{
 	"mobiquery/internal/prefetch.Planner.NoteServed":    {"mobiquery.Subscription.after"},
 	"mobiquery/internal/corridor.Cache.TakeMispredict":  {"mobiquery.Subscription.after"},
 	"mobiquery/internal/corridor.Cache.StageThrough":    {"mobiquery.Subscription.after"},
-	"mobiquery/internal/pyramid.Pyramid.EnsureEpoch":    {"mobiquery.Subscription.before"},
+	"mobiquery/internal/pyramid.Pyramid.EnsureEpoch":    {"mobiquery.Service.Advance"},
 	"mobiquery/internal/obs.SpanSink.Publish":           {"mobiquery/internal/obs"},
 	"mobiquery/internal/obs.SpanSink.PublishBatch":      {"mobiquery.lane.publish"},
 	"mobiquery/internal/obs.Histogram.Fold":             {"mobiquery.lane.fold"},
