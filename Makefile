@@ -17,22 +17,25 @@ test:
 # on, each against its naive model: the intrusive schedule's (cheap, seeded,
 # owner of the bucket-slot invariant) and the reading column's, and the
 # engine churn storm: every registry writer and reader against the one
-# registry lock, and streaming evaluations against the pops that recycle
-# reading columns. The third repeats the service-level close storm — Close,
-# Subscribe and Advance meeting on the one schedule lock, with the one
+# registry lock, and streaming evaluations between the pops that recycle
+# reading columns, never beside one. The third repeats the service-level
+# close storm — Close, Subscribe and Advance meeting on the one schedule
+# lock, with the one
 # ledger reconciled afterwards — its deterministic form, a Close landing
 # between a period's evaluation and the step's re-arm flush, and trace-ring
 # snapshots racing the steps that record into the rings, which have no lock
 # of their own (the query lock serializes both), the service against its
 # naive model over the fuzz target's seed operation sequences, at Workers 1
-# and 4, and a coarse step's fan-out serving from the pyramid epochs Advance
-# ingested before it, whose routes must match at Workers 1 and 4. The last
+# and 4, a coarse step's fan-out serving from the pyramid epochs Advance
+# ingested before it, whose routes must match at Workers 1 and 4, and
+# waypoint updates re-planning planners and corridor caches against a
+# running Advance: the query lock alone guards both. The last
 # drives the real-time clock loop through its fire channel, its test
 # goroutine against the clock goroutine, twenty times over.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run='^(TestIntrusiveScheduleAgainstModel|TestReadingColumnMatchesNaiveReference|TestEngineChurnUnderRace)$$' ./internal/core
-	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered|TestTraceSpansDuringAdvance|FuzzServiceAgainstModel|TestCoarseAdvanceDeliversEachStreamInOrder)$$' .
+	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered|TestTraceSpansDuringAdvance|FuzzServiceAgainstModel|TestCoarseAdvanceDeliversEachStreamInOrder|TestReplanRacesAdvance|TestCorridorReplanRacesAdvance)$$' .
 	$(GO) test -race -count=20 -run='^TestRealTimeClockCatchesUp$$' .
 
 # One pass over every benchmark as a smoke test, after the cold-evaluation

@@ -19,7 +19,10 @@ import (
 // streaming evaluations — and is meaningful mainly under
 // `go test -race`. It pins the service-shaped contract: users may join and
 // leave while evaluation is in flight. The pops also build and recycle
-// reading columns that the streaming evaluations may be folding through.
+// reading columns, which evaluations read without a lock, so no evaluation
+// may overlap a pop: popMu's write side is held across each PopDue and its
+// read side across every evaluation, as a clock driver that pops and then
+// fans out keeps it.
 func TestEngineChurnUnderRace(t *testing.T) {
 	region := geom.Square(1000)
 	e := NewQueryEngine(region, 100, field.Uniform{Value: 20}, EngineConfig{Workers: 8})
@@ -48,7 +51,17 @@ func TestEngineChurnUnderRace(t *testing.T) {
 		}
 	}
 
-	var wg sync.WaitGroup
+	var (
+		wg    sync.WaitGroup
+		popMu sync.RWMutex
+	)
+	// evaluate is EvaluateDueBatch outside any pop.
+	evaluate := func(id uint32, now sim.Time) bool {
+		popMu.RLock()
+		defer popMu.RUnlock()
+		_, ok := e.EvaluateDueBatch(id, now, nil)
+		return ok
+	}
 	// Churners: deregister and immediately re-register the same id, so a
 	// walk or pop in flight keeps meeting queries that appear and disappear.
 	for c := 0; c < churners; c++ {
@@ -63,7 +76,7 @@ func TestEngineChurnUnderRace(t *testing.T) {
 					return
 				}
 				e.UpdateWaypoint(id, region.UniformPoint(rng))
-				_, _ = e.EvaluateDueBatch(id, time.Second, nil)
+				evaluate(id, time.Second)
 				e.Deregister(id)
 			}
 		}(c)
@@ -96,12 +109,16 @@ func TestEngineChurnUnderRace(t *testing.T) {
 				return
 			}
 			now := sim.Time(i) * time.Second
+			popMu.Lock()
 			due = e.PopDue(now, due[:0])
+			popMu.Unlock()
+			popMu.RLock()
 			for _, d := range due {
 				if _, ok := d.Query.EvaluateDue(now, rb); ok && d.ID <= stable {
 					evaluated[d.ID].Add(1)
 				}
 			}
+			popMu.RUnlock()
 			e.FlushRearms(rb)
 		}
 	}()
@@ -113,7 +130,7 @@ func TestEngineChurnUnderRace(t *testing.T) {
 			defer wg.Done()
 			for i := 1; i <= loops; i++ {
 				for u := 1; u <= stable; u++ {
-					if _, ok := e.EvaluateDueBatch(uint32(u), sim.Time(i)*time.Second, nil); ok {
+					if evaluate(uint32(u), sim.Time(i)*time.Second) {
 						evaluated[u].Add(1)
 					}
 				}

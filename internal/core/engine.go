@@ -43,8 +43,9 @@ func (c EngineConfig) Validate() error {
 // per-query operations are methods on it, so a driver that keeps the handle
 // never resolves an id (the id-keyed engine methods resolve once and delegate
 // here). One mutex (Lock) guards all mutable state, the query's and its
-// owner's session state beside it: a period is one lock acquisition, and
-// evaluations of distinct queries never contend.
+// owner's session state beside it — a Subscription's prefetch planner and
+// corridor cache included, which have no lock of their own: a period is one
+// lock acquisition, and evaluations of distinct queries never contend.
 type Query struct {
 	id uint32
 	// slot is the query's index in its schedule bucket plus one: 0 while
@@ -102,7 +103,10 @@ func (q *Query) Unlock() { q.mu.Unlock() }
 // index of sensor-node positions (geom.ShardedGrid), a registry of live
 // temporal queries and the schedule of their period boundaries, with
 // per-query work safe to issue from many goroutines at once and fanned
-// across a worker pool by DispatchWorkers.
+// across a worker pool by DispatchWorkers — except PopDue, which runs on
+// one goroutine at a time and never beside an evaluation. PopDue is the one
+// writer of the reading columns evaluations fold through; a clock driver
+// pops, then fans out.
 //
 // The field is placed once: UpsertNode fills the index before the first
 // RegisterQuery, and panics after it. Every reader that keeps what it read
@@ -128,15 +132,13 @@ type QueryEngine struct {
 	sched *Schedule
 	// spare recycles the state of a finished DispatchWorkers run.
 	spare atomic.Pointer[dispatchRun]
-	// cols[:colLive] are the reading columns of the last popped batch. A scan
-	// holds colMu shared for one evaluation and PopDue exclusively while it
-	// refills them, so no buffer is recycled under an EvaluateDue another
-	// goroutine still has in flight; colLive is also read without it, so an
-	// evaluation while no column is live takes no lock. maxNode is the
-	// highest node id UpsertNode has seen.
-	colMu   sync.RWMutex
+	// cols[:colLive] are the reading columns of the last popped batch.
+	// PopDue alone writes them, on one goroutine at a time and never beside
+	// an evaluation, so neither takes a lock; a pop that builds no column
+	// while none is live writes neither. maxNode is the highest node id UpsertNode has
+	// seen.
 	cols    []*readingColumn
-	colLive atomic.Int32
+	colLive int
 	maxNode int32
 	// placed latches at the first RegisterQuery: the index is fixed from
 	// then on.
@@ -257,7 +259,10 @@ func (q *Query) Deregister() {
 // consistent. When no period is due the call is an O(1) peek — this is
 // what makes an idle Advance independent of the subscriber count.
 // A boundary whose popped queries will read every node about twice over gets
-// a reading column before the batch is handed out (buildColumns).
+// a reading column before the batch is handed out (buildColumns). PopDue
+// runs on one goroutine at a time and never beside an evaluation: it
+// recycles the previous batch's columns, which evaluations read without a
+// lock.
 func (e *QueryEngine) PopDue(now sim.Time, buf []DueEntry) []DueEntry {
 	n := len(buf)
 	buf = e.sched.PopDue(now, buf)
@@ -274,8 +279,7 @@ func (e *QueryEngine) PopDue(now sim.Time, buf []DueEntry) []DueEntry {
 // π·Σr²·nodes/area readings (offColumn queries none); a build costs one
 // direct fold per node and a columned fold saves about 20 of a direct fold's
 // 33 ns, so a column pays from two reads a node, given ids dense enough to
-// index by. It is built as a pyramid epoch is: cell rows across the worker
-// pool.
+// index by. Its cell rows are built across the worker pool.
 func (e *QueryEngine) buildColumns(batch []DueEntry) {
 	n := 0
 	for i := 0; i < len(batch); {
@@ -289,9 +293,6 @@ func (e *QueryEngine) buildColumns(batch []DueEntry) {
 		if math.Pi*r2 < 2*e.grid.Region().Area() || size > 2*e.grid.Len() {
 			continue
 		}
-		if n == 0 {
-			e.colMu.Lock()
-		}
 		if n == len(e.cols) {
 			c := &readingColumn{}
 			c.fill = func(_, cy int) { e.fillRow(c, cy) }
@@ -304,21 +305,17 @@ func (e *QueryEngine) buildColumns(batch []DueEntry) {
 		e.DispatchWorkers(rows, c.fill)
 		e.colBuilds.Add(1)
 	}
-	if n > 0 {
-		e.colLive.Store(int32(n))
-		e.colMu.Unlock()
-	} else if e.colLive.Load() > 0 {
-		e.colMu.Lock()
-		e.colLive.Store(0)
-		e.colMu.Unlock()
+	if n > 0 || e.colLive > 0 {
+		e.colLive = n
 	}
 }
 
 // fillRow derives the reading of every node in cell row cy, under no
 // freshness window: each query tests the entry against its own. A node lies
-// in exactly one row, so the workers write disjoint entries. The entry of an
-// id the grid does not hold keeps what an earlier boundary left in it; with
-// the index fixed, no scan meets such an id.
+// in exactly one row, so PopDue's workers write disjoint entries, and no
+// evaluation reads one before PopDue returns. The entry of an id the grid
+// does not hold keeps what an earlier boundary left in it; with the index
+// fixed, no scan meets such an id.
 func (e *QueryEngine) fillRow(c *readingColumn, cy int) {
 	cols, _ := e.grid.CellCount()
 	for cx := 0; cx < cols; cx++ {
@@ -330,16 +327,13 @@ func (e *QueryEngine) fillRow(c *readingColumn, cy int) {
 	}
 }
 
-// column returns boundary due's live column with colMu held shared, for the
-// caller to release — or nil, nothing held, when there is none.
+// column returns boundary due's live column, or nil when there is none.
 func (e *QueryEngine) column(due sim.Time) *readingColumn {
-	e.colMu.RLock()
-	for _, c := range e.cols[:e.colLive.Load()] {
+	for _, c := range e.cols[:e.colLive] {
 		if c.due == due {
 			return c
 		}
 	}
-	e.colMu.RUnlock()
 	return nil
 }
 
@@ -434,7 +428,9 @@ func (e *QueryEngine) Queries() []*Query {
 // (0..Workers-1) is passed alongside the work index, so callers can hand
 // each worker private scratch (a RearmBatch, an output lane) without
 // synchronization. Which worker runs which index is nondeterministic; with
-// one worker (or n<2) every call runs serially, in order, on worker 0.
+// one worker (or n<2) every call runs serially, in order, on worker 0. A
+// fan-out of evaluations runs after PopDue returns, never beside it: PopDue
+// builds its reading columns through this pool, and evaluations read them.
 func (e *QueryEngine) DispatchWorkers(n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return

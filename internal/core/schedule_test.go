@@ -297,8 +297,11 @@ func TestScheduleConcurrentChurn(t *testing.T) {
 					// (a query deregistered since the pop is declined by the
 					// flush). One query is never driven both ways — an immediate
 					// re-arm and a pending batched one would race to set its
-					// boundary — which is why case 2 keeps to odd ids.
-					buf = e.PopDue(now, buf[:0])
+					// boundary — which is why case 2 keeps to odd ids. The pop
+					// goes to the schedule itself: the engine's PopDue, which
+					// also builds reading columns, runs on one goroutine at a
+					// time and never beside an evaluation.
+					buf = e.sched.PopDue(now, buf[:0])
 					for _, de := range buf {
 						if de.ID%2 == 1 {
 							e.EvaluateDueBatch(de.ID, de.Due, nil)

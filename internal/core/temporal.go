@@ -22,8 +22,8 @@ type Sampler func(id int32, at sim.Time) (sim.Time, bool)
 // queries: it additionally sees the node's position — so a plan can decide
 // whether the node falls inside a predicted pickup area — and reports
 // whether the reading it served came from the prefetch plan rather than
-// the node sampling schedule. Like Sampler it must be pure and safe for
-// concurrent use.
+// the node sampling schedule. Like Sampler it must be pure; the engine calls
+// it only under its query's lock, so it need not be safe for concurrent use.
 type AreaSampler func(id int32, pos geom.Point, at sim.Time) (t sim.Time, ok bool, prefetched bool)
 
 // PrefetchPlan is what a temporal query consults about its prefetch state;
@@ -31,8 +31,8 @@ type AreaSampler func(id int32, pos geom.Point, at sim.Time) (t sim.Time, ok boo
 // the on-demand behavior exactly.
 type PrefetchPlan interface {
 	// PeriodStatus returns the plan's view of the period due at `due`, as
-	// one atomic snapshot (so a re-plan racing the evaluation cannot split
-	// staging and warmup across two plans): ready is when the prefetched
+	// one snapshot (the engine calls it under the query's lock, which the
+	// owner holds to re-plan too): ready is when the prefetched
 	// answer was staged at the user's pickup point (meaningful only when
 	// staged is true); warmup marks a covered period whose chain missed
 	// its forward deadline, which the evaluation then serves on-demand.
@@ -475,12 +475,10 @@ func (q *Query) EvaluateDueAt(pos geom.Point, now sim.Time, rb *RearmBatch) (Win
 // CaptureAt readings are per query, and one with an aggregate index, whose
 // pyramid keeps the readings itself.
 func (e *QueryEngine) evaluateWindow(q *Query, due sim.Time) WindowResult {
-	if q.sampler == nil && q.aggIndex == nil && e.colLive.Load() > 0 {
+	if q.sampler == nil && q.aggIndex == nil {
 		if c := e.column(due); c != nil {
-			out := e.scanWindow(q, due, c.at)
 			e.colScans.Add(1)
-			e.colMu.RUnlock()
-			return out
+			return e.scanWindow(q, due, c.at)
 		}
 	}
 	return e.scanWindow(q, due, nil)

@@ -25,8 +25,6 @@ package corridor
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mobiquery/internal/geom"
@@ -167,14 +165,13 @@ type Stats struct {
 // Cache is one subscription's corridor: it consumes the subscriber's
 // predicted motion profiles as they arrive, keeps the next Lookahead
 // boundaries staged, and serves the engine's evaluations through the
-// core.CorridorWarmer hook (VisitStaged). All methods are safe for
-// concurrent use; a SetProfile racing an evaluation leaves the evaluation
-// on whichever snapshot it resolved — whole and consistent either way.
+// core.CorridorWarmer hook (VisitStaged). A Cache is not safe for
+// concurrent use: the owning Subscription calls every method under its
+// query lock.
 type Cache struct {
 	cfg  Config
 	grid *geom.ShardedGrid
 
-	mu          sync.Mutex
 	profile     mobility.Profile
 	haveProfile bool
 	stages      map[int]*stage
@@ -188,10 +185,7 @@ type Cache struct {
 	mispredictAt  sim.Time
 	mispredictPos geom.Point
 
-	hits        atomic.Int64
-	misses      atomic.Int64
-	mispredicts atomic.Int64
-	staged      atomic.Int64
+	stats Stats
 }
 
 // NewCache builds an empty corridor cache over the engine's node grid. It
@@ -230,27 +224,25 @@ func (c *Cache) nextK(now sim.Time) int {
 // boundary is dropped and the next Lookahead boundaries are restaged under
 // the new prediction.
 func (c *Cache) SetProfile(p mobility.Profile, now sim.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.profile = p
 	c.haveProfile = true
 	for k, st := range c.stages {
-		c.retireLocked(st)
+		c.retire(st)
 		delete(c.stages, k)
 	}
-	c.stageWindowLocked(now)
+	c.stageWindow(now)
 }
 
-// retireLocked returns a dropped stage's buffers to the freelist. Caller
-// holds mu and must also delete it from c.stages.
-func (c *Cache) retireLocked(st *stage) {
+// retire returns a dropped stage's buffers to the freelist. The caller must
+// also delete it from c.stages.
+func (c *Cache) retire(st *stage) {
 	if len(c.free) < 8 {
 		c.free = append(c.free, st)
 	}
 }
 
-// blankLocked returns a zeroed stage with recycled buffers. Caller holds mu.
-func (c *Cache) blankLocked() *stage {
+// blank returns a zeroed stage with recycled buffers.
+func (c *Cache) blank() *stage {
 	if n := len(c.free); n > 0 {
 		st := c.free[n-1]
 		c.free = c.free[:n-1]
@@ -265,15 +257,11 @@ func (c *Cache) blankLocked() *stage {
 // Lookahead window is swept and staged. Call it after each boundary
 // evaluation — staging for boundary k+1 then happens ahead of k+1's due
 // time, which is what makes the buffer warm rather than merely cached.
-func (c *Cache) StageThrough(now sim.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stageWindowLocked(now)
-}
+func (c *Cache) StageThrough(now sim.Time) { c.stageWindow(now) }
 
-// stageWindowLocked drops consumed stages and stages the missing
-// boundaries of [nextK, nextK+Lookahead-1]. Caller holds mu.
-func (c *Cache) stageWindowLocked(now sim.Time) {
+// stageWindow drops consumed stages and stages the missing boundaries of
+// [nextK, nextK+Lookahead-1].
+func (c *Cache) stageWindow(now sim.Time) {
 	if !c.haveProfile {
 		return
 	}
@@ -282,7 +270,7 @@ func (c *Cache) stageWindowLocked(now sim.Time) {
 		// Keep the boundary currently being collected (due may equal now);
 		// anything a full period behind is consumed.
 		if st.due+c.cfg.Period < now {
-			c.retireLocked(st)
+			c.retire(st)
 			delete(c.stages, k)
 		}
 	}
@@ -292,7 +280,7 @@ func (c *Cache) stageWindowLocked(now sim.Time) {
 		}
 		if st := c.buildStage(k, now); st != nil {
 			c.stages[k] = st
-			c.staged.Add(1)
+			c.stats.StagedBoundaries++
 		}
 	}
 }
@@ -304,7 +292,7 @@ func (c *Cache) stageWindowLocked(now sim.Time) {
 // the box of any circle it covers, so filtering the buffer to such a circle
 // yields exactly the sequence a cold VisitWithin would — the warm fold
 // matches the cold one bit for bit with no sort here or at serve time.
-// Returns nil when the profile does not cover the boundary. Caller holds mu.
+// Returns nil when the profile does not cover the boundary.
 func (c *Cache) buildStage(k int, now sim.Time) *stage {
 	due := c.cfg.T0 + sim.Time(k)*c.cfg.Period
 	if due < c.profile.TS {
@@ -315,7 +303,7 @@ func (c *Cache) buildStage(k int, now sim.Time) *stage {
 	}
 	center := c.profile.PredictAt(due)
 	r := c.cfg.Radius + c.cfg.Model.Inflation(due-c.profile.Generated) + collectSlack
-	st := c.blankLocked()
+	st := c.blank()
 	st.due, st.center, st.radius, st.builtAt = due, center, r, now
 	r2 := r * r
 	minCX, minCY, maxCX, maxCY := c.grid.CellBox(center, r)
@@ -341,17 +329,10 @@ func (c *Cache) buildStage(k int, now sim.Time) *stage {
 // A warm serve enumerates exactly the nodes the cold scan would, in the
 // cold scan's canonical grid order.
 func (c *Cache) VisitStaged(due sim.Time, center geom.Point, radius float64, fn func(id int32, pos geom.Point)) bool {
-	c.mu.Lock()
 	k, ok := c.kFor(due)
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return false
-	}
 	st := c.stages[k]
-	if st == nil {
-		c.mu.Unlock()
-		c.misses.Add(1)
+	if !ok || st == nil {
+		c.stats.Misses++
 		return false
 	}
 	// Coverage: every point within `radius` of the actual center must lie
@@ -361,9 +342,8 @@ func (c *Cache) VisitStaged(due sim.Time, center geom.Point, radius float64, fn 
 		c.mispredicted = true
 		c.mispredictAt = due
 		c.mispredictPos = center
-		c.mu.Unlock()
-		c.mispredicts.Add(1)
-		c.misses.Add(1)
+		c.stats.Mispredicts++
+		c.stats.Misses++
 		return false
 	}
 	r2 := radius * radius
@@ -372,8 +352,7 @@ func (c *Cache) VisitStaged(due sim.Time, center geom.Point, radius float64, fn 
 			fn(st.nodes[i].ID, st.nodes[i].Pos)
 		}
 	}
-	c.mu.Unlock()
-	c.hits.Add(1)
+	c.stats.Hits++
 	return true
 }
 
@@ -384,8 +363,6 @@ func (c *Cache) VisitStaged(due sim.Time, center geom.Point, radius float64, fn 
 // contract; the accounting half happened already, because the mispredicted
 // evaluation was served cold.
 func (c *Cache) TakeMispredict() (at sim.Time, actual geom.Point, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.mispredicted {
 		return 0, geom.Point{}, false
 	}
@@ -399,8 +376,6 @@ func (c *Cache) TakeMispredict() (at sim.Time, actual geom.Point, ok bool) {
 // boundaries. Cells are ordered by (CY, CX). Introspection only — the
 // serve path never touches this.
 func (c *Cache) Corridor() []Cell {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	merged := make(map[cellKey]Cell)
 	for _, st := range c.stages {
 		for _, ck := range st.cells {
@@ -434,8 +409,6 @@ func (c *Cache) Corridor() []Cell {
 // StagedBoundaries returns the boundary indices currently staged, in
 // ascending order.
 func (c *Cache) StagedBoundaries() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]int, 0, len(c.stages))
 	for k := range c.stages {
 		out = append(out, k)
@@ -445,11 +418,4 @@ func (c *Cache) StagedBoundaries() []int {
 }
 
 // Stats returns the cache's ledger snapshot.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:             c.hits.Load(),
-		Misses:           c.misses.Load(),
-		Mispredicts:      c.mispredicts.Load(),
-		StagedBoundaries: c.staged.Load(),
-	}
-}
+func (c *Cache) Stats() Stats { return c.stats }

@@ -3,8 +3,6 @@ package prefetch
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mobiquery/internal/analysis"
@@ -81,9 +79,8 @@ func (c Config) normalized() Config {
 // serving it is dispatched and captures its readings, and the hold-time
 // ledger bounding how long those readings may be served.
 type Entry struct {
-	// Due is the period's boundary.
-	Due sim.Time
-	// Center is the predicted pickup point: the profile's position at Due.
+	// Center is the predicted pickup point: the profile's position at the
+	// period's boundary.
 	Center geom.Point
 	// LaunchAt is when the chain for this period is dispatched; OnTime
 	// reports that it met the equation-10 forward deadline
@@ -91,10 +88,6 @@ type Entry struct {
 	// pickup point by the boundary.
 	LaunchAt sim.Time
 	OnTime   bool
-	// ReadyAt is when the period's answer is available at the pickup point:
-	// the boundary itself when OnTime, launch + Tsleep + 2*Tfresh when the
-	// chain went out late (a warmup period).
-	ReadyAt sim.Time
 	// CaptureAt is when the in-area nodes take the reading served for this
 	// period: the boundary under JIT, the opening of the freshness window
 	// under Greedy. HoldUntil = CaptureAt + Tsleep + 2*Tfresh is the
@@ -106,31 +99,32 @@ type Entry struct {
 // Planner is one subscription's prefetch plan: a pure function of the
 // governing motion profile, the plan epoch (when that profile arrived), and
 // the configuration — so the same subscribe/replan/advance sequence always
-// yields the same plans regardless of worker count. All methods
-// are safe for concurrent use; Replan may race evaluations, which then see
-// either the old or the new plan.
+// yields the same plans regardless of worker count. A Planner is not safe
+// for concurrent use: the owning Subscription calls every method under its
+// query lock.
 type Planner struct {
 	cfg    Config
-	hold   time.Duration
-	served atomic.Int64
+	served int64
 
-	// memo caches the most recently resolved (due, Entry): windowed
-	// evaluation asks for the same boundary once per in-area node, so one
-	// computation serves the whole visit. Replan invalidates it.
-	memo atomic.Pointer[entryMemo]
+	// memo caches the most recently resolved boundary: windowed evaluation
+	// asks for the same boundary once per in-area node, so one computation
+	// serves the whole visit. Replan invalidates it.
+	memo entryMemo
 
-	mu          sync.RWMutex
 	profile     mobility.Profile
 	epoch       sim.Time
 	warmupUntil sim.Time
 	replans     int
 }
 
-// entryMemo is one resolved boundary lookup.
+// entryMemo is the costly half of one boundary's Entry — the predicted
+// pickup point and the chain's launch — from which the rest follows in a few
+// additions. ok is false outside the plan's coverage; valid is false until
+// the first lookup and after a Replan.
 type entryMemo struct {
-	due sim.Time
-	e   Entry
-	ok  bool
+	due, launch       sim.Time
+	center            geom.Point
+	onTime, ok, valid bool
 }
 
 // NewPlanner builds the plan for a subscription from its initial motion
@@ -140,7 +134,7 @@ func NewPlanner(cfg Config, profile mobility.Profile) (*Planner, error) {
 		return nil, err
 	}
 	cfg = cfg.normalized()
-	p := &Planner{cfg: cfg, hold: cfg.holdBound()}
+	p := &Planner{cfg: cfg}
 	p.install(profile, cfg.T0)
 	return p, nil
 }
@@ -151,20 +145,12 @@ func NewPlanner(cfg Config, profile mobility.Profile) (*Planner, error) {
 // epoch, which restarts the equation-16 warmup clock — exactly the paper's
 // cost of a motion change.
 func (p *Planner) Replan(profile mobility.Profile, now sim.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.replans++
 	p.install(profile, now)
-	// Drop the cached boundary. An evaluation racing this Replan may still
-	// publish the old plan's entry for the boundary it is mid-way through —
-	// one whole, consistent entry, which is exactly the documented "sees
-	// either the old or the new plan" — and every later boundary misses the
-	// memo and recomputes against the new plan.
-	p.memo.Store(nil)
+	p.memo.valid = false
 }
 
 // install records the profile and epoch and derives the warmup horizon.
-// Caller holds mu (or owns p exclusively during construction).
 func (p *Planner) install(profile mobility.Profile, now sim.Time) {
 	p.profile = profile
 	p.epoch = now
@@ -203,76 +189,63 @@ func (p *Planner) kFor(due sim.Time) (int, bool) {
 	return int(d / p.cfg.Period), true
 }
 
-// entryLocked computes period k's plan under the current profile and epoch.
-// Caller holds mu (read or write). ok is false outside the plan's coverage:
-// k < 1, a boundary before the profile takes effect, or one past its
-// validity (a profile with zero Validity covers all future boundaries).
-func (p *Planner) entryLocked(k int) (Entry, bool) {
-	if k < 1 {
-		return Entry{}, false
-	}
-	due := p.cfg.T0 + sim.Time(k)*p.cfg.Period
-	if due < p.profile.TS {
-		return Entry{}, false
-	}
-	if p.profile.Validity > 0 && due > p.profile.Expiry() {
-		return Entry{}, false
+// resolve computes period k's plan under the current profile and epoch, as
+// far as the memo keeps it. ok is false outside the plan's coverage: k < 1,
+// a boundary before the profile takes effect, or one past its validity (a
+// profile with zero Validity covers all future boundaries).
+func (p *Planner) resolve(k int) entryMemo {
+	m := entryMemo{due: p.cfg.T0 + sim.Time(k)*p.cfg.Period}
+	if k < 1 || m.due < p.profile.TS || p.profile.Validity > 0 && m.due > p.profile.Expiry() {
+		return m
 	}
 	q := analysis.QueryParams{Period: p.cfg.Period, Fresh: p.cfg.Fresh, Sleep: p.cfg.Sleep}
 	forwardBy := p.cfg.T0 + analysis.PrefetchForwardTime(q, k)
-	var launch sim.Time
 	switch p.cfg.Strategy.Kind {
 	case JIT:
-		launch = forwardBy
+		m.launch = forwardBy
 	case Greedy:
-		launch = due - sim.Time(p.cfg.Strategy.Lookahead)*p.cfg.Period
+		m.launch = m.due - sim.Time(p.cfg.Strategy.Lookahead)*p.cfg.Period
 	}
-	if launch < p.epoch {
-		launch = p.epoch
+	m.launch = max(m.launch, p.epoch)
+	m.center = p.profile.PredictAt(m.due)
+	m.onTime = m.launch <= forwardBy
+	m.ok = true
+	return m
+}
+
+// lookup returns the boundary due resolved. Repeated lookups of one
+// boundary — the per-node calls of a windowed evaluation — hit the memo and
+// skip the plan math.
+func (p *Planner) lookup(due sim.Time) *entryMemo {
+	if !p.memo.valid || p.memo.due != due {
+		p.memo = entryMemo{due: due}
+		if k, ok := p.kFor(due); ok {
+			p.memo = p.resolve(k)
+		}
+		p.memo.valid = true
 	}
-	e := Entry{
-		Due:      due,
-		Center:   p.profile.PredictAt(due),
-		LaunchAt: launch,
-		OnTime:   launch <= forwardBy,
-	}
-	e.ReadyAt = due
-	if !e.OnTime {
-		e.ReadyAt = launch + sim.Time(p.hold)
-	}
-	e.CaptureAt = due
+	return &p.memo
+}
+
+// captureAt is when a covered boundary's in-area nodes take the reading
+// served for it: the boundary under JIT, the opening of its freshness window
+// (never before the launch) under Greedy.
+func (p *Planner) captureAt(m *entryMemo) sim.Time {
 	if p.cfg.Strategy.Kind == Greedy {
-		e.CaptureAt = due - sim.Time(p.cfg.Fresh)
-		if e.CaptureAt < launch {
-			e.CaptureAt = launch
-		}
-		if e.CaptureAt > due {
-			e.CaptureAt = due
-		}
+		return min(max(m.due-sim.Time(p.cfg.Fresh), m.launch), m.due)
 	}
-	e.HoldUntil = e.CaptureAt + sim.Time(p.hold)
-	return e, true
+	return m.due
 }
 
 // EntryFor returns the plan entry whose period comes due at the given
 // boundary; ok is false when the boundary is outside the plan's coverage.
-// Repeated lookups of one boundary — the per-node calls of a windowed
-// evaluation — hit the memo and skip the plan math.
 func (p *Planner) EntryFor(due sim.Time) (Entry, bool) {
-	if m := p.memo.Load(); m != nil && m.due == due {
-		return m.e, m.ok
+	m := p.lookup(due)
+	if !m.ok {
+		return Entry{}, false
 	}
-	p.mu.RLock()
-	var (
-		e  Entry
-		ok bool
-	)
-	if k, kok := p.kFor(due); kok {
-		e, ok = p.entryLocked(k)
-	}
-	p.mu.RUnlock()
-	p.memo.Store(&entryMemo{due: due, e: e, ok: ok})
-	return e, ok
+	c := p.captureAt(m)
+	return Entry{Center: m.center, LaunchAt: m.launch, OnTime: m.onTime, CaptureAt: c, HoldUntil: c + sim.Time(p.cfg.holdBound())}, true
 }
 
 // PeriodStatus returns the plan's view of the period due at `due` in one
@@ -284,17 +257,17 @@ func (p *Planner) EntryFor(due sim.Time) (Entry, bool) {
 // slow-user settings the mechanical warmup and the closed-form bound agree
 // exactly (pinned by tests); the bound itself, rounded to whole periods
 // and widened by the speed ratio, is reported as Stats().WarmupUntil.
-// Resolving everything from a single Entry keeps staged and warmup an
-// exact partition of covered periods even when a Replan races the call.
+// Resolving everything from one lookup keeps staged and warmup an exact
+// partition of covered periods.
 func (p *Planner) PeriodStatus(due sim.Time) (ready sim.Time, staged, warmup bool) {
-	e, ok := p.EntryFor(due)
-	if !ok {
+	m := p.lookup(due)
+	if !m.ok {
 		return 0, false, false
 	}
-	if !e.OnTime || e.Due-e.CaptureAt > sim.Time(p.hold) {
+	if !m.onTime || m.due-p.captureAt(m) > sim.Time(p.cfg.holdBound()) {
 		return 0, false, true
 	}
-	return e.ReadyAt, true, false
+	return m.due, true, false
 }
 
 // Sampler wraps the field's node sampling schedule with the plan: a node
@@ -310,9 +283,10 @@ func (p *Planner) PeriodStatus(due sim.Time) (ready sim.Time, staged, warmup boo
 // period via NoteServed.
 func (p *Planner) Sampler(base func(id int32, at sim.Time) (sim.Time, bool)) func(id int32, pos geom.Point, at sim.Time) (sim.Time, bool, bool) {
 	return func(id int32, pos geom.Point, at sim.Time) (sim.Time, bool, bool) {
-		e, ok := p.EntryFor(at)
-		if ok && e.OnTime && at <= e.HoldUntil && pos.Within(e.Center, p.cfg.Radius) {
-			return e.CaptureAt, true, true
+		if m := p.lookup(at); m.ok && m.onTime && pos.Within(m.center, p.cfg.Radius) {
+			if c := p.captureAt(m); at <= c+sim.Time(p.cfg.holdBound()) {
+				return c, true, true
+			}
 		}
 		if base == nil {
 			return at, true, false
@@ -324,11 +298,10 @@ func (p *Planner) Sampler(base func(id int32, at sim.Time) (sim.Time, bool)) fun
 
 // NoteServed folds one evaluation's prefetched-contributor count into the
 // served ledger. Drivers call it once per period with the evaluation's
-// Prefetched count — replacing the per-reading atomic increment the
-// sampler used to pay on the evaluation hot path.
+// Prefetched count.
 func (p *Planner) NoteServed(n int) {
 	if n > 0 {
-		p.served.Add(int64(n))
+		p.served += int64(n)
 	}
 }
 
@@ -337,21 +310,15 @@ func (p *Planner) NoteServed(n int) {
 // 11 and 12: bounded by the lookahead under Greedy, by the equation-12
 // constant under JIT).
 func (p *Planner) Outstanding(at sim.Time) int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	k := int((at-p.cfg.T0)/p.cfg.Period) + 1
 	if k < 1 {
 		k = 1
 	}
 	n := 0
+	// The launch is non-decreasing in k, so the first future launch ends
+	// the outstanding window.
 	for ; ; k++ {
-		e, ok := p.entryLocked(k)
-		if !ok {
-			break
-		}
-		// LaunchAt is non-decreasing in k, so the first future launch ends
-		// the outstanding window.
-		if e.LaunchAt > at {
+		if m := p.resolve(k); !m.ok || m.launch > at {
 			break
 		}
 		n++
@@ -394,12 +361,10 @@ type Stats struct {
 
 // Stats returns the planner's ledger snapshot.
 func (p *Planner) Stats() Stats {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	return Stats{
 		Strategy:    p.cfg.Strategy,
 		Replans:     p.replans,
-		Served:      p.served.Load(),
+		Served:      p.served,
 		WarmupUntil: p.warmupUntil,
 		Epoch:       p.epoch,
 	}

@@ -211,6 +211,29 @@ func TestOutstandingMatchesStorageBounds(t *testing.T) {
 	}
 }
 
+// TestPlannerMemoAllocatesNothing holds the boundary memo to its place in
+// the Planner: resolving a boundary not asked for just before — every new
+// period of every planned subscription — allocates nothing.
+func TestPlannerMemoAllocatesNothing(t *testing.T) {
+	p, err := NewPlanner(testConfig(Strategy{Kind: JIT}), eastbound())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, staged := 0, 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		k++
+		if _, ok, _ := p.PeriodStatus(time.Duration(k) * time.Second); ok {
+			staged++
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("PeriodStatus over fresh boundaries: %v allocs per call, want 0", allocs)
+	}
+	if staged < 990 {
+		t.Errorf("%d of %d fresh boundaries staged; the plan should stage all past warmup", staged, k)
+	}
+}
+
 // TestReplanRestartsWarmup pins the re-plan semantics: a new profile moves
 // the epoch, so near boundaries lose their staging and warm up again.
 func TestReplanRestartsWarmup(t *testing.T) {

@@ -100,8 +100,8 @@ func (m *modelService) evaluate(s *modelSub, due time.Duration, pyramid bool) {
 	}
 	n := float64(r.Contributors)
 	r.Value = map[AggKind]float64{0: sum / n, Count: n, Sum: sum, Min: lo, Max: hi}[s.spec.Aggregate]
-	if n == 0 && (s.spec.Aggregate == Min || s.spec.Aggregate == Max) {
-		r.Value = math.NaN() // as the average of nothing, 0/0
+	if n == 0 && s.spec.Aggregate != Count && s.spec.Aggregate != Sum {
+		r.Value = math.NaN() // the average, minimum or maximum of nothing
 	}
 	if r.AreaNodes > 0 {
 		r.Fidelity = n / float64(r.AreaNodes)
@@ -140,6 +140,7 @@ func (m *modelService) evaluate(s *modelSub, due time.Duration, pyramid bool) {
 func FuzzServiceAgainstModel(f *testing.F) {
 	f.Add([]byte("0 003110055 111022112351 43 3082 45 44 20 022013009 44 40 45 3175 43"))
 	f.Add([]byte("1 001100055 02311410066 1020202044 000013009 43 45 3100 44 21 45 44"))
+	f.Add([]byte("01000000000100000001099")) // an Avg subscription with no node in its disk
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, workers := range []int{1, 4} {
 			runAgainstModel(t, in, workers)

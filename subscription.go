@@ -364,21 +364,6 @@ func profileFromSource(src MotionSource, t0, period time.Duration) mobility.Prof
 	}
 }
 
-// waypointProfile builds the replacement profile after a ground-truth
-// waypoint update: a straight line from the reported position at the
-// velocity estimated from the previous update (or, lacking one, from the
-// original motion source's local direction).
-func waypointProfile(p Point, prev *Point, prevAt time.Duration, src MotionSource, t0, now, period time.Duration) mobility.Profile {
-	var vel geom.Vec
-	if prev != nil && now > prevAt {
-		vel = p.Sub(*prev).Scale(1 / (now - prevAt).Seconds())
-	} else {
-		rel := now - t0
-		vel = src.PositionAt(rel + period).Sub(src.PositionAt(rel)).Scale(1 / period.Seconds())
-	}
-	return lineProfile(p, vel, now, period)
-}
-
 // lineProfile is the prediction one ground-truth observation supports: a
 // straight line from pos at vel, generated the instant it takes effect
 // (Ta = 0, so equation 16 charges the full warmup interval — the cost of a
@@ -426,15 +411,17 @@ type Subscription struct {
 	// The query's serve machinery, wired to q's hooks once by attach: a
 	// prefetching spec's planner and, with a corridor, its cache; an
 	// on-demand spec's shared pyramid, when its boundary class uses one. Each
-	// is nil when unused. step, which Advance serializes per subscription,
-	// drives the planner and cache around every evaluation (before, after);
-	// Advance ingests the pyramid's epoch before its fan-out. replan is safe
-	// from any goroutine once Subscribe has returned.
+	// is nil when unused. Neither the planner nor the cache has a lock: after
+	// attach, every call into them is made under q's lock — serve drives them
+	// around every evaluation (before, after), UpdateWaypoint and
+	// PrefetchStats take the hold too. Advance ingests the pyramid's epoch
+	// before its fan-out.
 	planner *prefetch.Planner
 	cache   *corridor.Cache
 	pyramid *pyramid.Pyramid
 	// stream is a ProfileSource's predicted-profile stream on the service
-	// clock, next its first undelivered index. Read and advanced by before.
+	// clock, next its first undelivered index. Read and advanced by before,
+	// under q's lock.
 	stream []mobility.TimedProfile
 	next   int
 	// lastPos/lastAt are the latest ground-truth observation — where the
@@ -561,20 +548,35 @@ func (sub *Subscription) Spec() QuerySpec { return sub.spec }
 // re-plans from the reported position: chains are re-dispatched along the
 // corrected path and the equation-16 warmup clock restarts, so the next
 // few results carry Warmup=true — the paper's cost of a motion change.
+// The new plan is a straight line from p at the velocity since the previous
+// update or, lacking one, the motion source's local direction.
 func (sub *Subscription) UpdateWaypoint(p Point) error {
-	now := sub.svc.Now()
-	sub.q.Lock()
-	if sub.closed {
+	now, period := sub.svc.Now(), sub.spec.Period
+	var vel geom.Vec
+	if sub.planner != nil {
+		sub.q.Lock()
+		closed, prev, prevAt := sub.closed, sub.manual, sub.manualAt
 		sub.q.Unlock()
+		switch {
+		case closed: // reported under the hold below
+		case prev != nil && now > prevAt:
+			vel = p.Sub(*prev).Scale(1 / (now - prevAt).Seconds())
+		default:
+			// The source is the caller's code: read outside the hold.
+			rel := now - sub.t0
+			vel = sub.src.PositionAt(rel + period).Sub(sub.src.PositionAt(rel)).Scale(1 / period.Seconds())
+		}
+	}
+	sub.q.Lock()
+	defer sub.q.Unlock()
+	if sub.closed {
 		return fmt.Errorf("mobiquery: subscription %d is closed", sub.id)
 	}
-	prev, prevAt := sub.manual, sub.manualAt
+	if sub.planner != nil {
+		sub.replan(lineProfile(p, vel, now, period), now)
+	}
 	sub.manual = &p
 	sub.manualAt = now
-	sub.q.Unlock()
-	if sub.planner != nil {
-		sub.replan(waypointProfile(p, prev, prevAt, sub.src, sub.t0, now, sub.spec.Period), now)
-	}
 	return nil
 }
 
@@ -670,34 +672,33 @@ func (sub *Subscription) step(now time.Duration, poppedNS int64, l *lane) {
 		if due > now {
 			return
 		}
-		// Predictions delivered by this boundary re-plan it before it is
-		// evaluated.
-		sub.before(due)
 		// The waypoint is evaluated as of the period boundary, so coarse
 		// clock steps still see the position the user held at the
 		// deadline. The source is the caller's code: read outside the hold.
-		if !sub.serve(sub.src.PositionAt(due-sub.t0), now, poppedNS, l) {
+		if !sub.serve(due, sub.src.PositionAt(due-sub.t0), now, poppedNS, l) {
 			return
 		}
 	}
 }
 
 // serve is one period under one hold of the query's lock, the session's only
-// one: unless the subscription has closed, evaluate the due period at pos (or
-// at the UpdateWaypoint override), count it by serve class, complete its
-// lifecycle span, and hand the result to the subscriber — or, when the buffer
-// is full, discard it and count it in Stats().Dropped rather than stalling
-// the service. The span is recorded in the subscription's trace ring,
-// queued in the worker's lane for the service span firehose, and — for a
-// traced subscription — attached to the result so the network front-end can
-// echo it to the client. Everything serve counts goes to the lane l, not to
-// memory another worker writes. It reports whether a period was served.
-func (sub *Subscription) serve(pos Point, now time.Duration, poppedNS int64, l *lane) bool {
+// one: unless the subscription has closed, install the predictions delivered
+// by due (before), evaluate the due period at pos (or at the UpdateWaypoint
+// override), count it by serve class, complete its lifecycle span, and hand
+// the result to the subscriber — or, when the buffer is full, discard it and
+// count it in Stats().Dropped rather than stalling the service. The span is
+// recorded in the subscription's trace ring, queued in the worker's lane for
+// the service span firehose, and — for a traced subscription — attached to
+// the result so the network front-end can echo it to the client. Everything
+// serve counts goes to the lane l, not to memory another worker writes. It
+// reports whether a period was served.
+func (sub *Subscription) serve(due time.Duration, pos Point, now time.Duration, poppedNS int64, l *lane) bool {
 	sub.q.Lock()
 	defer sub.q.Unlock()
 	if sub.closed {
 		return false
 	}
+	sub.before(due)
 	if sub.manual != nil {
 		pos = *sub.manual
 	}
@@ -829,9 +830,10 @@ func (sub *Subscription) attach(pos Point) error {
 	return nil
 }
 
-// before prepares the boundary at due: predictions delivered by then govern
-// its plan and corridor, so each is installed, once and in delivery order.
-// The boundary's pyramid epoch is Advance's to ingest, before the fan-out.
+// before prepares the boundary at due, under q's lock: predictions delivered
+// by then govern its plan and corridor, so each is installed, once and in
+// delivery order. The boundary's pyramid epoch is Advance's to ingest, before
+// the fan-out.
 func (sub *Subscription) before(due time.Duration) {
 	for sub.next < len(sub.stream) && sub.stream[sub.next].Deliver <= due {
 		tp := sub.stream[sub.next]
@@ -878,7 +880,7 @@ func (sub *Subscription) after(wr *core.WindowResult, pos Point) (class obs.Clas
 // replan replaces a planned subscription's governing prediction at virtual
 // time at (a delivered profile, a mispredict correction, a reported
 // waypoint): chains are re-dispatched, the equation-16 warmup clock restarts
-// and the corridor is re-swept.
+// and the corridor is re-swept. Caller holds q's lock.
 func (sub *Subscription) replan(profile mobility.Profile, at time.Duration) {
 	sub.planner.Replan(profile, at)
 	if sub.cache != nil {

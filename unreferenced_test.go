@@ -139,8 +139,11 @@ func TestNoUnreferencedNames(t *testing.T) {
 // would look. Service.Advance is the one driver outside the engine: it alone
 // pops the due schedule, fans out and flushes re-arms. A subscription wires
 // its query's hooks (besides the engine's id-keyed wrappers) and builds its
-// planner and corridor in attach alone, and drives them and the pyramid
-// around each period in before and after alone; Open alone installs the
+// planner and corridor in attach alone, and drives them around each period
+// in before and after alone. The planner and the corridor have no lock, so
+// every other call into them comes from a Subscription method under the
+// query lock: replan (from before, after and UpdateWaypoint) and
+// PrefetchStats. Advance alone ingests pyramid epochs; Open alone installs the
 // field's sampling schedule and places its nodes. A sensor is sampled in one
 // place on the engine's side, readingOf, and in the discrete-event agent's
 // two sampling steps. The period path writes the service's shared ledger
@@ -163,6 +166,12 @@ var allowedCallers = map[string][]string{
 	"mobiquery/internal/corridor.Cache.TakeMispredict":  {"mobiquery.Subscription.after"},
 	"mobiquery/internal/corridor.Cache.StageThrough":    {"mobiquery.Subscription.after"},
 	"mobiquery/internal/pyramid.Pyramid.EnsureEpoch":    {"mobiquery.Service.Advance"},
+	"mobiquery/internal/prefetch.Planner.Replan":        {"mobiquery.Subscription.replan"},
+	"mobiquery/internal/corridor.Cache.SetProfile":      {"mobiquery.Subscription.attach", "mobiquery.Subscription.replan"},
+	"mobiquery/internal/prefetch.Planner.Stats":         {"mobiquery.Subscription.PrefetchStats"},
+	"mobiquery/internal/prefetch.Planner.Outstanding":   {"mobiquery.Subscription.PrefetchStats"},
+	"mobiquery/internal/corridor.Cache.Stats":           {"mobiquery.Subscription.PrefetchStats"},
+	"mobiquery.Subscription.replan":                     {"mobiquery.Subscription.before", "mobiquery.Subscription.after", "mobiquery.Subscription.UpdateWaypoint"},
 	"mobiquery/internal/obs.SpanSink.Publish":           {"mobiquery/internal/obs"},
 	"mobiquery/internal/obs.SpanSink.PublishBatch":      {"mobiquery.lane.publish"},
 	"mobiquery/internal/obs.Histogram.Fold":             {"mobiquery.lane.fold"},
