@@ -45,9 +45,10 @@ bench: bench-evaluate-cold
 	$(GO) test -run=xxx -bench=. -benchtime=1x ./...
 
 # The cold-evaluation gate on its own: BenchmarkEvaluateDueCold b.Fatals if
-# a steady-state cold EvaluateDue allocates at all. The smoke pass above
-# runs it for one iteration; this runs enough of them that a rare
-# allocation (a buffer that grows every Nth period) cannot hide. Its sibling
+# steady-state cold EvaluateDues allocate more than once per thousand over
+# at least 10 000 of them, the ones past -benchtime untimed (the runtime's
+# own background allocations count process-wide), so one allocation per
+# evaluation fails it at any -benchtime, the smoke pass above included. Its sibling
 # BenchmarkEvaluateDueColumned holds the batch path — PopDue with its column
 # build, 1000 evaluations, FlushRearms — to nothing allocated per boundary.
 bench-evaluate-cold:
@@ -70,14 +71,16 @@ bench-wire:
 	$(GO) test -run=xxx -bench='^BenchmarkResultFrameCodec$$' -benchtime=20000x ./internal/wire
 
 # Every fuzz target past its seed corpus, ten seconds each: the result
-# frame codec against encoding/json, and a subscribe body through
-# everything the server runs before Subscribe against the build bounds.
+# frame codec against encoding/json, a subscribe body through everything
+# the server runs before Subscribe against the build bounds, and the
+# service at Workers 1 and 4 against its naive linear-scan model.
 # -fuzzminimizetime=1s caps the minimization of each new interesting input;
 # at Go's default of 60 s, the first one found stalls the run at 0 execs/s
 # for the rest of its ten seconds.
 fuzz-smoke:
 	$(GO) test -run=xxx -fuzz='^FuzzResultFrameCodec$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
 	$(GO) test -run=xxx -fuzz='^FuzzSubscribeRequest$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
+	$(GO) test -run=xxx -fuzz='^FuzzServiceAgainstModel$$' -fuzztime=10s -fuzzminimizetime=1s .
 
 # The million-subscriber idle gate on its own: one pass of the idle arm of
 # BenchmarkAdvance1M, which b.Fatals if the timed loop allocates at all —

@@ -22,8 +22,9 @@ type treeKey struct {
 }
 
 // treeState is a node's per-tree protocol state: its parent, the partial
-// aggregate accumulated from its subtree, and the timers driving sampling
-// and the sub-deadline flush of equation (1).
+// aggregate accumulated from its subtree and the nodes that contributed to
+// it, and the timers driving sampling and the sub-deadline flush of
+// equation (1).
 type treeState struct {
 	key      treeKey
 	rootPos  geom.Point
@@ -33,6 +34,7 @@ type treeState struct {
 	parent   radio.NodeID // -1 at the root
 	inArea   bool
 	acc      Partial
+	contribs []radio.NodeID
 	flushed  bool
 	dead     bool
 
@@ -379,7 +381,8 @@ func (a *agent) sampleInto(ts *treeState) {
 		return
 	}
 	v := a.svc.field.Sample(a.node.Pos(), a.now())
-	ts.acc.AddReading(a.node.ID(), v)
+	ts.acc.Add(v)
+	ts.contribs = append(ts.contribs, a.node.ID())
 }
 
 // flush sends the accumulated partial to the parent (or dispatches the
@@ -397,7 +400,7 @@ func (a *agent) flush(ts *treeState) {
 	if ts.acc.Count == 0 {
 		return // nothing to contribute
 	}
-	msg := reportMsg{QueryID: ts.key.qid, Version: ts.key.version, K: ts.key.k, Data: ts.acc}
+	msg := reportMsg{QueryID: ts.key.qid, Version: ts.key.version, K: ts.key.k, Data: ts.acc, Contribs: ts.contribs}
 	a.node.Send(ts.parent, portReport, msg, reportSize, func(ok bool) {
 		if !ok {
 			a.reportFallback(ts.rootPos, ts.deadline, msg)
@@ -428,6 +431,7 @@ func (a *agent) onReport(_ radio.NodeID, body any) {
 		return
 	}
 	ts.acc.Merge(msg.Data)
+	ts.contribs = append(ts.contribs, msg.Contribs...)
 }
 
 // dispatchResult sends the aggregated result from the collector to the
@@ -435,10 +439,11 @@ func (a *agent) onReport(_ radio.NodeID, body any) {
 // one geographic relay toward the proxy's announced position is attempted.
 func (a *agent) dispatchResult(ts *treeState) {
 	msg := resultMsg{
-		QueryID: ts.key.qid,
-		K:       ts.key.k,
-		Pickup:  ts.pickup,
-		Data:    ts.acc,
+		QueryID:  ts.key.qid,
+		K:        ts.key.k,
+		Pickup:   ts.pickup,
+		Data:     ts.acc,
+		Contribs: ts.contribs,
 	}
 	a.deliverResult(msg)
 }
@@ -593,8 +598,8 @@ func (a *agent) leafReport(key treeKey, ls *leafState) {
 		return // canceled while asleep
 	}
 	p := NewPartial()
-	p.AddReading(a.node.ID(), a.svc.field.Sample(a.node.Pos(), a.now()))
-	msg := reportMsg{QueryID: key.qid, Version: key.version, K: key.k, Data: p}
+	p.Add(a.svc.field.Sample(a.node.Pos(), a.now()))
+	msg := reportMsg{QueryID: key.qid, Version: key.version, K: key.k, Data: p, Contribs: []radio.NodeID{a.node.ID()}}
 	a.node.Send(ls.parent, portReport, msg, reportSize, func(ok bool) {
 		if !ok {
 			a.reportFallback(a.svc.nw.Node(ls.parent).Pos(), ls.deadline, msg)

@@ -6,6 +6,7 @@ import (
 	"mobiquery/internal/geom"
 	"mobiquery/internal/mobility"
 	"mobiquery/internal/netstack"
+	"mobiquery/internal/radio"
 	"mobiquery/internal/sim"
 )
 
@@ -18,6 +19,9 @@ type PeriodResult struct {
 	OnTime   bool
 	Pickup   geom.Point // center of the area the result covers
 	Data     Partial
+	// Contribs lists the sensor nodes whose readings Data aggregates, for
+	// the fidelity metrics; the radio path carries it off air.
+	Contribs []radio.NodeID
 }
 
 // Gateway is the query gateway running on the user's proxy (Section 4): it
@@ -219,6 +223,7 @@ func (g *Gateway) recordResult(msg resultMsg) {
 		OnTime:   now <= deadline,
 		Pickup:   msg.Pickup,
 		Data:     msg.Data,
+		Contribs: msg.Contribs,
 	}
 	score := float64(msg.Data.Count) *
 		circleOverlap(msg.Pickup.Dist(g.proxy.Pos()), g.spec.Radius)

@@ -85,24 +85,29 @@ type recruitMsg struct {
 // size returns the on-air size of the batch.
 func (m recruitMsg) size() int { return recruitBaseSize + recruitPerEntry*len(m.Entries) }
 
-// reportMsg carries a partial aggregate toward the collector.
+// reportMsg carries a partial aggregate toward the collector. Contribs
+// lists the nodes whose readings Data holds: fidelity bookkeeping that
+// reportSize does not count (a real deployment would not transmit it).
 type reportMsg struct {
-	QueryID uint32
-	Version int
-	K       int
-	Data    Partial
+	QueryID  uint32
+	Version  int
+	K        int
+	Data     Partial
+	Contribs []radio.NodeID
 }
 
 // resultMsg is the aggregated query result travelling from the collector to
 // the proxy. Pickup identifies the area the aggregate covers (the query
 // area is the circle of radius Rq around it), letting the gateway judge how
-// well a result matches its actual position.
+// well a result matches its actual position. Contribs is reportMsg's
+// off-air contributor list.
 type resultMsg struct {
-	QueryID uint32
-	K       int
-	Pickup  geom.Point
-	Data    Partial
-	Relayed bool // one geographic relay attempt has been spent
+	QueryID  uint32
+	K        int
+	Pickup   geom.Point
+	Data     Partial
+	Contribs []radio.NodeID
+	Relayed  bool // one geographic relay attempt has been spent
 }
 
 // cancelMsg chases a superseded prefetch chain: state with version below

@@ -10,7 +10,6 @@ import (
 	"math"
 	"time"
 
-	"mobiquery/internal/radio"
 	"mobiquery/internal/sim"
 )
 
@@ -95,17 +94,16 @@ func (s QuerySpec) Deadline(t0 sim.Time, k int) sim.Time {
 }
 
 // Partial is a decomposable partial aggregate carried up the query tree.
-// Count/Sum/Min/Max support every AggKind in one fixed-size record, the
-// standard TAG construction. Contribs lists the contributing sensor nodes
-// on the radio path (AddReading); it is bookkeeping for fidelity evaluation
-// and does not count toward the on-air packet size (a real deployment would
-// not transmit it). The query engine's evaluations (Add) leave it nil.
+// Count/Sum/Min/Max support every AggKind in one fixed-size 32-byte record,
+// the standard TAG construction: the one record the engine's evaluations,
+// the tile pyramid and the discrete-event radio path share. The radio path's
+// contributor list is fidelity bookkeeping, never sent on air; its messages
+// carry it beside the partial.
 type Partial struct {
-	Count    int
-	Sum      float64
-	Min      float64
-	Max      float64
-	Contribs []radio.NodeID
+	Count int
+	Sum   float64
+	Min   float64
+	Max   float64
 }
 
 // NewPartial returns an empty partial aggregate.
@@ -113,8 +111,7 @@ func NewPartial() Partial {
 	return Partial{Min: math.Inf(1), Max: math.Inf(-1)}
 }
 
-// Add folds one reading into p without recording who contributed it: the
-// engine's evaluation paths, whose callers read only the aggregate.
+// Add folds one reading into p.
 func (p *Partial) Add(v float64) {
 	p.Count++
 	p.Sum += v
@@ -124,13 +121,6 @@ func (p *Partial) Add(v float64) {
 	if v > p.Max {
 		p.Max = v
 	}
-}
-
-// AddReading folds one sensor reading from node id into p and lists id in
-// Contribs — the radio/TAG path, whose fidelity metrics read the list.
-func (p *Partial) AddReading(id radio.NodeID, v float64) {
-	p.Add(v)
-	p.Contribs = append(p.Contribs, id)
 }
 
 // Merge folds another partial aggregate into p.
@@ -143,7 +133,6 @@ func (p *Partial) Merge(q Partial) {
 	if q.Max > p.Max {
 		p.Max = q.Max
 	}
-	p.Contribs = append(p.Contribs, q.Contribs...)
 }
 
 // Value evaluates the aggregate under the given function. Min/Max/Avg of an

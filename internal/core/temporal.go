@@ -56,14 +56,16 @@ type CorridorWarmer interface {
 	VisitStaged(due sim.Time, center geom.Point, radius float64, fn func(id int32, pos geom.Point)) bool
 }
 
-// AggServe is an aggregate-index answer to one windowed evaluation: the
-// whole-disk partial aggregate plus the accounting the cold scan would have
-// produced.
-type AggServe struct {
-	// Data is the fresh in-area aggregate.
+// Area is the freshness-windowed aggregate of a disk, or of a part of one:
+// the partial over its fresh readings plus the node accounting a cold scan
+// keeps. The cold scan, the window ring and the pyramid's tiles all keep
+// one. Data is meaningful only while Data.Count > 0, so the zero value is an
+// empty part.
+type Area struct {
+	// Data aggregates the fresh in-area readings.
 	Data Partial
-	// AreaNodes counts every in-disk node; StaleNodes those excluded for
-	// missing the freshness window — identical to the cold scan's counts.
+	// AreaNodes counts every in-area node; StaleNodes those excluded for
+	// missing the freshness window.
 	AreaNodes  int
 	StaleNodes int
 	// MaxStaleness is the age at the boundary of the oldest contributing
@@ -71,19 +73,52 @@ type AggServe struct {
 	MaxStaleness time.Duration
 }
 
+// NewArea returns an empty area to fold into.
+func NewArea() Area { return Area{Data: NewPartial()} }
+
+// Fold adds one in-area node whose reading is r, under freshness window
+// fresh, and reports whether the reading contributed to Data.
+func (a *Area) Fold(r Reading, fresh time.Duration) bool {
+	a.AreaNodes++
+	if !r.Fresh(fresh) {
+		a.StaleNodes++
+		return false
+	}
+	a.Data.Add(r.V)
+	if r.Age > a.MaxStaleness {
+		a.MaxStaleness = r.Age
+	}
+	return true
+}
+
+// Merge folds part b into a, b's readings aged by age more than b recorded
+// them (zero for parts of the same boundary). A part with no contributing
+// reading adds only its node counts: its Min, Max and staleness mean nothing.
+func (a *Area) Merge(b *Area, age time.Duration) {
+	a.AreaNodes += b.AreaNodes
+	a.StaleNodes += b.StaleNodes
+	if b.Data.Count == 0 {
+		return
+	}
+	a.Data.Merge(b.Data)
+	if s := b.MaxStaleness + age; s > a.MaxStaleness {
+		a.MaxStaleness = s
+	}
+}
+
 // AggIndex is the aggregate-index hook of a temporal query:
 // internal/pyramid.Pyramid implements it. ServeWindow answers the whole
-// freshness-windowed disk aggregate at a period boundary from precomputed
-// multiresolution tile partials, or reports ok=false when it cannot prove
-// the answer equals the cold radius scan — no epoch ingested for this
-// boundary, or a freshness window it was not built under. A true return
-// must account exactly the member set the cold scan would: same in-area
-// nodes, same freshness decisions, same Count/Min/Max bit for bit (Sum is
-// folded in the index's deterministic tile-major order, which differs from
-// the cold scan's canonical grid order only by float-addition grouping). A
-// nil index (the default) keeps the cold path exactly.
+// freshness-windowed disk Area at a period boundary, merged from
+// precomputed multiresolution tile Areas, or reports ok=false when it
+// cannot prove the answer equals the cold radius scan — no epoch ingested
+// for this boundary, or a freshness window it was not built under. A true
+// return must account exactly the member set the cold scan would: same
+// in-area nodes, same freshness decisions, same Count/Min/Max bit for bit
+// (Sum is folded in the index's deterministic tile-major order, which
+// differs from the cold scan's canonical grid order only by float-addition
+// grouping). A nil index (the default) keeps the cold path exactly.
 type AggIndex interface {
-	ServeWindow(due sim.Time, center geom.Point, radius float64, fresh time.Duration) (AggServe, bool)
+	ServeWindow(due sim.Time, center geom.Point, radius float64, fresh time.Duration) (Area, bool)
 }
 
 // TemporalSpec is the temporal contract of a streaming query: one result
@@ -128,10 +163,7 @@ func (ts TemporalSpec) Validate() error {
 // window merging.
 type windowPeriod struct {
 	due        sim.Time
-	data       Partial
-	areaNodes  int
-	staleNodes int
-	maxStale   time.Duration
+	area       Area
 	prefetched int
 }
 
@@ -140,8 +172,8 @@ type windowPeriod struct {
 // from the aggregate. Contributors are folded in canonical grid order and
 // never listed: Data.Count is their number.
 type WindowResult struct {
-	// Data aggregates the fresh in-area readings.
-	Data Partial
+	// Area is the period's aggregate, its staleness measured at Due.
+	Area
 	// K is the 1-based period index; the result was due at Due and
 	// actually evaluated at EvaluatedAt.
 	K           int
@@ -151,12 +183,6 @@ type WindowResult struct {
 	// EvaluatedAt - Due (zero when on time).
 	Late     bool
 	Lateness time.Duration
-	// AreaNodes counts every in-area node; StaleNodes those excluded for
-	// missing the freshness window.
-	AreaNodes  int
-	StaleNodes int
-	// MaxStaleness is the age at Due of the oldest contributing reading.
-	MaxStaleness time.Duration
 	// Prefetched counts contributing readings served from the query's
 	// prefetch plan rather than the node sampling schedule; Warmup marks a
 	// period inside the plan's equation-16 warmup interval. Both stay zero
@@ -505,7 +531,7 @@ func (e *QueryEngine) scanWindow(q *Query, due sim.Time, col []Reading) WindowRe
 			return out
 		}
 	}
-	out := WindowResult{Data: NewPartial()}
+	out := WindowResult{Area: NewArea()}
 	e.grid.VisitWithin(q.pos, q.radius, func(id int32, pos geom.Point) {
 		e.foldNode(q, due, col, &out, id, pos)
 	})
@@ -517,7 +543,7 @@ func (e *QueryEngine) scanWindow(q *Query, due sim.Time, col []Reading) WindowRe
 // a mispredict) and the caller must run the cold scan.
 // Caller holds q.mu.
 func (e *QueryEngine) evaluateWindowWarm(q *Query, due sim.Time, col []Reading) (WindowResult, bool) {
-	out := WindowResult{Data: NewPartial(), CorridorHit: true}
+	out := WindowResult{Area: NewArea(), CorridorHit: true}
 	if !q.warmer.VisitStaged(due, q.pos, q.radius, func(id int32, pos geom.Point) {
 		e.foldNode(q, due, col, &out, id, pos)
 	}) {
@@ -531,24 +557,17 @@ func (e *QueryEngine) evaluateWindowWarm(q *Query, due sim.Time, col []Reading) 
 // the boundary, or freshness mismatch) and the caller must run the cold
 // scan. Caller holds q.mu.
 func (e *QueryEngine) evaluateWindowAgg(q *Query, due sim.Time) (WindowResult, bool) {
-	sv, ok := q.aggIndex.ServeWindow(due, q.pos, q.radius, q.spec.Fresh)
+	a, ok := q.aggIndex.ServeWindow(due, q.pos, q.radius, q.spec.Fresh)
 	if !ok {
 		return WindowResult{}, false
 	}
-	return WindowResult{
-		Data:         sv.Data,
-		PyramidHit:   true,
-		AreaNodes:    sv.AreaNodes,
-		StaleNodes:   sv.StaleNodes,
-		MaxStaleness: sv.MaxStaleness,
-	}, true
+	return WindowResult{Area: a, PyramidHit: true}, true
 }
 
 // foldNode is the shared per-node body of a windowed evaluation: take the
 // node's reading — from col when it holds the id, else derived directly —
 // freshness-window it and fold it into the result. Caller holds q.mu.
 func (e *QueryEngine) foldNode(q *Query, due sim.Time, col []Reading, out *WindowResult, id int32, pos geom.Point) {
-	out.AreaNodes++
 	var r Reading
 	prefetched := false
 	switch {
@@ -562,16 +581,8 @@ func (e *QueryEngine) foldNode(q *Query, due sim.Time, col []Reading, out *Windo
 	default:
 		r = ReadingAt(e.sampler, e.fld, id, pos, due, q.spec.Fresh)
 	}
-	if !r.Fresh(q.spec.Fresh) {
-		out.StaleNodes++
-		return
-	}
-	out.Data.Add(r.V)
-	if prefetched {
+	if out.Area.Fold(r, q.spec.Fresh) && prefetched {
 		out.Prefetched++
-	}
-	if r.Age > out.MaxStaleness {
-		out.MaxStaleness = r.Age
 	}
 }
 
@@ -592,35 +603,15 @@ func (q *Query) mergeWindow(cur WindowResult) WindowResult {
 	if int(q.winLen) < w {
 		q.winLen++
 	}
-	e.due = cur.Due
-	e.areaNodes = cur.AreaNodes
-	e.staleNodes = cur.StaleNodes
-	e.maxStale = cur.MaxStaleness
-	e.prefetched = cur.Prefetched
-	e.data = cur.Data
+	e.due, e.area, e.prefetched = cur.Due, cur.Area, cur.Prefetched
 
 	out := cur
-	out.Data = NewPartial()
-	out.AreaNodes, out.StaleNodes, out.MaxStaleness, out.Prefetched = 0, 0, 0, 0
+	out.Area, out.Prefetched = NewArea(), 0
 	for i := 0; i < int(q.winLen); i++ {
 		p := &q.winRing[(int(q.winNext)+w-int(q.winLen)+i)%w]
-		out.Data.Count += p.data.Count
-		out.Data.Sum += p.data.Sum
-		if p.data.Count > 0 {
-			if p.data.Min < out.Data.Min {
-				out.Data.Min = p.data.Min
-			}
-			if p.data.Max > out.Data.Max {
-				out.Data.Max = p.data.Max
-			}
-			// A reading's age grows with every boundary it is carried
-			// across: re-age each period's staleness to the current due.
-			if aged := p.maxStale + time.Duration(cur.Due-p.due); aged > out.MaxStaleness {
-				out.MaxStaleness = aged
-			}
-		}
-		out.AreaNodes += p.areaNodes
-		out.StaleNodes += p.staleNodes
+		// A reading's age grows with every boundary it is carried across:
+		// re-age each period's staleness to the current due.
+		out.Area.Merge(&p.area, time.Duration(cur.Due-p.due))
 		out.Prefetched += p.prefetched
 	}
 	out.WindowPeriods = int(q.winLen)

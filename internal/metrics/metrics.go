@@ -68,7 +68,7 @@ func EvaluateAgg(results []core.PeriodResult, course mobility.Course, region geo
 		rec.AreaNodes = len(inArea)
 		seen := make(map[radio.NodeID]bool)
 		if pr.Received {
-			for _, id := range pr.Data.Contribs {
+			for _, id := range pr.Contribs {
 				if inArea[id] && !seen[id] {
 					seen[id] = true
 					rec.Contributors++
@@ -77,8 +77,8 @@ func EvaluateAgg(results []core.PeriodResult, course mobility.Course, region geo
 		}
 		if pr.Received {
 			targetHits := 0
-			tseen := make(map[radio.NodeID]bool, len(pr.Data.Contribs))
-			for _, id := range pr.Data.Contribs {
+			tseen := make(map[radio.NodeID]bool, len(pr.Contribs))
+			for _, id := range pr.Contribs {
 				if id < 0 || int(id) >= len(positions) {
 					continue
 				}

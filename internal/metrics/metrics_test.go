@@ -26,12 +26,12 @@ func evalFixture() ([]core.PeriodResult, mobility.Course, []geom.Point) {
 	}
 	mk := func(k int, contribs []radio.NodeID, onTime bool) core.PeriodResult {
 		p := core.NewPartial()
-		for _, id := range contribs {
-			p.AddReading(id, 1)
+		for range contribs {
+			p.Add(1)
 		}
 		return core.PeriodResult{
 			K: k, Deadline: sec(float64(2 * k)), Received: true,
-			Arrival: sec(float64(2*k) - 0.05), OnTime: onTime, Data: p,
+			Arrival: sec(float64(2*k) - 0.05), OnTime: onTime, Data: p, Contribs: contribs,
 		}
 	}
 	results := []core.PeriodResult{
@@ -88,22 +88,23 @@ func TestEvaluate(t *testing.T) {
 		pr := core.PeriodResult{K: k, Deadline: sec(float64(2 * k)), Received: k%7 != 0, OnTime: true}
 		pr.Arrival = pr.Deadline
 		pr.Pickup = walk.PosAt(pr.Deadline).Add(geom.V(rng.Float64()*40-20, rng.Float64()*40-20))
-		p := core.NewPartial()
 		for id := range field {
 			if rng.Intn(10) < 7 {
-				p.AddReading(radio.NodeID(id), 1)
+				pr.Contribs = append(pr.Contribs, radio.NodeID(id))
 			}
 		}
-		p.AddReading(-1, 1)
-		p.AddReading(radio.NodeID(len(field)), 1)
-		pr.Data = p
+		pr.Contribs = append(pr.Contribs, -1, radio.NodeID(len(field)))
+		pr.Data = core.NewPartial()
+		for range pr.Contribs {
+			pr.Data.Add(1)
+		}
 		rs = append(rs, pr)
 	}
 	recs = EvaluateAgg(rs, walk, region, field, rq, core.AggAvg)
 	for i, rec := range recs {
 		pr := rs[i]
 		contributed := map[radio.NodeID]bool{}
-		for _, id := range pr.Data.Contribs {
+		for _, id := range pr.Contribs {
 			contributed[id] = true
 		}
 		area, target, hits := 0, 0, 0
@@ -144,10 +145,11 @@ func TestEvaluateDedupContributors(t *testing.T) {
 	course := mobility.Course{Trajectory: mobility.Stationary(geom.Pt(0, 0), 0)}
 	positions := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0)}
 	p := core.NewPartial()
-	p.AddReading(0, 1)
-	p.AddReading(0, 2) // duplicate contributor
+	p.Add(1)
+	p.Add(2)
 	results := []core.PeriodResult{{
 		K: 1, Deadline: sec(2), Received: true, Arrival: sec(1.9), OnTime: true, Data: p,
+		Contribs: []radio.NodeID{0, 0}, // duplicate contributor
 	}}
 	recs := EvaluateAgg(results, course, geom.Square(450), positions, 50, core.AggAvg)
 	if recs[0].Contributors != 1 {

@@ -7,6 +7,12 @@
 // O(perimeter + log area) work once the per-epoch ingest is amortized
 // across queries.
 //
+// Every cell and tile holds a core.Area, the record the engine's cold scan
+// and window ring keep: the ingest and a serve's fringe fold readings with
+// core.Area.Fold, the rollup and a serve's covered tiles merge with
+// core.Area.Merge, so a serve does the cold scan's arithmetic in another
+// grouping.
+//
 // Exactness is the design center, in the spirit of the corridor cache: a
 // pyramid serve must be provably equal to the cold radius scan it replaces.
 // The decomposition guarantees member-set equality (every node the cold

@@ -2,7 +2,6 @@ package pyramid
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -45,28 +44,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// cellAgg is one tile's (or cell's) partial aggregate for one epoch: the
-// standard decomposable Count/Sum/Min/Max record plus the accounting a cold
-// scan keeps (total and stale node counts, oldest contributor age).
-// The zero value means "no nodes here"; min/max are meaningful only while
-// count > 0, mirroring core.Partial's empty semantics.
-type cellAgg struct {
-	nodes, stale int32
-	count        int32
-	sum          float64
-	min, max     float64
-	maxStale     time.Duration
-}
-
 // epoch is the pyramid state frozen at one period boundary: level 0 holds
-// one cellAgg per grid cell, each higher level one per 2×-coarser tile.
-// rd keeps the reading the ingest derived for each node, by node id, for the
-// fringe of a serve to load instead of deriving it again. Buffers are reused
-// from one boundary to the next; ready is false until the first ingest.
+// one core.Area per grid cell, each higher level one per 2×-coarser tile;
+// the zero Area is a tile with no nodes. rd keeps the reading the ingest
+// derived for each node, by node id, for the fringe of a serve to load
+// instead of deriving it again. Buffers are reused from one boundary to the
+// next; ready is false until the first ingest.
 type epoch struct {
 	due   sim.Time
 	ready bool
-	lv    [][]cellAgg
+	lv    [][]core.Area
 	rd    []core.Reading
 }
 
@@ -181,9 +168,9 @@ func (p *Pyramid) EnsureEpoch(due sim.Time) {
 	e.ready = false
 	e.due = due
 	if e.lv == nil {
-		e.lv = make([][]cellAgg, p.maxLevel+1)
+		e.lv = make([][]core.Area, p.maxLevel+1)
 		for lv := range e.lv {
-			e.lv[lv] = make([]cellAgg, p.lw[lv]*p.lh[lv])
+			e.lv[lv] = make([]core.Area, p.lw[lv]*p.lh[lv])
 		}
 	} else {
 		for lv := range e.lv {
@@ -209,73 +196,33 @@ func (p *Pyramid) EnsureEpoch(due sim.Time) {
 }
 
 // buildRow ingests one cell row of an epoch and returns the nodes it
-// visited: each cell's bucket is folded into the cell's aggregate as the
-// grid streams it — buckets are id-sorted (canonical grid order), so the
-// fold order is deterministic with nothing to capture or sort — with
-// exactly the cold scan's freshness classification.
+// visited: each cell's bucket is folded into the cell's Area as the grid
+// streams it — buckets are id-sorted (canonical grid order), so the fold
+// order is deterministic with nothing to capture or sort — with exactly the
+// cold scan's freshness classification.
 func (p *Pyramid) buildRow(e *epoch, cy int) int {
-	var agg cellAgg
+	var agg core.Area
 	fold := func(id int32, pos geom.Point) {
-		agg.nodes++
 		r := core.ReadingAt(p.sample, p.fld, id, pos, e.due, p.fresh)
 		if uint(id) < uint(len(e.rd)) {
 			e.rd[id] = r
 		}
-		if !r.Fresh(p.fresh) {
-			agg.stale++
-			return
-		}
-		agg.count++
-		agg.sum += r.V
-		if r.V < agg.min {
-			agg.min = r.V
-		}
-		if r.V > agg.max {
-			agg.max = r.V
-		}
-		if r.Age > agg.maxStale {
-			agg.maxStale = r.Age
-		}
+		agg.Fold(r, p.fresh)
 	}
 	visited := 0
 	for cx := 0; cx < p.cg.cols; cx++ {
-		agg = cellAgg{min: math.Inf(1), max: math.Inf(-1)}
+		agg = core.NewArea()
 		p.grid.VisitCell(cx, cy, fold)
-		if agg.nodes == 0 {
+		if agg.AreaNodes == 0 {
 			continue
 		}
-		visited += int(agg.nodes)
+		visited += agg.AreaNodes
 		e.lv[0][cy*p.cg.cols+cx] = agg
 	}
 	return visited
 }
 
-// mergeChild folds one child tile into a parent aggregate, in the same
-// guarded style the serve path uses: min/max/staleness only ever come from
-// tiles with contributing readings.
-func mergeChild(agg *cellAgg, c *cellAgg) {
-	if c.nodes == 0 {
-		return
-	}
-	agg.nodes += c.nodes
-	agg.stale += c.stale
-	if c.count == 0 {
-		return
-	}
-	agg.count += c.count
-	agg.sum += c.sum
-	if c.min < agg.min {
-		agg.min = c.min
-	}
-	if c.max > agg.max {
-		agg.max = c.max
-	}
-	if c.maxStale > agg.maxStale {
-		agg.maxStale = c.maxStale
-	}
-}
-
-// rollup folds the cell layer up the levels.
+// rollup merges the cell layer up the levels.
 func (p *Pyramid) rollup(e *epoch) {
 	for lv := 1; lv <= p.maxLevel; lv++ {
 		w, h := p.lw[lv], p.lh[lv]
@@ -283,12 +230,12 @@ func (p *Pyramid) rollup(e *epoch) {
 		child := e.lv[lv-1]
 		for ty := 0; ty < h; ty++ {
 			for tx := 0; tx < w; tx++ {
-				agg := cellAgg{min: math.Inf(1), max: math.Inf(-1)}
+				agg := core.NewArea()
 				for dy := 0; dy < 2; dy++ {
 					for dx := 0; dx < 2; dx++ {
 						cx, cy := 2*tx+dx, 2*ty+dy
 						if cx < cw && cy < ch {
-							mergeChild(&agg, &child[cy*cw+cx])
+							agg.Merge(&child[cy*cw+cx], 0)
 						}
 					}
 				}
@@ -306,63 +253,34 @@ func (p *Pyramid) rollup(e *epoch) {
 // fringe cells their disk-tested nodes (ascending id within the cell —
 // canonical grid order) as the deterministic coarse-to-fine recursion
 // reaches them, so the result is identical whatever the worker count.
-func (p *Pyramid) ServeWindow(due sim.Time, center geom.Point, radius float64, fresh time.Duration) (core.AggServe, bool) {
+func (p *Pyramid) ServeWindow(due sim.Time, center geom.Point, radius float64, fresh time.Duration) (core.Area, bool) {
 	if fresh != p.fresh {
 		p.sFresh.Add(1)
-		return core.AggServe{}, false
+		return core.Area{}, false
 	}
 	e := p.e
 	if !e.ready || e.due != due {
 		p.sNoEpoch.Add(1)
-		return core.AggServe{}, false
+		return core.Area{}, false
 	}
-	sv := core.AggServe{Data: core.NewPartial()}
+	sv := core.NewArea()
 	r2 := radius * radius
 	fringeVisited := 0
 	covered, fringe := coverDisk(p.cg, p.maxLevel, center, radius,
-		func(level, tx, ty int) {
-			a := &e.lv[level][ty*p.lw[level]+tx]
-			if a.nodes == 0 {
-				return
-			}
-			sv.AreaNodes += int(a.nodes)
-			sv.StaleNodes += int(a.stale)
-			if a.count == 0 {
-				return
-			}
-			sv.Data.Count += int(a.count)
-			sv.Data.Sum += a.sum
-			if a.min < sv.Data.Min {
-				sv.Data.Min = a.min
-			}
-			if a.max > sv.Data.Max {
-				sv.Data.Max = a.max
-			}
-			if a.maxStale > sv.MaxStaleness {
-				sv.MaxStaleness = a.maxStale
-			}
-		},
+		func(level, tx, ty int) { sv.Merge(&e.lv[level][ty*p.lw[level]+tx], 0) },
 		func(cx, cy int) {
 			p.grid.VisitCell(cx, cy, func(id int32, pos geom.Point) {
 				fringeVisited++
 				if pos.Dist2(center) > r2 {
 					return
 				}
-				sv.AreaNodes++
 				var r core.Reading
 				if uint(id) < uint(len(e.rd)) {
 					r = e.rd[id]
 				} else { // an id past the kept range: derived as the ingest derived it
 					r = core.ReadingAt(p.sample, p.fld, id, pos, due, p.fresh)
 				}
-				if !r.Fresh(p.fresh) {
-					sv.StaleNodes++
-					return
-				}
-				sv.Data.Add(r.V)
-				if r.Age > sv.MaxStaleness {
-					sv.MaxStaleness = r.Age
-				}
+				sv.Fold(r, p.fresh)
 			})
 		})
 	p.sServed.Add(1)

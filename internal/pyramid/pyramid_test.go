@@ -39,14 +39,14 @@ func testSampler(id int32, at sim.Time) (sim.Time, bool) {
 // engine's exact staleness classification, hits folded in ascending id
 // order.
 func flatServe(g *geom.ShardedGrid, due sim.Time, center geom.Point, radius float64, fresh time.Duration,
-	sample func(int32, sim.Time) (sim.Time, bool), fld field.Field) core.AggServe {
+	sample func(int32, sim.Time) (sim.Time, bool), fld field.Field) core.Area {
 	type hit struct {
 		id int32
 		v  float64
 		t  sim.Time
 	}
 	var hits []hit
-	sv := core.AggServe{Data: core.NewPartial()}
+	sv := core.NewArea()
 	g.VisitWithin(center, radius, func(id int32, pos geom.Point) {
 		sv.AreaNodes++
 		t, ok := due, true
@@ -80,7 +80,7 @@ func flatServe(g *geom.ShardedGrid, due sim.Time, center geom.Point, radius floa
 	return sv
 }
 
-func sameServe(t *testing.T, ctx string, got, want core.AggServe) {
+func sameServe(t *testing.T, ctx string, got, want core.Area) {
 	t.Helper()
 	if got.AreaNodes != want.AreaNodes || got.StaleNodes != want.StaleNodes {
 		t.Fatalf("%s: accounting mismatch: got area=%d stale=%d, want area=%d stale=%d",
@@ -165,7 +165,7 @@ func TestServeWindowEdgeCases(t *testing.T) {
 	due := sim.Time(3 * time.Second)
 	p.EnsureEpoch(due)
 
-	check := func(name string, center geom.Point, radius float64) core.AggServe {
+	check := func(name string, center geom.Point, radius float64) core.Area {
 		t.Helper()
 		got, ok := p.ServeWindow(due, center, radius, 700*time.Millisecond)
 		if !ok {

@@ -40,6 +40,16 @@ type modelSub struct {
 	buffered int // results handed over since the harness last drained
 	stats    SubscriptionStats
 	results  []QueryResult
+	window   []modelPeriod // a windowed spec's last Window periods, oldest first
+}
+
+// modelPeriod is one period's scan of its disk, at its own boundary and
+// position, as a windowed result merges it.
+type modelPeriod struct {
+	due                       time.Duration
+	contributors, area, stale int
+	sum, lo, hi               float64
+	maxStaleness              time.Duration
 }
 
 func newModel(nc NetworkConfig) *modelService {
@@ -81,22 +91,41 @@ func (m *modelService) advance(d time.Duration) {
 
 func (m *modelService) evaluate(s *modelSub, due time.Duration, pyramid bool) {
 	pos := s.src.PositionAt(due - s.t0)
-	r := QueryResult{K: s.stats.NextPeriod, Deadline: due, Received: true, EvaluatedAt: m.now, Fidelity: 1, PyramidHit: pyramid}
-	sum, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
+	p := modelPeriod{due: due, lo: math.Inf(1), hi: math.Inf(-1)}
 	for _, n := range m.nodes {
 		if n.pos.Dist2(pos) > s.spec.Radius*s.spec.Radius {
 			continue
 		}
-		r.AreaNodes++
+		p.area++
 		sample := n.phase + (due-n.phase)/m.nc.SamplePeriod*m.nc.SamplePeriod
 		if due < n.phase || (s.spec.Freshness > 0 && due-sample > s.spec.Freshness) {
-			r.StaleNodes++
+			p.stale++
 			continue
 		}
 		v := m.nc.Field.Sample(n.pos, sample)
-		r.Contributors++
-		sum, lo, hi = sum+v, min(lo, v), max(hi, v)
-		r.MaxStaleness = max(r.MaxStaleness, due-sample)
+		p.contributors++
+		p.sum, p.lo, p.hi = p.sum+v, min(p.lo, v), max(p.hi, v)
+		p.maxStaleness = max(p.maxStaleness, due-sample)
+	}
+	// A windowed result sums its last Window periods' scans, oldest first,
+	// and ages each one's staleness by the boundaries since its own.
+	periods := []modelPeriod{p}
+	r := QueryResult{K: s.stats.NextPeriod, Deadline: due, Received: true, EvaluatedAt: m.now, Fidelity: 1, PyramidHit: pyramid}
+	if s.spec.Window > 1 {
+		if s.window = append(s.window, p); len(s.window) > s.spec.Window {
+			s.window = s.window[1:]
+		}
+		periods, r.WindowPeriods = s.window, len(s.window)
+	}
+	sum, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
+	for _, w := range periods {
+		r.Contributors += w.contributors
+		r.AreaNodes += w.area
+		r.StaleNodes += w.stale
+		sum, lo, hi = sum+w.sum, min(lo, w.lo), max(hi, w.hi)
+		if w.contributors > 0 {
+			r.MaxStaleness = max(r.MaxStaleness, w.maxStaleness+due-w.due)
+		}
 	}
 	n := float64(r.Contributors)
 	r.Value = map[AggKind]float64{0: sum / n, Count: n, Sum: sum, Min: lo, Max: hi}[s.spec.Aggregate]
@@ -131,16 +160,22 @@ func (m *modelService) evaluate(s *modelSub, due time.Duration, pyramid bool) {
 //	2 i                          close subscription i
 //	3 i x y                      send subscription i a waypoint
 //	4 t                          advance
+//	5 p r d f a w k x y [vx vy]  subscribe with a Window of w+2 periods
 //
 // Each argument indexes its table below modulo the table's length, so any
-// input decodes; spaces are skipped. PyramidHit, the serve route, is
-// compared too: the model predicts it from the popped batch. On the smooth
-// field every radius stays below the pyramid's threshold, because a pyramid
-// serve groups Sum by tile.
+// input decodes; spaces are skipped. The digits 6 to 9 are the operations
+// 1 to 4 again. PyramidHit, the serve route, is compared too: the model
+// predicts it from the popped batch. A pyramid serve groups Sum by tile, so
+// on the smooth field every radius stays below the pyramid's threshold and
+// a windowed subscribe drops its window.
 func FuzzServiceAgainstModel(f *testing.F) {
 	f.Add([]byte("0 003110055 111022112351 43 3082 45 44 20 022013009 44 40 45 3175 43"))
 	f.Add([]byte("1 001100055 02311410066 1020202044 000013009 43 45 3100 44 21 45 44"))
 	f.Add([]byte("01000000000100000001099")) // an Avg subscription with no node in its disk
+	// Two windowed subscriptions, one moving, through coarse advances: each
+	// step's first period is pyramid-served, its catch-ups fold cold, and
+	// every result merges periods of both routes.
+	f.Add([]byte("0 5030102055 45 5121220136 61 44 3027 45 21 43"))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, workers := range []int{1, 4} {
 			runAgainstModel(t, in, workers)
@@ -159,7 +194,8 @@ func runAgainstModel(t *testing.T, in []byte, workers int) {
 	at := func() Point { return Pt(float64(pick(10))*45+10, float64(pick(10))*45+10) }
 	nc := DefaultNetworkConfig().withDefaults()
 	radii := []float64{25, 60, 100, 150}
-	if pick(2) == 1 {
+	smooth := pick(2) == 1
+	if smooth {
 		nc.Field, radii = GradientField(20, 0.013, -0.007), []float64{25, 45, 60, 80}
 	}
 	nc.Service.Workers = workers
@@ -171,13 +207,22 @@ func runAgainstModel(t *testing.T, in []byte, workers int) {
 	m := newModel(nc)
 	var subs []*Subscription
 	for len(in) > 0 && len(subs) < 24 {
-		switch op := pick(5); op {
-		case 0, 1:
+		op := pick(10)
+		if op != 5 {
+			op %= 5
+		}
+		switch op {
+		case 0, 1, 5:
 			period := []time.Duration{time.Second, 1500 * time.Millisecond, 2 * time.Second}[pick(3)]
 			spec := QuerySpec{Period: period, Radius: radii[pick(4)], Deadline: time.Duration(pick(2)) * 300 * time.Millisecond,
 				Freshness: []time.Duration{0, 500 * time.Millisecond, period}[pick(3)], Aggregate: []AggKind{0, Count, Sum, Min, Max}[pick(5)]}
 			if op == 1 {
 				spec.Lifetime = time.Duration(1+pick(3)) * period
+			}
+			if op == 5 {
+				if w := 2 + pick(3); !smooth {
+					spec.Window = w
+				}
 			}
 			linear := pick(2) == 1
 			var src MotionSource = StaticPosition(at())

@@ -146,7 +146,10 @@ func TestNoUnreferencedNames(t *testing.T) {
 // PrefetchStats. Advance alone ingests pyramid epochs; Open alone installs the
 // field's sampling schedule and places its nodes. A sensor is sampled in one
 // place on the engine's side, readingOf, and in the discrete-event agent's
-// two sampling steps. The period path writes the service's shared ledger
+// two sampling steps. A reading folds into a disk's core.Area in the cold
+// scan's foldNode and the pyramid's ingest and fringe alone, and two Areas
+// merge in the window ring and the pyramid's rollup and covered tiles alone.
+// The period path writes the service's shared ledger
 // only through a dispatch worker's lane: the lane alone publishes span
 // batches to the firehose and folds evaluation histograms, and nothing
 // outside internal/obs publishes one span at a time.
@@ -175,6 +178,12 @@ var allowedCallers = map[string][]string{
 	"mobiquery/internal/obs.SpanSink.Publish":           {"mobiquery/internal/obs"},
 	"mobiquery/internal/obs.SpanSink.PublishBatch":      {"mobiquery.lane.publish"},
 	"mobiquery/internal/obs.Histogram.Fold":             {"mobiquery.lane.fold"},
+	"mobiquery/internal/core.Area.Fold": {
+		"mobiquery/internal/core.QueryEngine.foldNode", "mobiquery/internal/pyramid.Pyramid.buildRow", "mobiquery/internal/pyramid.Pyramid.ServeWindow",
+	},
+	"mobiquery/internal/core.Area.Merge": {
+		"mobiquery/internal/core.Query.mergeWindow", "mobiquery/internal/pyramid.Pyramid.rollup", "mobiquery/internal/pyramid.Pyramid.ServeWindow",
+	},
 	"mobiquery/internal/field.Field.Sample": {
 		"mobiquery/internal/core.readingOf", "mobiquery/internal/core.agent.sampleInto", "mobiquery/internal/core.agent.leafReport",
 	},
