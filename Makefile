@@ -28,14 +28,14 @@ test:
 # naive model over the fuzz target's seed operation sequences, at Workers 1
 # and 4, a coarse step's fan-out serving from the pyramid epochs Advance
 # ingested before it, whose routes must match at Workers 1 and 4, and
-# waypoint updates re-planning planners and corridor caches against a
-# running Advance: the query lock alone guards both. The last
+# waypoint updates re-planning planners against a running Advance: the
+# query lock alone guards the planner. The last
 # drives the real-time clock loop through its fire channel, its test
 # goroutine against the clock goroutine, twenty times over.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run='^(TestIntrusiveScheduleAgainstModel|TestReadingColumnMatchesNaiveReference|TestEngineChurnUnderRace)$$' ./internal/core
-	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered|TestTraceSpansDuringAdvance|FuzzServiceAgainstModel|TestCoarseAdvanceDeliversEachStreamInOrder|TestReplanRacesAdvance|TestCorridorReplanRacesAdvance)$$' .
+	$(GO) test -race -count=5 -run='^(TestCloseStormAgainstAdvanceAndSubscribe|TestPeriodEvaluatedBeforeCloseIsDelivered|TestTraceSpansDuringAdvance|FuzzServiceAgainstModel|TestCoarseAdvanceDeliversEachStreamInOrder|TestReplanRacesAdvance)$$' .
 	$(GO) test -race -count=20 -run='^TestRealTimeClockCatchesUp$$' .
 
 # One pass over every benchmark as a smoke test, after the cold-evaluation

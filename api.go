@@ -263,10 +263,9 @@ type QueryResult struct {
 	// strategy.
 	Warmup          bool
 	PrefetchedNodes int
-	// CorridorHit marks a period whose node enumeration was served from
-	// the subscription's warm corridor stage rather than a cold index
-	// scan (identical values, cheaper evaluation). Always false without a
-	// QuerySpec.Corridor.
+	// CorridorHit is always false: the service stages no corridor
+	// (QuerySpec.Corridor is ignored). The field stays for the wire's
+	// corridor_hit, which round-trips it.
 	CorridorHit bool
 	// PyramidHit marks a period whose aggregate was served from the
 	// service's hierarchical tile pyramid — the query disk decomposed into

@@ -470,62 +470,6 @@ func BenchmarkAdvancePrefetch(b *testing.B) {
 	}
 }
 
-// BenchmarkAdvanceCorridor measures the corridor cache on the Advance hot
-// path: the same sleepy-field workload as BenchmarkAdvancePrefetch under
-// JIT, with a 3-boundary corridor staging node snapshots along the exact
-// synthesized profiles. Dense measures warm staged evaluation plus the
-// staging work itself; idle pins that the corridor adds nothing (and
-// allocates nothing) to the O(1) scheduling path.
-func BenchmarkAdvanceCorridor(b *testing.B) {
-	spec := func() Strategy { return JITStrategy() }
-	corridorOpt := func(q *QuerySpec) {
-		q.Corridor = CorridorSpec{Lookahead: 3, ErrorModel: ErrorModel{Base: 5}}
-	}
-	open := func(b *testing.B, subscribers int, period time.Duration) *Service {
-		b.Helper()
-		nc := NetworkConfig{
-			Seed: 1, Nodes: 5000, RegionSide: 2000,
-			SamplePeriod: 3 * time.Second,
-		}
-		svc, err := Open(context.Background(), nc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { svc.Close() })
-		rng := rand.New(rand.NewSource(2))
-		region := geom.Square(nc.RegionSide)
-		q := QuerySpec{Radius: 150, Period: period, Freshness: time.Second, Strategy: spec()}
-		corridorOpt(&q)
-		for i := 0; i < subscribers; i++ {
-			p := region.UniformPoint(rng)
-			if _, err := svc.Subscribe(context.Background(), q, LinearMotion(p, 2, 1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return svc
-	}
-	b.Run("Dense", func(b *testing.B) {
-		b.ReportAllocs()
-		svc := open(b, 500, time.Second)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := svc.Advance(time.Second); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Idle", func(b *testing.B) {
-		b.ReportAllocs()
-		svc := open(b, 2000, time.Hour)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := svc.Advance(time.Microsecond); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // benchPyramidService opens a dense service and loads it with large-radius
 // static subscribers sharing one period, so every boundary ingests one
 // pyramid epoch and serves the whole population from it. Radius 900 over a

@@ -10,7 +10,6 @@ import (
 
 	"mobiquery"
 	"mobiquery/internal/geom"
-	"mobiquery/internal/mobility"
 )
 
 // The extension figures are clients of the public Service: every arm of a
@@ -20,7 +19,7 @@ import (
 
 // scenario is one extension figure's workload: the field each arm's Service
 // opens over, the contract every user subscribes with (an arm may add a
-// strategy, a corridor or a window), the clock step and run length, and the
+// strategy or a window), the clock step and run length, and the
 // population.
 type scenario struct {
 	net            mobiquery.NetworkConfig
@@ -30,20 +29,15 @@ type scenario struct {
 	// users move over the field; in the churn figure they are the static
 	// population and churners join and leave mid-run.
 	users, churners int
-	// Random-direction courses (corridor, pyramid): a speed in [speedMin,
-	// speedMax], a new heading every change.
+	// Random-direction courses (pyramid): a speed in [speedMin, speedMax],
+	// a new heading every change.
 	speedMin, speedMax float64
 	change             time.Duration
-	// lookahead is greedy's chain window (prefetch) or the corridor's
-	// staging depth (corridor). gpsError is the noisy predictor's error
-	// radius and bound the noisy corridor's inflation, 0 selecting the
-	// predictor's re-profiling threshold plus two error radii — tighter than
-	// the proven bound, so sharp turns surface as mispredicts. window is the
-	// windowed pyramid arm's depth. step is the scale figure's stride per
-	// period.
-	lookahead             int
-	gpsError, bound, step float64
-	window                int
+	// lookahead is greedy's chain window (prefetch). window is the windowed
+	// pyramid arm's depth. step is the scale figure's stride per period.
+	lookahead int
+	step      float64
+	window    int
 }
 
 // userStream offsets the seed of the users' random stream from the one Open
@@ -135,12 +129,11 @@ type outcome struct {
 	// period's oldest contributing reading.
 	stale, prefetched, fresh int
 	staleness                time.Duration
-	// Periods by route: a corridor stage, the tile pyramid, a cold scan.
-	hits, pyramid, cold int
-	// Summed over the users' PrefetchStats: corridor mispredicts and
-	// re-plans. storage is the most chains one user held outstanding at any
-	// boundary (equations 11/12).
-	mispredicts, replans, storage int
+	// Periods by route: the tile pyramid, a cold scan.
+	pyramid, cold int
+	// storage is the most chains one user held outstanding at any boundary
+	// (equations 11/12).
+	storage int
 	// In-area sensors over all periods, and Value summed over the periods
 	// that had contributors.
 	area, valued int
@@ -175,12 +168,9 @@ func (o *outcome) add(r *mobiquery.QueryResult) {
 		o.value += r.Value
 		o.valued++
 	}
-	switch {
-	case r.CorridorHit:
-		o.hits++
-	case r.PyramidHit:
+	if r.PyramidHit {
 		o.pyramid++
-	default:
+	} else {
 		o.cold++
 	}
 }
@@ -194,11 +184,6 @@ func (o outcome) meanStaleness() time.Duration {
 func (o outcome) meanArea() float64 { return float64(o.area) / float64(max(o.periods, 1)) }
 
 func (o outcome) meanValue() float64 { return o.value / float64(max(o.valued, 1)) }
-
-// advanceNs is the Advance wall time per delivered period.
-func (o outcome) advanceNs() float64 {
-	return float64(o.advance.Nanoseconds()) / float64(max(o.periods, 1))
-}
 
 // result is a figure's arms in table order, and the wall time of running
 // them.
@@ -324,8 +309,6 @@ func (sc scenario) runArm(a arm, f fold) (outcome, error) {
 		}
 		if st, ok := sub.PrefetchStats(); ok {
 			out.strategy = st.Strategy
-			out.replans += st.Replans
-			out.mispredicts += int(st.CorridorMispredicts)
 		}
 		// The per-user fold is ordered (periods are); across users it is a
 		// wrapping sum, so no order of users can leak into the digest.
@@ -431,65 +414,6 @@ func runPrefetch(sc scenario) (result, error) {
 		arm{"on-demand", sc.spec, users},
 		arm{"jit", with(mobiquery.JITStrategy()), users},
 		arm{"greedy", with(mobiquery.GreedyStrategy(sc.lookahead)), users})
-}
-
-// corridorGPSSampling is the corridor figure's GPS fix interval.
-const corridorGPSSampling = 2 * time.Second
-
-// exactBound is the exact corridor arm's inflation: per-leg exact profiles
-// predict the course bit for bit away from partial-segment interpolation, so
-// a few meters absorb float noise.
-const exactBound = 2.0
-
-// defaultCorridor is the prefetch figure's sleepy field with turning courses
-// and a 2 s / 5 m GPS predictor feeding the planners.
-func defaultCorridor() scenario {
-	sc := defaultPrefetch()
-	sc.speedMin, sc.speedMax, sc.change = 1, 5, 8*time.Second
-	sc.gpsError, sc.lookahead = 5, 4
-	return sc
-}
-
-// runCorridor runs the corridor figure: arms "on-demand", "jit/exact",
-// "jit/noisy", "jit+corridor/exact" and "jit+corridor/noisy". Exact arms plan
-// from PlannedMotion's per-leg profiles, noisy ones from GPSPredictedMotion's
-// over the same courses; a corridor arm over exact profiles must agree with
-// its corridor-less twin on the digest.
-func runCorridor(sc scenario) (result, error) {
-	if sc.users <= 0 || sc.lookahead <= 0 {
-		return result{}, fmt.Errorf("corridor needs users and a positive lookahead (%d, %d)", sc.users, sc.lookahead)
-	}
-	bound := sc.bound
-	if bound == 0 {
-		bound = mobility.DefaultThreshold(sc.gpsError) + 2*sc.gpsError
-	}
-	rng, inner := sc.rng(), sc.inner()
-	exact, noisy := make([]user, sc.users), make([]user, sc.users)
-	for i := range exact {
-		start := inner.UniformPoint(rng)
-		course := sc.course(start, rng.Int63())
-		gps := mobiquery.GPSConfig{Seed: rng.Int63(), Sampling: corridorGPSSampling, Error: sc.gpsError}
-		var err error
-		if exact[i].src, err = mobiquery.PlannedMotion(course); err != nil {
-			return result{}, err
-		}
-		if noisy[i].src, err = mobiquery.GPSPredictedMotion(course, gps); err != nil {
-			return result{}, err
-		}
-	}
-	jit := sc.spec
-	jit.Strategy = mobiquery.JITStrategy()
-	corridor := func(bound float64) mobiquery.QuerySpec {
-		spec := jit
-		spec.Corridor = mobiquery.CorridorSpec{Lookahead: sc.lookahead, ErrorModel: mobiquery.ErrorModel{Base: bound}}
-		return spec
-	}
-	return sc.run(foldPlanned,
-		arm{"on-demand", sc.spec, exact},
-		arm{"jit/exact", jit, exact},
-		arm{"jit/noisy", jit, noisy},
-		arm{"jit+corridor/exact", corridor(exactBound), exact},
-		arm{"jit+corridor/noisy", corridor(bound), noisy})
 }
 
 // quantizedField is a position- and time-dependent field whose values are

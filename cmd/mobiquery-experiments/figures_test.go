@@ -28,18 +28,6 @@ func smallPrefetch() scenario {
 	return sc
 }
 
-// smallCorridor keeps ChangeInterval at the default 8 s: the equation-10
-// margin here is 6 periods, so each leg's profile can stage boundaries 6..8
-// of its window — shorten the legs below 7 s and every period is warmup.
-func smallCorridor() scenario {
-	sc := defaultCorridor()
-	sc.net.Nodes = 1500
-	sc.net.RegionSide = 1000
-	sc.users = 10
-	sc.duration = 20 * time.Second
-	return sc
-}
-
 // smallPyramid keeps the disks large relative to the Service's index cells,
 // so covered tiles actually form.
 func smallPyramid() scenario {
@@ -283,95 +271,6 @@ func TestGreedyShortLookaheadStaysLate(t *testing.T) {
 	}
 }
 
-func TestCorridorValidate(t *testing.T) {
-	rejects(t, defaultCorridor, runCorridor, append(common,
-		func(sc *scenario) { sc.speedMin = 0 },
-		func(sc *scenario) { sc.speedMax = sc.speedMin / 2 },
-		func(sc *scenario) { sc.change = 0 },
-		func(sc *scenario) { sc.gpsError = -1 },
-		func(sc *scenario) { sc.lookahead = 0 },
-		func(sc *scenario) { sc.bound = -1 },
-	)...)
-}
-
-// TestCorridorWarmPathBitIdentical pins the headline invariant: the
-// corridor arm over exact profiles produces exactly the plain-JIT digest —
-// staging changes how nodes are enumerated, never what the answer is — and
-// both corridor arms actually serve warm periods, leaving fewer cold
-// evaluations than their corridor-less twins.
-func TestCorridorWarmPathBitIdentical(t *testing.T) {
-	res, err := runCorridor(smallCorridor())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.arms) != 5 {
-		t.Fatalf("got %d arms, want 5", len(res.arms))
-	}
-	onDemand, jitExact, jitNoisy := res.arm("on-demand"), res.arm("jit/exact"), res.arm("jit/noisy")
-	corrExact, corrNoisy := res.arm("jit+corridor/exact"), res.arm("jit+corridor/noisy")
-
-	if corrExact.digest != jitExact.digest {
-		t.Errorf("corridor changed exact-profile results: %#x vs %#x", corrExact.digest, jitExact.digest)
-	}
-	if corrExact.late != jitExact.late || corrExact.stale != jitExact.stale || corrExact.prefetched != jitExact.prefetched {
-		t.Errorf("corridor/exact ledgers diverged from jit/exact:\n%+v\n%+v", corrExact, jitExact)
-	}
-	for _, o := range []outcome{corrExact, corrNoisy} {
-		if o.hits == 0 {
-			t.Errorf("%s served no warm periods", o.label)
-		}
-		if o.hits+o.cold != o.periods {
-			t.Errorf("%s: hits %d + cold %d != evaluations %d", o.label, o.hits, o.cold, o.periods)
-		}
-	}
-	if corrNoisy.cold >= jitNoisy.cold {
-		t.Errorf("corridor did not reduce cold evaluations on the noisy workload (%d vs %d)", corrNoisy.cold, jitNoisy.cold)
-	}
-	if corrExact.cold >= jitExact.cold {
-		t.Errorf("corridor did not reduce cold evaluations on the exact workload (%d vs %d)", corrExact.cold, jitExact.cold)
-	}
-	for _, o := range []outcome{onDemand, jitExact, jitNoisy} {
-		if o.hits != 0 || o.mispredicts != 0 {
-			t.Errorf("corridor-less arm %s carries corridor artifacts: %+v", o.label, o)
-		}
-	}
-	if onDemand.late == 0 {
-		t.Error("on-demand baseline shows no late periods; the comparison is vacuous")
-	}
-	if jitNoisy.prefetched == 0 || jitExact.prefetched == 0 {
-		t.Error("prefetching arms served no prefetched readings")
-	}
-}
-
-// TestCorridorTightBoundMispredicts pins the mispredict path at figure
-// level: squeezing the noisy arms' inflation below the predictor's real
-// error forces mispredicts, every one of which re-plans (replans grow with
-// them), while exact arms stay clean.
-func TestCorridorTightBoundMispredicts(t *testing.T) {
-	sc := smallCorridor()
-	sc.bound = 8 // far below the ~35 m practical bound
-	res, err := runCorridor(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrNoisy, corrExact := res.arm("jit+corridor/noisy"), res.arm("jit+corridor/exact")
-	if corrNoisy.mispredicts == 0 {
-		t.Error("a tight bound over noisy profiles produced no mispredicts")
-	}
-	loose, err := runCorridor(smallCorridor())
-	if err != nil {
-		t.Fatal(err)
-	}
-	looseNoisy := loose.arm("jit+corridor/noisy")
-	if corrNoisy.replans-looseNoisy.replans < corrNoisy.mispredicts-looseNoisy.mispredicts {
-		t.Errorf("mispredicts (%d) did not all re-plan (replans %d vs loose %d/%d)",
-			corrNoisy.mispredicts, corrNoisy.replans, looseNoisy.mispredicts, looseNoisy.replans)
-	}
-	if corrExact.mispredicts != 0 {
-		t.Errorf("exact profiles mispredicted %d times under a bound that only squeezes noise", corrExact.mispredicts)
-	}
-}
-
 // TestPyramidFigureServesFromThePyramid pins the pyramid figure's gate: both
 // arms are served wholly by the Service's tile pyramid, never by falling back
 // cold, and the windowed arm really merges periods. Pyramid == flat scan bit
@@ -416,7 +315,6 @@ func TestScenarioDigestsInvariant(t *testing.T) {
 	}{
 		{"churn", smallChurn, runChurn},
 		{"prefetch", smallPrefetch, runPrefetch},
-		{"corridor", smallCorridor, runCorridor},
 		{"pyramid", smallPyramid, runPyramid},
 	}
 	// ledger is an outcome without its wall-clock reading and without the

@@ -32,7 +32,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mobiquery-experiments", flag.ContinueOnError)
 	var (
-		fig     = fs.String("fig", "all", "which artifact to reproduce: 4, 5, 6, 7, 8, warmup, ablation, scale, churn, prefetch, corridor, pyramid, or all")
+		fig     = fs.String("fig", "all", "which artifact to reproduce: 4, 5, 6, 7, 8, warmup, ablation, scale, churn, prefetch, pyramid, or all")
 		runs    = fs.Int("runs", 0, "topologies per data point (0 = paper's count)")
 		scale   = fs.Float64("scale", 1, "session length scale factor (1 = paper durations)")
 		seed    = fs.Int64("seed", 1, "base seed")
@@ -138,7 +138,7 @@ func printScale(seed int64, users, nodes, workers int) error {
 	return nil
 }
 
-// temporalFigure is one of the churn, prefetch, corridor and pyramid figures
+// temporalFigure is one of the churn, prefetch and pyramid figures
 // as the command prints it: its scenario (the flags write into it), its
 // banner, its table, and its headline checks with the summary lines they
 // earn.
@@ -195,7 +195,6 @@ func printTemporal(f temporalFigure, seed int64, users, nodes, workers int) erro
 var temporalFigures = map[string]func() temporalFigure{
 	"churn":    churnFigure,
 	"prefetch": prefetchFigure,
-	"corridor": corridorFigure,
 	"pyramid":  pyramidFigure,
 }
 
@@ -254,48 +253,6 @@ func prefetchFigure() temporalFigure {
 			}
 			fmt.Printf("  digests invariant to Workers; prefetching cut late periods %d -> %d (jit) / %d (greedy) in %v\n",
 				od.late, jit.late, greedy.late, ms(res.elapsed))
-			return nil
-		},
-	}
-}
-
-// corridorFigure is the corridor comparison — exact vs noisy motion
-// profiles, with and without the spatial corridor cache: the warm path must
-// never change results (corridor/exact matches jit/exact bit for bit), and
-// the figure reports staged-hit and mispredict rates plus each arm's Advance
-// wall time per delivered period, staging included.
-func corridorFigure() temporalFigure {
-	sc := defaultCorridor()
-	return temporalFigure{
-		sc: &sc,
-		banner: func() string {
-			return fmt.Sprintf("corridor scenario: %d turning users on a %d-node field (%v session, Tperiod=%v, duty cycle %v, GPS %v/%vm, lookahead %d)",
-				sc.users, sc.net.Nodes, sc.duration, sc.spec.Period, sc.net.SamplePeriod, corridorGPSSampling, sc.gpsError, sc.lookahead)
-		},
-		run: func() (result, error) { return runCorridor(sc) },
-		header: fmt.Sprintf("  %-20s %8s %6s %7s %9s %10s %8s %8s %8s %8s %10s  %s",
-			"arm", "periods", "late", "warmup", "stale", "prefetched", "hits", "cold", "mispred", "replans", "advance-ns", "digest"),
-		rowFormat: "  %-20s %8d %6d %7d %9d %10d %8d %8d %8d %8d %10.0f  %#x\n",
-		row: func(o outcome) []any {
-			return []any{o.label, o.periods, o.late, o.warmup, o.stale,
-				o.prefetched, o.hits, o.cold, o.mispredicts, o.replans, o.advanceNs(), o.digest}
-		},
-		check: func(res result) error {
-			jitExact, jitNoisy := res.arm("jit/exact"), res.arm("jit/noisy")
-			corrExact, corrNoisy := res.arm("jit+corridor/exact"), res.arm("jit+corridor/noisy")
-			if corrExact.digest != jitExact.digest {
-				return fmt.Errorf("corridor changed exact-profile results (%#x vs %#x) — warm path not bit-identical", corrExact.digest, jitExact.digest)
-			}
-			if corrNoisy.hits == 0 || corrExact.hits == 0 {
-				return fmt.Errorf("corridor arms served no warm periods — staging bug")
-			}
-			if corrNoisy.cold >= jitNoisy.cold {
-				return fmt.Errorf("corridor did not reduce cold evaluations on the noisy workload (%d vs %d)", corrNoisy.cold, jitNoisy.cold)
-			}
-			fmt.Printf("  digests invariant to Workers; corridor/exact == jit/exact (warm path bit-identical)\n")
-			fmt.Printf("  noisy workload: staged-hit rate %.0f%%, mispredict rate %.1f%%, cold evaluations %d -> %d, in %v\n",
-				100*float64(corrNoisy.hits)/float64(corrNoisy.periods), 100*float64(corrNoisy.mispredicts)/float64(corrNoisy.periods),
-				jitNoisy.cold, corrNoisy.cold, ms(res.elapsed))
 			return nil
 		},
 	}

@@ -44,15 +44,6 @@ func TestRunPrefetchScenarioSmall(t *testing.T) {
 	}
 }
 
-func TestRunCorridorScenarioSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the corridor scenario")
-	}
-	if err := run([]string{"-fig", "corridor", "-users", "10", "-nodes", "2000"}); err != nil {
-		t.Fatalf("run failed: %v", err)
-	}
-}
-
 func TestRunPyramidScenarioSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the pyramid scenario")

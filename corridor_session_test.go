@@ -1,10 +1,11 @@
 package mobiquery
 
-// Session-path tests of corridor prefetching: warm serves are bit-identical
-// to cold scans, a zero lookahead is exactly the pre-corridor behavior,
-// results are invariant to engine sizing, and noisy GPS-predicted motion
-// produces mispredicts that re-plan immediately while keeping honest
-// accounting.
+// Session-path tests of QuerySpec.Corridor, which the service validates and
+// otherwise ignores: a spec with a corridor streams exactly what the same
+// spec without one streams, at any engine sizing, and is refused where it
+// always was. Also the profile sources' own contracts: PlannedMotion
+// follows its course and re-plans once per leg, and GPSPredictedMotion
+// refuses bad configurations.
 
 import (
 	"context"
@@ -12,95 +13,100 @@ import (
 	"time"
 )
 
-// corridorSpec is prefetchSpec plus a corridor: 3 boundaries of lookahead
-// under a small error bound (the synthesized profiles of plain motion
-// sources are exact up to float noise).
+// corridorSpec is prefetchSpec plus a corridor of lookahead boundaries under
+// a small error bound.
 func corridorSpec(lookahead int) QuerySpec {
 	spec := prefetchSpec(JITStrategy())
 	spec.Corridor = CorridorSpec{Lookahead: lookahead, ErrorModel: ErrorModel{Base: 2}}
 	return spec
 }
 
-// stripCorridorHit zeroes the one field allowed to differ between a warm
-// and a cold serve.
-func stripCorridorHit(rs []QueryResult) []QueryResult {
-	out := append([]QueryResult(nil), rs...)
-	for i := range out {
-		out[i].CorridorHit = false
-	}
-	return out
-}
-
-// TestCorridorWarmServesIdenticalResults runs a corridor subscription and a
-// plain-JIT twin over the same service and clock: every period's values
-// must match exactly (the corridor only changes how nodes are enumerated),
-// the corridor twin must actually serve warm periods, and its ledger must
-// show them.
+// TestCorridorWarmServesIdenticalResults pins that a corridor changes
+// nothing a subscriber sees: JIT subscriptions over PlannedMotion's exact
+// per-leg profiles and over GPSPredictedMotion's noisy ones, each with and
+// without a corridor, stream equal results field for field — CorridorHit
+// included, never set — and equal PrefetchStats, at Workers 1 and 4. Every
+// period is classed planned; the corridor class stays 0 in the metrics. The
+// legs outlast the equation-10 margin, so plans serve prefetched readings.
 func TestCorridorWarmServesIdenticalResults(t *testing.T) {
-	svc, err := Open(context.Background(), sleepyNetwork(), WithResultBuffer(64))
+	course := CourseConfig{Seed: 7, RegionSide: 450, Start: Pt(220, 220), SpeedMin: 3, SpeedMax: 5,
+		ChangeInterval: 10 * time.Second, Duration: 90 * time.Second}
+	planned, err := PlannedMotion(course)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Close()
-	motion := func() MotionSource { return LinearMotion(Pt(200, 200), 2, 1) }
-	plain, err := svc.Subscribe(context.Background(), prefetchSpec(JITStrategy()), motion())
+	gps, err := GPSPredictedMotion(course, GPSConfig{Seed: 11, Sampling: 2 * time.Second, Error: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := svc.Subscribe(context.Background(), corridorSpec(3), motion())
-	if err != nil {
-		t.Fatal(err)
+	type stream struct {
+		results []QueryResult
+		stats   PrefetchStats
 	}
-	for i := 0; i < 100; i++ {
-		if err := svc.Advance(300 * time.Millisecond); err != nil {
+	run := func(src ProfileSource, workers int, corridor bool) stream {
+		nc := sleepyNetwork()
+		nc.Service = ServiceConfig{Workers: workers}
+		svc, err := Open(context.Background(), nc, WithResultBuffer(128))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	pr, wr := drain(plain), drain(warm)
-	if len(pr) != 30 || len(wr) != 30 {
-		t.Fatalf("streamed %d/%d periods, want 30 each", len(pr), len(wr))
-	}
-	hits := 0
-	for i := range wr {
-		if wr[i].CorridorHit {
-			hits++
+		defer svc.Close()
+		spec := prefetchSpec(JITStrategy())
+		if corridor {
+			spec = corridorSpec(3)
 		}
-		stripped := wr[i]
-		stripped.CorridorHit = false
-		if stripped != pr[i] {
-			t.Fatalf("period %d diverged between corridor and plain JIT:\nwarm %+v\ncold %+v", i+1, wr[i], pr[i])
+		sub, err := svc.Subscribe(context.Background(), spec, src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pr[i].CorridorHit {
-			t.Fatalf("period %d: corridor-less subscription reports a hit", i+1)
+		for i := 0; i < 90; i++ {
+			if err := svc.Advance(time.Second); err != nil {
+				t.Fatal(err)
+			}
 		}
+		st, ok := sub.PrefetchStats()
+		if !ok {
+			t.Fatal("JIT subscription has no prefetch stats")
+		}
+		class := func(c string) uint64 {
+			return svc.Metrics().Counter("mobiquery_periods_evaluated_total", `class="`+c+`"`, "").Load()
+		}
+		if n, plan := class("corridor"), class("planned"); n != 0 || plan != 90 {
+			t.Fatalf("workers=%d corridor=%v: %d corridor and %d planned periods, want 0 and 90", workers, corridor, n, plan)
+		}
+		return stream{drain(sub), st}
 	}
-	if hits == 0 {
-		t.Fatal("corridor subscription never served a warm period")
-	}
-	st, ok := warm.PrefetchStats()
-	if !ok {
-		t.Fatal("corridor subscription has no planner stats")
-	}
-	if st.CorridorHits != int64(hits) {
-		t.Errorf("ledger hits = %d, results show %d", st.CorridorHits, hits)
-	}
-	if st.CorridorHits+st.CorridorMisses != 30 {
-		t.Errorf("hits %d + misses %d != 30 evaluations", st.CorridorHits, st.CorridorMisses)
-	}
-	if st.CorridorStaged == 0 {
-		t.Error("ledger shows no staged boundaries")
-	}
-	if st.CorridorMispredicts != 0 {
-		t.Errorf("exact synthesized profiles produced %d mispredicts", st.CorridorMispredicts)
-	}
-	if pst, _ := plain.PrefetchStats(); pst.CorridorHits != 0 || pst.CorridorStaged != 0 {
-		t.Errorf("plain subscription carries corridor counters: %+v", pst)
+	for _, m := range []struct {
+		name string
+		src  ProfileSource
+	}{{"planned", planned}, {"gps", gps}} {
+		ref := run(m.src, 1, false)
+		if len(ref.results) != 90 || ref.stats.Served == 0 || ref.stats.Replans == 0 {
+			t.Fatalf("%s: %d results, ledger %+v; want 90 results, re-planned and served in part from prefetch", m.name, len(ref.results), ref.stats)
+		}
+		for _, workers := range []int{1, 4} {
+			for _, corridor := range []bool{false, true} {
+				got := run(m.src, workers, corridor)
+				if got.stats != ref.stats {
+					t.Errorf("%s workers=%d corridor=%v: stats %+v, want %+v", m.name, workers, corridor, got.stats, ref.stats)
+				}
+				if len(got.results) != len(ref.results) {
+					t.Fatalf("%s workers=%d corridor=%v: %d results, want %d", m.name, workers, corridor, len(got.results), len(ref.results))
+				}
+				for i := range got.results {
+					if got.results[i] != ref.results[i] {
+						t.Fatalf("%s workers=%d corridor=%v: period %d diverged:\n got %+v\nwant %+v", m.name, workers, corridor, i+1, got.results[i], ref.results[i])
+					}
+				}
+			}
+		}
 	}
 }
 
-// TestCorridorLookaheadZeroIsDisabled pins the nil-hook contract: a spec
-// with Corridor.Lookahead 0 behaves exactly like one without a corridor —
-// same results, no corridor counters.
+// TestCorridorLookaheadZeroIsDisabled pins the zero corridor on a motion
+// source whose profile the service synthesizes: a spec with
+// Corridor.Lookahead 0 behaves exactly like one without a corridor — same
+// results, same ledger.
 func TestCorridorLookaheadZeroIsDisabled(t *testing.T) {
 	run := func(spec QuerySpec) ([]QueryResult, PrefetchStats) {
 		svc, err := Open(context.Background(), sleepyNetwork(), WithResultBuffer(64))
@@ -138,9 +144,8 @@ func TestCorridorLookaheadZeroIsDisabled(t *testing.T) {
 }
 
 // TestCorridorInvariantAcrossEngineSizing extends the concurrency
-// invariant to the corridor path: worker counts never change a
-// corridor subscription's results — including which periods were served
-// warm.
+// invariant to specs with a corridor: worker counts never change their
+// results, none of which reports a corridor hit.
 func TestCorridorInvariantAcrossEngineSizing(t *testing.T) {
 	run := func(workers int) []QueryResult {
 		nc := sleepyNetwork()
@@ -172,14 +177,10 @@ func TestCorridorInvariantAcrossEngineSizing(t *testing.T) {
 		return all
 	}
 	ref := run(0)
-	warmRef := 0
-	for _, r := range ref {
+	for i, r := range ref {
 		if r.CorridorHit {
-			warmRef++
+			t.Fatalf("result %d reports a corridor hit", i)
 		}
-	}
-	if warmRef == 0 {
-		t.Fatal("reference run served no warm periods; the invariance check is vacuous")
 	}
 	for _, workers := range []int{1, 3} {
 		got := run(workers)
@@ -194,74 +195,10 @@ func TestCorridorInvariantAcrossEngineSizing(t *testing.T) {
 	}
 }
 
-// TestGPSPredictedMotionMispredicts drives a corridor subscription from a
-// noisy GPS predictor over a turning course with a deliberately tight
-// error model: straight stretches serve warm, sharp prediction misses are
-// detected as mispredicts (served cold, with an immediate re-plan), and
-// the stream never wedges.
-func TestGPSPredictedMotionMispredicts(t *testing.T) {
-	src, err := GPSPredictedMotion(CourseConfig{
-		Seed:           7,
-		RegionSide:     450,
-		Start:          Pt(220, 220),
-		SpeedMin:       3,
-		SpeedMax:       5,
-		ChangeInterval: 5 * time.Second,
-		Duration:       90 * time.Second,
-	}, GPSConfig{Seed: 11, Sampling: 2 * time.Second, Error: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := Open(context.Background(), sleepyNetwork(), WithResultBuffer(128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	spec := prefetchSpec(JITStrategy())
-	spec.Corridor = CorridorSpec{Lookahead: 3, ErrorModel: ErrorModel{Base: 25}}
-	sub, err := svc.Subscribe(context.Background(), spec, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 90; i++ {
-		if err := svc.Advance(time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	results := drain(sub)
-	if len(results) != 90 {
-		t.Fatalf("streamed %d periods, want 90", len(results))
-	}
-	st, ok := sub.PrefetchStats()
-	if !ok {
-		t.Fatal("no planner stats")
-	}
-	if st.CorridorHits == 0 {
-		t.Error("noisy predictions never served a warm period; the model is uselessly tight")
-	}
-	if st.CorridorMispredicts == 0 {
-		t.Error("a tight model over noisy predictions produced no mispredicts; the detection path is untested")
-	}
-	if st.Replans == 0 {
-		t.Error("neither the predictor stream nor mispredicts re-planned")
-	}
-	// Honest accounting: a fully staged, credited period is warm; the
-	// ledger's warm count matches the per-result flags.
-	hits := 0
-	for _, r := range results {
-		if r.CorridorHit {
-			hits++
-		}
-	}
-	if int64(hits) != st.CorridorHits {
-		t.Errorf("per-result warm count %d vs ledger %d", hits, st.CorridorHits)
-	}
-}
-
-// TestPlannedMotionNeverMispredicts drives the same course as the GPS test
-// from PlannedMotion's exact per-leg profiles: positions follow the course,
-// every leg re-plans once, and a corridor of two meters serves warm without
-// a single mispredict. A bad course is refused as GPSPredictedMotion
+// TestPlannedMotionNeverMispredicts drives a course from PlannedMotion's
+// exact per-leg profiles: positions follow the course GPSPredictedMotion
+// lays its noisy predictions over, and the plan is replaced once per leg
+// and at no other boundary. A bad course is refused as GPSPredictedMotion
 // refuses it.
 func TestPlannedMotionNeverMispredicts(t *testing.T) {
 	course := CourseConfig{Seed: 7, RegionSide: 450, Start: Pt(220, 220), SpeedMin: 3, SpeedMax: 5,
@@ -284,9 +221,7 @@ func TestPlannedMotionNeverMispredicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	spec := prefetchSpec(JITStrategy())
-	spec.Corridor = CorridorSpec{Lookahead: 3, ErrorModel: ErrorModel{Base: 2}}
-	sub, err := svc.Subscribe(context.Background(), spec, src)
+	sub, err := svc.Subscribe(context.Background(), prefetchSpec(JITStrategy()), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +231,8 @@ func TestPlannedMotionNeverMispredicts(t *testing.T) {
 		}
 	}
 	st, ok := sub.PrefetchStats()
-	if !ok || st.CorridorHits == 0 || st.CorridorMispredicts != 0 {
-		t.Fatalf("planned corridor ledger %+v/%v: want warm periods and no mispredict", st, ok)
+	if !ok {
+		t.Fatal("JIT subscription has no prefetch stats")
 	}
 	if legs := int(course.Duration / course.ChangeInterval); st.Replans != legs-1 {
 		t.Errorf("%d replans, want one per leg after the first (%d)", st.Replans, legs-1)
@@ -350,50 +285,5 @@ func TestCorridorRequiresPrefetchingStrategy(t *testing.T) {
 	spec.Corridor = CorridorSpec{Lookahead: 2, ErrorModel: ErrorModel{Base: -1}}
 	if _, err := svc.Subscribe(context.Background(), spec, StaticPosition(Pt(225, 225))); err == nil {
 		t.Error("negative error model accepted")
-	}
-}
-
-// TestCorridorReplanRacesAdvance hammers waypoint updates (which re-sweep
-// the corridor) against the service clock; run under -race. The stream
-// must keep delivering and the ledger must stay coherent.
-func TestCorridorReplanRacesAdvance(t *testing.T) {
-	svc, err := Open(context.Background(), sleepyNetwork(), WithResultBuffer(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	var subs []*Subscription
-	for i := 0; i < 6; i++ {
-		sub, err := svc.Subscribe(context.Background(), corridorSpec(3),
-			LinearMotion(Pt(120+30*float64(i), 200), 2, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs = append(subs, sub)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 150; i++ {
-			sub := subs[i%len(subs)]
-			if err := sub.UpdateWaypoint(Pt(150+float64(i), 210)); err != nil {
-				return
-			}
-		}
-	}()
-	for i := 0; i < 60; i++ {
-		if err := svc.Advance(300 * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-done
-	for _, sub := range subs {
-		if sub.Stats().Delivered == 0 {
-			t.Fatal("stream wedged under concurrent corridor replans")
-		}
-		st, ok := sub.PrefetchStats()
-		if !ok || st.CorridorStaged == 0 {
-			t.Fatalf("corridor ledger empty under churn: %+v/%v", st, ok)
-		}
 	}
 }

@@ -43,9 +43,9 @@ func (c EngineConfig) Validate() error {
 // per-query operations are methods on it, so a driver that keeps the handle
 // never resolves an id (the id-keyed engine methods resolve once and delegate
 // here). One mutex (Lock) guards all mutable state, the query's and its
-// owner's session state beside it — a Subscription's prefetch planner and
-// corridor cache included, which have no lock of their own: a period is one
-// lock acquisition, and evaluations of distinct queries never contend.
+// owner's session state beside it — a Subscription's prefetch planner
+// included, which has no lock of its own: a period is one lock acquisition,
+// and evaluations of distinct queries never contend.
 type Query struct {
 	id uint32
 	// slot is the query's index in its schedule bucket plus one: 0 while

@@ -17,7 +17,8 @@ const (
 	// its plan (readings staged in time, enumeration still by index).
 	ClassPlanned
 	// ClassCorridor is a period served warm from a staged corridor
-	// snapshot.
+	// snapshot. The session stages none, so its count reads 0; the label
+	// stays in the exposition.
 	ClassCorridor
 	// ClassPyramid is a period answered from the aggregate tile pyramid.
 	ClassPyramid

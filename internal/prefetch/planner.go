@@ -344,19 +344,6 @@ type Stats struct {
 	// last evaluated boundary — the live equation-11/12 storage. A bare
 	// Planner does not know that boundary; Subscription.PrefetchStats fills it.
 	Outstanding int
-
-	// The corridor counters describe the subscription's spatial corridor
-	// cache when one is attached; Subscription.PrefetchStats fills them from
-	// corridor.Cache.Stats (the planner itself never touches them, so they
-	// stay zero on a bare Planner). CorridorHits counts periods served
-	// from a warm staged buffer, CorridorMisses cold-scan fallbacks,
-	// CorridorMispredicts boundaries at which the user's actual position
-	// escaped the corridor (each of which forced an immediate re-plan),
-	// and CorridorStaged snapshots built over the subscription's lifetime.
-	CorridorHits        int64
-	CorridorMisses      int64
-	CorridorMispredicts int64
-	CorridorStaged      int64
 }
 
 // Stats returns the planner's ledger snapshot.

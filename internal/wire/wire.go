@@ -81,9 +81,9 @@ type Spec struct {
 	// "greedy"; Lookahead is greedy's chains-ahead window (0 = minimal).
 	Strategy  string `json:"strategy,omitempty"`
 	Lookahead int    `json:"lookahead,omitempty"`
-	// CorridorLookahead enables spatial corridor prefetching that many
-	// period boundaries ahead (requires a prefetching Strategy);
-	// ErrBaseM/ErrGrowthMPS are the corridor's location-error model.
+	// CorridorLookahead and ErrBaseM/ErrGrowthMPS are QuerySpec.Corridor:
+	// checked as before (the lookahead requires a prefetching Strategy),
+	// and otherwise ignored by the service.
 	CorridorLookahead int     `json:"corridor_lookahead,omitempty"`
 	ErrBaseM          float64 `json:"err_base_m,omitempty"`
 	ErrGrowthMPS      float64 `json:"err_growth_mps,omitempty"`
@@ -111,8 +111,9 @@ var aggNames = map[string]mobiquery.AggKind{
 
 // Bounds on what one subscribe body can make the server build, each far
 // past what a session needs: a result window aggregates at most MaxWindow
-// periods, a corridor stages at most MaxCorridorLookahead boundaries (at
-// Subscribe, under the service lock), and a course motion lasts at most
+// periods, a corridor lookahead is at most MaxCorridorLookahead boundaries
+// (the service ignores the corridor, but a body past it is still refused),
+// and a course motion lasts at most
 // MaxCourseDuration and takes at most MaxCourseSteps legs (duration /
 // change interval), GPS samples (duration / sampling period) and wall
 // reflections (about top speed × duration / region side). A period is at
@@ -462,30 +463,22 @@ func FromServiceStats(st mobiquery.ServiceStats) ServiceStats {
 	}
 }
 
-// PrefetchStats is the planner/corridor ledger on the wire, attached to
-// the per-subscription stats endpoint for prefetching subscriptions.
+// PrefetchStats is the planner ledger on the wire, attached to the
+// per-subscription stats endpoint for prefetching subscriptions.
 type PrefetchStats struct {
-	Strategy            string `json:"strategy"`
-	Replans             int    `json:"replans"`
-	Served              int64  `json:"served"`
-	WarmupUntilNS       int64  `json:"warmup_until_ns"`
-	CorridorHits        int64  `json:"corridor_hits,omitempty"`
-	CorridorMisses      int64  `json:"corridor_misses,omitempty"`
-	CorridorMispredicts int64  `json:"corridor_mispredicts,omitempty"`
-	CorridorStaged      int64  `json:"corridor_staged,omitempty"`
+	Strategy      string `json:"strategy"`
+	Replans       int    `json:"replans"`
+	Served        int64  `json:"served"`
+	WarmupUntilNS int64  `json:"warmup_until_ns"`
 }
 
 // FromPrefetchStats renders the planner ledger for the wire.
 func FromPrefetchStats(st mobiquery.PrefetchStats) PrefetchStats {
 	return PrefetchStats{
-		Strategy:            st.Strategy.String(),
-		Replans:             st.Replans,
-		Served:              st.Served,
-		WarmupUntilNS:       int64(st.WarmupUntil),
-		CorridorHits:        st.CorridorHits,
-		CorridorMisses:      st.CorridorMisses,
-		CorridorMispredicts: st.CorridorMispredicts,
-		CorridorStaged:      st.CorridorStaged,
+		Strategy:      st.Strategy.String(),
+		Replans:       st.Replans,
+		Served:        st.Served,
+		WarmupUntilNS: int64(st.WarmupUntil),
 	}
 }
 

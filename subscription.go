@@ -41,39 +41,20 @@ func GreedyStrategy(lookahead int) Strategy {
 	return Strategy{Kind: prefetch.Greedy, Lookahead: lookahead}
 }
 
-// ErrorModel bounds the location error of a subscription's predicted
-// positions: a fixed Base (meters) plus Growth (meters per second) of
-// prediction age. The corridor inflates every predicted query circle by
-// the bound; an actual position escaping it is a mispredict.
+// ErrorModel bounds the location error of predicted positions: a fixed
+// Base (meters) plus Growth (meters per second) of prediction age.
 type ErrorModel = corridor.ErrorModel
 
-// GPSErrorModel returns the ErrorModel covering a GPS predictor with the
-// given per-reading error radius, re-profiling threshold (0 selects the
-// predictor default), maximum user speed, and sampling period — the safe
-// corridor inflation for subscriptions driven by GPSPredictedMotion.
-func GPSErrorModel(err, threshold, maxSpeed float64, sampling time.Duration) ErrorModel {
-	return corridor.GPSErrorModel(err, threshold, maxSpeed, sampling)
-}
-
-// CorridorSpec configures spatial corridor prefetching (QuerySpec.Corridor):
-// the service sweeps the subscription's predicted query area over the next
-// Lookahead period boundaries into an error-inflated corridor of spatial-
-// index cells and stages per-boundary node snapshots ahead of each
-// boundary, so staged periods are evaluated from warm, contiguous buffers
-// instead of cold index scans. Results are bit-identical either way — a
-// snapshot is served only when it provably covers the user's actual query
-// circle on an unchanged node index; anything else (including a mispredict,
-// which also forces an immediate re-plan from ground truth) falls back to
-// the cold scan.
+// CorridorSpec is QuerySpec.Corridor, a spatial corridor of node snapshots
+// staged along the predicted path. QuerySpec.Validate checks it and the
+// service ignores it: a staged period costs more than the cold scan it
+// replaces, for bit-identical results.
 type CorridorSpec struct {
-	// Lookahead is how many period boundaries ahead the corridor stages.
-	// Zero disables the corridor entirely — the exact pre-corridor
-	// behavior. Requires a prefetching Strategy when positive.
+	// Lookahead counts the period boundaries staged ahead. It must be
+	// non-negative, and positive only with a prefetching Strategy.
 	Lookahead int
-	// ErrorModel bounds the prediction error the corridor absorbs. The
-	// zero model trusts predictions exactly: any deviation of the actual
-	// position from the predicted one is a mispredict. Subscriptions fed
-	// by noisy predictors should use GPSErrorModel or a custom bound.
+	// ErrorModel bounds the prediction error the corridor absorbs; it must
+	// be valid.
 	ErrorModel ErrorModel
 }
 
@@ -105,8 +86,9 @@ type QuerySpec struct {
 	// (JITStrategy, GreedyStrategy). The zero value keeps on-demand
 	// sampling — exactly the pre-strategy behavior.
 	Strategy Strategy
-	// Corridor enables spatial corridor prefetching on top of the
-	// Strategy's temporal staging. The zero value disables it.
+	// Corridor is ignored; goes with ROADMAP 25/6(b). The field stays, and
+	// Validate still checks it, because the repository benchmark sets it:
+	// a spec that was accepted or refused is accepted or refused as before.
 	Corridor CorridorSpec
 	// Window widens each result to an aggregate over the last Window query
 	// periods: the kth result merges the Window most recent single-period
@@ -203,9 +185,9 @@ func LinearMotion(start Point, vx, vy float64) MotionSource {
 // predicted motion profiles — typically a history-based predictor whose
 // predictions carry location error, as opposed to the exact profiles the
 // service otherwise synthesizes from the source's positions. A prefetching
-// subscription backed by a ProfileSource plans (and, with a Corridor,
-// stages) from the predictions while its actual positions keep following
-// PositionAt — the paper's Section 6.3 location-error setting, live.
+// subscription backed by a ProfileSource plans from the predictions while
+// its actual positions keep following PositionAt — the paper's Section 6.3
+// location-error setting, live.
 //
 // The interface is sealed: construct implementations with PlannedMotion
 // or GPSPredictedMotion.
@@ -272,9 +254,8 @@ func newCourse(course CourseConfig) (mobility.Course, error) {
 // PlannedMotion returns a ProfileSource whose predictions are exact: one
 // profile per leg of a random-direction course, each delivered the instant
 // its leg begins (the discrete-event Planner profiler with no advance time).
-// A prefetching subscription over it plans every leg from the truth, so a
-// Corridor with a few meters of ErrorModel never mispredicts. The source is
-// deterministic in its seed.
+// A prefetching subscription over it plans every leg from the truth. The
+// source is deterministic in its seed.
 func PlannedMotion(course CourseConfig) (ProfileSource, error) {
 	c, err := newCourse(course)
 	if err != nil {
@@ -287,9 +268,8 @@ func PlannedMotion(course CourseConfig) (ProfileSource, error) {
 // random-direction course while its predictions come from a noisy GPS
 // predictor — actual positions and predicted profiles deliberately
 // disagree, within gps.Error and the predictor's threshold. Pair it with a
-// prefetching Strategy and a Corridor whose ErrorModel covers the
-// predictor (see GPSErrorModel) to exercise spatial prefetching under
-// location error. The source is deterministic in its seeds.
+// prefetching Strategy to plan under location error. The source is
+// deterministic in its seeds.
 func GPSPredictedMotion(course CourseConfig, gps GPSConfig) (ProfileSource, error) {
 	c, err := newCourse(course)
 	if err != nil {
@@ -409,26 +389,23 @@ type Subscription struct {
 	q core.Query
 
 	// The query's serve machinery, wired to q's hooks once by attach: a
-	// prefetching spec's planner and, with a corridor, its cache; an
-	// on-demand spec's shared pyramid, when its boundary class uses one. Each
-	// is nil when unused. Neither the planner nor the cache has a lock: after
-	// attach, every call into them is made under q's lock — serve drives them
-	// around every evaluation (before, after), UpdateWaypoint and
-	// PrefetchStats take the hold too. Advance ingests the pyramid's epoch
-	// before its fan-out.
+	// prefetching spec's planner; an on-demand spec's shared pyramid, when
+	// its boundary class uses one. Each is nil when unused. The planner has
+	// no lock: after attach, every call into it is made under q's lock —
+	// serve drives it around every evaluation (before, after),
+	// UpdateWaypoint and PrefetchStats take the hold too. Advance ingests
+	// the pyramid's epoch before its fan-out.
 	planner *prefetch.Planner
-	cache   *corridor.Cache
 	pyramid *pyramid.Pyramid
 	// stream is a ProfileSource's predicted-profile stream on the service
 	// clock, next its first undelivered index. Read and advanced by before,
 	// under q's lock.
 	stream []mobility.TimedProfile
 	next   int
-	// lastPos/lastAt are the latest ground-truth observation — where the
-	// query registered, then each evaluated boundary — from which a
-	// mispredict correction takes its velocity. Under q's lock once attached.
-	lastPos Point
-	lastAt  time.Duration
+	// lastAt is the latest evaluated boundary (the subscription instant
+	// before the first), at which PrefetchStats counts outstanding chains.
+	// Under q's lock once attached.
+	lastAt time.Duration
 
 	// trace is the fixed-depth ring of recent period lifecycle spans
 	// (TraceSpans), held in place with its storage allocated once at
@@ -573,17 +550,16 @@ func (sub *Subscription) UpdateWaypoint(p Point) error {
 		return fmt.Errorf("mobiquery: subscription %d is closed", sub.id)
 	}
 	if sub.planner != nil {
-		sub.replan(lineProfile(p, vel, now, period), now)
+		sub.planner.Replan(lineProfile(p, vel, now, period), now)
 	}
 	sub.manual = &p
 	sub.manualAt = now
 	return nil
 }
 
-// PrefetchStats returns the prefetch planner's ledger, including the
-// corridor cache's hit/mispredict counters when the spec asked for a
-// corridor and the chains outstanding at the last evaluated boundary; ok is
-// false for on-demand subscriptions, which have no planner.
+// PrefetchStats returns the prefetch planner's ledger, with the chains
+// outstanding at the last evaluated boundary; ok is false for on-demand
+// subscriptions, which have no planner.
 func (sub *Subscription) PrefetchStats() (PrefetchStats, bool) {
 	// Under the query lock: serve settles each period's boundary under it.
 	sub.q.Lock()
@@ -593,13 +569,6 @@ func (sub *Subscription) PrefetchStats() (PrefetchStats, bool) {
 	}
 	st := sub.planner.Stats()
 	st.Outstanding = sub.planner.Outstanding(sub.lastAt)
-	if sub.cache != nil {
-		cs := sub.cache.Stats()
-		st.CorridorHits = cs.Hits
-		st.CorridorMisses = cs.Misses
-		st.CorridorMispredicts = cs.Mispredicts
-		st.CorridorStaged = cs.StagedBoundaries
-	}
 	return st, true
 }
 
@@ -711,7 +680,7 @@ func (sub *Subscription) serve(due time.Duration, pos Point, now time.Duration, 
 	// The serve classes partition evaluated periods, so the per-class
 	// counters sum to the delivery ledger (delivered + dropped) and to the
 	// spans published, at rest and under churn.
-	class := sub.after(&wr, pos)
+	class := sub.after(&wr)
 	l.periods[class]++
 	l.eval[class].Observe(evalEndNS - evalStartNS)
 	// A catch-up period (armed by the previous iteration of this very
@@ -776,7 +745,7 @@ func (sub *Subscription) serve(due time.Duration, pos Point, now time.Duration, 
 // motion source. On error q is left unwired.
 func (sub *Subscription) attach(pos Point) error {
 	s, spec := sub.svc, sub.spec
-	sub.lastPos, sub.lastAt = pos, sub.t0
+	sub.lastAt = sub.t0
 	if spec.Strategy.Prefetching() {
 		var profile mobility.Profile
 		if ps, ok := sub.src.(ProfileSource); ok {
@@ -807,20 +776,6 @@ func (sub *Subscription) attach(pos Point) error {
 		if err != nil {
 			return err
 		}
-		if spec.Corridor.Lookahead > 0 {
-			sub.cache, err = corridor.NewCache(corridor.Config{
-				Lookahead: spec.Corridor.Lookahead,
-				Model:     spec.Corridor.ErrorModel,
-				Radius:    spec.Radius,
-				Period:    spec.Period,
-				T0:        sub.t0,
-			}, s.engine.Index())
-			if err != nil {
-				return err
-			}
-			sub.cache.SetProfile(profile, sub.t0)
-			sub.q.SetWarmer(sub.cache)
-		}
 		sub.q.SetSampler(sub.planner.Sampler(s.sample))
 		sub.q.SetPlan(sub.planner)
 	}
@@ -831,61 +786,33 @@ func (sub *Subscription) attach(pos Point) error {
 }
 
 // before prepares the boundary at due, under q's lock: predictions delivered
-// by then govern its plan and corridor, so each is installed, once and in
-// delivery order. The boundary's pyramid epoch is Advance's to ingest, before
-// the fan-out.
+// by then govern its plan, so each is installed, once and in delivery order —
+// re-dispatching chains and restarting the equation-16 warmup clock. The
+// boundary's pyramid epoch is Advance's to ingest, before the fan-out.
 func (sub *Subscription) before(due time.Duration) {
 	for sub.next < len(sub.stream) && sub.stream[sub.next].Deliver <= due {
 		tp := sub.stream[sub.next]
 		sub.next++
-		sub.replan(tp.Profile, tp.Deliver)
+		sub.planner.Replan(tp.Profile, tp.Deliver)
 	}
 }
 
-// after settles the period just evaluated at ground-truth position pos,
-// under q's lock: it classifies the serve (the classes partition evaluated
-// periods) and credits the plan with the prefetched readings served. With a
-// corridor it then takes a mispredict — an actual position outside the
-// corridor already cost the period its warm serve and staging credit, the
-// evaluation having run cold with honest accounting — re-planning at once
-// along the line through the last two observed positions; and it tops the
-// staged window up relative to the boundary just collected, so boundary
-// k+1's snapshot is cut ahead of its due time whatever the tick coarseness.
-func (sub *Subscription) after(wr *core.WindowResult, pos Point) (class obs.Class) {
+// after settles the period just evaluated, under q's lock: it classifies the
+// serve (the classes partition evaluated periods), credits the plan with the
+// prefetched readings served and records the boundary PrefetchStats counts
+// outstanding chains at.
+func (sub *Subscription) after(wr *core.WindowResult) (class obs.Class) {
 	switch {
 	case wr.PyramidHit:
 		class = obs.ClassPyramid
-	case wr.CorridorHit:
-		class = obs.ClassCorridor
 	case sub.planner != nil:
 		class = obs.ClassPlanned
 	}
 	if sub.planner != nil {
 		sub.planner.NoteServed(wr.Prefetched)
 	}
-	if sub.cache != nil {
-		if at, actual, ok := sub.cache.TakeMispredict(); ok {
-			var vel geom.Vec
-			if at > sub.lastAt {
-				vel = actual.Sub(sub.lastPos).Scale(1 / (at - sub.lastAt).Seconds())
-			}
-			sub.replan(lineProfile(actual, vel, at, sub.spec.Period), at)
-		}
-		sub.cache.StageThrough(wr.Due)
-	}
-	sub.lastPos, sub.lastAt = pos, wr.Due
+	sub.lastAt = wr.Due
 	return class
-}
-
-// replan replaces a planned subscription's governing prediction at virtual
-// time at (a delivered profile, a mispredict correction, a reported
-// waypoint): chains are re-dispatched, the equation-16 warmup clock restarts
-// and the corridor is re-swept. Caller holds q's lock.
-func (sub *Subscription) replan(profile mobility.Profile, at time.Duration) {
-	sub.planner.Replan(profile, at)
-	if sub.cache != nil {
-		sub.cache.SetProfile(profile, at)
-	}
 }
 
 // makeResult converts one engine window evaluation into the public
@@ -905,7 +832,6 @@ func (sub *Subscription) makeResult(wr core.WindowResult) QueryResult {
 		MaxStaleness:    wr.MaxStaleness,
 		Warmup:          wr.Warmup,
 		PrefetchedNodes: wr.Prefetched,
-		CorridorHit:     wr.CorridorHit,
 		PyramidHit:      wr.PyramidHit,
 		WindowPeriods:   wr.WindowPeriods,
 	}

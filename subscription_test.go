@@ -1,8 +1,8 @@
 package mobiquery
 
 // Tests of a subscription's serve machinery, driven through Subscribe and
-// Advance: the mispredict correction, the install-once rule for a predicted
-// profile stream, and the inert on-demand path.
+// Advance: the install-once rule for a predicted profile stream, and the
+// inert on-demand path.
 
 import (
 	"context"
@@ -39,16 +39,14 @@ func pathService(t *testing.T) *Service {
 	return svc
 }
 
-// pathSpec is the shared contract: strategy s, and a corridor staging
-// lookahead boundaries ahead (none at 0) under a 2 m error bound.
-func pathSpec(s Strategy, lookahead int) QuerySpec {
+// pathSpec is the shared contract under strategy s.
+func pathSpec(s Strategy) QuerySpec {
 	return QuerySpec{
 		Radius:    pathRadius,
 		Period:    pathPeriod,
 		Deadline:  pathDeadline,
 		Freshness: time.Second,
 		Strategy:  s,
-		Corridor:  CorridorSpec{Lookahead: lookahead, ErrorModel: ErrorModel{Base: 2}},
 	}
 }
 
@@ -75,109 +73,6 @@ func served(t *testing.T, sub *Subscription) (QueryResult, obs.Class) {
 	return got[0], spans[len(spans)-1].Class
 }
 
-// TestMispredictIsCorrectedFromObservedMotion walks a JIT+corridor
-// subscription along its prediction, then has the user leave the corridor at
-// boundary 8: that period is served cold and counted late, the mispredict
-// re-plans along the line through the last two observed positions, and the
-// next boundary — staged on the corrected course — is served warm again.
-func TestMispredictIsCorrectedFromObservedMotion(t *testing.T) {
-	svc := pathService(t)
-	const turnAt = 8
-	start := geom.Pt(200, 500)
-	east, northEast := geom.V(10, 0), geom.V(10, 40)
-	turnT := (turnAt - 1) * pathPeriod
-	turn := start.Add(east.Scale(turnT.Seconds()))
-	actual := func(t time.Duration) Point {
-		if t <= turnT {
-			return start.Add(east.Scale(t.Seconds()))
-		}
-		return turn.Add(northEast.Scale((t - turnT).Seconds()))
-	}
-	src := scriptedMotion{pos: actual, profiles: []mobility.TimedProfile{{Profile: lineProfile(start, east, 0, pathPeriod)}}}
-	sub, err := svc.Subscribe(context.Background(), pathSpec(JITStrategy(), 3), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// step evaluates boundary k three tenths of a second after it came due —
-	// past the deadline slack, so only a period the plan staged by its
-	// boundary is on time.
-	step := func(k int) (QueryResult, obs.Class) {
-		t.Helper()
-		d := pathPeriod
-		if k == 1 {
-			d += 300 * time.Millisecond
-		}
-		if err := svc.Advance(d); err != nil {
-			t.Fatal(err)
-		}
-		r, class := served(t, sub)
-		if r.K != k {
-			t.Fatalf("boundary %d: evaluated K=%d", k, r.K)
-		}
-		return r, class
-	}
-	stats := func() PrefetchStats {
-		t.Helper()
-		st, ok := sub.PrefetchStats()
-		if !ok {
-			t.Fatal("JIT subscription has no prefetch stats")
-		}
-		return st
-	}
-
-	for k := 1; k < turnAt; k++ {
-		r, class := step(k)
-		if stats().CorridorMispredicts != 0 {
-			t.Fatalf("boundary %d: mispredict on the predicted course", k)
-		}
-		if k == turnAt-1 && (class != obs.ClassCorridor || !r.OnTime || r.Warmup || r.PrefetchedNodes != r.Contributors) {
-			t.Fatalf("boundary %d should be staged, warm and on time: class %v, %+v", k, class, r)
-		}
-	}
-	before := stats()
-
-	r, class := step(turnAt)
-	after := stats()
-	if after.CorridorMispredicts != before.CorridorMispredicts+1 || after.Replans != before.Replans+1 {
-		t.Errorf("replans %d -> %d, mispredicts %d -> %d; want one more of each", before.Replans, after.Replans, before.CorridorMispredicts, after.CorridorMispredicts)
-	}
-	if class != obs.ClassPlanned || r.CorridorHit {
-		t.Errorf("mispredicted period served as %v (corridor hit %v), want a cold planned serve", class, r.CorridorHit)
-	}
-	if r.OnTime || r.Lateness != 300*time.Millisecond || r.EvaluatedAt != r.Deadline+300*time.Millisecond {
-		t.Errorf("mispredicted period kept a staging credit: on time %v, lateness %v, evaluated at %v (due %v)", r.OnTime, r.Lateness, r.EvaluatedAt, r.Deadline)
-	}
-	if r.Contributors == 0 || r.PrefetchedNodes >= r.Contributors {
-		t.Errorf("mispredicted period: %d of %d readings prefetched; the pickup circle should have missed part of the area", r.PrefetchedNodes, r.Contributors)
-	}
-	if after.Epoch != r.Deadline {
-		t.Errorf("plan epoch %v, want the mispredicted boundary %v", after.Epoch, r.Deadline)
-	}
-	// Both the plan and the corridor now follow the observed motion: the
-	// re-swept window starts at the next boundary, centred where the user
-	// will actually be.
-	next := (turnAt + 1) * pathPeriod
-	if e, ok := sub.planner.EntryFor(next); !ok || e.Center.Dist(actual(next)) > 1e-6 {
-		t.Errorf("plan for boundary %d centred at %v, want %v", turnAt+1, e.Center, actual(next))
-	}
-	if got := sub.cache.StagedBoundaries(); len(got) != 3 || got[0] != turnAt+1 {
-		t.Errorf("staged boundaries %v, want the three from %d", got, turnAt+1)
-	}
-	if after.CorridorStaged < before.CorridorStaged+3 {
-		t.Errorf("corridor staged %d -> %d snapshots; a profile replacement re-sweeps the window", before.CorridorStaged, after.CorridorStaged)
-	}
-
-	r, class = step(turnAt + 1)
-	final := stats()
-	if final.CorridorMispredicts != after.CorridorMispredicts || class != obs.ClassCorridor || !r.CorridorHit {
-		t.Errorf("boundary after the correction: class %v, mispredicts %d -> %d; want a warm corridor serve", class, after.CorridorMispredicts, final.CorridorMispredicts)
-	}
-	if final.Replans != after.Replans {
-		t.Errorf("replans rose to %d without a mispredict", final.Replans)
-	}
-}
-
 // TestStreamProfileInstalledOnceBeforeItsBoundary subscribes a
 // ProfileSource with one prediction delivered by the epoch and a second
 // delivered between the second and third boundaries. Subscribe plans from
@@ -193,7 +88,7 @@ func TestStreamProfileInstalledOnceBeforeItsBoundary(t *testing.T) {
 		pos:      func(time.Duration) Point { return start },
 		profiles: []mobility.TimedProfile{{Deliver: 0, Profile: first}, {Deliver: deliverAt, Profile: second}},
 	}
-	sub, err := svc.Subscribe(context.Background(), pathSpec(JITStrategy(), 0), src)
+	sub, err := svc.Subscribe(context.Background(), pathSpec(JITStrategy()), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +138,11 @@ func TestStreamProfileInstalledOnceBeforeItsBoundary(t *testing.T) {
 func TestUnplannedPathIsInert(t *testing.T) {
 	svc := pathService(t)
 	start := geom.Pt(500, 500)
-	sub, err := svc.Subscribe(context.Background(), pathSpec(OnDemandStrategy(), 0), StaticPosition(start))
+	sub, err := svc.Subscribe(context.Background(), pathSpec(OnDemandStrategy()), StaticPosition(start))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.planner != nil || sub.cache != nil || sub.pyramid != nil {
+	if sub.planner != nil || sub.pyramid != nil {
 		t.Fatal("on-demand subscription attached serve machinery")
 	}
 	if _, ok := sub.PrefetchStats(); ok {

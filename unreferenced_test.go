@@ -136,20 +136,21 @@ func TestNoUnreferencedNames(t *testing.T) {
 
 // allowedCallers is the design as a table: each callee, and the only
 // functions — or whole packages — that may refer to it, wherever covered
-// would look. Service.Advance is the one driver outside the engine: it alone
-// pops the due schedule, fans out and flushes re-arms. A subscription wires
-// its query's hooks (besides the engine's id-keyed wrappers) and builds its
-// planner and corridor in attach alone, and drives them around each period
-// in before and after alone. The planner and the corridor have no lock, so
-// every other call into them comes from a Subscription method under the
-// query lock: replan (from before, after and UpdateWaypoint) and
-// PrefetchStats. Advance alone ingests pyramid epochs; Open alone installs the
-// field's sampling schedule and places its nodes. A sensor is sampled in one
-// place on the engine's side, readingOf, and in the discrete-event agent's
-// two sampling steps. A reading folds into a disk's core.Area in the cold
-// scan's foldNode and the pyramid's ingest and fringe alone, and two Areas
-// merge in the window ring and the pyramid's rollup and covered tiles alone.
-// The period path writes the service's shared ledger
+// would look; an empty row allows no caller at all. Service.Advance is the
+// one driver outside the engine: it alone pops the due schedule, fans out and
+// flushes re-arms. A subscription wires its query's hooks (besides the
+// engine's id-keyed wrappers) and builds its planner in attach alone, and
+// drives it around each period in before and after alone. The planner has no
+// lock, so every other call into it comes from a Subscription method under
+// the query lock: UpdateWaypoint's re-plan and PrefetchStats. No code outside
+// benchmark/ builds or drives a corridor cache, and nothing but the engine's
+// own wrapper sets a query's warmer. Advance alone ingests pyramid epochs;
+// Open alone installs the field's sampling schedule and places its nodes. A
+// sensor is sampled in one place on the engine's side, readingOf, and in the
+// discrete-event agent's two sampling steps. A reading folds into a disk's
+// core.Area in the cold scan's foldNode and the pyramid's ingest and fringe
+// alone, and two Areas merge in the window ring and the pyramid's rollup and
+// covered tiles alone. The period path writes the service's shared ledger
 // only through a dispatch worker's lane: the lane alone publishes span
 // batches to the firehose and folds evaluation histograms, and nothing
 // outside internal/obs publishes one span at a time.
@@ -159,22 +160,21 @@ var allowedCallers = map[string][]string{
 	"mobiquery/internal/core.QueryEngine.NewRearmBatch": {"mobiquery.Service.Advance", "mobiquery/internal/core"},
 	"mobiquery/internal/core.Query.SetSampler":          {"mobiquery.Subscription.attach", "mobiquery/internal/core.QueryEngine.SetQuerySampler"},
 	"mobiquery/internal/core.Query.SetPlan":             {"mobiquery.Subscription.attach", "mobiquery/internal/core.QueryEngine.SetQueryPlan"},
-	"mobiquery/internal/core.Query.SetWarmer":           {"mobiquery.Subscription.attach", "mobiquery/internal/core.QueryEngine.SetQueryWarmer"},
+	"mobiquery/internal/core.Query.SetWarmer":           {"mobiquery/internal/core.QueryEngine.SetQueryWarmer"},
 	"mobiquery/internal/core.Query.SetAggIndex":         {"mobiquery.Subscription.attach", "mobiquery/internal/core.QueryEngine.SetQueryAggIndex"},
 	"mobiquery/internal/core.QueryEngine.SetSampler":    {"mobiquery.Open"},
 	"mobiquery/internal/prefetch.NewPlanner":            {"mobiquery.Subscription.attach"},
-	"mobiquery/internal/corridor.NewCache":              {"mobiquery.Subscription.attach"},
+	"mobiquery/internal/corridor.NewCache":              {},
 	"mobiquery/internal/core.QueryEngine.UpsertNode":    {"mobiquery.Open"},
 	"mobiquery/internal/prefetch.Planner.NoteServed":    {"mobiquery.Subscription.after"},
-	"mobiquery/internal/corridor.Cache.TakeMispredict":  {"mobiquery.Subscription.after"},
-	"mobiquery/internal/corridor.Cache.StageThrough":    {"mobiquery.Subscription.after"},
+	"mobiquery/internal/corridor.Cache.TakeMispredict":  {},
+	"mobiquery/internal/corridor.Cache.StageThrough":    {},
 	"mobiquery/internal/pyramid.Pyramid.EnsureEpoch":    {"mobiquery.Service.Advance"},
-	"mobiquery/internal/prefetch.Planner.Replan":        {"mobiquery.Subscription.replan"},
-	"mobiquery/internal/corridor.Cache.SetProfile":      {"mobiquery.Subscription.attach", "mobiquery.Subscription.replan"},
+	"mobiquery/internal/prefetch.Planner.Replan":        {"mobiquery.Subscription.before", "mobiquery.Subscription.UpdateWaypoint"},
+	"mobiquery/internal/corridor.Cache.SetProfile":      {},
 	"mobiquery/internal/prefetch.Planner.Stats":         {"mobiquery.Subscription.PrefetchStats"},
 	"mobiquery/internal/prefetch.Planner.Outstanding":   {"mobiquery.Subscription.PrefetchStats"},
-	"mobiquery/internal/corridor.Cache.Stats":           {"mobiquery.Subscription.PrefetchStats"},
-	"mobiquery.Subscription.replan":                     {"mobiquery.Subscription.before", "mobiquery.Subscription.after", "mobiquery.Subscription.UpdateWaypoint"},
+	"mobiquery/internal/corridor.Cache.Stats":           {},
 	"mobiquery/internal/obs.SpanSink.Publish":           {"mobiquery/internal/obs"},
 	"mobiquery/internal/obs.SpanSink.PublishBatch":      {"mobiquery.lane.publish"},
 	"mobiquery/internal/obs.Histogram.Fold":             {"mobiquery.lane.fold"},
